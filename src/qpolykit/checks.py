@@ -1,0 +1,288 @@
+"""The check policy: which checks run on which input, and what is an alarm.
+
+Every front end (the CLI, ``scripts/verify_corpus.py``, the property suite
+and the acceptance tests) runs the paper's checks through these functions,
+so the sequence of checks and the alarm rules exist once.
+
+An alarm means a statement that is guaranteed for every validated instance
+failed: an implementation bug, never a property of the input.  Input that
+lies outside a check's hypotheses is reported as skipped, not as an alarm.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from . import graphs as graphmod
+from . import schemes as schememod
+from . import tridiagonal as trimod
+from .graphs import Graph, GraphError
+from .serialize import rat_str, value_json
+
+EXIT_OK = 0
+EXIT_INPUT = 1
+EXIT_ALARM = 2
+
+THEOREM_CHOICES = ("kpy", "thm31", "fundamental", "thm41", "thm51", "all")
+
+
+def check_system(system: trimod.TridiagonalSystem) -> list[str]:
+    """Every tridiagonal theorem on one system; returns the problems found.
+
+    The pair bound holds with equality exactly when D = 2, the triple bound
+    (D >= 3) with equality exactly when D = 3, consecutive F_i interlace,
+    and the recurrence agrees with the cofactor characteristic polynomial.
+    """
+    d = system.d
+    rep = trimod.spectrum(system)
+    pair = trimod.pair_bound(system, rep)
+    triple = trimod.triple_bound(system, rep) if d >= 3 else None
+    inter = trimod.interlacing_check(rep)
+    oracle = trimod.charpoly_by_cofactor(trimod.reduced_matrix(system)).monic()
+    recurrence = rep.f_polys[-1].monic()
+    problems = []
+    if not pair.holds:
+        problems.append("pair bound failed")
+    if pair.equality != (d == 2):
+        problems.append("pair-bound equality must hold exactly when D = 2")
+    if triple is not None:
+        if not triple.holds:
+            problems.append("triple bound failed")
+        if triple.equality != (d == 3):
+            problems.append("triple-bound equality must hold exactly when D = 3")
+    if not inter.passed:
+        problems.append("interlacing failed")
+    if oracle != recurrence:
+        problems.append("recurrence disagrees with the cofactor characteristic polynomial")
+    return problems
+
+
+def _approx(v) -> str:
+    if isinstance(v, Fraction):
+        return rat_str(v)
+    if isinstance(v, int):
+        return str(v)
+    try:
+        return f"{v.approx_float():.6g}"
+    except AttributeError:
+        return str(v)
+
+
+def _finish(report: dict, lines: list[str], alarms: list[str]):
+    """Shared tail of every check: alarms, exit code, ALARM and exit lines."""
+    report["alarms"] = alarms
+    code = EXIT_ALARM if alarms else EXIT_OK
+    report["exit_code"] = code
+    lines.extend(f"ALARM: {a}" for a in alarms)
+    lines.append(f"exit: {code}")
+    return report, lines, alarms
+
+
+def check_graph(g: Graph, theorem: str = "all"):
+    """The graph-side checks; returns (report, text_lines, alarms).
+
+    Raises GraphError when the graph cannot be classified.
+    """
+    alarms: list[str] = []
+    report: dict = {"command": "check-graph", "n": g.n, "edges": g.edge_count}
+    lines = [f"graph: {g.n} vertices, {g.edge_count} edges"]
+
+    classification = graphmod.classify_regularity(g)
+    report["classification"] = classification.to_json_dict()
+    flags = [k for k, v in report["classification"].items() if v is True]
+    lines.append("classification: " + (", ".join(flags) if flags else "(none)"))
+
+    spec = graphmod.spectrum_graph(g)
+    report["spectrum"] = [
+        {"value": value_json(e), "multiplicity": m}
+        for e, m in zip(spec.distinct, spec.multiplicities)
+    ]
+    lines.append(
+        "distinct eigenvalues: "
+        + ", ".join(f"{e.approx_float():.6g} (x{m})" for e, m in zip(spec.distinct, spec.multiplicities))
+    )
+
+    if theorem in ("kpy", "all"):
+        try:
+            kpy = graphmod.pair_bound_all_vertices(g, spec, classification)
+        except GraphError as exc:
+            # valid input outside the check's hypotheses: report, don't fail
+            report["pair_bound"] = {"skipped": str(exc)}
+            lines.append(f"vertex pair bound: skipped ({exc})")
+            kpy = None
+        if kpy is not None:
+            report["pair_bound"] = kpy.to_json_dict()
+            lines.append(
+                f"vertex pair bound: holds at all vertices = {kpy.all_hold}, "
+                f"equality everywhere = {kpy.equality_everywhere}, "
+                f"strongly regular verdict = {kpy.strongly_regular_verdict}"
+            )
+            if not kpy.all_hold:
+                alarms.append("vertex pair bound violated")
+            if not kpy.cross_check_ok:
+                alarms.append("pair-bound equality disagrees with the strong-regularity classification")
+
+    if theorem in ("thm31", "all") and classification.distance_regular and classification.diameter >= 3:
+        tb = graphmod.triple_bound_graph(g, spec)
+        report["triple_bound"] = {
+            "hypothesis_sign": tb.hypothesis_sign,
+            "branches": [
+                dict(branch=b.branch, **b.check.to_json_dict()) for b in tb.branches
+            ],
+        }
+        lines.append(
+            "triple bound: "
+            + "; ".join(
+                f"{b.branch}: lhs {_approx(b.check.lhs)} {b.check.relation} rhs {_approx(b.check.rhs)}"
+                f" holds={b.check.holds} equality={b.check.equality}"
+                for b in tb.branches
+            )
+        )
+        if not tb.holds:
+            alarms.append("triple bound violated on a distance-regular graph")
+
+    if theorem in ("fundamental", "all") and classification.distance_regular:
+        try:
+            fb = graphmod.fundamental_bound(g, spec)
+        except GraphError as exc:
+            report["fundamental_bound"] = {"skipped": str(exc)}
+            lines.append(f"fundamental bound: skipped ({exc})")
+            fb = None
+        if fb is not None:
+            report["fundamental_bound"] = fb.to_json_dict()
+            lines.append(
+                f"fundamental bound: lhs {_approx(fb.lhs)} >= rhs {_approx(fb.rhs)}, "
+                f"holds={fb.holds}, tight={fb.tight}"
+            )
+            if not fb.holds:
+                alarms.append("fundamental bound violated")
+
+    if theorem in ("kpy", "all") and classification.regular and not g.is_complete() and not g.is_empty_graph():
+        inter = graphmod.interlace_check(g, 0, spec)
+        report["interlacing"] = {
+            "passed": inter.passed,
+            "top_equality": inter.theta1_eq_tau1,
+            "bottom_equality": inter.thetamin_eq_taumin,
+        }
+        if not inter.passed:
+            alarms.append("quotient interlacing violated")
+
+    return _finish(report, lines, alarms)
+
+
+def check_scheme(source, theorem: str = "all"):
+    """The scheme-side checks; returns (report, text_lines, alarms).
+
+    ``source`` is an AssociationScheme, or a list of polynomial structures
+    given at parameter level (a Krein array), where the point-set checks are
+    unavailable.  Raises SchemeError when the scheme's eigendata cannot be
+    built (which includes failing the scheme axioms).
+    """
+    alarms: list[str] = []
+    report: dict = {"command": "check-scheme"}
+    lines: list[str] = []
+    scheme = eig = table = None
+    if isinstance(source, schememod.AssociationScheme):
+        scheme = source
+        eig = schememod.eigendata(scheme)  # raises SchemeError unless the axioms hold
+        table = schememod.krein(scheme, eig)
+        structures = schememod.find_q_orderings(scheme, eig, table)
+        report["n"] = scheme.n
+        report["class"] = scheme.d
+        lines.append(f"scheme: {scheme.n} points, class {scheme.d}")
+        report["axioms_ok"] = True
+        report["krein_nonnegative"] = table.nonnegative
+        if not table.nonnegative:
+            alarms.append("negative Krein parameter on a verified scheme")
+    else:
+        structures = list(source)
+    if not structures:
+        report["q_polynomial"] = False
+        lines.append("no polynomial ordering of the idempotents (not Q-polynomial)")
+        return _finish(report, lines, alarms)
+    report["q_polynomial"] = True
+
+    ordering_reports = []
+    for idx, qs in enumerate(structures):
+        entry: dict = {
+            "ordering": idx,
+            "m": rat_str(qs.m),
+            "provenance": qs.provenance,
+            "dual_eigenvalues": [value_json(t) for t in qs.dual_eigenvalues],
+            "descending_matches_input": qs.descending_matches_input,
+        }
+        lines.append(f"ordering {idx}: m = {qs.m}")
+        spectral_ok = schememod.b1star_spectral_identity(qs)
+        entry["b1star_spectral_identity"] = spectral_ok
+        if not spectral_ok:
+            alarms.append(f"ordering {idx}: Krein matrix spectrum differs from the dual eigenvalues")
+
+        if theorem in ("thm41", "all"):
+            db = schememod.dual_bounds(qs)
+            entry["pair_bound"] = db.part1.to_json_dict()
+            lines.append(
+                f"  dual pair bound: lhs {_approx(db.part1.lhs)} <= rhs {_approx(db.part1.rhs)}"
+                f" equality={db.part1.equality}"
+            )
+            if not db.part1.holds:
+                alarms.append(f"ordering {idx}: dual pair bound violated")
+            if db.part2 is not None:
+                entry["triple_bound"] = {
+                    "hypothesis_sign": db.part2.hypothesis_sign,
+                    "branches": [
+                        dict(branch=b.branch, **b.check.to_json_dict()) for b in db.part2.branches
+                    ],
+                }
+                if not db.part2.holds:
+                    alarms.append(f"ordering {idx}: dual triple bound violated")
+
+        if theorem in ("thm51", "fundamental", "all"):
+            dfb = schememod.dual_fundamental_bound(qs)
+            entry["dual_fundamental_bound"] = {
+                "lhs": value_json(dfb.lhs),
+                "rhs": value_json(dfb.rhs),
+                "holds": dfb.holds,
+                "equality": dfb.equality,
+                "q_bipartite": dfb.q_bipartite,
+                "dual_tight": dfb.dual_tight,
+            }
+            lines.append(
+                f"  dual fundamental bound: holds={dfb.holds} dual_tight={dfb.dual_tight}"
+            )
+            if not dfb.holds:
+                alarms.append(f"ordering {idx}: dual fundamental bound violated")
+            if qs.d == 3 and dfb.dual_tight and theorem in ("thm51", "all"):
+                audit = schememod.class3_dualtight_audit(qs, dfb)
+                entry["audit"] = audit.to_json_dict()
+                lines.append(
+                    f"  dual-tight audit: all_passed={audit.all_passed} "
+                    f"b2*=1: {audit.b2star_is_1}, b1*=c2*: {audit.b1star_eq_c2star}, "
+                    f"Q-antipodal: {audit.q_antipodal}"
+                )
+                if not audit.all_passed:
+                    alarms.append(f"ordering {idx}: dual-tight audit failed")
+        ordering_reports.append(entry)
+    report["orderings"] = ordering_reports
+
+    if theorem in ("thm51", "all") and scheme is not None and scheme.d == 3:
+        cls = schememod.classify_class3_scheme(scheme, eig, table)
+        report["classification"] = cls.to_json_dict()
+        lines.append(
+            f"class-3 classification: dual_tight={cls.dual_tight} "
+            f"incidence_relation={cls.incidence_relation} design={cls.design_params}"
+        )
+        if not cls.biconditional_ok:
+            alarms.append("dual-tightness disagrees with the symmetric-design classification")
+
+    return _finish(report, lines, alarms)
+
+
+def check_scan(result) -> list[str]:
+    """Alarms of a scan: every dual-tight survivor must satisfy the class-3
+    parameter consequences b2* = 1 and b1* = c2* and pass its audit."""
+    bad = [
+        r
+        for r in result.dual_tight_survivors()
+        if not (r.b2star_is_1 and r.b1star_eq_c2star and r.audit_all_passed)
+    ]
+    return ["dual-tight survivor violates the class-3 parameter consequences"] if bad else []

@@ -3,9 +3,12 @@
 Four subcommands: check-graph, check-scheme, property-suite, scan.  Reports
 carry both sides of every inequality exactly (rationals as p/q strings,
 algebraic numbers as defining polynomial plus interval); decimals are
-annotation only.  Exit codes: 0 all checks verified, 1 input error, 2
-soundness alarm: a guaranteed statement failed on a validated instance,
-which means an implementation bug, never a property of the input.
+annotation only.  Exit codes: 0 all checks verified, 1 input or usage
+error, 2 soundness alarm: a guaranteed statement failed on a validated
+instance, which means an implementation bug, never a property of the input.
+
+This module parses arguments, loads input and prints reports; which checks
+run and what counts as an alarm is decided in ``qpolykit.checks``.
 
 The environment variable QPOLYKIT_REFINE_BUDGET caps interval-refinement
 rounds before exact algebraic fallbacks kick in; it affects speed, not
@@ -18,391 +21,129 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
+from . import checks
 from . import graphs as graphmod
 from . import scanner as scanmod
 from . import schemes as schememod
 from . import tridiagonal as trimod
+from .checks import EXIT_ALARM, EXIT_INPUT, EXIT_OK, THEOREM_CHOICES
 from .families import load, parse_family_spec
 from .graphs import Graph, GraphError
 from .schemes import SchemeError
-from .serialize import dump_json, dump_json_pretty, rat_str, value_json
-
-EXIT_OK = 0
-EXIT_INPUT = 1
-EXIT_ALARM = 2
-
-THEOREM_CHOICES = ("kpy", "thm31", "fundamental", "thm41", "thm51", "all")
+from .serialize import dump_json, dump_json_pretty
 
 
-@dataclass
-class RunConfig:
-    command: str
-    input_path: str | None = None
-    family: str | None = None
-    fmt: str = "graph6"
-    output: str = "text"
-    seed: int = 0
-    n: int = 1000
-    graphs: int = 25
-    m_max: Fraction = Fraction(10)
-    m_min: Fraction = Fraction(2)
-    step: Fraction = Fraction(1)
-    free_c3: bool = False
-    non_genuine: bool = False
-    theorem: str = "all"
-    krein_inline: str | None = None
-    from_graph: str | None = None
-
-
-def _emit(config: RunConfig, report: dict, text_lines: list[str]) -> None:
-    if config.output == "json":
+def _emit(output: str, report: dict, text_lines: list[str]) -> None:
+    if output == "json":
         print(dump_json_pretty(report))
     else:
         for line in text_lines:
             print(line)
 
 
-def _load_graph(config: RunConfig) -> Graph:
-    if config.family:
-        obj = parse_family_spec(config.family)
-        if not isinstance(obj, Graph):
-            raise GraphError(f"family {config.family!r} is not a graph")
-        return obj
-    if not config.input_path:
-        raise GraphError("need --input or --family")
-    fmt = "graph6" if config.fmt == "graph6" else "json_graph"
-    obj = load(config.input_path, fmt)
-    if not isinstance(obj, Graph):
-        raise GraphError("input is not a graph")
-    return obj
+def _input_error(exc: Exception) -> int:
+    print(f"input error: {exc}", file=sys.stderr)
+    return EXIT_INPUT
 
 
 # -- check-graph ----------------------------------------------------------------
 
 
-def cmd_check_graph(config: RunConfig) -> int:
+def _load_graph(args) -> Graph:
+    if args.family:
+        obj = parse_family_spec(args.family)
+        if not isinstance(obj, Graph):
+            raise GraphError(f"family {args.family!r} is not a graph")
+        return obj
+    if not args.input:
+        raise GraphError("need --input or --family")
+    fmt = "graph6" if args.format == "graph6" else "json_graph"
+    obj = load(args.input, fmt)
+    if not isinstance(obj, Graph):
+        raise GraphError("input is not a graph")
+    return obj
+
+
+def cmd_check_graph(args) -> int:
     try:
-        g = _load_graph(config)
+        g = _load_graph(args)
     except (GraphError, ValueError, OSError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-
-    alarms: list[str] = []
-    report: dict = {"command": "check-graph", "n": g.n, "edges": g.edge_count}
-    lines = [f"graph: {g.n} vertices, {g.edge_count} edges"]
-    want = config.theorem
-
+        return _input_error(exc)
     try:
-        classification = graphmod.classify_regularity(g)
+        report, lines, _ = checks.check_graph(g, args.theorem)
     except GraphError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    report["classification"] = classification.to_json_dict()
-    flags = [k for k, v in report["classification"].items() if v is True]
-    lines.append("classification: " + (", ".join(flags) if flags else "(none)"))
-
-    spec = graphmod.spectrum_graph(g)
-    report["spectrum"] = [
-        {"value": value_json(e), "multiplicity": m}
-        for e, m in zip(spec.distinct, spec.multiplicities)
-    ]
-    lines.append(
-        "distinct eigenvalues: "
-        + ", ".join(f"{e.approx_float():.6g} (x{m})" for e, m in zip(spec.distinct, spec.multiplicities))
-    )
-
-    if want in ("kpy", "all"):
-        try:
-            kpy = graphmod.pair_bound_all_vertices(g, spec, classification)
-        except GraphError as exc:
-            # valid input outside the check's hypotheses: report, don't fail
-            report["pair_bound"] = {"skipped": str(exc)}
-            lines.append(f"vertex pair bound: skipped ({exc})")
-            kpy = None
-        if kpy is not None:
-            report["pair_bound"] = kpy.to_json_dict()
-            lines.append(
-                f"vertex pair bound: holds at all vertices = {kpy.all_hold}, "
-                f"equality everywhere = {kpy.equality_everywhere}, "
-                f"strongly regular verdict = {kpy.strongly_regular_verdict}"
-            )
-            if not kpy.all_hold:
-                alarms.append("vertex pair bound violated")
-            if not kpy.cross_check_ok:
-                alarms.append("pair-bound equality disagrees with the strong-regularity classification")
-
-    if want in ("thm31", "all") and classification.distance_regular and classification.diameter >= 3:
-        tb = graphmod.triple_bound_graph(g, spec)
-        report["triple_bound"] = {
-            "hypothesis_sign": tb.hypothesis_sign,
-            "branches": [
-                dict(branch=b.branch, **b.check.to_json_dict()) for b in tb.branches
-            ],
-        }
-        lines.append(
-            "triple bound: "
-            + "; ".join(
-                f"{b.branch}: lhs {_approx(b.check.lhs)} {b.check.relation} rhs {_approx(b.check.rhs)}"
-                f" holds={b.check.holds} equality={b.check.equality}"
-                for b in tb.branches
-            )
-        )
-        if not tb.holds:
-            alarms.append("triple bound violated on a distance-regular graph")
-
-    if want in ("fundamental", "all") and classification.distance_regular:
-        try:
-            fb = graphmod.fundamental_bound(g, spec)
-        except GraphError as exc:
-            report["fundamental_bound"] = {"skipped": str(exc)}
-            lines.append(f"fundamental bound: skipped ({exc})")
-            fb = None
-        if fb is not None:
-            report["fundamental_bound"] = fb.to_json_dict()
-            lines.append(
-                f"fundamental bound: lhs {_approx(fb.lhs)} >= rhs {_approx(fb.rhs)}, "
-                f"holds={fb.holds}, tight={fb.tight}"
-            )
-            if not fb.holds:
-                alarms.append("fundamental bound violated")
-
-    if want in ("kpy", "all") and classification.regular and not g.is_complete() and not g.is_empty_graph():
-        inter = graphmod.interlace_check(g, 0, spec)
-        report["interlacing"] = {
-            "passed": inter.passed,
-            "top_equality": inter.theta1_eq_tau1,
-            "bottom_equality": inter.thetamin_eq_taumin,
-        }
-        if not inter.passed:
-            alarms.append("quotient interlacing violated")
-
-    report["alarms"] = alarms
-    code = EXIT_ALARM if alarms else EXIT_OK
-    report["exit_code"] = code
-    lines.extend(f"ALARM: {a}" for a in alarms)
-    lines.append(f"exit: {code}")
-    _emit(config, report, lines)
-    return code
-
-
-def _approx(v) -> str:
-    if isinstance(v, Fraction):
-        return rat_str(v)
-    if isinstance(v, int):
-        return str(v)
-    try:
-        return f"{v.approx_float():.6g}"
-    except AttributeError:
-        return str(v)
+        return _input_error(exc)
+    _emit(args.output, report, lines)
+    return report["exit_code"]
 
 
 # -- check-scheme -----------------------------------------------------------------
 
 
-def cmd_check_scheme(config: RunConfig) -> int:
-    try:
-        structures, scheme, eig, table = _scheme_inputs(config)
-    except (SchemeError, GraphError, ValueError, OSError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-
-    alarms: list[str] = []
-    report: dict = {"command": "check-scheme"}
-    lines: list[str] = []
-    if scheme is not None:
-        report["n"] = scheme.n
-        report["class"] = scheme.d
-        lines.append(f"scheme: {scheme.n} points, class {scheme.d}")
-        axioms = schememod.verify_scheme(scheme)
-        report["axioms_ok"] = axioms.ok
-        if not axioms.ok:
-            print("input error: scheme axioms fail: " + "; ".join(axioms.violations), file=sys.stderr)
-            return EXIT_INPUT
-        if table is not None:
-            report["krein_nonnegative"] = table.nonnegative
-            if not table.nonnegative:
-                alarms.append("negative Krein parameter on a verified scheme")
-    if not structures:
-        report["q_polynomial"] = False
-        lines.append("no polynomial ordering of the idempotents (not Q-polynomial)")
-        report["alarms"] = alarms
-        report["exit_code"] = EXIT_OK
-        lines.append("exit: 0")
-        _emit(config, report, lines)
-        return EXIT_OK
-    report["q_polynomial"] = True
-
-    want = config.theorem
-    ordering_reports = []
-    for idx, qs in enumerate(structures):
-        entry: dict = {
-            "ordering": idx,
-            "m": rat_str(qs.m),
-            "provenance": qs.provenance,
-            "dual_eigenvalues": [value_json(t) for t in qs.dual_eigenvalues],
-            "descending_matches_input": qs.descending_matches_input,
-        }
-        lines.append(f"ordering {idx}: m = {qs.m}")
-        spectral_ok = schememod.b1star_spectral_identity(qs)
-        entry["b1star_spectral_identity"] = spectral_ok
-        if not spectral_ok:
-            alarms.append(f"ordering {idx}: Krein matrix spectrum differs from the dual eigenvalues")
-
-        if want in ("thm41", "all"):
-            db = schememod.dual_bounds(qs)
-            entry["pair_bound"] = db.part1.to_json_dict()
-            lines.append(
-                f"  dual pair bound: lhs {_approx(db.part1.lhs)} <= rhs {_approx(db.part1.rhs)}"
-                f" equality={db.part1.equality}"
-            )
-            if not db.part1.holds:
-                alarms.append(f"ordering {idx}: dual pair bound violated")
-            if db.part2 is not None:
-                entry["triple_bound"] = {
-                    "hypothesis_sign": db.part2.hypothesis_sign,
-                    "branches": [
-                        dict(branch=b.branch, **b.check.to_json_dict()) for b in db.part2.branches
-                    ],
-                }
-                if not db.part2.holds:
-                    alarms.append(f"ordering {idx}: dual triple bound violated")
-
-        if want in ("thm51", "fundamental", "all"):
-            dfb = schememod.dual_fundamental_bound(qs)
-            entry["dual_fundamental_bound"] = {
-                "lhs": value_json(dfb.lhs),
-                "rhs": value_json(dfb.rhs),
-                "holds": dfb.holds,
-                "equality": dfb.equality,
-                "q_bipartite": dfb.q_bipartite,
-                "dual_tight": dfb.dual_tight,
-            }
-            lines.append(
-                f"  dual fundamental bound: holds={dfb.holds} dual_tight={dfb.dual_tight}"
-            )
-            if not dfb.holds:
-                alarms.append(f"ordering {idx}: dual fundamental bound violated")
-            if qs.d == 3 and dfb.dual_tight and want in ("thm51", "all"):
-                audit = schememod.class3_dualtight_audit(qs, dfb)
-                entry["audit"] = audit.to_json_dict()
-                lines.append(
-                    f"  dual-tight audit: all_passed={audit.all_passed} "
-                    f"b2*=1: {audit.b2star_is_1}, b1*=c2*: {audit.b1star_eq_c2star}, "
-                    f"Q-antipodal: {audit.q_antipodal}"
-                )
-                if not audit.all_passed:
-                    alarms.append(f"ordering {idx}: dual-tight audit failed")
-        ordering_reports.append(entry)
-    report["orderings"] = ordering_reports
-
-    if want in ("thm51", "all") and scheme is not None and scheme.d == 3:
-        cls = schememod.classify_class3_scheme(scheme, eig, table)
-        report["classification"] = cls.to_json_dict()
-        lines.append(
-            f"class-3 classification: dual_tight={cls.dual_tight} "
-            f"incidence_relation={cls.incidence_relation} design={cls.design_params}"
-        )
-        if not cls.biconditional_ok:
-            alarms.append("dual-tightness disagrees with the symmetric-design classification")
-
-    report["alarms"] = alarms
-    code = EXIT_ALARM if alarms else EXIT_OK
-    report["exit_code"] = code
-    lines.extend(f"ALARM: {a}" for a in alarms)
-    lines.append(f"exit: {code}")
-    _emit(config, report, lines)
-    return code
-
-
-def _scheme_inputs(config: RunConfig):
-    """Returns (structures, scheme_or_None, eigendata_or_None, krein_or_None)."""
-    if config.krein_inline:
-        obj = json.loads(config.krein_inline)
-        qs = schememod.krein_array_structure(obj)
-        return [qs], None, None, None
-    if config.from_graph:
-        g = parse_family_spec(config.from_graph)
-        scheme = schememod.scheme_from_graph(g)
-    elif config.input_path:
-        if config.fmt == "graph6":
-            g = load(config.input_path, "graph6")
-            scheme = schememod.scheme_from_graph(g)
-        else:
-            obj = load(config.input_path, "json_scheme")
-            if isinstance(obj, schememod.AssociationScheme):
-                scheme = obj
-            else:
-                return [obj], None, None, None
-    else:
+def _load_scheme(args):
+    """An AssociationScheme, or [QPolyStructure] for Krein-array input."""
+    if args.krein:
+        return [schememod.krein_array_structure(json.loads(args.krein))]
+    if args.from_graph:
+        return schememod.scheme_from_graph(parse_family_spec(args.from_graph))
+    if not args.input:
         raise SchemeError("need --input, --from-graph or --krein")
-    eig = schememod.eigendata(scheme)
-    table = schememod.krein(scheme, eig)
-    structures = schememod.find_q_orderings(scheme, eig, table)
-    return structures, scheme, eig, table
+    if args.format == "graph6":
+        return schememod.scheme_from_graph(load(args.input, "graph6"))
+    obj = load(args.input, "json_scheme")
+    return obj if isinstance(obj, schememod.AssociationScheme) else [obj]
+
+
+def cmd_check_scheme(args) -> int:
+    try:
+        source = _load_scheme(args)
+    except (SchemeError, GraphError, ValueError, OSError) as exc:
+        return _input_error(exc)
+    try:
+        report, lines, _ = checks.check_scheme(source, args.theorem)
+    except SchemeError as exc:
+        return _input_error(exc)
+    _emit(args.output, report, lines)
+    return report["exit_code"]
 
 
 # -- property-suite ------------------------------------------------------------------
 
 
-def cmd_property_suite(config: RunConfig, _fault_inject=None) -> int:
+def cmd_property_suite(args) -> int:
     """Randomized verification: tridiagonal systems and regular graphs.
 
     Any theorem violation is a soundness alarm: the run stops with exit 2
-    and a reproducer (seed and index).  _fault_inject is a test hook that
-    flips one verdict to prove the alarm path fires.
+    and a reproducer (seed and index).
     """
-    rng = random.Random(config.seed)
+    rng = random.Random(args.seed)
     report: dict = {
         "command": "property-suite",
-        "seed": config.seed,
-        "systems": config.n,
-        "graphs": config.graphs,
+        "seed": args.seed,
+        "systems": args.n,
+        "graphs": args.graphs,
     }
-    lines = [f"property suite: seed={config.seed}, {config.n} systems, {config.graphs} graphs"]
+    lines = [f"property suite: seed={args.seed}, {args.n} systems, {args.graphs} graphs"]
 
-    for index in range(config.n):
-        d = rng.randint(2, 6)
-        system = trimod.random_system(rng, d)
-        rep = trimod.spectrum(system)
-        pair = trimod.pair_bound(system, rep)
-        triple = trimod.triple_bound(system, rep) if d >= 3 else None
-        inter = trimod.interlacing_check(rep)
-        oracle = trimod.charpoly_by_cofactor(trimod.reduced_matrix(system)).monic()
-        recurrence = rep.f_polys[-1].monic()
-        problems = []
-        if not pair.holds:
-            problems.append("pair bound failed")
-        if pair.equality != (d == 2):
-            problems.append("pair-bound equality must hold exactly when D = 2")
-        if triple is not None:
-            if not triple.holds:
-                problems.append("triple bound failed")
-            if triple.equality != (d == 3):
-                problems.append("triple-bound equality must hold exactly when D = 3")
-        if not inter.passed:
-            problems.append("interlacing failed")
-        if oracle != recurrence:
-            problems.append("recurrence disagrees with the cofactor characteristic polynomial")
-        if _fault_inject is not None:
-            problems.extend(_fault_inject(index, system))
+    def alarm(where: str, reproducer: dict) -> int:
+        reproducer = {"seed": args.seed, **reproducer}
+        report["violation"] = reproducer
+        report["exit_code"] = EXIT_ALARM
+        lines.append(f"ALARM at {where}: {reproducer['problems']}")
+        lines.append(f"reproducer: {dump_json(reproducer)}")
+        _emit(args.output, report, lines)
+        return EXIT_ALARM
+
+    for index in range(args.n):
+        system = trimod.random_system(rng, rng.randint(2, 6))
+        problems = checks.check_system(system)
         if problems:
-            reproducer = {
-                "seed": config.seed,
-                "index": index,
-                "system": system.to_json_dict(),
-                "problems": problems,
-            }
-            report["violation"] = reproducer
-            report["exit_code"] = EXIT_ALARM
-            lines.append(f"ALARM at system index {index}: {problems}")
-            lines.append(f"reproducer: {dump_json(reproducer)}")
-            _emit(config, report, lines)
-            return EXIT_ALARM
+            reproducer = {"index": index, "system": system.to_json_dict(), "problems": problems}
+            return alarm(f"system index {index}", reproducer)
 
-    for index in range(config.graphs):
+    for index in range(args.graphs):
         n = rng.choice([8, 10, 12, 14])
         k = rng.choice([3, 4])
         if n * k % 2:
@@ -410,109 +151,96 @@ def cmd_property_suite(config: RunConfig, _fault_inject=None) -> int:
         g = graphmod.random_regular_graph(rng, n, k)
         if g.is_complete():
             continue
-        spec = graphmod.spectrum_graph(g)
-        if spec.d < 2:
-            continue
-        kpy = graphmod.pair_bound_all_vertices(g, spec)
-        inter = graphmod.interlace_check(g, 0, spec)
-        problems = []
-        if not kpy.all_hold:
-            problems.append("vertex pair bound failed")
-        if not kpy.cross_check_ok:
-            problems.append("equality case disagrees with strong-regularity classification")
-        if not inter.passed:
-            problems.append("interlacing failed")
+        _, _, problems = checks.check_graph(g, "kpy")
         if problems:
-            reproducer = {
-                "seed": config.seed,
-                "graph_index": index,
-                "graph6": graphmod.emit_graph6(g),
-                "problems": problems,
-            }
-            report["violation"] = reproducer
-            report["exit_code"] = EXIT_ALARM
-            lines.append(f"ALARM at graph index {index}: {problems}")
-            lines.append(f"reproducer: {dump_json(reproducer)}")
-            _emit(config, report, lines)
-            return EXIT_ALARM
+            reproducer = {"graph_index": index, "graph6": graphmod.emit_graph6(g), "problems": problems}
+            return alarm(f"graph index {index}", reproducer)
 
     report["violations"] = 0
     report["exit_code"] = EXIT_OK
     lines.append("0 violations")
     lines.append("exit: 0")
-    _emit(config, report, lines)
+    _emit(args.output, report, lines)
     return EXIT_OK
 
 
 # -- scan ---------------------------------------------------------------------------------
 
 
-def cmd_scan(config: RunConfig) -> int:
+def cmd_scan(args) -> int:
     try:
         spec = scanmod.GridSpec(
-            m_max=config.m_max,
-            m_min=config.m_min,
-            step=config.step,
-            genuine=not config.non_genuine,
-            free_c3=config.free_c3,
+            m_max=Fraction(args.m_max),
+            m_min=Fraction(args.m_min),
+            step=Fraction(args.step),
+            genuine=not args.non_genuine,
+            free_c3=args.free_c3,
         )
         spec.validate()
-    except ValueError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    except (ValueError, ZeroDivisionError) as exc:
+        return _input_error(exc)
     result = scanmod.scan(spec)
     for rec in result.records:
         print(dump_json(rec.to_json_dict()))
-    summary = {"command": "scan", "tallies": result.tallies}
-    print(dump_json(summary))
-    # the theorem's parameter consequence must hold on every dual-tight survivor
-    bad = [
-        r
-        for r in result.dual_tight_survivors()
-        if not (r.b2star_is_1 and r.b1star_eq_c2star and r.audit_all_passed)
-    ]
-    if bad:
-        print("ALARM: dual-tight survivor violates the class-3 parameter consequences", file=sys.stderr)
-        return EXIT_ALARM
-    return EXIT_OK
+    print(dump_json({"command": "scan", "tallies": result.tallies}))
+    alarms = checks.check_scan(result)
+    for a in alarms:
+        print(f"ALARM: {a}", file=sys.stderr)
+    return EXIT_ALARM if alarms else EXIT_OK
 
 
 # -- argument parsing -----------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 (input error); exit 2 is kept for soundness alarms."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
+def _count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qpolykit",
         description="Exact spectral checks for tridiagonal systems, graphs and association schemes",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def add(name, help):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--output", choices=("text", "json"), default="text")
-        p.add_argument("--seed", type=int, default=0)
+        return p
 
-    pg = sub.add_parser("check-graph", help="run the graph-side checks")
-    common(pg)
+    pg = add("check-graph", "run the graph-side checks")
     pg.add_argument("--input", help="path to a graph file")
     pg.add_argument("--family", help="family spec, e.g. petersen or hamming:d=4,q=2")
     pg.add_argument("--format", choices=("graph6", "json"), default="graph6")
     pg.add_argument("--theorem", choices=THEOREM_CHOICES, default="all")
 
-    ps = sub.add_parser("check-scheme", help="run the scheme-side checks")
-    common(ps)
+    ps = add("check-scheme", "run the scheme-side checks")
     ps.add_argument("--input", help="path to a scheme or graph file")
     ps.add_argument("--from-graph", help="family spec; scheme = distance relations")
     ps.add_argument("--krein", help="inline krein-array JSON")
     ps.add_argument("--format", choices=("graph6", "json"), default="json")
     ps.add_argument("--theorem", choices=THEOREM_CHOICES, default="all")
 
-    pp = sub.add_parser("property-suite", help="randomized theorem verification")
-    common(pp)
-    pp.add_argument("--n", type=int, default=1000, help="number of random tridiagonal systems")
-    pp.add_argument("--graphs", type=int, default=25, help="number of random regular graphs")
+    pp = add("property-suite", "randomized theorem verification")
+    pp.add_argument("--seed", type=int, default=0)
+    pp.add_argument("--n", type=_count, default=1000, help="number of random tridiagonal systems")
+    pp.add_argument("--graphs", type=_count, default=25, help="number of random regular graphs")
 
-    pc = sub.add_parser("scan", help="grid scan over class-3 dual parameter sets")
-    common(pc)
+    pc = add("scan", "grid scan over class-3 dual parameter sets")
     pc.add_argument("--m-max", default="10")
     pc.add_argument("--m-min", default="2")
     pc.add_argument("--step", default="1")
@@ -521,51 +249,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args) -> RunConfig:
-    config = RunConfig(command=args.command)
-    config.output = getattr(args, "output", "text")
-    config.seed = getattr(args, "seed", 0)
-    if hasattr(args, "input"):
-        config.input_path = args.input
-    if hasattr(args, "family"):
-        config.family = args.family
-    if hasattr(args, "format"):
-        config.fmt = args.format
-    if hasattr(args, "theorem"):
-        config.theorem = args.theorem
-    if hasattr(args, "krein"):
-        config.krein_inline = args.krein
-    if hasattr(args, "from_graph"):
-        config.from_graph = args.from_graph
-    if hasattr(args, "n"):
-        config.n = args.n
-    if hasattr(args, "graphs"):
-        config.graphs = args.graphs
-    if hasattr(args, "m_max"):
-        config.m_max = Fraction(args.m_max)
-        config.m_min = Fraction(args.m_min)
-        config.step = Fraction(args.step)
-        config.free_c3 = args.free_c3
-        config.non_genuine = args.non_genuine
-    return config
+COMMANDS = {
+    "check-graph": cmd_check_graph,
+    "check-scheme": cmd_check_scheme,
+    "property-suite": cmd_property_suite,
+    "scan": cmd_scan,
+}
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        config = config_from_args(args)
-    except (ValueError, ZeroDivisionError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    if config.command == "check-graph":
-        return cmd_check_graph(config)
-    if config.command == "check-scheme":
-        return cmd_check_scheme(config)
-    if config.command == "property-suite":
-        return cmd_property_suite(config)
-    if config.command == "scan":
-        return cmd_scan(config)
-    return EXIT_INPUT
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # usage error (exit 1) or --help (exit 0)
+        return exc.code
+    return COMMANDS[args.command](args)
 
 
 if __name__ == "__main__":

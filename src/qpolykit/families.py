@@ -309,25 +309,6 @@ def corpus_graphs() -> dict[str, Graph]:
     }
 
 
-def corpus_scheme_names() -> list[str]:
-    """Corpus graphs whose distance relations form the scheme corpus."""
-    return [
-        "c5",
-        "c6",
-        "c7",
-        "k33",
-        "petersen",
-        "cube",
-        "rook_3",
-        "triangular_5",
-        "icosahedron",
-        "heawood",
-        "q4",
-        "biplane11_incidence",
-        "biplane16_incidence",
-    ]
-
-
 def corpus_summary(name: str, obj) -> dict:
     """Stable summary facts used by the manifest."""
     if isinstance(obj, Graph):

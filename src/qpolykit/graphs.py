@@ -20,8 +20,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .algebraics import AlgebraicReal, compare, isolate_real_roots_with_multiplicity
-from .polynomials import RationalPoly
+from .algebraics import (
+    AlgebraicReal,
+    _int_det_bareiss,
+    _newton_interpolate,
+    compare,
+    isolate_real_roots_with_multiplicity,
+)
+from .polynomials import RationalPoly, squarefree_part
 from . import tridiagonal
 from .tridiagonal import (
     TridiagonalSystem,
@@ -357,12 +363,6 @@ def quotient_system(g: Graph, x: int) -> TridiagonalSystem:
 # -- exact adjacency spectra --------------------------------------------------------------
 
 
-def _int_matrix_det(m: list[list[int]]) -> int:
-    from .algebraics import _int_det_bareiss
-
-    return _int_det_bareiss(m)
-
-
 def adjacency_charpoly(g: Graph) -> RationalPoly:
     """det(xI - A) computed from integer determinants at n+1 nodes.
 
@@ -370,8 +370,6 @@ def adjacency_charpoly(g: Graph) -> RationalPoly:
     polynomial is recovered by exact interpolation.
     """
     n = g.n
-    from .algebraics import _newton_interpolate
-
     xs = list(range(n + 1))
     ys = []
     for t in xs:
@@ -379,7 +377,7 @@ def adjacency_charpoly(g: Graph) -> RationalPoly:
         for i in range(n):
             for j in g.adj[i]:
                 m[i][j] = -1
-        ys.append(_int_matrix_det(m))
+        ys.append(_int_det_bareiss(m))
     return _newton_interpolate(xs, ys)
 
 
@@ -557,7 +555,7 @@ def pair_bound_all_vertices(
     if g.is_empty_graph():
         raise GraphError("pair bound is not defined for empty graphs")
     spec = spec or spectrum_graph(g)
-    sf = _squarefree(spec.charpoly)
+    sf = squarefree_part(spec.charpoly)
     roots_asc = _ascending(spec.distinct)
     n_roots = len(roots_asc)
     subset = [n_roots - 2, 0]  # theta_1 and theta_min (theta_0 = k is index n-1)
@@ -574,12 +572,6 @@ def pair_bound_all_vertices(
     classification = classification or classify_regularity(g)
     cross = eq_all == classification.strongly_regular
     return PairBoundReport(lhs, tuple(per_vertex), all_hold, eq_all, eq_all, cross)
-
-
-def _squarefree(p: RationalPoly) -> RationalPoly:
-    from .polynomials import squarefree_part
-
-    return squarefree_part(p)
 
 
 def _ascending(distinct_desc: Sequence[AlgebraicReal]) -> list[AlgebraicReal]:
@@ -690,7 +682,7 @@ def fundamental_bound(g: Graph, spec: GraphSpectrum | None = None) -> Fundamenta
     shift = k / (a1 + 1)
     rhs = -k * a1 * b1 / (a1 + 1) ** 2
     spec = spec or spectrum_graph(g)
-    sf = _squarefree(spec.charpoly)
+    sf = squarefree_part(spec.charpoly)
     roots_asc = _ascending(spec.distinct)
     subset = [len(roots_asc) - 2, 0]
     cmp = compare_shifted_product(sf, roots_asc, subset, shift, rhs)

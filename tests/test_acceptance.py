@@ -25,6 +25,7 @@ import time
 from fractions import Fraction as F
 
 from qpolykit import families, graphs, schemes, tridiagonal
+from qpolykit.checks import check_system
 from qpolykit.scanner import GridSpec, scan
 from qpolykit.serialize import dump_json
 
@@ -101,26 +102,18 @@ def test_criterion_5_randomized_tridiagonal_suite():
         for index in range(1000):
             d = rng.randint(2, 6)
             system = tridiagonal.random_system(rng, d)
-            rep = tridiagonal.spectrum(system)
-            pair = tridiagonal.pair_bound(system, rep)
-            assert pair.holds, (index, system.to_json_dict())
-            assert pair.equality == (d == 2), (index, system.to_json_dict())
-            eq_d2 += pair.equality
-            if d >= 3:
-                triple = tridiagonal.triple_bound(system, rep)
-                assert triple.holds, (index, system.to_json_dict())
-                assert triple.equality == (d == 3), (index, system.to_json_dict())
-                eq_d3 += triple.equality
-            assert tridiagonal.interlacing_check(rep).passed, index
-            oracle = tridiagonal.charpoly_by_cofactor(tridiagonal.reduced_matrix(system))
-            assert oracle.monic() == rep.f_polys[-1].monic(), index
+            # no problems means: both bounds hold, pair-bound equality exactly
+            # at D = 2, triple-bound equality exactly at D = 3, interlacing,
+            # and the recurrence equals the cofactor characteristic polynomial
+            assert check_system(system) == [], (index, system.to_json_dict())
+            eq_d2 += d == 2
+            eq_d3 += d == 3
         assert eq_d2 > 50 and eq_d3 > 50  # both equality regimes exercised
 
 
 def test_criterion_6_krein_oracle_equivalence():
     with Budget("criterion 6 (krein oracle equivalence)", 120.0):
-        for name in families.corpus_scheme_names():
-            g = families.corpus_graphs()[name]
+        for name, g in families.corpus_graphs().items():
             s = schemes.scheme_from_graph(g)
             assert s.n <= 50, name
             e = schemes.eigendata(s)
@@ -136,8 +129,7 @@ def test_criterion_6_krein_oracle_equivalence():
 def test_criterion_7_b1star_spectral_identity():
     with Budget("criterion 7 (krein-matrix spectral identity)", 30.0):
         total = 0
-        for name in families.corpus_scheme_names():
-            g = families.corpus_graphs()[name]
+        for name, g in families.corpus_graphs().items():
             s = schemes.scheme_from_graph(g)
             for qs in schemes.find_q_orderings(s):
                 assert schemes.b1star_spectral_identity(qs), name

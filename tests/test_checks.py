@@ -1,0 +1,215 @@
+"""The shared check pipeline: every problem and every alarm path fires.
+
+Each fault-injection case flips one library verdict with monkeypatch and
+runs the front end unchanged; the alarm must reach the report, the text and
+the exit code.
+"""
+
+import importlib.util
+import json
+from dataclasses import replace
+from fractions import Fraction as F
+from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
+
+from qpolykit import checks, graphs, scanner, schemes, tridiagonal
+from qpolykit.cli import main
+from qpolykit.families import line_graph, petersen
+from qpolykit.polynomials import RationalPoly
+from qpolykit.schemes import AuditRecord
+
+ROOT = Path(__file__).resolve().parent.parent
+HEAWOOD = tridiagonal.TridiagonalSystem.from_intersection_numbers([3, 2, 2], [1, 1, 3])
+
+
+def flip(monkeypatch, module, name, change):
+    """Make module.name return change(real result)."""
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a, **k: change(real(*a, **k)))
+
+
+def violated(triple):
+    """A TripleBoundResult whose every branch fails."""
+    return replace(
+        triple,
+        branches=tuple(replace(b, check=replace(b.check, holds=False)) for b in triple.branches),
+    )
+
+
+# -- check_system ----------------------------------------------------------------------
+
+
+def test_check_system_clean_on_both_equality_regimes():
+    assert checks.check_system(HEAWOOD) == []
+    assert checks.check_system(tridiagonal.TridiagonalSystem.from_intersection_numbers([3, 2], [1, 1])) == []
+
+
+@pytest.mark.parametrize(
+    "name, change, problem",
+    [
+        ("pair_bound", lambda r: replace(r, holds=False), "pair bound failed"),
+        ("pair_bound", lambda r: replace(r, equality=True), "pair-bound equality must hold exactly when D = 2"),
+        ("triple_bound", violated, "triple bound failed"),
+        (
+            "triple_bound",
+            lambda r: SimpleNamespace(holds=True, equality=False),
+            "triple-bound equality must hold exactly when D = 3",
+        ),
+        ("interlacing_check", lambda r: replace(r, passed=False), "interlacing failed"),
+        (
+            "charpoly_by_cofactor",
+            lambda r: r * RationalPoly((F(1), F(1))),
+            "recurrence disagrees with the cofactor characteristic polynomial",
+        ),
+    ],
+)
+def test_check_system_reports_each_flipped_verdict(monkeypatch, name, change, problem):
+    flip(monkeypatch, tridiagonal, name, change)
+    assert checks.check_system(HEAWOOD) == [problem]
+
+
+# -- check-graph, check-scheme and scan through cli.main -------------------------------------
+
+
+def _non_q_polynomial_scheme_file(tmp_path):
+    path = tmp_path / "line_petersen.json"
+    path.write_text(json.dumps(schemes.scheme_from_graph(line_graph(petersen())).to_json_dict()))
+    return ["check-scheme", "--input", str(path), "--format", "json"]
+
+
+def _failing_audit(audit):
+    return replace(audit, records=audit.records + (AuditRecord("injected", False),))
+
+
+CASES = {
+    "pair bound": (
+        ["check-graph", "--family", "petersen"],
+        graphs, "pair_bound_all_vertices", lambda r: replace(r, all_hold=False),
+        "vertex pair bound violated",
+    ),
+    "pair-bound cross-check": (
+        ["check-graph", "--family", "petersen"],
+        graphs, "pair_bound_all_vertices", lambda r: replace(r, cross_check_ok=False),
+        "pair-bound equality disagrees with the strong-regularity classification",
+    ),
+    "triple bound": (
+        ["check-graph", "--family", "heawood"],
+        graphs, "triple_bound_graph", violated,
+        "triple bound violated on a distance-regular graph",
+    ),
+    "fundamental bound": (
+        ["check-graph", "--family", "icosahedron"],
+        graphs, "fundamental_bound", lambda r: replace(r, holds=False),
+        "fundamental bound violated",
+    ),
+    "interlacing": (
+        ["check-graph", "--family", "petersen"],
+        graphs, "interlace_check", lambda r: replace(r, passed=False),
+        "quotient interlacing violated",
+    ),
+    "krein nonnegativity": (
+        ["check-scheme", "--from-graph", "petersen"],
+        schemes, "krein", lambda r: replace(r, nonnegative=False),
+        "negative Krein parameter on a verified scheme",
+    ),
+    "krein nonnegativity, not Q-polynomial": (
+        _non_q_polynomial_scheme_file,
+        schemes, "krein", lambda r: replace(r, nonnegative=False),
+        "negative Krein parameter on a verified scheme",
+    ),
+    "spectral identity": (
+        ["check-scheme", "--from-graph", "petersen"],
+        schemes, "b1star_spectral_identity", lambda r: False,
+        "ordering 0: Krein matrix spectrum differs from the dual eigenvalues",
+    ),
+    "dual pair bound": (
+        ["check-scheme", "--from-graph", "petersen"],
+        schemes, "dual_bounds", lambda r: replace(r, part1=replace(r.part1, holds=False)),
+        "ordering 0: dual pair bound violated",
+    ),
+    "dual triple bound": (
+        ["check-scheme", "--from-graph", "heawood"],
+        schemes, "dual_bounds", lambda r: replace(r, part2=violated(r.part2)),
+        "ordering 0: dual triple bound violated",
+    ),
+    "dual fundamental bound": (
+        ["check-scheme", "--from-graph", "petersen"],
+        schemes, "dual_fundamental_bound", lambda r: replace(r, holds=False),
+        "ordering 0: dual fundamental bound violated",
+    ),
+    "dual-tight audit": (
+        ["check-scheme", "--from-graph", "heawood"],
+        schemes, "class3_dualtight_audit", _failing_audit,
+        "ordering 0: dual-tight audit failed",
+    ),
+    "class-3 biconditional": (
+        ["check-scheme", "--from-graph", "heawood"],
+        schemes, "classify_class3_scheme", lambda r: replace(r, biconditional_ok=False),
+        "dual-tightness disagrees with the symmetric-design classification",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("output", ["text", "json"])
+def test_injected_fault_raises_alarm(case, output, monkeypatch, capsys, tmp_path):
+    argv, module, name, change, alarm = CASES[case]
+    if callable(argv):
+        argv = argv(tmp_path)
+    assert main([*argv, "--output", output]) == 0
+    capsys.readouterr()
+    flip(monkeypatch, module, name, change)
+    assert main([*argv, "--output", output]) == 2
+    out = capsys.readouterr().out
+    if output == "json":
+        report = json.loads(out)
+        assert report["exit_code"] == 2
+        assert alarm in report["alarms"]
+    else:
+        assert f"ALARM: {alarm}" in out.splitlines()
+        assert out.splitlines()[-1] == "exit: 2"
+
+
+def test_scan_survivor_check_alarm(monkeypatch, capsys):
+    argv = ["scan", "--m-max", "4"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    flip(monkeypatch, scanner, "class3_dualtight_audit", _failing_audit)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert '"audit_all_passed":false' in captured.out.replace(" ", "")
+    assert "ALARM: dual-tight survivor violates the class-3 parameter consequences" in captured.err
+
+
+def test_property_suite_graph_alarm(monkeypatch, capsys):
+    flip(monkeypatch, graphs, "interlace_check", lambda r: replace(r, passed=False))
+    assert main(["property-suite", "--seed", "3", "--n", "0", "--graphs", "2", "--output", "json"]) == 2
+    violation = json.loads(capsys.readouterr().out)["violation"]
+    assert violation["graph_index"] == 0 and violation["seed"] == 3
+    assert violation["problems"] == ["quotient interlacing violated"]
+    assert graphs.parse_graph6(violation["graph6"]).is_regular()
+
+
+# -- scripts/verify_corpus.py ----------------------------------------------------------------
+
+
+def _verify_corpus():
+    spec = importlib.util.spec_from_file_location("verify_corpus", ROOT / "scripts" / "verify_corpus.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_verify_corpus_clean_and_alarm(monkeypatch, capsys):
+    script = _verify_corpus()
+    assert script.main(["--json"]) == 0
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()[:-1]]
+    assert len(rows) == 13 and all(row["alarms"] == [] for row in rows)
+    dual_tight = {row["name"] for row in rows if row["dual_tight"]}
+    assert dual_tight == {"biplane11_incidence", "biplane16_incidence", "heawood", "k33"}
+
+    flip(monkeypatch, schemes, "dual_bounds", lambda r: replace(r, part1=replace(r.part1, holds=False)))
+    assert script.main([]) == 2
+    assert capsys.readouterr().out.splitlines()[-1] == "done, 13 graphs with alarms"

@@ -1,9 +1,13 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-from qpolykit.cli import RunConfig, cmd_check_graph, cmd_check_scheme, cmd_property_suite, main
+import pytest
+
+from qpolykit import tridiagonal
+from qpolykit.cli import main
 from qpolykit.families import petersen
 from qpolykit.graphs import emit_graph6
 
@@ -110,17 +114,22 @@ def test_property_suite_smoke_exit0():
     assert report["violations"] == 0
 
 
-def test_property_suite_fault_injection_exit2(capsys):
-    config = RunConfig(command="property-suite", seed=9, n=5, graphs=0, output="json")
+def test_property_suite_fault_injection_exit2(capsys, monkeypatch):
+    real = tridiagonal.interlacing_check
+    calls = []
 
-    def flip(index, system):
-        return ["injected fault"] if index == 3 else []
+    def flip(rep):
+        calls.append(rep)
+        result = real(rep)
+        return replace(result, passed=False) if len(calls) == 4 else result
 
-    code = cmd_property_suite(config, _fault_inject=flip)
+    monkeypatch.setattr(tridiagonal, "interlacing_check", flip)
+    code = main(["property-suite", "--seed", "9", "--n", "5", "--graphs", "0", "--output", "json"])
     assert code == 2
     report = json.loads(capsys.readouterr().out)
     assert report["violation"]["index"] == 3
     assert report["violation"]["seed"] == 9
+    assert report["violation"]["problems"] == ["interlacing failed"]
     assert "system" in report["violation"]
 
 
@@ -164,3 +173,23 @@ def test_main_entrypoint_in_process(capsys):
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert report["pair_bound"]["equality_everywhere"] is True
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-graph", "--family", "petersen", "--output", "xml"],
+        ["property-suite", "--n", "abc"],
+        ["check-graph", "--bogus"],
+        [],
+        ["property-suite", "--n", "-5"],
+        ["property-suite", "--graphs", "-1"],
+        ["check-graph", "--family", "petersen", "--seed", "1"],
+        ["scan", "--step", "1/0"],
+    ],
+)
+def test_usage_errors_exit1_without_traceback(argv):
+    proc = run_cli(*argv)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "error" in proc.stderr and "Traceback" not in proc.stderr

@@ -1,0 +1,63 @@
+"""Golden stdout digests of the README commands, in text and JSON output.
+
+The digests were recorded before the check pipeline moved into
+``qpolykit.checks``; any change to a report's bytes shows up here.  The two
+slow README commands run at smaller sizes.
+"""
+
+import hashlib
+from pathlib import Path
+
+from qpolykit.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+KREIN = (ROOT / "data/examples/dual_tight_class3_krein.json").read_text()
+
+GOLDEN = [
+    (["check-graph", "--family", "petersen"], {
+        "text": "ff98acc3c8be677bf5d8a1ab8ad1a7ba67feb7ddce852bae086e6c319b030596",
+        "json": "8dd5be7158542cd90d4883dce5292dd7d941fe8fa4bb1652de857c7f83718422",
+    }),
+    (["check-graph", "--input", "data/examples/heawood.g6"], {
+        "text": "eb00c4a297ca35ef2dd299aa0a5bc17a50aa2bc1f2c0cf4fdd92d25b32d46ed0",
+        "json": "6623b834e27ac3645d30498aa8b6531c732d16dea9ecfc4c0d528ae3c43f953d",
+    }),
+    (["check-graph", "--family", "hamming:d=4,q=2", "--theorem", "thm31"], {
+        "text": "dd547e53378ee86e4cee3b5a3f6bf5e44c104d0d22094e8ee43b5abe5d5b72e7",
+        "json": "9cc0f2d8ee21e1e7197904eadf41b9d314cc118dcb70b43b6ed479d062222218",
+    }),
+    (["check-scheme", "--from-graph", "heawood"], {
+        "text": "7432081f66b90c9cfd60712234de3aeaaeecc4cb21f230fa8f589a64a1ed7a5d",
+        "json": "1ee9825fb4ce23291d532fa60803c470563cb4bd38f26d5d9c8f6b72434be53b",
+    }),
+    (["check-scheme", "--input", "data/examples/c5_scheme.json", "--format", "json"], {
+        "text": "b8422c38644b09304a81d718d9157f44e4bdf4a7b7d5d0f563db8005b8fcb79b",
+        "json": "c50713c7d901fab5998dbd2b21ce4b74e1bd5a6382aaab031cce84048cbdb431",
+    }),
+    (["check-scheme", "--krein", KREIN], {
+        "text": "5253facc294f0f3bcd964bb6e91cfcc0dbe29094aa19fb36344200aa7e644fd4",
+        "json": "2488815f60187c62e33e0e253358a789a121f75592e61285a6f21c4b149a8683",
+    }),
+    (["property-suite", "--seed", "42", "--n", "25", "--graphs", "3"], {
+        "text": "396751e9c9b4134f871001aebb46b00a2a789bcb17dccbfbe43b1737fa9172a5",
+        "json": "ed66427d03731a53aa0a0e7f2181144dff16623210a18130ee4ee27ebfaad634",
+    }),
+    # scan writes JSON lines whatever --output says
+    (["scan", "--m-max", "5"], {
+        "text": "30ad2aa5cc0ab824e6a8d67399cb00a2bb05f00e980edeeaebd2cf5320d09c67",
+        "json": "30ad2aa5cc0ab824e6a8d67399cb00a2bb05f00e980edeeaebd2cf5320d09c67",
+    }),
+]
+
+
+def test_readme_commands_match_golden_digests(capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    mismatches = []
+    for argv, digests in GOLDEN:
+        for output, want in digests.items():
+            code = main([*argv, "--output", output])
+            out = capsys.readouterr().out.encode()
+            got = hashlib.sha256(out).hexdigest()
+            if code != 0 or got != want:
+                mismatches.append((argv[:3], output, code, got))
+    assert not mismatches

@@ -7,7 +7,6 @@ from qpolykit.algebraics import compare
 from qpolykit.families import (
     biplane_11,
     corpus_graphs,
-    corpus_scheme_names,
     cube,
     cycle,
     heawood,
@@ -295,8 +294,7 @@ def test_audit_perturbed_array_fails():
 
 
 def test_spectral_identity_everywhere():
-    for name in corpus_scheme_names():
-        g = corpus_graphs()[name]
+    for name, g in corpus_graphs().items():
         s = scheme_from_graph(g)
         for qs in find_q_orderings(s):
             assert b1star_spectral_identity(qs), name
@@ -305,8 +303,8 @@ def test_spectral_identity_everywhere():
 def test_dual_bound_equalities_track_class_on_corpus():
     # pair-bound equality exactly at class 2; triple-bound equality exactly
     # at class 3, for every polynomial ordering in the corpus
-    for name in corpus_scheme_names():
-        s = scheme_from_graph(corpus_graphs()[name])
+    for name, g in corpus_graphs().items():
+        s = scheme_from_graph(g)
         for qs in find_q_orderings(s):
             res = dual_bounds(qs)
             assert res.part1.holds, name

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpolykit.algebraics import AlgebraicReal, compare, compare_rational, isolate_real_roots
+from qpolykit.checks import check_system
 from qpolykit.polynomials import RationalPoly
 from qpolykit.tridiagonal import (
     TridiagonalSystem,
@@ -207,21 +208,13 @@ def test_json_roundtrip():
 
 
 def test_equality_cases_randomized_small():
+    # check_system covers both bounds with their equality cases (D = 2 and
+    # D = 3 exactly), interlacing, and the cofactor oracle
     rng = random.Random(2024)
     for _ in range(30):
         d = rng.randint(2, 6)
         system = random_system(rng, d)
-        rep = spectrum(system)
-        assert interlacing_check(rep).passed
-        pres = pair_bound(system, rep)
-        assert pres.holds
-        assert pres.equality == (d == 2)
-        if d >= 3:
-            tres = triple_bound(system, rep)
-            assert tres.holds
-            assert tres.equality == (d == 3)
-        oracle = charpoly_by_cofactor(reduced_matrix(system)).monic()
-        assert oracle == rep.f_polys[-1].monic()
+        assert check_system(system) == []
 
 
 @settings(max_examples=20)
