@@ -7,6 +7,8 @@ so the sequence of checks and the alarm rules exist once.
 An alarm means a statement that is guaranteed for every validated instance
 failed: an implementation bug, never a property of the input.  Input that
 lies outside a check's hypotheses is reported as skipped, not as an alarm.
+A broken internal invariant (an AssertionError, SoundnessAlarm included)
+is an alarm too: the report so far is kept and the message joins the alarms.
 """
 
 from __future__ import annotations
@@ -78,15 +80,30 @@ def _finish(report: dict, lines: list[str], alarms: list[str]):
     return report, lines, alarms
 
 
+def _guarded(run, report: dict, lines: list[str], *args):
+    """Call run(report, lines, alarms, *args) and finish the report.
+
+    A failed internal invariant becomes an alarm instead of a traceback.
+    """
+    alarms: list[str] = []
+    try:
+        run(report, lines, alarms, *args)
+    except AssertionError as exc:
+        alarms.append(f"internal invariant failed: {exc}")
+    return _finish(report, lines, alarms)
+
+
 def check_graph(g: Graph, theorem: str = "all"):
     """The graph-side checks; returns (report, text_lines, alarms).
 
     Raises GraphError when the graph cannot be classified.
     """
-    alarms: list[str] = []
     report: dict = {"command": "check-graph", "n": g.n, "edges": g.edge_count}
     lines = [f"graph: {g.n} vertices, {g.edge_count} edges"]
+    return _guarded(_graph_checks, report, lines, g, theorem)
 
+
+def _graph_checks(report: dict, lines: list[str], alarms: list[str], g: Graph, theorem: str) -> None:
     classification = graphmod.classify_regularity(g)
     report["classification"] = classification.to_json_dict()
     flags = [k for k, v in report["classification"].items() if v is True]
@@ -167,8 +184,6 @@ def check_graph(g: Graph, theorem: str = "all"):
         if not inter.passed:
             alarms.append("quotient interlacing violated")
 
-    return _finish(report, lines, alarms)
-
 
 def check_scheme(source, theorem: str = "all"):
     """The scheme-side checks; returns (report, text_lines, alarms).
@@ -178,10 +193,11 @@ def check_scheme(source, theorem: str = "all"):
     unavailable.  Raises SchemeError when the scheme's eigendata cannot be
     built (which includes failing the scheme axioms).
     """
-    alarms: list[str] = []
-    report: dict = {"command": "check-scheme"}
-    lines: list[str] = []
-    scheme = eig = table = None
+    return _guarded(_scheme_checks, {"command": "check-scheme"}, [], source, theorem)
+
+
+def _scheme_checks(report: dict, lines: list[str], alarms: list[str], source, theorem: str) -> None:
+    scheme = None
     if isinstance(source, schememod.AssociationScheme):
         scheme = source
         eig = schememod.eigendata(scheme)  # raises SchemeError unless the axioms hold
@@ -199,9 +215,11 @@ def check_scheme(source, theorem: str = "all"):
     if not structures:
         report["q_polynomial"] = False
         lines.append("no polynomial ordering of the idempotents (not Q-polynomial)")
-        return _finish(report, lines, alarms)
+        return
     report["q_polynomial"] = True
 
+    classify = theorem in ("thm51", "all") and scheme is not None and scheme.d == 3
+    verdicts = []  # per-ordering class-3 verdicts, reused by the classification
     ordering_reports = []
     for idx, qs in enumerate(structures):
         entry: dict = {
@@ -251,6 +269,7 @@ def check_scheme(source, theorem: str = "all"):
             )
             if not dfb.holds:
                 alarms.append(f"ordering {idx}: dual fundamental bound violated")
+            audit = None
             if qs.d == 3 and dfb.dual_tight and theorem in ("thm51", "all"):
                 audit = schememod.class3_dualtight_audit(qs, dfb)
                 entry["audit"] = audit.to_json_dict()
@@ -261,11 +280,13 @@ def check_scheme(source, theorem: str = "all"):
                 )
                 if not audit.all_passed:
                     alarms.append(f"ordering {idx}: dual-tight audit failed")
+            if classify:
+                verdicts.append(schememod.OrderingVerdict(qs, dfb, audit))
         ordering_reports.append(entry)
     report["orderings"] = ordering_reports
 
-    if theorem in ("thm51", "all") and scheme is not None and scheme.d == 3:
-        cls = schememod.classify_class3_scheme(scheme, eig, table)
+    if classify:
+        cls = schememod.classify_class3_scheme(scheme, verdicts=verdicts)
         report["classification"] = cls.to_json_dict()
         lines.append(
             f"class-3 classification: dual_tight={cls.dual_tight} "
@@ -273,8 +294,6 @@ def check_scheme(source, theorem: str = "all"):
         )
         if not cls.biconditional_ok:
             alarms.append("dual-tightness disagrees with the symmetric-design classification")
-
-    return _finish(report, lines, alarms)
 
 
 def check_scan(result) -> list[str]:

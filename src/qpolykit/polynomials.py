@@ -22,15 +22,21 @@ from typing import Iterable, Sequence
 
 
 class RationalPoly:
-    """Immutable dense polynomial with arbitrary-precision rational coefficients."""
+    """Immutable dense polynomial with arbitrary-precision rational coefficients.
 
-    __slots__ = ("coeffs",)
+    ``_ints`` holds the primitive integer coefficients once a sign
+    evaluation or gcd has needed them; it is a cache, not part of the value,
+    so equality and hashing ignore it.
+    """
+
+    __slots__ = ("coeffs", "_ints")
 
     def __init__(self, coeffs: Iterable[Fraction | int]) -> None:
         cs = [Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "_ints", None)
 
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError("RationalPoly is immutable")
@@ -438,21 +444,21 @@ def cauchy_root_bound(p: RationalPoly) -> Fraction:
 # -- integer scaling ---------------------------------------------------------
 
 
-@lru_cache(maxsize=8192)
 def _int_coeffs(p: RationalPoly) -> tuple[int, ...]:
     """Primitive integer coefficient vector with the same sign as p."""
-    if p.is_zero:
-        return ()
+    if p._ints is not None:
+        return p._ints
     den = 1
     for c in p.coeffs:
         den = den * c.denominator // int_gcd(den, c.denominator)
-    ints = [int(c * den) for c in p.coeffs]
+    ints = [c.numerator * (den // c.denominator) for c in p.coeffs]
     g = 0
     for v in ints:
         g = int_gcd(g, abs(v))
     if g > 1:
         ints = [v // g for v in ints]
-    return tuple(ints)
+    object.__setattr__(p, "_ints", tuple(ints))
+    return p._ints
 
 
 def primitive_int_poly(p: RationalPoly) -> tuple[int, ...]:

@@ -1244,8 +1244,7 @@ def _symmetric_design_array(arr) -> tuple[int, int, int] | None:
 
 def classify_class3_scheme(
     s: AssociationScheme | QPolyStructure,
-    e: EigenData | None = None,
-    table: KreinTable | None = None,
+    verdicts: Sequence[OrderingVerdict] | None = None,
 ) -> ClassifyReport:
     """Dual-tightness versus the symmetric-design incidence relation.
 
@@ -1253,6 +1252,9 @@ def classify_class3_scheme(
     nonidentity relation graph is the incidence graph of a (nondegenerate)
     symmetric design.  Both sides are computed independently and a mismatch
     is reported as a falsification alarm via biconditional_ok = False.
+    A caller that has already bounded and audited every polynomial ordering
+    of the scheme passes those verdicts in, in ordering order, instead of
+    having them recomputed.
     """
     if isinstance(s, QPolyStructure):
         structures = [s]
@@ -1261,18 +1263,20 @@ def classify_class3_scheme(
         scheme = s
         if s.d != 3:
             raise SchemeError("classification applies to class-3 schemes")
-        e = e or eigendata(s)
-        table = table or krein(s, e)
-        structures = find_q_orderings(s, e, table)
+        if verdicts is None:
+            structures = find_q_orderings(s)
+        else:
+            structures = [v.structure for v in verdicts]
         if not structures:
             raise SchemeError("scheme has no polynomial ordering of idempotents")
-    verdicts = []
-    for qs in structures:
-        if qs.d != 3:
-            raise SchemeError("classification applies to class-3 structures")
-        bound = dual_fundamental_bound(qs)
-        audit = class3_dualtight_audit(qs, bound) if bound.dual_tight else None
-        verdicts.append(OrderingVerdict(qs, bound, audit))
+    if any(qs.d != 3 for qs in structures):
+        raise SchemeError("classification applies to class-3 structures")
+    if verdicts is None:
+        verdicts = []
+        for qs in structures:
+            bound = dual_fundamental_bound(qs)
+            audit = class3_dualtight_audit(qs, bound) if bound.dual_tight else None
+            verdicts.append(OrderingVerdict(qs, bound, audit))
     dual_tight = any(v.bound.dual_tight for v in verdicts)
 
     incidence_rel = None

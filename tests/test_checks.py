@@ -172,6 +172,62 @@ def test_injected_fault_raises_alarm(case, output, monkeypatch, capsys, tmp_path
         assert out.splitlines()[-1] == "exit: 2"
 
 
+def _raise_soundness_alarm(*args, **kwargs):
+    raise schemes.SoundnessAlarm("injected broken invariant")
+
+
+def _non_real_charpoly(g, _real=graphs.adjacency_charpoly):
+    """The charpoly with a double root 1 traded for the pair +-i (Petersen)."""
+    return _real(g).exact_div(RationalPoly((1, -2, 1))) * RationalPoly((1, 0, 1))
+
+
+INVARIANT_CASES = {
+    "soundness alarm in find_q_orderings": (
+        ["check-scheme", "--from-graph", "petersen"],
+        schemes, "find_q_orderings", _raise_soundness_alarm,
+        "internal invariant failed: injected broken invariant",
+    ),
+    "charpoly with non-real roots": (
+        ["check-graph", "--family", "petersen"],
+        graphs, "adjacency_charpoly", _non_real_charpoly,
+        "internal invariant failed: adjacency spectrum must be totally real",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVARIANT_CASES))
+@pytest.mark.parametrize("output", ["text", "json"])
+def test_broken_invariant_is_an_alarm_not_a_traceback(case, output, monkeypatch, capsys):
+    argv, module, name, replacement, alarm = INVARIANT_CASES[case]
+    monkeypatch.setattr(module, name, replacement)
+    assert main([*argv, "--output", output]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    if output == "json":
+        report = json.loads(captured.out)
+        assert report["exit_code"] == 2
+        assert report["alarms"] == [alarm]
+    else:
+        assert f"ALARM: {alarm}" in captured.out.splitlines()
+        assert captured.out.splitlines()[-1] == "exit: 2"
+
+
+def test_class3_classification_reuses_the_ordering_verdicts(monkeypatch, capsys):
+    calls = {"dual_fundamental_bound": 0, "class3_dualtight_audit": 0}
+    for name in calls:
+        real = getattr(schemes, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(schemes, name, counted)
+    assert main(["check-scheme", "--from-graph", "heawood", "--output", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert len(report["orderings"]) == 2 and report["classification"]["dual_tight"]
+    assert calls == {"dual_fundamental_bound": 2, "class3_dualtight_audit": 2}
+
+
 def test_scan_survivor_check_alarm(monkeypatch, capsys):
     argv = ["scan", "--m-max", "4"]
     assert main(argv) == 0
