@@ -8,7 +8,7 @@ number fields.  No floating point participates in any decision.
 
 from .algebraics import AlgebraicReal, compare, isolate_real_roots
 from .graphs import Graph, parse_graph6, emit_graph6
-from .polynomials import RationalPoly, poly_arith, sturm_chain
+from .polynomials import RationalPoly, sturm_chain
 from .schemes import AssociationScheme, scheme_from_graph
 from .tridiagonal import TridiagonalSystem
 
@@ -22,7 +22,6 @@ __all__ = [
     "emit_graph6",
     "isolate_real_roots",
     "parse_graph6",
-    "poly_arith",
     "scheme_from_graph",
     "sturm_chain",
 ]

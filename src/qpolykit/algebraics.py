@@ -21,6 +21,7 @@ from fractions import Fraction
 from math import gcd as int_gcd
 from typing import Sequence
 
+from .linalg import det
 from .polynomials import (
     RationalPoly,
     _chain_signs_at,
@@ -389,35 +390,7 @@ def compare(a: AlgebraicReal, b: AlgebraicReal) -> int:
         rounds += 1
 
 
-# -- integer linear algebra for resultants -----------------------------------------
-
-
-def _int_det_bareiss(m: list[list[int]]) -> int:
-    """Exact determinant of an integer matrix (fraction-free elimination)."""
-    n = len(m)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            rowi = m[i]
-            rowk = m[k]
-            lik = rowi[k]
-            for j in range(k + 1, n):
-                rowi[j] = (rowi[j] * pivot - lik * rowk[j]) // prev
-            rowi[k] = 0
-        prev = pivot
-    return sign * m[n - 1][n - 1]
+# -- Sylvester resultants and interpolation ------------------------------------
 
 
 def _sylvester_resultant(p: Sequence[int], q: Sequence[int]) -> int:
@@ -437,7 +410,7 @@ def _sylvester_resultant(p: Sequence[int], q: Sequence[int]) -> int:
         rows.append([0] * i + prow + [0] * (n - dp - 1 - i))
     for i in range(dp):
         rows.append([0] * i + qrow + [0] * (n - dq - 1 - i))
-    return _int_det_bareiss(rows)
+    return det(rows)
 
 
 def _newton_interpolate(xs: Sequence[int], ys: Sequence[int]) -> RationalPoly:

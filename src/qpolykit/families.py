@@ -11,9 +11,10 @@ import hashlib
 import json
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 from pathlib import Path
 
-from .graphs import Graph, parse_graph6
+from .graphs import MAX_VERTICES, Graph, GraphError, check_vertex_count, parse_graph6
 from .serialize import dump_json, rat_str
 
 
@@ -90,14 +91,17 @@ def incidence_graph(design: SymmetricDesign) -> Graph:
 def cycle(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycle needs at least 3 vertices")
+    check_vertex_count(n)
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def complete_graph(n: int) -> Graph:
+    check_vertex_count(n)
     return Graph(n, list(combinations(range(n), 2)))
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
+    check_vertex_count(a + b)
     return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 
 
@@ -114,6 +118,9 @@ def hamming(d: int, q: int) -> Graph:
     """Vertices are words of length d over q symbols; adjacency = one differing digit."""
     if d < 1 or q < 2:
         raise ValueError("hamming graph needs d >= 1 and q >= 2")
+    # 2**10 > MAX_VERTICES, so the capped power decides without computing q**d
+    if q ** min(d, MAX_VERTICES.bit_length()) > MAX_VERTICES:
+        raise GraphError(f"H({d},{q}) has more than the limit of {MAX_VERTICES} vertices")
     n = q**d
     edges = []
     for v in range(n):
@@ -137,6 +144,8 @@ def johnson(n: int, k: int) -> Graph:
     """Vertices are k-subsets of an n-set; adjacency = intersection of size k-1."""
     if not 1 <= k <= n:
         raise ValueError("johnson graph needs 1 <= k <= n")
+    if n > MAX_VERTICES or comb(n, k) > MAX_VERTICES:
+        raise GraphError(f"J({n},{k}): vertices or ground points exceed the limit of {MAX_VERTICES}")
     subsets = list(combinations(range(n), k))
     index = {s: i for i, s in enumerate(subsets)}
     edges = set()

@@ -1,10 +1,12 @@
 """Simple graphs: exact spectra, distance partitions, and regularity checks.
 
 Characteristic polynomials of adjacency matrices are computed with integer
-arithmetic only (Hessenberg reduction modulo word-size primes, combined by
-the Chinese remainder theorem under a Hadamard bound), so spectra come out
-as exact algebraic numbers and every classification below is a sign
-decision, never a tolerance.
+arithmetic only (``linalg.charpoly``: Hessenberg reduction modulo word-size
+primes, combined by the Chinese remainder theorem under a Hadamard bound),
+so spectra come out as exact algebraic numbers and every classification
+below is a sign decision, never a tolerance.  Graphs have at most
+MAX_VERTICES vertices; larger input is rejected before anything is
+allocated.
 
 The per-vertex machinery builds the distance partition around a vertex,
 averages the adjacency counts into a rational quotient matrix, and feeds
@@ -19,14 +21,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .algebraics import (
     AlgebraicReal,
     compare,
     isolate_real_roots_with_multiplicity,
 )
+from .linalg import charpoly
 from .polynomials import RationalPoly, squarefree_part
 from . import tridiagonal
 from .tridiagonal import (
@@ -41,6 +43,17 @@ class GraphError(ValueError):
     pass
 
 
+# The input-size policy: graphs, schemes and family builders check their
+# vertex count against this before they allocate per-vertex state, so an
+# oversize input is an input error (exit 1), never a hang.  H(9,2) has 512.
+MAX_VERTICES = 512
+
+
+def check_vertex_count(n: int) -> None:
+    if n > MAX_VERTICES:
+        raise GraphError(f"{n} vertices exceed the limit of {MAX_VERTICES}")
+
+
 class Graph:
     """Immutable simple graph on vertices 0..n-1."""
 
@@ -49,6 +62,7 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 1:
             raise GraphError("graph needs at least one vertex")
+        check_vertex_count(n)
         adj: list[set[int]] = [set() for _ in range(n)]
         count = 0
         for u, v in edges:
@@ -214,6 +228,7 @@ def parse_graph6(data: bytes | str) -> Graph:
         for byte in data[2:8]:
             n = (n << 6) | (byte - 63)
         pos = 8
+    check_vertex_count(n)
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
     body = data[pos:]
@@ -363,135 +378,13 @@ def quotient_system(g: Graph, x: int) -> TridiagonalSystem:
 # -- exact adjacency spectra --------------------------------------------------------------
 
 
-# strong-pseudoprime tests to these bases are exact below 3.18e23
-# (Sorenson and Webster, Math. Comp. 86 (2017)); primes here stay below 2^62
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_PRIME_TOP = 1 << 62
-
-
-def _is_prime(m: int) -> bool:
-    """Deterministic Miller-Rabin primality test for m < 3.18e23."""
-    if m < 2:
-        return False
-    for b in _MR_BASES:
-        if m % b == 0:
-            return m == b
-    d, s = m - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for b in _MR_BASES:
-        x = pow(b, d, m)
-        if x == 1 or x == m - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % m
-            if x == m - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _primes_below(top: int) -> Iterator[int]:
-    """The odd primes below top, largest first."""
-    c = top - 1 if top % 2 == 0 else top - 2
-    while c > 2:
-        if _is_prime(c):
-            yield c
-        c -= 2
-
-
-def _charpoly_mod(cols: list[list[int]], p: int) -> list[int]:
-    """det(xI - M) mod p, constant term first, for M given by its columns.
-
-    M is reduced to upper Hessenberg form H by similarity and the
-    characteristic polynomial read off by the Hessenberg recurrence (Cohen,
-    Alg. 2.2.9), O(n^3) operations mod p.  Columns are stored as lists, so
-    both the row and the column operations of a step run over whole lists.
-    """
-    n = len(cols)
-    cols = [[v % p for v in c] for c in cols]
-    for m in range(1, n - 1):
-        pc = cols[m - 1]
-        piv = next((i for i in range(m, n) if pc[i]), None)
-        if piv is None:
-            continue
-        if piv != m:
-            for c in cols:
-                c[piv], c[m] = c[m], c[piv]
-            cols[piv], cols[m] = cols[m], cols[piv]
-            pc = cols[m - 1]
-        inv = pow(pc[m], -1, p)
-        us = [x * inv % p for x in pc[m + 1 :]]
-        if not any(us):
-            continue
-        # row i -= u_i * row m for every i > m, then column m += sum u_i * column i
-        for col in cols[m - 1 :]:
-            y = col[m]
-            if y:
-                col[m + 1 :] = [(x - u * y) % p for x, u in zip(col[m + 1 :], us)]
-        cm = cols[m]
-        for i, u in enumerate(us, m + 1):
-            if u:
-                cm = [a + u * b for a, b in zip(cm, cols[i])]
-        cols[m] = [a % p for a in cm]
-    # p_m = (x - h_mm) p_(m-1) - sum_(i<m) h_im h_(i+1,i) ... h_(m,m-1) p_(i-1),
-    # with h_ij = cols[j][i] and polys[m] = p_m of the leading m x m block
-    polys = [[1]]
-    for m in range(n):
-        col = cols[m]
-        prev = polys[m]
-        nxt = [0] + prev
-        hm = col[m]
-        if hm:
-            for k, c in enumerate(prev):
-                nxt[k] -= hm * c
-        t = 1
-        for i in range(m - 1, -1, -1):
-            t = t * cols[i][i + 1] % p
-            if not t:
-                break
-            c = col[i] * t % p
-            if c:
-                for k, v in enumerate(polys[i]):
-                    nxt[k] -= c * v
-        polys.append([v % p for v in nxt])
-    return polys[n]
-
-
 def adjacency_charpoly(g: Graph) -> RationalPoly:
-    """det(xI - A), exactly, from its residues modulo primes below 2^62.
-
-    With R the ceiling of the largest row norm of A, Hadamard's inequality
-    on the principal minors bounds the coefficient of x^(n-i) by
-    C(n, i) R^i <= (1 + R)^n, so once the product of the primes exceeds
-    2 (1 + R)^n the symmetric CRT residues are the integer coefficients.
-    """
-    n = g.n
-    cols = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in g.adj[i]:
-            cols[j][i] = 1
-    k = max(len(s) for s in g.adj)
-    r = isqrt(k)
-    if r * r < k:
-        r += 1
-    bound = 2 * (1 + r) ** n
-    coeffs: list[int] = []
-    modulus = 1
-    for p in _primes_below(_PRIME_TOP):
-        residues = _charpoly_mod(cols, p)
-        if coeffs:
-            inv = pow(modulus, -1, p)
-            coeffs = [c + modulus * ((v - c) * inv % p) for c, v in zip(coeffs, residues)]
-        else:
-            coeffs = residues
-        modulus *= p
-        if modulus > bound:
-            break
-    half = modulus // 2
-    return RationalPoly([c - modulus if c > half else c for c in coeffs])
+    """det(xI - A) for the adjacency matrix A, exactly (``linalg.charpoly``)."""
+    a = [[0] * g.n for _ in range(g.n)]
+    for row, nbrs in zip(a, g.adj):
+        for j in nbrs:
+            row[j] = 1
+    return charpoly(a)
 
 
 @dataclass(frozen=True)

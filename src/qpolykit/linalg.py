@@ -1,0 +1,264 @@
+"""Exact matrix reduction over the integers and the rationals.
+
+One home for the linear algebra the rest of the package needs:
+
+  det             fraction-free Gaussian elimination (Bareiss); rational rows
+                  are scaled to integers first;
+  charpoly        det(xI - M) by Hessenberg reduction modulo primes below
+                  2^62, combined by the Chinese remainder theorem under a
+                  Hadamard bound (Cohen, A Course in Computational Algebraic
+                  Number Theory, Alg. 2.2.9);
+  krylov_minpoly  the first linear dependency among v, Av, A^2 v, ...;
+  solve           Gauss-Jordan elimination for one right-hand side.
+
+The independent oracles that check these routines (the cofactor expansion in
+``tridiagonal.charpoly_by_cofactor`` and the tests' sympy calls) do not
+import this module.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import isqrt, lcm
+from typing import Callable, Iterator, Sequence
+
+from .polynomials import RationalPoly
+
+
+def _integer_matrix(m: Sequence[Sequence[int | Fraction]]) -> tuple[list[list[int]], int]:
+    """(L M, L) for the common denominator L of the entries of M; a new list of int rows."""
+    if all(type(v) is int for row in m for v in row):
+        return [list(row) for row in m], 1
+    scale = lcm(*(v.denominator for row in m for v in row))
+    return [[int(v * scale) for v in row] for row in m], scale
+
+
+def det(m: Sequence[Sequence[int | Fraction]]) -> int | Fraction:
+    """Exact determinant of an integer or rational square matrix.
+
+    The argument is left unchanged.  M is scaled to the integer matrix L M,
+    which Bareiss' fraction-free elimination reduces; det M is
+    det(L M) / L^n, an int when L = 1 and a Fraction otherwise.
+    """
+    n = len(m)
+    rows, scale = _integer_matrix(m)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if rows[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if rows[i][k]), None)
+            if swap is None:
+                sign = 0  # a zero column below the diagonal: singular
+                break
+            rows[k], rows[swap] = rows[swap], rows[k]
+            sign = -sign
+        rowk = rows[k]
+        pivot = rowk[k]
+        for i in range(k + 1, n):
+            rowi = rows[i]
+            lik = rowi[k]
+            for j in range(k + 1, n):
+                rowi[j] = (rowi[j] * pivot - lik * rowk[j]) // prev
+            rowi[k] = 0
+        prev = pivot
+    d = sign * rows[n - 1][n - 1] if n else 1
+    return d if scale == 1 else Fraction(d, scale**n)
+
+
+# -- characteristic polynomial ---------------------------------------------------------
+
+# strong-pseudoprime tests to these bases are exact below 3.18e23
+# (Sorenson and Webster, Math. Comp. 86 (2017)); primes here stay below 2^62
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PRIME_TOP = 1 << 62
+
+
+def _is_prime(m: int) -> bool:
+    """Deterministic Miller-Rabin primality test for m < 3.18e23."""
+    if m < 2:
+        return False
+    for b in _MR_BASES:
+        if m % b == 0:
+            return m == b
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _primes_below(top: int) -> Iterator[int]:
+    """The odd primes below top, largest first."""
+    c = top - 1 if top % 2 == 0 else top - 2
+    while c > 2:
+        if _is_prime(c):
+            yield c
+        c -= 2
+
+
+def _charpoly_mod(cols: list[list[int]], p: int) -> list[int]:
+    """det(xI - M) mod p, constant term first, for M given by its columns.
+
+    M is reduced to upper Hessenberg form H by similarity and the
+    characteristic polynomial read off by the Hessenberg recurrence (Cohen,
+    Alg. 2.2.9), O(n^3) operations mod p.  Columns are stored as lists, so
+    both the row and the column operations of a step run over whole lists.
+    """
+    n = len(cols)
+    cols = [[v % p for v in c] for c in cols]
+    for m in range(1, n - 1):
+        pc = cols[m - 1]
+        piv = next((i for i in range(m, n) if pc[i]), None)
+        if piv is None:
+            continue
+        if piv != m:
+            for c in cols:
+                c[piv], c[m] = c[m], c[piv]
+            cols[piv], cols[m] = cols[m], cols[piv]
+            pc = cols[m - 1]
+        inv = pow(pc[m], -1, p)
+        us = [x * inv % p for x in pc[m + 1 :]]
+        if not any(us):
+            continue
+        # row i -= u_i * row m for every i > m, then column m += sum u_i * column i
+        for col in cols[m - 1 :]:
+            y = col[m]
+            if y:
+                col[m + 1 :] = [(x - u * y) % p for x, u in zip(col[m + 1 :], us)]
+        cm = cols[m]
+        for i, u in enumerate(us, m + 1):
+            if u:
+                cm = [a + u * b for a, b in zip(cm, cols[i])]
+        cols[m] = [a % p for a in cm]
+    # p_m = (x - h_mm) p_(m-1) - sum_(i<m) h_im h_(i+1,i) ... h_(m,m-1) p_(i-1),
+    # with h_ij = cols[j][i] and polys[m] = p_m of the leading m x m block
+    polys = [[1]]
+    for m in range(n):
+        col = cols[m]
+        prev = polys[m]
+        nxt = [0] + prev
+        hm = col[m]
+        if hm:
+            for k, c in enumerate(prev):
+                nxt[k] -= hm * c
+        t = 1
+        for i in range(m - 1, -1, -1):
+            t = t * cols[i][i + 1] % p
+            if not t:
+                break
+            c = col[i] * t % p
+            if c:
+                for k, v in enumerate(polys[i]):
+                    nxt[k] -= c * v
+        polys.append([v % p for v in nxt])
+    return polys[n]
+
+
+def charpoly(m: Sequence[Sequence[int | Fraction]]) -> RationalPoly:
+    """det(xI - M), exactly, for an integer or rational square matrix M.
+
+    M is scaled by the common denominator L of its entries to the integer
+    matrix B = L M; coefficient k of det(xI - M) is coefficient k of
+    det(xI - B) divided by L^(n-k).  The latter comes from residues modulo
+    primes below 2^62: with R the ceiling of the largest row norm of B,
+    Hadamard's inequality on the principal minors bounds the coefficient of
+    x^(n-i) by C(n, i) R^i <= (1 + R)^n, so once the product of the primes
+    exceeds 2 (1 + R)^n the symmetric CRT residues are the integer
+    coefficients.
+    """
+    n = len(m)
+    # det(xI - B) = det(xI - B^T): the rows of B serve as the columns of B^T
+    cols, scale = _integer_matrix(m)
+    norm2 = max((sum(v * v for v in c) for c in cols), default=0)
+    r = isqrt(norm2)
+    if r * r < norm2:
+        r += 1
+    bound = 2 * (1 + r) ** n
+    coeffs: list[int] = []
+    modulus = 1
+    for p in _primes_below(_PRIME_TOP):
+        residues = _charpoly_mod(cols, p)
+        if coeffs:
+            inv = pow(modulus, -1, p)
+            coeffs = [c + modulus * ((v - c) * inv % p) for c, v in zip(coeffs, residues)]
+        else:
+            coeffs = residues
+        modulus *= p
+        if modulus > bound:
+            break
+    half = modulus // 2
+    ints = [c - modulus if c > half else c for c in coeffs]
+    if scale == 1:
+        return RationalPoly(ints)
+    return RationalPoly([Fraction(c, scale ** (n - k)) for k, c in enumerate(ints)])
+
+
+# -- minimal polynomials and linear systems --------------------------------------------
+
+
+def krylov_minpoly(apply: Callable[[list[Fraction]], list[Fraction]], v: Sequence[Fraction]) -> RationalPoly:
+    """The monic p of least degree with p(A) v = 0, where apply(w) = A w.
+
+    Each power A^k v is reduced against the earlier reduced powers while the
+    combination of powers that produced it is tracked; the first power that
+    reduces to zero gives the coefficients of p.
+    """
+    dim = len(v)
+    basis: list[tuple[int, list[Fraction], list[Fraction]]] = []  # (pivot, vector, combination)
+    cur = list(v)
+    for k in range(dim + 1):
+        vec = list(cur)
+        combo = [Fraction(0)] * k + [Fraction(1)]
+        for piv, bvec, bcombo in basis:
+            c = vec[piv]
+            if c:
+                f = c / bvec[piv]
+                vec = [a - f * b for a, b in zip(vec, bvec)]
+                for i, b in enumerate(bcombo):
+                    combo[i] -= f * b
+        piv = next((i for i, a in enumerate(vec) if a), None)
+        if piv is None:
+            return RationalPoly(combo)
+        basis.append((piv, vec, combo))
+        cur = apply(cur)
+    raise AssertionError("Krylov sequence stayed independent beyond the dimension")
+
+
+def solve(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
+    """Exact Gaussian elimination; None when inconsistent."""
+    m = [row[:] + [b] for row, b in zip(rows, rhs)]
+    nrows, ncols = len(m), len(m[0])
+    nvars = ncols - 1
+    pivots = []
+    r = 0
+    for c in range(nvars):
+        piv = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [val * inv for val in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    for i in range(r, nrows):
+        if m[i][nvars] != 0:
+            return None
+    out = [Fraction(0)] * nvars
+    for row_idx, c in enumerate(pivots):
+        out[c] = m[row_idx][nvars]
+    return out

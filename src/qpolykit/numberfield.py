@@ -13,9 +13,9 @@ only ever shrinks to a divisor, so existing element representations stay
 valid.
 
 Several algebraic numbers are combined into one field with adjoin_root,
-which finds a primitive element gamma_old + t*beta through a minimal
-polynomial computed in the tensor ring and rewrites both generators in
-terms of it.
+which finds a primitive element gamma_old + t*beta through its minimal
+polynomial in the tensor ring (the Krylov minimal polynomial of 1 under
+multiplication by the element) and rewrites both generators in terms of it.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .algebraics import AlgebraicReal, _interval_eval, apply_rational_poly
+from .linalg import krylov_minpoly
 from .polynomials import RationalPoly, count_real_roots, poly_gcd, squarefree_part
 
 
@@ -584,77 +585,34 @@ def _tensor_min_poly(m1: RationalPoly, m2: RationalPoly, t: int) -> RationalPoly
     """Squarefree monic polynomial vanishing on a + t*b in Q[a,b]/(m1(a), m2(b)).
 
     This is the minimal polynomial of multiplication by (a + t*b) in the
-    tensor ring, found as the first linear dependency among its powers; the
-    ring is semisimple, so the result is squarefree.
+    tensor ring (m1 and m2 monic), the Krylov minimal polynomial of 1 under
+    that map; the ring is semisimple, so the result is squarefree.
     """
     d1, d2 = m1.degree, m2.degree
-    dim = d1 * d2
+    c1, c2 = m1.coeffs, m2.coeffs
 
-    def reduce_mod(poly_coeffs: list[Fraction], modulus: RationalPoly) -> list[Fraction]:
-        d = modulus.degree
-        out = list(poly_coeffs)
-        for k in range(len(out) - 1, d - 1, -1):
-            c = out[k]
-            if c == 0:
-                continue
-            out[k] = Fraction(0)
-            for i in range(d):
-                out[k - d + i] -= c * modulus.coeffs[i]
-        del out[d:]
-        while len(out) < d:
-            out.append(Fraction(0))
+    def mul_by_gamma(e: list[Fraction]) -> list[Fraction]:
+        """(a + t*b) e, where e[i*d2 + j] is the coefficient of a^i b^j."""
+        out = [Fraction(0)] * (d1 * d2)
+        for i in range(d1):
+            for j in range(d2):
+                c = e[i * d2 + j]
+                if not c:
+                    continue
+                # a * a^i b^j, with a^d1 = -sum_k m1_k a^k
+                if i + 1 < d1:
+                    out[(i + 1) * d2 + j] += c
+                else:
+                    for k in range(d1):
+                        out[k * d2 + j] -= c * c1[k]
+                # t*b * a^i b^j, with b^d2 = -sum_k m2_k b^k
+                tc = t * c
+                if j + 1 < d2:
+                    out[i * d2 + j + 1] += tc
+                else:
+                    for k in range(d2):
+                        out[i * d2 + k] -= tc * c2[k]
         return out
 
-    # elements: matrix elem[i][j] = coeff of a^i b^j
-    def mul_by_gamma(e: list[list[Fraction]]) -> list[list[Fraction]]:
-        # multiply by a: shift in i; by t*b: shift in j
-        bya = [[Fraction(0)] * d2 for _ in range(d1 + 1)]
-        for i in range(d1):
-            for j in range(d2):
-                bya[i + 1][j] = e[i][j]
-        # reduce in a
-        for j in range(d2):
-            col = [bya[i][j] for i in range(d1 + 1)]
-            col = reduce_mod(col, m1)
-            for i in range(d1):
-                bya[i][j] = col[i]
-        bya = [row for row in bya[:d1]]
-        byb = [[Fraction(0)] * (d2 + 1) for _ in range(d1)]
-        for i in range(d1):
-            for j in range(d2):
-                byb[i][j + 1] = e[i][j] * t
-        for i in range(d1):
-            row = reduce_mod(list(byb[i]), m2)
-            byb[i] = row
-        return [[bya[i][j] + byb[i][j] for j in range(d2)] for i in range(d1)]
-
-    one = [[Fraction(0)] * d2 for _ in range(d1)]
-    one[0][0] = Fraction(1)
-    powers: list[list[Fraction]] = []
-    cur = one
-    # incremental Gaussian elimination over the flattened vectors
-    basis: list[tuple[list[Fraction], list[Fraction]]] = []  # (reduced vector, combo)
-    k = 0
-    while True:
-        vec = [cur[i][j] for i in range(d1) for j in range(d2)]
-        combo = [Fraction(0)] * (dim + 1)
-        combo[k] = Fraction(1)
-        # reduce vec against basis
-        for bvec, bcombo in basis:
-            piv = next((idx for idx, v in enumerate(bvec) if v != 0), None)
-            if piv is None or vec[piv] == 0:
-                continue
-            f = vec[piv] / bvec[piv]
-            for idx in range(dim):
-                vec[idx] -= f * bvec[idx]
-            for idx in range(dim + 1):
-                combo[idx] -= f * bcombo[idx]
-        if all(v == 0 for v in vec):
-            mp = RationalPoly(combo[: k + 1])
-            return squarefree_part(mp.monic())
-        basis.append((vec, combo))
-        powers.append(vec)
-        cur = mul_by_gamma(cur)
-        k += 1
-        if k > dim:
-            raise AssertionError("tensor minimal polynomial not found")
+    one = [Fraction(1)] + [Fraction(0)] * (d1 * d2 - 1)
+    return squarefree_part(krylov_minpoly(mul_by_gamma, one))

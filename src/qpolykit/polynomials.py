@@ -262,25 +262,6 @@ class RationalPoly:
         return RationalPoly(self.coeffs[k:]), k
 
 
-def poly_arith(p: RationalPoly, q: RationalPoly, op: str) -> RationalPoly:
-    """Dispatch for the four basic polynomial operations.
-
-    op is one of 'add', 'sub', 'mul', 'scale'; for 'scale' q must be a
-    constant polynomial.
-    """
-    if op == "add":
-        return p + q
-    if op == "sub":
-        return p - q
-    if op == "mul":
-        return p * q
-    if op == "scale":
-        if q.degree > 0:
-            raise ValueError("scale expects a constant polynomial")
-        return p.scale(q[0])
-    raise ValueError(f"unknown op {op!r}")
-
-
 # -- gcd / squarefree -------------------------------------------------------
 
 

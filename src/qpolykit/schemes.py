@@ -3,8 +3,9 @@
 Everything routes through the regular representation.  The intersection
 matrices B_i = (p_{ij}^h)_{h,j} span a commutative semisimple algebra of
 dimension class+1; a generator g of that algebra has squarefree minimal
-polynomial whose roots are the characters' values, and every B_i is a
-rational polynomial in g.  So the first eigenmatrix P comes out as
+polynomial whose roots are the characters' values (the Krylov minimal
+polynomial of e_0, since B_i e_0 = e_i), and every B_i is a rational
+polynomial in g.  So the first eigenmatrix P comes out as
 P[j][u] = poly_u(lambda_j) with all arithmetic in a single real number
 field containing the lambda_j (built by adjoining roots on demand), and
 multiplicities, the second eigenmatrix Q and the Krein parameters
@@ -30,15 +31,18 @@ from typing import Sequence
 
 from . import tridiagonal
 from .algebraics import AlgebraicReal, compare, isolate_real_roots
-from .graphs import Graph, classify_regularity, intersection_array
+from .graphs import Graph, check_vertex_count, classify_regularity, intersection_array
 from .numberfield import (
     FieldElement,
     RealAlgebraicField,
     exact_sign,
     field_containing,
     is_exact_zero,
+    kp_mul,
+    kp_sub,
     scalar_as_fraction,
 )
+from .linalg import krylov_minpoly, solve
 from .polynomials import RationalPoly
 from .serialize import parse_rat
 from .tridiagonal import BoundCheck, TridiagonalSystem, TripleBoundResult
@@ -100,6 +104,7 @@ class AssociationScheme:
     @classmethod
     def from_relation_lists(cls, n: int, relations: Sequence[Sequence[tuple[int, int]]]) -> "AssociationScheme":
         """relations[i-1] lists the unordered pairs of relation i (identity implicit)."""
+        check_vertex_count(n)
         d = len(relations)
         adj: list[list[set[int]]] = [[set() for _ in range(n)] for _ in range(d + 1)]
         seen: set[tuple[int, int]] = set()
@@ -290,65 +295,6 @@ def _mat_mul(a, b):
     return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
 
 
-def _minpoly_of_matrix(m: list[list[Fraction]]) -> RationalPoly:
-    """Minimal polynomial by the first linear dependency among powers."""
-    size = len(m)
-    dim = size * size
-    basis: list[tuple[list[Fraction], list[Fraction]]] = []
-    power = [[Fraction(1) if i == j else Fraction(0) for j in range(size)] for i in range(size)]
-    k = 0
-    while True:
-        vec = [power[i][j] for i in range(size) for j in range(size)]
-        combo = [Fraction(0)] * (dim + 2)
-        combo[k] = Fraction(1)
-        for bvec, bcombo in basis:
-            piv = next(idx for idx, val in enumerate(bvec) if val != 0)
-            if vec[piv] != 0:
-                f = vec[piv] / bvec[piv]
-                for idx in range(dim):
-                    vec[idx] -= f * bvec[idx]
-                for idx in range(dim + 2):
-                    combo[idx] -= f * bcombo[idx]
-        if all(val == 0 for val in vec):
-            return RationalPoly(combo[: k + 1]).monic()
-        basis.append((vec, combo))
-        power = _mat_mul(power, m)
-        k += 1
-        if k > dim:
-            raise AssertionError("minimal polynomial search exceeded the algebra dimension")
-
-
-def _solve_linear(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Exact Gaussian elimination; None when inconsistent."""
-    m = [row[:] + [b] for row, b in zip(rows, rhs)]
-    nrows, ncols = len(m), len(m[0])
-    nvars = ncols - 1
-    pivots = []
-    r = 0
-    for c in range(nvars):
-        piv = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [val * inv for val in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if m[i][nvars] != 0:
-            return None
-    out = [Fraction(0)] * nvars
-    for row_idx, c in enumerate(pivots):
-        out[c] = m[row_idx][nvars]
-    return out
-
-
 def _generator_candidates(d: int):
     for i in range(1, d + 1):
         coeffs = [Fraction(0)] * (d + 1)
@@ -382,10 +328,13 @@ def eigendata(s: AssociationScheme) -> EigenData:
     b_mats = [_intersection_matrix(s, i) for i in range(d + 1)]
     k = list(s.valencies)
 
+    e0 = [Fraction(1)] + [Fraction(0)] * d
     gen = None
     for coeffs in _generator_candidates(d):
         g = [[sum(coeffs[i] * b_mats[i][r][c] for i in range(d + 1)) for c in range(d + 1)] for r in range(d + 1)]
-        mp = _minpoly_of_matrix(g)
+        # B_i e_0 = e_i (p_i0^h = delta_ih), so e_0 generates the regular
+        # representation and its Krylov minimal polynomial is that of g
+        mp = krylov_minpoly(lambda w: [sum(a * b for a, b in zip(row, w)) for row in g], e0)
         if mp.degree == d + 1:
             gen = (coeffs, g, mp)
             break
@@ -414,7 +363,7 @@ def eigendata(s: AssociationScheme) -> EigenData:
     polys_in_g: list[RationalPoly] = []
     for u in range(d + 1):
         rhs = [Fraction(b_mats[u][i][j]) for i in range(d + 1) for j in range(d + 1)]
-        sol = _solve_linear(cols, rhs)
+        sol = solve(cols, rhs)
         if sol is None:
             raise AssertionError("intersection matrix is not a polynomial in the generator")
         polys_in_g.append(RationalPoly(sol))
@@ -1042,13 +991,14 @@ def class3_dualtight_audit(qs: QPolyStructure, bound: DualFundamentalBound | Non
 
     # characteristic polynomial of the ordered Krein matrix factors as
     # (x - m)(x^3 + (b1+b2+c2+1-m) x^2 + (b1 b2 + b2 + c2 - m b2 - m) x - m b2)
-    phi = _charpoly_generic(qs.b1star)
+    phi = tridiagonal.charpoly_by_cofactor(qs.b1star)
+    if isinstance(phi, RationalPoly):
+        phi = list(phi.coeffs)
     e2 = b1 + b2 + c2 + 1 - m
     e1 = b1 * b2 + b2 + c2 - m * b2 - m
     e0 = -(m * b2)
-    cubic = [e0, e1, e2, m * 0 + 1]
-    expected = _kp_mul_generic([-m, m * 0 + 1], cubic)
-    records.append(AuditRecord("charpoly_factorization", _kp_equal(phi, expected)))
+    expected = kp_mul([-m, m * 0 + 1], [e0, e1, e2, m * 0 + 1])
+    records.append(AuditRecord("charpoly_factorization", not kp_sub(phi, expected)))
 
     sum_lhs = th1 + th2 + th3
     sum_rhs = m - b1 - b2 - c2 - 1
@@ -1129,64 +1079,6 @@ def class3_dualtight_audit(qs: QPolyStructure, bound: DualFundamentalBound | Non
         AuditRecord("q_antipodal", antipodal, note="b_2* = 1 and c_3* = m", lhs=c3, rhs=m)
     )
     return AuditReport(tuple(records), b2_is_1, b1_eq_c2, antipodal)
-
-
-def _charpoly_generic(matrix) -> list:
-    """det(xI - M) over exact scalars, coefficients constant-first."""
-    n = len(matrix)
-    one = matrix[0][0] * 0 + 1
-
-    def cell(i, j):
-        if i == j:
-            return [-matrix[i][j], one]
-        return [-matrix[i][j]]
-
-    def det(rows, cols):
-        if len(rows) == 1:
-            return cell(rows[0], cols[0])
-        acc = []
-        r0, rest = rows[0], rows[1:]
-        for t, c in enumerate(cols):
-            entry = cell(r0, c)
-            term = _kp_mul_generic(entry, det(rest, cols[:t] + cols[t + 1 :]))
-            if t % 2 == 0:
-                acc = _kp_add_generic(acc, term)
-            else:
-                acc = _kp_add_generic(acc, [-v for v in term])
-        return acc
-
-    idx = tuple(range(n))
-    return det(idx, idx)
-
-
-def _kp_mul_generic(p: list, q: list) -> list:
-    if not p or not q:
-        return []
-    zero = p[0] * 0
-    out = [zero] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] = out[i + j] + a * b
-    return out
-
-
-def _kp_add_generic(p: list, q: list) -> list:
-    if len(p) < len(q):
-        p, q = q, p
-    out = list(p)
-    for i, c in enumerate(q):
-        out[i] = out[i] + c
-    return out
-
-
-def _kp_equal(p: list, q: list) -> bool:
-    n = max(len(p), len(q))
-    for i in range(n):
-        a = p[i] if i < len(p) else 0
-        b = q[i] if i < len(q) else 0
-        if not is_exact_zero(a - b):
-            return False
-    return True
 
 
 # -- the class-3 classification ---------------------------------------------------------------------

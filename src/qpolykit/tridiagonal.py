@@ -22,7 +22,9 @@ gamma_1).
 
 Entries are Fractions for ordinary systems; the same checks also accept
 number-field elements (FieldElement) so Krein matrices with algebraic
-entries reuse every code path.
+entries reuse every code path.  charpoly_by_cofactor is the one cofactor
+oracle: a self-contained expansion over any exact scalars that checks the
+recurrence here and the characteristic polynomial of the class-3 audit.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .algebraics import (
     isolate_real_roots,
     refine_budget,
 )
+from .linalg import charpoly, det
 from .numberfield import (
     exact_sign,
     is_exact_zero,
@@ -202,37 +205,60 @@ def f_polynomials(system: TridiagonalSystem) -> list:
     return fs
 
 
-def charpoly_by_cofactor(matrix: Sequence[Sequence[Fraction]]) -> RationalPoly:
+def charpoly_by_cofactor(matrix: Sequence[Sequence[Fraction]]) -> RationalPoly | list:
     """det(xI - M) by recursive cofactor expansion along the first row.
 
-    Deliberately generic (no tridiagonal shortcuts): this is the independent
-    oracle against which the recurrence is checked.
+    The independent oracle against which the recurrence, the Hessenberg
+    route and the number-field polynomial helpers are checked: deliberately
+    generic (no tridiagonal shortcuts), and its polynomial arithmetic is the
+    two list helpers below, never the code it checks.  Entries may be any
+    exact scalars; zero entries are skipped.  Rational input gives a
+    RationalPoly, any other input the coefficient list, constant term first.
     """
     n = len(matrix)
-    x = RationalPoly.x()
+    if n == 0:
+        return RationalPoly.one()
+    one = matrix[0][0] * 0 + 1
     cells = [
-        [
-            x - RationalPoly.constant(matrix[i][j]) if i == j else RationalPoly.constant(-matrix[i][j])
-            for j in range(n)
-        ]
+        [[-matrix[i][j], one] if i == j else ([] if matrix[i][j] == 0 else [-matrix[i][j]]) for j in range(n)]
         for i in range(n)
     ]
 
-    def det(rows: tuple[int, ...], cols: tuple[int, ...]) -> RationalPoly:
+    def expand(rows: tuple[int, ...], cols: tuple[int, ...]) -> list:
         if len(rows) == 1:
             return cells[rows[0]][cols[0]]
-        acc = RationalPoly.zero()
+        acc: list = []
         r0, rest = rows[0], rows[1:]
         for k, c in enumerate(cols):
             entry = cells[r0][c]
-            if entry.is_zero:
-                continue
-            term = entry * det(rest, cols[:k] + cols[k + 1 :])
-            acc = acc + term if k % 2 == 0 else acc - term
+            if entry:
+                term = _cofactor_mul(entry, expand(rest, cols[:k] + cols[k + 1 :]))
+                acc = _cofactor_add(acc, term, -1 if k % 2 else 1)
         return acc
 
     idx = tuple(range(n))
-    return det(idx, idx)
+    coeffs = expand(idx, idx)
+    if all(isinstance(v, (int, Fraction)) for row in matrix for v in row):
+        return RationalPoly(coeffs)
+    return coeffs
+
+
+def _cofactor_mul(p: list, q: list) -> list:
+    if not p or not q:
+        return []
+    out = [p[0] * 0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] = out[i + j] + a * b
+    return out
+
+
+def _cofactor_add(p: list, q: list, sign: int) -> list:
+    """p + sign * q."""
+    out = list(p) + [0] * (len(q) - len(p))
+    for i, c in enumerate(q):
+        out[i] = out[i] + c if sign > 0 else out[i] - c
+    return out
 
 
 @dataclass(frozen=True)
@@ -471,13 +497,11 @@ def compare_shifted_product(
 def _subset_product_resolvent(h: RationalPoly, k: int) -> RationalPoly:
     """Polynomial whose roots are the k-fold products of the roots of h.
 
-    The k-th compound of the companion matrix of h has exactly those
-    products as eigenvalues; its characteristic polynomial (degree
-    C(deg h, k)) comes from exact determinants at interpolation nodes.
+    The k-th compound of the companion matrix of h (its k x k minors) has
+    exactly those products as eigenvalues; the resolvent is its
+    characteristic polynomial, of degree C(deg h, k).
     """
     from itertools import combinations
-
-    from .algebraics import _newton_interpolate
 
     hm = h.monic()
     n = hm.degree
@@ -489,39 +513,11 @@ def _subset_product_resolvent(h: RationalPoly, k: int) -> RationalPoly:
     for i in range(n):
         companion[i][n - 1] = -hm.coeffs[i]
     subsets = list(combinations(range(n), k))
-    dim = len(subsets)
     compound = [
-        [_fraction_det([[companion[r][c] for c in cols] for r in rows]) for cols in subsets]
+        [det([[companion[r][c] for c in cols] for r in rows]) for cols in subsets]
         for rows in subsets
     ]
-    xs = list(range(dim + 1))
-    ys = []
-    for t in xs:
-        m = [[(t if i == j else 0) - compound[i][j] for j in range(dim)] for i in range(dim)]
-        ys.append(_fraction_det(m))
-    return _newton_interpolate(xs, ys)
-
-
-def _fraction_det(m: list[list[Fraction]]) -> Fraction:
-    n = len(m)
-    if n == 0:
-        return Fraction(1)
-    m = [row[:] for row in m]
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return det
+    return charpoly(compound)
 
 
 def _report_value(poly: RationalPoly, roots: Sequence[AlgebraicReal], subset: Sequence[int], s):

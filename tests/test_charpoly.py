@@ -1,7 +1,8 @@
 """The multimodular adjacency characteristic polynomial against its oracles.
 
 sympy's charpoly and integer Bareiss determinants det(tI - A) are computed
-independently of the Hessenberg-mod-p route in ``graphs.adjacency_charpoly``.
+independently of the Hessenberg-mod-p route (``linalg.charpoly``) behind
+``graphs.adjacency_charpoly``.
 """
 
 from fractions import Fraction as F
@@ -11,8 +12,7 @@ import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qpolykit import graphs
-from qpolykit.algebraics import _int_det_bareiss
+from qpolykit import linalg
 from qpolykit.families import corpus_graphs, hamming
 from qpolykit.graphs import Graph, adjacency_charpoly
 from qpolykit.polynomials import RationalPoly, primitive_int_poly
@@ -30,7 +30,7 @@ def bareiss_value(g: Graph, t: int) -> int:
     """det(tI - A) by fraction-free elimination."""
     n = g.n
     m = [[(t if i == j else 0) - (j in g.adj[i]) for j in range(n)] for i in range(n)]
-    return _int_det_bareiss(m)
+    return linalg.det(m)
 
 
 def as_ints(p: RationalPoly) -> list[int]:
@@ -76,13 +76,13 @@ def test_hamming_6_2_needs_three_primes(monkeypatch):
     """n = 64, degree 6: the bound 2 * 4^64 needs three primes below 2^62."""
     g = hamming(6, 2)
     primes = []
-    real = graphs._charpoly_mod
+    real = linalg._charpoly_mod
 
     def counting(cols, p):
         primes.append(p)
         return real(cols, p)
 
-    monkeypatch.setattr(graphs, "_charpoly_mod", counting)
+    monkeypatch.setattr(linalg, "_charpoly_mod", counting)
     cp = adjacency_charpoly(g)
     assert len(primes) >= 3
     for t in (-7, -6, -1, 0, 3, 7):
@@ -98,16 +98,16 @@ def test_primality_against_sympy():
     # strong pseudoprimes to bases 2..31 and Carmichael numbers
     special = [2047, 1373653, 25326001, 3215031751, 3825123056546413051, 561, 1105, 41041]
     for m in window + special:
-        assert graphs._is_prime(m) == sympy.isprime(m), m
+        assert linalg._is_prime(m) == sympy.isprime(m), m
 
 
 @given(st.integers(0, (1 << 62) - 1))
 def test_primality_random_against_sympy(m):
-    assert graphs._is_prime(m) == sympy.isprime(m)
+    assert linalg._is_prime(m) == sympy.isprime(m)
 
 
 def test_primes_below_descend_through_every_prime():
-    it = graphs._primes_below(1 << 62)
+    it = linalg._primes_below(1 << 62)
     expected = 1 << 62
     for _ in range(5):
         expected = sympy.prevprime(expected)

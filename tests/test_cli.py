@@ -193,3 +193,42 @@ def test_usage_errors_exit1_without_traceback(argv):
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert "error" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "name, obj, subcommand",
+    [
+        ("graph.json", {"n": 10**9, "edges": []}, "check-graph"),
+        ("scheme.json", {"type": "relations", "n": 10**9, "relations": []}, "check-scheme"),
+    ],
+)
+def test_oversize_file_exit1_naming_the_limit(tmp_path: Path, capsys, name, obj, subcommand):
+    path = tmp_path / name
+    path.write_text(json.dumps(obj))
+    assert main([subcommand, "--input", str(path), "--format", "json"]) == 1
+    err = capsys.readouterr().err
+    assert "512" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "hamming:d=30,q=2",
+        "cube:d=1000000000",
+        "johnson:n=1000000,k=3",
+        "cycle:n=1000000000",
+        "complete:n=513",
+        "complete_bipartite:a=300,b=300",
+    ],
+)
+def test_oversize_family_exit1_naming_the_limit(capsys, spec):
+    assert main(["check-graph", "--family", spec]) == 1
+    err = capsys.readouterr().err
+    assert "512" in err and "Traceback" not in err
+
+
+def test_size_limit_admits_hamming_9_2():
+    from qpolykit.families import hamming
+    from qpolykit.graphs import MAX_VERTICES
+
+    assert hamming(9, 2).n == MAX_VERTICES == 512

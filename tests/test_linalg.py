@@ -1,0 +1,198 @@
+"""``qpolykit.linalg`` against sympy, and the cofactor oracle's independence.
+
+det and charpoly are compared with sympy on random integer and rational
+matrices (not symmetric, singular and empty ones included); krylov_minpoly
+is checked by p(A)v = 0 and a sympy rank, on derogatory matrices too.  The
+cofactor oracle ``tridiagonal.charpoly_by_cofactor`` must give the right
+polynomial while every routine it is meant to check raises.
+"""
+
+import copy
+import importlib
+import pkgutil
+import random
+from fractions import Fraction as F
+
+import pytest
+import sympy
+
+import qpolykit
+from qpolykit import linalg, numberfield, tridiagonal
+from qpolykit.families import cycle
+from qpolykit.polynomials import RationalPoly
+from qpolykit.schemes import find_q_orderings, scheme_from_graph
+from qpolykit.tridiagonal import charpoly_by_cofactor, random_system, reduced_matrix
+
+
+def to_sympy(m):
+    return sympy.Matrix(len(m), len(m), lambda i, j: sympy.Rational(m[i][j].numerator, m[i][j].denominator))
+
+
+def to_fraction(r) -> F:
+    r = sympy.Rational(r)
+    return F(int(r.p), int(r.q))
+
+
+def random_matrix(rng: random.Random, n: int, rational: bool, singular: bool = False):
+    def entry():
+        num = rng.choice([0, 0, rng.randint(-9, 9)])
+        return F(num, rng.randint(1, 6)) if rational else num
+
+    m = [[entry() for _ in range(n)] for _ in range(n)]
+    if singular and n >= 2:
+        # last row = sum of two earlier rows
+        m[-1] = [a + b for a, b in zip(m[0], m[1 % (n - 1)])]
+    return m
+
+
+def cases():
+    rng = random.Random(20261018)
+    out = []
+    for n in range(0, 8):
+        for rational in (False, True):
+            for singular in (False, True):
+                for _ in range(4):
+                    out.append(random_matrix(rng, n, rational, singular))
+    return out
+
+
+def test_det_matches_sympy_and_leaves_argument_alone():
+    for m in cases():
+        before = copy.deepcopy(m)
+        d = linalg.det(m)
+        assert m == before
+        assert d == (to_fraction(to_sympy(m).det()) if m else 1)
+        if all(type(v) is int for row in m for v in row):
+            assert type(d) is int
+
+
+def test_det_singular_and_empty():
+    assert linalg.det([]) == 1
+    assert linalg.det([[0, 0], [0, 0]]) == 0
+    assert linalg.det([[F(1, 2), F(1, 3)], [F(1), F(2, 3)]]) == 0
+    assert linalg.det([[F(1, 2)]]) == F(1, 2)
+    # a zero pivot that needs a row swap
+    assert linalg.det([[0, 1], [1, 0]]) == -1
+
+
+def test_charpoly_matches_sympy_and_cofactor_on_nonsymmetric_matrices(monkeypatch):
+    def no_det(*a, **k):
+        raise AssertionError("charpoly must not call det")
+
+    monkeypatch.setattr(linalg, "det", no_det)
+    for m in cases():
+        cp = linalg.charpoly(m)
+        if len(m) <= 5:
+            assert cp == charpoly_by_cofactor([[F(v) for v in row] for row in m])
+        if not m:
+            assert cp == RationalPoly.one()
+            continue
+        expected = [to_fraction(c) for c in reversed(to_sympy(m).charpoly().all_coeffs())]
+        assert cp == RationalPoly(expected)
+        assert cp.degree == len(m) and cp.leading == 1
+
+
+def test_charpoly_of_a_compound_matrix_has_the_subset_products_as_roots():
+    h = RationalPoly.from_roots([1, 2, 3, F(-1, 2)])
+    res = tridiagonal._subset_product_resolvent(h, 2)
+    roots = [1, 2, 3, F(-1, 2)]
+    products = [roots[i] * roots[j] for i in range(4) for j in range(i + 1, 4)]
+    assert res == RationalPoly.from_roots(products)
+
+
+def apply_matrix(a):
+    return lambda w: [sum(x * y for x, y in zip(row, w)) for row in a]
+
+
+def check_krylov(a, v):
+    p = linalg.krylov_minpoly(apply_matrix(a), v)
+    assert p.leading == 1
+    # p(A) v = 0, by Horner on vectors
+    acc = [F(0)] * len(v)
+    for c in reversed(p.coeffs):
+        acc = [x + c * y for x, y in zip(apply_matrix(a)(acc), v)]
+    assert all(x == 0 for x in acc)
+    # v, Av, ..., A^(deg-1) v are independent
+    vecs = [list(v)]
+    for _ in range(p.degree - 1):
+        vecs.append(apply_matrix(a)(vecs[-1]))
+    if p.degree:
+        cols = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in vec] for vec in vecs])
+        assert cols.rank() == p.degree
+    return p
+
+
+def test_krylov_minpoly_random():
+    rng = random.Random(7)
+    for n in range(1, 7):
+        for rational in (False, True):
+            a = [[F(x) for x in row] for row in random_matrix(rng, n, rational)]
+            v = [F(rng.randint(-3, 3)) for _ in range(n)]
+            check_krylov(a, v)
+
+
+def test_krylov_minpoly_derogatory():
+    n = 4
+    scalar = [[F(3) if i == j else F(0) for j in range(n)] for i in range(n)]
+    assert check_krylov(scalar, [F(1), F(2), F(0), F(-1)]) == RationalPoly((-3, 1))
+    # diag(B, B): every vector's minimal polynomial divides that of B
+    b = [[F(0), F(1)], [F(-2), F(3)]]  # x^2 - 3x + 2
+    blocks = [[F(0)] * 4 for _ in range(4)]
+    for i in range(2):
+        for j in range(2):
+            blocks[i][j] = blocks[i + 2][j + 2] = b[i][j]
+    assert check_krylov(blocks, [F(1), F(0), F(1), F(0)]) == RationalPoly((2, -3, 1))
+    assert check_krylov(blocks, [F(1), F(1), F(1), F(1)]) == RationalPoly((-1, 1))  # eigenvector for 1
+    assert check_krylov(blocks, [F(0)] * 4) == RationalPoly.one()
+
+
+def test_solve():
+    assert linalg.solve([[F(1), F(1)], [F(1), F(-1)]], [F(3), F(1)]) == [F(2), F(1)]
+    assert linalg.solve([[F(1), F(1)], [F(2), F(2)]], [F(1), F(3)]) is None
+
+
+# -- the cofactor oracle stays independent ----------------------------------------------
+
+
+def patch_everywhere(monkeypatch, targets):
+    """Replace every binding of each target function, in every qpolykit module, by one that raises."""
+
+    def boom(*a, **k):
+        raise AssertionError("the cofactor oracle called code it checks")
+
+    mods = [qpolykit] + [importlib.import_module(f"qpolykit.{m.name}") for m in pkgutil.iter_modules(qpolykit.__path__)]
+    for mod in mods:
+        for name, obj in list(vars(mod).items()):
+            if any(obj is t for t in targets):
+                monkeypatch.setattr(mod, name, boom)
+
+
+def checked_routines():
+    targets = [getattr(linalg, n) for n in ("det", "charpoly", "krylov_minpoly", "solve", "_charpoly_mod")]
+    targets += [getattr(numberfield, n) for n in dir(numberfield) if n.startswith("kp_")]
+    targets.append(tridiagonal.f_polynomials)
+    return targets
+
+
+def test_cofactor_oracle_is_independent_of_what_it_checks(monkeypatch):
+    system = random_system(random.Random(11), 5)
+    rational = reduced_matrix(system)
+    expected_rational = tridiagonal.f_polynomials(system)[-1]
+
+    qs = find_q_orderings(scheme_from_graph(cycle(7)))[0]
+    assert qs.b1star[0][0].field.degree == 3
+    # det(xI - B1*) = prod (x - theta_i*) over the dual eigenvalues
+    expected_field = [qs.b1star[0][0] * 0 + 1]
+    for theta in qs.dual_eigenvalues:
+        shifted = [-theta * c for c in expected_field] + [expected_field[0] * 0]
+        for i, c in enumerate(expected_field):
+            shifted[i + 1] = shifted[i + 1] + c
+        expected_field = shifted
+
+    patch_everywhere(monkeypatch, checked_routines())
+    with pytest.raises(AssertionError):
+        tridiagonal.f_polynomials(system)
+    assert charpoly_by_cofactor(rational) == expected_rational
+    got = charpoly_by_cofactor(qs.b1star)
+    assert len(got) == len(expected_field) == 5
+    assert all(a == b for a, b in zip(got, expected_field))

@@ -8,7 +8,6 @@ from qpolykit.polynomials import (
     RationalPoly,
     cauchy_root_bound,
     count_real_roots,
-    poly_arith,
     poly_gcd,
     squarefree_decomposition,
     squarefree_part,
@@ -34,19 +33,6 @@ def test_recurrence_step_for_pentagon_quotient():
 def test_zero_annihilator():
     p = RationalPoly((3, -2, 5))
     assert (p * RationalPoly.zero()).is_zero
-    assert poly_arith(p, RationalPoly.zero(), "mul").is_zero
-
-
-def test_poly_arith_dispatch():
-    p, q = RationalPoly((1, 1)), RationalPoly((2, 0, 1))
-    assert poly_arith(p, q, "add") == p + q
-    assert poly_arith(p, q, "sub") == p - q
-    assert poly_arith(p, q, "mul") == p * q
-    assert poly_arith(p, RationalPoly.constant(3), "scale") == p.scale(3)
-    with pytest.raises(ValueError):
-        poly_arith(p, q, "scale")
-    with pytest.raises(ValueError):
-        poly_arith(p, q, "pow")
 
 
 def test_degree_and_leading_invariants():
