@@ -8,42 +8,35 @@ so refinement is plain bisection with power-of-two denominators.
 
 Every comparison is decided exactly: intervals are refined until they
 separate, and suspected ties are settled by a gcd of the defining
-polynomials, never by a tolerance.  Sums, products and inverses of
-algebraic numbers are produced through resultant constructions; the
-resulting defining polynomials are squarefree but not necessarily minimal,
-which the representation explicitly allows.
+polynomials, never by a tolerance.  Sums, products and polynomial images of
+algebraic numbers come from resultants, each the characteristic polynomial
+of a matrix (``linalg.charpoly``): the Kronecker sum or product of two
+companion matrices, or the matrix of multiplication by q(y) on Q[y]/(p).
+The resulting defining polynomials are squarefree but not necessarily
+minimal, which the representation explicitly allows.
 """
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
-from math import gcd as int_gcd
 from typing import Sequence
 
-from .linalg import det
+from .linalg import charpoly, companion, kron, kron_sum
 from .polynomials import (
     RationalPoly,
     _chain_signs_at,
     cauchy_root_bound,
     count_real_roots,
     poly_gcd,
-    primitive_int_poly,
     sign_variations,
     squarefree_decomposition,
     squarefree_part,
     sturm_chain,
 )
 
-_ENV_BUDGET = "QPOLYKIT_REFINE_BUDGET"
-
-
-def refine_budget() -> int:
-    """Interval-refinement rounds to spend before switching to exact algebra."""
-    try:
-        return max(4, int(os.environ.get(_ENV_BUDGET, "64")))
-    except ValueError:
-        return 64
+# interval-refinement rounds that compare and tridiagonal.compare_shifted_product
+# spend before switching to exact algebra; it affects speed, not answers
+REFINE_BUDGET = 64
 
 
 class AlgebraicReal:
@@ -364,7 +357,6 @@ def compare(a: AlgebraicReal, b: AlgebraicReal) -> int:
     if ra is not None:
         return -compare_rational(b, ra)
 
-    budget = refine_budget()
     rounds = 0
     equality_checked = False
     while True:
@@ -373,7 +365,7 @@ def compare(a: AlgebraicReal, b: AlgebraicReal) -> int:
             return -1
         if b.hi <= a.lo:
             return 1
-        if not equality_checked and rounds >= budget:
+        if not equality_checked and rounds >= REFINE_BUDGET:
             equality_checked = True
             g = poly_gcd(a.poly, b.poly)
             if g.degree >= 1:
@@ -390,106 +382,33 @@ def compare(a: AlgebraicReal, b: AlgebraicReal) -> int:
         rounds += 1
 
 
-# -- Sylvester resultants and interpolation ------------------------------------
-
-
-def _sylvester_resultant(p: Sequence[int], q: Sequence[int]) -> int:
-    """Resultant of integer polynomials given constant-first coefficients."""
-    dp, dq = len(p) - 1, len(q) - 1
-    if dp < 0 or dq < 0:
-        raise ValueError("resultant with zero polynomial")
-    if dp == 0:
-        return p[0] ** dq
-    if dq == 0:
-        return q[0] ** dp
-    n = dp + dq
-    prow = list(reversed(p))
-    qrow = list(reversed(q))
-    rows = []
-    for i in range(dq):
-        rows.append([0] * i + prow + [0] * (n - dp - 1 - i))
-    for i in range(dp):
-        rows.append([0] * i + qrow + [0] * (n - dq - 1 - i))
-    return det(rows)
-
-
-def _newton_interpolate(xs: Sequence[int], ys: Sequence[int]) -> RationalPoly:
-    """Interpolating polynomial through (xs, ys), exact rational coefficients."""
-    n = len(xs)
-    coef = [Fraction(y) for y in ys]
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
-    # expand Newton form
-    result = [Fraction(0)] * n
-    basis = [Fraction(1)]
-    for i in range(n):
-        for k, c in enumerate(basis):
-            result[k] += coef[i] * c
-        if i < n - 1:
-            nxt = [Fraction(0)] * (len(basis) + 1)
-            for k, c in enumerate(basis):
-                nxt[k] -= c * xs[i]
-                nxt[k + 1] += c
-            basis = nxt
-    return RationalPoly(result)
-
-
-def _nodes(count: int) -> list[int]:
-    out = [0]
-    v = 1
-    while len(out) < count:
-        out.append(v)
-        if len(out) < count:
-            out.append(-v)
-        v += 1
-    return out
-
-
 # -- resultant constructions ----------------------------------------------------
 
 
 def _defining_poly_sum(pa: RationalPoly, pb: RationalPoly) -> RationalPoly:
-    """Integer polynomial vanishing on every a_i + b_j."""
-    ia = list(primitive_int_poly(pa))
-    ib = list(primitive_int_poly(pb))
-    da, db = len(ia) - 1, len(ib) - 1
-    deg = da * db
-    xs = _nodes(deg + 1)
-    ys = []
-    for x0 in xs:
-        # q(y) = pb(x0 - y), integer coefficients via Horner in (x0 - y)
-        q = [0]
-        for c in reversed(ib):
-            nxt = [0] * (len(q) + 1)
-            for i, acc in enumerate(q):
-                nxt[i] += acc * x0
-                nxt[i + 1] -= acc
-            nxt[0] += c
-            q = nxt
-        while len(q) > 1 and q[-1] == 0:
-            q.pop()
-        ys.append(_sylvester_resultant(ia, q))
-    return _newton_interpolate(xs, ys)
+    """Monic polynomial vanishing on every a_i + b_j."""
+    return charpoly(kron_sum(companion(pa), companion(pb)))
 
 
 def _defining_poly_product(pa: RationalPoly, pb: RationalPoly) -> RationalPoly:
-    """Integer polynomial vanishing on every a_i * b_j (all roots nonzero)."""
-    ia = list(primitive_int_poly(pa))
-    ib = list(primitive_int_poly(pb))
-    da, db = len(ia) - 1, len(ib) - 1
-    deg = da * db
-    xs = _nodes(deg + 1)
-    ys = []
-    for x0 in xs:
-        # q(y) = y^db * pb(x0 / y)
-        q = [0] * (db + 1)
-        for j, c in enumerate(ib):
-            q[db - j] = c * x0**j
-        while len(q) > 1 and q[-1] == 0:
-            q.pop()
-        ys.append(_sylvester_resultant(ia, q))
-    return _newton_interpolate(xs, ys)
+    """Monic polynomial vanishing on every a_i * b_j."""
+    return charpoly(kron(companion(pa), companion(pb)))
+
+
+def _defining_poly_image(q: RationalPoly, p: RationalPoly) -> RationalPoly:
+    """Monic polynomial vanishing on every q(a_i), a_i the roots of p.
+
+    It is the characteristic polynomial of multiplication by q(y) on
+    Q[y]/(p), whose columns are the coordinates of q(y) y^j.
+    """
+    c = companion(p)
+    col = list((q % p).coeffs)
+    col += [Fraction(0)] * (len(c) - len(col))
+    cols = [col]
+    for _ in range(len(c) - 1):
+        col = [sum(x * v for x, v in zip(row, col)) for row in c]
+        cols.append(col)
+    return charpoly(cols)  # the matrix given by its columns: det(xI - M^T) = det(xI - M)
 
 
 def _select_root(cands: RationalPoly, a: AlgebraicReal, b: AlgebraicReal, mode: str) -> AlgebraicReal:
@@ -547,26 +466,7 @@ def apply_rational_poly(q: RationalPoly, a: AlgebraicReal) -> AlgebraicReal:
         return AlgebraicReal.from_rational(q.evaluate(r))
     if q.degree == 0:
         return AlgebraicReal.from_rational(q[0])
-    ia = list(primitive_int_poly(a.poly))
-    # clear denominators of q without removing content: s*q has integer coeffs
-    s = 1
-    for c in q.coeffs:
-        s = s * c.denominator // int_gcd(s, c.denominator)
-    iq = [int(c * s) for c in q.coeffs]
-    da = len(ia) - 1
-    xs = _nodes(da + 1)
-    ys = []
-    for x0 in xs:
-        # resultant_y(pa(y), s*x0 - s*q(y)): vanishes in x exactly at q(root)
-        w = [-c for c in iq]
-        w[0] += s * x0
-        while len(w) > 1 and w[-1] == 0:
-            w.pop()
-        ys.append(_sylvester_resultant(ia, w))
-    cands = _newton_interpolate(xs, ys)
-    if cands.is_zero or cands.degree == 0:
-        raise AssertionError("degenerate defining polynomial for q(a)")
-    roots = isolate_real_roots(cands)
+    roots = isolate_real_roots(_defining_poly_image(q, a.poly))
     cur = a
     while True:
         lo, hi = _interval_eval(q, cur.lo, cur.hi)

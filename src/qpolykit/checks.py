@@ -230,6 +230,13 @@ def _scheme_checks(report: dict, lines: list[str], alarms: list[str], source, th
             "descending_matches_input": qs.descending_matches_input,
         }
         lines.append(f"ordering {idx}: m = {qs.m}")
+        if qs.d < 2:
+            # valid input outside the dual checks' hypotheses: report, don't fail
+            skip = "the dual checks need class at least 2"
+            entry["dual_checks"] = {"skipped": skip}
+            lines.append(f"  dual checks: skipped ({skip})")
+            ordering_reports.append(entry)
+            continue
         spectral_ok = schememod.b1star_spectral_identity(qs)
         entry["b1star_spectral_identity"] = spectral_ok
         if not spectral_ok:

@@ -9,10 +9,6 @@ instance, which means an implementation bug, never a property of the input.
 
 This module parses arguments, loads input and prints reports; which checks
 run and what counts as an alarm is decided in ``qpolykit.checks``.
-
-The environment variable QPOLYKIT_REFINE_BUDGET caps interval-refinement
-rounds before exact algebraic fallbacks kick in; it affects speed, not
-answers.
 """
 
 from __future__ import annotations
@@ -105,6 +101,9 @@ def cmd_check_scheme(args) -> int:
         report, lines, _ = checks.check_scheme(source, args.theorem)
     except SchemeError as exc:
         return _input_error(exc)
+    except OverflowError:
+        # only Krein-array input reaches magnitudes beyond the float range
+        return _input_error(SchemeError("a value exceeds the float range of the decimal annotations"))
     _emit(args.output, report, lines)
     return report["exit_code"]
 

@@ -30,6 +30,7 @@ from .algebraics import (
 )
 from .linalg import charpoly
 from .polynomials import RationalPoly, squarefree_part
+from .serialize import rat_str, value_json
 from . import tridiagonal
 from .tridiagonal import (
     TridiagonalSystem,
@@ -52,6 +53,11 @@ MAX_VERTICES = 512
 def check_vertex_count(n: int) -> None:
     if n > MAX_VERTICES:
         raise GraphError(f"{n} vertices exceed the limit of {MAX_VERTICES}")
+
+
+def is_vertex_pair(v) -> bool:
+    """Is v a JSON pair [x, y] of integers (booleans are not integers here)?"""
+    return isinstance(v, list) and len(v) == 2 and all(type(x) is int for x in v)
 
 
 class Graph:
@@ -184,15 +190,15 @@ class Graph:
     def from_json_dict(cls, obj: dict) -> "Graph":
         if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
             raise GraphError("graph JSON needs fields 'n' and 'edges'")
-        n = obj["n"]
-        if not isinstance(n, int):
+        n, edges = obj["n"], obj["edges"]
+        if type(n) is not int:
             raise GraphError("'n' must be an integer")
-        edges = []
-        for e in obj["edges"]:
-            if not (isinstance(e, (list, tuple)) and len(e) == 2):
+        if not isinstance(edges, list):
+            raise GraphError("'edges' must be a list of [u, v] pairs")
+        for e in edges:
+            if not is_vertex_pair(e):
                 raise GraphError(f"malformed edge entry {e!r}")
-            edges.append((int(e[0]), int(e[1])))
-        return cls(n, edges)
+        return cls(n, [tuple(e) for e in edges])
 
 
 # -- graph6 -------------------------------------------------------------------------
@@ -525,8 +531,6 @@ class PairBoundReport:
     cross_check_ok: bool
 
     def to_json_dict(self) -> dict:
-        from .serialize import rat_str, value_json
-
         return {
             "lhs": value_json(self.lhs),
             "per_vertex": [
@@ -659,8 +663,6 @@ class FundamentalBoundReport:
     tight: bool
 
     def to_json_dict(self) -> dict:
-        from .serialize import rat_str, value_json
-
         return {
             "lhs": value_json(self.lhs),
             "rhs": rat_str(self.rhs),

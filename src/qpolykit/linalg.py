@@ -8,19 +8,24 @@ One home for the linear algebra the rest of the package needs:
                   2^62, combined by the Chinese remainder theorem under a
                   Hadamard bound (Cohen, A Course in Computational Algebraic
                   Number Theory, Alg. 2.2.9);
-  krylov_minpoly  the first linear dependency among v, Av, A^2 v, ...;
+  companion, kron, kron_sum
+                  the matrices whose characteristic polynomials are the
+                  package's resultants: multiplication by x on Q[x]/(p), and
+                  the Kronecker product and sum, whose eigenvalues are the
+                  products a_i b_j and the sums a_i + t b_j;
   solve           Gauss-Jordan elimination for one right-hand side.
 
-The independent oracles that check these routines (the cofactor expansion in
-``tridiagonal.charpoly_by_cofactor`` and the tests' sympy calls) do not
-import this module.
+Every characteristic, minimal and defining polynomial in the package is a
+``charpoly`` of such a matrix.  The independent oracles that check these
+routines (the cofactor expansion in ``tridiagonal.charpoly_by_cofactor`` and
+the tests' sympy calls) do not import this module.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt, lcm
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .polynomials import RationalPoly
 
@@ -202,35 +207,41 @@ def charpoly(m: Sequence[Sequence[int | Fraction]]) -> RationalPoly:
     return RationalPoly([Fraction(c, scale ** (n - k)) for k, c in enumerate(ints)])
 
 
-# -- minimal polynomials and linear systems --------------------------------------------
+# -- companion and Kronecker matrices -----------------------------------------------------
 
 
-def krylov_minpoly(apply: Callable[[list[Fraction]], list[Fraction]], v: Sequence[Fraction]) -> RationalPoly:
-    """The monic p of least degree with p(A) v = 0, where apply(w) = A w.
+def companion(p: RationalPoly) -> list[list[Fraction]]:
+    """The matrix of multiplication by x on Q[x]/(p) in the basis 1, x, ..., x^(d-1).
 
-    Each power A^k v is reduced against the earlier reduced powers while the
-    combination of powers that produced it is tracked; the first power that
-    reduces to zero gives the coefficients of p.
+    Column j holds the coordinates of x^(j+1); the characteristic
+    polynomial is p made monic.
     """
-    dim = len(v)
-    basis: list[tuple[int, list[Fraction], list[Fraction]]] = []  # (pivot, vector, combination)
-    cur = list(v)
-    for k in range(dim + 1):
-        vec = list(cur)
-        combo = [Fraction(0)] * k + [Fraction(1)]
-        for piv, bvec, bcombo in basis:
-            c = vec[piv]
-            if c:
-                f = c / bvec[piv]
-                vec = [a - f * b for a, b in zip(vec, bvec)]
-                for i, b in enumerate(bcombo):
-                    combo[i] -= f * b
-        piv = next((i for i, a in enumerate(vec) if a), None)
-        if piv is None:
-            return RationalPoly(combo)
-        basis.append((piv, vec, combo))
-        cur = apply(cur)
-    raise AssertionError("Krylov sequence stayed independent beyond the dimension")
+    d = p.degree
+    lead = p.leading
+    c = [[Fraction(0)] * d for _ in range(d)]
+    for i in range(1, d):
+        c[i][i - 1] = Fraction(1)
+    for i in range(d):
+        c[i][d - 1] = -p[i] / lead
+    return c
+
+
+def kron(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
+    """The Kronecker product A (x) B; its eigenvalues are the products a_i b_j."""
+    return [[x * y for x in ra for y in rb] for ra in a for rb in b]
+
+
+def kron_sum(a: Sequence[Sequence], b: Sequence[Sequence], t: int | Fraction = 1) -> list[list]:
+    """A (x) I + t I (x) B; its eigenvalues are the sums a_i + t b_j."""
+    na, nb = len(a), len(b)
+    return [
+        [(a[i][j] if k == l else 0) + (t * b[k][l] if i == j else 0) for j in range(na) for l in range(nb)]
+        for i in range(na)
+        for k in range(nb)
+    ]
+
+
+# -- linear systems ----------------------------------------------------------------------
 
 
 def solve(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:

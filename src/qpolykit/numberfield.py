@@ -14,8 +14,10 @@ valid.
 
 Several algebraic numbers are combined into one field with adjoin_root,
 which finds a primitive element gamma_old + t*beta through its minimal
-polynomial in the tensor ring (the Krylov minimal polynomial of 1 under
-multiplication by the element) and rewrites both generators in terms of it.
+polynomial in the tensor ring (the squarefree part of the characteristic
+polynomial of the Kronecker sum C_1 (x) I + t I (x) C_2 of the two
+companion matrices, ``linalg.charpoly``) and rewrites both generators in
+terms of it.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .algebraics import AlgebraicReal, _interval_eval, apply_rational_poly
-from .linalg import krylov_minpoly
+from .linalg import charpoly, companion, kron_sum
 from .polynomials import RationalPoly, count_real_roots, poly_gcd, squarefree_part
 
 
@@ -540,29 +542,25 @@ def field_containing(values: Sequence[AlgebraicReal]) -> tuple[RealAlgebraicFiel
                 p = p.exact_div(RationalPoly((-rr, 1)))
         slim = AlgebraicReal(p, val.lo, val.hi) if p is not val.poly else val
         field, old_img, beta_img = adjoin_root(field, slim)
-        elems = [rebase_element(el, old_img) for el in elems]
+        elems = [eval_rational_poly(el.coeffs, old_img) for el in elems]
         elems.append(beta_img)
         defining.append(p)
         for dp, el in zip(defining, elems):
-            if dp is not None and not _eval_rational_poly(dp, el).is_zero():
+            if dp is not None and not eval_rational_poly(dp.coeffs, el).is_zero():
                 raise AssertionError("adjoined root lost its defining relation")
     elems = [field.element(el.coeffs) for el in elems]
     return field, elems
 
 
-def _eval_rational_poly(p: RationalPoly, el: FieldElement) -> FieldElement:
+def eval_rational_poly(coeffs: Sequence[Fraction], el: FieldElement) -> FieldElement:
+    """p(el) by Horner, for p given by its rational coefficients, constant first.
+
+    With p an element's coefficients and el the image of its field's
+    generator, this rewrites the element into the field of el.
+    """
     acc = el.field.constant(0)
-    for c in reversed(p.coeffs):
+    for c in reversed(coeffs):
         acc = acc * el + c
-    return acc
-
-
-def rebase_element(el: FieldElement, old_gen_img: FieldElement) -> FieldElement:
-    """Rewrite an element of the previous field through its generator's image."""
-    field = old_gen_img.field
-    acc = field.constant(0)
-    for c in reversed(el.coeffs):
-        acc = acc * old_gen_img + c
     return acc
 
 
@@ -584,35 +582,8 @@ def _compose_linear_in_x(m: RationalPoly, gamma: FieldElement, s: int) -> list:
 def _tensor_min_poly(m1: RationalPoly, m2: RationalPoly, t: int) -> RationalPoly:
     """Squarefree monic polynomial vanishing on a + t*b in Q[a,b]/(m1(a), m2(b)).
 
-    This is the minimal polynomial of multiplication by (a + t*b) in the
-    tensor ring (m1 and m2 monic), the Krylov minimal polynomial of 1 under
-    that map; the ring is semisimple, so the result is squarefree.
+    Multiplication by a + t*b on the tensor ring is the Kronecker sum
+    C_1 (x) I + t I (x) C_2 of the companion matrices; the squarefree part of
+    its characteristic polynomial has every a_i + t b_j as a simple root.
     """
-    d1, d2 = m1.degree, m2.degree
-    c1, c2 = m1.coeffs, m2.coeffs
-
-    def mul_by_gamma(e: list[Fraction]) -> list[Fraction]:
-        """(a + t*b) e, where e[i*d2 + j] is the coefficient of a^i b^j."""
-        out = [Fraction(0)] * (d1 * d2)
-        for i in range(d1):
-            for j in range(d2):
-                c = e[i * d2 + j]
-                if not c:
-                    continue
-                # a * a^i b^j, with a^d1 = -sum_k m1_k a^k
-                if i + 1 < d1:
-                    out[(i + 1) * d2 + j] += c
-                else:
-                    for k in range(d1):
-                        out[k * d2 + j] -= c * c1[k]
-                # t*b * a^i b^j, with b^d2 = -sum_k m2_k b^k
-                tc = t * c
-                if j + 1 < d2:
-                    out[i * d2 + j + 1] += tc
-                else:
-                    for k in range(d2):
-                        out[i * d2 + k] -= tc * c2[k]
-        return out
-
-    one = [Fraction(1)] + [Fraction(0)] * (d1 * d2 - 1)
-    return squarefree_part(krylov_minpoly(mul_by_gamma, one))
+    return squarefree_part(charpoly(kron_sum(companion(m1), companion(m2), t)))

@@ -3,9 +3,9 @@
 Everything routes through the regular representation.  The intersection
 matrices B_i = (p_{ij}^h)_{h,j} span a commutative semisimple algebra of
 dimension class+1; a generator g of that algebra has squarefree minimal
-polynomial whose roots are the characters' values (the Krylov minimal
-polynomial of e_0, since B_i e_0 = e_i), and every B_i is a rational
-polynomial in g.  So the first eigenmatrix P comes out as
+polynomial whose roots are the characters' values (the squarefree part of
+its characteristic polynomial, since g is diagonalizable), and every B_i is
+a rational polynomial in g.  So the first eigenmatrix P comes out as
 P[j][u] = poly_u(lambda_j) with all arithmetic in a single real number
 field containing the lambda_j (built by adjoining roots on demand), and
 multiplicities, the second eigenmatrix Q and the Krein parameters
@@ -30,21 +30,24 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import tridiagonal
-from .algebraics import AlgebraicReal, compare, isolate_real_roots
-from .graphs import Graph, check_vertex_count, classify_regularity, intersection_array
+from .algebraics import compare, isolate_real_roots
+from .graphs import Graph, check_vertex_count, classify_regularity, intersection_array, is_vertex_pair
+from .linalg import charpoly, solve
 from .numberfield import (
     FieldElement,
     RealAlgebraicField,
+    eval_rational_poly,
     exact_sign,
     field_containing,
     is_exact_zero,
     kp_mul,
     kp_sub,
     scalar_as_fraction,
+    scalar_inverse,
+    scalar_to_algebraic,
 )
-from .linalg import krylov_minpoly, solve
-from .polynomials import RationalPoly
-from .serialize import parse_rat
+from .polynomials import RationalPoly, squarefree_part
+from .serialize import parse_rat, value_json
 from .tridiagonal import BoundCheck, TridiagonalSystem, TripleBoundResult
 
 
@@ -176,8 +179,12 @@ class AssociationScheme:
             raise SchemeError("scheme JSON needs type='relations'")
         if "n" not in obj or "relations" not in obj:
             raise SchemeError("scheme JSON needs fields 'n' and 'relations'")
-        rels = [[(int(a), int(b)) for a, b in pairs] for pairs in obj["relations"]]
-        return cls.from_relation_lists(int(obj["n"]), rels)
+        n, rels = obj["n"], obj["relations"]
+        if type(n) is not int:
+            raise SchemeError("'n' must be an integer")
+        if not (isinstance(rels, list) and all(isinstance(r, list) and all(map(is_vertex_pair, r)) for r in rels)):
+            raise SchemeError("'relations' must be a list of lists of [x, y] pairs")
+        return cls.from_relation_lists(n, [[tuple(pair) for pair in r] for r in rels])
 
 
 def _intersection_numbers(n: int, d: int, rel_adj) -> tuple:
@@ -191,7 +198,6 @@ def _intersection_numbers(n: int, d: int, rel_adj) -> tuple:
     p = [[[None] * (d + 1) for _ in range(d + 1)] for _ in range(d + 1)]
     for i in range(d + 1):
         for j in range(d + 1):
-            counts: list[dict[int, int] | None] = [None] * (d + 1)
             for x in range(n):
                 per_y: dict[int, int] = {}
                 for z in rel_adj[i][x]:
@@ -206,7 +212,6 @@ def _intersection_numbers(n: int, d: int, rel_adj) -> tuple:
                         raise SchemeError(
                             f"intersection number p[{i}][{j}]^{h} is not constant over relation {h}"
                         )
-            del counts
     return tuple(tuple(tuple(int(v) for v in row) for row in block) for block in p)
 
 
@@ -306,13 +311,6 @@ def _generator_candidates(d: int):
     yield [Fraction(0)] + [Fraction(3**i) for i in range(d)]
 
 
-def field_eval_poly(rp: RationalPoly, el: FieldElement) -> FieldElement:
-    acc = el.field.constant(0)
-    for c in reversed(rp.coeffs):
-        acc = acc * el + c
-    return acc
-
-
 def eigendata(s: AssociationScheme) -> EigenData:
     """Exact first and second eigenmatrices with multiplicities.
 
@@ -328,13 +326,12 @@ def eigendata(s: AssociationScheme) -> EigenData:
     b_mats = [_intersection_matrix(s, i) for i in range(d + 1)]
     k = list(s.valencies)
 
-    e0 = [Fraction(1)] + [Fraction(0)] * d
     gen = None
     for coeffs in _generator_candidates(d):
         g = [[sum(coeffs[i] * b_mats[i][r][c] for i in range(d + 1)) for c in range(d + 1)] for r in range(d + 1)]
-        # B_i e_0 = e_i (p_i0^h = delta_ih), so e_0 generates the regular
-        # representation and its Krylov minimal polynomial is that of g
-        mp = krylov_minpoly(lambda w: [sum(a * b for a, b in zip(row, w)) for row in g], e0)
+        # the algebra is semisimple, so g is diagonalizable and its minimal
+        # polynomial is the squarefree part of its characteristic polynomial
+        mp = squarefree_part(charpoly(g))
         if mp.degree == d + 1:
             gen = (coeffs, g, mp)
             break
@@ -372,7 +369,7 @@ def eigendata(s: AssociationScheme) -> EigenData:
     field, lam_elems = field_containing(lam_order)
 
     p_matrix = tuple(
-        tuple(field_eval_poly(polys_in_g[u], lam_elems[j]) for u in range(d + 1))
+        tuple(eval_rational_poly(polys_in_g[u].coeffs, lam_elems[j]) for u in range(d + 1))
         for j in range(d + 1)
     )
     for u in range(d + 1):
@@ -663,9 +660,13 @@ def krein_array_structure(obj: dict) -> QPolyStructure:
     for key in ("class", "m", "b_star", "c_star"):
         if key not in obj:
             raise SchemeError(f"krein JSON missing field {key!r}")
-    d = int(obj["class"])
+    d = obj["class"]
+    if type(d) is not int:
+        raise SchemeError("'class' must be an integer")
     if d < 2:
         raise SchemeError("class must be at least 2")
+    if not (isinstance(obj["b_star"], list) and isinstance(obj["c_star"], list)):
+        raise SchemeError("b_star and c_star must be lists of rational strings")
     try:
         m = parse_rat(obj["m"])
         b = [parse_rat(v) for v in obj["b_star"]]
@@ -765,7 +766,7 @@ def b1star_spectral_identity(qs: QPolyStructure) -> bool:
     if system.is_rational():
         rep = tridiagonal.spectrum(system)
         mine = list(rep.eigenvalues)
-        theirs = [_to_algebraic(v) for v in qs.dual_eigenvalues]
+        theirs = [scalar_to_algebraic(v) for v in qs.dual_eigenvalues]
         if len(mine) != len(theirs):
             return False
         return all(compare(a, b) == 0 for a, b in zip(mine, theirs))
@@ -774,12 +775,6 @@ def b1star_spectral_identity(qs: QPolyStructure) -> bool:
     except AssertionError:
         return False
     return True
-
-
-def _to_algebraic(v) -> AlgebraicReal:
-    from .numberfield import scalar_to_algebraic
-
-    return scalar_to_algebraic(v)
 
 
 @dataclass(frozen=True)
@@ -831,8 +826,6 @@ def dual_fundamental_bound(qs: QPolyStructure) -> DualFundamentalBound:
         cmp = tridiagonal.compare_shifted_product(fd, asc, subset, shift, rhs)
         lhs = tridiagonal._report_value(fd, asc, subset, shift)
     else:
-        from .numberfield import scalar_inverse
-
         inv = scalar_inverse(a1 + 1)
         shift = inv * qs.m
         rhs = -(inv * inv * a1 * qs.b_star[1] * qs.m)
@@ -855,8 +848,6 @@ class AuditRecord:
     rhs: object = None
 
     def to_json_dict(self) -> dict:
-        from .serialize import value_json
-
         out = {"name": self.name, "passed": self.passed}
         if self.note:
             out["note"] = self.note
@@ -902,8 +893,6 @@ def dual_multiplicities(qs: QPolyStructure) -> list:
     for j in range(1, qs.d + 1):
         num = num * qs.b_star[j - 1]
         den = den * qs.c_star[j - 1]
-        from .numberfield import scalar_inverse
-
         out.append(num * scalar_inverse(den))
     return out
 
@@ -921,7 +910,6 @@ def class3_dualtight_audit(qs: QPolyStructure, bound: DualFundamentalBound | Non
     bound = bound or dual_fundamental_bound(qs)
     if not bound.dual_tight:
         raise SchemeError("audit applies to dual-tight structures")
-    from .numberfield import scalar_inverse
 
     records: list[AuditRecord] = []
     m = qs.m
@@ -930,7 +918,7 @@ def class3_dualtight_audit(qs: QPolyStructure, bound: DualFundamentalBound | Non
     if qs.provenance == "krein_array":
         # move the eigenvalues into one number field so the identity checks
         # below cost modular arithmetic instead of resultants
-        _, elems = field_containing([_to_algebraic(t) for t in (th1, th2, th3)])
+        _, elems = field_containing([scalar_to_algebraic(t) for t in (th1, th2, th3)])
         th1, th2, th3 = elems
 
     a1_zero = is_exact_zero(a1)

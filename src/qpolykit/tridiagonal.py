@@ -32,17 +32,18 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Sequence
 
+from . import algebraics
 from .algebraics import (
     AlgebraicReal,
     ProductValue,
     compare,
     compare_rational,
     isolate_real_roots,
-    refine_budget,
 )
-from .linalg import charpoly, det
+from .linalg import charpoly, companion, det
 from .numberfield import (
     exact_sign,
     is_exact_zero,
@@ -469,7 +470,7 @@ def compare_shifted_product(
             lo, hi = min(corners), max(corners)
         return lo, hi
 
-    for _ in range(refine_budget()):
+    for _ in range(algebraics.REFINE_BUDGET):
         lo, hi = enclosure(factors)
         if rhs < lo:
             return 1
@@ -501,20 +502,13 @@ def _subset_product_resolvent(h: RationalPoly, k: int) -> RationalPoly:
     exactly those products as eigenvalues; the resolvent is its
     characteristic polynomial, of degree C(deg h, k).
     """
-    from itertools import combinations
-
-    hm = h.monic()
-    n = hm.degree
+    n = h.degree
     if not 1 <= k <= n:
         raise ValueError("subset size out of range")
-    companion = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(1, n):
-        companion[i][i - 1] = Fraction(1)
-    for i in range(n):
-        companion[i][n - 1] = -hm.coeffs[i]
+    c = companion(h)
     subsets = list(combinations(range(n), k))
     compound = [
-        [det([[companion[r][c] for c in cols] for r in rows]) for cols in subsets]
+        [det([[c[r][j] for j in cols] for r in rows]) for cols in subsets]
         for rows in subsets
     ]
     return charpoly(compound)

@@ -1,18 +1,23 @@
 from fractions import Fraction as F
 
 import pytest
+import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
 from qpolykit.algebraics import (
     AlgebraicReal,
+    _defining_poly_image,
+    _defining_poly_product,
+    _defining_poly_sum,
     apply_rational_poly,
     compare,
     compare_rational,
     isolate_real_roots,
     isolate_real_roots_with_multiplicity,
 )
-from qpolykit.polynomials import RationalPoly, count_real_roots, squarefree_part
+from qpolykit.numberfield import _tensor_min_poly
+from qpolykit.polynomials import RationalPoly, count_real_roots, primitive_int_poly, squarefree_part
 
 
 def sqrt_of(n: int) -> AlgebraicReal:
@@ -126,17 +131,6 @@ def test_zero_product_and_inverse_errors():
         zero.inverse()
 
 
-def test_refine_budget_env(monkeypatch):
-    from qpolykit.algebraics import refine_budget
-
-    monkeypatch.setenv("QPOLYKIT_REFINE_BUDGET", "17")
-    assert refine_budget() == 17
-    monkeypatch.setenv("QPOLYKIT_REFINE_BUDGET", "bogus")
-    assert refine_budget() == 64
-    monkeypatch.setenv("QPOLYKIT_REFINE_BUDGET", "1")
-    assert refine_budget() == 4  # floor keeps the interval phase meaningful
-
-
 def test_apply_rational_poly():
     s2 = sqrt_of(2)
     val = apply_rational_poly(RationalPoly((1, 2, 1)), s2)  # (x+1)^2 at sqrt2 = 3 + 2 sqrt2
@@ -166,3 +160,61 @@ def test_isolation_recovers_constructed_roots(roots):
     assert len(found) == len(expected)
     for got, want in zip(found, expected):
         assert compare_rational(got, want) == 0
+
+
+# -- every resultant against sympy.resultant -------------------------------------------
+
+X, Y = sympy.symbols("x y")
+
+
+def squarefree_int_poly(coeffs, rational_roots) -> RationalPoly:
+    p = RationalPoly(coeffs)
+    for r in rational_roots:
+        p = p * RationalPoly((-r, 1))
+    return RationalPoly(primitive_int_poly(squarefree_part(p)))
+
+
+squarefree_int_polys = st.builds(
+    squarefree_int_poly,
+    st.lists(st.integers(-6, 6), min_size=1, max_size=4).filter(lambda c: c[-1] != 0),
+    st.lists(st.integers(-3, 3), max_size=2),
+).filter(lambda p: p.degree >= 1)
+
+
+def sym(p: RationalPoly, var):
+    return sum(sympy.Rational(c.numerator, c.denominator) * var**k for k, c in enumerate(p.coeffs))
+
+
+def sympy_squarefree(expr) -> RationalPoly:
+    coeffs = sympy.Poly(expr, X).sqf_part().monic().all_coeffs()
+    return RationalPoly([F(int(c.p), int(c.q)) for c in reversed(coeffs)])
+
+
+@given(squarefree_int_polys, squarefree_int_polys)
+def test_sum_and_product_polynomials_match_sympy_resultant(pa, pb):
+    a, b = sym(pa, Y), sym(pb, Y)
+    res_sum = sympy.resultant(a, b.subs(Y, X - Y), Y)
+    assert squarefree_part(_defining_poly_sum(pa, pb)) == sympy_squarefree(res_sum)
+    qa, _ = pa.strip_zero_roots()
+    qb, _ = pb.strip_zero_roots()
+    if qa.degree >= 1 and qb.degree >= 1:
+        b = sympy.expand(sym(qb, Y).subs(Y, X / Y) * Y**qb.degree)
+        res_prod = sympy.resultant(sym(qa, Y), b, Y)
+        assert squarefree_part(_defining_poly_product(qa, qb)) == sympy_squarefree(res_prod)
+
+
+@given(squarefree_int_polys, st.lists(st.fractions(-3, 3, max_denominator=3), min_size=1, max_size=4))
+def test_image_polynomial_matches_sympy_resultant(pa, qc):
+    q = RationalPoly(qc)
+    res = sympy.resultant(sym(pa, Y), X - sym(q, Y), Y)
+    assert squarefree_part(_defining_poly_image(q, pa)) == sympy_squarefree(res)
+    for root in isolate_real_roots(pa):
+        val = apply_rational_poly(q, root)
+        assert abs(val.approx_float() - float(q.evaluate(root.refined_to(F(1, 10**15)).lo))) < 1e-9
+
+
+@given(squarefree_int_polys, squarefree_int_polys, st.integers(1, 4))
+def test_tensor_min_poly_matches_sympy_resultant(m1, m2, t):
+    b = sympy.expand(sym(m2, Y).subs(Y, (X - Y) / t) * t**m2.degree)
+    res = sympy.resultant(sym(m1, Y), b, Y)
+    assert _tensor_min_poly(m1.monic(), m2.monic(), t) == sympy_squarefree(res)

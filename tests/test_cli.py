@@ -107,6 +107,49 @@ def test_check_graph_out_of_scope_checks_are_skipped():
     assert "skipped" in report["pair_bound"]
 
 
+@pytest.mark.parametrize("output", ["text", "json"])
+def test_check_scheme_class1_skips_the_dual_checks(tmp_path: Path, capsys, output):
+    # a one-relation scheme is valid input outside the D >= 2 hypotheses
+    f = tmp_path / "k3.json"
+    f.write_text(json.dumps({"type": "relations", "n": 3, "relations": [[[0, 1], [0, 2], [1, 2]]]}))
+    for argv in (["--from-graph", "complete:n=4"], ["--input", str(f), "--format", "json"]):
+        assert main(["check-scheme", *argv, "--output", output]) == 0
+        out = capsys.readouterr().out
+        if output == "json":
+            report = json.loads(out)
+            assert report["alarms"] == [] and report["class"] == 1
+            assert [o["dual_checks"] for o in report["orderings"]] == [{"skipped": "the dual checks need class at least 2"}]
+        else:
+            assert "dual checks: skipped" in out and "ALARM" not in out
+
+
+HUGE_KREIN = '{"type":"krein_array","class":3,"m":"1e400","b_star":["1e400","5","1"],"c_star":["1","5","1e400"]}'
+
+
+@pytest.mark.parametrize(
+    "subcommand, text, message",
+    [
+        ("check-graph", '{"n":3,"edges":null}', "'edges' must be a list"),
+        ("check-graph", '{"n":true,"edges":[]}', "'n' must be an integer"),
+        ("check-scheme", '{"type":"relations","n":3,"relations":5}', "'relations' must be a list"),
+        ("check-scheme", '{"type":"relations","n":true,"relations":[]}', "'n' must be an integer"),
+        ("check-scheme", None, "float range"),
+    ],
+)
+@pytest.mark.parametrize("output", ["text", "json"])
+def test_malformed_json_exit1_with_a_message(tmp_path: Path, capsys, subcommand, text, message, output):
+    if text is None:
+        argv = ["--krein", HUGE_KREIN]
+    else:
+        f = tmp_path / "input.json"
+        f.write_text(text)
+        argv = ["--input", str(f), "--format", "json"]
+    assert main([subcommand, *argv, "--output", output]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_property_suite_smoke_exit0():
     proc = run_cli("property-suite", "--seed", "42", "--n", "10", "--graphs", "2", "--output", "json")
     assert proc.returncode == 0

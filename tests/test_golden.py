@@ -1,8 +1,9 @@
 """Golden stdout digests of the README commands, in text and JSON output.
 
 The digests were recorded before the check pipeline moved into
-``qpolykit.checks``; any change to a report's bytes shows up here.  The two
-slow README commands run at smaller sizes.
+``qpolykit.checks`` (those of ``cycle:n=7`` before the resultants became
+``linalg.charpoly`` calls); any change to a report's bytes shows up here.
+The two slow README commands run at smaller sizes.
 """
 
 import hashlib
@@ -29,6 +30,11 @@ GOLDEN = [
     (["check-scheme", "--from-graph", "heawood"], {
         "text": "7432081f66b90c9cfd60712234de3aeaaeecc4cb21f230fa8f589a64a1ed7a5d",
         "json": "1ee9825fb4ce23291d532fa60803c470563cb4bd38f26d5d9c8f6b72434be53b",
+    }),
+    # the cubic-field path: eigendata, adjoin_root and apply_rational_poly
+    (["check-scheme", "--from-graph", "cycle:n=7"], {
+        "text": "05969518bc574d80cd3e3c6396518f87047ec0cfa8332fe48d7190bd6efe5c2a",
+        "json": "eecf48a90bb25b892a65fb0bb176067df203e25067ed48d7d9194cbe33cfc8a0",
     }),
     (["check-scheme", "--input", "data/examples/c5_scheme.json", "--format", "json"], {
         "text": "b8422c38644b09304a81d718d9157f44e4bdf4a7b7d5d0f563db8005b8fcb79b",

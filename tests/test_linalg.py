@@ -1,8 +1,8 @@
 """``qpolykit.linalg`` against sympy, and the cofactor oracle's independence.
 
 det and charpoly are compared with sympy on random integer and rational
-matrices (not symmetric, singular and empty ones included); krylov_minpoly
-is checked by p(A)v = 0 and a sympy rank, on derogatory matrices too.  The
+matrices (not symmetric, singular and empty ones included); companion, kron
+and kron_sum with sympy's companion matrix and Kronecker product.  The
 cofactor oracle ``tridiagonal.charpoly_by_cofactor`` must give the right
 polynomial while every routine it is meant to check raises.
 """
@@ -100,50 +100,23 @@ def test_charpoly_of_a_compound_matrix_has_the_subset_products_as_roots():
     assert res == RationalPoly.from_roots(products)
 
 
-def apply_matrix(a):
-    return lambda w: [sum(x * y for x, y in zip(row, w)) for row in a]
-
-
-def check_krylov(a, v):
-    p = linalg.krylov_minpoly(apply_matrix(a), v)
-    assert p.leading == 1
-    # p(A) v = 0, by Horner on vectors
-    acc = [F(0)] * len(v)
-    for c in reversed(p.coeffs):
-        acc = [x + c * y for x, y in zip(apply_matrix(a)(acc), v)]
-    assert all(x == 0 for x in acc)
-    # v, Av, ..., A^(deg-1) v are independent
-    vecs = [list(v)]
-    for _ in range(p.degree - 1):
-        vecs.append(apply_matrix(a)(vecs[-1]))
-    if p.degree:
-        cols = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in vec] for vec in vecs])
-        assert cols.rank() == p.degree
-    return p
-
-
-def test_krylov_minpoly_random():
-    rng = random.Random(7)
-    for n in range(1, 7):
+def test_companion_and_kronecker_builders_match_sympy():
+    x = sympy.Symbol("x")
+    rng = random.Random(5)
+    for n in range(1, 5):
+        p = RationalPoly([F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)] + [F(rng.choice([-3, 2, 1]))])
+        c = linalg.companion(p)
+        assert linalg.charpoly(c) == p.monic()
+        assert to_sympy(c) == sympy.Matrix.companion(sympy.Poly(list(reversed(p.monic().coeffs)), x))
         for rational in (False, True):
-            a = [[F(x) for x in row] for row in random_matrix(rng, n, rational)]
-            v = [F(rng.randint(-3, 3)) for _ in range(n)]
-            check_krylov(a, v)
-
-
-def test_krylov_minpoly_derogatory():
-    n = 4
-    scalar = [[F(3) if i == j else F(0) for j in range(n)] for i in range(n)]
-    assert check_krylov(scalar, [F(1), F(2), F(0), F(-1)]) == RationalPoly((-3, 1))
-    # diag(B, B): every vector's minimal polynomial divides that of B
-    b = [[F(0), F(1)], [F(-2), F(3)]]  # x^2 - 3x + 2
-    blocks = [[F(0)] * 4 for _ in range(4)]
-    for i in range(2):
-        for j in range(2):
-            blocks[i][j] = blocks[i + 2][j + 2] = b[i][j]
-    assert check_krylov(blocks, [F(1), F(0), F(1), F(0)]) == RationalPoly((2, -3, 1))
-    assert check_krylov(blocks, [F(1), F(1), F(1), F(1)]) == RationalPoly((-1, 1))  # eigenvector for 1
-    assert check_krylov(blocks, [F(0)] * 4) == RationalPoly.one()
+            a = random_matrix(rng, n, rational)
+            b = random_matrix(rng, rng.randint(1, 3), rational)
+            ka, kb = to_sympy(a), to_sympy(b)
+            ia, ib = sympy.eye(len(a)), sympy.eye(len(b))
+            assert to_sympy(linalg.kron(a, b)) == sympy.kronecker_product(ka, kb)
+            t = F(rng.randint(-3, 3), 2)
+            expected = sympy.kronecker_product(ka, ib) + sympy.Rational(t.numerator, t.denominator) * sympy.kronecker_product(ia, kb)
+            assert to_sympy(linalg.kron_sum(a, b, t)) == expected
 
 
 def test_solve():
@@ -168,7 +141,7 @@ def patch_everywhere(monkeypatch, targets):
 
 
 def checked_routines():
-    targets = [getattr(linalg, n) for n in ("det", "charpoly", "krylov_minpoly", "solve", "_charpoly_mod")]
+    targets = [getattr(linalg, n) for n in ("det", "charpoly", "companion", "kron", "kron_sum", "solve", "_charpoly_mod")]
     targets += [getattr(numberfield, n) for n in dir(numberfield) if n.startswith("kp_")]
     targets.append(tridiagonal.f_polynomials)
     return targets

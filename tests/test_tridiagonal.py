@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qpolykit import algebraics
 from qpolykit.algebraics import AlgebraicReal, compare, compare_rational, isolate_real_roots
 from qpolykit.checks import check_system
 from qpolykit.polynomials import RationalPoly
@@ -241,7 +242,7 @@ def test_refinement_budget_never_changes_verdicts(monkeypatch):
         p = pair_bound(system, rep)
         t = triple_bound(system, rep)
         baseline.append((p.holds, p.equality, t.holds, t.equality))
-    monkeypatch.setenv("QPOLYKIT_REFINE_BUDGET", "4")
+    monkeypatch.setattr(algebraics, "REFINE_BUDGET", 4)
     for (system, rep), expect in zip(cases, baseline):
         p = pair_bound(system, rep)
         t = triple_bound(system, rep)
@@ -251,7 +252,7 @@ def test_refinement_budget_never_changes_verdicts(monkeypatch):
 def test_exact_fallback_detects_product_equality(monkeypatch):
     # two irrational factors on each side and an exactly rational product:
     # intervals can never separate, so the resolvent phase must certify 0
-    monkeypatch.setenv("QPOLYKIT_REFINE_BUDGET", "4")
+    monkeypatch.setattr(algebraics, "REFINE_BUDGET", 4)
     poly = RationalPoly((-2, 0, 1)) * RationalPoly((-8, 0, 1))
     roots = isolate_real_roots(poly)  # -2sqrt2, -sqrt2, sqrt2, 2sqrt2
     assert compare_shifted_product(poly, roots, [2, 3], 0, F(4)) == 0
