@@ -19,6 +19,7 @@ minimal, which the representation explicitly allows.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import ceil, isqrt
 from typing import Sequence
 
 from .linalg import charpoly, companion, kron, kron_sum
@@ -28,6 +29,7 @@ from .polynomials import (
     cauchy_root_bound,
     count_real_roots,
     poly_gcd,
+    primitive_int_poly,
     sign_variations,
     squarefree_decomposition,
     squarefree_part,
@@ -63,11 +65,6 @@ class AlgebraicReal:
     def from_rational(cls, r: Fraction | int) -> "AlgebraicReal":
         r = Fraction(r)
         return cls(RationalPoly((-r, 1)), r, r, _checked=True)
-
-    @classmethod
-    def root_in_interval(cls, poly: RationalPoly, lo, hi) -> "AlgebraicReal":
-        """The unique root of poly in [lo, hi]; raises if not exactly one."""
-        return cls(poly, Fraction(lo), Fraction(hi))
 
     # -- queries -------------------------------------------------------------
 
@@ -411,6 +408,21 @@ def _defining_poly_image(q: RationalPoly, p: RationalPoly) -> RationalPoly:
     return charpoly(cols)  # the matrix given by its columns: det(xI - M^T) = det(xI - M)
 
 
+def _round_cap(p: RationalPoly, width: Fraction) -> int:
+    """Rounds after which a width halved every round is below the root separation of p.
+
+    By Mahler (1964) the distinct roots of a squarefree integer polynomial of
+    degree d lie more than sqrt(3) d^(-(d+2)/2) ||p||_2^(1-d) apart, and n
+    below is at least the inverse of that.  A loop that halves every interval
+    it watches, enclosures of total width `width` at the start, has isolated
+    its value among the roots of p by then, unless the value is no root of p.
+    """
+    ints = primitive_int_poly(squarefree_part(p))
+    d = len(ints) - 1
+    n = d ** (d // 2 + 2) * (isqrt(sum(c * c for c in ints)) + 1) ** max(d - 1, 0)
+    return ceil(width * n).bit_length() + 1
+
+
 def _select_root(cands: RationalPoly, a: AlgebraicReal, b: AlgebraicReal, mode: str) -> AlgebraicReal:
     """Pick the root of cands equal to a+b (mode 'add') or a*b (mode 'mul')."""
     roots = isolate_real_roots(cands)
@@ -421,7 +433,14 @@ def _select_root(cands: RationalPoly, a: AlgebraicReal, b: AlgebraicReal, mode: 
         corners = (a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi)
         return min(corners), max(corners)
 
-    while True:
+    # the enclosure of a*b is at most max|a| wb + max|b| wa wide
+    wa, wb = a.hi - a.lo, b.hi - b.lo
+    if mode == "add":
+        width = wa + wb
+    else:
+        width = max(abs(a.lo), abs(a.hi)) * wb + max(abs(b.lo), abs(b.hi)) * wa
+    width += max((r.hi - r.lo for r in roots), default=0)
+    for _ in range(_round_cap(cands, width)):
         lo, hi = bounds()
         hits = [r for r in roots if not (r.hi < lo or hi < r.lo)]
         if len(hits) == 1:
@@ -435,6 +454,7 @@ def _select_root(cands: RationalPoly, a: AlgebraicReal, b: AlgebraicReal, mode: 
                 return a.add_rational(rb) if rb is not None else b.add_rational(ra)
             return a.mul_rational(rb) if rb is not None else b.mul_rational(ra)
         roots = [r.refine() for r in roots]
+    raise AssertionError("the value is not a root of its defining polynomial")
 
 
 def _resultant_add(a: AlgebraicReal, b: AlgebraicReal) -> AlgebraicReal:
@@ -466,9 +486,14 @@ def apply_rational_poly(q: RationalPoly, a: AlgebraicReal) -> AlgebraicReal:
         return AlgebraicReal.from_rational(q.evaluate(r))
     if q.degree == 0:
         return AlgebraicReal.from_rational(q[0])
-    roots = isolate_real_roots(_defining_poly_image(q, a.poly))
+    cands = _defining_poly_image(q, a.poly)
+    roots = isolate_real_roots(cands)
+    # interval Horner on [lo, hi] inside [-R, R] is at most (hi - lo) sum i |q_i| R^(i-1) wide
+    big_r = max(abs(a.lo), abs(a.hi))
+    width = (a.hi - a.lo) * sum(i * abs(c) * big_r ** (i - 1) for i, c in enumerate(q.coeffs) if i)
+    width += max((r.hi - r.lo for r in roots), default=0)
     cur = a
-    while True:
+    for _ in range(_round_cap(cands, width)):
         lo, hi = _interval_eval(q, cur.lo, cur.hi)
         hits = [r for r in roots if not (r.hi < lo or hi < r.lo)]
         if len(hits) == 1:
@@ -478,6 +503,7 @@ def apply_rational_poly(q: RationalPoly, a: AlgebraicReal) -> AlgebraicReal:
         if r is not None:
             return AlgebraicReal.from_rational(q.evaluate(r))
         roots = [r.refine() for r in roots]
+    raise AssertionError("the value is not a root of its defining polynomial")
 
 
 def _interval_eval(q: RationalPoly, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:

@@ -101,13 +101,25 @@ def _is_prime(m: int) -> bool:
     return True
 
 
+# the odd primes below each top found so far, largest first; a charpoly call
+# would otherwise spend most of its time in Miller-Rabin
+_primes_found: dict[int, list[int]] = {}
+
+
 def _primes_below(top: int) -> Iterator[int]:
     """The odd primes below top, largest first."""
-    c = top - 1 if top % 2 == 0 else top - 2
-    while c > 2:
-        if _is_prime(c):
-            yield c
-        c -= 2
+    found = _primes_found.setdefault(top, [])
+    i = 0
+    while True:
+        if i == len(found):
+            c = found[-1] - 2 if found else (top - 1 if top % 2 == 0 else top - 2)
+            while c > 2 and not _is_prime(c):
+                c -= 2
+            if c <= 2:
+                return
+            found.append(c)
+        yield found[i]
+        i += 1
 
 
 def _charpoly_mod(cols: list[list[int]], p: int) -> list[int]:

@@ -1,23 +1,19 @@
-"""Arithmetic in real algebraic number fields, with lazy modulus splitting.
+"""Arithmetic in real algebraic number fields.
 
-A RealAlgebraicField is Q[y] modulo a monic squarefree rational polynomial,
-together with an isolating interval selecting one real root gamma of the
-modulus.  Elements are polynomials in gamma of degree below the modulus.
-
-The modulus is not required to be irreducible.  Whenever a computation
-meets a zero divisor (a gcd between an element and the modulus), the
-modulus is replaced by the factor that still has gamma as a root. This
-"evaluate dynamically, split on demand" discipline gives field semantics
-relative to gamma without ever factoring polynomials over Q.  The modulus
-only ever shrinks to a divisor, so existing element representations stay
-valid.
+A RealAlgebraicField is Q[y] modulo a monic irreducible rational
+polynomial, together with an isolating interval selecting one real root
+gamma of it.  Elements are polynomials in gamma of degree below the modulus.
+The constructor accepts any polynomial with a root in the interval and keeps
+the irreducible factor vanishing at that root (``irreducible_factors``), so
+every nonzero element is a unit and zero means "reduces to the empty
+polynomial".
 
 Several algebraic numbers are combined into one field with adjoin_root,
 which finds a primitive element gamma_old + t*beta through its minimal
 polynomial in the tensor ring (the squarefree part of the characteristic
 polynomial of the Kronecker sum C_1 (x) I + t I (x) C_2 of the two
-companion matrices, ``linalg.charpoly``) and rewrites both generators in
-terms of it.
+companion matrices, ``linalg.charpoly``, then the irreducible factor with
+gamma_old + t*beta as a root) and rewrites both generators in terms of it.
 """
 
 from __future__ import annotations
@@ -25,27 +21,35 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .algebraics import AlgebraicReal, _interval_eval, apply_rational_poly
+from .algebraics import AlgebraicReal, _interval_eval, _round_cap, apply_rational_poly
 from .linalg import charpoly, companion, kron_sum
-from .polynomials import RationalPoly, count_real_roots, poly_gcd, squarefree_part
+from .polynomials import RationalPoly, count_real_roots, irreducible_factors, squarefree_part
+
+
+def _minimal_factor(a: AlgebraicReal) -> RationalPoly:
+    """The monic irreducible factor of a.poly that vanishes at the irrational a.
+
+    a.poly changes sign across [a.lo, a.hi] and has no other root there, so
+    exactly one factor changes sign too.
+    """
+    hits = [g for g in irreducible_factors(a.poly) if g.sign_at(a.lo) != g.sign_at(a.hi)]
+    if len(hits) != 1:
+        raise AssertionError("isolating interval does not select one irreducible factor")
+    return hits[0]
 
 
 class RealAlgebraicField:
     """Q[y]/(modulus) with a selected real root of the modulus."""
 
     def __init__(self, modulus: RationalPoly, lo, hi):
-        modulus = squarefree_part(modulus).monic()
         gen = AlgebraicReal(modulus, Fraction(lo), Fraction(hi))
         rat = gen.as_rational()
-        if rat is not None:
-            modulus = RationalPoly((-rat, 1))
-            self._modulus = modulus
-            self._lo = self._hi = rat
+        self._modulus = RationalPoly((-rat, 1)) if rat is not None else _minimal_factor(gen)
+        if self._modulus.degree == 1:
+            self._lo = self._hi = -self._modulus[0]
         else:
-            self._modulus = gen.poly
             self._lo, self._hi = gen.lo, gen.hi
-        self._pow_cache_mod: RationalPoly | None = None
-        self._pow_cache: list[tuple[Fraction, ...]] = []
+        self._pow_cache: list[tuple[Fraction, ...]] = [(Fraction(1),)]
 
     @classmethod
     def rationals(cls) -> "RealAlgebraicField":
@@ -88,28 +92,17 @@ class RealAlgebraicField:
     def _refine_generator(self) -> None:
         if self._lo == self._hi:
             return
+        # the irreducible modulus of degree >= 2 has no rational root
         mid = (self._lo + self._hi) / 2
-        s = self._modulus.sign_at(mid)
-        if s == 0:
-            # rational generator discovered: collapse the field to degree one
-            self._shrink_modulus(RationalPoly((-mid, 1)))
-            self._lo = self._hi = mid
-            return
-        if s == self._modulus.sign_at(self._lo):
+        if self._modulus.sign_at(mid) == self._modulus.sign_at(self._lo):
             self._lo = mid
         else:
             self._hi = mid
 
-    def _shrink_modulus(self, new_modulus: RationalPoly) -> None:
-        self._modulus = new_modulus.monic()
-
     # -- reduction ---------------------------------------------------------------
 
     def _powers(self, upto: int) -> list[tuple[Fraction, ...]]:
-        """y^k mod modulus for k = 0..upto, cached for the current modulus."""
-        if self._pow_cache_mod is not self._modulus:
-            self._pow_cache_mod = self._modulus
-            self._pow_cache = [(Fraction(1),)]
+        """y^k mod modulus for k = 0..upto, cached."""
         d = self._modulus.degree
         mcoeffs = self._modulus.coeffs
         while len(self._pow_cache) <= upto:
@@ -148,29 +141,13 @@ class RealAlgebraicField:
     # -- exact predicates -----------------------------------------------------------
 
     def is_zero_coeffs(self, coeffs: Sequence[Fraction]) -> bool:
-        red = self.reduce(coeffs)
-        if not red:
-            return True
-        e = RationalPoly(red)
-        g = poly_gcd(e, self._modulus)
-        if g.degree == 0:
-            return False
-        if self._root_of(g):
-            self._shrink_modulus(g)
-            return True
-        self._shrink_modulus(self._modulus.exact_div(g))
-        return False
-
-    def _root_of(self, g: RationalPoly) -> bool:
-        """Is the selected root gamma a root of g (a divisor of the modulus)?"""
-        if self._lo == self._hi:
-            return g.sign_at(self._lo) == 0
-        return count_real_roots(g, self._lo, self._hi) == 1
+        return not self.reduce(coeffs)
 
     def sign_coeffs(self, coeffs: Sequence[Fraction]) -> int:
-        if self.is_zero_coeffs(coeffs):
+        red = self.reduce(coeffs)
+        if not red:
             return 0
-        e = RationalPoly(self.reduce(coeffs))
+        e = RationalPoly(red)
         while True:
             if self._lo == self._hi:
                 v = e.evaluate(self._lo)
@@ -183,19 +160,13 @@ class RealAlgebraicField:
             self._refine_generator()
 
     def inverse_coeffs(self, coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        if self.is_zero_coeffs(coeffs):
+        red = self.reduce(coeffs)
+        if not red:
             raise ZeroDivisionError("inverse of zero field element")
-        while True:
-            e = RationalPoly(self.reduce(coeffs))
-            g, u = _half_ext_gcd(e, self._modulus)
-            if g.degree == 0:
-                inv = u.scale(1 / g[0])
-                return self.reduce(inv.coeffs)
-            # zero divisor: gamma is a root of exactly one coprime factor
-            if self._root_of(g):
-                self._shrink_modulus(g)
-            else:
-                self._shrink_modulus(self._modulus.exact_div(g))
+        g, u = _half_ext_gcd(RationalPoly(red), self._modulus)
+        if g.degree != 0:
+            raise AssertionError("a nonzero element shares a factor with the irreducible modulus")
+        return self.reduce(u.scale(1 / g[0]).coeffs)
 
     def to_algebraic_coeffs(self, coeffs: Sequence[Fraction]) -> AlgebraicReal:
         red = self.reduce(coeffs)
@@ -468,13 +439,14 @@ def adjoin_root(
 
     Returns (new_field, old_generator_image, beta_image).  The new field's
     generator is gamma_old + t*beta for the first t that makes the rewriting
-    gcd linear; its modulus is the (squarefree) minimal polynomial of that
-    sum over the tensor ring, so both images are exact.
+    gcd linear; its modulus is the minimal polynomial of that sum, the
+    irreducible factor of the tensor ring's polynomial that vanishes there,
+    so both images are exact.
     """
     rb = beta.as_rational()
-    if rb is not None:
-        gen = field.generator()
-        return field, gen, field.constant(rb)
+    pb = RationalPoly((-rb, 1)) if rb is not None else _minimal_factor(beta)
+    if pb.degree == 1:
+        return field, field.generator(), field.constant(-pb[0])
     if field.degree == 1:
         g0 = field.generator_value().as_rational()
         assert g0 is not None
@@ -482,14 +454,13 @@ def adjoin_root(
         return nf, nf.constant(g0), nb
 
     m1 = field.modulus
-    pb = beta.poly
     d1, d2 = m1.degree, pb.degree
     for t in range(1, 8 * d1 * d2 + 2):
         mpoly = _tensor_min_poly(m1, pb, t)
         # isolate gamma_old + t*beta among the roots of mpoly
         glo, ghi, blo, bhi = field._lo, field._hi, beta.lo, beta.hi
         cur_b = beta
-        while True:
+        for _ in range(_round_cap(mpoly, (ghi - glo) + t * (bhi - blo))):
             lo, hi = glo + t * blo, ghi + t * bhi
             if (
                 lo < hi
@@ -502,6 +473,8 @@ def adjoin_root(
             glo, ghi = field._lo, field._hi
             cur_b = cur_b.refine()
             blo, bhi = cur_b.lo, cur_b.hi
+        else:
+            raise AssertionError("gamma + t*beta is not isolated among the roots of its tensor polynomial")
         new_field = RealAlgebraicField(mpoly, lo, hi)
         gamma = new_field.generator()
         # rewrite: beta is the unique common root of pb(x) and m1(gamma - t*x)
@@ -519,34 +492,22 @@ def field_containing(values: Sequence[AlgebraicReal]) -> tuple[RealAlgebraicFiel
     """One field holding every given algebraic real, with their images.
 
     Roots are adjoined left to right; earlier images are rewritten through
-    the old generator's image after every extension.  After each join the
-    known vanishing relations p_v(image) = 0 are pushed through the exact
-    zero test, which splits the working modulus down to (the Galois orbit
-    of) the actual compositum instead of the full tensor degree.
+    the old generator's image after every extension.  After each join every
+    image must still satisfy its value's defining polynomial, an exact check
+    of the rewriting.
     """
     field = RealAlgebraicField.rationals()
     elems: list[FieldElement] = []
-    defining: list[RationalPoly | None] = []
-    rationals = {val.as_rational() for val in values} - {None}
     for val in values:
         r = val.as_rational()
         if r is not None:
             elems.append(field.constant(r))
-            defining.append(None)
             continue
-        # strip rational sibling roots: smaller defining polynomials keep the
-        # tensor ring (hence the working modulus) small
-        p = val.poly
-        for rr in rationals:
-            if p.degree > 1 and p.sign_at(rr) == 0:
-                p = p.exact_div(RationalPoly((-rr, 1)))
-        slim = AlgebraicReal(p, val.lo, val.hi) if p is not val.poly else val
-        field, old_img, beta_img = adjoin_root(field, slim)
+        field, old_img, beta_img = adjoin_root(field, val)
         elems = [eval_rational_poly(el.coeffs, old_img) for el in elems]
         elems.append(beta_img)
-        defining.append(p)
-        for dp, el in zip(defining, elems):
-            if dp is not None and not eval_rational_poly(dp.coeffs, el).is_zero():
+        for v, el in zip(values, elems):
+            if not eval_rational_poly(v.poly.coeffs, el).is_zero():
                 raise AssertionError("adjoined root lost its defining relation")
     elems = [field.element(el.coeffs) for el in elems]
     return field, elems

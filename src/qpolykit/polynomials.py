@@ -10,15 +10,19 @@ The module also provides the real-root counting machinery used everywhere
 else in the package: Sturm chains, sign variation counts, and the Cauchy
 root bound.  Sign evaluations run on an integer-scaled copy of the
 polynomial so that repeated bisection does not pay for Fraction
-normalisation.
+normalisation.  ``irreducible_factors`` factors over Q by Zassenhaus'
+algorithm, in Python ints.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import gcd as int_gcd
-from typing import Iterable, Sequence
+from math import isqrt
+from typing import Iterable, Iterator, Sequence
 
 
 class RationalPoly:
@@ -345,6 +349,281 @@ def squarefree_decomposition(p: RationalPoly) -> list[tuple[RationalPoly, int]]:
         d = c - b.derivative()
         i += 1
     return out
+
+
+# -- factoring over Z ---------------------------------------------------------
+#
+# Zassenhaus' algorithm (von zur Gathen and Gerhard, Modern Computer Algebra,
+# ch. 14-15; Cohen, A Course in Computational Algebraic Number Theory, 3.5):
+# factor modulo a prime p that keeps the polynomial squarefree and of full
+# degree, lift the modular factors p-adically past twice the Landau-Mignotte
+# bound, and find the true factors among the products of subsets of the
+# lifted ones by trial division.  Polynomials are int lists, constant term
+# first; one reduced modulo m has entries in [0, m) and no trailing zeros.
+
+# recombination is exponential in the number of modular factors, which
+# depends on p: the fewest over this many good primes is kept
+_PRIME_TRIALS = 5
+
+
+def _trim(a: list[int]) -> list[int]:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _add_mod(a: list[int], b: list[int], m: int) -> list[int]:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, v in enumerate(b):
+        out[i] += v
+    return _trim([v % m for v in out])
+
+
+def _sub_mod(a: list[int], b: list[int], m: int) -> list[int]:
+    return _add_mod(a, [-v for v in b], m)
+
+
+def _mul_mod(a: list[int], b: list[int], m: int) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _trim([v % m for v in out])
+
+
+def _divmod_mod(a: list[int], b: list[int], m: int) -> tuple[list[int], list[int]]:
+    """(q, r) with a = q b + r mod m and deg r < deg b; lc(b) must be a unit mod m."""
+    db = len(b) - 1
+    rem = list(a)
+    if len(rem) <= db:
+        return [], _trim([v % m for v in rem])
+    inv = pow(b[-1], -1, m)
+    quo = [0] * (len(rem) - db)
+    for k in range(len(rem) - 1 - db, -1, -1):
+        c = rem[k + db] % m * inv % m
+        quo[k] = c
+        if c:
+            for j in range(db):
+                rem[k + j] -= c * b[j]
+    return _trim(quo), _trim([v % m for v in rem[:db]])
+
+
+def _monic_mod(a: list[int], m: int) -> list[int]:
+    inv = pow(a[-1], -1, m)
+    return [v * inv % m for v in a]
+
+
+def _gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd modulo the prime p; [] when both are zero."""
+    while b:
+        a, b = b, _divmod_mod(a, b, p)[1]
+    return _monic_mod(a, p) if a else a
+
+
+def _xgcd_mod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    """(s, t) with s a + t b = 1 modulo the prime p, for coprime a and b."""
+    r0, r1, s0, s1, t0, t1 = a, b, [1], [], [], [1]
+    while r1:
+        q, r = _divmod_mod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, _sub_mod(s0, _mul_mod(q, s1, p), p)
+        t0, t1 = t1, _sub_mod(t0, _mul_mod(q, t1, p), p)
+    if len(r0) != 1:
+        raise AssertionError("factors modulo a good prime must be coprime")
+    inv = pow(r0[0], -1, p)
+    return [v * inv % p for v in s0], [v * inv % p for v in t0]
+
+
+def _pow_mod(a: list[int], e: int, f: list[int], p: int) -> list[int]:
+    """a^e modulo f and the prime p."""
+    out, base = [1], _divmod_mod(a, f, p)[1]
+    while e:
+        if e & 1:
+            out = _divmod_mod(_mul_mod(out, base, p), f, p)[1]
+        e >>= 1
+        if e:
+            base = _divmod_mod(_mul_mod(base, base, p), f, p)[1]
+    return out
+
+
+def _distinct_degree(f: list[int], p: int) -> list[tuple[list[int], int]]:
+    """Pairs (g, k): g the product of the degree-k monic irreducible factors of f mod p.
+
+    f is monic and squarefree modulo p; g = gcd(x^(p^k) - x, f) once the
+    factors of lower degree are divided out (vzGG Alg. 14.3).
+    """
+    out = []
+    rest, h, k = f, [0, 1], 0
+    while len(rest) - 1 >= 2 * (k + 1):
+        k += 1
+        h = _pow_mod(h, p, f, p)
+        g = _gcd_mod(rest, _sub_mod(h, [0, 1], p), p)
+        if len(g) > 1:
+            out.append((g, k))
+            rest = _divmod_mod(rest, g, p)[0]
+    if len(rest) > 1:
+        out.append((rest, len(rest) - 1))
+    return out
+
+
+def _equal_degree(g: list[int], k: int, p: int, rng: random.Random) -> list[list[int]]:
+    """The monic factors of g mod the odd prime p, all irreducible of degree k.
+
+    Cantor-Zassenhaus (vzGG Alg. 14.8): for random a, gcd(a^((p^k-1)/2) - 1, g)
+    holds each factor with probability about 1/2.
+    """
+    n = len(g) - 1
+    if n == k:
+        return [g]
+    e = (p**k - 1) // 2
+    while True:
+        a = _trim([rng.randrange(p) for _ in range(n)])
+        if len(a) < 2:
+            continue
+        d = _gcd_mod(g, _sub_mod(_pow_mod(a, e, g, p), [1], p), p)
+        if 1 < len(d) < len(g):
+            return _equal_degree(d, k, p, rng) + _equal_degree(_divmod_mod(g, d, p)[0], k, p, rng)
+
+
+def _good_primes(f: list[int]) -> Iterator[int]:
+    """The odd primes that divide neither lc(f) nor the discriminant, increasing."""
+    df = [i * c for i, c in enumerate(f)][1:]
+    p = 1
+    while True:
+        p += 2
+        if f[-1] % p == 0 or any(p % q == 0 for q in range(3, isqrt(p) + 1, 2)):
+            continue
+        fp = _trim([c % p for c in f])
+        if len(_gcd_mod(fp, _trim([c % p for c in df]), p)) == 1:
+            yield p
+
+
+def _lift_pair(f: list[int], g: list[int], h: list[int], p: int, m_final: int) -> tuple[list[int], list[int]]:
+    """Lift f = g h mod p, h monic and coprime to g, to f = g h mod m_final = p^(2^j).
+
+    Quadratic Hensel steps (vzGG Alg. 15.10) lift the Bezout pair s g + t h = 1
+    along with the factors; f must be known modulo m_final.
+    """
+    s, t = _xgcd_mod(g, h, p)
+    m = p
+    while m < m_final:
+        m *= m
+        e = _sub_mod(f, _mul_mod(g, h, m), m)
+        q, r = _divmod_mod(_mul_mod(s, e, m), h, m)
+        g = _add_mod(g, _add_mod(_mul_mod(t, e, m), _mul_mod(q, g, m), m), m)
+        h = _add_mod(h, r, m)
+        b = _sub_mod(_add_mod(_mul_mod(s, g, m), _mul_mod(t, h, m), m), [1], m)
+        c, d = _divmod_mod(_mul_mod(s, b, m), h, m)
+        s = _sub_mod(s, d, m)
+        t = _sub_mod(t, _add_mod(_mul_mod(t, b, m), _mul_mod(c, g, m), m), m)
+    return g, h
+
+
+def _hensel_lift(f: list[int], factors: list[list[int]], p: int, bound: int) -> tuple[list[list[int]], int]:
+    """Monic lifts of the monic factors of f mod p, and their modulus M > 2 bound.
+
+    f = lc(f) * prod(factors) mod p, the factors pairwise coprime.  Each
+    factor is split off the rest by a two-factor lift to M = p^(2^j), the
+    first such power above 2 bound.
+    """
+    m = p
+    while m <= 2 * bound:
+        m *= m
+    lifted = []
+    rest = [c % m for c in f]
+    for u in factors[:-1]:
+        g0 = _divmod_mod([c % p for c in rest], u, p)[0]
+        rest, h = _lift_pair(rest, g0, u, p, m)
+        lifted.append(h)
+    lifted.append(_monic_mod(rest, m))
+    return lifted, m
+
+
+def _exact_quotient(f: list[int], g: list[int]) -> list[int] | None:
+    """f / g in Z[x] for primitive g, or None when g does not divide f."""
+    dg = len(g) - 1
+    rem = list(f)
+    if len(rem) <= dg:
+        return None
+    quo = [0] * (len(rem) - dg)
+    for k in range(len(rem) - 1 - dg, -1, -1):
+        c, r = divmod(rem[k + dg], g[-1])
+        if r:
+            return None  # by Gauss' lemma a divisor's quotient is integral
+        quo[k] = c
+        if c:
+            for j in range(dg):
+                rem[k + j] -= c * g[j]
+    return None if any(rem[:dg]) else quo
+
+
+def _recombine(f: list[int], lifted: list[list[int]], m: int) -> list[list[int]]:
+    """The irreducible factors of f over Z, from its monic factors modulo m.
+
+    A factor g of f of degree below deg f has lc(f)/lc(g) g = lc(f) prod(S)
+    mod m for one subset S of the lifted factors, and m exceeds twice its
+    coefficients, so the symmetric residue is exact.  Subsets are tried by
+    size; past half the remaining factors the rest of f is irreducible.
+    """
+    out = []
+    size = 1
+    while 2 * size <= len(lifted):
+        for subset in combinations(range(len(lifted)), size):
+            cand = [f[-1]]
+            for i in subset:
+                cand = _mul_mod(cand, lifted[i], m)
+            cand = [c - m if 2 * c > m else c for c in cand]
+            if f[0] and (cand[0] == 0 or f[-1] * f[0] % cand[0]):
+                continue  # the constant term of a divisor divides lc(f) f(0)
+            content = 0
+            for c in cand:
+                content = int_gcd(content, c)
+            cand = [c // content for c in cand]
+            quo = _exact_quotient(f, cand)
+            if quo is not None:
+                out.append(cand)
+                f = quo
+                lifted = [u for i, u in enumerate(lifted) if i not in subset]
+                break
+        else:
+            size += 1
+    out.append(f)
+    return out
+
+
+@lru_cache(maxsize=4096)
+def irreducible_factors(p: RationalPoly) -> tuple[RationalPoly, ...]:
+    """The distinct monic irreducible factors of p over Q, by degree, then coefficients."""
+    f = list(_int_coeffs(squarefree_part(p)))
+    if f[-1] < 0:
+        f = [-c for c in f]
+    if len(f) <= 2:  # a constant has no factor; a linear polynomial is irreducible
+        return (RationalPoly(f).monic(),) if len(f) == 2 else ()
+    best = None
+    for _, q in zip(range(_PRIME_TRIALS), _good_primes(f)):
+        dd = _distinct_degree(_monic_mod(_trim([c % q for c in f]), q), q)
+        count = sum((len(g) - 1) // k for g, k in dd)
+        if best is None or count < best[0]:
+            best = (count, q, dd)
+        if count == 1:
+            break
+    count, q, dd = best
+    if count == 1:
+        factors = [f]
+    else:
+        rng = random.Random(0)
+        modular = [u for g, k in dd for u in _equal_degree(g, k, q, rng)]
+        # a proper factor g* = lc(f)/lc(g) g has M(g*) <= M(f) <= ||f||_2, so
+        # its coefficients are at most C(k, k/2) ||f||_2 < 2^(deg f - 1) ||f||_2
+        bound = 2 ** (len(f) - 2) * (isqrt(sum(c * c for c in f)) + 1)
+        lifted, m = _hensel_lift(f, modular, q, bound)
+        factors = _recombine(f, lifted, m)
+    return tuple(sorted((RationalPoly(g).monic() for g in factors), key=lambda g: (g.degree, g.coeffs)))
 
 
 # -- Sturm machinery ---------------------------------------------------------

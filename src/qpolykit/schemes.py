@@ -84,16 +84,6 @@ class AssociationScheme:
     def has_points(self) -> bool:
         return self.rel_adj is not None
 
-    def relation_of(self, x: int, y: int) -> int:
-        if self.rel_adj is None:
-            raise SchemeError("scheme has no point set")
-        if x == y:
-            return 0
-        for i in range(1, self.d + 1):
-            if y in self.rel_adj[i][x]:
-                return i
-        raise SchemeError(f"pair ({x},{y}) lies in no relation")
-
     def relation_graph(self, i: int) -> Graph:
         if self.rel_adj is None:
             raise SchemeError("scheme has no point set")

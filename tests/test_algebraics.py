@@ -1,10 +1,13 @@
 from fractions import Fraction as F
 
+import time
+
 import pytest
 import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qpolykit import algebraics
 from qpolykit.algebraics import (
     AlgebraicReal,
     _defining_poly_image,
@@ -218,3 +221,20 @@ def test_tensor_min_poly_matches_sympy_resultant(m1, m2, t):
     b = sympy.expand(sym(m2, Y).subs(Y, (X - Y) / t) * t**m2.degree)
     res = sympy.resultant(sym(m1, Y), b, Y)
     assert _tensor_min_poly(m1.monic(), m2.monic(), t) == sympy_squarefree(res)
+
+
+@pytest.mark.parametrize(
+    "name, run",
+    [
+        ("_defining_poly_sum", lambda: sqrt_of(2) + sqrt_of(3)),
+        ("_defining_poly_product", lambda: sqrt_of(2) * sqrt_of(3)),
+        ("_defining_poly_image", lambda: apply_rational_poly(RationalPoly((1, 1, 1)), sqrt_of(2))),
+    ],
+)
+def test_rootless_defining_polynomial_is_an_alarm_not_a_hang(name, run, monkeypatch):
+    # the refinement loop is capped by the Mahler separation of the candidates
+    monkeypatch.setattr(algebraics, name, lambda *a: RationalPoly((-(10**6), 0, 1)))
+    start = time.perf_counter()
+    with pytest.raises(AssertionError, match="not a root of its defining polynomial"):
+        run()
+    assert time.perf_counter() - start < 10

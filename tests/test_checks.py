@@ -7,6 +7,7 @@ the exit code.
 
 import importlib.util
 import json
+import time
 from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
@@ -14,7 +15,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from qpolykit import checks, graphs, scanner, schemes, tridiagonal
+from qpolykit import algebraics, checks, graphs, numberfield, scanner, schemes, tridiagonal
 from qpolykit.cli import main
 from qpolykit.families import line_graph, petersen
 from qpolykit.polynomials import RationalPoly
@@ -181,6 +182,11 @@ def _non_real_charpoly(g, _real=graphs.adjacency_charpoly):
     return _real(g).exact_div(RationalPoly((1, -2, 1))) * RationalPoly((1, 0, 1))
 
 
+def _rootless(*args):
+    """A defining polynomial whose roots, +-1000, lie in no enclosure of these runs."""
+    return RationalPoly((-(10**6), 0, 1))
+
+
 INVARIANT_CASES = {
     "soundness alarm in find_q_orderings": (
         ["check-scheme", "--from-graph", "petersen"],
@@ -192,6 +198,17 @@ INVARIANT_CASES = {
         graphs, "adjacency_charpoly", _non_real_charpoly,
         "internal invariant failed: adjacency spectrum must be totally real",
     ),
+    # refinement loops capped by the Mahler root separation of their candidates
+    "field value polynomial with no root in the enclosure": (
+        ["check-scheme", "--from-graph", "cycle:n=5"],
+        algebraics, "_defining_poly_image", _rootless,
+        "internal invariant failed: the value is not a root of its defining polynomial",
+    ),
+    "tensor polynomial with no root at gamma + t*beta": (
+        ["check-scheme", "--from-graph", "cycle:n=7"],
+        numberfield, "_tensor_min_poly", _rootless,
+        "internal invariant failed: gamma + t*beta is not isolated among the roots of its tensor polynomial",
+    ),
 }
 
 
@@ -200,7 +217,9 @@ INVARIANT_CASES = {
 def test_broken_invariant_is_an_alarm_not_a_traceback(case, output, monkeypatch, capsys):
     argv, module, name, replacement, alarm = INVARIANT_CASES[case]
     monkeypatch.setattr(module, name, replacement)
+    start = time.perf_counter()
     assert main([*argv, "--output", output]) == 2
+    assert time.perf_counter() - start < 10
     captured = capsys.readouterr()
     assert captured.err == ""
     if output == "json":

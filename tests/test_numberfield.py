@@ -1,8 +1,11 @@
+import json
 from fractions import Fraction as F
 
 import pytest
+import sympy
 
 from qpolykit.algebraics import isolate_real_roots
+from qpolykit.cli import main
 from qpolykit.numberfield import (
     RealAlgebraicField,
     adjoin_root,
@@ -46,8 +49,6 @@ def test_inverse_splits_reducible_modulus():
 
 
 def test_adjoin_sqrt3_to_sqrt2():
-    import sympy
-
     field, gen = RealAlgebraicField.from_root(root((-2, 0, 1)))
     field2, img2, img3 = adjoin_root(field, root((-3, 0, 1)))
     assert (img2 * img2).equals_rational(2)
@@ -136,3 +137,27 @@ def test_mixed_fraction_arithmetic():
     assert v.as_fraction() == -1
     assert (F(1, 2) * gen * gen).as_fraction() == 1
     assert (gen / gen).as_fraction() == 1
+
+
+@pytest.mark.parametrize("n", range(5, 13))
+def test_cycle_schemes_have_phi_half_q_orderings(n, capsys):
+    # the Q-orderings of the n-gon's distance scheme are E_0, E_j, E_2j, ...
+    # for the phi(n)/2 classes of units j mod n up to sign
+    assert main(["check-scheme", "--from-graph", f"cycle:n={n}", "--output", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["q_polynomial"] is True
+    assert len(report["orderings"]) == sympy.totient(n) // 2
+
+
+def test_cycle7_fields_never_exceed_the_cubic(monkeypatch, capsys):
+    degrees = set()
+    real = RealAlgebraicField.reduce
+
+    def counted(self, coeffs):
+        degrees.add(self.degree)
+        return real(self, coeffs)
+
+    monkeypatch.setattr(RealAlgebraicField, "reduce", counted)
+    assert main(["check-scheme", "--from-graph", "cycle:n=7"]) == 0
+    capsys.readouterr()
+    assert max(degrees) == 3

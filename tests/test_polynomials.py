@@ -1,13 +1,16 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qpolykit import polynomials
 from qpolykit.polynomials import (
     RationalPoly,
     cauchy_root_bound,
     count_real_roots,
+    irreducible_factors,
     poly_gcd,
     squarefree_decomposition,
     squarefree_part,
@@ -140,3 +143,104 @@ def test_sympy_charpoly_agreement(roots):
     expr = sympy.prod([x - sympy.Rational(r.numerator, r.denominator) for r in roots])
     ours = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)], x)
     assert sympy.expand(ours.as_expr() - expr) == 0
+
+
+# -- factoring over Z, against sympy.factor_list ----------------------------------
+
+
+def _sympy_factors(p: RationalPoly) -> list[tuple[F, ...]]:
+    """The distinct monic irreducible factors of p by sympy, as coefficient tuples."""
+    import sympy
+
+    x = sympy.symbols("x")
+    poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)], x)
+    out = []
+    for factor, _ in sympy.factor_list(poly.as_expr(), x)[1]:
+        cs = sympy.Poly(factor, x).monic().all_coeffs()[::-1]
+        out.append(tuple(F(int(c.p), int(c.q)) for c in cs))
+    return sorted(out, key=lambda cs: (len(cs), cs))
+
+
+def _product(polys) -> RationalPoly:
+    out = ONE
+    for q in polys:
+        out = out * q
+    return out
+
+
+small_int_polys = st.lists(st.integers(-6, 6), min_size=2, max_size=5).filter(lambda cs: cs[-1] != 0)
+
+
+@given(st.lists(small_int_polys, min_size=1, max_size=4), rational_roots())
+def test_factors_of_products_agree_with_sympy(polys, roots):
+    p = _product([RationalPoly(cs) for cs in polys]) * RationalPoly.from_roots(roots)
+    factors = irreducible_factors(p)
+    assert [q.coeffs for q in factors] == _sympy_factors(p)
+    assert _product(factors) == squarefree_part(p)
+
+
+def _chebyshev_minus_two(n: int) -> RationalPoly:
+    """C_n(x) - 2, where C_n(2 cos t) = 2 cos(nt): roots 2cos(2 pi k/n), k = 0..n-1."""
+    c_prev, c = RationalPoly((2,)), X
+    for _ in range(n - 1):
+        c_prev, c = c, X * c - c_prev
+    return c - RationalPoly((2,))
+
+
+@pytest.mark.parametrize("n", range(1, 31))
+def test_factors_of_chebyshev_are_the_cos_minimal_polynomials(n):
+    # one factor per divisor d of n: the minimal polynomial of 2cos(2 pi/d),
+    # of degree phi(d)/2 for d >= 3 and 1 for d = 1, 2
+    import sympy
+
+    p = _chebyshev_minus_two(n)
+    factors = irreducible_factors(p)
+    assert [q.coeffs for q in factors] == _sympy_factors(p)
+    expected = sorted(1 if d <= 2 else sympy.totient(d) // 2 for d in sympy.divisors(n))
+    assert sorted(q.degree for q in factors) == expected
+
+
+def _swinnerton_dyer(k: int) -> RationalPoly:
+    """The minimal polynomial of sqrt2 + sqrt3 + ... + sqrt(p_k), of degree 2^k."""
+    import sympy
+
+    x = sympy.symbols("x")
+    value = sum(sympy.sqrt(sympy.prime(i)) for i in range(1, k + 1))
+    cs = sympy.Poly(sympy.minimal_polynomial(value, x), x).all_coeffs()[::-1]
+    return RationalPoly([int(c) for c in cs])
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_swinnerton_dyer_polynomials(k):
+    # irreducible over Q, yet a product of factors of degree <= 2 modulo every
+    # prime: recombination must reject every subset, and find the pairs below
+    s = _swinnerton_dyer(k)
+    assert irreducible_factors(s) == (s,)
+    shifted = s.shift(1)
+    p = s * shifted * RationalPoly((-3, 1))
+    assert irreducible_factors(p) == tuple(sorted((s, shifted, RationalPoly((-3, 1))), key=lambda q: (q.degree, q.coeffs)))
+    if k <= 3:
+        assert [q.coeffs for q in irreducible_factors(p)] == _sympy_factors(p)
+
+
+def test_hensel_lift_reaches_past_twice_the_bound():
+    f = [int(c) for c in (_swinnerton_dyer(3) * _chebyshev_minus_two(7).scale(3)).coeffs]
+    f = list(polynomials.primitive_int_poly(squarefree_part(RationalPoly(f))))
+    p = next(polynomials._good_primes(f))
+    rng = random.Random(0)
+    fp = polynomials._monic_mod([c % p for c in f], p)
+    modular = [u for g, k in polynomials._distinct_degree(fp, p) for u in polynomials._equal_degree(g, k, p, rng)]
+    bound = 2 ** (len(f) - 2) * sum(abs(c) for c in f)
+    lifted, m = polynomials._hensel_lift(f, modular, p, bound)
+    assert m > 2 * bound
+    assert all(u[-1] == 1 and [c % p for c in u] == v for u, v in zip(lifted, modular))
+    prod = [f[-1]]
+    for u in lifted:
+        prod = polynomials._mul_mod(prod, u, m)
+    assert prod == [c % m for c in f]
+
+
+def test_factors_of_constants_and_linears():
+    assert irreducible_factors(RationalPoly((5,))) == ()
+    assert irreducible_factors(RationalPoly((3, 6))) == (RationalPoly((F(1, 2), 1)),)
+    assert irreducible_factors(RationalPoly((F(-1, 4), 0, 1))) == (RationalPoly((F(-1, 2), 1)), RationalPoly((F(1, 2), 1)))
