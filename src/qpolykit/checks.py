@@ -140,7 +140,7 @@ def _graph_checks(report: dict, lines: list[str], alarms: list[str], g: Graph, t
                 alarms.append("pair-bound equality disagrees with the strong-regularity classification")
 
     if theorem in ("thm31", "all") and classification.distance_regular and classification.diameter >= 3:
-        tb = graphmod.triple_bound_graph(g, spec)
+        tb = graphmod.triple_bound_graph(g, classification)
         report["triple_bound"] = {
             "hypothesis_sign": tb.hypothesis_sign,
             "branches": [
@@ -160,7 +160,7 @@ def _graph_checks(report: dict, lines: list[str], alarms: list[str], g: Graph, t
 
     if theorem in ("fundamental", "all") and classification.distance_regular:
         try:
-            fb = graphmod.fundamental_bound(g, spec)
+            fb = graphmod.fundamental_bound(g, spec, classification)
         except GraphError as exc:
             report["fundamental_bound"] = {"skipped": str(exc)}
             lines.append(f"fundamental bound: skipped ({exc})")
@@ -304,11 +304,14 @@ def _scheme_checks(report: dict, lines: list[str], alarms: list[str], source, th
 
 
 def check_scan(result) -> list[str]:
-    """Alarms of a scan: every dual-tight survivor must satisfy the class-3
-    parameter consequences b2* = 1 and b1* = c2* and pass its audit."""
+    """Alarms of a scan: every dual-tight survivor with a3* = 0 (c3* = m) must
+    satisfy the class-3 parameter consequences b2* = 1 and b1* = c2* and pass
+    its audit.  A free-c3 survivor with a3* != 0 lies outside the theorem's
+    hypotheses; its audit records the finding, and it raises no alarm."""
     bad = [
         r
         for r in result.dual_tight_survivors()
-        if not (r.b2star_is_1 and r.b1star_eq_c2star and r.audit_all_passed)
+        if r.candidate.c3 == r.candidate.m
+        and not (r.b2star_is_1 and r.b1star_eq_c2star and r.audit_all_passed)
     ]
     return ["dual-tight survivor violates the class-3 parameter consequences"] if bad else []

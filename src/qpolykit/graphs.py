@@ -207,6 +207,8 @@ class Graph:
 def parse_graph6(data: bytes | str) -> Graph:
     """Strict graph6 decoder: rejects range, truncation and padding faults."""
     if isinstance(data, str):
+        if not data.isascii():
+            raise GraphError("graph6 text must be ASCII")
         data = data.encode("ascii")
     data = data.strip()
     if data.startswith(b">>graph6<<"):
@@ -639,9 +641,9 @@ def intersection_array(g: Graph, classification: RegularityReport | None = None)
     return arr
 
 
-def triple_bound_graph(g: Graph, spec: GraphSpectrum | None = None) -> TripleBoundResult:
+def triple_bound_graph(g: Graph, classification: RegularityReport | None = None) -> TripleBoundResult:
     """The triple-product bound on a distance-regular graph of diameter >= 3."""
-    classification = classify_regularity(g)
+    classification = classification or classify_regularity(g)
     if not classification.distance_regular:
         raise GraphError("triple bound requires a distance-regular graph")
     arr = intersection_array(g, classification)
@@ -673,12 +675,14 @@ class FundamentalBoundReport:
         }
 
 
-def fundamental_bound(g: Graph, spec: GraphSpectrum | None = None) -> FundamentalBoundReport:
+def fundamental_bound(
+    g: Graph, spec: GraphSpectrum | None = None, classification: RegularityReport | None = None
+) -> FundamentalBoundReport:
     """(theta_1 + k/(a_1+1))(theta_min + k/(a_1+1)) >= -k a_1 b_1/(a_1+1)^2.
 
     Tight means nonbipartite with exact equality.
     """
-    classification = classify_regularity(g)
+    classification = classification or classify_regularity(g)
     if not classification.distance_regular:
         raise GraphError("fundamental bound requires a distance-regular graph")
     arr = intersection_array(g, classification)

@@ -3,19 +3,24 @@
 Candidates (m, b1*, b2*, c2*), with c3* = m unless the free-c3 mode opens
 it up, run through an ordered filter pipeline:
 
-  structure:    the transpose system satisfies the row-sum condition;
-  multiplicity: the implied m_3 = b1* b2* / c2* is positive (and an integer
-                in genuine-scheme mode);
-  pair_bound:   (t1*+1)(t3*+1) <= -b1*;
-  triple_bound: the class-3 triple-product inequality;
-  dual_bound:   the dual fundamental bound.
+  structure:       the transpose system satisfies the row-sum condition;
+  multiplicity:    the implied m_3 = b1* b2* / c2* is positive (and an
+                   integer in genuine-scheme mode);
+  krein_condition: with a_3* = 0, the implied q_23^3 and q_33^3 are
+                   nonnegative;
+  pair_bound:      (t1*+1)(t3*+1) <= -b1*;
+  triple_bound:    the class-3 triple-product inequality;
+  dual_bound:      the dual fundamental bound.
 
 The filters are monotone: a candidate rejected at one stage never reaches a
-later one.  Survivors attaining the dual bound with equality (and not
-Q-bipartite) are flagged dual_tight and carry the full class-3 audit, whose
-parameter consequences (b2* = 1, b1* = c2*) the scan records per candidate.
-Iteration order is lexicographic in (m, b1*, b2*, c2*, c3*), so tallies and
-the JSONL stream are deterministic.
+later one.  The first three are rational, and the structure computes its
+spectrum on first use, so a candidate they reject computes none and each
+candidate that reaches the bounds computes exactly one.  Survivors
+attaining the dual bound with equality (and not Q-bipartite) are flagged
+dual_tight and carry the full class-3 audit, whose parameter consequences
+(b2* = 1, b1* = c2*) the scan records per candidate.  Iteration order is
+lexicographic in (m, b1*, b2*, c2*, c3*), so tallies and the JSONL stream
+are deterministic.
 """
 
 from __future__ import annotations

@@ -18,14 +18,17 @@ of E_i o E_j in the idempotent basis on schemes that carry a point set.
 
 An ordering of the idempotents is polynomial when the matrix (q_{1,j}^h)
 is irreducible tridiagonal; its transpose is then a row-sum tridiagonal
-system with kappa = m, which feeds the pair/triple bounds, the dual
-fundamental bound with its tightness test, and the class-3 dual-tight
-audit that pins down b2* = 1, b1* = c2* and the antipodal conclusion.
+system with kappa = m.  Each QPolyStructure validates that system once and
+computes its spectrum once, on first use; the spectral identity against
+the Q column, the pair/triple bounds, the dual fundamental bound with its
+tightness test, and the class-3 dual-tight audit that pins down b2* = 1,
+b1* = c2* and the antipodal conclusion all read those two objects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -501,9 +504,13 @@ def krein_oracle(s: AssociationScheme, e: EigenData, max_points: int = 50) -> tu
 class QPolyStructure:
     """One polynomial ordering of the idempotents, with its dual data.
 
-    dual_eigenvalues[0] = m and the rest descend strictly; a_star/b_star/
-    c_star are the tridiagonal entries of the reordered (q_{1,j}^h) matrix,
-    read so that its transpose is a row-sum system with kappa = m.
+    a_star/b_star/c_star are the tridiagonal entries of the reordered
+    (q_{1,j}^h) matrix, read so that its transpose is a row-sum system with
+    kappa = m; that transpose is validated once, when the structure is built,
+    and kept as system (None at class 1, where no dual check applies).
+    q_column is the E_1 column of Q in descending order for scheme
+    orderings and None for Krein arrays, whose dual eigenvalues are the
+    spectrum of the system.
     """
 
     d: int
@@ -511,8 +518,9 @@ class QPolyStructure:
     a_star: tuple
     b_star: tuple  # b_0* = m, ..., b_{D-1}*
     c_star: tuple  # c_1* = 1, ..., c_D*
-    dual_eigenvalues: tuple  # length D+1, descending, theta_0* = m
     b1star: tuple  # reordered matrix rows j, cols h
+    system: TridiagonalSystem | None
+    q_column: tuple | None
     idempotent_order: tuple[int, ...] | None
     relation_order: tuple[int, ...] | None
     descending_matches_input: bool | None
@@ -521,10 +529,22 @@ class QPolyStructure:
     eigen: EigenData | None = None
     krein_table: KreinTable | None = None
 
+    @cached_property
+    def spectrum(self) -> tridiagonal.SpectrumReport:
+        """The system's exact spectrum, computed on first use.
+
+        Rational systems isolate the roots of F_D; a system with field
+        entries certifies the Q column as its spectrum.
+        """
+        if self.system is None:
+            raise SchemeError("the dual checks need class at least 2")
+        known = None if self.system.is_rational() else self.q_column[1:]
+        return tridiagonal.spectrum(self.system, known)
+
     @property
-    def is_rational(self) -> bool:
-        entries = list(self.a_star) + list(self.b_star) + list(self.c_star)
-        return all(scalar_as_fraction(v) is not None for v in entries)
+    def dual_eigenvalues(self) -> tuple:
+        """theta_0* = m > theta_1* > ... > theta_D*."""
+        return self.spectrum.eigenvalues if self.q_column is None else self.q_column
 
 
 def find_q_orderings(s: AssociationScheme, e: EigenData | None = None, table: KreinTable | None = None) -> list[QPolyStructure]:
@@ -607,8 +627,9 @@ def _structure_from_ordering(s, e: EigenData, table: KreinTable, order: list[int
         a_star=a_star,
         b_star=b_star,
         c_star=c_star,
-        dual_eigenvalues=theta,
         b1star=tuple(tuple(row) for row in b1),
+        system=_transpose_system(e.field, m, a_star, b_star, c_star) if d >= 2 else None,
+        q_column=theta,
         idempotent_order=tuple(order),
         relation_order=tuple(perm),
         descending_matches_input=(list(perm) == list(range(d + 1))),
@@ -617,6 +638,28 @@ def _structure_from_ordering(s, e: EigenData, table: KreinTable, order: list[int
         eigen=e,
         krein_table=table,
     )
+
+
+def _transpose_system(field, m: Fraction, a_star, b_star, c_star) -> TridiagonalSystem:
+    """The transpose of an ordered Krein matrix as a row-sum system, kappa = m.
+
+    Entries become Fractions when all are rational.  Raises SoundnessAlarm
+    when the transpose fails the row-sum condition: for a genuine
+    polynomial ordering it cannot.
+    """
+    entries = (a_star, b_star, c_star)
+    rational = [[scalar_as_fraction(v) for v in row] for row in entries]
+    if all(v is not None for row in rational for v in row):
+        system = TridiagonalSystem(len(b_star), *map(tuple, rational), m)
+    else:
+        system = TridiagonalSystem(len(b_star), *entries, field.constant(m))
+    rep = tridiagonal.validate(system)
+    if not rep.ok:
+        raise SoundnessAlarm(
+            "transpose of the ordered Krein matrix violates the row-sum condition: "
+            + "; ".join(rep.violations)
+        )
+    return system
 
 
 def _descending_permutation(col) -> list[int] | None:
@@ -680,8 +723,6 @@ def structure_from_dual_parameters(m: Fraction, b: Sequence[Fraction], c: Sequen
     rep = tridiagonal.validate(system)
     if not rep.ok:
         raise SchemeError("dual parameters violate the row-sum condition: " + "; ".join(rep.violations))
-    spec_report = tridiagonal.spectrum(system)
-    theta = spec_report.eigenvalues
     a_star = system.alpha
     b1 = [[Fraction(0)] * (d + 1) for _ in range(d + 1)]
     for j in range(d + 1):
@@ -696,8 +737,9 @@ def structure_from_dual_parameters(m: Fraction, b: Sequence[Fraction], c: Sequen
         a_star=tuple(a_star),
         b_star=tuple(Fraction(v) for v in b),
         c_star=tuple(Fraction(v) for v in c),
-        dual_eigenvalues=tuple(theta),
         b1star=tuple(tuple(row) for row in b1),
+        system=system,
+        q_column=None,
         idempotent_order=None,
         relation_order=None,
         descending_matches_input=None,
@@ -708,63 +750,23 @@ def structure_from_dual_parameters(m: Fraction, b: Sequence[Fraction], c: Sequen
 # -- systems and theorem hooks --------------------------------------------------------------------
 
 
-def b1star_system(qs: QPolyStructure) -> TridiagonalSystem:
-    """The transpose of the ordered Krein matrix as a row-sum system, kappa = m.
-
-    Raises SoundnessAlarm when the transpose fails the row-sum condition:
-    for a genuine polynomial ordering it cannot.
-    """
-    entries_rational = qs.is_rational
-    if entries_rational:
-        alpha = tuple(scalar_as_fraction(v) for v in qs.a_star)
-        beta = tuple(scalar_as_fraction(v) for v in qs.b_star)
-        gamma = tuple(scalar_as_fraction(v) for v in qs.c_star)
-        system = TridiagonalSystem(qs.d, alpha, beta, gamma, Fraction(qs.m))
-    else:
-        field = qs.eigen.field
-        kappa = field.constant(qs.m)
-        system = TridiagonalSystem(qs.d, tuple(qs.a_star), tuple(qs.b_star), tuple(qs.c_star), kappa)
-    rep = tridiagonal.validate(system)
-    if not rep.ok:
-        raise SoundnessAlarm(
-            "transpose of the ordered Krein matrix violates the row-sum condition: "
-            + "; ".join(rep.violations)
-        )
-    return system
-
-
-def _dual_known_roots(qs: QPolyStructure, system: TridiagonalSystem):
-    if system.is_rational():
-        return None
-    return list(qs.dual_eigenvalues[1:])
-
-
-def dual_spectrum_report(qs: QPolyStructure) -> tridiagonal.SpectrumReport:
-    system = b1star_system(qs)
-    return tridiagonal.spectrum(system, _dual_known_roots(qs, system))
-
-
 def b1star_spectral_identity(qs: QPolyStructure) -> bool:
     """Eigenvalues of the transpose system equal the dual eigenvalues, as multisets.
 
-    For rational systems both sides are computed independently (isolation
-    vs. the Q column) and compared exactly; for field-entry systems the
-    certification inside spectrum() (F_D annihilates every candidate, all
-    distinct) is the identity.
+    For rational systems the isolated spectrum is compared exactly with the
+    Q column; for field-entry systems the certification of the Q column
+    inside spectrum() (F_D annihilates every value, all distinct) is the
+    identity.  A Krein array's dual eigenvalues are its spectrum.
     """
-    system = b1star_system(qs)
-    if system.is_rational():
-        rep = tridiagonal.spectrum(system)
-        mine = list(rep.eigenvalues)
-        theirs = [scalar_to_algebraic(v) for v in qs.dual_eigenvalues]
-        if len(mine) != len(theirs):
+    if not qs.system.is_rational():
+        try:
+            qs.spectrum
+        except AssertionError:
             return False
-        return all(compare(a, b) == 0 for a, b in zip(mine, theirs))
-    try:
-        tridiagonal.spectrum(system, _dual_known_roots(qs, system))
-    except AssertionError:
-        return False
-    return True
+        return True
+    mine = qs.spectrum.eigenvalues
+    theirs = [scalar_to_algebraic(v) for v in qs.dual_eigenvalues]
+    return len(mine) == len(theirs) and all(compare(a, b) == 0 for a, b in zip(mine, theirs))
 
 
 @dataclass(frozen=True)
@@ -775,12 +777,8 @@ class DualBoundsResult:
 
 def dual_bounds(qs: QPolyStructure) -> DualBoundsResult:
     """The pair bound and (class >= 3) triple bound on the transpose system."""
-    if qs.d < 2:
-        raise SchemeError("dual bounds need class at least 2")
-    system = b1star_system(qs)
-    report = dual_spectrum_report(qs)
-    part1 = tridiagonal.pair_bound(system, report)
-    part2 = tridiagonal.triple_bound(system, report) if qs.d >= 3 else None
+    part1 = tridiagonal.pair_bound(qs.system, qs.spectrum)
+    part2 = tridiagonal.triple_bound(qs.system, qs.spectrum) if qs.d >= 3 else None
     return DualBoundsResult(part1, part2)
 
 
@@ -800,28 +798,12 @@ def dual_fundamental_bound(qs: QPolyStructure) -> DualFundamentalBound:
     dual_tight means equality in a structure that is not Q-bipartite (some
     a_i* nonzero).
     """
-    system = b1star_system(qs)
-    report = dual_spectrum_report(qs)
-    a1 = qs.a_star[1]
+    report = qs.spectrum
+    a1, b1 = qs.system.alpha[1], qs.system.beta[1]
+    inv = scalar_inverse(a1 + 1)
+    rhs = -(inv * inv * a1 * b1 * qs.m)
+    cmp, lhs = tridiagonal._shifted_product(report, (1, qs.d), inv * qs.m, rhs)
     qbip = all(is_exact_zero(a) for a in qs.a_star)
-    if system.is_rational():
-        a1f = scalar_as_fraction(a1)
-        mf = Fraction(qs.m)
-        b1f = scalar_as_fraction(qs.b_star[1])
-        shift = mf / (a1f + 1)
-        rhs = -mf * a1f * b1f / (a1f + 1) ** 2
-        fd = report.f_polys[-1]
-        asc = list(reversed(report.root_table[-1]))
-        subset = [len(asc) - 1, 0]
-        cmp = tridiagonal.compare_shifted_product(fd, asc, subset, shift, rhs)
-        lhs = tridiagonal._report_value(fd, asc, subset, shift)
-    else:
-        inv = scalar_inverse(a1 + 1)
-        shift = inv * qs.m
-        rhs = -(inv * inv * a1 * qs.b_star[1] * qs.m)
-        th = report.nonprincipal
-        lhs = (th[0] + shift) * (th[-1] + shift)
-        cmp = exact_sign(lhs - rhs)
     equality = cmp == 0
     return DualFundamentalBound(lhs, rhs, cmp >= 0, equality, qbip, equality and not qbip)
 

@@ -22,9 +22,12 @@ gamma_1).
 
 Entries are Fractions for ordinary systems; the same checks also accept
 number-field elements (FieldElement) so Krein matrices with algebraic
-entries reuse every code path.  charpoly_by_cofactor is the one cofactor
-oracle: a self-contained expansion over any exact scalars that checks the
-recurrence here and the characteristic polynomial of the class-3 audit.
+entries reuse every code path.  Every product bound is one comparison of
+a shifted eigenvalue product with its right-hand side: on F_D for rational
+spectra, by field arithmetic for certified field spectra.
+charpoly_by_cofactor is the one cofactor oracle: a self-contained
+expansion over any exact scalars that checks the recurrence here and the
+characteristic polynomial of the class-3 audit.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 from typing import Sequence
 
 from . import algebraics
@@ -268,10 +272,6 @@ class SpectrumReport:
     eigenvalues: tuple  # theta_0 = kappa > theta_1 > ... > theta_D
     f_polys: tuple
     root_table: tuple  # root_table[i-1] = roots of F_i, descending (rational systems)
-
-    @property
-    def nonprincipal(self) -> tuple:
-        return self.eigenvalues[1:]
 
 
 def spectrum(system: TridiagonalSystem, known_roots: Sequence | None = None) -> SpectrumReport:
@@ -524,6 +524,24 @@ def _report_value(poly: RationalPoly, roots: Sequence[AlgebraicReal], subset: Se
 # -- the two main checks ----------------------------------------------------------------
 
 
+def _shifted_product(report: SpectrumReport, indices: Sequence[int], s, rhs) -> tuple[int, object]:
+    """Exact sign of prod_{i in indices}(theta_i + s) - rhs, and the product to report.
+
+    indices count from 1 into theta_1 > ... > theta_D.  Rational spectra
+    compare on F_D (compare_shifted_product); field spectra multiply their
+    certified eigenvalues out.
+    """
+    if report.root_table:
+        fd = report.f_polys[-1]
+        asc = list(reversed(report.root_table[-1]))  # index 0 = theta_D, last = theta_1
+        subset = sorted(len(asc) - i for i in indices)
+        s, rhs = scalar_as_fraction(s), scalar_as_fraction(rhs)
+        cmp = compare_shifted_product(fd, asc, subset, s, rhs)
+        return cmp, _report_value(fd, asc, subset, s)
+    lhs = prod(report.eigenvalues[i] + s for i in indices)
+    return exact_sign(lhs - rhs), lhs
+
+
 @dataclass(frozen=True)
 class BoundCheck:
     lhs: object
@@ -542,26 +560,14 @@ class BoundCheck:
         }
 
 
-def pair_bound(system: TridiagonalSystem, report: SpectrumReport | None = None, known_roots=None) -> BoundCheck:
+def pair_bound(system: TridiagonalSystem, report: SpectrumReport | None = None) -> BoundCheck:
     """(theta_1 + 1)(theta_D + 1) <= -beta_1; equality exactly when D = 2."""
     require_valid(system)
-    if system.d < 2:
-        raise ValueError("need D >= 2")
-    if report is None:
-        report = spectrum(system, known_roots)
-    if system.is_rational():
-        fd = report.f_polys[-1]
-        asc = list(reversed(report.root_table[-1]))
-        subset = [len(asc) - 1, 0]  # theta_1 (largest) and theta_D (smallest)
-        rhs = -scalar_as_fraction(system.beta[1])
-        cmp = compare_shifted_product(fd, asc, subset, 1, rhs)
-        lhs = _report_value(fd, asc, subset, 1)
-        return BoundCheck(lhs, rhs, "<=", cmp <= 0, cmp == 0)
-    th = report.nonprincipal
-    lhs = (th[0] + 1) * (th[-1] + 1)
+    d = system.d
+    report = report or spectrum(system)
     rhs = -system.beta[1]
-    sign = exact_sign(lhs - rhs)
-    return BoundCheck(lhs, rhs, "<=", sign <= 0, sign == 0)
+    cmp, lhs = _shifted_product(report, (1, d), 1, rhs)
+    return BoundCheck(lhs, rhs, "<=", cmp <= 0, cmp == 0)
 
 
 @dataclass(frozen=True)
@@ -584,41 +590,22 @@ class TripleBoundResult:
         return all(b.check.equality for b in self.branches)
 
 
-def triple_bound(system: TridiagonalSystem, report: SpectrumReport | None = None, known_roots=None) -> TripleBoundResult:
+def triple_bound(system: TridiagonalSystem, report: SpectrumReport | None = None) -> TripleBoundResult:
     """The D >= 3 triple-product bound; both branches run on the boundary."""
     require_valid(system)
     d = system.d
     if d < 3:
         raise ValueError("need D >= 3")
-    if report is None:
-        report = spectrum(system, known_roots)
+    report = report or spectrum(system)
     hyp = exact_sign(system.beta[2] + system.gamma[2] - system.kappa - 1)
-    rhs_exact = -system.beta[1] * (system.kappa + 1 - system.beta[2] - system.gamma[2])
-    names = (["lower"] if hyp >= 0 else []) + (["upper"] if hyp <= 0 else [])
+    rhs = -system.beta[1] * (system.kappa + 1 - system.beta[2] - system.gamma[2])
     branches = []
-    if system.is_rational():
-        fd = report.f_polys[-1]
-        asc = list(reversed(report.root_table[-1]))  # index 0 = theta_D, last = theta_1
-        rhs = scalar_as_fraction(rhs_exact)
-        for name in names:
-            if name == "lower":
-                subset, rel = sorted({d - 1, 1, 0}), ">="  # theta_1, theta_{D-1}, theta_D
-            else:
-                subset, rel = sorted({d - 1, d - 2, 0}), "<="  # theta_1, theta_2, theta_D
-            cmp = compare_shifted_product(fd, asc, subset, 1, rhs)
-            holds = cmp >= 0 if rel == ">=" else cmp <= 0
-            lhs = _report_value(fd, asc, subset, 1)
-            branches.append(BranchCheck(name, BoundCheck(lhs, rhs, rel, holds, cmp == 0)))
-    else:
-        th = report.nonprincipal  # descending theta_1 .. theta_D
-        for name in names:
-            if name == "lower":
-                lhs, rel = (th[0] + 1) * (th[d - 2] + 1) * (th[d - 1] + 1), ">="
-            else:
-                lhs, rel = (th[0] + 1) * (th[1] + 1) * (th[d - 1] + 1), "<="
-            sign = exact_sign(lhs - rhs_exact)
-            holds = sign >= 0 if rel == ">=" else sign <= 0
-            branches.append(BranchCheck(name, BoundCheck(lhs, rhs_exact, rel, holds, sign == 0)))
+    if hyp >= 0:
+        cmp, lhs = _shifted_product(report, (1, d - 1, d), 1, rhs)
+        branches.append(BranchCheck("lower", BoundCheck(lhs, rhs, ">=", cmp >= 0, cmp == 0)))
+    if hyp <= 0:
+        cmp, lhs = _shifted_product(report, (1, 2, d), 1, rhs)
+        branches.append(BranchCheck("upper", BoundCheck(lhs, rhs, "<=", cmp <= 0, cmp == 0)))
     return TripleBoundResult(hyp, tuple(branches))
 
 

@@ -247,6 +247,56 @@ def test_class3_classification_reuses_the_ordering_verdicts(monkeypatch, capsys)
     assert calls == {"dual_fundamental_bound": 2, "class3_dualtight_audit": 2}
 
 
+def _count_calls(monkeypatch, module, name) -> list:
+    """Count the calls of module.name; returns a one-element counter."""
+    real = getattr(module, name)
+    count = [0]
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return count
+
+
+def test_check_graph_classifies_the_graph_once(monkeypatch, capsys):
+    count = _count_calls(monkeypatch, graphs, "classify_regularity")
+    assert main(["check-graph", "--input", "data/examples/heawood.g6"]) == 0
+    assert "triple bound" in capsys.readouterr().out
+    assert count == [1]
+
+
+@pytest.mark.parametrize("graph, spectra", [("cycle:n=7", 3), ("heawood", 2)])
+def test_check_scheme_computes_one_dual_spectrum_per_ordering(monkeypatch, capsys, graph, spectra):
+    count = _count_calls(monkeypatch, tridiagonal, "spectrum")
+    assert main(["check-scheme", "--from-graph", graph, "--output", "json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["orderings"]) == spectra
+    assert count == [spectra]
+
+
+def test_scan_computes_one_spectrum_per_survivor(monkeypatch):
+    count = _count_calls(monkeypatch, tridiagonal, "spectrum")
+    result = scanner.scan(scanner.GridSpec(m_max=F(10)))
+    assert result.tallies["candidates"] == 3024
+    assert result.tallies["survivors"] == 220
+    assert count == [220]
+
+
+def test_scan_free_c3_finding_is_not_an_alarm(capsys):
+    # (m, b1*, b2*, c2*, c3*) = (4, 2, 3, 1, 2) is dual-tight with a3* = 2:
+    # its audit fails as a finding outside the theorem's a3* = 0 hypothesis
+    assert main(["scan", "--m-max", "4", "--free-c3"]) == 0
+    captured = capsys.readouterr()
+    assert "ALARM" not in captured.err
+    records = [json.loads(line) for line in captured.out.splitlines()[:-1]]  # last: tallies
+    finding = [
+        r for r in records
+        if (r["m"], r["b1_star"], r["b2_star"], r["c2_star"], r["c3_star"]) == ("4", "2", "3", "1", "2")
+    ]
+    assert finding[0]["dual_tight"] and finding[0]["audit_all_passed"] is False
+
+
 def test_scan_survivor_check_alarm(monkeypatch, capsys):
     argv = ["scan", "--m-max", "4"]
     assert main(argv) == 0

@@ -2,7 +2,9 @@
 
 The digests were recorded before the check pipeline moved into
 ``qpolykit.checks`` (those of ``cycle:n=7`` before the resultants became
-``linalg.charpoly`` calls); any change to a report's bytes shows up here.
+``linalg.charpoly`` calls, and those of icosahedron, ``cycle:n=9`` and the
+linked-design Krein array before each polynomial ordering kept one dual
+spectrum); any change to a report's bytes shows up here.
 The two slow README commands run at smaller sizes.
 """
 
@@ -13,6 +15,7 @@ from qpolykit.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 KREIN = (ROOT / "data/examples/dual_tight_class3_krein.json").read_text()
+LINKED = (ROOT / "data/examples/linked_design_t2_krein.json").read_text()
 
 GOLDEN = [
     (["check-graph", "--family", "petersen"], {
@@ -35,6 +38,20 @@ GOLDEN = [
     (["check-scheme", "--from-graph", "cycle:n=7"], {
         "text": "05969518bc574d80cd3e3c6396518f87047ec0cfa8332fe48d7190bd6efe5c2a",
         "json": "eecf48a90bb25b892a65fb0bb176067df203e25067ed48d7d9194cbe33cfc8a0",
+    }),
+    # a rational Krein system, a class-4 one (triple-bound indices at D = 4)
+    # and a Krein array whose dual eigenvalues are its own spectrum
+    (["check-scheme", "--from-graph", "icosahedron"], {
+        "text": "c40fe338334009c6f1cf6cb6e22693a911be3c00b7bde9b7823a1094cb4e83a0",
+        "json": "81a03bc6de99722fdb3da5898b6ccfed0601675fd4609d82f85a8c0bf0305c24",
+    }),
+    (["check-scheme", "--from-graph", "cycle:n=9"], {
+        "text": "0e5e1b5d390d12ec8c21ba516f0ca480f86bbc4aa9719d335bb21c1cda7eeb54",
+        "json": "f4dafadaae75e9d1a5de15193aab2714374d9f19c604d5294cfccaedbdf40b90",
+    }),
+    (["check-scheme", "--krein", LINKED], {
+        "text": "8c57e79ef652cec0e84dfd852e847d27136a325277a96955aa0aa2eea55eb3e6",
+        "json": "d21f3246f8cad9f23f0833aa97f59bc0c9fa654d9bd2bde2ee2ea5ef19ca61cc",
     }),
     (["check-scheme", "--input", "data/examples/c5_scheme.json", "--format", "json"], {
         "text": "b8422c38644b09304a81d718d9157f44e4bdf4a7b7d5d0f563db8005b8fcb79b",

@@ -1,11 +1,16 @@
+import contextlib
+import io
 import random
+import tempfile
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpolykit.algebraics import compare, compare_rational
+from qpolykit.cli import main
 from qpolykit.families import (
     complete_bipartite,
     corpus_graphs,
@@ -342,3 +347,83 @@ def test_girth_and_diameter():
     assert petersen().girth() == 5
     assert cycle(5).diameter() == 2
     assert heawood().diameter() == 3
+
+
+# -- differential tests against networkx ---------------------------------------------------
+
+
+def _check_against_networkx(g: Graph):
+    import networkx as nx
+
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(g.n))
+    nxg.add_edges_from(g.edges())
+    rep = classify_regularity(g)
+    assert rep.distance_regular == nx.is_distance_regular(nxg)
+    assert rep.strongly_regular == nx.is_strongly_regular(nxg)
+    if rep.distance_regular:
+        b, c = nx.intersection_array(nxg)
+        arr = intersection_array(g, rep)
+        assert (list(arr.b), list(arr.c)) == (list(b), list(c))
+
+
+def test_classification_agrees_with_networkx_on_the_corpus():
+    for g in corpus_graphs().values():
+        _check_against_networkx(g)
+
+
+@settings(max_examples=25)
+@given(st.integers(min_value=4, max_value=14), st.integers(min_value=2, max_value=5), st.integers(0, 10**6))
+def test_classification_agrees_with_networkx_on_random_regular_graphs(n, k, seed):
+    import networkx as nx
+
+    if n * k % 2 or k >= n:
+        return
+    nxg = nx.random_regular_graph(k, n, seed=seed)
+    if not nx.is_connected(nxg):
+        return
+    _check_against_networkx(Graph(n, [tuple(sorted(e)) for e in nxg.edges()]))
+
+
+# -- graph6 robustness ----------------------------------------------------------------------
+
+
+@st.composite
+def _graph6_inputs(draw):
+    """Arbitrary short bytes or text, or a small graph's encoding with a few byte edits."""
+    kind = draw(st.sampled_from(("bytes", "text", "graph")))
+    if kind == "bytes":
+        return draw(st.binary(max_size=20))
+    if kind == "text":
+        return draw(st.text(max_size=20))
+    n = draw(st.integers(min_value=1, max_value=10))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    data = bytearray(emit_graph6(Graph(n, edges)).encode())
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        pos = draw(st.integers(min_value=0, max_value=len(data)))
+        data[pos : pos + draw(st.integers(min_value=0, max_value=1))] = draw(st.binary(max_size=1))
+    return bytes(data)
+
+
+def test_graph6_rejects_non_ascii_text():
+    with pytest.raises(GraphError):
+        parse_graph6("oG\x90G")
+
+
+@settings(max_examples=60)
+@given(_graph6_inputs())
+def test_graph6_input_parses_or_is_an_input_error(data):
+    try:
+        parse_graph6(data)
+    except GraphError:
+        pass
+    raw = data.encode("utf-8", "surrogatepass") if isinstance(data, str) else data
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.g6"
+        path.write_bytes(raw)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["check-graph", "--input", str(path)])
+    assert code in (0, 1), (raw, out.getvalue(), err.getvalue())
+    assert "Traceback" not in err.getvalue()

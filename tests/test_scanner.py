@@ -103,7 +103,6 @@ def test_scheme_derived_parameters_pass_the_filter_chain():
     from qpolykit.families import heawood
     from qpolykit.numberfield import is_exact_zero, scalar_to_algebraic
     from qpolykit.schemes import (
-        b1star_system,
         class3_dualtight_audit,
         dual_bounds,
         dual_fundamental_bound,
@@ -114,7 +113,7 @@ def test_scheme_derived_parameters_pass_the_filter_chain():
     from qpolykit.tridiagonal import validate
 
     qs = find_q_orderings(scheme_from_graph(heawood()))[0]
-    assert validate(b1star_system(qs)).ok  # structure
+    assert validate(qs.system).ok  # structure
     m3 = scalar_to_algebraic(dual_multiplicities(qs)[3]).as_rational()
     assert m3 == 1  # positive integer multiplicity
     q233 = qs.m * (qs.b_star[2] - 1) / qs.c_star[1]

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction as F
 from itertools import permutations
 
@@ -20,7 +21,6 @@ from qpolykit.schemes import (
     AssociationScheme,
     SchemeError,
     b1star_spectral_identity,
-    b1star_system,
     class3_dualtight_audit,
     classify_class3_scheme,
     dual_bounds,
@@ -200,12 +200,12 @@ def test_petersen_ordering_values():
 def test_b1star_system_examples():
     s = scheme_from_graph(petersen())
     qs = [q for q in find_q_orderings(s) if q.m == 5][0]
-    system = b1star_system(qs)
+    system = qs.system
     assert system.d == 2 and system.kappa == F(5)
     assert validate(system).ok
 
     qs = find_q_orderings(heawood_scheme())[0]
-    system = b1star_system(qs)
+    system = qs.system
     assert system.d == 3 and validate(system).ok
     # column sums of the ordered Krein matrix all equal m
     for h in range(4):
@@ -298,6 +298,17 @@ def test_spectral_identity_everywhere():
         s = scheme_from_graph(g)
         for qs in find_q_orderings(s):
             assert b1star_spectral_identity(qs), name
+
+
+@pytest.mark.parametrize("graph", [petersen(), heawood(), cycle(7)], ids=["rational", "quadratic", "cubic"])
+def test_spectral_identity_compares_the_q_column_with_the_krein_system(graph):
+    # the identity must read eigendata's Q column, not the system's own spectrum
+    for qs in find_q_orderings(scheme_from_graph(graph)):
+        assert b1star_spectral_identity(qs)
+        col = qs.q_column
+        moved = replace(qs, q_column=col[:-1] + (col[-1] - 1,))
+        assert moved.system is qs.system
+        assert not b1star_spectral_identity(moved)
 
 
 def test_dual_bound_equalities_track_class_on_corpus():
