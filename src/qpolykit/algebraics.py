@@ -6,14 +6,15 @@ one real root of the polynomial.  A rational value is stored with lo == hi.
 For irrational values the construction arranges sign(p(lo)) != sign(p(hi)),
 so refinement is plain bisection with power-of-two denominators.
 
-Every comparison is decided exactly: intervals are refined until they
-separate, and suspected ties are settled by a gcd of the defining
-polynomials, never by a tolerance.  Sums, products and polynomial images of
-algebraic numbers come from resultants, each the characteristic polynomial
-of a matrix (``linalg.charpoly``): the Kronecker sum or product of two
-companion matrices, or the matrix of multiplication by q(y) on Q[y]/(p).
-The resulting defining polynomials are squarefree but not necessarily
-minimal, which the representation explicitly allows.
+The type is a root representation: it isolates, refines and compares, and
+its only arithmetic is with rationals (add_rational, mul_rational) and the
+inverse.  Arithmetic between two irrational values belongs to
+``numberfield``.  Every comparison is decided exactly: intervals are refined
+until they separate, and suspected ties are settled by a gcd of the defining
+polynomials, never by a tolerance.  apply_rational_poly maps a value
+through a rational polynomial; its defining polynomial is the characteristic
+polynomial (``linalg.charpoly``) of multiplication by q(y) on Q[y]/(p),
+squarefree but not necessarily minimal, which the representation allows.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from fractions import Fraction
 from math import ceil, isqrt
 from typing import Sequence
 
-from .linalg import charpoly, companion, kron, kron_sum
+from .linalg import charpoly, companion
 from .polynomials import (
     RationalPoly,
     _chain_signs_at,
@@ -135,11 +136,6 @@ class AlgebraicReal:
 
     # -- arithmetic ------------------------------------------------------------------
 
-    def __neg__(self) -> "AlgebraicReal":
-        if self.is_rational:
-            return AlgebraicReal.from_rational(-self.lo)
-        return AlgebraicReal(self.poly.compose_neg(), -self.hi, -self.lo, _checked=True)
-
     def add_rational(self, r: Fraction | int) -> "AlgebraicReal":
         r = Fraction(r)
         if r == 0:
@@ -171,40 +167,6 @@ class AlgebraicReal:
         q, _ = a.poly.strip_zero_roots()
         inv = q.reversed_coeffs()
         return AlgebraicReal(inv, 1 / a.hi, 1 / a.lo)
-
-    def __add__(self, other):
-        other = _coerce(other)
-        ra, rb = self.as_rational(), other.as_rational()
-        if rb is not None:
-            return self.add_rational(rb)
-        if ra is not None:
-            return other.add_rational(ra)
-        return _resultant_add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-_coerce(other))
-
-    def __rsub__(self, other):
-        return _coerce(other) + (-self)
-
-    def __mul__(self, other):
-        other = _coerce(other)
-        ra, rb = self.as_rational(), other.as_rational()
-        if rb is not None:
-            return self.mul_rational(rb)
-        if ra is not None:
-            return other.mul_rational(ra)
-        return _resultant_mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self * _coerce(other).inverse()
-
-    def __rtruediv__(self, other):
-        return _coerce(other) * self.inverse()
 
 
 def _coerce(v) -> AlgebraicReal:
@@ -379,17 +341,7 @@ def compare(a: AlgebraicReal, b: AlgebraicReal) -> int:
         rounds += 1
 
 
-# -- resultant constructions ----------------------------------------------------
-
-
-def _defining_poly_sum(pa: RationalPoly, pb: RationalPoly) -> RationalPoly:
-    """Monic polynomial vanishing on every a_i + b_j."""
-    return charpoly(kron_sum(companion(pa), companion(pb)))
-
-
-def _defining_poly_product(pa: RationalPoly, pb: RationalPoly) -> RationalPoly:
-    """Monic polynomial vanishing on every a_i * b_j."""
-    return charpoly(kron(companion(pa), companion(pb)))
+# -- polynomial images --------------------------------------------------------
 
 
 def _defining_poly_image(q: RationalPoly, p: RationalPoly) -> RationalPoly:
@@ -421,60 +373,6 @@ def _round_cap(p: RationalPoly, width: Fraction) -> int:
     d = len(ints) - 1
     n = d ** (d // 2 + 2) * (isqrt(sum(c * c for c in ints)) + 1) ** max(d - 1, 0)
     return ceil(width * n).bit_length() + 1
-
-
-def _select_root(cands: RationalPoly, a: AlgebraicReal, b: AlgebraicReal, mode: str) -> AlgebraicReal:
-    """Pick the root of cands equal to a+b (mode 'add') or a*b (mode 'mul')."""
-    roots = isolate_real_roots(cands)
-
-    def bounds() -> tuple[Fraction, Fraction]:
-        if mode == "add":
-            return a.lo + b.lo, a.hi + b.hi
-        corners = (a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi)
-        return min(corners), max(corners)
-
-    # the enclosure of a*b is at most max|a| wb + max|b| wa wide
-    wa, wb = a.hi - a.lo, b.hi - b.lo
-    if mode == "add":
-        width = wa + wb
-    else:
-        width = max(abs(a.lo), abs(a.hi)) * wb + max(abs(b.lo), abs(b.hi)) * wa
-    width += max((r.hi - r.lo for r in roots), default=0)
-    for _ in range(_round_cap(cands, width)):
-        lo, hi = bounds()
-        hits = [r for r in roots if not (r.hi < lo or hi < r.lo)]
-        if len(hits) == 1:
-            return hits[0]
-        a = a.refine()
-        b = b.refine()
-        ra, rb = a.as_rational(), b.as_rational()
-        if ra is not None or rb is not None:
-            # one side collapsed rational: delegate to the cheap exact path
-            if mode == "add":
-                return a.add_rational(rb) if rb is not None else b.add_rational(ra)
-            return a.mul_rational(rb) if rb is not None else b.mul_rational(ra)
-        roots = [r.refine() for r in roots]
-    raise AssertionError("the value is not a root of its defining polynomial")
-
-
-def _resultant_add(a: AlgebraicReal, b: AlgebraicReal) -> AlgebraicReal:
-    return _select_root(_defining_poly_sum(a.poly, b.poly), a, b, "add")
-
-
-def _resultant_mul(a: AlgebraicReal, b: AlgebraicReal) -> AlgebraicReal:
-    sa, sb = a.sign(), b.sign()
-    if sa == 0 or sb == 0:
-        return AlgebraicReal.from_rational(0)
-    qa, _ = a.poly.strip_zero_roots()
-    qb, _ = b.poly.strip_zero_roots()
-    # tighten intervals off zero so the corner bounds stay one-signed
-    while a.lo <= 0 <= a.hi:
-        a = a.refine()
-    while b.lo <= 0 <= b.hi:
-        b = b.refine()
-    a = AlgebraicReal(qa, a.lo, a.hi, _checked=True)
-    b = AlgebraicReal(qb, b.lo, b.hi, _checked=True)
-    return _select_root(_defining_poly_product(qa, qb), a, b, "mul")
 
 
 def apply_rational_poly(q: RationalPoly, a: AlgebraicReal) -> AlgebraicReal:

@@ -237,6 +237,15 @@ def _scheme_checks(report: dict, lines: list[str], alarms: list[str], source, th
             lines.append(f"  dual checks: skipped ({skip})")
             ordering_reports.append(entry)
             continue
+
+        def fail(problem: str) -> None:
+            # a Krein array need not belong to any scheme, so there a scheme
+            # theorem that fails is a finding about the array, not an alarm
+            if qs.provenance == "krein_array":
+                lines.append(f"  finding: {problem} on a Krein array, which need not belong to a scheme")
+            else:
+                alarms.append(f"ordering {idx}: {problem}")
+
         spectral_ok = schememod.b1star_spectral_identity(qs)
         entry["b1star_spectral_identity"] = spectral_ok
         if not spectral_ok:
@@ -275,7 +284,7 @@ def _scheme_checks(report: dict, lines: list[str], alarms: list[str], source, th
                 f"  dual fundamental bound: holds={dfb.holds} dual_tight={dfb.dual_tight}"
             )
             if not dfb.holds:
-                alarms.append(f"ordering {idx}: dual fundamental bound violated")
+                fail("dual fundamental bound violated")
             audit = None
             if qs.d == 3 and dfb.dual_tight and theorem in ("thm51", "all"):
                 audit = schememod.class3_dualtight_audit(qs, dfb)
@@ -286,7 +295,7 @@ def _scheme_checks(report: dict, lines: list[str], alarms: list[str], source, th
                     f"Q-antipodal: {audit.q_antipodal}"
                 )
                 if not audit.all_passed:
-                    alarms.append(f"ordering {idx}: dual-tight audit failed")
+                    fail("dual-tight audit failed")
             if classify:
                 verdicts.append(schememod.OrderingVerdict(qs, dfb, audit))
         ordering_reports.append(entry)

@@ -55,11 +55,7 @@ def _load_graph(args) -> Graph:
         return obj
     if not args.input:
         raise GraphError("need --input or --family")
-    fmt = "graph6" if args.format == "graph6" else "json_graph"
-    obj = load(args.input, fmt)
-    if not isinstance(obj, Graph):
-        raise GraphError("input is not a graph")
-    return obj
+    return load(args.input, "graph6" if args.format == "graph6" else "json_graph")
 
 
 def cmd_check_graph(args) -> int:
@@ -88,8 +84,7 @@ def _load_scheme(args):
         raise SchemeError("need --input, --from-graph or --krein")
     if args.format == "graph6":
         return schememod.scheme_from_graph(load(args.input, "graph6"))
-    obj = load(args.input, "json_scheme")
-    return obj if isinstance(obj, schememod.AssociationScheme) else [obj]
+    return load(args.input, "json_scheme")
 
 
 def cmd_check_scheme(args) -> int:

@@ -282,10 +282,6 @@ def load(path: str | Path, fmt: str):
         from .schemes import AssociationScheme
 
         return AssociationScheme.from_json_dict(_load_json(raw))
-    if fmt == "json_krein":
-        from .schemes import krein_array_structure
-
-        return krein_array_structure(_load_json(raw))
     raise ValueError(f"unknown format {fmt!r}")
 
 

@@ -35,8 +35,8 @@ from . import tridiagonal
 from .tridiagonal import (
     TridiagonalSystem,
     TripleBoundResult,
-    _report_value,
     compare_shifted_product,
+    shifted_subset_product,
 )
 
 
@@ -571,13 +571,13 @@ def pair_bound_all_vertices(
     roots_asc = _ascending(spec.distinct)
     n_roots = len(roots_asc)
     subset = [n_roots - 2, 0]  # theta_1 and theta_min (theta_0 = k is index n-1)
-    lhs = _report_value(sf, roots_asc, subset, 1)
+    lhs = shifted_subset_product(sf, roots_asc, subset, 1)
     per_vertex = []
     for x in range(g.n):
         part = bfs_partition(g, x)
         qm = quotient_matrix(g, part)
         rhs = -qm.beta[1]
-        cmp = compare_shifted_product(sf, roots_asc, subset, 1, rhs)
+        cmp = compare_shifted_product(lhs, rhs, sf, 1)
         per_vertex.append(VertexBound(x, rhs, cmp <= 0, cmp == 0))
     all_hold = all(v.holds for v in per_vertex)
     eq_all = all(v.equality for v in per_vertex)
@@ -697,8 +697,8 @@ def fundamental_bound(
     sf = squarefree_part(spec.charpoly)
     roots_asc = _ascending(spec.distinct)
     subset = [len(roots_asc) - 2, 0]
-    cmp = compare_shifted_product(sf, roots_asc, subset, shift, rhs)
-    lhs = _report_value(sf, roots_asc, subset, shift)
+    lhs = shifted_subset_product(sf, roots_asc, subset, shift)
+    cmp = compare_shifted_product(lhs, rhs, sf, shift)
     equality = cmp == 0
     return FundamentalBoundReport(
         lhs, rhs, cmp >= 0, equality, classification.bipartite, equality and not classification.bipartite

@@ -8,11 +8,11 @@ One home for the linear algebra the rest of the package needs:
                   2^62, combined by the Chinese remainder theorem under a
                   Hadamard bound (Cohen, A Course in Computational Algebraic
                   Number Theory, Alg. 2.2.9);
-  companion, kron, kron_sum
+  companion, kron_sum
                   the matrices whose characteristic polynomials are the
                   package's resultants: multiplication by x on Q[x]/(p), and
-                  the Kronecker product and sum, whose eigenvalues are the
-                  products a_i b_j and the sums a_i + t b_j;
+                  the Kronecker sum, whose eigenvalues are the sums
+                  a_i + t b_j;
   solve           Gauss-Jordan elimination for one right-hand side.
 
 Every characteristic, minimal and defining polynomial in the package is a
@@ -236,11 +236,6 @@ def companion(p: RationalPoly) -> list[list[Fraction]]:
     for i in range(d):
         c[i][d - 1] = -p[i] / lead
     return c
-
-
-def kron(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
-    """The Kronecker product A (x) B; its eigenvalues are the products a_i b_j."""
-    return [[x * y for x in ra for y in rb] for ra in a for rb in b]
 
 
 def kron_sum(a: Sequence[Sequence], b: Sequence[Sequence], t: int | Fraction = 1) -> list[list]:

@@ -1,5 +1,9 @@
 """Arithmetic in real algebraic number fields.
 
+This is the package's one arithmetic between irrational algebraic numbers:
+values are moved into a common field (field_containing) and combined and
+signed there (exact_sign); AlgebraicReal only isolates and compares.
+
 A RealAlgebraicField is Q[y] modulo a monic irreducible rational
 polynomial, together with an isolating interval selecting one real root
 gamma of it.  Elements are polynomials in gamma of degree below the modulus.

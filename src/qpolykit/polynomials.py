@@ -234,10 +234,6 @@ class RationalPoly:
             acc = nxt
         return RationalPoly(acc)
 
-    def compose_neg(self) -> "RationalPoly":
-        """p(-x)."""
-        return RationalPoly(tuple(c if i % 2 == 0 else -c for i, c in enumerate(self.coeffs)))
-
     def scale_arg(self, r: Fraction | int) -> "RationalPoly":
         """Polynomial with roots r * (roots of p): p(x / r) cleared of denominators."""
         r = Fraction(r)

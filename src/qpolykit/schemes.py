@@ -888,8 +888,8 @@ def class3_dualtight_audit(qs: QPolyStructure, bound: DualFundamentalBound | Non
     a1, b1, b2, c2, c3 = qs.a_star[1], qs.b_star[1], qs.b_star[2], qs.c_star[1], qs.c_star[2]
     th1, th2, th3 = qs.dual_eigenvalues[1], qs.dual_eigenvalues[2], qs.dual_eigenvalues[3]
     if qs.provenance == "krein_array":
-        # move the eigenvalues into one number field so the identity checks
-        # below cost modular arithmetic instead of resultants
+        # the identity checks below multiply eigenvalues, which takes them
+        # into one number field (AlgebraicReal only compares)
         _, elems = field_containing([scalar_to_algebraic(t) for t in (th1, th2, th3)])
         th1, th2, th3 = elems
 

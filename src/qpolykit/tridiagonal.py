@@ -24,7 +24,9 @@ Entries are Fractions for ordinary systems; the same checks also accept
 number-field elements (FieldElement) so Krein matrices with algebraic
 entries reuse every code path.  Every product bound is one comparison of
 a shifted eigenvalue product with its right-hand side: on F_D for rational
-spectra, by field arithmetic for certified field spectra.
+spectra, by field arithmetic for certified field spectra.  On F_D the
+product is built once (shifted_subset_product), and the comparisons and
+the report read that one value.
 charpoly_by_cofactor is the one cofactor oracle: a self-contained
 expansion over any exact scalars that checks the recurrence here and the
 characteristic polynomial of the class-3 audit.
@@ -49,7 +51,9 @@ from .algebraics import (
 )
 from .linalg import charpoly, companion, det
 from .numberfield import (
+    FieldElement,
     exact_sign,
+    field_containing,
     is_exact_zero,
     kp_eval,
     kp_mul,
@@ -59,7 +63,7 @@ from .numberfield import (
     scalar_to_algebraic,
 )
 from .polynomials import RationalPoly
-from .serialize import parse_rat, rat_str, value_json
+from .serialize import rat_str, value_json
 
 
 @dataclass(frozen=True)
@@ -100,19 +104,6 @@ class TridiagonalSystem:
             "beta": [rat_str(scalar_as_fraction(v)) for v in self.beta],
             "gamma": [rat_str(scalar_as_fraction(v)) for v in self.gamma],
         }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "TridiagonalSystem":
-        for key in ("kappa", "alpha", "beta", "gamma"):
-            if key not in obj:
-                raise ValueError(f"missing field {key!r}")
-        kappa = parse_rat(obj["kappa"])
-        alpha = tuple(parse_rat(v) for v in obj["alpha"])
-        beta = tuple(parse_rat(v) for v in obj["beta"])
-        gamma = tuple(parse_rat(v) for v in obj["gamma"])
-        if len(beta) != len(alpha) - 1 or len(gamma) != len(alpha) - 1:
-            raise ValueError("alpha must have one more entry than beta and gamma")
-        return cls(len(alpha) - 1, alpha, beta, gamma, kappa)
 
 
 @dataclass(frozen=True)
@@ -354,8 +345,8 @@ def interlacing_check(report: SpectrumReport) -> InterlacingResult:
 
 @dataclass(frozen=True)
 class LemmaResult:
-    f_t: AlgebraicReal
-    g_t: AlgebraicReal
+    f_t: FieldElement
+    g_t: FieldElement
     holds: bool
     equality: bool
 
@@ -371,9 +362,10 @@ def endpoint_product_bound(a, b, c, d, t) -> LemmaResult:
         raise ValueError("need a <= b < c <= d")
     if not (compare(b, t) <= 0 and compare(t, c) <= 0):
         raise ValueError("need t in [b, c]")
-    f_t = (t - a) * (t - d)
-    g_t = (t - b) * (t - c)
-    cmp = compare(f_t, g_t)
+    _, (fa, fb, fc, fd, ft) = field_containing([a, b, c, d, t])
+    f_t = (ft - fa) * (ft - fd)
+    g_t = (ft - fb) * (ft - fc)
+    cmp = exact_sign(f_t - g_t)
     equality = cmp == 0
     if equality and compare(b, t) < 0 and compare(t, c) < 0:
         if not (compare(a, b) == 0 and compare(c, d) == 0):
@@ -385,88 +377,66 @@ def endpoint_product_bound(a, b, c, d, t) -> LemmaResult:
 
 
 def shifted_subset_product(poly: RationalPoly, roots: Sequence[AlgebraicReal], subset: Sequence[int], s):
-    """prod_{i in subset} (roots[i] + s), exact.
+    """prod_{i in subset} (roots[i] + s), built once for its comparisons and its report.
 
     roots must be ALL real roots of the squarefree poly (which must be
-    totally real), ascending.  Returns a Fraction when the value is
-    rational, else an AlgebraicReal.  Whichever of the subset and its
-    complement carries fewer irrational factors is materialized: either the
-    subset factors are multiplied out directly, or the full product
-    (poly evaluated at -s) is divided by the complement factors.
+    totally real), ascending.  When the subset or its complement carries at
+    most one irrational root the value is exact: a Fraction when rational,
+    else an AlgebraicReal, from the subset factors multiplied out or from the
+    full product (poly evaluated at -s) divided by the complement factors.
+    Otherwise it is a ProductValue of the shifted subset factors, which
+    compare_shifted_product decides through the subset-product resolvent.
     """
     s = Fraction(s)
-    subset = set(subset)
-    for i in subset:
-        if compare_rational(roots[i], -s) == 0:
-            return Fraction(0)
+    subset = sorted(set(subset), reverse=True)
     complement = [i for i in range(len(roots)) if i not in subset]
     sub_irr = [i for i in subset if roots[i].as_rational() is None]
     comp_irr = [i for i in complement if roots[i].as_rational() is None]
+    if min(len(sub_irr), len(comp_irr)) > 1:
+        return ProductValue([roots[i].add_rational(s) for i in subset])
+    for i in subset:
+        if compare_rational(roots[i], -s) == 0:
+            return Fraction(0)
 
     if len(sub_irr) <= len(comp_irr):
-        acc = Fraction(1)
-        for i in subset:
+        acc = prod(roots[i].as_rational() + s for i in subset if i not in sub_irr)
+        irr = [roots[i].add_rational(s) for i in sub_irr]
+    else:
+        work = poly
+        rest = Fraction(1)
+        for i in complement:
             r = roots[i].as_rational()
             if r is not None:
-                acc *= r + s
-        value = AlgebraicReal.from_rational(acc)
-        for i in sub_irr:
-            value = value * roots[i].add_rational(s)
-        rat = value.as_rational()
-        return rat if rat is not None else value
-
-    work = poly
-    acc = Fraction(1)
-    for i in complement:
-        r = roots[i].as_rational()
-        if r is not None:
-            if r == -s:
-                work = work.exact_div(RationalPoly((-r, 1)))
-            else:
-                acc *= r + s
-    n = work.degree
-    full = (-1) ** n * work.evaluate(-s) / work.leading
-    value = AlgebraicReal.from_rational(full / acc)
-    for i in comp_irr:
-        value = value * roots[i].add_rational(s).inverse()
-    rat = value.as_rational()
-    return rat if rat is not None else value
+                if r == -s:
+                    work = work.exact_div(RationalPoly((-r, 1)))
+                else:
+                    rest *= r + s
+        acc = (-1) ** work.degree * work.evaluate(-s) / work.leading / rest
+        irr = [roots[i].add_rational(s).inverse() for i in comp_irr]
+    return irr[0].mul_rational(acc) if irr else Fraction(acc)
 
 
-def _materialization_cost(roots: Sequence[AlgebraicReal], subset: Sequence[int]) -> int:
-    """Number of irrational factors on the cheaper side of the split."""
-    sub = set(subset)
-    sub_irr = sum(1 for i in sub if roots[i].as_rational() is None)
-    comp_irr = sum(1 for i in range(len(roots)) if i not in sub and roots[i].as_rational() is None)
-    return min(sub_irr, comp_irr)
+def compare_shifted_product(value, rhs, poly: RationalPoly, s) -> int:
+    """Exact sign of value - rhs, for value = shifted_subset_product(poly, roots, subset, s).
 
-
-def compare_shifted_product(
-    poly: RationalPoly, roots: Sequence[AlgebraicReal], subset: Sequence[int], s, rhs
-) -> int:
-    """Exact sign of prod_{i in subset}(roots[i] + s) - rhs.
-
-    Cheap when either side of the subset split has at most one irrational
-    root.  Otherwise interval refinement decides strict cases within the
-    refinement budget, and ties fall through to the subset-product
-    resolvent: the characteristic polynomial of a compound matrix, whose
-    roots are all |subset|-fold products of shifted roots, pins the value
-    without ever expanding a high-degree resultant chain.
+    An exact value compares directly.  For a ProductValue interval
+    refinement decides strict cases within the refinement budget, and ties
+    fall through to the subset-product resolvent: the characteristic
+    polynomial of a compound matrix, whose roots are all |subset|-fold
+    products of shifted roots, pins the value without ever expanding a
+    high-degree resultant chain.
     """
-    s, rhs = Fraction(s), Fraction(rhs)
-    subset = list(subset)
-    if _materialization_cost(roots, subset) <= 1:
-        val = shifted_subset_product(poly, roots, subset, s)
-        if isinstance(val, Fraction):
-            return (val > rhs) - (val < rhs)
-        return compare_rational(val, rhs)
-    factors = [roots[i] for i in subset]
+    rhs = Fraction(rhs)
+    if isinstance(value, Fraction):
+        return (value > rhs) - (value < rhs)
+    if isinstance(value, AlgebraicReal):
+        return compare_rational(value, rhs)
+    factors = list(value.factors)
 
     def enclosure(fs):
         lo = hi = Fraction(1)
         for f in fs:
-            a, b = f.lo + s, f.hi + s
-            corners = (lo * a, lo * b, hi * a, hi * b)
+            corners = (lo * f.lo, lo * f.hi, hi * f.lo, hi * f.hi)
             lo, hi = min(corners), max(corners)
         return lo, hi
 
@@ -478,21 +448,26 @@ def compare_shifted_product(
             return -1
         factors = [f.refine() for f in factors]
 
-    # exact phase: the true product is a root of the resolvent
-    shifted = poly.shift(-s)  # roots are roots(poly) + s
-    resolvent = _subset_product_resolvent(shifted, len(subset))
+    # exact phase: the true product is a root of the resolvent, so once one
+    # resolvent root meets the enclosure, that root is the product
+    resolvent = _subset_product_resolvent(poly.shift(-Fraction(s)), len(factors))
     res_roots = isolate_real_roots(resolvent)
-    while True:
+    # the enclosure is at most sum_i w_i prod_{j != i} max|f_j| wide, halved every round
+    bounds = [max(abs(f.lo), abs(f.hi)) for f in factors]
+    width = sum((f.hi - f.lo) * prod(bounds[:i] + bounds[i + 1 :]) for i, f in enumerate(factors))
+    width += max((r.hi - r.lo for r in res_roots), default=0)
+    for _ in range(algebraics._round_cap(resolvent, width)):
         lo, hi = enclosure(factors)
         if rhs < lo:
             return 1
         if rhs > hi:
             return -1
         hits = [r for r in res_roots if not (r.hi < lo or hi < r.lo)]
-        if len(hits) == 1 and compare_rational(hits[0], rhs) == 0:
-            return 0
+        if len(hits) == 1:
+            return compare_rational(hits[0], rhs)
         factors = [f.refine() for f in factors]
         res_roots = [r.refine() for r in res_roots]
+    raise AssertionError("the shifted product is not a root of its subset-product resolvent")
 
 
 def _subset_product_resolvent(h: RationalPoly, k: int) -> RationalPoly:
@@ -514,13 +489,6 @@ def _subset_product_resolvent(h: RationalPoly, k: int) -> RationalPoly:
     return charpoly(compound)
 
 
-def _report_value(poly: RationalPoly, roots: Sequence[AlgebraicReal], subset: Sequence[int], s):
-    """The subset product for a report: exact scalar when cheap, factored otherwise."""
-    if _materialization_cost(roots, subset) <= 1:
-        return shifted_subset_product(poly, roots, subset, s)
-    return ProductValue([roots[i].add_rational(s) for i in sorted(subset, reverse=True)])
-
-
 # -- the two main checks ----------------------------------------------------------------
 
 
@@ -528,16 +496,16 @@ def _shifted_product(report: SpectrumReport, indices: Sequence[int], s, rhs) -> 
     """Exact sign of prod_{i in indices}(theta_i + s) - rhs, and the product to report.
 
     indices count from 1 into theta_1 > ... > theta_D.  Rational spectra
-    compare on F_D (compare_shifted_product); field spectra multiply their
-    certified eigenvalues out.
+    build the product on F_D once and compare it (compare_shifted_product);
+    field spectra multiply their certified eigenvalues out.
     """
     if report.root_table:
         fd = report.f_polys[-1]
         asc = list(reversed(report.root_table[-1]))  # index 0 = theta_D, last = theta_1
         subset = sorted(len(asc) - i for i in indices)
-        s, rhs = scalar_as_fraction(s), scalar_as_fraction(rhs)
-        cmp = compare_shifted_product(fd, asc, subset, s, rhs)
-        return cmp, _report_value(fd, asc, subset, s)
+        s = scalar_as_fraction(s)
+        lhs = shifted_subset_product(fd, asc, subset, s)
+        return compare_shifted_product(lhs, scalar_as_fraction(rhs), fd, s), lhs
     lhs = prod(report.eigenvalues[i] + s for i in indices)
     return exact_sign(lhs - rhs), lhs
 

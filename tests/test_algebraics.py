@@ -11,8 +11,6 @@ from qpolykit import algebraics
 from qpolykit.algebraics import (
     AlgebraicReal,
     _defining_poly_image,
-    _defining_poly_product,
-    _defining_poly_sum,
     apply_rational_poly,
     compare,
     compare_rational,
@@ -48,7 +46,7 @@ def test_isolation_heawood_reduced_cubic():
     roots = isolate_real_roots(p)
     assert len(roots) == 3
     assert roots[0].as_rational() == F(-3)
-    assert compare(roots[1], -sqrt_of(2)) == 0
+    assert compare(roots[1], sqrt_of(2).mul_rational(-1)) == 0
     assert compare(roots[2], sqrt_of(2)) == 0
 
 
@@ -103,33 +101,34 @@ def test_refinement_stability():
 
 
 def test_arithmetic_against_sympy_minimal_polys():
-    import sympy
-
-    s2, s3 = sqrt_of(2), sqrt_of(3)
-    total = s2 + s3
+    # the rational arithmetic and the inverse keep a minimal polynomial minimal
     x = sympy.symbols("x")
-    mp = sympy.minimal_polynomial(sympy.sqrt(2) + sympy.sqrt(3), x)
-    coeffs = [F(int(c)) for c in reversed(sympy.Poly(mp, x).all_coeffs())]
-    assert total.poly.monic() == RationalPoly(coeffs).monic()
-    prod = s2 * s3
-    assert compare(prod, sqrt_of(6)) == 0
-    inv = s2.inverse()
-    assert compare((inv * s2), AlgebraicReal.from_rational(1)) == 0
+
+    def sympy_minpoly(expr) -> RationalPoly:
+        coeffs = sympy.Poly(sympy.minimal_polynomial(expr, x), x).all_coeffs()
+        return RationalPoly([F(int(c)) for c in reversed(coeffs)]).monic()
+
+    v = sqrt_of(2).mul_rational(3).add_rational(-1)  # 3 sqrt2 - 1
+    assert v.poly.monic() == sympy_minpoly(3 * sympy.sqrt(2) - 1)
+    inv = v.inverse()
+    assert inv.poly.monic() == sympy_minpoly(1 / (3 * sympy.sqrt(2) - 1))
+    assert compare_rational(inv, F(3, 10)) > 0 and compare_rational(inv, F(3, 10) + F(1, 100)) < 0
+    assert compare(inv.inverse(), v) == 0
 
 
 def test_mixed_arithmetic():
     s5 = sqrt_of(5)
     golden = isolate_real_roots(RationalPoly((-1, 1, 1)))[-1]  # (-1+sqrt5)/2
     assert compare(golden.mul_rational(2).add_rational(1), s5) == 0
-    assert ((golden + golden).add_rational(1)) == s5
-    neg = -s5
-    assert compare_rational(neg + s5, F(0)) == 0
+    assert golden.add_rational(F(1, 2)).mul_rational(2) == s5
+    neg = s5.mul_rational(-1)
+    assert compare_rational(neg, F(-2)) < 0 and compare_rational(neg, F(-9, 4)) > 0
 
 
 def test_zero_product_and_inverse_errors():
     s2 = sqrt_of(2)
     zero = AlgebraicReal.from_rational(0)
-    assert (s2 * zero).as_rational() == 0
+    assert s2.mul_rational(0).as_rational() == 0
     with pytest.raises(ZeroDivisionError):
         zero.inverse()
 
@@ -193,19 +192,6 @@ def sympy_squarefree(expr) -> RationalPoly:
     return RationalPoly([F(int(c.p), int(c.q)) for c in reversed(coeffs)])
 
 
-@given(squarefree_int_polys, squarefree_int_polys)
-def test_sum_and_product_polynomials_match_sympy_resultant(pa, pb):
-    a, b = sym(pa, Y), sym(pb, Y)
-    res_sum = sympy.resultant(a, b.subs(Y, X - Y), Y)
-    assert squarefree_part(_defining_poly_sum(pa, pb)) == sympy_squarefree(res_sum)
-    qa, _ = pa.strip_zero_roots()
-    qb, _ = pb.strip_zero_roots()
-    if qa.degree >= 1 and qb.degree >= 1:
-        b = sympy.expand(sym(qb, Y).subs(Y, X / Y) * Y**qb.degree)
-        res_prod = sympy.resultant(sym(qa, Y), b, Y)
-        assert squarefree_part(_defining_poly_product(qa, qb)) == sympy_squarefree(res_prod)
-
-
 @given(squarefree_int_polys, st.lists(st.fractions(-3, 3, max_denominator=3), min_size=1, max_size=4))
 def test_image_polynomial_matches_sympy_resultant(pa, qc):
     q = RationalPoly(qc)
@@ -225,11 +211,7 @@ def test_tensor_min_poly_matches_sympy_resultant(m1, m2, t):
 
 @pytest.mark.parametrize(
     "name, run",
-    [
-        ("_defining_poly_sum", lambda: sqrt_of(2) + sqrt_of(3)),
-        ("_defining_poly_product", lambda: sqrt_of(2) * sqrt_of(3)),
-        ("_defining_poly_image", lambda: apply_rational_poly(RationalPoly((1, 1, 1)), sqrt_of(2))),
-    ],
+    [("_defining_poly_image", lambda: apply_rational_poly(RationalPoly((1, 1, 1)), sqrt_of(2)))],
 )
 def test_rootless_defining_polynomial_is_an_alarm_not_a_hang(name, run, monkeypatch):
     # the refinement loop is capped by the Mahler separation of the candidates

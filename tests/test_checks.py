@@ -17,7 +17,7 @@ import pytest
 
 from qpolykit import algebraics, checks, graphs, numberfield, scanner, schemes, tridiagonal
 from qpolykit.cli import main
-from qpolykit.families import line_graph, petersen
+from qpolykit.families import heawood, line_graph, petersen
 from qpolykit.polynomials import RationalPoly
 from qpolykit.schemes import AuditRecord
 
@@ -265,6 +265,19 @@ def test_check_graph_classifies_the_graph_once(monkeypatch, capsys):
     assert main(["check-graph", "--input", "data/examples/heawood.g6"]) == 0
     assert "triple bound" in capsys.readouterr().out
     assert count == [1]
+
+
+def test_check_graph_builds_each_shifted_product_once(monkeypatch, capsys):
+    # one build per bound, compared against every vertex's rhs: not n + 1
+    in_graphs = _count_calls(monkeypatch, graphs, "shifted_subset_product")
+    in_tridiagonal = _count_calls(monkeypatch, tridiagonal, "shifted_subset_product")
+    graphs.pair_bound_all_vertices(heawood())
+    assert (in_graphs, in_tridiagonal) == ([1], [0])
+    assert main(["check-graph", "--family", "heawood", "--output", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert len(report["triple_bound"]["branches"]) == 1
+    # pair and fundamental bound in graphs, the triple bound's one branch in tridiagonal
+    assert (in_graphs, in_tridiagonal) == ([3], [1])
 
 
 @pytest.mark.parametrize("graph, spectra", [("cycle:n=7", 3), ("heawood", 2)])

@@ -1,15 +1,21 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 from dataclasses import replace
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpolykit import tridiagonal
 from qpolykit.cli import main
 from qpolykit.families import petersen
 from qpolykit.graphs import emit_graph6
+from qpolykit.serialize import rat_str
 
 
 def run_cli(*args):
@@ -148,6 +154,97 @@ def test_malformed_json_exit1_with_a_message(tmp_path: Path, capsys, subcommand,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+
+
+# -- the Krein JSON that check-scheme --krein reads, fuzzed ------------------------------
+
+KREIN_FIELDS = ("type", "class", "m", "b_star", "c_star")
+junk = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 5),
+    st.floats(allow_nan=False, allow_infinity=False, width=16),
+    st.text(max_size=4),
+    st.lists(st.integers(-2, 2), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+)
+
+
+@st.composite
+def krein_documents(draw):
+    """A class 2-4 Krein array of small rationals, then at most one field broken.
+
+    Half the arrays meet the row-sum condition by construction (each row of
+    b_i*, a_i*, c_i* splits m), the other half draw every entry freely.
+    """
+    d = draw(st.integers(2, 4))
+    m = draw(st.fractions(min_value=F(1, 3), max_value=8, max_denominator=3))
+    parts = st.integers(0, 4)
+    if draw(st.booleans()):
+        m += 1  # row 1 splits m - 1 between b_1* and a_1*, as c_1* = 1
+        x, y = draw(parts) + 1, draw(parts)
+        b, c = [m, (m - 1) * x / (x + y)], [F(1)]
+        for i in range(2, d + 1):
+            x, y, z = draw(parts) + 1, draw(parts), draw(parts) + 1
+            if i < d:
+                b.append(m * x / (x + y + z))
+            c.append(m * z / (x + y + z) if i < d else m * z / (y + z))
+    else:
+        small = st.fractions(min_value=F(1, 3), max_value=8, max_denominator=3)
+        b = [m] + [draw(small) for _ in range(d - 1)]
+        c = [F(1)] + [draw(small) for _ in range(d - 1)]
+    doc = {
+        "type": "krein_array",
+        "class": d,
+        "m": rat_str(m),
+        "b_star": [rat_str(v) for v in b],
+        "c_star": [rat_str(v) for v in c],
+    }
+    field = draw(st.sampled_from(KREIN_FIELDS))
+    change = draw(st.sampled_from(["none", "none", "drop", "retype", "retype_entry", "document"]))
+    if change == "drop":
+        del doc[field]
+    elif change == "retype":
+        doc[field] = draw(junk)
+    elif change == "retype_entry" and field in ("b_star", "c_star"):
+        doc[field][draw(st.integers(0, d - 1))] = draw(junk)
+    elif change == "document":
+        doc = draw(junk)
+    return doc
+
+
+@settings(max_examples=80, deadline=None)
+@given(krein_documents(), st.sampled_from(["text", "json"]))
+def test_krein_input_checks_or_is_an_input_error(doc, output):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["check-scheme", f"--krein={json.dumps(doc)}", "--output", output])
+    assert code in (0, 1), (doc, out.getvalue(), err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    assert (code == 1) == err.getvalue().startswith("input error: ")
+
+
+@pytest.mark.parametrize(
+    "b_star, c_star, problem",
+    [
+        (["7", "4/3", "1/2"], ["1", "4", "13/2"], "dual fundamental bound violated"),
+        (["4", "2", "3"], ["1", "1", "2"], "dual-tight audit failed"),  # a_3* = 2
+    ],
+)
+@pytest.mark.parametrize("output", ["text", "json"])
+def test_krein_array_failing_a_scheme_theorem_is_a_finding(capsys, b_star, c_star, problem, output):
+    # such an array belongs to no scheme the theorem covers: exit 0, not an alarm
+    doc = {"type": "krein_array", "class": 3, "m": b_star[0], "b_star": b_star, "c_star": c_star}
+    assert main(["check-scheme", "--krein", json.dumps(doc), "--output", output]) == 0
+    out = capsys.readouterr().out
+    if output == "json":
+        report = json.loads(out)
+        assert report["alarms"] == []
+        ordering = report["orderings"][0]
+        assert ordering["dual_fundamental_bound"]["holds"] is (problem != "dual fundamental bound violated")
+        assert ordering.get("audit", {"all_passed": False})["all_passed"] is False
+    else:
+        assert f"  finding: {problem} on a Krein array, which need not belong to a scheme" in out.splitlines()
 
 
 def test_property_suite_smoke_exit0():

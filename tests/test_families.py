@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from qpolykit.cli import main
 from qpolykit.families import (
     SymmetricDesign,
     biplane_11,
@@ -133,11 +134,11 @@ def test_load_rejects_malformed(tmp_path: Path):
         load(bad, "nosuchformat")
 
 
-def test_load_krein_malformed(tmp_path: Path):
-    f = tmp_path / "k.json"
-    f.write_text(json.dumps({"type": "krein_array", "class": 3, "m": "6", "b_star": ["6", "?", "1"], "c_star": ["1", "3", "6"]}))
-    with pytest.raises(ValueError):
-        load(f, "json_krein")
+def test_load_krein_malformed(capsys):
+    # Krein arrays are read inline by check-scheme --krein, not from files
+    doc = {"type": "krein_array", "class": 3, "m": "6", "b_star": ["6", "?", "1"], "c_star": ["1", "3", "6"]}
+    assert main(["check-scheme", "--krein", json.dumps(doc)]) == 1
+    assert "input error" in capsys.readouterr().err
 
 
 def test_load_scheme_semantic_error(tmp_path: Path):

@@ -100,11 +100,17 @@ def test_division_errors():
 
 
 def test_field_ops_agree_with_resultant_arithmetic():
-    # dual route: the same values computed through the field layer and
-    # through resultant-based algebraic arithmetic must compare equal
+    # dual route: field arithmetic in Q(sqrt n) against sympy's exact a + b sqrt n
     from hypothesis import given, settings
     from hypothesis import strategies as st
-    from qpolykit.algebraics import compare
+
+    def coordinates(expr, n) -> list:
+        """[a, b] with expr = a + b sqrt n, read off sympy's exact form."""
+        expr = sympy.expand(sympy.radsimp(expr))
+        b = expr.coeff(sympy.sqrt(n))
+        a = sympy.expand(expr - b * sympy.sqrt(n))
+        assert a.is_Rational and b.is_Rational
+        return [F(int(c.p), int(c.q)) for c in (a, b)]
 
     @settings(max_examples=15)
     @given(
@@ -115,18 +121,18 @@ def test_field_ops_agree_with_resultant_arithmetic():
         st.integers(min_value=-3, max_value=3),
     )
     def check(n, a0, a1, b0, b1):
-        rt = root((-n, 0, 1))
-        field, gen = RealAlgebraicField.from_root(rt)
+        field, gen = RealAlgebraicField.from_root(root((-n, 0, 1)))
         e1 = field.element([F(a0), F(a1)])
         e2 = field.element([F(b0), F(b1)])
-        v1 = rt.mul_rational(a1).add_rational(a0)
-        v2 = rt.mul_rational(b1).add_rational(b0)
-        assert compare((e1 + e2).to_algebraic(), v1 + v2) == 0
-        assert compare((e1 * e2).to_algebraic(), v1 * v2) == 0
+        v1 = a0 + a1 * sympy.sqrt(n)
+        v2 = b0 + b1 * sympy.sqrt(n)
+        results = [(e1 + e2, v1 + v2), (e1 - e2, v1 - v2), (e1 * e2, v1 * v2)]
         if not e2.is_zero():
-            assert compare((e1 / e2).to_algebraic(), v1 / v2) == 0
+            results.append((e1 / e2, v1 / v2))
+        for el, expr in results:
+            assert el == field.element(coordinates(expr, n))
         assert (e1 - e1).is_zero()
-        assert e1.sign() == v1.sign()
+        assert e1.sign() == sympy.sign(v1)
 
     check()
 

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 from itertools import permutations
 
 import pytest
+import sympy
 
 from qpolykit.algebraics import compare
 from qpolykit.families import (
@@ -387,3 +388,67 @@ def test_krein_array_structure_runs_dual_side():
     assert rep.dual_tight
     assert not rep.primal_available
     assert rep.incidence_relation is None
+
+
+# -- sympy oracle: eigenmatrices, multiplicities and Krein tables --------------------------
+#
+# Field elements are lifted to sympy polynomials in the field's generator y
+# and all arithmetic below is sympy's, modulo the field's modulus.
+
+Y, X = sympy.symbols("y x")
+
+
+def sym_rational(c: F):
+    return sympy.Rational(c.numerator, c.denominator)
+
+
+def sympy_lift(field):
+    """(modulus, lift): the field's modulus and its elements as sympy polynomials in y."""
+    modulus = sum(sym_rational(c) * Y**k for k, c in enumerate(field.modulus.coeffs))
+
+    def lift(el):
+        return sum(sym_rational(c) * Y**k for k, c in enumerate(field.reduce(el.coeffs)))
+
+    return modulus, lift
+
+
+def sympy_product_of_roots(values, mults, modulus):
+    """prod (x - v)^m as coefficients in Q[y]/(modulus), constant term first."""
+    acc = [sympy.Integer(1)]
+    for v, m in zip(values, mults):
+        for _ in range(m):
+            shifted = [sympy.Integer(0)] + acc
+            acc = [sympy.rem(sympy.expand(c - v * d), modulus, Y) for c, d in zip(shifted, acc + [0])]
+    return acc
+
+
+def sympy_charpoly(rows):
+    return list(reversed(sympy.Matrix(rows).charpoly(X).all_coeffs()))
+
+
+@pytest.mark.parametrize("graph", [petersen(), heawood(), cycle(7)], ids=["petersen", "heawood", "cycle:n=7"])
+def test_eigenmatrix_and_krein_table_against_sympy(graph):
+    s = scheme_from_graph(graph)
+    e = eigendata(s)
+    table = krein(s, e)
+    modulus, lift = sympy_lift(e.field)
+    d, n = s.d, s.n
+    p = [[lift(v) for v in row] for row in e.p_matrix]
+    # column u of P is the eigenvalue multiset of B_u = (p_{uj}^h)
+    for u in range(d + 1):
+        b_u = [[s.p[u][j][h] for j in range(d + 1)] for h in range(d + 1)]
+        column = [p[j][u] for j in range(d + 1)]
+        assert sympy_product_of_roots(column, [1] * (d + 1), modulus) == sympy_charpoly(b_u)
+    # the eigenvalue P[j][1] of the adjacency matrix has multiplicity m_j
+    adjacency = [[1 if y in graph.adj[x] else 0 for y in range(n)] for x in range(n)]
+    thetas = [p[j][1] for j in range(d + 1)]
+    assert sympy_product_of_roots(thetas, e.multiplicities, modulus) == sympy_charpoly(adjacency)
+    # q_ij^h = (m_i m_j / n) sum_u P_iu P_ju P_hu / k_u^2
+    m, k = e.multiplicities, e.valencies
+    for i in range(d + 1):
+        for j in range(d + 1):
+            for h in range(d + 1):
+                formula = sympy.Rational(m[i] * m[j], n) * sum(
+                    p[i][u] * p[j][u] * p[h][u] / k[u] ** 2 for u in range(d + 1)
+                )
+                assert sympy.rem(sympy.expand(formula - lift(table.q[i][j][h])), modulus, Y) == 0

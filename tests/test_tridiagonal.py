@@ -1,12 +1,14 @@
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpolykit import algebraics
-from qpolykit.algebraics import AlgebraicReal, compare, compare_rational, isolate_real_roots
+from qpolykit import algebraics, tridiagonal
+from qpolykit.algebraics import ProductValue, compare, compare_rational, isolate_real_roots
 from qpolykit.checks import check_system
 from qpolykit.polynomials import RationalPoly
 from qpolykit.tridiagonal import (
@@ -93,7 +95,7 @@ def test_spectrum_examples():
     s5 = isolate_real_roots(RationalPoly((-5, 0, 1)))[-1]
     assert compare(rep.eigenvalues[1], s5) == 0
     assert rep.eigenvalues[2].as_rational() == F(-1)
-    assert compare(rep.eigenvalues[3], -s5) == 0
+    assert compare(rep.eigenvalues[3], s5.mul_rational(-1)) == 0
 
 
 def test_full_charpoly_factorization():
@@ -125,13 +127,20 @@ def test_interlacing_examples():
 def test_lemma_examples():
     r = endpoint_product_bound(F(0), F(0), F(1), F(1), F(1, 2))
     assert r.holds and r.equality
-    assert r.f_t.as_rational() == F(-1, 4)
+    assert r.f_t.as_fraction() == F(-1, 4)
     r = endpoint_product_bound(F(-2), F(-1), F(1), F(2), F(0))
     assert r.holds and not r.equality
-    assert r.f_t.as_rational() == F(-4) and r.g_t.as_rational() == F(-1)
+    assert r.f_t.as_fraction() == F(-4) and r.g_t.as_fraction() == F(-1)
     r = endpoint_product_bound(F(-2), F(-1), F(1), F(2), F(-1))
     assert r.holds and not r.equality
-    assert r.f_t.as_rational() == F(-3) and r.g_t.as_rational() == F(0)
+    assert r.f_t.as_fraction() == F(-3) and r.g_t.as_fraction() == F(0)
+    # irrational endpoints: a = -sqrt3, b = -sqrt2, c = sqrt2, d = 2, t = 1
+    s2, s3 = (isolate_real_roots(RationalPoly((-n, 0, 1)))[-1] for n in (2, 3))
+    r = endpoint_product_bound(s3.mul_rational(-1), s2.mul_rational(-1), s2, F(2), F(1))
+    assert r.holds and not r.equality
+    # f_t = (1 + sqrt3)(1 - 2) = -1 - sqrt3, g_t = (1 + sqrt2)(1 - sqrt2) = -1
+    assert compare(r.f_t.to_algebraic(), s3.add_rational(1).mul_rational(-1)) == 0
+    assert r.g_t.as_fraction() == F(-1)
 
 
 def test_lemma_preconditions():
@@ -200,12 +209,9 @@ def test_json_roundtrip():
         "beta": ["3", "2", "2"],
         "gamma": ["1", "1", "3"],
     }
-    back = TridiagonalSystem.from_json_dict(js)
+    fractions = {key: [F(v) for v in vals] for key, vals in js.items() if key != "kappa"}
+    back = TridiagonalSystem.from_entries(fractions["alpha"], fractions["beta"], fractions["gamma"], F(js["kappa"]))
     assert back == HEAWOOD
-    with pytest.raises(ValueError):
-        TridiagonalSystem.from_json_dict({"kappa": "3", "alpha": ["0"], "beta": [], "gamma": ["1"]})
-    with pytest.raises(ValueError):
-        TridiagonalSystem.from_json_dict({"kappa": "x", "alpha": ["0", "0"], "beta": ["1"], "gamma": ["1"]})
 
 
 def test_equality_cases_randomized_small():
@@ -255,21 +261,45 @@ def test_exact_fallback_detects_product_equality(monkeypatch):
     monkeypatch.setattr(algebraics, "REFINE_BUDGET", 4)
     poly = RationalPoly((-2, 0, 1)) * RationalPoly((-8, 0, 1))
     roots = isolate_real_roots(poly)  # -2sqrt2, -sqrt2, sqrt2, 2sqrt2
-    assert compare_shifted_product(poly, roots, [2, 3], 0, F(4)) == 0
-    assert compare_shifted_product(poly, roots, [2, 3], 0, F(5)) == -1
-    assert compare_shifted_product(poly, roots, [0, 1], 0, F(3)) == 1
+    top, bottom = (shifted_subset_product(poly, roots, subset, 0) for subset in ([2, 3], [0, 1]))
+    assert isinstance(top, ProductValue) and len(top.factors) == 2
+    assert compare_shifted_product(top, F(4), poly, 0) == 0
+    assert compare_shifted_product(top, F(5), poly, 0) == -1
+    # a rhs too close for the enclosure: the one resolvent root it meets decides
+    assert compare_shifted_product(top, 4 + F(1, 10**20), poly, 0) == -1
+    assert compare_shifted_product(bottom, F(3), poly, 0) == 1
+
+
+def test_rootless_resolvent_at_a_tie_is_an_alarm_not_a_hang(monkeypatch):
+    # the exact phase is capped by the Mahler root separation of the resolvent
+    monkeypatch.setattr(algebraics, "REFINE_BUDGET", 0)
+    monkeypatch.setattr(tridiagonal, "_subset_product_resolvent", lambda *a: RationalPoly((-(10**6), 0, 1)))
+    poly = RationalPoly((-2, 0, 1)) * RationalPoly((-8, 0, 1))
+    value = shifted_subset_product(poly, isolate_real_roots(poly), [2, 3], 0)  # sqrt2 * 2sqrt2 = 4
+    start = time.perf_counter()
+    with pytest.raises(AssertionError, match="not a root of its subset-product resolvent"):
+        compare_shifted_product(value, F(4), poly, 0)
+    assert time.perf_counter() - start < 10
 
 
 def test_direct_resultant_product_matches_subset_comparison():
-    # materialize (theta_1 + 1)(theta_D + 1) through resultant arithmetic and
-    # check its sign against the cheap comparison route
+    # (theta_1 + 1)(theta_D + 1) enclosed from sympy's own isolation of F_D;
+    # D = 6 has no pair-bound equality, so the enclosure excludes the rhs
+    x = sympy.Symbol("x")
     rng = random.Random(31)
     for _ in range(3):
         system = random_system(rng, 6)
         rep = spectrum(system)
-        desc = rep.root_table[-1]
-        direct = desc[0].add_rational(1) * desc[-1].add_rational(1)
+        fd = rep.f_polys[-1]
         rhs = -system.beta[1]
-        asc = list(reversed(desc))
-        cmp_cheap = compare_shifted_product(rep.f_polys[-1], asc, [len(asc) - 1, 0], 1, rhs)
-        assert compare_rational(direct, rhs) == cmp_cheap
+        sym_fd = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(fd.coeffs)], x)
+        isolating = [iv for iv, _ in sym_fd.intervals(eps=sympy.Rational(1, 10**12))]  # ascending
+        (lo_d, hi_d), (lo_1, hi_1) = isolating[0], isolating[-1]
+        corners = [(a + 1) * (b + 1) for a in (lo_1, hi_1) for b in (lo_d, hi_d)]
+        lo, hi = min(corners), max(corners)
+        sym_rhs = sympy.Rational(rhs.numerator, rhs.denominator)
+        assert sym_rhs < lo or hi < sym_rhs
+        asc = list(reversed(rep.root_table[-1]))
+        value = shifted_subset_product(fd, asc, [len(asc) - 1, 0], 1)
+        assert isinstance(value, ProductValue)
+        assert compare_shifted_product(value, rhs, fd, 1) == (1 if sym_rhs < lo else -1)
