@@ -175,7 +175,7 @@ def _graph_checks(report: dict, lines: list[str], alarms: list[str], g: Graph, t
                 alarms.append("fundamental bound violated")
 
     if theorem in ("kpy", "all") and classification.regular and not g.is_complete() and not g.is_empty_graph():
-        inter = graphmod.interlace_check(g, 0, spec)
+        inter = graphmod.interlace_check(g, 0, spec, classification)
         report["interlacing"] = {
             "passed": inter.passed,
             "top_equality": inter.theta1_eq_tau1,
@@ -245,6 +245,13 @@ def _scheme_checks(report: dict, lines: list[str], alarms: list[str], source, th
                 lines.append(f"  finding: {problem} on a Krein array, which need not belong to a scheme")
             else:
                 alarms.append(f"ordering {idx}: {problem}")
+
+        if qs.provenance == "krein_array" and qs.d == 3:
+            rejected = schememod.class3_feasibility(qs)
+            if rejected is not None:
+                stage, reason = rejected
+                entry["feasibility"] = {"rejected_at": stage, "reason": reason}
+                fail(reason)
 
         spectral_ok = schememod.b1star_spectral_identity(qs)
         entry["b1star_spectral_identity"] = spectral_ok

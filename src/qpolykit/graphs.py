@@ -8,12 +8,15 @@ below is a sign decision, never a tolerance.  Graphs have at most
 MAX_VERTICES vertices; larger input is rejected before anything is
 allocated.
 
-The per-vertex machinery builds the distance partition around a vertex,
-averages the adjacency counts into a rational quotient matrix, and feeds
-regular graphs into the tridiagonal checks: the vertex pair bound
-(theta_1+1)(theta_D+1) <= -beta_1(x) whose all-vertex equality case is
-exactly strong regularity, the diameter->=3 triple bound on intersection
-arrays, and the fundamental bound with its tightness test.
+The per-vertex machinery is one BFS per vertex: quotient_matrix averages
+the adjacency counts over the distance partition around a vertex into a
+rational tridiagonal quotient and records whether the partition is
+equitable.  classify_regularity builds that quotient once per vertex and
+keeps the tuple on its report; the diameter, the regularity classes, the
+vertex pair bound (theta_1+1)(theta_D+1) <= -beta_1(x) whose all-vertex
+equality case is exactly strong regularity, quotient interlacing, the
+intersection array, and through it the diameter->=3 triple bound and the
+fundamental bound with its tightness test all read that tuple.
 """
 
 from __future__ import annotations
@@ -132,7 +135,7 @@ class Graph:
     def is_connected(self) -> bool:
         return all(d >= 0 for d in self.bfs_distances(0))
 
-    def is_bipartite(self) -> tuple[bool, tuple[int, ...]]:
+    def is_bipartite(self) -> bool:
         color = [-1] * self.n
         for s in range(self.n):
             if color[s] >= 0:
@@ -146,40 +149,8 @@ class Graph:
                         color[w] = 1 - color[u]
                         stack.append(w)
                     elif color[w] == color[u]:
-                        return False, tuple()
-        return True, tuple(color)
-
-    def girth(self) -> int | None:
-        """Length of a shortest cycle, None for forests."""
-        best: int | None = None
-        for s in range(self.n):
-            dist = [-1] * self.n
-            parent = [-1] * self.n
-            dist[s] = 0
-            queue = [s]
-            qi = 0
-            while qi < len(queue):
-                u = queue[qi]
-                qi += 1
-                for w in self.adj[u]:
-                    if dist[w] < 0:
-                        dist[w] = dist[u] + 1
-                        parent[w] = u
-                        queue.append(w)
-                    elif w != parent[u]:
-                        cycle = dist[u] + dist[w] + 1
-                        if best is None or cycle < best:
-                            best = cycle
-        return best
-
-    def diameter(self) -> int:
-        best = 0
-        for x in range(self.n):
-            dist = self.bfs_distances(x)
-            if min(dist) < 0:
-                raise GraphError("diameter of a disconnected graph")
-            best = max(best, max(dist))
-        return best
+                        return False
+        return True
 
     # -- serialization ----------------------------------------------------------
 
@@ -293,94 +264,58 @@ def emit_graph6(g: Graph) -> str:
 
 
 @dataclass(frozen=True)
-class DistancePartition:
-    base: int
-    cells: tuple[tuple[int, ...], ...]
-    eccentricity: int
-
-
-def bfs_partition(g: Graph, x: int) -> DistancePartition:
-    dist = g.bfs_distances(x)
-    if min(dist) < 0:
-        raise GraphError("distance partition of a disconnected graph")
-    ecc = max(dist)
-    cells = [[] for _ in range(ecc + 1)]
-    for v, d in enumerate(dist):
-        cells[d].append(v)
-    return DistancePartition(x, tuple(tuple(sorted(c)) for c in cells), ecc)
-
-
-@dataclass(frozen=True)
 class QuotientMatrix:
+    """The distance partition around base as cell-averaged adjacency counts.
+
+    Over the vertices at distance i from base, alpha[i], beta[i] and
+    gamma[i-1] are the average numbers of neighbours at distances i, i+1
+    and i-1, exact rationals.  The partition is equitable when every vertex
+    realizes its cell's averages exactly: the graph is then distance-regular
+    around base.
+    """
+
     base: int
-    entries: tuple[tuple[Fraction, ...], ...]
-    alpha: tuple[Fraction, ...]
+    alpha: tuple[Fraction, ...]  # alpha_0..alpha_{D_x}
     beta: tuple[Fraction, ...]  # beta_0..beta_{D_x - 1}
     gamma: tuple[Fraction, ...]  # gamma_1..gamma_{D_x}
     equitable: bool
+
+    @property
+    def eccentricity(self) -> int:
+        return len(self.alpha) - 1
 
     def to_tridiagonal(self, kappa: Fraction) -> TridiagonalSystem:
         return TridiagonalSystem.from_entries(self.alpha, self.beta, self.gamma, kappa)
 
 
-def quotient_matrix(g: Graph, part: DistancePartition) -> QuotientMatrix:
-    """Cell-averaged adjacency counts over the distance partition.
-
-    Entry (i, j) is the average number of neighbours in cell j over the
-    vertices of cell i, an exact rational; the partition is equitable when
-    every vertex of each cell realizes the average exactly.
-    """
-    cells = part.cells
-    k = len(cells)
-    cell_of = {}
-    for i, cell in enumerate(cells):
-        for v in cell:
-            cell_of[v] = i
-    entries = []
+def quotient_matrix(g: Graph, x: int) -> QuotientMatrix:
+    """The quotient around x, from one BFS; GraphError when g is disconnected."""
+    dist = g.bfs_distances(x)
+    if min(dist) < 0:
+        raise GraphError("distance partition of a disconnected graph")
+    ecc = max(dist)
+    sizes = [0] * (ecc + 1)
+    totals = [[0, 0, 0] for _ in range(ecc + 1)]  # neighbours one closer, as close, one further
+    first: list[list[int] | None] = [None] * (ecc + 1)
     equitable = True
-    for i, cell in enumerate(cells):
-        counts = []
-        for v in cell:
-            row = [0] * k
-            for w in g.adj[v]:
-                row[cell_of[w]] += 1
-            counts.append(row)
-        avg = []
-        for j in range(k):
-            col = [c[j] for c in counts]
-            if any(c != col[0] for c in col):
-                equitable = False
-            avg.append(Fraction(sum(col), len(cell)))
-        entries.append(tuple(avg))
-    alpha = tuple(entries[i][i] for i in range(k))
-    beta = tuple(entries[i][i + 1] for i in range(k - 1))
-    gamma = tuple(entries[i][i - 1] for i in range(1, k))
-    qm = QuotientMatrix(part.base, tuple(entries), alpha, beta, gamma, equitable)
-    if g.is_regular() and k >= 3:
-        # a regular graph's distance quotient always meets the row-sum condition
-        rep = tridiagonal.validate(qm.to_tridiagonal(Fraction(g.degree(0))))
-        if not rep.ok:
-            raise AssertionError(
-                "regular-graph quotient violates the row-sum condition: " + "; ".join(rep.violations)
-            )
-    return qm
-
-
-def quotient_system(g: Graph, x: int) -> TridiagonalSystem:
-    """The quotient matrix around x as a row-sum tridiagonal system (g regular)."""
-    if not g.is_regular():
-        raise GraphError("quotient system requires a regular graph")
-    part = bfs_partition(g, x)
-    qm = quotient_matrix(g, part)
-    k = Fraction(g.degree(0))
-    system = qm.to_tridiagonal(k)
-    rep = tridiagonal.validate(system)
-    if not rep.ok:
-        raise AssertionError(
-            "quotient of a regular graph must satisfy the row-sum condition: "
-            + "; ".join(rep.violations)
-        )
-    return system
+    for y, i in enumerate(dist):
+        counts = [0, 0, 0]
+        for w in g.adj[y]:
+            counts[dist[w] - i + 1] += 1
+        sizes[i] += 1
+        totals[i] = [t + c for t, c in zip(totals[i], counts)]
+        if first[i] is None:
+            first[i] = counts
+        elif first[i] != counts:
+            equitable = False
+    avg = [[Fraction(t, size) for t in row] for row, size in zip(totals, sizes)]
+    return QuotientMatrix(
+        x,
+        tuple(row[1] for row in avg),
+        tuple(row[2] for row in avg[:-1]),
+        tuple(row[0] for row in avg[1:]),
+        equitable,
+    )
 
 
 # -- exact adjacency spectra --------------------------------------------------------------
@@ -426,16 +361,20 @@ class InterlaceReport:
     thetamin_eq_taumin: bool
 
 
-def interlace_check(g: Graph, x: int, spec: GraphSpectrum | None = None) -> InterlaceReport:
-    """theta_1 >= tau_1 and tau_last >= theta_min, exactly."""
-    if not g.is_connected():
-        raise GraphError("interlacing check requires a connected graph")
-    if not g.is_regular():
+def interlace_check(
+    g: Graph, x: int, spec: GraphSpectrum | None = None, classification: RegularityReport | None = None
+) -> InterlaceReport:
+    """theta_1 >= tau_1 and tau_last >= theta_min, exactly, tau the spectrum of the quotient around x."""
+    classification = classification or classify_regularity(g)
+    if not classification.regular:
         raise GraphError("interlacing check requires a regular graph")
     spec = spec or spectrum_graph(g)
-    system = quotient_system(g, x)
-    rep = tridiagonal.spectrum(system)
-    tau = rep.eigenvalues
+    system = classification.quotients[x].to_tridiagonal(Fraction(classification.degree))
+    valid = tridiagonal.validate(system)
+    if not valid.ok:
+        # a regular graph's distance quotient always meets the row-sum condition
+        raise AssertionError("regular-graph quotient violates the row-sum condition: " + "; ".join(valid.violations))
+    tau = tridiagonal.spectrum(system).eigenvalues
     theta1, thetamin = spec.distinct[1], spec.distinct[-1]
     c_top = compare(theta1, tau[1])
     c_bot = compare(tau[-1], thetamin)
@@ -456,6 +395,7 @@ class RegularityReport:
     distance_regular: bool
     distance_biregular: bool
     strongly_regular: bool
+    quotients: tuple[QuotientMatrix, ...]  # quotients[x]: the quotient around vertex x
 
     def to_json_dict(self) -> dict:
         return {
@@ -470,45 +410,33 @@ class RegularityReport:
         }
 
 
-def _local_parameters(g: Graph, x: int) -> list[tuple[int, int, int]] | None:
-    """(gamma_i, alpha_i, beta_i) around x when constant per distance, else None."""
-    dist = g.bfs_distances(x)
-    ecc = max(dist)
-    params: list[tuple[int, int, int] | None] = [None] * (ecc + 1)
-    for y in range(g.n):
-        i = dist[y]
-        down = sum(1 for w in g.adj[y] if dist[w] == i - 1)
-        same = sum(1 for w in g.adj[y] if dist[w] == i)
-        up = sum(1 for w in g.adj[y] if dist[w] == i + 1)
-        trio = (down, same, up)
-        if params[i] is None:
-            params[i] = trio
-        elif params[i] != trio:
-            return None
-    return [p for p in params if p is not None]
-
-
 def classify_regularity(g: Graph) -> RegularityReport:
+    """The regularity classes, read off the quotient around every vertex (one BFS each)."""
     if not g.is_connected():
         raise GraphError("classification requires a connected graph")
     regular = g.is_regular()
-    degree = g.degree(0) if regular else None
-    diameter = g.diameter()
-    bip, _ = g.is_bipartite()
-    around = []
-    local: list[list[tuple[int, int, int]] | None] = []
-    for x in range(g.n):
-        p = _local_parameters(g, x)
-        local.append(p)
-        around.append(p is not None)
+    quotients = tuple(quotient_matrix(g, x) for x in range(g.n))
+    around = tuple(q.equitable for q in quotients)
     regularised = all(around)
-    dr = regularised and all(local[x] == local[0] for x in range(g.n))
+    params = {(q.alpha, q.beta, q.gamma) for q in quotients}
+    dr = regularised and len(params) == 1
     biregular = regularised and not dr
+    bip = g.is_bipartite()
     if biregular and not bip:
         raise AssertionError("distance-regularised but neither distance-regular nor bipartite")
+    diameter = max(q.eccentricity for q in quotients)
     sr = dr and diameter == 2
     return RegularityReport(
-        regular, degree, diameter, bip, tuple(around), regularised, dr, biregular, sr
+        regular,
+        g.degree(0) if regular else None,
+        diameter,
+        bip,
+        around,
+        regularised,
+        dr,
+        biregular,
+        sr,
+        quotients,
     )
 
 
@@ -556,11 +484,10 @@ def pair_bound_all_vertices(
     Equality at every vertex is equivalent to strong regularity; the report
     cross-checks that equivalence against the combinatorial classification
     and flags a mismatch (cross_check_ok False), which callers treat as a
-    soundness alarm.
+    soundness alarm.  beta_1(x) is read from the classification's quotients.
     """
-    if not g.is_connected():
-        raise GraphError("pair bound requires a connected graph")
-    if not g.is_regular():
+    classification = classification or classify_regularity(g)
+    if not classification.regular:
         raise GraphError("pair bound requires a regular graph")
     if g.is_complete():
         raise GraphError("pair bound is not defined for complete graphs")
@@ -573,15 +500,12 @@ def pair_bound_all_vertices(
     subset = [n_roots - 2, 0]  # theta_1 and theta_min (theta_0 = k is index n-1)
     lhs = shifted_subset_product(sf, roots_asc, subset, 1)
     per_vertex = []
-    for x in range(g.n):
-        part = bfs_partition(g, x)
-        qm = quotient_matrix(g, part)
+    for qm in classification.quotients:
         rhs = -qm.beta[1]
         cmp = compare_shifted_product(lhs, rhs, sf, 1)
-        per_vertex.append(VertexBound(x, rhs, cmp <= 0, cmp == 0))
+        per_vertex.append(VertexBound(qm.base, rhs, cmp <= 0, cmp == 0))
     all_hold = all(v.holds for v in per_vertex)
     eq_all = all(v.equality for v in per_vertex)
-    classification = classification or classify_regularity(g)
     cross = eq_all == classification.strongly_regular
     return PairBoundReport(lhs, tuple(per_vertex), all_hold, eq_all, eq_all, cross)
 
@@ -626,11 +550,9 @@ def intersection_array(g: Graph, classification: RegularityReport | None = None)
     classification = classification or classify_regularity(g)
     if not classification.distance_regular:
         raise GraphError("intersection array requires a distance-regular graph")
-    params = _local_parameters(g, 0)
-    assert params is not None
-    b = tuple(p[2] for p in params[:-1])
-    c = tuple(p[0] for p in params[1:])
-    arr = IntersectionArray(b, c)
+    # distance-regular: every quotient is equitable, with integer entries, and they all agree
+    qm = classification.quotients[0]
+    arr = IntersectionArray(tuple(int(v) for v in qm.beta), tuple(int(v) for v in qm.gamma))
     # cell sizes k_{i+1} = k_i b_i / c_{i+1} must come out integral
     k_i = 1
     for i in range(arr.diameter):

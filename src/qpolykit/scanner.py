@@ -4,8 +4,8 @@ Candidates (m, b1*, b2*, c2*), with c3* = m unless the free-c3 mode opens
 it up, run through an ordered filter pipeline:
 
   structure:       the transpose system satisfies the row-sum condition;
-  multiplicity:    the implied m_3 = b1* b2* / c2* is positive (and an
-                   integer in genuine-scheme mode);
+  multiplicity:    the implied m_3 = m b1* b2* / (c2* c3*) is positive (and
+                   an integer in genuine-scheme mode);
   krein_condition: with a_3* = 0, the implied q_23^3 and q_33^3 are
                    nonnegative;
   pair_bound:      (t1*+1)(t3*+1) <= -b1*;
@@ -13,7 +13,9 @@ it up, run through an ordered filter pipeline:
   dual_bound:      the dual fundamental bound.
 
 The filters are monotone: a candidate rejected at one stage never reaches a
-later one.  The first three are rational, and the structure computes its
+later one.  The first three are rational (multiplicity and krein_condition
+are schemes.class3_feasibility, which check-scheme also applies to class-3
+Krein arrays), and the structure computes its
 spectrum on first use, so a candidate they reject computes none and each
 candidate that reaches the bounds computes exactly one.  Survivors
 attaining the dual bound with equality (and not Q-bipartite) are flagged
@@ -31,6 +33,7 @@ from fractions import Fraction
 from .schemes import (
     SchemeError,
     class3_dualtight_audit,
+    class3_feasibility,
     dual_bounds,
     dual_fundamental_bound,
     structure_from_dual_parameters,
@@ -133,19 +136,9 @@ def check_candidate(cand: KreinArrayCandidate, genuine: bool = True) -> Candidat
         qs = structure_from_dual_parameters(cand.m, b, c)
     except SchemeError as exc:
         return _rejected(cand, "structure", str(exc))
-    m3 = cand.b1 * cand.b2 / cand.c2
-    if m3 <= 0:
-        return _rejected(cand, "multiplicity", "m_3 must be positive")
-    if genuine and m3.denominator != 1:
-        return _rejected(cand, "multiplicity", "m_3 must be an integer for a genuine scheme")
-    if cand.c3 == cand.m:
-        # with a_3* = 0 the parameters force q_23^3 = m(b_2*-1)/c_2* and
-        # q_33^3 = m_3 - 1 - q_23^3; a genuine scheme needs both nonnegative
-        q233 = cand.m * (cand.b2 - 1) / cand.c2
-        if q233 < 0:
-            return _rejected(cand, "krein_condition", "implied q_23^3 is negative")
-        if m3 - 1 - q233 < 0:
-            return _rejected(cand, "krein_condition", "implied q_33^3 is negative")
+    rejected = class3_feasibility(qs, genuine)
+    if rejected is not None:
+        return _rejected(cand, *rejected)
     bounds = dual_bounds(qs)
     if not bounds.part1.holds:
         return _rejected(cand, "pair_bound", "pair bound fails")

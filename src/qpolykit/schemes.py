@@ -18,11 +18,16 @@ of E_i o E_j in the idempotent basis on schemes that carry a point set.
 
 An ordering of the idempotents is polynomial when the matrix (q_{1,j}^h)
 is irreducible tridiagonal; its transpose is then a row-sum tridiagonal
-system with kappa = m.  Each QPolyStructure validates that system once and
-computes its spectrum once, on first use; the spectral identity against
-the Q column, the pair/triple bounds, the dual fundamental bound with its
-tightness test, and the class-3 dual-tight audit that pins down b2* = 1,
-b1* = c2* and the antipodal conclusion all read those two objects.
+system with kappa = m.  Each QPolyStructure validates that system once.
+The spectral identity certifies the E_1 column of Q as the system's
+spectrum, by exact evaluation of F_D in the ordering's number field; a
+system with field entries takes that certified spectrum as its own, and a
+rational system isolates the roots of F_D once, on first use.  The
+pair/triple bounds, the dual fundamental bound with its tightness test,
+and the class-3 dual-tight audit that pins down b2* = 1, b1* = c2* and the
+antipodal conclusion all read that one spectrum.  Class-3 Krein arrays
+also pass through the rational feasibility filters (class3_feasibility)
+that the scanner applies.
 """
 
 from __future__ import annotations
@@ -33,11 +38,10 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import tridiagonal
-from .algebraics import compare, isolate_real_roots
+from .algebraics import compare, isolate_real_roots  # noqa: F401  (perfbench/test_bench.py reads schemes.compare)
 from .graphs import Graph, check_vertex_count, classify_regularity, intersection_array, is_vertex_pair
 from .linalg import charpoly, solve
 from .numberfield import (
-    FieldElement,
     RealAlgebraicField,
     eval_rational_poly,
     exact_sign,
@@ -374,11 +378,11 @@ def eigendata(s: AssociationScheme) -> EigenData:
         acc = field.constant(0)
         for u in range(d + 1):
             acc = acc + p_matrix[j][u] * p_matrix[j][u] * Fraction(1, k[u])
-        m_el = field.constant(n) * acc.inverse()
-        m_val = _as_positive_integer(m_el)
-        if m_val is None:
+        # the modulus is irreducible, so a rational value reduces to a constant
+        m_val = (field.constant(n) * acc.inverse()).as_fraction()
+        if m_val is None or m_val <= 0 or m_val.denominator != 1:
             raise SchemeError("multiplicity is not a positive integer; not a genuine scheme")
-        mults.append(m_val)
+        mults.append(int(m_val))
     if sum(mults) != n:
         raise AssertionError("multiplicities must sum to |X|")
 
@@ -388,14 +392,6 @@ def eigendata(s: AssociationScheme) -> EigenData:
     )
     _verify_pq_identity(field, p_matrix, q_matrix, n)
     return EigenData(s, field, p_matrix, q_matrix, tuple(mults), tuple(k))
-
-
-def _as_positive_integer(el: FieldElement) -> int | None:
-    approx = el.to_algebraic().approx_float()
-    cand = round(approx)
-    if cand <= 0:
-        return None
-    return cand if el.equals_rational(cand) else None
 
 
 def _verify_pq_identity(field, p_matrix, q_matrix, n) -> None:
@@ -522,7 +518,6 @@ class QPolyStructure:
     system: TridiagonalSystem | None
     q_column: tuple | None
     idempotent_order: tuple[int, ...] | None
-    relation_order: tuple[int, ...] | None
     descending_matches_input: bool | None
     provenance: str  # "scheme" or "krein_array"
     scheme: AssociationScheme | None = None
@@ -533,13 +528,23 @@ class QPolyStructure:
     def spectrum(self) -> tridiagonal.SpectrumReport:
         """The system's exact spectrum, computed on first use.
 
-        Rational systems isolate the roots of F_D; a system with field
-        entries certifies the Q column as its spectrum.
+        Rational systems isolate the roots of F_D, which the bounds then
+        report as roots of F_D; a system with field entries takes the
+        certified Q column.
         """
         if self.system is None:
             raise SchemeError("the dual checks need class at least 2")
-        known = None if self.system.is_rational() else self.q_column[1:]
-        return tridiagonal.spectrum(self.system, known)
+        if self.system.is_rational():
+            return tridiagonal.spectrum(self.system)
+        return self.certified_q_column
+
+    @cached_property
+    def certified_q_column(self) -> tridiagonal.SpectrumReport:
+        """The Q column below m, certified as the system's spectrum (scheme orderings).
+
+        Raises AssertionError when some value is no root of F_D.
+        """
+        return tridiagonal.spectrum(self.system, self.q_column[1:])
 
     @property
     def dual_eigenvalues(self) -> tuple:
@@ -631,7 +636,6 @@ def _structure_from_ordering(s, e: EigenData, table: KreinTable, order: list[int
         system=_transpose_system(e.field, m, a_star, b_star, c_star) if d >= 2 else None,
         q_column=theta,
         idempotent_order=tuple(order),
-        relation_order=tuple(perm),
         descending_matches_input=(list(perm) == list(range(d + 1))),
         provenance="scheme",
         scheme=s,
@@ -741,7 +745,6 @@ def structure_from_dual_parameters(m: Fraction, b: Sequence[Fraction], c: Sequen
         system=system,
         q_column=None,
         idempotent_order=None,
-        relation_order=None,
         descending_matches_input=None,
         provenance="krein_array",
     )
@@ -753,20 +756,20 @@ def structure_from_dual_parameters(m: Fraction, b: Sequence[Fraction], c: Sequen
 def b1star_spectral_identity(qs: QPolyStructure) -> bool:
     """Eigenvalues of the transpose system equal the dual eigenvalues, as multisets.
 
-    For rational systems the isolated spectrum is compared exactly with the
-    Q column; for field-entry systems the certification of the Q column
-    inside spectrum() (F_D annihilates every value, all distinct) is the
-    identity.  A Krein array's dual eigenvalues are its spectrum.
+    One route for every scheme ordering, rational or not: F_D is evaluated
+    at each Q-column value in the ordering's number field and must vanish.
+    The column is strictly descending by construction, and D distinct roots
+    of the degree-D polynomial F_D are its whole spectrum.  On a Krein array
+    the dual eigenvalues are defined as the system's spectrum, so there the
+    identity is true by definition and reported as true.
     """
-    if not qs.system.is_rational():
-        try:
-            qs.spectrum
-        except AssertionError:
-            return False
+    if qs.q_column is None:
         return True
-    mine = qs.spectrum.eigenvalues
-    theirs = [scalar_to_algebraic(v) for v in qs.dual_eigenvalues]
-    return len(mine) == len(theirs) and all(compare(a, b) == 0 for a, b in zip(mine, theirs))
+    try:
+        qs.certified_q_column
+    except AssertionError:
+        return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -859,14 +862,34 @@ class AuditReport:
 
 def dual_multiplicities(qs: QPolyStructure) -> list:
     """m_j = (b_0*...b_{j-1}*) / (c_1*...c_j*), the dual side of the valency formula."""
-    out = [qs.m * 0 + 1]
-    num = qs.m * 0 + 1
-    den = qs.m * 0 + 1
-    for j in range(1, qs.d + 1):
-        num = num * qs.b_star[j - 1]
-        den = den * qs.c_star[j - 1]
-        out.append(num * scalar_inverse(den))
+    out = [Fraction(1)]
+    for b, c in zip(qs.b_star, qs.c_star):
+        out.append(out[-1] * b / c)
     return out
+
+
+def class3_feasibility(qs: QPolyStructure, genuine: bool = True) -> tuple[str, str] | None:
+    """The rational filters a class-3 Krein array must pass to belong to a scheme.
+
+    multiplicity: the implied m_3 = m b_1* b_2* / (c_2* c_3*) is positive,
+    and an integer when genuine.  krein_condition: with a_3* = 0 (c_3* = m)
+    the parameters force q_23^3 = m(b_2*-1)/c_2* and q_33^3 = m_3 - 1 -
+    q_23^3, and both must be nonnegative.  Returns (stage, reason) of the
+    first failure, None when every filter passes.  The scanner and the
+    Krein-array checks of check-scheme both call it.
+    """
+    m3 = dual_multiplicities(qs)[3]
+    if m3 <= 0:
+        return "multiplicity", "m_3 must be positive"
+    if genuine and m3.denominator != 1:
+        return "multiplicity", "m_3 must be an integer for a genuine scheme"
+    if qs.c_star[2] == qs.m:
+        q233 = qs.m * (qs.b_star[2] - 1) / qs.c_star[1]
+        if q233 < 0:
+            return "krein_condition", "implied q_23^3 is negative"
+        if m3 - 1 - q233 < 0:
+            return "krein_condition", "implied q_33^3 is negative"
+    return None
 
 
 def class3_dualtight_audit(qs: QPolyStructure, bound: DualFundamentalBound | None = None) -> AuditReport:

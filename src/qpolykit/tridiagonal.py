@@ -22,11 +22,14 @@ gamma_1).
 
 Entries are Fractions for ordinary systems; the same checks also accept
 number-field elements (FieldElement) so Krein matrices with algebraic
-entries reuse every code path.  Every product bound is one comparison of
-a shifted eigenvalue product with its right-hand side: on F_D for rational
-spectra, by field arithmetic for certified field spectra.  On F_D the
-product is built once (shifted_subset_product), and the comparisons and
-the report read that one value.
+entries reuse every code path.  spectrum has two routes, chosen by its
+input: it isolates the roots of F_D (rational systems) or certifies given
+strictly descending values as the roots of F_D by exact evaluation (any
+system).  Every product bound is one comparison of a shifted eigenvalue
+product with its right-hand side: on F_D for isolated spectra, by field
+arithmetic for certified ones.  On F_D the product is built once
+(shifted_subset_product), and the comparisons and the report read that
+one value.
 charpoly_by_cofactor is the one cofactor oracle: a self-contained
 expansion over any exact scalars that checks the recurrence here and the
 characteristic polynomial of the class-3 audit.
@@ -266,58 +269,44 @@ class SpectrumReport:
 
 
 def spectrum(system: TridiagonalSystem, known_roots: Sequence | None = None) -> SpectrumReport:
-    """Exact eigenvalues, plus the full F_i root table for rational systems.
+    """Exact eigenvalues, by one of two routes chosen by the input.
 
-    Systems with field-element entries require known_roots: candidate
-    eigenvalues that are certified by exact evaluation of F_D and pairwise
-    distinctness, which proves they are precisely the spectrum.
+    Without known_roots the roots of every F_i are isolated, which also
+    gives the full F_i root table; this route takes rational systems only.
+    With known_roots (theta_1 > ... > theta_D, on any system) the values are
+    certified: F_D vanishes at each, exactly, and with kappa they are
+    strictly descending.  D distinct roots of the degree-D polynomial F_D
+    are all of its roots, so they are precisely the spectrum.
     """
     require_valid(system)
     fs = f_polynomials(system)
     d = system.d
-    if system.is_rational():
+    if known_roots is None:
+        if not system.is_rational():
+            raise ValueError("systems with algebraic entries need candidate eigenvalues")
         table = []
         for i in range(1, d + 1):
             roots = isolate_real_roots(fs[i])
             if len(roots) != i:
                 raise AssertionError(f"F_{i} must have {i} distinct real roots, found {len(roots)}")
             table.append(tuple(reversed(roots)))
-        top = AlgebraicReal.from_rational(scalar_as_fraction(system.kappa))
-        eigen = (top,) + table[-1]
-        if compare(eigen[0], eigen[1]) <= 0:
+        kappa = scalar_as_fraction(system.kappa)
+        if compare_rational(table[-1][0], kappa) >= 0:
             raise AssertionError("kappa must be the strictly largest eigenvalue")
+        eigen = (AlgebraicReal.from_rational(kappa),) + table[-1]
         return SpectrumReport(system, eigen, tuple(fs), tuple(table))
 
-    if known_roots is None:
-        raise ValueError("systems with algebraic entries need candidate eigenvalues")
-    cands = list(known_roots)
-    if len(cands) != d:
-        raise ValueError(f"expected {d} candidate eigenvalues, got {len(cands)}")
-    fd = fs[d]
-    for cand in cands:
+    eigen = (system.kappa,) + tuple(known_roots)
+    if len(eigen) != d + 1:
+        raise ValueError(f"expected {d} candidate eigenvalues, got {len(eigen) - 1}")
+    fd = fs[d].coeffs if isinstance(fs[d], RationalPoly) else fs[d]
+    for cand in eigen[1:]:
         if not is_exact_zero(kp_eval(fd, cand)):
             raise AssertionError("candidate eigenvalue does not annihilate F_D")
-    ordered = _sort_descending_exact(cands)
-    eigen = (system.kappa,) + tuple(ordered)
-    if exact_sign(system.kappa - ordered[0]) <= 0:
-        raise AssertionError("kappa must be the strictly largest eigenvalue")
+    for above, below in zip(eigen, eigen[1:]):
+        if exact_sign(above - below) <= 0:
+            raise AssertionError("kappa and the candidate eigenvalues must be strictly descending")
     return SpectrumReport(system, eigen, tuple(fs), ())
-
-
-def _sort_descending_exact(vals: list) -> list:
-    out: list = []
-    for v in vals:
-        pos = 0
-        for pos, w in enumerate(out + [None]):
-            if w is None:
-                break
-            s = exact_sign(v - w)
-            if s == 0:
-                raise AssertionError("candidate eigenvalues are not distinct")
-            if s > 0:
-                break
-        out.insert(pos, v)
-    return out
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ import pytest
 
 from qpolykit import algebraics, checks, graphs, numberfield, scanner, schemes, tridiagonal
 from qpolykit.cli import main
-from qpolykit.families import heawood, line_graph, petersen
+from qpolykit.families import heawood, line_graph, parse_family_spec, petersen
 from qpolykit.polynomials import RationalPoly
 from qpolykit.schemes import AuditRecord
 
@@ -282,10 +282,40 @@ def test_check_graph_builds_each_shifted_product_once(monkeypatch, capsys):
 
 @pytest.mark.parametrize("graph, spectra", [("cycle:n=7", 3), ("heawood", 2)])
 def test_check_scheme_computes_one_dual_spectrum_per_ordering(monkeypatch, capsys, graph, spectra):
-    count = _count_calls(monkeypatch, tridiagonal, "spectrum")
+    # every ordering certifies its Q column once (the spectral identity); a
+    # rational system also isolates F_D once for the bounds, a field system
+    # takes the certified column as its spectrum
+    orderings = schemes.find_q_orderings(schemes.scheme_from_graph(parse_family_spec(graph)))
+    rational = sum(qs.system.is_rational() for qs in orderings)  # cycle:n=7 all, heawood none
+    real = tridiagonal.spectrum
+    routes = {"isolated": 0, "certified": 0}
+
+    def counted(system, known_roots=None):
+        routes["isolated" if known_roots is None else "certified"] += 1
+        return real(system, known_roots)
+
+    monkeypatch.setattr(tridiagonal, "spectrum", counted)
     assert main(["check-scheme", "--from-graph", graph, "--output", "json"]) == 0
     assert len(json.loads(capsys.readouterr().out)["orderings"]) == spectra
-    assert count == [spectra]
+    assert routes == {"isolated": rational, "certified": spectra}
+
+
+def test_check_graph_runs_one_bfs_per_vertex(monkeypatch, capsys):
+    # classify_regularity's quotients serve the diameter, the regularity
+    # classes, the pair bound, interlacing and the intersection array
+    real = graphs.Graph.bfs_distances
+    count = [0]
+
+    def counted(self, x):
+        count[0] += 1
+        return real(self, x)
+
+    monkeypatch.setattr(graphs.Graph, "bfs_distances", counted)
+    assert main(["check-graph", "--family", "hamming:d=6,q=2", "--output", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["classification"]["distance_regular"] and "interlacing" in report
+    assert len(report["pair_bound"]["per_vertex"]) == 64
+    assert count[0] <= 64 + 3
 
 
 def test_scan_computes_one_spectrum_per_survivor(monkeypatch):
@@ -351,3 +381,41 @@ def test_verify_corpus_clean_and_alarm(monkeypatch, capsys):
     flip(monkeypatch, schemes, "dual_bounds", lambda r: replace(r, part1=replace(r.part1, holds=False)))
     assert script.main([]) == 2
     assert capsys.readouterr().out.splitlines()[-1] == "done, 13 graphs with alarms"
+
+
+@pytest.mark.parametrize("output", ["text", "json"])
+def test_krein_array_runs_the_scanner_filters(capsys, output):
+    # implied q_33^3 = m_3 - 1 - q_23^3 = 3 - 1 - 5/2 < 0: no scheme has this array
+    doc = {"type": "krein_array", "class": 3, "m": "5", "b_star": ["5", "2", "3/2"], "c_star": ["1", "1", "5"]}
+    cand = scanner.KreinArrayCandidate(F(5), F(2), F(3, 2), F(1), F(5))
+    assert scanner.check_candidate(cand).rejected_at == "krein_condition"
+    assert main(["check-scheme", "--krein", json.dumps(doc), "--output", output]) == 0
+    out = capsys.readouterr().out
+    if output == "json":
+        report = json.loads(out)
+        assert report["alarms"] == []
+        assert report["orderings"][0]["feasibility"] == {
+            "rejected_at": "krein_condition",
+            "reason": "implied q_33^3 is negative",
+        }
+    else:
+        finding = "  finding: implied q_33^3 is negative on a Krein array, which need not belong to a scheme"
+        assert finding in out.splitlines()
+
+
+def test_krein_array_and_scanner_share_the_feasibility_filters(monkeypatch, capsys):
+    calls = []
+    real = schemes.class3_feasibility
+
+    def counted(qs, genuine=True):
+        calls.append(qs.provenance)
+        return real(qs, genuine)
+
+    monkeypatch.setattr(schemes, "class3_feasibility", counted)
+    monkeypatch.setattr(scanner, "class3_feasibility", counted)
+    scanner.check_candidate(scanner.KreinArrayCandidate(F(6), F(3), F(1), F(3), F(6)))
+    doc = {"type": "krein_array", "class": 3, "m": "6", "b_star": ["6", "3", "1"], "c_star": ["1", "3", "6"]}
+    assert main(["check-scheme", "--krein", json.dumps(doc), "--output", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert "feasibility" not in report["orderings"][0]
+    assert calls == ["krein_array", "krein_array"]

@@ -23,7 +23,6 @@ from qpolykit.families import (
 from qpolykit.graphs import (
     Graph,
     GraphError,
-    bfs_partition,
     classify_regularity,
     emit_graph6,
     fundamental_bound,
@@ -124,25 +123,37 @@ def test_json_graph_errors():
 # -- partitions and quotients -------------------------------------------------------
 
 
+def _cell_sizes(qm) -> list:
+    # |cell i| beta_i and |cell i+1| gamma_{i+1} both count the edges between the two cells
+    sizes = [F(1)]
+    for b, c in zip(qm.beta, qm.gamma):
+        sizes.append(sizes[-1] * b / c)
+    return sizes
+
+
 def test_bfs_partition_cells():
-    assert [len(c) for c in bfs_partition(cycle(5), 0).cells] == [1, 2, 2]
-    assert [len(c) for c in bfs_partition(complete_bipartite(3, 3), 0).cells] == [1, 3, 2]
-    assert [len(c) for c in bfs_partition(petersen(), 0).cells] == [1, 3, 6]
+    assert _cell_sizes(quotient_matrix(cycle(5), 0)) == [1, 2, 2]
+    assert _cell_sizes(quotient_matrix(complete_bipartite(3, 3), 0)) == [1, 3, 2]
+    assert _cell_sizes(quotient_matrix(petersen(), 0)) == [1, 3, 6]
+    # an irregular, non-equitable partition: {0}, {1, 2}, {3}
+    assert _cell_sizes(quotient_matrix(Graph(4, [(0, 1), (0, 2), (1, 3)]), 0)) == [1, 2, 1]
 
 
 def test_bfs_partition_disconnected():
     g = Graph(4, [(0, 1), (2, 3)])
     with pytest.raises(GraphError):
-        bfs_partition(g, 0)
+        quotient_matrix(g, 0)
+    with pytest.raises(GraphError):
+        classify_regularity(g)
 
 
 def test_quotient_matrices():
-    qm = quotient_matrix(cycle(5), bfs_partition(cycle(5), 0))
-    assert qm.entries == ((F(0), F(2), F(0)), (F(1), F(0), F(1)), (F(0), F(1), F(1)))
-    assert qm.equitable
-    qm = quotient_matrix(petersen(), bfs_partition(petersen(), 0))
-    assert qm.entries == ((F(0), F(3), F(0)), (F(1), F(0), F(2)), (F(0), F(1), F(2)))
-    qm = quotient_matrix(heawood(), bfs_partition(heawood(), 0))
+    qm = quotient_matrix(cycle(5), 0)
+    assert (qm.alpha, qm.beta, qm.gamma) == ((F(0), F(0), F(1)), (F(2), F(1)), (F(1), F(1)))
+    assert qm.equitable and qm.base == 0 and qm.eccentricity == 2
+    qm = quotient_matrix(petersen(), 3)
+    assert (qm.alpha, qm.beta, qm.gamma) == ((F(0), F(0), F(2)), (F(3), F(2)), (F(1), F(1)))
+    qm = quotient_matrix(heawood(), 0)
     assert qm.beta == (F(3), F(2), F(2)) and qm.gamma == (F(1), F(1), F(3))
     assert all(a == 0 for a in qm.alpha)
 
@@ -150,9 +161,11 @@ def test_quotient_matrices():
 def test_quotient_rational_averages_nonequitable():
     # vertices 1 and 2 sit in the same cell around 0 but differ in degree
     g = Graph(4, [(0, 1), (0, 2), (1, 3)])
-    qm = quotient_matrix(g, bfs_partition(g, 0))
+    qm = quotient_matrix(g, 0)
     assert not qm.equitable
-    assert qm.entries[1][2] == F(1, 2)
+    assert qm.beta[1] == F(1, 2)
+    rep = classify_regularity(g)
+    assert rep.quotients[0] == qm and not rep.distance_regular_around[0]
 
 
 # -- spectra -----------------------------------------------------------------------
@@ -267,11 +280,15 @@ def test_intersection_arrays():
 def test_intersection_array_matches_quotients():
     for name in ("heawood", "icosahedron", "cube", "petersen"):
         g = corpus_graphs()[name if name != "cube" else "cube"]
-        arr = intersection_array(g)
+        rep = classify_regularity(g)
+        arr = intersection_array(g, rep)
+        assert rep.diameter == arr.diameter and len(rep.quotients) == g.n
         for x in range(g.n):
-            qm = quotient_matrix(g, bfs_partition(g, x))
+            qm = rep.quotients[x]
+            assert qm == quotient_matrix(g, x) and qm.equitable, (name, x)
             assert tuple(qm.beta) == tuple(F(b) for b in arr.b), (name, x)
             assert tuple(qm.gamma) == tuple(F(c) for c in arr.c), (name, x)
+            assert tuple(qm.alpha) == tuple(F(a) for a in arr.a), (name, x)
 
 
 def test_triple_bound_examples():
@@ -297,14 +314,15 @@ def test_fundamental_bound_examples():
 
 
 def test_quotient_condition_always_satisfied_for_regular():
-    from qpolykit.graphs import quotient_system
     from qpolykit.tridiagonal import validate
 
     rng = random.Random(3)
     for _ in range(6):
         g = random_regular_graph(rng, 10, 3)
+        rep = classify_regularity(g)
         for x in range(0, g.n, 3):
-            assert validate(quotient_system(g, x)).ok
+            assert rep.quotients[x] == quotient_matrix(g, x)
+            assert validate(rep.quotients[x].to_tridiagonal(F(3))).ok
 
 
 def test_random_regular_suite():
@@ -319,6 +337,7 @@ def test_random_regular_suite():
             continue
         rep = pair_bound_all_vertices(g, spec)
         assert rep.all_hold and rep.cross_check_ok
+        assert [v.rhs for v in rep.per_vertex] == [-quotient_matrix(g, x).beta[1] for x in range(g.n)]
         assert interlace_check(g, 0, spec).passed
 
 
@@ -343,10 +362,15 @@ def test_triple_bound_equality_iff_diameter3_on_corpus():
 
 
 def test_girth_and_diameter():
-    assert heawood().girth() == 6
-    assert petersen().girth() == 5
-    assert cycle(5).diameter() == 2
-    assert heawood().diameter() == 3
+    import networkx as nx
+
+    assert nx.girth(nx.Graph(heawood().edges())) == 6
+    assert nx.girth(nx.Graph(petersen().edges())) == 5
+    assert classify_regularity(cycle(5)).diameter == 2
+    assert classify_regularity(heawood()).diameter == 3
+    path = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    assert classify_regularity(path).diameter == 3
+    assert [q.eccentricity for q in classify_regularity(path).quotients] == [3, 2, 2, 3]
 
 
 # -- differential tests against networkx ---------------------------------------------------

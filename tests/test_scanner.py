@@ -84,6 +84,18 @@ def test_free_c3_dual_tight_with_nonzero_a3_is_flagged_not_asserted():
     assert not audit.q_antipodal
 
 
+def test_free_c3_multiplicity_filter_uses_c3():
+    # m_3 = m b1* b2* / (c2* c3*), which is b1* b2* / c2* only when c3* = m
+    res = scan(GridSpec(m_max=F(6), free_c3=True))
+    past_structure = [r for r in res.records if r.rejected_at != "structure"]
+    assert any(r.candidate.c3 != r.candidate.m for r in past_structure)
+    for rec in past_structure:
+        c = rec.candidate
+        m3 = c.m * c.b1 * c.b2 / (c.c2 * c.c3)
+        assert (rec.rejected_at == "multiplicity") == (m3.denominator != 1), c
+        assert (rec.reason == "m_3 must be an integer for a genuine scheme") == (m3.denominator != 1), c
+
+
 def test_scan_rational_step():
     res = scan(GridSpec(m_max=F(3), m_min=F(2), step=F(1, 2), genuine=False))
     ms = {r.candidate.m for r in res.records}

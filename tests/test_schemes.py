@@ -17,7 +17,7 @@ from qpolykit.families import (
     linked_design_krein_array,
     petersen,
 )
-from qpolykit.numberfield import is_exact_zero, scalar_to_algebraic
+from qpolykit.numberfield import FieldElement, is_exact_zero, scalar_to_algebraic
 from qpolykit.schemes import (
     AssociationScheme,
     SchemeError,
@@ -310,6 +310,28 @@ def test_spectral_identity_compares_the_q_column_with_the_krein_system(graph):
         moved = replace(qs, q_column=col[:-1] + (col[-1] - 1,))
         assert moved.system is qs.system
         assert not b1star_spectral_identity(moved)
+
+
+def test_spectral_identity_is_decided_in_the_field(monkeypatch):
+    # one route for rational and field orderings alike: F_D is evaluated at
+    # the Q column in its number field, with no comparison of isolated roots
+    import sys
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the identity must not leave the number field")
+
+    orderings = [
+        (name, qs) for name, g in corpus_graphs().items() for qs in find_q_orderings(scheme_from_graph(g))
+    ]
+    assert {qs.system.is_rational() for _, qs in orderings if qs.system} == {True, False}
+    modules = [m for name, m in sys.modules.items() if name.startswith("qpolykit.")]
+    for module in modules:
+        if getattr(module, "compare", None) is compare:
+            monkeypatch.setattr(module, "compare", forbidden)
+    monkeypatch.setattr(FieldElement, "to_algebraic", forbidden)
+    for name, qs in orderings:
+        if qs.system is not None:
+            assert b1star_spectral_identity(qs), name
 
 
 def test_dual_bound_equalities_track_class_on_corpus():

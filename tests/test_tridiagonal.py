@@ -98,6 +98,29 @@ def test_spectrum_examples():
     assert compare(rep.eigenvalues[3], s5.mul_rational(-1)) == 0
 
 
+def test_spectrum_certifies_known_roots():
+    # HEAWOOD's roots sqrt(2) > -sqrt(2) > -3 in Q(sqrt(2)) are certified on
+    # the rational system; tied, ascending or foreign values are not
+    from qpolykit.numberfield import RealAlgebraicField
+
+    field = RealAlgebraicField(RationalPoly((-2, 0, 1)), 1, 2)
+    r2, minus3 = field.generator(), field.constant(-3)
+    rep = spectrum(HEAWOOD, (r2, -r2, minus3))
+    assert rep.eigenvalues == (F(3), r2, -r2, minus3) and rep.root_table == ()
+    for bad in ((r2, r2, minus3), (minus3, -r2, r2), (-r2, r2, minus3)):
+        with pytest.raises(AssertionError, match="strictly descending"):
+            spectrum(HEAWOOD, bad)
+    with pytest.raises(AssertionError, match="annihilate"):
+        spectrum(HEAWOOD, (r2, -r2, field.constant(-2)))
+    with pytest.raises(ValueError):
+        spectrum(HEAWOOD, (r2, -r2))
+    # rational known roots: the 4-cycle {2, 1; 1, 2} has spectrum 2, 0, -2
+    c4 = TridiagonalSystem.from_intersection_numbers([2, 1], [1, 2])
+    assert spectrum(c4, (F(0), F(-2))).eigenvalues == (F(2), F(0), F(-2))
+    with pytest.raises(AssertionError, match="strictly descending"):
+        spectrum(c4, (F(-2), F(0)))
+
+
 def test_full_charpoly_factorization():
     # charpoly of the full (D+1)x(D+1) matrix equals (x - kappa) * F_D
     for system in (C5, HEAWOOD, CUBE):
