@@ -6,6 +6,22 @@ one real root of the polynomial.  A rational value is stored with lo == hi.
 For irrational values the construction arranges sign(p(lo)) != sign(p(hi)),
 so refinement is plain bisection with power-of-two denominators.
 
+Every bisection runs in one integer kernel, ``_Bisection``.  It scales the
+primitive integer polynomial c once to the common denominator D of the
+endpoints (q_i = c_i D^(n-i)) and holds the interval as [l, h] / (D 2^k)
+with integers l and h.  The sign of p at m / (D 2^k) is then the sign of one
+integer Horner pass, acc = acc m + (q_i << k(n-i)), and halving is l + h
+over D 2^(k+1): exactly the rational midpoint (lo + hi) / 2, so every
+interval is the one a Fraction bisection would reach.  Fractions are built
+only for the interval a caller gets back.  refine, refined_to,
+compare_rational, compare, inverse and the integer collapse of isolated
+roots all drive the kernel.
+
+Each value carries the sign of its polynomial at lo, outside equality and
+computed lazily when unknown, so a bisection step costs one sign
+evaluation.  Isolation takes it from the Sturm signs it has computed,
+bisection keeps it, and add_rational and mul_rational carry it over.
+
 The type is a root representation: it isolates, refines and compares, and
 its only arithmetic is with rationals (add_rational, mul_rational) and the
 inverse.  Arithmetic between two irrational values belongs to
@@ -20,13 +36,14 @@ squarefree but not necessarily minimal, which the representation allows.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, isqrt
+from math import ceil, isqrt, lcm
 from typing import Sequence
 
 from .linalg import charpoly, companion
 from .polynomials import (
     RationalPoly,
     _chain_signs_at,
+    _int_coeffs,
     cauchy_root_bound,
     count_real_roots,
     poly_gcd,
@@ -43,19 +60,24 @@ REFINE_BUDGET = 64
 
 
 class AlgebraicReal:
-    """A real root of a squarefree rational polynomial, pinned by an interval."""
+    """A real root of a squarefree rational polynomial, pinned by an interval.
 
-    __slots__ = ("poly", "lo", "hi")
+    ``_sign_lo`` is the sign of poly at lo once known (None until then); it
+    is a cache, not part of the value.
+    """
 
-    def __init__(self, poly: RationalPoly, lo, hi, _checked: bool = False):
+    __slots__ = ("poly", "lo", "hi", "_sign_lo")
+
+    def __init__(self, poly: RationalPoly, lo, hi, _checked: bool = False, _sign_lo: int | None = None):
         lo, hi = Fraction(lo), Fraction(hi)
         if lo > hi:
             raise ValueError("interval endpoints out of order")
         if not _checked:
-            poly, lo, hi = _normalize(poly, lo, hi)
+            poly, lo, hi, _sign_lo = _normalize(poly, lo, hi)
         object.__setattr__(self, "poly", poly)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "_sign_lo", _sign_lo)
 
     def __setattr__(self, name, value):
         raise AttributeError("AlgebraicReal is immutable")
@@ -96,19 +118,19 @@ class AlgebraicReal:
         """One bisection step; collapses to a rational point on an exact hit."""
         if self.lo == self.hi:
             return self
-        mid = (self.lo + self.hi) / 2
-        s = self.poly.sign_at(mid)
-        if s == 0:
-            return AlgebraicReal(self.poly, mid, mid, _checked=True)
-        if s == self.poly.sign_at(self.lo):
-            return AlgebraicReal(self.poly, mid, self.hi, _checked=True)
-        return AlgebraicReal(self.poly, self.lo, mid, _checked=True)
+        b = _Bisection(self)
+        b.step()
+        return b.result()
 
     def refined_to(self, width: Fraction) -> "AlgebraicReal":
-        a = self
-        while a.hi - a.lo > width:
-            a = a.refine()
-        return a
+        if self.lo == self.hi:
+            return self
+        width = Fraction(width)
+        b = _Bisection(self)
+        # hi - lo > width, scaled by D 2^k and width's denominator
+        while (b.h - b.l) * width.denominator > width.numerator * (b.den << b.k):
+            b.step()
+        return b.result() if b.k else self
 
     # -- sign and comparison -------------------------------------------------------
 
@@ -142,7 +164,8 @@ class AlgebraicReal:
             return self
         if self.is_rational:
             return AlgebraicReal.from_rational(self.lo + r)
-        return AlgebraicReal(self.poly.shift(-r), self.lo + r, self.hi + r, _checked=True)
+        # p(x - r) at lo + r is p(lo)
+        return AlgebraicReal(self.poly.shift(-r), self.lo + r, self.hi + r, True, self._sign_lo)
 
     def mul_rational(self, r: Fraction | int) -> "AlgebraicReal":
         r = Fraction(r)
@@ -150,23 +173,91 @@ class AlgebraicReal:
             return AlgebraicReal.from_rational(0)
         if self.is_rational:
             return AlgebraicReal.from_rational(self.lo * r)
+        # p(x / r) at lo r is p(lo); for r < 0 the new lo is hi r, and p(hi) = -p(lo) in sign
         p = self.poly.scale_arg(r)
-        lo, hi = self.lo * r, self.hi * r
+        lo, hi, sign_lo = self.lo * r, self.hi * r, self._sign_lo
         if r < 0:
             lo, hi = hi, lo
-        return AlgebraicReal(p, lo, hi, _checked=True)
+            sign_lo = None if sign_lo is None else -sign_lo
+        return AlgebraicReal(p, lo, hi, True, sign_lo)
 
     def inverse(self) -> "AlgebraicReal":
-        if self.sign() == 0:
+        r = self.as_rational()
+        if r == 0:
             raise ZeroDivisionError("inverse of zero")
         if self.is_rational:
-            return AlgebraicReal.from_rational(1 / self.lo)
-        a = self
-        while a.lo <= 0 <= a.hi:
-            a = a.refine()
+            return AlgebraicReal.from_rational(1 / r)
+        b = _Bisection(self)
+        if b.l <= 0 <= b.h and b.sign(0) == 0:
+            raise ZeroDivisionError("inverse of zero")
+        while b.l <= 0 <= b.h:
+            if not b.step():
+                return AlgebraicReal.from_rational(Fraction(b.den << b.k, b.l))
+        a = b.result() if b.k else self
         q, _ = a.poly.strip_zero_roots()
-        inv = q.reversed_coeffs()
-        return AlgebraicReal(inv, 1 / a.hi, 1 / a.lo)
+        return AlgebraicReal(q.reversed_coeffs(), 1 / a.hi, 1 / a.lo)
+
+
+class _Bisection:
+    """The integer bisection kernel: the interval of a as [l, h] / (den 2^k).
+
+    den is a common denominator of a's endpoints (and of whatever else the
+    caller compares against); rq holds the primitive integer coefficients c
+    of a.poly scaled to it, q_i = c_i den^(n-i), leading coefficient first.
+    sign_lo is the sign of the polynomial at the current lo, which a step
+    keeps.
+    """
+
+    __slots__ = ("poly", "rq", "den", "l", "h", "k", "sign_lo")
+
+    def __init__(self, a: AlgebraicReal, den: int = 1):
+        den = lcm(den, a.lo.denominator, a.hi.denominator)
+        ints = _int_coeffs(a.poly)
+        rq = [ints[-1]]  # q_i = c_i den^(n-i), from i = n down
+        power = 1
+        for c in reversed(ints[:-1]):
+            power *= den
+            rq.append(c * power)
+        self.poly = a.poly
+        self.rq = rq
+        self.den = den
+        self.l = a.lo.numerator * (den // a.lo.denominator)
+        self.h = a.hi.numerator * (den // a.hi.denominator)
+        self.k = 0
+        self.sign_lo = a._sign_lo if a._sign_lo is not None else self.sign(self.l)
+
+    def sign(self, m: int) -> int:
+        """Sign of the polynomial at m / (den 2^k)."""
+        acc = 0
+        shift = 0
+        k = self.k
+        for c in self.rq:
+            acc = acc * m + (c << shift)
+            shift += k
+        return (acc > 0) - (acc < 0)
+
+    def step(self) -> bool:
+        """Halve the interval; False on an exact hit, which leaves l == h at the root."""
+        m = self.l + self.h
+        self.k += 1
+        s = self.sign(m)
+        if s == 0:
+            self.l = self.h = m
+            self.sign_lo = 0
+            return False
+        if s == self.sign_lo:
+            self.l = m
+            self.h <<= 1
+        else:
+            self.l <<= 1
+            self.h = m
+        return True
+
+    def result(self) -> AlgebraicReal:
+        d = self.den << self.k
+        lo = Fraction(self.l, d)
+        hi = lo if self.h == self.l else Fraction(self.h, d)
+        return AlgebraicReal(self.poly, lo, hi, True, self.sign_lo)
 
 
 def _coerce(v) -> AlgebraicReal:
@@ -178,36 +269,31 @@ def _coerce(v) -> AlgebraicReal:
 
 
 def _normalize(poly: RationalPoly, lo: Fraction, hi: Fraction):
-    """Certify a defining (poly, interval) pair; collapse rational roots."""
+    """Certify a defining (poly, interval) pair; collapse rational roots.
+
+    Returns the squarefree polynomial, the interval and the sign at lo.
+    """
     if poly.is_zero or poly.degree == 0:
         raise ValueError("defining polynomial must have positive degree")
     poly = squarefree_part(poly)
     if lo == hi:
         if poly.sign_at(lo) != 0:
             raise ValueError("point interval is not a root")
-        return RationalPoly((-lo, 1)), lo, hi
-    if poly.sign_at(lo) == 0:
+        return RationalPoly((-lo, 1)), lo, hi, 0
+    sign_lo = poly.sign_at(lo)
+    if sign_lo == 0:
         if count_real_roots(poly, lo, hi) != 0:
             raise ValueError("interval contains more than one root")
-        return RationalPoly((-lo, 1)), lo, lo
+        return RationalPoly((-lo, 1)), lo, lo, 0
     if poly.sign_at(hi) == 0:
         if count_real_roots(poly, lo, hi) != 1:  # (lo, hi] counts hi itself
             raise ValueError("interval contains more than one root")
-        return RationalPoly((-hi, 1)), hi, hi
+        return RationalPoly((-hi, 1)), hi, hi, 0
     n = count_real_roots(poly, lo, hi)
     if n != 1:
         raise ValueError(f"interval isolates {n} roots, expected exactly one")
-    # shrink until the sign-change certificate holds (it must, for a simple root)
-    while poly.sign_at(lo) == poly.sign_at(hi):
-        mid = (lo + hi) / 2
-        s = poly.sign_at(mid)
-        if s == 0:
-            return RationalPoly((-mid, 1)), mid, mid
-        if count_real_roots(poly, lo, mid) == 1:
-            hi = mid
-        else:
-            lo = mid
-    return poly, lo, hi
+    # a simple root strictly inside, neither endpoint a root: p changes sign
+    return poly, lo, hi, sign_lo
 
 
 # -- isolation ----------------------------------------------------------------
@@ -229,27 +315,33 @@ def isolate_real_roots(p: RationalPoly) -> list[AlgebraicReal]:
     bound = cauchy_root_bound(sf) + 1
     chain = sturm_chain(sf)
 
-    def vcount(t: Fraction) -> int:
-        return sign_variations(_chain_signs_at(chain, t))
+    def signs(t: Fraction) -> tuple[int, int]:
+        """Sign variations of the chain at t, and the sign of sf at t."""
+        s = _chain_signs_at(chain, t)
+        return sign_variations(s), s[0]
 
     out: list[AlgebraicReal] = []
-    stack = [(-bound, bound, vcount(-bound), vcount(bound))]
+    stack = [(-bound, bound, *signs(-bound), *signs(bound))]
     while stack:
-        a, b, va, vb = stack.pop()
+        a, b, va, sa, vb, sb = stack.pop()
         n = va - vb
         if n == 0:
             continue
         if n == 1:
-            out.append(AlgebraicReal(sf, a, b))
+            # one simple root in (a, b) and neither endpoint a root: sf changes sign
+            if sa * sb >= 0:
+                raise AssertionError("an isolating interval without a sign change")
+            out.append(AlgebraicReal(sf, a, b, True, sa))
             continue
         mid = (a + b) / 2
         shrink = (b - a) / 4
-        while sf.sign_at(mid) == 0:
+        vm, sm = signs(mid)
+        while sm == 0:
             mid += shrink
             shrink /= 2
-        vm = vcount(mid)
-        stack.append((a, mid, va, vm))
-        stack.append((mid, b, vm, vb))
+            vm, sm = signs(mid)
+        stack.append((a, mid, va, sa, vm, sm))
+        stack.append((mid, b, vm, sm, vb, sb))
     out = [_try_integer_collapse(r) for r in out]
     out.sort(key=lambda r: (r.lo, r.hi))
     return out
@@ -263,13 +355,14 @@ def _try_integer_collapse(r: AlgebraicReal) -> AlgebraicReal:
     """
     if r.is_rational:
         return r
-    cur = r
-    while cur.hi - cur.lo >= 1:
-        cur = cur.refine()
-    lo_int = -((-cur.lo) // 1)  # ceil
-    if cur.lo <= lo_int <= cur.hi and cur.poly.sign_at(lo_int) == 0:
+    b = _Bisection(r)
+    while b.h - b.l >= b.den << b.k:  # hi - lo >= 1
+        b.step()
+    scale = b.den << b.k
+    lo_int = -((-b.l) // scale)  # ceil(lo)
+    if lo_int * scale <= b.h and b.sign(lo_int * scale) == 0:
         return AlgebraicReal.from_rational(lo_int)
-    return cur
+    return b.result() if b.k else r
 
 
 def isolate_real_roots_with_multiplicity(p: RationalPoly) -> list[tuple[AlgebraicReal, int]]:
@@ -291,15 +384,16 @@ def compare_rational(a: AlgebraicReal, r: Fraction | int) -> int:
     ra = a.as_rational()
     if ra is not None:
         return (ra > r) - (ra < r)
-    if a.lo <= r <= a.hi and a.poly.sign_at(r) == 0:
+    b = _Bisection(a, r.denominator)
+    t = r.numerator * (b.den // r.denominator)  # r scaled like l and h
+    if b.l <= t <= b.h and b.sign(t) == 0:
         return 0
-    cur = a
-    while cur.lo <= r <= cur.hi:
-        cur = cur.refine()
-        rc = cur.as_rational()
-        if rc is not None:
-            return (rc > r) - (rc < r)
-    return 1 if cur.lo > r else -1
+    while b.l <= t <= b.h:
+        hit = not b.step()
+        t <<= 1
+        if hit:
+            return (b.l > t) - (b.l < t)
+    return 1 if b.l > t else -1
 
 
 def compare(a: AlgebraicReal, b: AlgebraicReal) -> int:
@@ -316,28 +410,30 @@ def compare(a: AlgebraicReal, b: AlgebraicReal) -> int:
     if ra is not None:
         return -compare_rational(b, ra)
 
+    # one denominator for both, so the two intervals compare as integers
+    x = _Bisection(a, lcm(b.lo.denominator, b.hi.denominator))
+    y = _Bisection(b, x.den)
     rounds = 0
     equality_checked = False
     while True:
         # both values lie strictly inside their open intervals here
-        if a.hi <= b.lo:
+        if x.h <= y.l:
             return -1
-        if b.hi <= a.lo:
+        if y.h <= x.l:
             return 1
         if not equality_checked and rounds >= REFINE_BUDGET:
             equality_checked = True
             g = poly_gcd(a.poly, b.poly)
             if g.degree >= 1:
-                lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
+                scale = x.den << x.k
+                lo, hi = Fraction(max(x.l, y.l), scale), Fraction(min(x.h, y.h), scale)
                 if count_real_roots(g, lo, hi) >= 1:
                     return 0
-        a = a.refine()
-        b = b.refine()
-        ra, rb = a.as_rational(), b.as_rational()
-        if rb is not None:
-            return compare_rational(a, rb)
-        if ra is not None:
-            return -compare_rational(b, ra)
+        x_open, y_open = x.step(), y.step()
+        if not y_open:
+            return compare_rational(x.result(), y.result().lo)
+        if not x_open:
+            return -compare_rational(y.result(), x.result().lo)
         rounds += 1
 
 

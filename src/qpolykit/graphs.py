@@ -22,7 +22,7 @@ fundamental bound with its tightness test all read that tuple.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -279,6 +279,7 @@ class QuotientMatrix:
     beta: tuple[Fraction, ...]  # beta_0..beta_{D_x - 1}
     gamma: tuple[Fraction, ...]  # gamma_1..gamma_{D_x}
     equitable: bool
+    distances: tuple[int, ...] = field(repr=False, compare=False)  # distances[y] = d(base, y)
 
     @property
     def eccentricity(self) -> int:
@@ -315,6 +316,7 @@ def quotient_matrix(g: Graph, x: int) -> QuotientMatrix:
         tuple(row[2] for row in avg[:-1]),
         tuple(row[0] for row in avg[1:]),
         equitable,
+        tuple(dist),
     )
 
 

@@ -50,9 +50,9 @@ class RealAlgebraicField:
         rat = gen.as_rational()
         self._modulus = RationalPoly((-rat, 1)) if rat is not None else _minimal_factor(gen)
         if self._modulus.degree == 1:
-            self._lo = self._hi = -self._modulus[0]
+            self._gen = AlgebraicReal.from_rational(-self._modulus[0])
         else:
-            self._lo, self._hi = gen.lo, gen.hi
+            self._gen = AlgebraicReal(self._modulus, gen.lo, gen.hi, _checked=True)
         self._pow_cache: list[tuple[Fraction, ...]] = [(Fraction(1),)]
 
     @classmethod
@@ -78,9 +78,7 @@ class RealAlgebraicField:
         return FieldElement(self, (Fraction(0), Fraction(1)))
 
     def generator_value(self) -> AlgebraicReal:
-        if self._lo == self._hi:
-            return AlgebraicReal.from_rational(self._lo)
-        return AlgebraicReal(self._modulus, self._lo, self._hi, _checked=True)
+        return self._gen
 
     def element(self, coeffs: Sequence[Fraction | int]) -> "FieldElement":
         return FieldElement(self, tuple(Fraction(c) for c in coeffs))
@@ -89,19 +87,13 @@ class RealAlgebraicField:
         return FieldElement(self, (Fraction(c),))
 
     def __repr__(self) -> str:
-        return f"RealAlgebraicField({self._modulus.to_str()} @ [{self._lo}, {self._hi}])"
+        return f"RealAlgebraicField({self._modulus.to_str()} @ [{self._gen.lo}, {self._gen.hi}])"
 
     # -- generator interval -----------------------------------------------------
 
     def _refine_generator(self) -> None:
-        if self._lo == self._hi:
-            return
-        # the irreducible modulus of degree >= 2 has no rational root
-        mid = (self._lo + self._hi) / 2
-        if self._modulus.sign_at(mid) == self._modulus.sign_at(self._lo):
-            self._lo = mid
-        else:
-            self._hi = mid
+        # the irreducible modulus of degree >= 2 has no rational root, so no step hits one
+        self._gen = self._gen.refine()
 
     # -- reduction ---------------------------------------------------------------
 
@@ -153,10 +145,11 @@ class RealAlgebraicField:
             return 0
         e = RationalPoly(red)
         while True:
-            if self._lo == self._hi:
-                v = e.evaluate(self._lo)
+            gen = self._gen
+            if gen.lo == gen.hi:
+                v = e.evaluate(gen.lo)
                 return (v > 0) - (v < 0)
-            lo, hi = _interval_eval(e, self._lo, self._hi)
+            lo, hi = _interval_eval(e, gen.lo, gen.hi)
             if lo > 0:
                 return 1
             if hi < 0:
@@ -462,7 +455,7 @@ def adjoin_root(
     for t in range(1, 8 * d1 * d2 + 2):
         mpoly = _tensor_min_poly(m1, pb, t)
         # isolate gamma_old + t*beta among the roots of mpoly
-        glo, ghi, blo, bhi = field._lo, field._hi, beta.lo, beta.hi
+        glo, ghi, blo, bhi = field._gen.lo, field._gen.hi, beta.lo, beta.hi
         cur_b = beta
         for _ in range(_round_cap(mpoly, (ghi - glo) + t * (bhi - blo))):
             lo, hi = glo + t * blo, ghi + t * bhi
@@ -474,7 +467,7 @@ def adjoin_root(
             ):
                 break
             field._refine_generator()
-            glo, ghi = field._lo, field._hi
+            glo, ghi = field._gen.lo, field._gen.hi
             cur_b = cur_b.refine()
             blo, bhi = cur_b.lo, cur_b.hi
         else:

@@ -8,10 +8,11 @@ coefficient tuples.
 
 The module also provides the real-root counting machinery used everywhere
 else in the package: Sturm chains, sign variation counts, and the Cauchy
-root bound.  Sign evaluations run on an integer-scaled copy of the
-polynomial so that repeated bisection does not pay for Fraction
-normalisation.  ``irreducible_factors`` factors over Q by Zassenhaus'
-algorithm, in Python ints.
+root bound.  Sign evaluations and Taylor shifts run on the primitive
+integer coefficients, so they pay for no Fraction normalisation; interval
+bisection has its own integer kernel in ``algebraics``.
+``irreducible_factors`` factors over Q by Zassenhaus' algorithm, in Python
+ints.
 """
 
 from __future__ import annotations
@@ -199,40 +200,50 @@ class RationalPoly:
         return acc
 
     def sign_at(self, t: Fraction | int) -> int:
-        """Exact sign of p(t): -1, 0, or +1.  Integer-only fast path."""
-        if self.is_zero:
-            return 0
-        t = Fraction(t)
-        ints = _int_coeffs(self)
+        """Exact sign of p(t): -1, 0, or +1, by integer Horner.
+
+        For t = a/b in lowest terms, b > 0, the sign of p(t) is that of
+        sum_i c_i a^i b^(n-i) over the primitive integer coefficients c.
+        """
         a, b = t.numerator, t.denominator
-        # sign of sum_i c_i a^i b^(n-i) equals sign of p(a/b) since b > 0
         acc = 0
         bp = 1
-        powers = []
-        for _ in range(len(ints)):
-            powers.append(bp)
+        for c in reversed(_int_coeffs(self)):  # empty for the zero polynomial
+            acc = acc * a + c * bp
             bp *= b
-        for i in range(len(ints) - 1, -1, -1):
-            acc = acc * a + ints[i] * powers[len(ints) - 1 - i]
         return (acc > 0) - (acc < 0)
 
     # -- transforms used by root machinery ------------------------------------
 
     def shift(self, r: Fraction | int) -> "RationalPoly":
-        """p(x + r), by Horner in the ring Q[x]."""
+        """p(x + r), by a Taylor shift of the primitive integer coefficients.
+
+        With p = s * P, P primitive of degree n and r = u/v: the integer
+        polynomial P_v(x) = v^n P(x/v) shifted by u is T(z) = P_v(z + u),
+        and T(v x) = v^n P(x + r), so coefficient j of p(x + r) is
+        s t_j v^j / v^n.
+        """
         r = Fraction(r)
         if r == 0 or self.is_zero:
             return self
-        # acc <- acc * (x + r) + c, from the leading coefficient down
-        acc = [Fraction(0)]
-        for c in reversed(self.coeffs):
-            nxt = [Fraction(0)] * (len(acc) + 1)
-            for i, a in enumerate(acc):
-                nxt[i] += a * r
-                nxt[i + 1] += a
-            nxt[0] += c
-            acc = nxt
-        return RationalPoly(acc)
+        ints = _int_coeffs(self)
+        n = len(ints) - 1
+        u, v = r.numerator, r.denominator
+        t = list(ints)
+        vn = 1
+        for i in range(n - 1, -1, -1):  # P_v: t_i = c_i v^(n-i)
+            vn *= v
+            t[i] *= vn
+        for i in range(n):  # Horner: t <- t(z + u), one power of (z + u) per pass
+            for j in range(n - 1, i - 1, -1):
+                t[j] += u * t[j + 1]
+        s = self.coeffs[-1] / ints[-1]
+        out = []
+        vj = 1
+        for tj in t:
+            out.append(Fraction(s.numerator * tj * vj, s.denominator * vn))
+            vj *= v
+        return RationalPoly(out)
 
     def scale_arg(self, r: Fraction | int) -> "RationalPoly":
         """Polynomial with roots r * (roots of p): p(x / r) cleared of denominators."""

@@ -32,14 +32,21 @@ that the scanner applies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
 from . import tridiagonal
 from .algebraics import compare, isolate_real_roots  # noqa: F401  (perfbench/test_bench.py reads schemes.compare)
-from .graphs import Graph, check_vertex_count, classify_regularity, intersection_array, is_vertex_pair
+from .graphs import (
+    Graph,
+    RegularityReport,
+    check_vertex_count,
+    classify_regularity,
+    intersection_array,
+    is_vertex_pair,
+)
 from .linalg import charpoly, solve
 from .numberfield import (
     RealAlgebraicField,
@@ -82,6 +89,8 @@ class AssociationScheme:
     d: int
     rel_adj: tuple | None
     p: tuple
+    # the classification of relation graph 1 when the scheme was built from it
+    graph_classification: RegularityReport | None = field(default=None, repr=False, compare=False)
 
     @property
     def valencies(self) -> tuple[int, ...]:
@@ -137,13 +146,12 @@ class AssociationScheme:
             raise SchemeError("distance relations form a scheme only for distance-regular graphs")
         d = classification.diameter
         adj: list[list[list[int]]] = [[[] for _ in range(g.n)] for _ in range(d + 1)]
-        for x in range(g.n):
-            dist = g.bfs_distances(x)
-            for y, dd in enumerate(dist):
+        for x, quotient in enumerate(classification.quotients):
+            for y, dd in enumerate(quotient.distances):
                 adj[dd][x].append(y)
-        rel_adj = tuple(tuple(tuple(sorted(r)) for r in rel) for rel in adj)
+        rel_adj = tuple(tuple(tuple(r) for r in rel) for rel in adj)
         p = _intersection_numbers(g.n, d, rel_adj)
-        return cls(g.n, d, rel_adj, p)
+        return cls(g.n, d, rel_adj, p, classification)
 
     @classmethod
     def from_p_numbers(cls, p: Sequence) -> "AssociationScheme":
@@ -1160,9 +1168,12 @@ def classify_class3_scheme(
     if primal:
         for i in range(1, scheme.d + 1):
             graph = scheme.relation_graph(i)
-            if not graph.is_connected():
+            if i == 1 and scheme.graph_classification is not None:
+                classification = scheme.graph_classification  # the graph the scheme came from
+            elif graph.is_connected():
+                classification = classify_regularity(graph)
+            else:
                 continue
-            classification = classify_regularity(graph)
             if not classification.distance_regular:
                 continue
             arr = intersection_array(graph, classification)

@@ -38,7 +38,7 @@ characteristic polynomial of the class-3 audit.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import prod
@@ -76,6 +76,8 @@ class TridiagonalSystem:
     beta: tuple
     gamma: tuple
     kappa: object
+    # set by validate once the system has passed; not part of the value
+    _valid: bool = field(default=False, init=False, repr=False, compare=False)
 
     @classmethod
     def from_entries(cls, alpha: Sequence, beta: Sequence, gamma: Sequence, kappa) -> "TridiagonalSystem":
@@ -116,7 +118,10 @@ class ValidationReport:
 
 
 def validate(system: TridiagonalSystem) -> ValidationReport:
-    """Check every clause of the row-sum condition; report-style, never raises."""
+    """Check every clause of the row-sum condition; report-style, never raises.
+
+    A system that passes is marked valid, so require_valid need not check it again.
+    """
     v: list[str] = []
     d = system.d
     if d < 2:
@@ -147,10 +152,15 @@ def validate(system: TridiagonalSystem) -> ValidationReport:
             total = total + system.gamma[i - 1]
         if not is_exact_zero(total - system.kappa):
             v.append(f"row {i} must sum to kappa")
+    if not v:
+        object.__setattr__(system, "_valid", True)
     return ValidationReport(not v, tuple(v))
 
 
 def require_valid(system: TridiagonalSystem) -> None:
+    """Raise ValueError unless the system is valid; a frozen system is validated once."""
+    if system._valid:
+        return
     rep = validate(system)
     if not rep.ok:
         raise ValueError("invalid tridiagonal system: " + "; ".join(rep.violations))

@@ -4,7 +4,7 @@ import time
 
 import pytest
 import sympy
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpolykit import algebraics
@@ -18,7 +18,7 @@ from qpolykit.algebraics import (
     isolate_real_roots_with_multiplicity,
 )
 from qpolykit.numberfield import _tensor_min_poly
-from qpolykit.polynomials import RationalPoly, count_real_roots, primitive_int_poly, squarefree_part
+from qpolykit.polynomials import RationalPoly, count_real_roots, poly_gcd, primitive_int_poly, squarefree_part
 
 
 def sqrt_of(n: int) -> AlgebraicReal:
@@ -220,3 +220,228 @@ def test_rootless_defining_polynomial_is_an_alarm_not_a_hang(name, run, monkeypa
     with pytest.raises(AssertionError, match="not a root of its defining polynomial"):
         run()
     assert time.perf_counter() - start < 10
+
+
+# -- the integer bisection kernel against a Fraction bisection -----------------------
+#
+# The reference below is the Fraction bisection the kernel replaced, kept here
+# only as the oracle: the kernel must reach the same interval at every step,
+# the same exact hits and the same verdicts.
+
+
+def ref_sign(p: RationalPoly, t: F) -> int:
+    v = p.evaluate(t)
+    return (v > 0) - (v < 0)
+
+
+def ref_refine(p: RationalPoly, lo: F, hi: F) -> tuple[F, F]:
+    if lo == hi:
+        return lo, hi
+    mid = (lo + hi) / 2
+    s = ref_sign(p, mid)
+    if s == 0:
+        return mid, mid
+    if s == ref_sign(p, lo):
+        return mid, hi
+    return lo, mid
+
+
+def ref_refined_to(p, lo, hi, width):
+    while hi - lo > width:
+        lo, hi = ref_refine(p, lo, hi)
+    return lo, hi
+
+
+def ref_compare_rational(a: AlgebraicReal, r: F) -> int:
+    ra = a.as_rational()
+    if ra is not None:
+        return (ra > r) - (ra < r)
+    lo, hi = a.lo, a.hi
+    if lo <= r <= hi and ref_sign(a.poly, r) == 0:
+        return 0
+    while lo <= r <= hi:
+        lo, hi = ref_refine(a.poly, lo, hi)
+        if lo == hi:
+            return (lo > r) - (lo < r)
+    return 1 if lo > r else -1
+
+
+def ref_compare(a: AlgebraicReal, b: AlgebraicReal) -> int:
+    ra, rb = a.as_rational(), b.as_rational()
+    if ra is not None and rb is not None:
+        return (ra > rb) - (ra < rb)
+    if rb is not None:
+        return ref_compare_rational(a, rb)
+    if ra is not None:
+        return -ref_compare_rational(b, ra)
+    (alo, ahi), (blo, bhi) = (a.lo, a.hi), (b.lo, b.hi)
+    rounds = 0
+    while True:
+        if ahi <= blo:
+            return -1
+        if bhi <= alo:
+            return 1
+        if rounds == algebraics.REFINE_BUDGET:
+            g = poly_gcd(a.poly, b.poly)
+            if g.degree >= 1 and count_real_roots(g, max(alo, blo), min(ahi, bhi)) >= 1:
+                return 0
+        alo, ahi = ref_refine(a.poly, alo, ahi)
+        blo, bhi = ref_refine(b.poly, blo, bhi)
+        if blo == bhi:
+            return ref_compare_rational(AlgebraicReal(a.poly, alo, ahi, True), blo)
+        if alo == ahi:
+            return -ref_compare_rational(AlgebraicReal(b.poly, blo, bhi, True), alo)
+        rounds += 1
+
+
+def ref_integer_collapse(a: AlgebraicReal) -> tuple[F, F]:
+    lo, hi = a.lo, a.hi
+    while hi - lo >= 1:
+        lo, hi = ref_refine(a.poly, lo, hi)
+    n = -((-lo) // 1)
+    if n <= hi and ref_sign(a.poly, F(n)) == 0:
+        return F(n), F(n)
+    return lo, hi
+
+
+def ref_inverse_interval(a: AlgebraicReal) -> tuple[F, F]:
+    lo, hi = a.lo, a.hi
+    while lo <= 0 <= hi:
+        lo, hi = ref_refine(a.poly, lo, hi)
+    return (1 / hi, 1 / lo) if lo != hi else (1 / lo, 1 / lo)
+
+
+def sympy_roots(p: RationalPoly) -> list[AlgebraicReal]:
+    """Real roots of p from sympy's isolating intervals (not ours).
+
+    sympy's intervals are closed, and one may end at another root; those
+    are left out, and isolate_real_roots stands in when none is left.
+    """
+    out = []
+    for (lo, hi), _ in sympy.Poly(sym(p, X), X).intervals():
+        try:
+            out.append(AlgebraicReal(p, F(int(lo.p), int(lo.q)), F(int(hi.p), int(hi.q))))
+        except ValueError:
+            pass
+    return out or isolate_real_roots(p)
+
+
+def random_squarefree(coeffs: list[int]) -> RationalPoly | None:
+    p = RationalPoly(coeffs)
+    if p.degree < 1:
+        return None
+    return RationalPoly(primitive_int_poly(squarefree_part(p)))
+
+
+kernel_polys = st.builds(
+    random_squarefree, st.lists(st.integers(-20, 20), min_size=2, max_size=13)
+).filter(lambda p: p is not None and count_real_roots(p) >= 1)
+widths = st.builds(F, st.integers(1, 1000), st.integers(1, 10**15))
+
+
+def same(a: AlgebraicReal, interval: tuple[F, F]) -> bool:
+    return (a.lo, a.hi) == interval
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_polys, widths, st.fractions(-30, 30, max_denominator=64), st.data())
+def test_kernel_matches_fraction_bisection(p, width, r, data):
+    roots = sympy_roots(p)
+    a = data.draw(st.sampled_from(roots))
+    b = data.draw(st.sampled_from(roots + isolate_real_roots(p)))
+    # interval by interval, one step at a time
+    cur, lo, hi = a, a.lo, a.hi
+    for _ in range(12):
+        cur = cur.refine()
+        lo, hi = ref_refine(cur.poly, lo, hi)
+        assert same(cur, (lo, hi))
+    assert same(a.refined_to(width), ref_refined_to(a.poly, a.lo, a.hi, width))
+    # values whose sign at lo was carried over, not recomputed
+    for v in (a.add_rational(r), a.mul_rational(-3), a.mul_rational(F(2, 5))):
+        assert same(v.refined_to(width), ref_refined_to(v.poly, v.lo, v.hi, width))
+    assert compare_rational(a, r) == ref_compare_rational(a, r)
+    for x in (a.lo, a.hi, (a.lo + a.hi) / 2):
+        assert compare_rational(a, x) == ref_compare_rational(a, x)
+    assert compare(a, b) == ref_compare(a, b)
+    assert compare(b, a) == ref_compare(b, a)
+    assert same(algebraics._try_integer_collapse(a), ref_integer_collapse(a))
+    if a.as_rational() != 0:
+        assert same(a.inverse(), ref_inverse_interval(a))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(-40, 40),
+    st.integers(0, 6),
+    st.integers(1, 15),
+    st.integers(0, 6),
+    kernel_polys,
+    widths,
+)
+def test_kernel_collapses_on_a_dyadic_midpoint(m, j, left, t, q, width):
+    # the root r = m / 2^j sits left / (16 2^t) of the way into an interval of
+    # width 16 2^t w: a dyadic fraction, so some bisection midpoint is r
+    r = F(m, 2**j)
+    w = F(1, 2 ** (j + 3))
+    lo, hi = r - left * w, r + (16 * 2**t - left) * w
+    p = RationalPoly((-m, 2**j)) * q
+    try:
+        a = AlgebraicReal(p, lo, hi)
+    except ValueError:  # q has a root in the interval too
+        return
+    ref_lo, ref_hi = ref_refined_to(a.poly, a.lo, a.hi, F(0))
+    assert ref_lo == ref_hi == r  # the reference hits the root exactly
+    hit = a.refined_to(F(0))
+    assert hit.is_rational and hit.as_rational() == r
+    assert same(a.refined_to(width), ref_refined_to(a.poly, a.lo, a.hi, width))
+    assert compare_rational(a, r) == 0
+    for x in (r - w / 3, r + w / 5):
+        assert compare_rational(a, x) == ref_compare_rational(a, x)
+    assert compare(a, AlgebraicReal.from_rational(r)) == 0
+    assert same(algebraics._try_integer_collapse(a), ref_integer_collapse(a))
+    if r != 0:
+        assert same(a.inverse(), ref_inverse_interval(a))
+
+
+def test_a_refine_step_evaluates_one_sign(monkeypatch):
+    # the sign at lo is carried from isolation and kept by every step
+    s2 = sqrt_of(2)
+    calls = [0]
+    real = algebraics._Bisection.sign
+
+    def counted(self, m):
+        calls[0] += 1
+        return real(self, m)
+
+    monkeypatch.setattr(algebraics._Bisection, "sign", counted)
+    cur = s2
+    for _ in range(10):
+        cur = cur.refine()
+    assert calls == [10]
+    cur.refined_to(cur.hi - cur.lo)  # no step: no sign
+    assert calls == [10]
+    cur.refined_to((cur.hi - cur.lo) / 1024)  # ten steps
+    assert calls == [20]
+    # add_rational and mul_rational carry the sign over, for either sign of r
+    for v in (cur.add_rational(F(1, 3)), cur.mul_rational(F(-5, 7)), cur.mul_rational(3)):
+        calls[0] = 0
+        v.refine()
+        assert calls == [1]
+    # a value built without it pays once for the sign at lo
+    fresh = AlgebraicReal(s2.poly, s2.lo, s2.hi, _checked=True)
+    calls[0] = 0
+    fresh.refine().refine()
+    assert calls == [3]
+
+
+def test_isolation_certifies_each_root_with_one_sturm_count(monkeypatch):
+    # isolate_real_roots builds its roots from its own Sturm signs, not
+    # through a second count in the constructor
+    counted = []
+    real = algebraics.count_real_roots
+    monkeypatch.setattr(algebraics, "count_real_roots", lambda *a: counted.append(a) or real(*a))
+    p = RationalPoly((-1, 1, 1)) * RationalPoly((-2, 0, 1)) * RationalPoly((-3, 0, 0, 1))
+    roots = isolate_real_roots(p)
+    assert len(roots) == 5 and counted == []
+    for r in roots:
+        assert r.poly.sign_at(r.lo) == r._sign_lo == -r.poly.sign_at(r.hi)

@@ -231,6 +231,28 @@ def test_broken_invariant_is_an_alarm_not_a_traceback(case, output, monkeypatch,
         assert captured.out.splitlines()[-1] == "exit: 2"
 
 
+def test_isolating_interval_without_a_sign_change_is_an_alarm(monkeypatch, capsys):
+    # isolation certifies each root from its own Sturm signs: true variation
+    # counts, but the polynomial's sign reads +1 at every point
+    class Signs(list):
+        true: list
+
+    def chain_signs(chain, t, _real=algebraics._chain_signs_at):
+        s = Signs(_real(chain, t))
+        s.true = list(s)
+        s[0] = 1
+        return s
+
+    real_variations = algebraics.sign_variations
+    monkeypatch.setattr(algebraics, "_chain_signs_at", chain_signs)
+    monkeypatch.setattr(algebraics, "sign_variations", lambda s: real_variations(s.true))
+    with pytest.raises(AssertionError, match="an isolating interval without a sign change"):
+        algebraics.isolate_real_roots(RationalPoly((-2, 0, 1)))
+    assert main(["check-graph", "--family", "petersen"]) == 2
+    out = capsys.readouterr().out
+    assert "ALARM: internal invariant failed: an isolating interval without a sign change" in out.splitlines()
+
+
 def test_class3_classification_reuses_the_ordering_verdicts(monkeypatch, capsys):
     calls = {"dual_fundamental_bound": 0, "class3_dualtight_audit": 0}
     for name in calls:
@@ -300,9 +322,7 @@ def test_check_scheme_computes_one_dual_spectrum_per_ordering(monkeypatch, capsy
     assert routes == {"isolated": rational, "certified": spectra}
 
 
-def test_check_graph_runs_one_bfs_per_vertex(monkeypatch, capsys):
-    # classify_regularity's quotients serve the diameter, the regularity
-    # classes, the pair bound, interlacing and the intersection array
+def _count_bfs(monkeypatch) -> list:
     real = graphs.Graph.bfs_distances
     count = [0]
 
@@ -311,11 +331,30 @@ def test_check_graph_runs_one_bfs_per_vertex(monkeypatch, capsys):
         return real(self, x)
 
     monkeypatch.setattr(graphs.Graph, "bfs_distances", counted)
+    return count
+
+
+def test_check_graph_runs_one_bfs_per_vertex(monkeypatch, capsys):
+    # classify_regularity's quotients serve the diameter, the regularity
+    # classes, the pair bound, interlacing and the intersection array
+    count = _count_bfs(monkeypatch)
     assert main(["check-graph", "--family", "hamming:d=6,q=2", "--output", "json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["classification"]["distance_regular"] and "interlacing" in report
     assert len(report["pair_bound"]["per_vertex"]) == 64
     assert count[0] <= 64 + 3
+
+
+@pytest.mark.parametrize("graph, most", [("heawood", 14 + 3), ("petersen", 10 + 1)])
+def test_check_scheme_from_graph_runs_one_bfs_per_vertex(monkeypatch, capsys, graph, most):
+    # the distance relations come from the classification's quotients, and
+    # the class-3 classification (Heawood) reads that same classification for
+    # relation graph 1, the input graph
+    count = _count_bfs(monkeypatch)
+    assert main(["check-scheme", "--from-graph", graph, "--output", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert ("classification" in report) == (graph == "heawood")
+    assert count[0] <= most
 
 
 def test_scan_computes_one_spectrum_per_survivor(monkeypatch):

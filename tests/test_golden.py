@@ -5,7 +5,10 @@ The digests were recorded before the check pipeline moved into
 ``linalg.charpoly`` calls, and those of icosahedron, ``cycle:n=9`` and the
 linked-design Krein array before each polynomial ordering kept one dual
 spectrum); any change to a report's bytes shows up here.
-The two slow README commands run at smaller sizes.
+The two slow README commands run at smaller sizes.  The random cubic graph's
+digests were recorded before interval bisection moved to integers: its
+irrational eigenvalues have a degree-20 defining polynomial, and the report
+prints their intervals refined to width 1e-12.
 """
 
 import hashlib
@@ -84,3 +87,21 @@ def test_readme_commands_match_golden_digests(capsys, monkeypatch):
             if code != 0 or got != want:
                 mismatches.append((argv[:3], output, code, got))
     assert not mismatches
+
+
+# a random 3-regular graph on 20 vertices (pairing model), as graph6
+RANDOM_CUBIC = "Sa_@??kEO?O@?aOA_O?A@C?G@C@G?GG?o"
+RANDOM_CUBIC_DIGESTS = {
+    "text": "2e7e64a1c2daaabacef039e857ec495fa93b5c51a7a527832e4ba4fc063f0d9e",
+    "json": "4f8f7411982d4658dd7fefbf0529625600e2c69602b037d41b414ff446916e75",
+}
+
+
+def test_random_cubic_graph_matches_golden_digests(capsys, tmp_path):
+    path = tmp_path / "random_cubic.g6"
+    path.write_text(RANDOM_CUBIC + "\n")
+    got = {}
+    for output in RANDOM_CUBIC_DIGESTS:
+        assert main(["check-graph", "--input", str(path), "--output", output]) == 0
+        got[output] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert got == RANDOM_CUBIC_DIGESTS

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -244,3 +245,47 @@ def test_factors_of_constants_and_linears():
     assert irreducible_factors(RationalPoly((5,))) == ()
     assert irreducible_factors(RationalPoly((3, 6))) == (RationalPoly((F(1, 2), 1)),)
     assert irreducible_factors(RationalPoly((F(-1, 4), 0, 1))) == (RationalPoly((F(-1, 2), 1)), RationalPoly((F(1, 2), 1)))
+
+
+# -- integer sign evaluation and Taylor shift ------------------------------------------
+
+rational_polys = st.lists(st.fractions(-9, 9, max_denominator=7), max_size=9).map(RationalPoly)
+points = st.one_of(st.integers(-50, 50), st.fractions(-50, 50, max_denominator=10**6))
+
+
+@given(rational_polys, points)
+def test_sign_at_is_the_sign_of_evaluate(p, t):
+    v = p.evaluate(t)
+    assert p.sign_at(t) == (v > 0) - (v < 0)
+
+
+@given(st.fractions(-9, 9, max_denominator=7), points)
+def test_sign_at_of_constants_and_zero(c, t):
+    assert RationalPoly.constant(c).sign_at(t) == (c > 0) - (c < 0)
+    assert RationalPoly.zero().sign_at(t) == 0
+
+
+def fraction_shift(p: RationalPoly, r: F) -> RationalPoly:
+    """p(x + r) by Horner in Q[x]: the Fraction loop the integer shift replaced."""
+    if r == 0 or p.is_zero:
+        return p
+    acc = [F(0)]
+    for c in reversed(p.coeffs):
+        nxt = [F(0)] * (len(acc) + 1)
+        for i, a in enumerate(acc):
+            nxt[i] += a * r
+            nxt[i + 1] += a
+        nxt[0] += c
+        acc = nxt
+    return RationalPoly(acc)
+
+
+@given(rational_polys, st.fractions(-20, 20, max_denominator=30))
+def test_shift_matches_the_fraction_loop_and_sympy(p, r):
+    got = p.shift(r)
+    assert got == fraction_shift(p, r)
+    x = sympy.symbols("x")
+    shifted = x + sympy.Rational(r.numerator, r.denominator)
+    expr = sum(sympy.Rational(c.numerator, c.denominator) * shifted**i for i, c in enumerate(p.coeffs))
+    want = [F(int(c.p), int(c.q)) for c in reversed(sympy.Poly(expr, x).all_coeffs())] if p.coeffs else []
+    assert got == RationalPoly(want)

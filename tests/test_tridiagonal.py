@@ -52,6 +52,35 @@ def test_validate_reports_every_violation():
     assert len(rep.violations) >= 3
 
 
+@pytest.mark.parametrize("entry", [spectrum, f_polynomials, pair_bound, triple_bound])
+def test_every_entry_point_rejects_an_invalid_system(entry):
+    # D = 3 with gamma_1 = 2: rows still sum to kappa, so only one clause fails
+    bad = TridiagonalSystem.from_entries([F(0), F(0), F(0), F(2)], [F(4), F(2), F(2)], [F(2), F(2), F(2)], F(4))
+    assert validate(bad).violations == ("gamma_1 must equal 1",)
+    for _ in range(2):  # an invalid system is never remembered as valid
+        with pytest.raises(ValueError, match="gamma_1 must equal 1"):
+            entry(bad)
+
+
+def test_a_valid_system_is_validated_once(monkeypatch):
+    calls = [0]
+    real = tridiagonal.validate
+
+    def counted(system):
+        calls[0] += 1
+        return real(system)
+
+    monkeypatch.setattr(tridiagonal, "validate", counted)
+    system = TridiagonalSystem.from_intersection_numbers([4, 3, 2, 1], [1, 2, 3, 4])
+    report = spectrum(system)
+    pair_bound(system, report)
+    triple_bound(system, report)
+    f_polynomials(system)
+    assert calls == [1]
+    # the memo is no part of the value
+    assert system == TridiagonalSystem.from_intersection_numbers([4, 3, 2, 1], [1, 2, 3, 4])
+
+
 def test_reduced_matrix_examples():
     assert reduced_matrix(C5) == ((F(-1), F(1)), (F(1), F(0)))
     rm = reduced_matrix(HEAWOOD)
