@@ -15,7 +15,10 @@ over D 2^(k+1): exactly the rational midpoint (lo + hi) / 2, so every
 interval is the one a Fraction bisection would reach.  Fractions are built
 only for the interval a caller gets back.  refine, refined_to,
 compare_rational, compare, inverse and the integer collapse of isolated
-roots all drive the kernel.
+roots all drive the kernel.  Its Horner pass, ``_dyadic_sign``, also runs
+isolation's Sturm subdivision: every point that subdivision visits is
+B m / 2^k for the root bound B = u / v, so each chain member is scaled once
+to v^n q(u y / v) and evaluated at y = m / 2^k in integers.
 
 Each value carries the sign of its polynomial at lo, outside equality and
 computed lazily when unknown, so a bisection step costs one sign
@@ -42,7 +45,6 @@ from typing import Sequence
 from .linalg import charpoly, companion
 from .polynomials import (
     RationalPoly,
-    _chain_signs_at,
     _int_coeffs,
     cauchy_root_bound,
     count_real_roots,
@@ -228,13 +230,7 @@ class _Bisection:
 
     def sign(self, m: int) -> int:
         """Sign of the polynomial at m / (den 2^k)."""
-        acc = 0
-        shift = 0
-        k = self.k
-        for c in self.rq:
-            acc = acc * m + (c << shift)
-            shift += k
-        return (acc > 0) - (acc < 0)
+        return _dyadic_sign(self.rq, m, self.k)
 
     def step(self) -> bool:
         """Halve the interval; False on an exact hit, which leaves l == h at the root."""
@@ -258,6 +254,19 @@ class _Bisection:
         lo = Fraction(self.l, d)
         hi = lo if self.h == self.l else Fraction(self.h, d)
         return AlgebraicReal(self.poly, lo, hi, True, self.sign_lo)
+
+
+def _dyadic_sign(rq: Sequence[int], m: int, k: int) -> int:
+    """Sign at m / 2^k of the integer polynomial rq, leading coefficient first.
+
+    One Horner pass on sum_i q_i m^i 2^(k(n-i)), the value times 2^(kn).
+    """
+    acc = 0
+    shift = 0
+    for c in rq:
+        acc = acc * m + (c << shift)
+        shift += k
+    return (acc > 0) - (acc < 0)
 
 
 def _coerce(v) -> AlgebraicReal:
@@ -313,17 +322,19 @@ def isolate_real_roots(p: RationalPoly) -> list[AlgebraicReal]:
     if sf.degree == 1:
         return [AlgebraicReal.from_rational(-sf[0] / sf[1])]
     bound = cauchy_root_bound(sf) + 1
-    chain = sturm_chain(sf)
+    u, v = bound.numerator, bound.denominator
+    rchain = _scaled_chain(sturm_chain(sf), u, v)
 
-    def signs(t: Fraction) -> tuple[int, int]:
-        """Sign variations of the chain at t, and the sign of sf at t."""
-        s = _chain_signs_at(chain, t)
+    def signs(m: int, k: int) -> tuple[int, int]:
+        """Sign variations of the chain at bound m / 2^k, and the sign of sf there."""
+        s = _chain_signs(rchain, m, k)
         return sign_variations(s), s[0]
 
     out: list[AlgebraicReal] = []
-    stack = [(-bound, bound, *signs(-bound), *signs(bound))]
+    # the interval [l, h] / 2^k in units of bound; every root lies in (-1, 1)
+    stack = [(-1, 1, 0, *signs(-1, 0), *signs(1, 0))]
     while stack:
-        a, b, va, sa, vb, sb = stack.pop()
+        l, h, k, va, sa, vb, sb = stack.pop()
         n = va - vb
         if n == 0:
             continue
@@ -331,20 +342,44 @@ def isolate_real_roots(p: RationalPoly) -> list[AlgebraicReal]:
             # one simple root in (a, b) and neither endpoint a root: sf changes sign
             if sa * sb >= 0:
                 raise AssertionError("an isolating interval without a sign change")
-            out.append(AlgebraicReal(sf, a, b, True, sa))
+            d = v << k
+            out.append(AlgebraicReal(sf, Fraction(u * l, d), Fraction(u * h, d), True, sa))
             continue
-        mid = (a + b) / 2
-        shrink = (b - a) / 4
-        vm, sm = signs(mid)
+        # the midpoint, moved off a root by (h - l) / 2^(k+2), then half that, ...
+        mid, j = l + h, k + 1
+        vm, sm = signs(mid, j)
         while sm == 0:
-            mid += shrink
-            shrink /= 2
-            vm, sm = signs(mid)
-        stack.append((a, mid, va, sa, vm, sm))
-        stack.append((mid, b, vm, sm, vb, sb))
+            mid = (mid << 1) + h - l
+            j += 1
+            vm, sm = signs(mid, j)
+        stack.append((l << (j - k), mid, j, va, sa, vm, sm))
+        stack.append((mid, h << (j - k), j, vm, sm, vb, sb))
     out = [_try_integer_collapse(r) for r in out]
     out.sort(key=lambda r: (r.lo, r.hi))
     return out
+
+
+def _scaled_chain(chain: Sequence[RationalPoly], u: int, v: int) -> list[list[int]]:
+    """Each member q as the integer coefficients of v^n q(u y / v), leading first.
+
+    With u, v > 0 these are positive multiples of q(u y / v), so their signs
+    at y = m / 2^k are those of q at (u / v) m / 2^k.
+    """
+    top = max(q.degree for q in chain)
+    pu, pv = [1], [1]
+    for _ in range(top):
+        pu.append(pu[-1] * u)
+        pv.append(pv[-1] * v)
+    out = []
+    for q in chain:
+        ints = _int_coeffs(q)
+        n = len(ints) - 1
+        out.append([ints[i] * pu[i] * pv[n - i] for i in range(n, -1, -1)])
+    return out
+
+
+def _chain_signs(rchain: Sequence[Sequence[int]], m: int, k: int) -> list[int]:
+    return [_dyadic_sign(rq, m, k) for rq in rchain]
 
 
 def _try_integer_collapse(r: AlgebraicReal) -> AlgebraicReal:

@@ -8,9 +8,10 @@ coefficient tuples.
 
 The module also provides the real-root counting machinery used everywhere
 else in the package: Sturm chains, sign variation counts, and the Cauchy
-root bound.  Sign evaluations and Taylor shifts run on the primitive
-integer coefficients, so they pay for no Fraction normalisation; interval
-bisection has its own integer kernel in ``algebraics``.
+root bound.  Gcds, exact division, Sturm chains, sign evaluations and
+Taylor shifts run on the primitive integer coefficients, so they pay for
+no Fraction normalisation; root isolation and interval bisection have
+their own integer kernel in ``algebraics``.
 ``irreducible_factors`` factors over Q by Zassenhaus' algorithm, in Python
 ints.
 """
@@ -185,10 +186,23 @@ class RationalPoly:
         return self.divmod(other)[1]
 
     def exact_div(self, other: "RationalPoly") -> "RationalPoly":
-        q, r = self.divmod(other)
-        if not r.is_zero:
+        """self / other, by integer division of the primitive parts.
+
+        With self = s A and other = t B, A and B primitive, the quotient is
+        (s / t) (A / B), and A / B is integral by Gauss' lemma.  Neither
+        operand keeps the integer vectors it lends.
+        """
+        if other.is_zero:
+            raise ZeroDivisionError("polynomial division by zero")
+        if self.is_zero:
+            return self
+        a = self._ints or _primitive(self.coeffs)
+        b = other._ints or _primitive(other.coeffs)
+        q = _exact_quotient(a, b)
+        if q is None:
             raise ValueError("division is not exact")
-        return q
+        f = self.coeffs[-1] * b[-1] / (other.coeffs[-1] * a[-1])
+        return RationalPoly(tuple(Fraction(f.numerator * c, f.denominator) for c in q))
 
     # -- evaluation ----------------------------------------------------------
 
@@ -293,17 +307,10 @@ def poly_gcd(p: RationalPoly, q: RationalPoly) -> RationalPoly:
     if len(a) < len(b):
         a, b = b, a
     while True:
-        r = _int_prem(a, b)
-        while r and r[-1] == 0:
-            r.pop()
+        r = _trim(_int_prem(a, b))
         if not r:
             break
-        g = 0
-        for v in r:
-            g = int_gcd(g, abs(v))
-        if g > 1:
-            r = [v // g for v in r]
-        a, b = b, r
+        a, b = b, _primitive_int(r)
     return RationalPoly(b).monic()
 
 
@@ -638,7 +645,15 @@ def irreducible_factors(p: RationalPoly) -> tuple[RationalPoly, ...]:
 
 @lru_cache(maxsize=4096)
 def sturm_chain(p: RationalPoly) -> tuple[RationalPoly, ...]:
-    """Canonical Sturm sequence p, p', -rem(...), ...
+    """Sturm sequence of p as a primitive polynomial remainder sequence.
+
+    Member 0 is p, member 1 the primitive part of p'; each further member
+    is -prem(a, b) sign(lc(b))^(delta + 1), delta = deg a - deg b, with
+    its positive content divided out.  Every member is a positive multiple
+    of the canonical member p, p', -rem(...), ..., so it has the same
+    degree and the same signs everywhere, and the coefficients stay
+    integers of polynomially bounded size (Collins 1967, "Subresultants and
+    reduced polynomial remainder sequences"; Brown and Traub 1971).
 
     For nonzero p the sign-variation difference V(a) - V(b) counts the
     distinct real roots in the half-open interval (a, b].
@@ -647,12 +662,18 @@ def sturm_chain(p: RationalPoly) -> tuple[RationalPoly, ...]:
         raise ValueError("Sturm chain of the zero polynomial")
     chain = [p]
     if p.degree >= 1:
-        chain.append(p.derivative())
-        while chain[-1].degree >= 1:
-            r = -(chain[-2] % chain[-1])
-            if r.is_zero:
+        a = _int_coeffs(p)
+        b = _primitive_int([i * c for i, c in enumerate(a)][1:])
+        chain.append(_int_poly(b))
+        while len(b) > 1:
+            r = _trim(_int_prem(a, b))
+            if not r:
                 break
-            chain.append(r)
+            # prem = lc(b)^(delta + 1) rem; negate by the sign that leaves -rem
+            if b[-1] > 0 or (len(a) - len(b)) % 2:
+                r = [-v for v in r]
+            a, b = b, _primitive_int(r)
+            chain.append(_int_poly(b))
     return tuple(chain)
 
 
@@ -711,20 +732,33 @@ def cauchy_root_bound(p: RationalPoly) -> Fraction:
 # -- integer scaling ---------------------------------------------------------
 
 
-def _int_coeffs(p: RationalPoly) -> tuple[int, ...]:
-    """Primitive integer coefficient vector with the same sign as p."""
-    if p._ints is not None:
-        return p._ints
-    den = 1
-    for c in p.coeffs:
-        den = den * c.denominator // int_gcd(den, c.denominator)
-    ints = [c.numerator * (den // c.denominator) for c in p.coeffs]
+def _primitive_int(ints: Sequence[int]) -> tuple[int, ...]:
+    """ints divided by their positive content."""
     g = 0
     for v in ints:
-        g = int_gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    object.__setattr__(p, "_ints", tuple(ints))
+        g = int_gcd(g, v)
+    return tuple(v // g for v in ints) if g > 1 else tuple(ints)
+
+
+def _primitive(coeffs: Sequence[Fraction]) -> tuple[int, ...]:
+    """Primitive integer coefficient vector, a positive multiple of coeffs."""
+    den = 1
+    for c in coeffs:
+        den = den * c.denominator // int_gcd(den, c.denominator)
+    return _primitive_int([c.numerator * (den // c.denominator) for c in coeffs])
+
+
+def _int_poly(ints: tuple[int, ...]) -> RationalPoly:
+    """The polynomial with the primitive integer coefficients ints."""
+    p = RationalPoly(ints)
+    object.__setattr__(p, "_ints", ints)
+    return p
+
+
+def _int_coeffs(p: RationalPoly) -> tuple[int, ...]:
+    """Primitive integer coefficient vector with the same sign as p, cached on p."""
+    if p._ints is None:
+        object.__setattr__(p, "_ints", _primitive(p.coeffs))
     return p._ints
 
 

@@ -237,14 +237,14 @@ def test_isolating_interval_without_a_sign_change_is_an_alarm(monkeypatch, capsy
     class Signs(list):
         true: list
 
-    def chain_signs(chain, t, _real=algebraics._chain_signs_at):
-        s = Signs(_real(chain, t))
+    def chain_signs(rchain, m, k, _real=algebraics._chain_signs):
+        s = Signs(_real(rchain, m, k))
         s.true = list(s)
         s[0] = 1
         return s
 
     real_variations = algebraics.sign_variations
-    monkeypatch.setattr(algebraics, "_chain_signs_at", chain_signs)
+    monkeypatch.setattr(algebraics, "_chain_signs", chain_signs)
     monkeypatch.setattr(algebraics, "sign_variations", lambda s: real_variations(s.true))
     with pytest.raises(AssertionError, match="an isolating interval without a sign change"):
         algebraics.isolate_real_roots(RationalPoly((-2, 0, 1)))

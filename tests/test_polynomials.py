@@ -45,10 +45,46 @@ def test_degree_and_leading_invariants():
     assert RationalPoly.zero().degree == -1
 
 
+def fraction_sturm_chain(p: RationalPoly) -> list[RationalPoly]:
+    """The canonical Sturm chain p, p', -rem(...), ... by Fraction Euclid: the reference."""
+    chain = [p]
+    if p.degree >= 1:
+        chain.append(p.derivative())
+        while chain[-1].degree >= 1:
+            r = -(chain[-2] % chain[-1])
+            if r.is_zero:
+                break
+            chain.append(r)
+    return chain
+
+
+def assert_positive_multiples(chain, reference):
+    assert len(chain) == len(reference)
+    for q, c in zip(chain, reference):
+        assert q.degree == c.degree
+        factor = q.leading / c.leading
+        assert factor > 0 and q == c.scale(factor)
+
+
 def test_sturm_chain_quadratic():
-    chain = sturm_chain(RationalPoly((-2, 0, 1)))
-    assert [q.coeffs for q in chain] == [(F(-2), F(0), F(1)), (F(0), F(2)), (F(2),)]
-    assert count_real_roots(RationalPoly((-2, 0, 1)), F(-2), F(2)) == 2
+    # the chain is primitive: (x^2 - 2, x, 1), the canonical (x^2 - 2, 2x, 2) up to positive factors
+    p = RationalPoly((-2, 0, 1))
+    chain = sturm_chain(p)
+    assert [q.degree for q in chain] == [2, 1, 0]
+    assert [q.leading > 0 for q in chain] == [True, True, True]
+    assert_positive_multiples(chain, fraction_sturm_chain(p))
+    assert count_real_roots(p, F(-2), F(2)) == 2
+
+
+def test_sturm_chain_across_a_degree_gap():
+    # rem(x^4 + x + 1, 4x^3 + 1) has degree 1, so the next pseudo-remainder has
+    # delta = 2 and a divisor with negative lead: lc^(delta + 1) < 0
+    p = RationalPoly((1, 1, 0, 0, 1))
+    chain = sturm_chain(p)
+    assert [q.degree for q in chain] == [4, 3, 1, 0]
+    assert [q.leading > 0 for q in chain] == [True, True, False, True]
+    assert_positive_multiples(chain, fraction_sturm_chain(p))
+    assert count_real_roots(p) == 0
 
 
 def test_sturm_chain_linear():
@@ -289,3 +325,42 @@ def test_shift_matches_the_fraction_loop_and_sympy(p, r):
     expr = sum(sympy.Rational(c.numerator, c.denominator) * shifted**i for i, c in enumerate(p.coeffs))
     want = [F(int(c.p), int(c.q)) for c in reversed(sympy.Poly(expr, x).all_coeffs())] if p.coeffs else []
     assert got == RationalPoly(want)
+
+
+# -- primitive Sturm chains, against the Fraction chain and sympy -------------------
+
+nonzero_fractions = st.fractions(-9, 9, max_denominator=7).filter(lambda c: c != 0)
+# degree 1..16, leading coefficients negative and non-unit too; some with a
+# repeated factor; about half the other coefficients zero, so that remainders
+# drop by more than one degree
+sturm_inputs = st.builds(
+    lambda cs, lead, square: RationalPoly(cs + [lead]) * square * square,
+    st.lists(st.one_of(st.just(F(0)), st.fractions(-9, 9, max_denominator=7)), min_size=1, max_size=12),
+    nonzero_fractions,
+    st.sampled_from([ONE, ONE, ONE, RationalPoly((-1, 1)), RationalPoly((F(1, 3), 0, -2))]),
+)
+
+
+def _sympy_poly(p: RationalPoly):
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)], sympy.symbols("x"))
+
+
+@given(sturm_inputs)
+def test_sturm_chain_is_the_fraction_chain_up_to_positive_factors(p):
+    assert_positive_multiples(sturm_chain(p), fraction_sturm_chain(p))
+
+
+@given(sturm_inputs, st.lists(st.tuples(points, points), min_size=1, max_size=4))
+def test_root_counts_and_isolation_agree_with_sympy(p, intervals):
+    from qpolykit.algebraics import isolate_real_roots
+
+    sp = _sympy_poly(p)
+    for a, b in intervals:
+        lo, hi = sorted((F(a), F(b)))
+        if lo == hi or p.sign_at(lo) == 0 or p.sign_at(hi) == 0:
+            continue
+        assert count_real_roots(p, lo, hi) == sp.count_roots(sympy.Rational(lo), sympy.Rational(hi))
+    roots = isolate_real_roots(p)
+    assert count_real_roots(p) == len(roots) == sp.count_roots()
+    for r in roots:
+        assert sp.count_roots(sympy.Rational(r.lo), sympy.Rational(r.hi)) == 1
