@@ -324,9 +324,15 @@ def isolate_real_roots(p: RationalPoly) -> list[AlgebraicReal]:
     bound = cauchy_root_bound(sf) + 1
     u, v = bound.numerator, bound.denominator
     rchain = _scaled_chain(sturm_chain(sf), u, v)
+    # a split without a nudge halves its interval, and an interval narrower than
+    # the root separation is never split; each of the at most deg(sf) nudges
+    # (one per root hit) adds one scale and may leave one split unhalved
+    cap = _round_cap(sf, 2 * bound) + 2 * sf.degree
 
     def signs(m: int, k: int) -> tuple[int, int]:
         """Sign variations of the chain at bound m / 2^k, and the sign of sf there."""
+        if k > cap:
+            raise AssertionError("root isolation subdivided past its round cap")
         s = _chain_signs(rchain, m, k)
         return sign_variations(s), s[0]
 

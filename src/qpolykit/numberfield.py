@@ -5,19 +5,26 @@ values are moved into a common field (field_containing) and combined and
 signed there (exact_sign); AlgebraicReal only isolates and compares.
 
 A RealAlgebraicField is Q[y] modulo a monic irreducible rational
-polynomial, together with an isolating interval selecting one real root
-gamma of it.  Elements are polynomials in gamma of degree below the modulus.
-The constructor accepts any polynomial with a root in the interval and keeps
-the irreducible factor vanishing at that root (``irreducible_factors``), so
-every nonzero element is a unit and zero means "reduces to the empty
-polynomial".
+polynomial, together with a certified root gamma of it (an AlgebraicReal).
+It has one constructor, which takes that root; from_root builds Q(a) for
+any algebraic real a on the irreducible factor of a.poly vanishing at a
+(``irreducible_factors``), and rationals() is the field of the root 0.
+
+Every element is kept as its canonical residue: Fraction coefficients of
+the powers of gamma below the degree of the modulus, with no trailing zero.
+One remainder loop by the monic modulus (``reduce``) builds that form for
+new elements and products, so zero is the empty tuple, equality is tuple
+equality, and zero tests and rational read-outs never reduce again nor
+refine gamma.  Since the modulus is irreducible, every nonzero element is a
+unit.
 
 Several algebraic numbers are combined into one field with adjoin_root,
 which finds a primitive element gamma_old + t*beta through its minimal
 polynomial in the tensor ring (the squarefree part of the characteristic
 polynomial of the Kronecker sum C_1 (x) I + t I (x) C_2 of the two
-companion matrices, ``linalg.charpoly``, then the irreducible factor with
-gamma_old + t*beta as a root) and rewrites both generators in terms of it.
+companion matrices, ``linalg.charpoly``), isolates it factor by factor among
+the roots of that polynomial's irreducible factors, builds the new field on
+the factor holding it and rewrites both generators in terms of it.
 """
 
 from __future__ import annotations
@@ -42,26 +49,36 @@ def _minimal_factor(a: AlgebraicReal) -> RationalPoly:
     return hits[0]
 
 
+def _root_of(factor: RationalPoly, lo: Fraction, hi: Fraction) -> AlgebraicReal:
+    """The one root of the monic irreducible factor in [lo, hi], a point when it is rational."""
+    if factor.degree == 1:
+        return AlgebraicReal.from_rational(-factor[0])
+    return AlgebraicReal(factor, lo, hi, _checked=True)
+
+
+def _trimmed(coeffs: list) -> tuple:
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
 class RealAlgebraicField:
     """Q[y]/(modulus) with a selected real root of the modulus."""
 
-    def __init__(self, modulus: RationalPoly, lo, hi):
-        gen = AlgebraicReal(modulus, Fraction(lo), Fraction(hi))
-        rat = gen.as_rational()
-        self._modulus = RationalPoly((-rat, 1)) if rat is not None else _minimal_factor(gen)
-        if self._modulus.degree == 1:
-            self._gen = AlgebraicReal.from_rational(-self._modulus[0])
-        else:
-            self._gen = AlgebraicReal(self._modulus, gen.lo, gen.hi, _checked=True)
-        self._pow_cache: list[tuple[Fraction, ...]] = [(Fraction(1),)]
+    def __init__(self, gen: AlgebraicReal):
+        """The field of gen, a certified root of gen.poly, its monic irreducible modulus."""
+        self._gen = gen
+        self._modulus = gen.poly
+        self._tail = tuple((i, c) for i, c in enumerate(gen.poly.coeffs[:-1]) if c)
 
     @classmethod
     def rationals(cls) -> "RealAlgebraicField":
-        return cls(RationalPoly((0, 1)), 0, 0)
+        return cls(AlgebraicReal.from_rational(0))
 
     @classmethod
     def from_root(cls, a: AlgebraicReal) -> tuple["RealAlgebraicField", "FieldElement"]:
-        f = cls(a.poly, a.lo, a.hi)
+        r = a.as_rational()
+        f = cls(_root_of(RationalPoly((-r, 1)) if r is not None else _minimal_factor(a), a.lo, a.hi))
         return f, f.generator()
 
     # -- basic state --------------------------------------------------------
@@ -75,75 +92,41 @@ class RealAlgebraicField:
         return self._modulus
 
     def generator(self) -> "FieldElement":
-        return FieldElement(self, (Fraction(0), Fraction(1)))
+        return self.element((0, 1))
 
     def generator_value(self) -> AlgebraicReal:
         return self._gen
 
     def element(self, coeffs: Sequence[Fraction | int]) -> "FieldElement":
-        return FieldElement(self, tuple(Fraction(c) for c in coeffs))
+        return FieldElement(self, self.reduce([Fraction(c) for c in coeffs]))
 
     def constant(self, c: Fraction | int) -> "FieldElement":
-        return FieldElement(self, (Fraction(c),))
+        return FieldElement(self, (Fraction(c),) if c else ())
 
     def __repr__(self) -> str:
         return f"RealAlgebraicField({self._modulus.to_str()} @ [{self._gen.lo}, {self._gen.hi}])"
 
-    # -- generator interval -----------------------------------------------------
+    # -- canonical residues -------------------------------------------------------
 
-    def _refine_generator(self) -> None:
-        # the irreducible modulus of degree >= 2 has no rational root, so no step hits one
-        self._gen = self._gen.refine()
+    def reduce(self, coeffs: list[Fraction]) -> tuple[Fraction, ...]:
+        """The canonical residue of sum c_k y^k; consumes the list coeffs.
 
-    # -- reduction ---------------------------------------------------------------
-
-    def _powers(self, upto: int) -> list[tuple[Fraction, ...]]:
-        """y^k mod modulus for k = 0..upto, cached."""
+        One remainder loop by the monic modulus: each top coefficient above
+        the degree d is cancelled by its multiple of the modulus.
+        """
         d = self._modulus.degree
-        mcoeffs = self._modulus.coeffs
-        while len(self._pow_cache) <= upto:
-            prev = self._pow_cache[-1]
-            nxt = [Fraction(0)] * (len(prev) + 1)
-            for i, c in enumerate(prev):
-                nxt[i + 1] = c
-            if len(nxt) > d:  # reduce the single overflow term by the monic modulus
-                top = nxt.pop()
-                if top != 0:
-                    for i in range(d):
-                        nxt[i] -= top * mcoeffs[i]
-            self._pow_cache.append(tuple(nxt))
-        return self._pow_cache
+        for k in range(len(coeffs) - 1, d - 1, -1):
+            top = coeffs.pop()
+            if top:
+                for i, c in self._tail:
+                    coeffs[k - d + i] -= top * c
+        return _trimmed(coeffs)
 
-    def reduce(self, coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        d = self._modulus.degree
-        out = [Fraction(0)] * d
-        if len(coeffs) > d:
-            powers = self._powers(len(coeffs) - 1)
-            for k, c in enumerate(coeffs):
-                if c == 0:
-                    continue
-                if k < d:
-                    out[k] += c
-                else:
-                    for i, pc in enumerate(powers[k]):
-                        out[i] += c * pc
-        else:
-            for k, c in enumerate(coeffs):
-                out[k] = c
-        while out and out[-1] == 0:
-            out.pop()
-        return tuple(out)
-
-    # -- exact predicates -----------------------------------------------------------
-
-    def is_zero_coeffs(self, coeffs: Sequence[Fraction]) -> bool:
-        return not self.reduce(coeffs)
-
-    def sign_coeffs(self, coeffs: Sequence[Fraction]) -> int:
-        red = self.reduce(coeffs)
-        if not red:
+    def sign_coeffs(self, coeffs: tuple[Fraction, ...]) -> int:
+        """Sign of a canonical residue at gamma, refining gamma until it is decided."""
+        if not coeffs:
             return 0
-        e = RationalPoly(red)
+        e = RationalPoly(coeffs)
         while True:
             gen = self._gen
             if gen.lo == gen.hi:
@@ -154,22 +137,8 @@ class RealAlgebraicField:
                 return 1
             if hi < 0:
                 return -1
-            self._refine_generator()
-
-    def inverse_coeffs(self, coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        red = self.reduce(coeffs)
-        if not red:
-            raise ZeroDivisionError("inverse of zero field element")
-        g, u = _half_ext_gcd(RationalPoly(red), self._modulus)
-        if g.degree != 0:
-            raise AssertionError("a nonzero element shares a factor with the irreducible modulus")
-        return self.reduce(u.scale(1 / g[0]).coeffs)
-
-    def to_algebraic_coeffs(self, coeffs: Sequence[Fraction]) -> AlgebraicReal:
-        red = self.reduce(coeffs)
-        if not red:
-            return AlgebraicReal.from_rational(0)
-        return apply_rational_poly(RationalPoly(red), self.generator_value())
+            # the irreducible modulus of degree >= 2 has no rational root, so no step hits one
+            self._gen = gen.refine()
 
 
 def _half_ext_gcd(a: RationalPoly, b: RationalPoly) -> tuple[RationalPoly, RationalPoly]:
@@ -184,48 +153,46 @@ def _half_ext_gcd(a: RationalPoly, b: RationalPoly) -> tuple[RationalPoly, Ratio
 
 
 class FieldElement:
-    """A value p(gamma) in a RealAlgebraicField; supports exact field arithmetic."""
+    """A value p(gamma) in a RealAlgebraicField; supports exact field arithmetic.
+
+    coeffs is the canonical residue of p (see the module docstring); build
+    elements from any other coefficients with RealAlgebraicField.element.
+    """
 
     __slots__ = ("field", "coeffs")
 
-    def __init__(self, field: RealAlgebraicField, coeffs: Sequence[Fraction | int]):
+    def __init__(self, field: RealAlgebraicField, coeffs: tuple[Fraction, ...]):
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in coeffs))
+        object.__setattr__(self, "coeffs", coeffs)
 
     def __setattr__(self, name, value):
         raise AttributeError("FieldElement is immutable")
 
     # -- state ----------------------------------------------------------------
 
-    def reduced(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.reduce(self.coeffs))
-
     def is_zero(self) -> bool:
-        return self.field.is_zero_coeffs(self.coeffs)
+        return not self.coeffs
 
     def sign(self) -> int:
         return self.field.sign_coeffs(self.coeffs)
 
     def as_fraction(self) -> Fraction | None:
-        if self.is_zero():
-            return Fraction(0)
-        red = self.field.reduce(self.coeffs)
-        if len(red) == 1:
-            return red[0]
-        return None
+        c = self.coeffs
+        if len(c) > 1:
+            return None
+        return c[0] if c else Fraction(0)
 
     def equals_rational(self, r: Fraction | int) -> bool:
-        return (self - Fraction(r)).is_zero()
+        return self.as_fraction() == r
 
     def to_algebraic(self) -> AlgebraicReal:
-        return self.field.to_algebraic_coeffs(self.coeffs)
+        return apply_rational_poly(RationalPoly(self.coeffs), self.field.generator_value())
 
     def approx_float(self) -> float:
         return self.to_algebraic().approx_float()
 
     def __repr__(self) -> str:
-        red = self.field.reduce(self.coeffs)
-        return f"FieldElement({RationalPoly(red).to_str('g')})"
+        return f"FieldElement({RationalPoly(self.coeffs).to_str('g')})"
 
     # -- arithmetic ---------------------------------------------------------------
 
@@ -235,7 +202,7 @@ class FieldElement:
                 raise ValueError("elements of different fields; join them first")
             return other
         if isinstance(other, (int, Fraction)):
-            return FieldElement(self.field, (Fraction(other),))
+            return self.field.constant(other)
         raise TypeError(f"cannot mix FieldElement with {type(other).__name__}")
 
     def __add__(self, other):
@@ -246,7 +213,7 @@ class FieldElement:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return FieldElement(self.field, out)
+        return FieldElement(self.field, _trimmed(out))
 
     __radd__ = __add__
 
@@ -275,7 +242,12 @@ class FieldElement:
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.inverse_coeffs(self.coeffs))
+        if not self.coeffs:
+            raise ZeroDivisionError("inverse of zero field element")
+        g, u = _half_ext_gcd(RationalPoly(self.coeffs), self.field.modulus)
+        if g.degree != 0:
+            raise AssertionError("a nonzero element shares a factor with the irreducible modulus")
+        return FieldElement(self.field, self.field.reduce(list(u.scale(1 / g[0]).coeffs)))
 
     def __truediv__(self, other):
         return self * self._coerce(other).inverse()
@@ -285,7 +257,7 @@ class FieldElement:
 
     def __eq__(self, other):
         if isinstance(other, (FieldElement, int, Fraction)):
-            return (self - other).is_zero()
+            return self.coeffs == self._coerce(other).coeffs
         return NotImplemented
 
     __hash__ = None
@@ -306,6 +278,8 @@ def exact_sign(x) -> int:
 
 
 def is_exact_zero(x) -> bool:
+    if isinstance(x, FieldElement):
+        return x.is_zero()
     return exact_sign(x) == 0
 
 
@@ -395,8 +369,8 @@ def kp_eval(p: list, t):
 def kp_divmod(p: list, q: list) -> tuple[list, list]:
     """Euclidean division over a field; q's leading coefficient must be a unit.
 
-    Intermediate coefficients may be non-canonical representations of zero;
-    the returned quotient and remainder are trimmed semantically.
+    Field elements are canonical, so a zero coefficient is exactly zero and
+    kp_trim drops the cancelled top coefficients of the remainder.
     """
     q = kp_trim(list(q))
     if not q:
@@ -438,7 +412,9 @@ def adjoin_root(
     generator is gamma_old + t*beta for the first t that makes the rewriting
     gcd linear; its modulus is the minimal polynomial of that sum, the
     irreducible factor of the tensor ring's polynomial that vanishes there,
-    so both images are exact.
+    so both images are exact.  The sum is isolated factor by factor: every
+    factor is nonzero at both ends of its enclosure and their Sturm counts
+    there sum to 1, and the factor counting 1 becomes the new modulus.
     """
     rb = beta.as_rational()
     pb = RationalPoly((-rb, 1)) if rb is not None else _minimal_factor(beta)
@@ -452,27 +428,22 @@ def adjoin_root(
 
     m1 = field.modulus
     d1, d2 = m1.degree, pb.degree
+    gen = field.generator_value()
     for t in range(1, 8 * d1 * d2 + 2):
         mpoly = _tensor_min_poly(m1, pb, t)
-        # isolate gamma_old + t*beta among the roots of mpoly
-        glo, ghi, blo, bhi = field._gen.lo, field._gen.hi, beta.lo, beta.hi
+        factors = irreducible_factors(mpoly)
+        # isolate gamma_old + t*beta among the roots of the factors of mpoly
         cur_b = beta
-        for _ in range(_round_cap(mpoly, (ghi - glo) + t * (bhi - blo))):
-            lo, hi = glo + t * blo, ghi + t * bhi
-            if (
-                lo < hi
-                and mpoly.sign_at(lo) != 0
-                and mpoly.sign_at(hi) != 0
-                and count_real_roots(mpoly, lo, hi) == 1
-            ):
-                break
-            field._refine_generator()
-            glo, ghi = field._gen.lo, field._gen.hi
-            cur_b = cur_b.refine()
-            blo, bhi = cur_b.lo, cur_b.hi
+        for _ in range(_round_cap(mpoly, (gen.hi - gen.lo) + t * (beta.hi - beta.lo))):
+            lo, hi = gen.lo + t * cur_b.lo, gen.hi + t * cur_b.hi
+            if lo < hi and all(f.sign_at(lo) != 0 and f.sign_at(hi) != 0 for f in factors):
+                counts = [count_real_roots(f, lo, hi) for f in factors]
+                if sum(counts) == 1:
+                    break
+            gen, cur_b = gen.refine(), cur_b.refine()
         else:
             raise AssertionError("gamma + t*beta is not isolated among the roots of its tensor polynomial")
-        new_field = RealAlgebraicField(mpoly, lo, hi)
+        new_field = RealAlgebraicField(_root_of(factors[counts.index(1)], lo, hi))
         gamma = new_field.generator()
         # rewrite: beta is the unique common root of pb(x) and m1(gamma - t*x)
         f1 = [new_field.constant(c) for c in pb.coeffs]
@@ -506,7 +477,6 @@ def field_containing(values: Sequence[AlgebraicReal]) -> tuple[RealAlgebraicFiel
         for v, el in zip(values, elems):
             if not eval_rational_poly(v.poly.coeffs, el).is_zero():
                 raise AssertionError("adjoined root lost its defining relation")
-    elems = [field.element(el.coeffs) for el in elems]
     return field, elems
 
 

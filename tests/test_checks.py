@@ -253,6 +253,19 @@ def test_isolating_interval_without_a_sign_change_is_an_alarm(monkeypatch, capsy
     assert "ALARM: internal invariant failed: an isolating interval without a sign change" in out.splitlines()
 
 
+def test_root_isolation_past_its_round_cap_is_an_alarm(monkeypatch, capsys):
+    # a wrong root count: two roots left of 0 and none at or right of it, so
+    # isolation would subdivide toward 0 forever without its round cap
+    monkeypatch.setattr(algebraics, "_chain_signs", lambda rchain, m, k: [1, -1, 1] if m < 0 else [1, 1, 1])
+    start = time.perf_counter()
+    with pytest.raises(AssertionError, match="root isolation subdivided past its round cap"):
+        algebraics.isolate_real_roots(RationalPoly((-2, 0, 1)))
+    assert time.perf_counter() - start < 1
+    assert main(["check-graph", "--family", "petersen"]) == 2
+    out = capsys.readouterr().out
+    assert "ALARM: internal invariant failed: root isolation subdivided past its round cap" in out.splitlines()
+
+
 def test_class3_classification_reuses_the_ordering_verdicts(monkeypatch, capsys):
     calls = {"dual_fundamental_bound": 0, "class3_dualtight_audit": 0}
     for name in calls:

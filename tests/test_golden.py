@@ -4,8 +4,11 @@ The digests were recorded before the check pipeline moved into
 ``qpolykit.checks`` (those of ``cycle:n=7`` before the resultants became
 ``linalg.charpoly`` calls, and those of icosahedron, ``cycle:n=9`` and the
 linked-design Krein array before each polynomial ordering kept one dual
-spectrum, and those of ``cycle:n=11`` before Sturm chains became primitive
-integer remainder sequences); any change to a report's bytes shows up here.
+spectrum, those of ``cycle:n=11`` before Sturm chains became primitive
+integer remainder sequences, and those of ``cycle:n=13`` before number-field
+elements became canonical residues and each join isolated its generator on
+the irreducible factors of its tensor polynomial); any change to a report's
+bytes shows up here.
 The two slow README commands run at smaller sizes.  The random cubic graph's
 digests were recorded before interval bisection moved to integers: its
 irrational eigenvalues have a degree-20 defining polynomial, and the report
@@ -54,10 +57,16 @@ GOLDEN = [
         "json": "f4dafadaae75e9d1a5de15193aab2714374d9f19c604d5294cfccaedbdf40b90",
     }),
     # number-field joins of degree-5 generators: adjoin_root's Sturm counts on
-    # the tensor polynomial certify the intervals that reach the report
+    # the irreducible factors of the tensor polynomial certify the intervals
+    # that reach the report
     (["check-scheme", "--from-graph", "cycle:n=11"], {
         "text": "3fac227f5ccb575f819b1101b67b475929953285ce98202308d5e40688c1da90",
         "json": "de5f48f82f70ae887ad67060a41dac4bcd933645382f307f577b70ef62c98b41",
+    }),
+    # five joins into degree-6 fields
+    (["check-scheme", "--from-graph", "cycle:n=13"], {
+        "text": "d56a76d708028f6d5659c7f130165f58eee4f215d6a0e7d3e9e74ed4d37d845d",
+        "json": "acc53276c9d142821d8189d8a993c19a02b5a13bd753cdeb6942d64dfc2ef965",
     }),
     (["check-scheme", "--krein", LINKED], {
         "text": "8c57e79ef652cec0e84dfd852e847d27136a325277a96955aa0aa2eea55eb3e6",

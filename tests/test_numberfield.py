@@ -4,17 +4,19 @@ from fractions import Fraction as F
 import pytest
 import sympy
 
-from qpolykit.algebraics import isolate_real_roots
+from qpolykit.algebraics import AlgebraicReal, isolate_real_roots
 from qpolykit.cli import main
 from qpolykit.numberfield import (
     RealAlgebraicField,
+    _minimal_factor,
+    _tensor_min_poly,
     adjoin_root,
     exact_sign,
     field_containing,
     is_exact_zero,
     scalar_as_fraction,
 )
-from qpolykit.polynomials import RationalPoly
+from qpolykit.polynomials import RationalPoly, count_real_roots, irreducible_factors
 
 
 def root(coeffs, index=-1):
@@ -33,8 +35,7 @@ def test_quadratic_field_basics():
 def test_zero_test_with_reducible_modulus():
     # modulus (x^2-2)(x^2-9): the selected root is sqrt2
     modulus = RationalPoly((-2, 0, 1)) * RationalPoly((-9, 0, 1))
-    field = RealAlgebraicField(modulus, F(1), F(3, 2))
-    gen = field.generator()
+    field, gen = RealAlgebraicField.from_root(AlgebraicReal(modulus, F(1), F(3, 2)))
     e = gen * gen - 2  # zero at sqrt2, nonzero at the +-3 components
     assert e.is_zero()
     assert field.degree <= 2  # discovering the zero split the modulus
@@ -42,8 +43,7 @@ def test_zero_test_with_reducible_modulus():
 
 def test_inverse_splits_reducible_modulus():
     modulus = RationalPoly((-2, 0, 1)) * RationalPoly((-9, 0, 1))
-    field = RealAlgebraicField(modulus, F(1), F(3, 2))
-    gen = field.generator()
+    field, gen = RealAlgebraicField.from_root(AlgebraicReal(modulus, F(1), F(3, 2)))
     inv = (gen - 3).inverse()  # gen - 3 is a zero divisor mod the full modulus
     assert (inv * (gen - 3)).equals_rational(1)
 
@@ -99,6 +99,22 @@ def test_division_errors():
         (gen - gen).inverse()
 
 
+# the minimal polynomials of 2cos(2 pi/7) and 2cos(2 pi/11), which generate the
+# cubic field of cycle:n=7 and the degree-5 field of cycle:n=11
+CYCLE7_CUBIC = (-1, -2, 1, 1)
+CYCLE11_QUINTIC = (1, 3, -3, -4, 1, 1)
+
+
+def assert_canonical(elems):
+    """Every element is a canonical residue, and == is equality of residues."""
+    for el in elems:
+        assert len(el.coeffs) - 1 < el.field.degree  # a residue's degree is below the modulus'
+        assert not el.coeffs or el.coeffs[-1] != 0
+    for a in elems:
+        for b in elems:
+            assert (a == b) == (a.coeffs == b.coeffs)
+
+
 def test_field_ops_agree_with_resultant_arithmetic():
     # dual route: field arithmetic in Q(sqrt n) against sympy's exact a + b sqrt n
     from hypothesis import given, settings
@@ -131,10 +147,90 @@ def test_field_ops_agree_with_resultant_arithmetic():
             results.append((e1 / e2, v1 / v2))
         for el, expr in results:
             assert el == field.element(coordinates(expr, n))
+        assert_canonical([e1, e2] + [el for el, _ in results])
         assert (e1 - e1).is_zero()
         assert e1.sign() == sympy.sign(v1)
 
     check()
+
+    # the same in the cubic and quintic cycle fields, against sympy modulo the modulus
+    y = sympy.Symbol("y")
+
+    def lift(coeffs):
+        return sum(sympy.Rational(c.numerator, c.denominator) * y**k for k, c in enumerate(coeffs))
+
+    def coords(expr) -> list:
+        return [F(int(c.p), int(c.q)) for c in reversed(sympy.Poly(expr, y).all_coeffs())]
+
+    fields = [RealAlgebraicField.from_root(root(m))[0] for m in (CYCLE7_CUBIC, CYCLE11_QUINTIC)]
+    small = st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4), max_size=8)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from(fields), small, small)
+    def check_cycle_field(field, c1, c2):
+        mod = lift(field.modulus.coeffs)
+        e1, e2 = field.element(c1), field.element(c2)
+        v1, v2 = lift(c1), lift(c2)
+        results = [(e1 + e2, v1 + v2), (e1 - e2, v1 - v2), (e1 * e2, v1 * v2)]
+        if not e2.is_zero():
+            results.append((e1 / e2, v1 * sympy.invert(v2, mod, y)))
+        for el, expr in results:
+            assert el.coeffs == field.element(coords(sympy.rem(sympy.expand(expr), mod, y))).coeffs
+        assert_canonical([e1, e2] + [el for el, _ in results])
+
+    check_cycle_field()
+
+
+def test_zero_tests_and_equality_never_refine_the_generator(monkeypatch):
+    field, gen = RealAlgebraicField.from_root(root(CYCLE11_QUINTIC))
+    a, b = gen * gen - 2, gen + 1
+    calls = [0]
+    real_refine = AlgebraicReal.refine
+
+    def counted(self):
+        calls[0] += 1
+        return real_refine(self)
+
+    monkeypatch.setattr(AlgebraicReal, "refine", counted)
+    assert not is_exact_zero(a) and not a.is_zero() and not is_exact_zero(b)
+    assert is_exact_zero(a - a) and (a - a).is_zero()
+    assert a != b and not (a == b) and a == a * 1 and a != 2
+    assert a.as_fraction() is None and not a.equals_rational(2)
+    assert calls == [0]
+    # a sign does refine gamma: 2cos(2 pi/11) is not decided against 1.68 by its isolating box
+    assert (gen - F(168, 100)).sign() == 1 and calls[0] > 0
+
+
+def reference_join(field, beta, t_last):
+    """adjoin_root's isolation, counted on the whole tensor polynomial.
+
+    The old generator's interval carries over from one t to the next and
+    beta's restarts, as in adjoin_root; returns (modulus, lo, hi) for t_last.
+    """
+    pb = _minimal_factor(beta)
+    gen = field.generator_value()
+    for t in range(1, t_last + 1):
+        mpoly = _tensor_min_poly(field.modulus, pb, t)
+        cur_b = beta
+        while True:
+            lo, hi = gen.lo + t * cur_b.lo, gen.hi + t * cur_b.hi
+            if lo < hi and mpoly.sign_at(lo) != 0 and mpoly.sign_at(hi) != 0:
+                if count_real_roots(mpoly, lo, hi) == 1:
+                    break
+            gen, cur_b = gen.refine(), cur_b.refine()
+    (modulus,) = [f for f in irreducible_factors(mpoly) if f.sign_at(lo) != f.sign_at(hi)]
+    return modulus, lo, hi
+
+
+@pytest.mark.parametrize("old, new", [((-2, 0, 1), (-3, 0, 1)), (CYCLE7_CUBIC, CYCLE7_CUBIC), (CYCLE11_QUINTIC, (-2, 0, 1))])
+def test_adjoin_root_isolates_as_the_whole_tensor_polynomial_does(old, new):
+    field, _ = RealAlgebraicField.from_root(root(old))
+    beta = root(new, 0)
+    joined, gen_img, beta_img = adjoin_root(field, beta)
+    t = ((joined.generator() - gen_img) / beta_img).as_fraction()
+    assert t is not None and t.denominator == 1
+    gen = joined.generator_value()
+    assert (joined.modulus, gen.lo, gen.hi) == reference_join(field, beta, int(t))
 
 
 def test_mixed_fraction_arithmetic():

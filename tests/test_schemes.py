@@ -429,7 +429,7 @@ def sympy_lift(field):
     modulus = sum(sym_rational(c) * Y**k for k, c in enumerate(field.modulus.coeffs))
 
     def lift(el):
-        return sum(sym_rational(c) * Y**k for k, c in enumerate(field.reduce(el.coeffs)))
+        return sum(sym_rational(c) * Y**k for k, c in enumerate(el.coeffs))
 
     return modulus, lift
 

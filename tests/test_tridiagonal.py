@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpolykit import algebraics, tridiagonal
-from qpolykit.algebraics import ProductValue, compare, compare_rational, isolate_real_roots
+from qpolykit.algebraics import AlgebraicReal, ProductValue, compare, compare_rational, isolate_real_roots
 from qpolykit.checks import check_system
 from qpolykit.polynomials import RationalPoly
 from qpolykit.tridiagonal import (
@@ -132,8 +132,8 @@ def test_spectrum_certifies_known_roots():
     # the rational system; tied, ascending or foreign values are not
     from qpolykit.numberfield import RealAlgebraicField
 
-    field = RealAlgebraicField(RationalPoly((-2, 0, 1)), 1, 2)
-    r2, minus3 = field.generator(), field.constant(-3)
+    field, r2 = RealAlgebraicField.from_root(AlgebraicReal(RationalPoly((-2, 0, 1)), 1, 2))
+    minus3 = field.constant(-3)
     rep = spectrum(HEAWOOD, (r2, -r2, minus3))
     assert rep.eigenvalues == (F(3), r2, -r2, minus3) and rep.root_table == ()
     for bad in ((r2, r2, minus3), (minus3, -r2, r2), (-r2, r2, minus3)):
