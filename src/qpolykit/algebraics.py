@@ -1,10 +1,16 @@
 """Exact real algebraic numbers.
 
 An AlgebraicReal is a squarefree rational polynomial together with a rational
-isolating interval [lo, hi] certified (by a Sturm count) to contain exactly
-one real root of the polynomial.  A rational value is stored with lo == hi.
-For irrational values the construction arranges sign(p(lo)) != sign(p(hi)),
-so refinement is plain bisection with power-of-two denominators.
+isolating interval [lo, hi] certified to contain exactly one real root of
+the polynomial.  A rational value is stored with lo == hi.  For irrational
+values the construction arranges sign(p(lo)) != sign(p(hi)), so refinement
+is plain bisection with power-of-two denominators.
+
+Real roots are counted in one place: ``isolate_real_roots``, the only
+consumer of Sturm chains.  Any other count is of the isolated roots inside
+an interval (``roots_in``): the unchecked constructor certifies its
+interval that way, and ``numberfield.adjoin_root`` isolates its primitive
+element that way.
 
 Every bisection runs in one integer kernel, ``_Bisection``.  It scales the
 primitive integer polynomial c once to the common denominator D of the
@@ -47,7 +53,6 @@ from .polynomials import (
     RationalPoly,
     _int_coeffs,
     cauchy_root_bound,
-    count_real_roots,
     poly_gcd,
     primitive_int_poly,
     sign_variations,
@@ -196,8 +201,9 @@ class AlgebraicReal:
             if not b.step():
                 return AlgebraicReal.from_rational(Fraction(b.den << b.k, b.l))
         a = b.result() if b.k else self
+        # q is squarefree with q(0) != 0, so its reversal is squarefree too
         q, _ = a.poly.strip_zero_roots()
-        return AlgebraicReal(q.reversed_coeffs(), 1 / a.hi, 1 / a.lo)
+        return AlgebraicReal(q.reversed_coeffs().monic(), 1 / a.hi, 1 / a.lo, True)
 
 
 class _Bisection:
@@ -289,20 +295,16 @@ def _normalize(poly: RationalPoly, lo: Fraction, hi: Fraction):
         if poly.sign_at(lo) != 0:
             raise ValueError("point interval is not a root")
         return RationalPoly((-lo, 1)), lo, hi, 0
-    sign_lo = poly.sign_at(lo)
-    if sign_lo == 0:
-        if count_real_roots(poly, lo, hi) != 0:
-            raise ValueError("interval contains more than one root")
-        return RationalPoly((-lo, 1)), lo, lo, 0
-    if poly.sign_at(hi) == 0:
-        if count_real_roots(poly, lo, hi) != 1:  # (lo, hi] counts hi itself
-            raise ValueError("interval contains more than one root")
-        return RationalPoly((-hi, 1)), hi, hi, 0
-    n = count_real_roots(poly, lo, hi)
+    n = len(roots_in(isolate_real_roots(poly), lo, hi))
+    for end in (lo, hi):
+        if poly.sign_at(end) == 0:
+            if n != 1:
+                raise ValueError("interval contains more than one root")
+            return RationalPoly((-end, 1)), end, end, 0
     if n != 1:
         raise ValueError(f"interval isolates {n} roots, expected exactly one")
     # a simple root strictly inside, neither endpoint a root: p changes sign
-    return poly, lo, hi, sign_lo
+    return poly, lo, hi, poly.sign_at(lo)
 
 
 # -- isolation ----------------------------------------------------------------
@@ -363,6 +365,31 @@ def isolate_real_roots(p: RationalPoly) -> list[AlgebraicReal]:
     out = [_try_integer_collapse(r) for r in out]
     out.sort(key=lambda r: (r.lo, r.hi))
     return out
+
+
+def roots_in(roots: list[AlgebraicReal], lo: Fraction, hi: Fraction) -> list[AlgebraicReal]:
+    """Those of the isolated roots of one polynomial that lie in [lo, hi].
+
+    Each root is refined first, in place in ``roots``, until neither lo nor
+    hi lies strictly inside its interval; a root equal to one of them
+    becomes that point.  Its interval then lies in [lo, hi] or outside
+    (lo, hi), with the root strictly inside unless it is a point, so the
+    root is in [lo, hi] exactly when its interval is.
+    """
+    for i, r in enumerate(roots):
+        for t in (lo, hi):
+            if r.lo < t < r.hi:
+                b = _Bisection(r, t.denominator)
+                m = t.numerator * (b.den // t.denominator)  # t scaled like l and h
+                if b.sign(m) == 0:
+                    r = AlgebraicReal.from_rational(t)
+                else:
+                    while b.l < m < b.h:
+                        b.step()
+                        m <<= 1
+                    r = b.result()
+        roots[i] = r
+    return [r for r in roots if lo <= r.lo and r.hi <= hi]
 
 
 def _scaled_chain(chain: Sequence[RationalPoly], u: int, v: int) -> list[list[int]]:
@@ -441,7 +468,11 @@ def compare(a: AlgebraicReal, b: AlgebraicReal) -> int:
     """Total order on algebraic reals: -1, 0, +1.
 
     Ties are decided exactly through a gcd of the defining polynomials;
-    this never depends on how far the intervals happen to be refined.
+    this never depends on how far the intervals happen to be refined.  The
+    gcd g divides a.poly, whose interval holds one root, so g has at most
+    one root on the common interval, and neither end of that interval (an
+    end of a's or of b's, so no root of g) is one: g has a root there, the
+    common value, exactly when it changes sign.
     """
     ra, rb = a.as_rational(), b.as_rational()
     if ra is not None and rb is not None:
@@ -468,7 +499,7 @@ def compare(a: AlgebraicReal, b: AlgebraicReal) -> int:
             if g.degree >= 1:
                 scale = x.den << x.k
                 lo, hi = Fraction(max(x.l, y.l), scale), Fraction(min(x.h, y.h), scale)
-                if count_real_roots(g, lo, hi) >= 1:
+                if g.sign_at(lo) != g.sign_at(hi):
                     return 0
         x_open, y_open = x.step(), y.step()
         if not y_open:

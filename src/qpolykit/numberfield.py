@@ -22,9 +22,10 @@ Several algebraic numbers are combined into one field with adjoin_root,
 which finds a primitive element gamma_old + t*beta through its minimal
 polynomial in the tensor ring (the squarefree part of the characteristic
 polynomial of the Kronecker sum C_1 (x) I + t I (x) C_2 of the two
-companion matrices, ``linalg.charpoly``), isolates it factor by factor among
-the roots of that polynomial's irreducible factors, builds the new field on
-the factor holding it and rewrites both generators in terms of it.
+companion matrices, ``linalg.charpoly``), isolates it among the isolated
+roots of that polynomial's irreducible factors (``algebraics.roots_in``),
+builds the new field on the factor holding it and rewrites both generators
+in terms of it.
 """
 
 from __future__ import annotations
@@ -32,9 +33,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .algebraics import AlgebraicReal, _interval_eval, _round_cap, apply_rational_poly
+from .algebraics import AlgebraicReal, _interval_eval, _round_cap, apply_rational_poly, isolate_real_roots, roots_in
 from .linalg import charpoly, companion, kron_sum
-from .polynomials import RationalPoly, count_real_roots, irreducible_factors, squarefree_part
+from .polynomials import RationalPoly, irreducible_factors, squarefree_part
 
 
 def _minimal_factor(a: AlgebraicReal) -> RationalPoly:
@@ -412,9 +413,12 @@ def adjoin_root(
     generator is gamma_old + t*beta for the first t that makes the rewriting
     gcd linear; its modulus is the minimal polynomial of that sum, the
     irreducible factor of the tensor ring's polynomial that vanishes there,
-    so both images are exact.  The sum is isolated factor by factor: every
-    factor is nonzero at both ends of its enclosure and their Sturm counts
-    there sum to 1, and the factor counting 1 becomes the new modulus.
+    so both images are exact.  The sum is isolated among the roots of the
+    irreducible factors, each factor's roots isolated once per t: the
+    enclosure gen.lo + t*beta.lo .. gen.hi + t*beta.hi is narrowed until
+    exactly one of those roots lies in it, and that root's factor becomes
+    the new modulus.  The sum lies strictly inside the enclosure, so no root
+    is then at either end.
     """
     rb = beta.as_rational()
     pb = RationalPoly((-rb, 1)) if rb is not None else _minimal_factor(beta)
@@ -433,17 +437,17 @@ def adjoin_root(
         mpoly = _tensor_min_poly(m1, pb, t)
         factors = irreducible_factors(mpoly)
         # isolate gamma_old + t*beta among the roots of the factors of mpoly
+        roots = [isolate_real_roots(f) for f in factors]
         cur_b = beta
         for _ in range(_round_cap(mpoly, (gen.hi - gen.lo) + t * (beta.hi - beta.lo))):
             lo, hi = gen.lo + t * cur_b.lo, gen.hi + t * cur_b.hi
-            if lo < hi and all(f.sign_at(lo) != 0 and f.sign_at(hi) != 0 for f in factors):
-                counts = [count_real_roots(f, lo, hi) for f in factors]
-                if sum(counts) == 1:
-                    break
+            hits = [f for f, rs in zip(factors, roots) for _ in roots_in(rs, lo, hi)]
+            if len(hits) == 1:
+                break
             gen, cur_b = gen.refine(), cur_b.refine()
         else:
             raise AssertionError("gamma + t*beta is not isolated among the roots of its tensor polynomial")
-        new_field = RealAlgebraicField(_root_of(factors[counts.index(1)], lo, hi))
+        new_field = RealAlgebraicField(_root_of(hits[0], lo, hi))
         gamma = new_field.generator()
         # rewrite: beta is the unique common root of pb(x) and m1(gamma - t*x)
         f1 = [new_field.constant(c) for c in pb.coeffs]

@@ -6,12 +6,13 @@ This representation makes every arithmetic identity testable exactly: there
 is no floating point anywhere, so equality of polynomials is equality of
 coefficient tuples.
 
-The module also provides the real-root counting machinery used everywhere
-else in the package: Sturm chains, sign variation counts, and the Cauchy
-root bound.  Gcds, exact division, Sturm chains, sign evaluations and
-Taylor shifts run on the primitive integer coefficients, so they pay for
-no Fraction normalisation; root isolation and interval bisection have
-their own integer kernel in ``algebraics``.
+The module also provides what root isolation needs: Sturm chains, sign
+variation counts and the Cauchy root bound.  ``algebraics.isolate_real_roots``
+is the one consumer of Sturm chains; every real-root count in the package
+counts the roots it isolates.  Gcds, exact division, Sturm chains, sign
+evaluations and Taylor shifts run on the primitive integer coefficients, so
+they pay for no Fraction normalisation; root isolation and interval
+bisection have their own integer kernel in ``algebraics``.
 ``irreducible_factors`` factors over Q by Zassenhaus' algorithm, in Python
 ints.
 """
@@ -680,44 +681,6 @@ def sturm_chain(p: RationalPoly) -> tuple[RationalPoly, ...]:
 def sign_variations(signs: Sequence[int]) -> int:
     nz = [s for s in signs if s != 0]
     return sum(1 for a, b in zip(nz, nz[1:]) if a != b)
-
-
-def _chain_signs_at(chain: Sequence[RationalPoly], t: Fraction) -> list[int]:
-    return [q.sign_at(t) for q in chain]
-
-
-def _chain_signs_at_inf(chain: Sequence[RationalPoly], positive: bool) -> list[int]:
-    out = []
-    for q in chain:
-        if q.is_zero:
-            out.append(0)
-        else:
-            s = 1 if q.leading > 0 else -1
-            if not positive and q.degree % 2 == 1:
-                s = -s
-            out.append(s)
-    return out
-
-
-def count_real_roots(
-    p: RationalPoly, lo: Fraction | None = None, hi: Fraction | None = None
-) -> int:
-    """Number of distinct real roots of p in (lo, hi]; None means +-infinity.
-
-    Endpoints must not be roots of p when finite (callers arrange this).
-    """
-    chain = sturm_chain(squarefree_part(p))
-    va = (
-        sign_variations(_chain_signs_at_inf(chain, positive=False))
-        if lo is None
-        else sign_variations(_chain_signs_at(chain, Fraction(lo)))
-    )
-    vb = (
-        sign_variations(_chain_signs_at_inf(chain, positive=True))
-        if hi is None
-        else sign_variations(_chain_signs_at(chain, Fraction(hi)))
-    )
-    return va - vb
 
 
 def cauchy_root_bound(p: RationalPoly) -> Fraction:

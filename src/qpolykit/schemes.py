@@ -1011,6 +1011,7 @@ def class3_dualtight_audit(qs: QPolyStructure, bound: DualFundamentalBound | Non
         records.append(AuditRecord("middle_value", is_exact_zero(th2 - mv_rhs), lhs=th2, rhs=mv_rhs))
 
     q233_formula = m * (b2 - 1) * scalar_inverse(c2)
+    m3_formula = b1 * b2 * scalar_inverse(c2)
     if qs.provenance == "scheme" and qs.krein_table is not None and qs.idempotent_order is not None:
         o = qs.idempotent_order
         q233 = qs.krein_table.q[o[2]][o[3]][o[3]]
@@ -1022,11 +1023,9 @@ def class3_dualtight_audit(qs: QPolyStructure, bound: DualFundamentalBound | Non
         records.append(
             AuditRecord("q233_formula", None, note="parameter-level input: value defined by the formula", rhs=q233_formula)
         )
-        m3 = b1 * b2 * scalar_inverse(c2)
-        q333 = m3 - 1 - q233_formula
+        q333 = m3_formula - 1 - q233_formula
     records.append(AuditRecord("q233_nonnegative", exact_sign(b2 - 1) >= 0, lhs=b2))
 
-    m3_formula = b1 * b2 * scalar_inverse(c2)
     if qs.provenance == "scheme" and qs.eigen is not None and qs.idempotent_order is not None:
         m3_actual = Fraction(qs.eigen.multiplicities[qs.idempotent_order[3]])
         records.append(

@@ -18,12 +18,18 @@ from qpolykit.algebraics import (
     isolate_real_roots_with_multiplicity,
 )
 from qpolykit.numberfield import _tensor_min_poly
-from qpolykit.polynomials import RationalPoly, count_real_roots, poly_gcd, primitive_int_poly, squarefree_part
+from qpolykit.polynomials import RationalPoly, poly_gcd, primitive_int_poly, squarefree_part
 
 
 def sqrt_of(n: int) -> AlgebraicReal:
     roots = isolate_real_roots(RationalPoly((-n, 0, 1)))
     return roots[-1]
+
+
+def sympy_count(p: RationalPoly, lo: F | None = None, hi: F | None = None) -> int:
+    """Distinct real roots of p in [lo, hi], the whole line by default, counted by sympy."""
+    sp = sympy.Poly(sym(squarefree_part(p), X), X)
+    return sp.count_roots() if lo is None else sp.count_roots(sympy.Rational(lo), sympy.Rational(hi))
 
 
 def test_isolation_golden_quadratic():
@@ -51,9 +57,10 @@ def test_isolation_heawood_reduced_cubic():
 
 
 def test_isolation_counts_match_sturm():
+    # sympy counts by its own Sturm sequences
     for coeffs in [(-1, 1, 1), (-6, -2, 3, 1), (2, 0, -3, 0, 1), (1, 0, 1), (-4, 0, 1, 0, 1)]:
         p = RationalPoly(coeffs)
-        assert len(isolate_real_roots(p)) == count_real_roots(squarefree_part(p))
+        assert len(isolate_real_roots(p)) == sympy_count(p)
 
 
 def test_multiplicities():
@@ -147,7 +154,7 @@ def test_isolation_interval_invariants():
     for a, b in zip(roots, roots[1:]):
         assert a.hi <= b.lo or compare(a, b) < 0
     for r in roots:
-        assert count_real_roots(r.poly, r.lo, r.hi) == 1 or r.is_rational
+        assert sympy_count(r.poly, r.lo, r.hi) == 1 or r.is_rational
 
 
 @given(
@@ -283,7 +290,7 @@ def ref_compare(a: AlgebraicReal, b: AlgebraicReal) -> int:
             return 1
         if rounds == algebraics.REFINE_BUDGET:
             g = poly_gcd(a.poly, b.poly)
-            if g.degree >= 1 and count_real_roots(g, max(alo, blo), min(ahi, bhi)) >= 1:
+            if g.degree >= 1 and sympy_count(g, max(alo, blo), min(ahi, bhi)) >= 1:
                 return 0
         alo, ahi = ref_refine(a.poly, alo, ahi)
         blo, bhi = ref_refine(b.poly, blo, bhi)
@@ -335,7 +342,7 @@ def random_squarefree(coeffs: list[int]) -> RationalPoly | None:
 
 kernel_polys = st.builds(
     random_squarefree, st.lists(st.integers(-20, 20), min_size=2, max_size=13)
-).filter(lambda p: p is not None and count_real_roots(p) >= 1)
+).filter(lambda p: p is not None and sympy_count(p) >= 1)
 widths = st.builds(F, st.integers(1, 1000), st.integers(1, 10**15))
 
 
@@ -434,14 +441,72 @@ def test_a_refine_step_evaluates_one_sign(monkeypatch):
     assert calls == [3]
 
 
+def forbid_normalize(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the unchecked constructor certified a value")
+
+    monkeypatch.setattr(algebraics, "_normalize", forbidden)
+
+
 def test_isolation_certifies_each_root_with_one_sturm_count(monkeypatch):
     # isolate_real_roots builds its roots from its own Sturm signs, not
-    # through a second count in the constructor
-    counted = []
-    real = algebraics.count_real_roots
-    monkeypatch.setattr(algebraics, "count_real_roots", lambda *a: counted.append(a) or real(*a))
+    # through the unchecked constructor, which would isolate them again
+    forbid_normalize(monkeypatch)
     p = RationalPoly((-1, 1, 1)) * RationalPoly((-2, 0, 1)) * RationalPoly((-3, 0, 0, 1))
     roots = isolate_real_roots(p)
-    assert len(roots) == 5 and counted == []
+    assert len(roots) == 5
     for r in roots:
         assert r.poly.sign_at(r.lo) == r._sign_lo == -r.poly.sign_at(r.hi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_polys, st.data())
+def test_inverse_matches_sympy_without_the_unchecked_constructor(p, data):
+    a = data.draw(st.sampled_from(isolate_real_roots(p)))
+    if a.as_rational() == 0:
+        return
+    with pytest.MonkeyPatch.context() as mp:
+        forbid_normalize(mp)
+        inv = a.inverse()
+    if not inv.is_rational:
+        # the monic reversal x^n q(1/x) of a.poly = x^k q, by sympy
+        coeffs = sympy.Poly(sym(a.poly, X), X).all_coeffs()
+        assert inv.poly == sympy_squarefree(sympy.Poly(coeffs[::-1], X).as_expr())
+    # [inv.lo, inv.hi] isolates a root of inv.poly, and its inverse is a
+    assert sympy_count(inv.poly, inv.lo, inv.hi) == 1
+    lo, hi = max(a.lo, 1 / inv.hi), min(a.hi, 1 / inv.lo)
+    assert lo <= hi and sympy_count(a.poly, lo, hi) == 1
+
+
+def test_compare_decides_a_forced_tie_by_a_sign_change_of_the_gcd(monkeypatch):
+    # no refinement before the gcd: overlapping intervals go straight to it
+    monkeypatch.setattr(algebraics, "REFINE_BUDGET", 0)
+    gcds = []
+    real_gcd = algebraics.poly_gcd
+    monkeypatch.setattr(algebraics, "poly_gcd", lambda a, b: gcds.append(b) or real_gcd(a, b))
+    p = RationalPoly((-2, 0, 1))
+    s2 = isolate_real_roots(p)[-1]
+    below, same_root, above = isolate_real_roots(p * RationalPoly((-3, 0, 1)))[1:]  # -sqrt2, sqrt2, sqrt3
+    assert compare(s2, same_root) == 0 and compare(same_root, s2) == 0 and gcds
+    assert compare(s2, below) == 1 and compare(below, s2) == -1
+    assert compare(s2, above) == -1 and compare(above, s2) == 1
+
+
+def test_unchecked_constructor_certifies_its_interval(monkeypatch):
+    p = RationalPoly((-2, 0, 1)) * RationalPoly((-1, 3))  # (x^2 - 2)(3x - 1)
+    a = AlgebraicReal(p, F(1), F(2))  # sqrt2 alone, neither end a root
+    assert (a.poly, a.lo, a.hi) == (squarefree_part(p), F(1), F(2))
+    assert a.as_rational() is None and a._sign_lo == -1
+    # 1/3 at an end and no other root in the interval: the point 1/3
+    for lo, hi in ((F(1, 3), F(1)), (F(0), F(1, 3))):
+        b = AlgebraicReal(p, lo, hi)
+        assert (b.poly, b.lo, b.hi) == (RationalPoly((F(-1, 3), 1)), F(1, 3), F(1, 3))
+    with pytest.raises(ValueError, match="^interval isolates 2 roots, expected exactly one$"):
+        AlgebraicReal(p, F(-2), F(1))  # -sqrt2 and 1/3
+    with pytest.raises(ValueError, match="^interval isolates 0 roots, expected exactly one$"):
+        AlgebraicReal(p, F(1, 2), F(1))
+    for lo, hi in ((F(1, 3), F(2)), (F(-2), F(1, 3))):  # 1/3 at an end, and sqrt2 or -sqrt2
+        with pytest.raises(ValueError, match="^interval contains more than one root$"):
+            AlgebraicReal(p, lo, hi)
+    with pytest.raises(ValueError, match="^point interval is not a root$"):
+        AlgebraicReal(p, F(1, 2), F(1, 2))

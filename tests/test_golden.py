@@ -7,8 +7,10 @@ linked-design Krein array before each polynomial ordering kept one dual
 spectrum, those of ``cycle:n=11`` before Sturm chains became primitive
 integer remainder sequences, and those of ``cycle:n=13`` before number-field
 elements became canonical residues and each join isolated its generator on
-the irreducible factors of its tensor polynomial); any change to a report's
-bytes shows up here.
+the irreducible factors of its tensor polynomial, and those of
+``scan --m-max 6 --free-c3`` before adjoin_root and the unchecked
+``AlgebraicReal`` constructor counted roots by isolation instead of by a
+second Sturm evaluator); any change to a report's bytes shows up here.
 The two slow README commands run at smaller sizes.  The random cubic graph's
 digests were recorded before interval bisection moved to integers: its
 irrational eigenvalues have a degree-20 defining polynomial, and the report
@@ -56,8 +58,8 @@ GOLDEN = [
         "text": "0e5e1b5d390d12ec8c21ba516f0ca480f86bbc4aa9719d335bb21c1cda7eeb54",
         "json": "f4dafadaae75e9d1a5de15193aab2714374d9f19c604d5294cfccaedbdf40b90",
     }),
-    # number-field joins of degree-5 generators: adjoin_root's Sturm counts on
-    # the irreducible factors of the tensor polynomial certify the intervals
+    # number-field joins of degree-5 generators: adjoin_root's isolation on
+    # the irreducible factors of the tensor polynomial certifies the intervals
     # that reach the report
     (["check-scheme", "--from-graph", "cycle:n=11"], {
         "text": "3fac227f5ccb575f819b1101b67b475929953285ce98202308d5e40688c1da90",
@@ -88,6 +90,12 @@ GOLDEN = [
     (["scan", "--m-max", "5"], {
         "text": "30ad2aa5cc0ab824e6a8d67399cb00a2bb05f00e980edeeaebd2cf5320d09c67",
         "json": "30ad2aa5cc0ab824e6a8d67399cb00a2bb05f00e980edeeaebd2cf5320d09c67",
+    }),
+    # the free-c3 audits run 28 number-field joins (adjoin_root) on the dual
+    # eigenvalues of Krein arrays, spectra that no graph supplies
+    (["scan", "--m-max", "6", "--free-c3"], {
+        "text": "717bf0c4ea6bc80c0f02560097034b35c08aeaf932b0fc4fba1e23a31aaa6fad",
+        "json": "717bf0c4ea6bc80c0f02560097034b35c08aeaf932b0fc4fba1e23a31aaa6fad",
     }),
 ]
 

@@ -16,7 +16,7 @@ from qpolykit.numberfield import (
     is_exact_zero,
     scalar_as_fraction,
 )
-from qpolykit.polynomials import RationalPoly, count_real_roots, irreducible_factors
+from qpolykit.polynomials import RationalPoly, irreducible_factors
 
 
 def root(coeffs, index=-1):
@@ -201,8 +201,14 @@ def test_zero_tests_and_equality_never_refine_the_generator(monkeypatch):
     assert (gen - F(168, 100)).sign() == 1 and calls[0] > 0
 
 
+def sympy_count(p: RationalPoly, lo: F, hi: F) -> int:
+    x = sympy.symbols("x")
+    sp = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)], x)
+    return sp.count_roots(sympy.Rational(lo), sympy.Rational(hi))
+
+
 def reference_join(field, beta, t_last):
-    """adjoin_root's isolation, counted on the whole tensor polynomial.
+    """adjoin_root's isolation, counted by sympy on the whole tensor polynomial.
 
     The old generator's interval carries over from one t to the next and
     beta's restarts, as in adjoin_root; returns (modulus, lo, hi) for t_last.
@@ -215,7 +221,7 @@ def reference_join(field, beta, t_last):
         while True:
             lo, hi = gen.lo + t * cur_b.lo, gen.hi + t * cur_b.hi
             if lo < hi and mpoly.sign_at(lo) != 0 and mpoly.sign_at(hi) != 0:
-                if count_real_roots(mpoly, lo, hi) == 1:
+                if sympy_count(mpoly, lo, hi) == 1:
                     break
             gen, cur_b = gen.refine(), cur_b.refine()
     (modulus,) = [f for f in irreducible_factors(mpoly) if f.sign_at(lo) != f.sign_at(hi)]

@@ -7,10 +7,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qpolykit import polynomials
+from qpolykit.algebraics import isolate_real_roots, roots_in
 from qpolykit.polynomials import (
     RationalPoly,
     cauchy_root_bound,
-    count_real_roots,
     irreducible_factors,
     poly_gcd,
     squarefree_decomposition,
@@ -58,6 +58,22 @@ def fraction_sturm_chain(p: RationalPoly) -> list[RationalPoly]:
     return chain
 
 
+def count_roots(p: RationalPoly, lo: F | None = None, hi: F | None = None) -> int:
+    """Distinct real roots of p in [lo, hi] by isolation, the whole line by default.
+
+    Checked against sympy's count before it is returned.
+    """
+    roots = isolate_real_roots(p)
+    sp = _sympy_poly(squarefree_part(p))
+    if lo is None:
+        assert len(roots) == sp.count_roots()
+        return len(roots)
+    lo, hi = F(lo), F(hi)
+    n = len(roots_in(roots, lo, hi))
+    assert n == sp.count_roots(sympy.Rational(lo), sympy.Rational(hi))
+    return n
+
+
 def assert_positive_multiples(chain, reference):
     assert len(chain) == len(reference)
     for q, c in zip(chain, reference):
@@ -73,7 +89,7 @@ def test_sturm_chain_quadratic():
     assert [q.degree for q in chain] == [2, 1, 0]
     assert [q.leading > 0 for q in chain] == [True, True, True]
     assert_positive_multiples(chain, fraction_sturm_chain(p))
-    assert count_real_roots(p, F(-2), F(2)) == 2
+    assert count_roots(p, F(-2), F(2)) == 2
 
 
 def test_sturm_chain_across_a_degree_gap():
@@ -84,7 +100,7 @@ def test_sturm_chain_across_a_degree_gap():
     assert [q.degree for q in chain] == [4, 3, 1, 0]
     assert [q.leading > 0 for q in chain] == [True, True, False, True]
     assert_positive_multiples(chain, fraction_sturm_chain(p))
-    assert count_real_roots(p) == 0
+    assert count_roots(p) == 0
 
 
 def test_sturm_chain_linear():
@@ -93,8 +109,16 @@ def test_sturm_chain_linear():
 
 
 def test_no_real_roots():
-    assert count_real_roots(RationalPoly((1, 0, 1))) == 0
-    assert count_real_roots(RationalPoly((1, 0, 1)), F(-100), F(100)) == 0
+    assert count_roots(RationalPoly((1, 0, 1))) == 0
+    assert count_roots(RationalPoly((1, 0, 1)), F(-100), F(100)) == 0
+
+
+def test_counts_include_roots_at_the_ends():
+    p = RationalPoly((-1, 3)) * RationalPoly((-2, 0, 1))  # roots 1/3 and +-sqrt2
+    assert count_roots(p, F(1, 3), F(1, 3)) == 1
+    assert count_roots(p, F(1, 3), F(2)) == 2
+    assert count_roots(p, F(-2), F(1, 3)) == 2
+    assert count_roots(p, F(-1), F(1, 4)) == 0
 
 
 def test_sturm_chain_of_zero_raises():
@@ -139,7 +163,7 @@ def test_shift_and_scale_arg():
 def test_cauchy_bound_contains_roots():
     p = RationalPoly((-6, 11, -6, 1))
     bound = cauchy_root_bound(p)
-    assert count_real_roots(p, -bound - 1, bound + 1) == 3
+    assert count_roots(p, -bound, bound) == 3
 
 
 @st.composite
@@ -155,7 +179,7 @@ def rational_roots(draw):
 def test_product_of_linear_factors_counts(roots):
     p = RationalPoly.from_roots(roots)
     distinct = len(set(roots))
-    assert count_real_roots(p) == distinct
+    assert count_roots(p) == distinct
 
 
 @given(rational_roots(), rational_roots())
@@ -352,15 +376,13 @@ def test_sturm_chain_is_the_fraction_chain_up_to_positive_factors(p):
 
 @given(sturm_inputs, st.lists(st.tuples(points, points), min_size=1, max_size=4))
 def test_root_counts_and_isolation_agree_with_sympy(p, intervals):
-    from qpolykit.algebraics import isolate_real_roots
-
+    # intervals may be points and may end at roots: the counts are of [lo, hi]
     sp = _sympy_poly(p)
+    roots = isolate_real_roots(p)
     for a, b in intervals:
         lo, hi = sorted((F(a), F(b)))
-        if lo == hi or p.sign_at(lo) == 0 or p.sign_at(hi) == 0:
-            continue
-        assert count_real_roots(p, lo, hi) == sp.count_roots(sympy.Rational(lo), sympy.Rational(hi))
-    roots = isolate_real_roots(p)
-    assert count_real_roots(p) == len(roots) == sp.count_roots()
+        assert len(roots_in(roots, lo, hi)) == sp.count_roots(sympy.Rational(lo), sympy.Rational(hi))
+    # the roots as roots_in left them still isolate
+    assert len(roots) == sp.count_roots()
     for r in roots:
         assert sp.count_roots(sympy.Rational(r.lo), sympy.Rational(r.hi)) == 1
