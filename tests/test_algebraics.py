@@ -492,7 +492,7 @@ def test_compare_decides_a_forced_tie_by_a_sign_change_of_the_gcd(monkeypatch):
     assert compare(s2, above) == -1 and compare(above, s2) == 1
 
 
-def test_unchecked_constructor_certifies_its_interval(monkeypatch):
+def test_unchecked_constructor_certifies_its_interval():
     p = RationalPoly((-2, 0, 1)) * RationalPoly((-1, 3))  # (x^2 - 2)(3x - 1)
     a = AlgebraicReal(p, F(1), F(2))  # sqrt2 alone, neither end a root
     assert (a.poly, a.lo, a.hi) == (squarefree_part(p), F(1), F(2))
