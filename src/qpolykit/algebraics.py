@@ -54,7 +54,6 @@ from .polynomials import (
     _int_coeffs,
     cauchy_root_bound,
     poly_gcd,
-    primitive_int_poly,
     sign_variations,
     squarefree_decomposition,
     squarefree_part,
@@ -472,7 +471,9 @@ def compare(a: AlgebraicReal, b: AlgebraicReal) -> int:
     gcd g divides a.poly, whose interval holds one root, so g has at most
     one root on the common interval, and neither end of that interval (an
     end of a's or of b's, so no root of g) is one: g has a root there, the
-    common value, exactly when it changes sign.
+    common value, exactly when it changes sign.  Distinct values separate
+    within _round_cap rounds of a.poly * b.poly; past that cap the
+    comparison raises an AssertionError instead of refining forever.
     """
     ra, rb = a.as_rational(), b.as_rational()
     if ra is not None and rb is not None:
@@ -486,21 +487,26 @@ def compare(a: AlgebraicReal, b: AlgebraicReal) -> int:
     x = _Bisection(a, lcm(b.lo.denominator, b.hi.denominator))
     y = _Bisection(b, x.den)
     rounds = 0
-    equality_checked = False
+    cap = None  # set by the equality check at REFINE_BUDGET
     while True:
         # both values lie strictly inside their open intervals here
         if x.h <= y.l:
             return -1
         if y.h <= x.l:
             return 1
-        if not equality_checked and rounds >= REFINE_BUDGET:
-            equality_checked = True
-            g = poly_gcd(a.poly, b.poly)
-            if g.degree >= 1:
-                scale = x.den << x.k
-                lo, hi = Fraction(max(x.l, y.l), scale), Fraction(min(x.h, y.h), scale)
-                if g.sign_at(lo) != g.sign_at(hi):
-                    return 0
+        if rounds >= REFINE_BUDGET:
+            if cap is None:
+                g = poly_gcd(a.poly, b.poly)
+                if g.degree >= 1:
+                    scale = x.den << x.k
+                    lo, hi = Fraction(max(x.l, y.l), scale), Fraction(min(x.h, y.h), scale)
+                    if g.sign_at(lo) != g.sign_at(hi):
+                        return 0
+                # distinct values are distinct roots of a.poly * b.poly; both
+                # intervals together are narrower than their separation by then
+                cap = _round_cap(a.poly * b.poly, (a.hi - a.lo) + (b.hi - b.lo))
+            if rounds >= cap:
+                raise AssertionError("comparison refined past its round cap")
         x_open, y_open = x.step(), y.step()
         if not y_open:
             return compare_rational(x.result(), y.result().lo)
@@ -537,7 +543,7 @@ def _round_cap(p: RationalPoly, width: Fraction) -> int:
     it watches, enclosures of total width `width` at the start, has isolated
     its value among the roots of p by then, unless the value is no root of p.
     """
-    ints = primitive_int_poly(squarefree_part(p))
+    ints = _int_coeffs(squarefree_part(p))
     d = len(ints) - 1
     n = d ** (d // 2 + 2) * (isqrt(sum(c * c for c in ints)) + 1) ** max(d - 1, 0)
     return ceil(width * n).bit_length() + 1

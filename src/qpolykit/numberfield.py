@@ -1,8 +1,10 @@
 """Arithmetic in real algebraic number fields.
 
 This is the package's one arithmetic between irrational algebraic numbers:
-values are moved into a common field (field_containing) and combined and
-signed there (exact_sign); AlgebraicReal only isolates and compares.
+values are moved into a common field (field_containing) and combined there.
+A FieldElement is a number like Fraction: +, -, *, /, == and != mix it
+with Fraction and int, and exact_sign signs any exact scalar.
+AlgebraicReal only isolates and compares.
 
 A RealAlgebraicField is Q[y] modulo a monic irreducible rational
 polynomial, together with a certified root gamma of it (an AlgebraicReal).
@@ -25,7 +27,8 @@ polynomial of the Kronecker sum C_1 (x) I + t I (x) C_2 of the two
 companion matrices, ``linalg.charpoly``), isolates it among the isolated
 roots of that polynomial's irreducible factors (``algebraics.roots_in``),
 builds the new field on the factor holding it and rewrites both generators
-in terms of it.
+in terms of it.  That rewriting gcd (_gcd_monic) is the one polynomial with
+field coefficients the package builds.
 """
 
 from __future__ import annotations
@@ -183,9 +186,6 @@ class FieldElement:
             return None
         return c[0] if c else Fraction(0)
 
-    def equals_rational(self, r: Fraction | int) -> bool:
-        return self.as_fraction() == r
-
     def to_algebraic(self) -> AlgebraicReal:
         return apply_rational_poly(RationalPoly(self.coeffs), self.field.generator_value())
 
@@ -278,12 +278,6 @@ def exact_sign(x) -> int:
     raise TypeError(f"not an exact scalar: {type(x).__name__}")
 
 
-def is_exact_zero(x) -> bool:
-    if isinstance(x, FieldElement):
-        return x.is_zero()
-    return exact_sign(x) == 0
-
-
 def scalar_as_fraction(x) -> Fraction | None:
     if isinstance(x, int):
         return Fraction(x)
@@ -294,111 +288,6 @@ def scalar_as_fraction(x) -> Fraction | None:
     if isinstance(x, AlgebraicReal):
         return x.as_rational()
     raise TypeError(f"not an exact scalar: {type(x).__name__}")
-
-
-def scalar_to_algebraic(x) -> AlgebraicReal:
-    if isinstance(x, (int, Fraction)):
-        return AlgebraicReal.from_rational(x)
-    if isinstance(x, FieldElement):
-        return x.to_algebraic()
-    if isinstance(x, AlgebraicReal):
-        return x
-    raise TypeError(f"not an exact scalar: {type(x).__name__}")
-
-
-def scalar_inverse(x):
-    if isinstance(x, int):
-        return Fraction(1, x)
-    if isinstance(x, Fraction):
-        return 1 / x
-    if isinstance(x, FieldElement):
-        return x.inverse()
-    raise TypeError(f"cannot invert {type(x).__name__}")
-
-
-# -- polynomials with field coefficients ---------------------------------------------
-#
-# Represented as plain lists, constant term first.  Only what the tridiagonal
-# recurrence and the adjoin-root gcd need: ring operations, evaluation, and
-# Euclidean division over a field.
-
-
-def kp_trim(p: list) -> list:
-    while p and is_exact_zero(p[-1]):
-        p.pop()
-    return p
-
-
-def kp_add(p: list, q: list) -> list:
-    if len(p) < len(q):
-        p, q = q, p
-    out = list(p)
-    for i, c in enumerate(q):
-        out[i] = out[i] + c
-    return kp_trim(out)
-
-
-def kp_neg(p: list) -> list:
-    return [-c for c in p]
-
-
-def kp_sub(p: list, q: list) -> list:
-    return kp_add(p, kp_neg(q))
-
-
-def kp_mul(p: list, q: list) -> list:
-    if not p or not q:
-        return []
-    zero = p[0] * 0
-    out = [zero] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] = out[i + j] + a * b
-    return kp_trim(out)
-
-def kp_scale(p: list, c) -> list:
-    return kp_trim([a * c for a in p])
-
-
-def kp_eval(p: list, t):
-    acc = None
-    for c in reversed(p):
-        acc = c if acc is None else acc * t + c
-    return acc if acc is not None else 0
-
-
-def kp_divmod(p: list, q: list) -> tuple[list, list]:
-    """Euclidean division over a field; q's leading coefficient must be a unit.
-
-    Field elements are canonical, so a zero coefficient is exactly zero and
-    kp_trim drops the cancelled top coefficients of the remainder.
-    """
-    q = kp_trim(list(q))
-    if not q:
-        raise ZeroDivisionError("division by zero polynomial")
-    rem = list(p)
-    n, m = len(rem), len(q)
-    if n < m:
-        return [], kp_trim(rem)
-    inv_lead = scalar_inverse(q[-1])
-    quo = [q[-1] * 0] * (n - m + 1)
-    for k in range(n - m, -1, -1):
-        c = rem[k + m - 1] * inv_lead
-        quo[k] = c
-        for j, d in enumerate(q):
-            rem[k + j] = rem[k + j] - c * d
-    return kp_trim(quo), kp_trim(rem)
-
-
-def kp_gcd_monic(p: list, q: list) -> list:
-    """Monic gcd of field-coefficient polynomials (Euclid)."""
-    a, b = kp_trim(list(p)), kp_trim(list(q))
-    while b:
-        _, r = kp_divmod(a, b)
-        a, b = b, kp_trim(r)
-    if a:
-        a = kp_scale(a, scalar_inverse(a[-1]))
-    return a
 
 
 # -- adjoining roots -------------------------------------------------------------------
@@ -452,7 +341,7 @@ def adjoin_root(
         # rewrite: beta is the unique common root of pb(x) and m1(gamma - t*x)
         f1 = [new_field.constant(c) for c in pb.coeffs]
         f2 = _compose_linear_in_x(m1, gamma, -t)
-        g = kp_gcd_monic(f1, f2)
+        g = _gcd_monic(f1, f2)
         if len(g) == 2:  # linear: x + g0
             beta_img = -g[0]
             gen_img = gamma - t * beta_img
@@ -497,9 +386,12 @@ def eval_rational_poly(coeffs: Sequence[Fraction], el: FieldElement) -> FieldEle
 
 
 def _compose_linear_in_x(m: RationalPoly, gamma: FieldElement, s: int) -> list:
-    """m(gamma + s*x) as a polynomial in x with FieldElement coefficients."""
+    """m(gamma + s*x) as a polynomial in x with FieldElement coefficients.
+
+    The leading coefficient is s**deg(m), nonzero for s != 0.
+    """
     field = gamma.field
-    acc: list[FieldElement] = [field.constant(0)]
+    acc: list[FieldElement] = []
     for c in reversed(m.coeffs):
         # acc <- acc*(gamma + s*x) + c
         nxt = [field.constant(0)] * (len(acc) + 1)
@@ -508,7 +400,27 @@ def _compose_linear_in_x(m: RationalPoly, gamma: FieldElement, s: int) -> list:
             nxt[i + 1] = nxt[i + 1] + a * s
         nxt[0] = nxt[0] + c
         acc = nxt
-    return kp_trim(acc)
+    return acc
+
+
+def _gcd_monic(a: list, b: list) -> list:
+    """Monic gcd of two polynomials with FieldElement coefficients, constant first.
+
+    Euclid with b's leading coefficient nonzero.  Elements are canonical, so
+    a cancelled top coefficient is exactly zero and is dropped by is_zero.
+    """
+    while b:
+        inv_lead = b[-1].inverse()
+        rem = list(a)
+        for k in range(len(rem) - len(b), -1, -1):
+            c = rem[k + len(b) - 1] * inv_lead
+            for j, d in enumerate(b):
+                rem[k + j] = rem[k + j] - c * d
+        while rem and rem[-1].is_zero():
+            rem.pop()
+        a, b = b, rem
+    inv_lead = a[-1].inverse()
+    return [c * inv_lead for c in a]
 
 
 def _tensor_min_poly(m1: RationalPoly, m2: RationalPoly, t: int) -> RationalPoly:

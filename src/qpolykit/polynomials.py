@@ -723,7 +723,3 @@ def _int_coeffs(p: RationalPoly) -> tuple[int, ...]:
     if p._ints is None:
         object.__setattr__(p, "_ints", _primitive(p.coeffs))
     return p._ints
-
-
-def primitive_int_poly(p: RationalPoly) -> tuple[int, ...]:
-    return _int_coeffs(p)

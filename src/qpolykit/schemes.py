@@ -20,7 +20,7 @@ An ordering of the idempotents is polynomial when the matrix (q_{1,j}^h)
 is irreducible tridiagonal; its transpose is then a row-sum tridiagonal
 system with kappa = m.  Each QPolyStructure validates that system once.
 The spectral identity certifies the E_1 column of Q as the system's
-spectrum, by exact evaluation of F_D in the ordering's number field; a
+spectrum, evaluating F_D by its recurrence in the ordering's number field; a
 system with field entries takes that certified spectrum as its own, and a
 rational system isolates the roots of F_D once, on first use.  The
 pair/triple bounds, the dual fundamental bound with its tightness test,
@@ -53,12 +53,7 @@ from .numberfield import (
     eval_rational_poly,
     exact_sign,
     field_containing,
-    is_exact_zero,
-    kp_mul,
-    kp_sub,
     scalar_as_fraction,
-    scalar_inverse,
-    scalar_to_algebraic,
 )
 from .polynomials import RationalPoly, squarefree_part
 from .serialize import parse_rat, value_json
@@ -378,7 +373,7 @@ def eigendata(s: AssociationScheme) -> EigenData:
         for j in range(d + 1)
     )
     for u in range(d + 1):
-        if not p_matrix[0][u].equals_rational(k[u]):
+        if p_matrix[0][u] != k[u]:
             raise AssertionError("principal row of P must list the valencies")
 
     mults = []
@@ -410,7 +405,7 @@ def _verify_pq_identity(field, p_matrix, q_matrix, n) -> None:
             for u in range(size):
                 acc = acc + p_matrix[j][u] * q_matrix[u][l]
             expected = n if j == l else 0
-            if not acc.equals_rational(expected):
+            if acc != expected:
                 raise AssertionError("PQ = |X| I fails: eigendata inconsistent")
 
 
@@ -452,7 +447,7 @@ def krein(s: AssociationScheme, e: EigenData) -> KreinTable:
     for j in range(d + 1):
         for h in range(d + 1):
             expected = 1 if j == h else 0
-            if not table[0][j][h].equals_rational(expected):
+            if table[0][j][h] != expected:
                 raise AssertionError("q[0][j]^h must be delta_(j=h)")
     return KreinTable(s, field, tuple(table), not negative, tuple(negative))
 
@@ -630,7 +625,7 @@ def _structure_from_ordering(s, e: EigenData, table: KreinTable, order: list[int
         # an irreducible tridiagonal Krein matrix has distinct eigenvalues
         raise SoundnessAlarm("dual eigenvalues tie under a verified tridiagonal ordering")
     theta = tuple(col[u] for u in perm)
-    if not theta[0].equals_rational(m):
+    if theta[0] != m:
         raise SoundnessAlarm("largest dual eigenvalue must equal the multiplicity m")
     if perm[0] != 0:
         raise SoundnessAlarm("the identity relation must carry the largest dual eigenvalue")
@@ -811,10 +806,10 @@ def dual_fundamental_bound(qs: QPolyStructure) -> DualFundamentalBound:
     """
     report = qs.spectrum
     a1, b1 = qs.system.alpha[1], qs.system.beta[1]
-    inv = scalar_inverse(a1 + 1)
+    inv = 1 / (a1 + 1)
     rhs = -(inv * inv * a1 * b1 * qs.m)
     cmp, lhs = tridiagonal._shifted_product(report, (1, qs.d), inv * qs.m, rhs)
-    qbip = all(is_exact_zero(a) for a in qs.a_star)
+    qbip = all(a == 0 for a in qs.a_star)
     equality = cmp == 0
     return DualFundamentalBound(lhs, rhs, cmp >= 0, equality, qbip, equality and not qbip)
 
@@ -921,10 +916,10 @@ def class3_dualtight_audit(qs: QPolyStructure, bound: DualFundamentalBound | Non
     if qs.provenance == "krein_array":
         # the identity checks below multiply eigenvalues, which takes them
         # into one number field (AlgebraicReal only compares)
-        _, elems = field_containing([scalar_to_algebraic(t) for t in (th1, th2, th3)])
+        _, elems = field_containing([th1, th2, th3])
         th1, th2, th3 = elems
 
-    a1_zero = is_exact_zero(a1)
+    a1_zero = a1 == 0
     records.append(
         AuditRecord(
             "a1star_nonzero",
@@ -935,7 +930,7 @@ def class3_dualtight_audit(qs: QPolyStructure, bound: DualFundamentalBound | Non
     )
 
     a3 = qs.a_star[3]
-    a3_zero = is_exact_zero(a3)
+    a3_zero = a3 == 0
     records.append(
         AuditRecord(
             "a3star_zero",
@@ -947,16 +942,16 @@ def class3_dualtight_audit(qs: QPolyStructure, bound: DualFundamentalBound | Non
 
     # tightness restated: th1 th3 + (m/(m-b1))(th1 + th3) = -m(b1+1)/(m-b1);
     # holds for any dual-tight structure, no shape assumption
-    inv_mb1 = scalar_inverse(m - b1)  # m - b1 = a1 + 1 > 0
+    inv_mb1 = 1 / (m - b1)  # m - b1 = a1 + 1 > 0
     tight_lhs = th1 * th3 + (th1 + th3) * (inv_mb1 * m)
     tight_rhs = -(inv_mb1 * m * (b1 + 1))
-    records.append(AuditRecord("bound_equation", is_exact_zero(tight_lhs - tight_rhs), lhs=tight_lhs, rhs=tight_rhs))
+    records.append(AuditRecord("bound_equation", tight_lhs == tight_rhs, lhs=tight_lhs, rhs=tight_rhs))
 
     ratio_lhs = th1 * th3
     ratio_rhs = m * th2
-    records.append(AuditRecord("ratio_relation", is_exact_zero(ratio_lhs - ratio_rhs), lhs=ratio_lhs, rhs=ratio_rhs))
+    records.append(AuditRecord("ratio_relation", ratio_lhs == ratio_rhs, lhs=ratio_lhs, rhs=ratio_rhs))
 
-    b2_is_1 = is_exact_zero(b2 - 1)
+    b2_is_1 = b2 == 1
     if not a3_zero:
         # every remaining identity is developed from the a_3* = 0 matrix
         # shape; computing it here would assert formulas that do not apply
@@ -974,7 +969,7 @@ def class3_dualtight_audit(qs: QPolyStructure, bound: DualFundamentalBound | Non
             "multiplicity_bound",
         ):
             records.append(AuditRecord(name, None, note=note))
-        b1_eq_c2 = is_exact_zero(b1 - c2)
+        b1_eq_c2 = b1 == c2
         records.append(AuditRecord("b2star_is_1", b2_is_1, lhs=b2))
         records.append(AuditRecord("b1star_eq_c2star", b1_eq_c2, lhs=b1, rhs=c2))
         records.append(AuditRecord("q_antipodal", False, note="c_3* != m", lhs=c3, rhs=m))
@@ -988,35 +983,35 @@ def class3_dualtight_audit(qs: QPolyStructure, bound: DualFundamentalBound | Non
     e2 = b1 + b2 + c2 + 1 - m
     e1 = b1 * b2 + b2 + c2 - m * b2 - m
     e0 = -(m * b2)
-    expected = kp_mul([-m, m * 0 + 1], [e0, e1, e2, m * 0 + 1])
-    records.append(AuditRecord("charpoly_factorization", not kp_sub(phi, expected)))
+    expected = [-m * e0, e0 - m * e1, e1 - m * e2, e2 - m, 1]  # the product, constant first
+    records.append(AuditRecord("charpoly_factorization", phi == expected))
 
     sum_lhs = th1 + th2 + th3
     sum_rhs = m - b1 - b2 - c2 - 1
-    records.append(AuditRecord("sum_relation", is_exact_zero(sum_lhs - sum_rhs), lhs=sum_lhs, rhs=sum_rhs))
+    records.append(AuditRecord("sum_relation", sum_lhs == sum_rhs, lhs=sum_lhs, rhs=sum_rhs))
 
     prod_lhs = th1 * th2 * th3
     prod_rhs = m * b2
-    records.append(AuditRecord("product_relation", is_exact_zero(prod_lhs - prod_rhs), lhs=prod_lhs, rhs=prod_rhs))
+    records.append(AuditRecord("product_relation", prod_lhs == prod_rhs, lhs=prod_lhs, rhs=prod_rhs))
 
     sq_lhs = th2 * th2
-    records.append(AuditRecord("middle_square", is_exact_zero(sq_lhs - b2), lhs=sq_lhs, rhs=b2))
+    records.append(AuditRecord("middle_square", sq_lhs == b2, lhs=sq_lhs, rhs=b2))
 
     if a1_zero:
         records.append(
             AuditRecord("middle_value", False, note="division guard failed: m - b_1* - 1 = 0", lhs=th2)
         )
     else:
-        mv_rhs = -((m - b2 - c2) * scalar_inverse(m - b1 - 1))
-        records.append(AuditRecord("middle_value", is_exact_zero(th2 - mv_rhs), lhs=th2, rhs=mv_rhs))
+        mv_rhs = -((m - b2 - c2) / (m - b1 - 1))
+        records.append(AuditRecord("middle_value", th2 == mv_rhs, lhs=th2, rhs=mv_rhs))
 
-    q233_formula = m * (b2 - 1) * scalar_inverse(c2)
-    m3_formula = b1 * b2 * scalar_inverse(c2)
+    q233_formula = m * (b2 - 1) / c2
+    m3_formula = b1 * b2 / c2
     if qs.provenance == "scheme" and qs.krein_table is not None and qs.idempotent_order is not None:
         o = qs.idempotent_order
         q233 = qs.krein_table.q[o[2]][o[3]][o[3]]
         records.append(
-            AuditRecord("q233_formula", is_exact_zero(q233 - q233_formula), lhs=q233, rhs=q233_formula)
+            AuditRecord("q233_formula", q233 == q233_formula, lhs=q233, rhs=q233_formula)
         )
         q333 = qs.krein_table.q[o[3]][o[3]][o[3]]
     else:
@@ -1029,7 +1024,7 @@ def class3_dualtight_audit(qs: QPolyStructure, bound: DualFundamentalBound | Non
     if qs.provenance == "scheme" and qs.eigen is not None and qs.idempotent_order is not None:
         m3_actual = Fraction(qs.eigen.multiplicities[qs.idempotent_order[3]])
         records.append(
-            AuditRecord("m3_formula", is_exact_zero(m3_formula - m3_actual), lhs=m3_formula, rhs=m3_actual)
+            AuditRecord("m3_formula", m3_formula == m3_actual, lhs=m3_formula, rhs=m3_actual)
         )
     else:
         records.append(AuditRecord("m3_formula", None, note="parameter-level input: m_3 defined by the formula", rhs=m3_formula))
@@ -1050,7 +1045,7 @@ def class3_dualtight_audit(qs: QPolyStructure, bound: DualFundamentalBound | Non
 
     # m - c2* >= b2*(m - b1*), equality exactly when q_33^3 = 0
     l_sign = exact_sign(u_rhs - u_lhs)
-    q333_zero = is_exact_zero(q333)
+    q333_zero = q333 == 0
     records.append(
         AuditRecord(
             "multiplicity_bound",
@@ -1061,10 +1056,10 @@ def class3_dualtight_audit(qs: QPolyStructure, bound: DualFundamentalBound | Non
         )
     )
 
-    b1_eq_c2 = is_exact_zero(b1 - c2)
+    b1_eq_c2 = b1 == c2
     records.append(AuditRecord("b2star_is_1", b2_is_1, lhs=b2))
     records.append(AuditRecord("b1star_eq_c2star", b1_eq_c2, lhs=b1, rhs=c2))
-    antipodal = b2_is_1 and is_exact_zero(c3 - m)
+    antipodal = b2_is_1 and c3 == m
     records.append(
         AuditRecord("q_antipodal", antipodal, note="b_2* = 1 and c_3* = m", lhs=c3, rhs=m)
     )

@@ -23,11 +23,13 @@ gamma_1).
 Entries are Fractions for ordinary systems; the same checks also accept
 number-field elements (FieldElement) so Krein matrices with algebraic
 entries reuse every code path.  spectrum has two routes, chosen by its
-input: it isolates the roots of F_D (rational systems) or certifies given
-strictly descending values as the roots of F_D by exact evaluation (any
-system).  Every product bound is one comparison of a shifted eigenvalue
-product with its right-hand side: on F_D for isolated spectra, by field
-arithmetic for certified ones.  On F_D the product is built once
+input.  Without candidates it isolates the roots of F_D, built as a
+RationalPoly (rational systems only).  With strictly descending candidates
+it certifies them as the roots of F_D on any system, evaluating F_D at each
+by the three-term recurrence on scalars, so a system with field entries
+builds no polynomial.  Every product bound is one comparison of a shifted
+eigenvalue product with its right-hand side: on F_D for isolated spectra,
+by field arithmetic for certified ones.  On F_D the product is built once
 (shifted_subset_product), and the comparisons and the report read that
 one value.
 charpoly_by_cofactor is the one cofactor oracle: a self-contained
@@ -57,13 +59,7 @@ from .numberfield import (
     FieldElement,
     exact_sign,
     field_containing,
-    is_exact_zero,
-    kp_eval,
-    kp_mul,
-    kp_sub,
-    kp_trim,
     scalar_as_fraction,
-    scalar_to_algebraic,
 )
 from .polynomials import RationalPoly
 from .serialize import rat_str, value_json
@@ -131,7 +127,7 @@ def validate(system: TridiagonalSystem) -> ValidationReport:
         return ValidationReport(False, tuple(v))
     if exact_sign(system.kappa) <= 0:
         v.append("kappa must be positive")
-    if not is_exact_zero(system.alpha[0]):
+    if system.alpha[0] != 0:
         v.append("alpha_0 must equal 0")
     for i, a in enumerate(system.alpha):
         if exact_sign(a) < 0:
@@ -139,7 +135,7 @@ def validate(system: TridiagonalSystem) -> ValidationReport:
     for i, b in enumerate(system.beta):
         if exact_sign(b) <= 0:
             v.append(f"beta_{i} must be positive")
-    if not is_exact_zero(system.gamma[0] - 1):
+    if system.gamma[0] != 1:
         v.append("gamma_1 must equal 1")
     for j, g in enumerate(system.gamma):
         if exact_sign(g) <= 0:
@@ -150,7 +146,7 @@ def validate(system: TridiagonalSystem) -> ValidationReport:
             total = total + system.beta[i]
         if i >= 1:
             total = total + system.gamma[i - 1]
-        if not is_exact_zero(total - system.kappa):
+        if total != system.kappa:
             v.append(f"row {i} must sum to kappa")
     if not v:
         object.__setattr__(system, "_valid", True)
@@ -188,39 +184,44 @@ def reduced_matrix(system: TridiagonalSystem) -> tuple[tuple, ...]:
     return tuple(rows)
 
 
-def f_polynomials(system: TridiagonalSystem) -> list:
+def f_polynomials(system: TridiagonalSystem) -> list[RationalPoly]:
     """F_0 = 1, F_1 = x + 1, then
     F_i = (x - kappa + beta_{i-1} + gamma_i) F_{i-1} - beta_{i-1} gamma_{i-1} F_{i-2}.
 
-    Rational systems get RationalPoly values; systems with field entries get
-    coefficient lists (constant term first).
+    Rational systems only; a system with field entries raises ValueError
+    (its spectrum is certified by _f_d_at instead).
     """
     require_valid(system)
-    if system.is_rational():
-        kappa = scalar_as_fraction(system.kappa)
-        beta = [scalar_as_fraction(x) for x in system.beta]
-        gamma = [scalar_as_fraction(x) for x in system.gamma]
-        fs = [RationalPoly.one(), RationalPoly((1, 1))]
-        for i in range(2, system.d + 1):
-            shift = RationalPoly((beta[i - 1] + gamma[i - 1] - kappa, 1))
-            fs.append(shift * fs[i - 1] - fs[i - 2].scale(beta[i - 1] * gamma[i - 2]))
-        return fs
-    one = system.kappa * 0 + 1
-    kappa, beta, gamma = system.kappa, system.beta, system.gamma
-    fs: list[list] = [[one], [one, one]]
+    if not system.is_rational():
+        raise ValueError("systems with algebraic entries need candidate eigenvalues")
+    kappa = scalar_as_fraction(system.kappa)
+    beta = [scalar_as_fraction(x) for x in system.beta]
+    gamma = [scalar_as_fraction(x) for x in system.gamma]
+    fs = [RationalPoly.one(), RationalPoly((1, 1))]
     for i in range(2, system.d + 1):
-        shift = [beta[i - 1] + gamma[i - 1] - kappa, one]
-        fs.append(kp_trim(kp_sub(kp_mul(shift, fs[i - 1]), kp_mul([beta[i - 1] * gamma[i - 2]], fs[i - 2]))))
+        shift = RationalPoly((beta[i - 1] + gamma[i - 1] - kappa, 1))
+        fs.append(shift * fs[i - 1] - fs[i - 2].scale(beta[i - 1] * gamma[i - 2]))
     return fs
+
+
+def _f_d_at(system: TridiagonalSystem, x):
+    """F_D(x) by the recurrence of f_polynomials, on scalars: no polynomial is built."""
+    kappa, beta, gamma = system.kappa, system.beta, system.gamma
+    prev, cur = 1, x + 1
+    for i in range(2, system.d + 1):
+        shift = x + (beta[i - 1] + gamma[i - 1] - kappa)
+        prev, cur = cur, shift * cur - beta[i - 1] * gamma[i - 2] * prev
+    return cur
 
 
 def charpoly_by_cofactor(matrix: Sequence[Sequence[Fraction]]) -> RationalPoly | list:
     """det(xI - M) by recursive cofactor expansion along the first row.
 
-    The independent oracle against which the recurrence, the Hessenberg
-    route and the number-field polynomial helpers are checked: deliberately
-    generic (no tridiagonal shortcuts), and its polynomial arithmetic is the
-    two list helpers below, never the code it checks.  Entries may be any
+    The independent oracle against which the recurrence (f_polynomials and
+    its scalar evaluator), the Hessenberg route and the class-3 audit's
+    factorization are checked: deliberately generic (no tridiagonal
+    shortcuts), and its polynomial arithmetic is the two list helpers
+    below, never the code it checks.  Entries may be any
     exact scalars; zero entries are skipped.  Rational input gives a
     RationalPoly, any other input the coefficient list, constant term first.
     """
@@ -274,7 +275,7 @@ def _cofactor_add(p: list, q: list, sign: int) -> list:
 class SpectrumReport:
     system: TridiagonalSystem
     eigenvalues: tuple  # theta_0 = kappa > theta_1 > ... > theta_D
-    f_polys: tuple
+    f_polys: tuple  # F_0..F_D for isolated spectra, () for certified ones
     root_table: tuple  # root_table[i-1] = roots of F_i, descending (rational systems)
 
 
@@ -289,11 +290,9 @@ def spectrum(system: TridiagonalSystem, known_roots: Sequence | None = None) -> 
     are all of its roots, so they are precisely the spectrum.
     """
     require_valid(system)
-    fs = f_polynomials(system)
     d = system.d
     if known_roots is None:
-        if not system.is_rational():
-            raise ValueError("systems with algebraic entries need candidate eigenvalues")
+        fs = f_polynomials(system)
         table = []
         for i in range(1, d + 1):
             roots = isolate_real_roots(fs[i])
@@ -309,14 +308,13 @@ def spectrum(system: TridiagonalSystem, known_roots: Sequence | None = None) -> 
     eigen = (system.kappa,) + tuple(known_roots)
     if len(eigen) != d + 1:
         raise ValueError(f"expected {d} candidate eigenvalues, got {len(eigen) - 1}")
-    fd = fs[d].coeffs if isinstance(fs[d], RationalPoly) else fs[d]
     for cand in eigen[1:]:
-        if not is_exact_zero(kp_eval(fd, cand)):
+        if _f_d_at(system, cand) != 0:
             raise AssertionError("candidate eigenvalue does not annihilate F_D")
     for above, below in zip(eigen, eigen[1:]):
         if exact_sign(above - below) <= 0:
             raise AssertionError("kappa and the candidate eigenvalues must be strictly descending")
-    return SpectrumReport(system, eigen, tuple(fs), ())
+    return SpectrumReport(system, eigen, (), ())
 
 
 @dataclass(frozen=True)
@@ -356,7 +354,7 @@ def endpoint_product_bound(a, b, c, d, t) -> LemmaResult:
     Interior equality forces a = b and c = d; a breach of that implication
     raises, since it would falsify the statement rather than an input.
     """
-    a, b, c, d, t = (scalar_to_algebraic(v) for v in (a, b, c, d, t))
+    a, b, c, d, t = (algebraics._coerce(v) for v in (a, b, c, d, t))
     if not (compare(a, b) <= 0 and compare(b, c) < 0 and compare(c, d) <= 0):
         raise ValueError("need a <= b < c <= d")
     if not (compare(b, t) <= 0 and compare(t, c) <= 0):

@@ -142,10 +142,10 @@ def test_criterion_8_petersen_dual_equality():
         s = schemes.scheme_from_graph(families.petersen())
         qs = [q for q in schemes.find_q_orderings(s) if q.m == 5][0]
         res = schemes.dual_bounds(qs)
-        from qpolykit.numberfield import scalar_to_algebraic
+        from qpolykit.numberfield import scalar_as_fraction
 
-        assert scalar_to_algebraic(res.part1.lhs).as_rational() == F(-16, 9)
-        assert scalar_to_algebraic(res.part1.rhs).as_rational() == F(-16, 9)
+        assert scalar_as_fraction(res.part1.lhs) == F(-16, 9)
+        assert scalar_as_fraction(res.part1.rhs) == F(-16, 9)
         assert res.part1.equality
 
 

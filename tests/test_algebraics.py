@@ -18,7 +18,7 @@ from qpolykit.algebraics import (
     isolate_real_roots_with_multiplicity,
 )
 from qpolykit.numberfield import _tensor_min_poly
-from qpolykit.polynomials import RationalPoly, poly_gcd, primitive_int_poly, squarefree_part
+from qpolykit.polynomials import RationalPoly, _int_coeffs, poly_gcd, squarefree_part
 
 
 def sqrt_of(n: int) -> AlgebraicReal:
@@ -180,7 +180,7 @@ def squarefree_int_poly(coeffs, rational_roots) -> RationalPoly:
     p = RationalPoly(coeffs)
     for r in rational_roots:
         p = p * RationalPoly((-r, 1))
-    return RationalPoly(primitive_int_poly(squarefree_part(p)))
+    return RationalPoly(_int_coeffs(squarefree_part(p)))
 
 
 squarefree_int_polys = st.builds(
@@ -337,7 +337,7 @@ def random_squarefree(coeffs: list[int]) -> RationalPoly | None:
     p = RationalPoly(coeffs)
     if p.degree < 1:
         return None
-    return RationalPoly(primitive_int_poly(squarefree_part(p)))
+    return RationalPoly(_int_coeffs(squarefree_part(p)))
 
 
 kernel_polys = st.builds(
@@ -490,6 +490,20 @@ def test_compare_decides_a_forced_tie_by_a_sign_change_of_the_gcd(monkeypatch):
     assert compare(s2, same_root) == 0 and compare(same_root, s2) == 0 and gcds
     assert compare(s2, below) == 1 and compare(below, s2) == -1
     assert compare(s2, above) == -1 and compare(above, s2) == 1
+
+
+def test_compare_past_its_round_cap_is_an_alarm(monkeypatch):
+    # a gcd that misses the tie leaves two equal values that never separate
+    monkeypatch.setattr(algebraics, "poly_gcd", lambda a, b: RationalPoly.one())
+    s2 = sqrt_of(2)
+    other = isolate_real_roots(RationalPoly((-2, 0, 1)) * RationalPoly((-5, 1)))[1]  # sqrt2 of (x^2 - 2)(x - 5)
+    assert other.poly.degree == 3 and compare_rational(other, F(1)) > 0 and compare_rational(other, F(2)) < 0
+    start = time.perf_counter()
+    with pytest.raises(AssertionError, match="^comparison refined past its round cap$"):
+        compare(s2, other)
+    assert time.perf_counter() - start < 10
+    # distinct values still separate under the same faulty gcd
+    assert compare(s2, sqrt_of(3)) == -1
 
 
 def test_unchecked_constructor_certifies_its_interval():

@@ -141,8 +141,8 @@ def patch_everywhere(monkeypatch, targets):
 
 def checked_routines():
     targets = [getattr(linalg, n) for n in ("det", "charpoly", "companion", "kron_sum", "solve", "_charpoly_mod")]
-    targets += [getattr(numberfield, n) for n in dir(numberfield) if n.startswith("kp_")]
-    targets.append(tridiagonal.f_polynomials)
+    # the recurrence, its scalar evaluator and the one gcd over a number field
+    targets += [tridiagonal.f_polynomials, tridiagonal._f_d_at, numberfield._gcd_monic]
     return targets
 
 

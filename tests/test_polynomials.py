@@ -286,7 +286,7 @@ def test_swinnerton_dyer_polynomials(k):
 
 def test_hensel_lift_reaches_past_twice_the_bound():
     f = [int(c) for c in (_swinnerton_dyer(3) * _chebyshev_minus_two(7).scale(3)).coeffs]
-    f = list(polynomials.primitive_int_poly(squarefree_part(RationalPoly(f))))
+    f = list(polynomials._int_coeffs(squarefree_part(RationalPoly(f))))
     p = next(polynomials._good_primes(f))
     rng = random.Random(0)
     fp = polynomials._monic_mod([c % p for c in f], p)

@@ -17,7 +17,8 @@ from qpolykit.families import (
     linked_design_krein_array,
     petersen,
 )
-from qpolykit.numberfield import FieldElement, is_exact_zero, scalar_to_algebraic
+from qpolykit.numberfield import FieldElement, scalar_as_fraction
+from qpolykit.polynomials import RationalPoly
 from qpolykit.schemes import (
     AssociationScheme,
     SchemeError,
@@ -213,7 +214,7 @@ def test_b1star_system_examples():
         total = qs.b1star[0][h]
         for j in range(1, 4):
             total = total + qs.b1star[j][h]
-        assert is_exact_zero(total - qs.m)
+        assert total == qs.m
 
 
 def test_dual_pair_bound_petersen_equality():
@@ -221,8 +222,8 @@ def test_dual_pair_bound_petersen_equality():
     qs = [q for q in find_q_orderings(s) if q.m == 5][0]
     res = dual_bounds(qs)
     assert res.part1.equality
-    assert scalar_to_algebraic(res.part1.lhs).as_rational() == F(-16, 9)
-    assert scalar_to_algebraic(res.part1.rhs).as_rational() == F(-16, 9)
+    assert scalar_as_fraction(res.part1.lhs) == F(-16, 9)
+    assert scalar_as_fraction(res.part1.rhs) == F(-16, 9)
 
 
 def test_dual_triple_bound_heawood_equality():
@@ -240,7 +241,7 @@ def test_linked_system_ratio():
         res = dual_bounds(qs)
         f = F(2 ** (2 * t - 1))
         b1 = qs.b_star[1]
-        lhs = scalar_to_algebraic(res.part1.lhs).as_rational()
+        lhs = scalar_as_fraction(res.part1.lhs)
         assert lhs == -b1 * f / (f - 1)
         assert res.part1.holds and not res.part1.equality
 
@@ -280,6 +281,37 @@ def test_audit_symbolic_family_instance():
     assert audit.record("charpoly_factorization").passed
     assert audit.record("sum_relation").passed
     assert audit.record("product_relation").passed
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: find_q_orderings(heawood_scheme())[0],
+        lambda: krein_array_structure(
+            {"type": "krein_array", "class": 3, "m": "6", "b_star": ["6", "3", "1"], "c_star": ["1", "3", "6"]}
+        ),
+    ],
+    ids=["heawood_field_entries", "rational_krein_array"],
+)
+def test_charpoly_factorization_fails_on_a_perturbed_oracle(monkeypatch, make):
+    from qpolykit import tridiagonal
+
+    qs = make()
+    assert class3_dualtight_audit(qs).record("charpoly_factorization").passed
+    real = tridiagonal.charpoly_by_cofactor
+    # heawood's oracle has field coefficients, the Krein array's is a RationalPoly
+    assert isinstance(real(qs.b1star), RationalPoly) == (qs.provenance == "krein_array")
+    for k in range(5):
+        for delta in (F(1), F(-1, 7)):
+
+            def perturbed(matrix):
+                phi = real(matrix)
+                if isinstance(phi, RationalPoly):
+                    return phi + RationalPoly([0] * k + [delta])
+                return phi[:k] + [phi[k] + delta] + phi[k + 1 :]
+
+            monkeypatch.setattr(tridiagonal, "charpoly_by_cofactor", perturbed)
+            assert class3_dualtight_audit(qs).record("charpoly_factorization").passed is False
 
 
 def test_audit_perturbed_array_fails():
@@ -351,7 +383,7 @@ def test_dual_bound_equalities_track_class_on_corpus():
 def test_dual_multiplicities_heawood():
     qs = find_q_orderings(heawood_scheme())[0]
     mults = dual_multiplicities(qs)
-    vals = [scalar_to_algebraic(m).as_rational() for m in mults]
+    vals = [scalar_as_fraction(m) for m in mults]
     assert vals == [1, 6, 6, 1]
 
 

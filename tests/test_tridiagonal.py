@@ -10,7 +10,10 @@ from hypothesis import strategies as st
 from qpolykit import algebraics, tridiagonal
 from qpolykit.algebraics import AlgebraicReal, ProductValue, compare, compare_rational, isolate_real_roots
 from qpolykit.checks import check_system
+from qpolykit.families import cycle, heawood
+from qpolykit.numberfield import RealAlgebraicField, eval_rational_poly
 from qpolykit.polynomials import RationalPoly
+from qpolykit.schemes import find_q_orderings, scheme_from_graph
 from qpolykit.tridiagonal import (
     TridiagonalSystem,
     charpoly_by_cofactor,
@@ -148,6 +151,85 @@ def test_spectrum_certifies_known_roots():
     assert spectrum(c4, (F(0), F(-2))).eigenvalues == (F(2), F(0), F(-2))
     with pytest.raises(AssertionError, match="strictly descending"):
         spectrum(c4, (F(-2), F(0)))
+
+
+# -- F_D evaluated by its recurrence, with no polynomial ------------------------------
+
+
+def field_of(coeffs):
+    """The field of the largest root of the rational polynomial coeffs."""
+    return RealAlgebraicField.from_root(isolate_real_roots(RationalPoly(coeffs))[-1])[0]
+
+
+SQRT2_FIELD = field_of((-2, 0, 1))
+COS7_FIELD = field_of((-1, -2, 1, 1))  # 2cos(2 pi/7)
+
+
+def scheme_orderings(*graphs):
+    """(system, q_column) of every polynomial ordering of the graphs' schemes."""
+    return [(qs.system, qs.q_column) for g in graphs for qs in find_q_orderings(scheme_from_graph(g))]
+
+
+def horner(coeffs, x):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=2, max_value=6),
+    st.sampled_from([SQRT2_FIELD, COS7_FIELD]),
+    st.lists(st.fractions(-5, 5, max_denominator=4), min_size=1, max_size=3),
+)
+def test_recurrence_evaluator_matches_the_cofactor_charpoly(seed, d, field, coeffs):
+    system = random_system(random.Random(seed), d)
+    x = field.element(coeffs)
+    oracle = charpoly_by_cofactor(reduced_matrix(system))
+    assert tridiagonal._f_d_at(system, x) == eval_rational_poly(oracle.coeffs, x)
+    assert tridiagonal._f_d_at(system, coeffs[0]) == oracle.evaluate(coeffs[0])
+
+
+def test_recurrence_evaluator_on_scheme_systems():
+    # cycle:n=7 has rational systems with a spectrum in the cubic field;
+    # heawood has systems with entries in Q(sqrt2)
+    cases = scheme_orderings(cycle(7), heawood())
+    assert {system.is_rational() for system, _ in cases} == {True, False}
+    for system, q_column in cases:
+        gen = q_column[1].field.generator()
+        oracle = charpoly_by_cofactor(reduced_matrix(system))
+        coeffs = oracle.coeffs if isinstance(oracle, RationalPoly) else oracle
+        for x in (gen, gen * gen - F(1, 3), F(5, 2), 1 / (gen + 7)) + q_column[1:]:
+            assert tridiagonal._f_d_at(system, x) == horner(coeffs, x)
+        assert all(tridiagonal._f_d_at(system, x) == 0 for x in q_column[1:])
+
+
+def test_certified_spectrum_builds_no_polynomial(monkeypatch):
+    def forbidden(system):
+        raise AssertionError("a certified spectrum must not build F_0..F_D")
+
+    monkeypatch.setattr(tridiagonal, "f_polynomials", forbidden)
+    r2 = SQRT2_FIELD.generator()
+    rep = spectrum(HEAWOOD, (r2, -r2, F(-3)))
+    assert rep.eigenvalues == (F(3), r2, -r2, F(-3)) and rep.f_polys == () and rep.root_table == ()
+    for system, q_column in scheme_orderings(cycle(7), heawood()):
+        rep = spectrum(system, q_column[1:])
+        assert rep.eigenvalues[1:] == q_column[1:] and rep.f_polys == ()
+    with pytest.raises(AssertionError, match="annihilate"):
+        spectrum(HEAWOOD, (r2, -r2, F(-2)))
+
+
+def test_f_polynomials_rejects_field_systems():
+    field_systems = [system for system, _ in scheme_orderings(heawood()) if not system.is_rational()]
+    assert field_systems
+    for system in field_systems:
+        with pytest.raises(ValueError, match="need candidate eigenvalues"):
+            f_polynomials(system)
+        with pytest.raises(ValueError, match="need candidate eigenvalues"):
+            spectrum(system)
+    assert all(isinstance(f, RationalPoly) for f in f_polynomials(HEAWOOD))
 
 
 def test_full_charpoly_factorization():
