@@ -6,6 +6,8 @@ algebraic numbers as defining polynomial plus interval); decimals are
 annotation only.  Exit codes: 0 all checks verified, 1 input or usage
 error, 2 soundness alarm: a guaranteed statement failed on a validated
 instance, which means an implementation bug, never a property of the input.
+Each command settles its exit code before it prints, so a reader that closes
+stdout early (``| head``) cuts the output short and changes nothing else.
 
 This module parses arguments, loads input and prints reports; which checks
 run and what counts as an alarm is decided in ``qpolykit.checks``.
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -31,12 +34,19 @@ from .schemes import SchemeError
 from .serialize import dump_json, dump_json_pretty
 
 
-def _emit(output: str, report: dict, text_lines: list[str]) -> None:
-    if output == "json":
-        print(dump_json_pretty(report))
-    else:
-        for line in text_lines:
+def _print(lines: list[str]) -> None:
+    """Print lines to stdout; a reader that has closed stdout is no error."""
+    try:
+        for line in lines:
             print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the rest goes nowhere, so the interpreter's last flush cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
+def _emit(output: str, report: dict, text_lines: list[str]) -> None:
+    _print([dump_json_pretty(report)] if output == "json" else text_lines)
 
 
 def _input_error(exc: Exception) -> int:
@@ -174,10 +184,10 @@ def cmd_scan(args) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         return _input_error(exc)
     result = scanmod.scan(spec)
-    for rec in result.records:
-        print(dump_json(rec.to_json_dict()))
-    print(dump_json({"command": "scan", "tallies": result.tallies}))
     alarms = checks.check_scan(result)
+    rows = [dump_json(rec.to_json_dict()) for rec in result.records]
+    rows.append(dump_json({"command": "scan", "tallies": result.tallies}))
+    _print(rows)
     for a in alarms:
         print(f"ALARM: {a}", file=sys.stderr)
     return EXIT_ALARM if alarms else EXIT_OK

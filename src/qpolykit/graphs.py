@@ -16,7 +16,8 @@ keeps the tuple on its report; the diameter, the regularity classes, the
 vertex pair bound (theta_1+1)(theta_D+1) <= -beta_1(x) whose all-vertex
 equality case is exactly strong regularity, quotient interlacing, the
 intersection array, and through it the diameter->=3 triple bound and the
-fundamental bound with its tightness test all read that tuple.
+fundamental bound with its tightness test all read that tuple.  The
+intersection array {b; c} is the quotient's row-sum system, kappa = k.
 """
 
 from __future__ import annotations
@@ -519,50 +520,22 @@ def _ascending(distinct_desc: Sequence[AlgebraicReal]) -> list[AlgebraicReal]:
 # -- intersection arrays ------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IntersectionArray:
-    b: tuple[int, ...]  # b_0..b_{D-1}
-    c: tuple[int, ...]  # c_1..c_D
-
-    @property
-    def k(self) -> int:
-        return self.b[0]
-
-    @property
-    def diameter(self) -> int:
-        return len(self.b)
-
-    @property
-    def a(self) -> tuple[int, ...]:
-        d = self.diameter
-        out = [0]
-        for i in range(1, d):
-            out.append(self.k - self.b[i] - self.c[i - 1])
-        out.append(self.k - self.c[d - 1])
-        return tuple(out)
-
-    def to_system(self) -> TridiagonalSystem:
-        return TridiagonalSystem.from_intersection_numbers(self.b, self.c)
-
-    def __str__(self) -> str:
-        return "{" + ",".join(map(str, self.b)) + ";" + ",".join(map(str, self.c)) + "}"
-
-
-def intersection_array(g: Graph, classification: RegularityReport | None = None) -> IntersectionArray:
+def intersection_array(g: Graph, classification: RegularityReport | None = None) -> TridiagonalSystem:
+    """The intersection array as the quotient's row-sum system: beta = b_0..b_{D-1}, gamma = c_1..c_D."""
     classification = classification or classify_regularity(g)
     if not classification.distance_regular:
         raise GraphError("intersection array requires a distance-regular graph")
     # distance-regular: every quotient is equitable, with integer entries, and they all agree
-    qm = classification.quotients[0]
-    arr = IntersectionArray(tuple(int(v) for v in qm.beta), tuple(int(v) for v in qm.gamma))
+    system = classification.quotients[0].to_tridiagonal(Fraction(classification.degree))
+    if any(v.denominator != 1 for v in system.alpha + system.beta + system.gamma):
+        raise AssertionError("distance-regular quotient with a non-integer entry")
     # cell sizes k_{i+1} = k_i b_i / c_{i+1} must come out integral
-    k_i = 1
-    for i in range(arr.diameter):
-        nxt = Fraction(k_i * arr.b[i], arr.c[i])
-        if nxt.denominator != 1:
+    k_i = Fraction(1)
+    for b, c in zip(system.beta, system.gamma):
+        k_i = k_i * b / c
+        if k_i.denominator != 1:
             raise AssertionError("inconsistent intersection array: k_i not integral")
-        k_i = int(nxt)
-    return arr
+    return system
 
 
 def triple_bound_graph(g: Graph, classification: RegularityReport | None = None) -> TripleBoundResult:
@@ -570,10 +543,10 @@ def triple_bound_graph(g: Graph, classification: RegularityReport | None = None)
     classification = classification or classify_regularity(g)
     if not classification.distance_regular:
         raise GraphError("triple bound requires a distance-regular graph")
-    arr = intersection_array(g, classification)
-    if arr.diameter < 3:
+    system = intersection_array(g, classification)
+    if system.d < 3:
         raise GraphError("triple bound requires diameter >= 3")
-    return tridiagonal.triple_bound(arr.to_system())
+    return tridiagonal.triple_bound(system)
 
 
 # -- fundamental bound ----------------------------------------------------------------------------
@@ -609,12 +582,10 @@ def fundamental_bound(
     classification = classification or classify_regularity(g)
     if not classification.distance_regular:
         raise GraphError("fundamental bound requires a distance-regular graph")
-    arr = intersection_array(g, classification)
-    if arr.diameter < 2:
+    system = intersection_array(g, classification)
+    if system.d < 2:
         raise GraphError("fundamental bound requires diameter >= 2")
-    k = Fraction(arr.k)
-    a1 = Fraction(arr.a[1])
-    b1 = Fraction(arr.b[1])
+    k, a1, b1 = system.kappa, system.alpha[1], system.beta[1]
     shift = k / (a1 + 1)
     rhs = -k * a1 * b1 / (a1 + 1) ** 2
     spec = spec or spectrum_graph(g)

@@ -15,10 +15,12 @@ One home for the linear algebra the rest of the package needs:
                   a_i + t b_j;
   solve           Gauss-Jordan elimination for one right-hand side.
 
-Every characteristic, minimal and defining polynomial in the package is a
-``charpoly`` of such a matrix.  The independent oracles that check these
-routines (the cofactor expansion in ``tridiagonal.charpoly_by_cofactor`` and
-the tests' sympy calls) do not import this module.
+Every characteristic and defining polynomial in the package is a
+``charpoly`` of such a matrix, and so is every minimal polynomial but a
+scheme generator's, which ``solve`` reads off its Krylov basis.  The
+independent oracles that check these routines (the cofactor expansion in
+``tridiagonal.charpoly_by_cofactor`` and the tests' sympy calls) do not
+import this module.
 """
 
 from __future__ import annotations

@@ -2,23 +2,25 @@
 
 Everything routes through the regular representation.  The intersection
 matrices B_i = (p_{ij}^h)_{h,j} span a commutative semisimple algebra of
-dimension class+1; a generator g of that algebra has squarefree minimal
-polynomial whose roots are the characters' values (the squarefree part of
-its characteristic polynomial, since g is diagonalizable), and every B_i is
-a rational polynomial in g.  So the first eigenmatrix P comes out as
-P[j][u] = poly_u(lambda_j) with all arithmetic in a single real number
-field containing the lambda_j (built by adjoining roots on demand), and
+dimension class+1 that acts faithfully on e_0, with B_u e_0 = e_u.  So a
+candidate g generates it exactly when its Krylov basis K = (e_0, g e_0, ...,
+g^class e_0) is nonsingular; K c = g^(class+1) e_0 then gives g's squarefree
+minimal polynomial, whose roots are the characters' values, and K c = e_u
+gives B_u as a rational polynomial poly_u in g.  So P[j][u] =
+poly_u(lambda_j), with all arithmetic in a single real number field
+containing the lambda_j (built by adjoining roots on demand), and
 multiplicities, the second eigenmatrix Q and the Krein parameters
 
     q_{ij}^h = (m_i m_j / |X|) * sum_u P_iu P_ju P_hu / k_u^2
 
 are exact field elements.  Nonnegativity of every q_{ij}^h is checked by
 sign, and the closed formula is cross-checked against a literal expansion
-of E_i o E_j in the idempotent basis on schemes that carry a point set.
+of E_i o E_j in the idempotent basis on the point set.
 
 An ordering of the idempotents is polynomial when the matrix (q_{1,j}^h)
 is irreducible tridiagonal; its transpose is then a row-sum tridiagonal
-system with kappa = m.  Each QPolyStructure validates that system once.
+system with kappa = m, the Krein array {b*; c*}.  Each QPolyStructure
+validates that system once and keeps it as the one form of the array.
 The spectral identity certifies the E_1 column of Q as the system's
 spectrum, evaluating F_D by its recurrence in the ordering's number field; a
 system with field entries takes that certified spectrum as its own, and a
@@ -33,7 +35,7 @@ that the scanner applies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, cmp_to_key
 from fractions import Fraction
 from typing import Sequence
 
@@ -47,7 +49,7 @@ from .graphs import (
     intersection_array,
     is_vertex_pair,
 )
-from .linalg import charpoly, solve
+from .linalg import det, solve
 from .numberfield import (
     RealAlgebraicField,
     eval_rational_poly,
@@ -55,7 +57,7 @@ from .numberfield import (
     field_containing,
     scalar_as_fraction,
 )
-from .polynomials import RationalPoly, squarefree_part
+from .polynomials import RationalPoly
 from .serialize import parse_rat, value_json
 from .tridiagonal import BoundCheck, TridiagonalSystem, TripleBoundResult
 
@@ -73,16 +75,16 @@ class SoundnessAlarm(AssertionError):
 
 @dataclass(frozen=True)
 class AssociationScheme:
-    """Symmetric scheme given by relation adjacencies and/or intersection numbers.
+    """Symmetric scheme given by its relations on the points 0..n-1.
 
     rel_adj[i][x] is the tuple of y with (x, y) in relation i (i = 0..d,
-    relation 0 the identity); None when only intersection numbers are known.
-    p[i][j][h] are the intersection numbers, always present.
+    relation 0 the identity).  p[i][j][h] are the intersection numbers,
+    counted from the relations.
     """
 
     n: int
     d: int
-    rel_adj: tuple | None
+    rel_adj: tuple
     p: tuple
     # the classification of relation graph 1 when the scheme was built from it
     graph_classification: RegularityReport | None = field(default=None, repr=False, compare=False)
@@ -91,13 +93,7 @@ class AssociationScheme:
     def valencies(self) -> tuple[int, ...]:
         return tuple(self.p[i][i][0] for i in range(self.d + 1))
 
-    @property
-    def has_points(self) -> bool:
-        return self.rel_adj is not None
-
     def relation_graph(self, i: int) -> Graph:
-        if self.rel_adj is None:
-            raise SchemeError("scheme has no point set")
         if not 1 <= i <= self.d:
             raise SchemeError("relation index out of range")
         edges = [(x, y) for x in range(self.n) for y in self.rel_adj[i][x] if x < y]
@@ -148,22 +144,9 @@ class AssociationScheme:
         p = _intersection_numbers(g.n, d, rel_adj)
         return cls(g.n, d, rel_adj, p, classification)
 
-    @classmethod
-    def from_p_numbers(cls, p: Sequence) -> "AssociationScheme":
-        d = len(p) - 1
-        pt = tuple(tuple(tuple(int(v) for v in row) for row in block) for block in p)
-        n = 1 + sum(pt[i][i][0] for i in range(1, d + 1))
-        scheme = cls(n, d, None, pt)
-        problems = verify_scheme(scheme).violations
-        if problems:
-            raise SchemeError("invalid intersection numbers: " + "; ".join(problems))
-        return scheme
-
     # -- JSON -------------------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        if self.rel_adj is None:
-            raise SchemeError("cannot serialize a point-free scheme as relations")
         return {
             "type": "relations",
             "n": self.n,
@@ -189,7 +172,6 @@ class AssociationScheme:
 
 def _intersection_numbers(n: int, d: int, rel_adj) -> tuple:
     """p_{ij}^h from relation adjacencies, verifying constancy over every pair."""
-    rel_sets = [[set(row) for row in rel] for rel in rel_adj]
     rel_of = [[-1] * n for _ in range(n)]
     for i in range(d + 1):
         for x in range(n):
@@ -225,7 +207,7 @@ class SchemeReport:
 
 
 def verify_scheme(s: AssociationScheme) -> SchemeReport:
-    """Check the scheme axioms on the intersection numbers (and relations if present)."""
+    """Check the scheme axioms on the intersection numbers."""
     v: list[str] = []
     d, n, p = s.d, s.n, s.p
     if d < 1:
@@ -290,16 +272,6 @@ class EigenData:
     valencies: tuple[int, ...]
 
 
-def _intersection_matrix(s: AssociationScheme, i: int) -> list[list[Fraction]]:
-    d = s.d
-    return [[Fraction(s.p[i][j][h]) for j in range(d + 1)] for h in range(d + 1)]
-
-
-def _mat_mul(a, b):
-    n = len(a)
-    return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-
-
 def _generator_candidates(d: int):
     for i in range(1, d + 1):
         coeffs = [Fraction(0)] * (d + 1)
@@ -311,33 +283,42 @@ def _generator_candidates(d: int):
     yield [Fraction(0)] + [Fraction(3**i) for i in range(d)]
 
 
+def _krylov_polynomials(g) -> tuple[RationalPoly, list[RationalPoly]] | None:
+    """g's minimal polynomial and every B_u as a polynomial in g, from K; None when K is singular."""
+    size = len(g)
+    unit = [[Fraction(int(i == u)) for i in range(size)] for u in range(size)]
+    krylov = [unit[0]]  # e_0, g e_0, ..., g^size e_0
+    for _ in range(size):
+        krylov.append([sum(a * v for a, v in zip(row, krylov[-1])) for row in g])
+    basis = [list(row) for row in zip(*krylov[:-1])]  # K by rows
+    if det(basis) == 0:
+        return None
+    mp = RationalPoly([-c for c in solve(basis, krylov[-1])] + [1])
+    return mp, [RationalPoly(solve(basis, e)) for e in unit]
+
+
 def eigendata(s: AssociationScheme) -> EigenData:
     """Exact first and second eigenmatrices with multiplicities.
 
-    A generator of the regular representation is found among deterministic
-    candidates; its minimal polynomial must split the algebra completely
-    (degree class+1).  P rows are ordered with the valency row first, the
-    rest by descending generator eigenvalue.
+    The generator g of the regular representation is the first
+    deterministic candidate whose Krylov basis at e_0 is nonsingular.  P rows
+    are ordered with the valency row first, the rest by descending
+    generator eigenvalue.
     """
     rep = verify_scheme(s)
     if not rep.ok:
         raise SchemeError("scheme axioms fail: " + "; ".join(rep.violations))
     d, n = s.d, s.n
-    b_mats = [_intersection_matrix(s, i) for i in range(d + 1)]
     k = list(s.valencies)
-
-    gen = None
     for coeffs in _generator_candidates(d):
-        g = [[sum(coeffs[i] * b_mats[i][r][c] for i in range(d + 1)) for c in range(d + 1)] for r in range(d + 1)]
-        # the algebra is semisimple, so g is diagonalizable and its minimal
-        # polynomial is the squarefree part of its characteristic polynomial
-        mp = squarefree_part(charpoly(g))
-        if mp.degree == d + 1:
-            gen = (coeffs, g, mp)
+        # g = sum_i coeffs[i] B_i, with B_i = (p_{ij}^h)_{h,j}
+        g = [[sum(coeffs[i] * s.p[i][c][r] for i in range(d + 1)) for c in range(d + 1)] for r in range(d + 1)]
+        krylov = _krylov_polynomials(g)
+        if krylov is not None:
             break
-    if gen is None:
+    else:
         raise SchemeError("no generator of the regular representation found")
-    coeffs, g, mp = gen
+    mp, polys_in_g = krylov
 
     roots = isolate_real_roots(mp)
     if len(roots) != d + 1:
@@ -351,19 +332,6 @@ def eigendata(s: AssociationScheme) -> EigenData:
     others = [r for r in roots if r is not principal]
     others.sort(key=lambda r: (r.lo, r.hi), reverse=True)
     lam_order = [principal] + others  # row 0 first, rest descending
-
-    # express each B_u as a rational polynomial in g
-    powers = [[[Fraction(1) if i == j else Fraction(0) for j in range(d + 1)] for i in range(d + 1)]]
-    for _ in range(d):
-        powers.append(_mat_mul(powers[-1], g))
-    cols = [[powers[t][i][j] for t in range(d + 1)] for i in range(d + 1) for j in range(d + 1)]
-    polys_in_g: list[RationalPoly] = []
-    for u in range(d + 1):
-        rhs = [Fraction(b_mats[u][i][j]) for i in range(d + 1) for j in range(d + 1)]
-        sol = solve(cols, rhs)
-        if sol is None:
-            raise AssertionError("intersection matrix is not a polynomial in the generator")
-        polys_in_g.append(RationalPoly(sol))
 
     # build one field containing every eigenvalue of g
     field, lam_elems = field_containing(lam_order)
@@ -458,10 +426,8 @@ def krein_oracle(s: AssociationScheme, e: EigenData, max_points: int = 50) -> tu
     Builds the actual idempotents as |X| x |X| matrices over the shared
     field, takes entrywise products and reads coefficients off with traces:
     q_{ij}^h = |X| tr((E_i o E_j) E_h) / m_h.  Independent of the closed
-    formula; only for schemes that carry a point set.
+    formula.
     """
-    if not s.has_points:
-        raise SchemeError("oracle expansion needs relation matrices")
     if s.n > max_points:
         raise SchemeError(f"oracle expansion capped at {max_points} points")
     d, n = s.d, s.n
@@ -503,10 +469,11 @@ def krein_oracle(s: AssociationScheme, e: EigenData, max_points: int = 50) -> tu
 class QPolyStructure:
     """One polynomial ordering of the idempotents, with its dual data.
 
-    a_star/b_star/c_star are the tridiagonal entries of the reordered
-    (q_{1,j}^h) matrix, read so that its transpose is a row-sum system with
-    kappa = m; that transpose is validated once, when the structure is built,
-    and kept as system (None at class 1, where no dual check applies).
+    b1star is the reordered (q_{1,j}^h) matrix.  Its transpose is a row-sum
+    system with kappa = m, the Krein array: system.alpha holds a_0*..a_D*,
+    system.beta b_0* = m..b_{D-1}* and system.gamma c_1* = 1..c_D*.  It is
+    validated once, when the structure is built (None at class 1, where no
+    dual check applies).
     q_column is the E_1 column of Q in descending order for scheme
     orderings and None for Krein arrays, whose dual eigenvalues are the
     spectrum of the system.
@@ -514,9 +481,6 @@ class QPolyStructure:
 
     d: int
     m: Fraction
-    a_star: tuple
-    b_star: tuple  # b_0* = m, ..., b_{D-1}*
-    c_star: tuple  # c_1* = 1, ..., c_D*
     b1star: tuple  # reordered matrix rows j, cols h
     system: TridiagonalSystem | None
     q_column: tuple | None
@@ -614,9 +578,6 @@ def _structure_from_ordering(s, e: EigenData, table: KreinTable, order: list[int
     for a in range(d):
         if b1[a][a + 1].sign() <= 0 or b1[a + 1][a].sign() <= 0:
             return None
-    c_star = tuple(b1[j - 1][j] for j in range(1, d + 1))
-    b_star = tuple(b1[j + 1][j] for j in range(d))
-    a_star = tuple(b1[j][j] for j in range(d + 1))
     m = Fraction(e.multiplicities[e1])
     # dual eigenvalues: the E_1 column of Q, one per relation, sorted descending
     col = [e.q_matrix[u][e1] for u in range(d + 1)]
@@ -632,11 +593,8 @@ def _structure_from_ordering(s, e: EigenData, table: KreinTable, order: list[int
     return QPolyStructure(
         d=d,
         m=m,
-        a_star=a_star,
-        b_star=b_star,
-        c_star=c_star,
         b1star=tuple(tuple(row) for row in b1),
-        system=_transpose_system(e.field, m, a_star, b_star, c_star) if d >= 2 else None,
+        system=_transpose_system(e.field, m, b1) if d >= 2 else None,
         q_column=theta,
         idempotent_order=tuple(order),
         descending_matches_input=(list(perm) == list(range(d + 1))),
@@ -647,19 +605,24 @@ def _structure_from_ordering(s, e: EigenData, table: KreinTable, order: list[int
     )
 
 
-def _transpose_system(field, m: Fraction, a_star, b_star, c_star) -> TridiagonalSystem:
-    """The transpose of an ordered Krein matrix as a row-sum system, kappa = m.
+def _transpose_system(field, m: Fraction, b1) -> TridiagonalSystem:
+    """The transpose of the ordered Krein matrix b1 as a row-sum system, kappa = m.
 
     Entries become Fractions when all are rational.  Raises SoundnessAlarm
     when the transpose fails the row-sum condition: for a genuine
     polynomial ordering it cannot.
     """
-    entries = (a_star, b_star, c_star)
+    d = len(b1) - 1
+    entries = (
+        tuple(b1[j][j] for j in range(d + 1)),  # a_j*
+        tuple(b1[j + 1][j] for j in range(d)),  # b_j*
+        tuple(b1[j - 1][j] for j in range(1, d + 1)),  # c_j*
+    )
     rational = [[scalar_as_fraction(v) for v in row] for row in entries]
     if all(v is not None for row in rational for v in row):
-        system = TridiagonalSystem(len(b_star), *map(tuple, rational), m)
+        system = TridiagonalSystem(d, *map(tuple, rational), m)
     else:
-        system = TridiagonalSystem(len(b_star), *entries, field.constant(m))
+        system = TridiagonalSystem(d, *entries, field.constant(m))
     rep = tridiagonal.validate(system)
     if not rep.ok:
         raise SoundnessAlarm(
@@ -670,20 +633,11 @@ def _transpose_system(field, m: Fraction, a_star, b_star, c_star) -> Tridiagonal
 
 
 def _descending_permutation(col) -> list[int] | None:
-    idx = list(range(len(col)))
-    # insertion sort with exact comparisons; None on a tie (not Q-polynomial then)
-    out: list[int] = []
-    for u in idx:
-        pos = len(out)
-        for t, w in enumerate(out):
-            sgn = exact_sign(col[u] - col[w])
-            if sgn == 0:
-                return None
-            if sgn > 0:
-                pos = t
-                break
-        out.insert(pos, u)
-    return out
+    """The indices of col by descending value, compared exactly; None on a tie (not Q-polynomial then)."""
+    order = sorted(range(len(col)), key=cmp_to_key(lambda u, w: exact_sign(col[w] - col[u])))
+    if any(col[u] == col[w] for u, w in zip(order, order[1:])):
+        return None
+    return order
 
 
 # -- Krein-array ingestion -----------------------------------------------------------------------
@@ -730,10 +684,9 @@ def structure_from_dual_parameters(m: Fraction, b: Sequence[Fraction], c: Sequen
     rep = tridiagonal.validate(system)
     if not rep.ok:
         raise SchemeError("dual parameters violate the row-sum condition: " + "; ".join(rep.violations))
-    a_star = system.alpha
     b1 = [[Fraction(0)] * (d + 1) for _ in range(d + 1)]
     for j in range(d + 1):
-        b1[j][j] = a_star[j]
+        b1[j][j] = system.alpha[j]
     for j in range(1, d + 1):
         b1[j - 1][j] = Fraction(c[j - 1])
     for j in range(d):
@@ -741,9 +694,6 @@ def structure_from_dual_parameters(m: Fraction, b: Sequence[Fraction], c: Sequen
     return QPolyStructure(
         d=d,
         m=Fraction(m),
-        a_star=tuple(a_star),
-        b_star=tuple(Fraction(v) for v in b),
-        c_star=tuple(Fraction(v) for v in c),
         b1star=tuple(tuple(row) for row in b1),
         system=system,
         q_column=None,
@@ -809,7 +759,7 @@ def dual_fundamental_bound(qs: QPolyStructure) -> DualFundamentalBound:
     inv = 1 / (a1 + 1)
     rhs = -(inv * inv * a1 * b1 * qs.m)
     cmp, lhs = tridiagonal._shifted_product(report, (1, qs.d), inv * qs.m, rhs)
-    qbip = all(a == 0 for a in qs.a_star)
+    qbip = all(a == 0 for a in qs.system.alpha)
     equality = cmp == 0
     return DualFundamentalBound(lhs, rhs, cmp >= 0, equality, qbip, equality and not qbip)
 
@@ -866,7 +816,7 @@ class AuditReport:
 def dual_multiplicities(qs: QPolyStructure) -> list:
     """m_j = (b_0*...b_{j-1}*) / (c_1*...c_j*), the dual side of the valency formula."""
     out = [Fraction(1)]
-    for b, c in zip(qs.b_star, qs.c_star):
+    for b, c in zip(qs.system.beta, qs.system.gamma):
         out.append(out[-1] * b / c)
     return out
 
@@ -886,8 +836,8 @@ def class3_feasibility(qs: QPolyStructure, genuine: bool = True) -> tuple[str, s
         return "multiplicity", "m_3 must be positive"
     if genuine and m3.denominator != 1:
         return "multiplicity", "m_3 must be an integer for a genuine scheme"
-    if qs.c_star[2] == qs.m:
-        q233 = qs.m * (qs.b_star[2] - 1) / qs.c_star[1]
+    if qs.system.gamma[2] == qs.m:
+        q233 = qs.m * (qs.system.beta[2] - 1) / qs.system.gamma[1]
         if q233 < 0:
             return "krein_condition", "implied q_23^3 is negative"
         if m3 - 1 - q233 < 0:
@@ -911,7 +861,8 @@ def class3_dualtight_audit(qs: QPolyStructure, bound: DualFundamentalBound | Non
 
     records: list[AuditRecord] = []
     m = qs.m
-    a1, b1, b2, c2, c3 = qs.a_star[1], qs.b_star[1], qs.b_star[2], qs.c_star[1], qs.c_star[2]
+    alpha, beta, gamma = qs.system.alpha, qs.system.beta, qs.system.gamma
+    a1, b1, b2, c2, c3 = alpha[1], beta[1], beta[2], gamma[1], gamma[2]
     th1, th2, th3 = qs.dual_eigenvalues[1], qs.dual_eigenvalues[2], qs.dual_eigenvalues[3]
     if qs.provenance == "krein_array":
         # the identity checks below multiply eigenvalues, which takes them
@@ -929,7 +880,7 @@ def class3_dualtight_audit(qs: QPolyStructure, bound: DualFundamentalBound | Non
         )
     )
 
-    a3 = qs.a_star[3]
+    a3 = alpha[3]
     a3_zero = a3 == 0
     records.append(
         AuditRecord(
@@ -1096,26 +1047,24 @@ class ClassifyReport:
         }
 
 
-def _symmetric_design_array(arr) -> tuple[int, int, int] | None:
-    """Match {k, k-1, k-lam; 1, lam, k} for integers k > lam >= 1, nondegenerate.
+def _symmetric_design_array(system: TridiagonalSystem) -> tuple[int, int, int] | None:
+    """Match the intersection array {k, k-1, k-lam; 1, lam, k} for integers k > lam >= 1, nondegenerate.
 
     Degenerate designs with lam = k - 1 (complete designs) are excluded:
     their incidence schemes are Q-bipartite, so they can never be
     dual-tight and would falsify the classification if admitted.
     """
-    if arr.diameter != 3:
+    if system.d != 3:
         return None
-    k = arr.k
-    lam = arr.c[1]
-    if arr.b != (k, k - 1, k - lam):
+    k = int(system.kappa)
+    lam = int(system.gamma[1])
+    if system.beta != (k, k - 1, k - lam):
         return None
-    if arr.c != (1, lam, k):
+    if system.gamma != (1, lam, k):
         return None
     if not (k > lam >= 1) or k - lam < 2:
         return None
-    if lam == 0 or (k * (k - 1)) % lam != 0:
-        return None
-    v = 1 + k * (k - 1) // lam
+    v = 1 + k * (k - 1) // lam  # 1 + k_2, an integer by intersection_array's check
     return (v, k, lam)
 
 
@@ -1158,7 +1107,7 @@ def classify_class3_scheme(
 
     incidence_rel = None
     params = None
-    primal = scheme is not None and scheme.has_points
+    primal = scheme is not None
     if primal:
         for i in range(1, scheme.d + 1):
             graph = scheme.relation_graph(i)
@@ -1170,8 +1119,7 @@ def classify_class3_scheme(
                 continue
             if not classification.distance_regular:
                 continue
-            arr = intersection_array(graph, classification)
-            match = _symmetric_design_array(arr)
+            match = _symmetric_design_array(intersection_array(graph, classification))
             if match is not None and 2 * match[0] == scheme.n:
                 incidence_rel = i
                 params = match

@@ -372,3 +372,39 @@ def test_size_limit_admits_hamming_9_2():
     from qpolykit.graphs import MAX_VERTICES
 
     assert hamming(9, 2).n == MAX_VERTICES == 512
+
+
+# -- a reader that closes stdout early ----------------------------------------------
+
+VERIFY_CORPUS = str(Path(__file__).resolve().parent.parent / "scripts" / "verify_corpus.py")
+FORCE_SCAN_ALARM = (
+    "import sys; from qpolykit import checks, cli; "
+    "checks.check_scan = lambda result: ['forced alarm']; "
+    "sys.exit(cli.main(['scan', '--m-max', '6', '--free-c3', '--output', 'json']))"
+)
+FORCE_CORPUS_ALARM = (
+    "import runpy, sys; from qpolykit import checks; real = checks.check_graph; "
+    "checks.check_graph = lambda g, *a: (lambda r: (r[0], r[1], r[2] + ['forced alarm']))(real(g, *a)); "
+    f"sys.argv = [{VERIFY_CORPUS!r}, '--json']; runpy.run_path(sys.argv[0], run_name='__main__')"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["-m", "qpolykit.cli", "scan", "--m-max", "6", "--free-c3", "--output", "json"], 0),
+        (["-c", FORCE_SCAN_ALARM], 2),
+        (["-m", "qpolykit.cli", "check-scheme", "--from-graph", "heawood", "--output", "json"], 0),
+        (["-m", "qpolykit.cli", "property-suite", "--seed", "3", "--n", "5", "--graphs", "1"], 0),
+        ([VERIFY_CORPUS, "--json"], 0),
+        (["-c", FORCE_CORPUS_ALARM], 2),
+    ],
+    ids=["scan", "scan_alarm", "check_scheme", "property_suite", "verify_corpus", "verify_corpus_alarm"],
+)
+def test_closed_stdout_exits_with_its_code_and_no_traceback(argv, code):
+    proc = subprocess.Popen([sys.executable, *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()  # the reader stops before the first byte
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=600) == code
+    assert "Traceback" not in err and "Exception ignored" not in err, err

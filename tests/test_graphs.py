@@ -2,6 +2,7 @@ import contextlib
 import io
 import random
 import tempfile
+from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -35,6 +36,7 @@ from qpolykit.graphs import (
     spectrum_graph,
     triple_bound_graph,
 )
+from qpolykit.tridiagonal import TridiagonalSystem
 
 
 def test_graph_construction_rejects_bad_edges():
@@ -270,25 +272,35 @@ def test_equality_iff_strongly_regular_on_corpus():
 
 
 def test_intersection_arrays():
-    assert str(intersection_array(heawood())) == "{3,2,2;1,1,3}"
-    assert str(intersection_array(icosahedron())) == "{5,2,1;1,2,5}"
-    assert str(intersection_array(cube(3))) == "{3,2,1;1,2,3}"
+    for g, b, c in (
+        (heawood(), (3, 2, 2), (1, 1, 3)),
+        (icosahedron(), (5, 2, 1), (1, 2, 5)),
+        (cube(3), (3, 2, 1), (1, 2, 3)),
+    ):
+        system = intersection_array(g)
+        assert (system.beta, system.gamma, system.kappa) == (b, c, b[0])
     with pytest.raises(GraphError):
         intersection_array(complete_bipartite(2, 3))
+
+
+def test_intersection_array_asserts_integer_entries():
+    rep = classify_regularity(cube(3))
+    q = rep.quotients[0]
+    forged = replace(rep, quotients=(replace(q, alpha=(F(0), F(1, 2), F(3, 2), F(0))),) + rep.quotients[1:])
+    with pytest.raises(AssertionError, match="non-integer"):
+        intersection_array(cube(3), forged)
 
 
 def test_intersection_array_matches_quotients():
     for name in ("heawood", "icosahedron", "cube", "petersen"):
         g = corpus_graphs()[name if name != "cube" else "cube"]
         rep = classify_regularity(g)
-        arr = intersection_array(g, rep)
-        assert rep.diameter == arr.diameter and len(rep.quotients) == g.n
+        system = intersection_array(g, rep)
+        assert rep.diameter == system.d and len(rep.quotients) == g.n
         for x in range(g.n):
             qm = rep.quotients[x]
             assert qm == quotient_matrix(g, x) and qm.equitable, (name, x)
-            assert tuple(qm.beta) == tuple(F(b) for b in arr.b), (name, x)
-            assert tuple(qm.gamma) == tuple(F(c) for c in arr.c), (name, x)
-            assert tuple(qm.alpha) == tuple(F(a) for a in arr.a), (name, x)
+            assert (qm.alpha, qm.beta, qm.gamma) == (system.alpha, system.beta, system.gamma), (name, x)
 
 
 def test_triple_bound_examples():
@@ -386,9 +398,8 @@ def _check_against_networkx(g: Graph):
     assert rep.distance_regular == nx.is_distance_regular(nxg)
     assert rep.strongly_regular == nx.is_strongly_regular(nxg)
     if rep.distance_regular:
-        b, c = nx.intersection_array(nxg)
-        arr = intersection_array(g, rep)
-        assert (list(arr.b), list(arr.c)) == (list(b), list(c))
+        expected = TridiagonalSystem.from_intersection_numbers(*nx.intersection_array(nxg))
+        assert intersection_array(g, rep) == expected
 
 
 def test_classification_agrees_with_networkx_on_the_corpus():

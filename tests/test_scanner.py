@@ -128,7 +128,7 @@ def test_scheme_derived_parameters_pass_the_filter_chain():
     assert validate(qs.system).ok  # structure
     m3 = scalar_as_fraction(dual_multiplicities(qs)[3])
     assert m3 == 1  # positive integer multiplicity
-    q233 = qs.m * (qs.b_star[2] - 1) / qs.c_star[1]
+    q233 = qs.m * (qs.system.beta[2] - 1) / qs.system.gamma[1]
     assert q233 == 0  # Krein condition: q_23^3 = 0 >= 0
     db = dual_bounds(qs)
     assert db.part1.holds and db.part2.holds

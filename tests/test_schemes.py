@@ -6,6 +6,7 @@ import pytest
 import sympy
 
 from qpolykit.algebraics import compare
+from qpolykit import schemes
 from qpolykit.families import (
     biplane_11,
     corpus_graphs,
@@ -17,11 +18,14 @@ from qpolykit.families import (
     linked_design_krein_array,
     petersen,
 )
+from qpolykit.graphs import classify_regularity
+from qpolykit.linalg import charpoly
 from qpolykit.numberfield import FieldElement, scalar_as_fraction
-from qpolykit.polynomials import RationalPoly
+from qpolykit.polynomials import RationalPoly, squarefree_part
 from qpolykit.schemes import (
     AssociationScheme,
     SchemeError,
+    SoundnessAlarm,
     b1star_spectral_identity,
     class3_dualtight_audit,
     classify_class3_scheme,
@@ -65,7 +69,7 @@ def test_verify_scheme_examples():
     rep = verify_scheme(s)
     assert rep.ok
     assert s.p[1][1][1] == 0  # triangle-free
-    identity_only = AssociationScheme(3, 0, None, (((1,),),))
+    identity_only = AssociationScheme(3, 0, (((0,), (1,), (2,)),), (((1,),),))
     assert not verify_scheme(identity_only).ok
 
 
@@ -73,7 +77,7 @@ def test_verify_scheme_tampered_p_table():
     s = scheme_from_graph(petersen())
     p = [[[v for v in row] for row in block] for block in s.p]
     p[1][1][0] += 1  # break sum_j p[1][j]^0 = k_1
-    tampered = AssociationScheme(s.n, s.d, None, tuple(tuple(tuple(r) for r in b) for b in p))
+    tampered = replace(s, p=tuple(tuple(tuple(r) for r in b) for b in p))
     rep = verify_scheme(tampered)
     assert not rep.ok
     assert any("sum_j" in v or "valenc" in v or "triangle" in v for v in rep.violations)
@@ -118,6 +122,89 @@ def test_eigendata_heawood():
     assert e.valencies == (1, 3, 6, 4)
     assert e.multiplicities == (1, 6, 6, 1)
     assert e.field.degree == 2
+
+
+# -- the Krylov basis of a generator candidate ------------------------------------------
+
+
+def _b_matrix(s, u):
+    """B_u = (p_{uj}^h)_{h,j}, the matrix of relation u in the regular representation."""
+    return [[F(s.p[u][j][h]) for j in range(s.d + 1)] for h in range(s.d + 1)]
+
+
+def _candidates(s):
+    """(coeffs, g) for each generator candidate of s, in the order eigendata tries them."""
+    b_mats = [_b_matrix(s, i) for i in range(s.d + 1)]
+    size = range(s.d + 1)
+    for coeffs in schemes._generator_candidates(s.d):
+        yield coeffs, [[sum(c * b[r][col] for c, b in zip(coeffs, b_mats)) for col in size] for r in size]
+
+
+def _at_matrix(poly, g):
+    """poly(g) by Horner's rule, exactly."""
+    size = range(len(g))
+    acc = [[F(0) for _ in size] for _ in size]
+    for c in reversed(poly.coeffs):
+        acc = [[sum(acc[i][t] * g[t][j] for t in size) + (c if i == j else 0) for j in size] for i in size]
+    return acc
+
+
+def test_krylov_polynomials_on_every_distance_scheme():
+    generating = 0
+    for name, g in corpus_graphs().items():
+        if not classify_regularity(g).distance_regular:
+            continue
+        s = scheme_from_graph(g)
+        for coeffs, gen in _candidates(s):
+            minimal = squarefree_part(charpoly(gen))
+            krylov = schemes._krylov_polynomials(gen)
+            # the Krylov basis is nonsingular exactly when the charpoly test finds a generator
+            assert (krylov is not None) == (minimal.degree == s.d + 1), (name, coeffs)
+            if krylov is None:
+                continue
+            generating += 1
+            mp, polys = krylov
+            assert mp == minimal, (name, coeffs)
+            for u, poly in enumerate(polys):
+                assert _at_matrix(poly, gen) == _b_matrix(s, u), (name, coeffs, u)
+    assert generating > 50
+
+
+def test_eigendata_past_a_candidate_that_does_not_generate():
+    # the cube's relations as distance 2, 1, 3: B_1 (two disjoint K4) has only
+    # two eigenvalues, so the second candidate, the cube itself, is the generator
+    g = cube(3)
+    dist = [g.bfs_distances(x) for x in range(g.n)]
+    relations = [[(x, y) for x in range(g.n) for y in range(x + 1, g.n) if dist[x][y] == d] for d in (2, 1, 3)]
+    s = AssociationScheme.from_relation_lists(g.n, relations)
+    found = [schemes._krylov_polynomials(gen) is not None for _, gen in _candidates(s)]
+    assert found[:2] == [False, True]
+    e = eigendata(s)
+    # P and the multiplicities as the charpoly generator test gave them
+    assert [[x.as_fraction() for x in row] for row in e.p_matrix] == [
+        [1, 3, 3, 1],
+        [1, -1, 1, -1],
+        [1, -1, -1, 1],
+        [1, 3, -3, -1],
+    ]
+    assert e.multiplicities == (1, 3, 3, 1)
+
+
+def test_descending_permutation_and_a_forced_tie():
+    assert schemes._descending_permutation([F(1), F(3), F(2), F(-5)]) == [1, 2, 0, 3]
+    assert schemes._descending_permutation([F(1), F(3), F(1)]) is None
+    s = heawood_scheme()
+    e = eigendata(s)
+    table = krein(s, e)
+    qs = find_q_orderings(s, e, table)[0]
+    e1 = qs.idempotent_order[1]
+    tied = [list(row) for row in e.q_matrix]
+    assert tied[2][e1] != tied[3][e1]
+    tied[3][e1] = tied[2][e1]
+    assert schemes._descending_permutation([row[e1] for row in tied]) is None
+    forced = replace(e, q_matrix=tuple(map(tuple, tied)))
+    with pytest.raises(SoundnessAlarm, match="tie"):
+        schemes._structure_from_ordering(s, forced, table, list(qs.idempotent_order))
 
 
 def test_krein_basics():
@@ -196,7 +283,7 @@ def test_petersen_ordering_values():
     by_m = {int(qs.m): qs for qs in orderings}
     qs = by_m[5]
     assert [t.as_fraction() for t in qs.dual_eigenvalues] == [5, F(5, 3), F(-5, 3)]
-    assert qs.b_star[1].as_fraction() == F(16, 9)
+    assert qs.system.beta[1] == F(16, 9)
 
 
 def test_b1star_system_examples():
@@ -240,7 +327,7 @@ def test_linked_system_ratio():
         qs = krein_array_structure(linked_design_krein_array(t))
         res = dual_bounds(qs)
         f = F(2 ** (2 * t - 1))
-        b1 = qs.b_star[1]
+        b1 = qs.system.beta[1]
         lhs = scalar_as_fraction(res.part1.lhs)
         assert lhs == -b1 * f / (f - 1)
         assert res.part1.holds and not res.part1.equality
@@ -420,17 +507,6 @@ def test_krein_array_parse_errors():
         krein_array_structure({"type": "krein_array", "class": 1, "m": "6", "b_star": ["6"], "c_star": ["1"]})
     with pytest.raises(SchemeError):
         krein_array_structure({"type": "relations", "n": 3, "relations": []})
-
-
-def test_from_p_numbers_supports_full_dual_side():
-    s = scheme_from_graph(cycle(7))
-    point_free = AssociationScheme.from_p_numbers(s.p)
-    assert not point_free.has_points and point_free.n == 7
-    e = eigendata(point_free)
-    assert e.multiplicities == (1, 2, 2, 2)
-    assert len(find_q_orderings(point_free, e)) == 3
-    with pytest.raises(SchemeError):
-        krein_oracle(point_free, e)
 
 
 def test_krein_array_structure_runs_dual_side():
