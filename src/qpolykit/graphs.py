@@ -12,7 +12,9 @@ The per-vertex machinery is one BFS per vertex: quotient_matrix averages
 the adjacency counts over the distance partition around a vertex into a
 rational tridiagonal quotient and records whether the partition is
 equitable.  classify_regularity builds that quotient once per vertex and
-keeps the tuple on its report; the diameter, the regularity classes, the
+keeps the tuple on its report; the diameter, the regularity classes,
+bipartiteness (a connected graph is bipartite exactly when no edge lies
+inside a distance layer, so when every alpha of one quotient is 0), the
 vertex pair bound (theta_1+1)(theta_D+1) <= -beta_1(x) whose all-vertex
 equality case is exactly strong regularity, quotient interlacing, the
 intersection array, and through it the diameter->=3 triple bound and the
@@ -135,23 +137,6 @@ class Graph:
 
     def is_connected(self) -> bool:
         return all(d >= 0 for d in self.bfs_distances(0))
-
-    def is_bipartite(self) -> bool:
-        color = [-1] * self.n
-        for s in range(self.n):
-            if color[s] >= 0:
-                continue
-            color[s] = 0
-            stack = [s]
-            while stack:
-                u = stack.pop()
-                for w in self.adj[u]:
-                    if color[w] < 0:
-                        color[w] = 1 - color[u]
-                        stack.append(w)
-                    elif color[w] == color[u]:
-                        return False
-        return True
 
     # -- serialization ----------------------------------------------------------
 
@@ -424,7 +409,8 @@ def classify_regularity(g: Graph) -> RegularityReport:
     params = {(q.alpha, q.beta, q.gamma) for q in quotients}
     dr = regularised and len(params) == 1
     biregular = regularised and not dr
-    bip = g.is_bipartite()
+    # connected: bipartite exactly when no edge lies inside a distance layer around vertex 0
+    bip = not any(quotients[0].alpha)
     if biregular and not bip:
         raise AssertionError("distance-regularised but neither distance-regular nor bipartite")
     diameter = max(q.eccentricity for q in quotients)

@@ -1,6 +1,10 @@
 """Symmetric association schemes: eigenmatrices, Krein parameters, orderings.
 
-Everything routes through the regular representation.  The intersection
+A scheme is its relation table; a distance scheme's table is its graph's BFS
+rows.  Each p_{ij}^h = |R_i(x) & R_j(y)|, (x, y) in R_h, is the popcount of
+two per-point bit masks, verified constant over every pair of the relation.
+
+Everything else routes through the regular representation.  The intersection
 matrices B_i = (p_{ij}^h)_{h,j} span a commutative semisimple algebra of
 dimension class+1 that acts faithfully on e_0, with B_u e_0 = e_u.  So a
 candidate g generates it exactly when its Krylov basis K = (e_0, g e_0, ...,
@@ -75,16 +79,16 @@ class SoundnessAlarm(AssertionError):
 
 @dataclass(frozen=True)
 class AssociationScheme:
-    """Symmetric scheme given by its relations on the points 0..n-1.
+    """Symmetric scheme given by its relation table on the points 0..n-1.
 
-    rel_adj[i][x] is the tuple of y with (x, y) in relation i (i = 0..d,
-    relation 0 the identity).  p[i][j][h] are the intersection numbers,
-    counted from the relations.
+    relation[x][y] in 0..d names the relation of (x, y), 0 the identity: n
+    tuples, symmetric with a zero diagonal.  p[i][j][h] are the intersection
+    numbers, counted from the table.
     """
 
     n: int
     d: int
-    rel_adj: tuple
+    relation: tuple
     p: tuple
     # the classification of relation graph 1 when the scheme was built from it
     graph_classification: RegularityReport | None = field(default=None, repr=False, compare=False)
@@ -93,11 +97,14 @@ class AssociationScheme:
     def valencies(self) -> tuple[int, ...]:
         return tuple(self.p[i][i][0] for i in range(self.d + 1))
 
+    def _pairs(self, i: int) -> list[list[int]]:
+        """The pairs [x, y] with x < y in relation i, in row-major order."""
+        return [[x, y] for x, row in enumerate(self.relation) for y in range(x + 1, self.n) if row[y] == i]
+
     def relation_graph(self, i: int) -> Graph:
         if not 1 <= i <= self.d:
             raise SchemeError("relation index out of range")
-        edges = [(x, y) for x in range(self.n) for y in self.rel_adj[i][x] if x < y]
-        return Graph(self.n, edges)
+        return Graph(self.n, self._pairs(i))
 
     # -- constructors ----------------------------------------------------------
 
@@ -105,9 +112,10 @@ class AssociationScheme:
     def from_relation_lists(cls, n: int, relations: Sequence[Sequence[tuple[int, int]]]) -> "AssociationScheme":
         """relations[i-1] lists the unordered pairs of relation i (identity implicit)."""
         check_vertex_count(n)
-        d = len(relations)
-        adj: list[list[set[int]]] = [[set() for _ in range(n)] for _ in range(d + 1)]
-        seen: set[tuple[int, int]] = set()
+        if n < 1:
+            raise SchemeError("a scheme needs at least one point")
+        table = [[0] * n for _ in range(n)]
+        seen = 0
         for i, pairs in enumerate(relations, start=1):
             for pair in pairs:
                 x, y = int(pair[0]), int(pair[1])
@@ -115,34 +123,28 @@ class AssociationScheme:
                     raise SchemeError(f"pair ({x},{y}) out of range")
                 if x == y:
                     raise SchemeError("relations must not contain diagonal pairs")
-                key = (min(x, y), max(x, y))
-                if key in seen:
-                    raise SchemeError(f"pair {key} appears in more than one relation")
-                seen.add(key)
-                adj[i][x].add(y)
-                adj[i][y].add(x)
-        if len(seen) != n * (n - 1) // 2:
+                if table[x][y]:
+                    raise SchemeError(f"pair {(min(x, y), max(x, y))} appears in more than one relation")
+                table[x][y] = table[y][x] = i
+                seen += 1
+        if seen != n * (n - 1) // 2:
             raise SchemeError("relations do not partition the off-diagonal pairs")
-        for x in range(n):
-            adj[0][x].add(x)
-        rel_adj = tuple(tuple(tuple(sorted(s)) for s in rel) for rel in adj)
-        p = _intersection_numbers(n, d, rel_adj)
-        return cls(n, d, rel_adj, p)
+        for i, pairs in enumerate(relations, start=1):
+            if not pairs:
+                raise SchemeError(f"relation {i} is empty")
+        relation = tuple(map(tuple, table))
+        d = len(relations)
+        return cls(n, d, relation, _intersection_numbers(d, relation))
 
     @classmethod
     def from_graph_distances(cls, g: Graph) -> "AssociationScheme":
-        """Distance relations of a distance-regular graph."""
+        """Distance relations of a distance-regular graph: the BFS rows are the table."""
         classification = classify_regularity(g)
         if not classification.distance_regular:
             raise SchemeError("distance relations form a scheme only for distance-regular graphs")
         d = classification.diameter
-        adj: list[list[list[int]]] = [[[] for _ in range(g.n)] for _ in range(d + 1)]
-        for x, quotient in enumerate(classification.quotients):
-            for y, dd in enumerate(quotient.distances):
-                adj[dd][x].append(y)
-        rel_adj = tuple(tuple(tuple(r) for r in rel) for rel in adj)
-        p = _intersection_numbers(g.n, d, rel_adj)
-        return cls(g.n, d, rel_adj, p, classification)
+        relation = tuple(q.distances for q in classification.quotients)
+        return cls(g.n, d, relation, _intersection_numbers(d, relation), classification)
 
     # -- JSON -------------------------------------------------------------------
 
@@ -150,10 +152,7 @@ class AssociationScheme:
         return {
             "type": "relations",
             "n": self.n,
-            "relations": [
-                [[x, y] for x in range(self.n) for y in self.rel_adj[i][x] if x < y]
-                for i in range(1, self.d + 1)
-            ],
+            "relations": [self._pairs(i) for i in range(1, self.d + 1)],
         }
 
     @classmethod
@@ -170,31 +169,27 @@ class AssociationScheme:
         return cls.from_relation_lists(n, [[tuple(pair) for pair in r] for r in rels])
 
 
-def _intersection_numbers(n: int, d: int, rel_adj) -> tuple:
-    """p_{ij}^h from relation adjacencies, verifying constancy over every pair."""
-    rel_of = [[-1] * n for _ in range(n)]
-    for i in range(d + 1):
-        for x in range(n):
-            for y in rel_adj[i][x]:
-                rel_of[x][y] = i
-    p = [[[None] * (d + 1) for _ in range(d + 1)] for _ in range(d + 1)]
-    for i in range(d + 1):
-        for j in range(d + 1):
-            for x in range(n):
-                per_y: dict[int, int] = {}
-                for z in rel_adj[i][x]:
-                    for y in rel_adj[j][z]:
-                        per_y[y] = per_y.get(y, 0) + 1
-                for y in range(n):
-                    h = rel_of[x][y]
-                    val = per_y.get(y, 0)
-                    if p[i][j][h] is None:
-                        p[i][j][h] = val
-                    elif p[i][j][h] != val:
-                        raise SchemeError(
-                            f"intersection number p[{i}][{j}]^{h} is not constant over relation {h}"
-                        )
-    return tuple(tuple(tuple(int(v) for v in row) for row in block) for block in p)
+def _intersection_numbers(d: int, relation) -> tuple:
+    """p_{ij}^h = |R_i(x) & R_j(y)| for (x, y) in R_h; SchemeError when two such pairs disagree.
+
+    masks[x][i] has bit y set when relation[x][y] = i.  The relations are
+    symmetric, so R_j(y) = {z : (z, y) in R_j} and one AND counts p_{ij}.
+    """
+    size = d + 1
+    masks = [[0] * size for _ in relation]
+    for m, row in zip(masks, relation):
+        for y, i in enumerate(row):
+            m[i] |= 1 << y
+    first: list[list[int] | None] = [None] * size  # counts[i * size + j] per relation h
+    for row, mx in zip(relation, masks):
+        for h, my in zip(row, masks):
+            counts = [(a & b).bit_count() for a in mx for b in my]
+            if first[h] is None:
+                first[h] = counts
+            elif first[h] != counts:
+                i, j = divmod(next(t for t, (u, v) in enumerate(zip(first[h], counts)) if u != v), size)
+                raise SchemeError(f"intersection number p[{i}][{j}]^{h} is not constant over relation {h}")
+    return tuple(tuple(tuple(first[h][i * size + j] for h in range(size)) for j in range(size)) for i in range(size))
 
 
 # -- axioms -------------------------------------------------------------------------
@@ -432,17 +427,12 @@ def krein_oracle(s: AssociationScheme, e: EigenData, max_points: int = 50) -> tu
         raise SchemeError(f"oracle expansion capped at {max_points} points")
     d, n = s.d, s.n
     field = e.field
-    rel_of = [[0] * n for _ in range(n)]
-    for i in range(1, d + 1):
-        for x in range(n):
-            for y in s.rel_adj[i][x]:
-                rel_of[x][y] = i
-    # E_h[x][y] = Q[rel(x,y)][h] / n
+    # E_h[x][y] = Q[relation[x][y]][h] / n
     inv_n = Fraction(1, n)
     e_mats = []
     for h in range(d + 1):
         qcol = [e.q_matrix[u][h] * inv_n for u in range(d + 1)]
-        e_mats.append([[qcol[rel_of[x][y]] for y in range(n)] for x in range(n)])
+        e_mats.append([[qcol[r] for r in row] for row in s.relation])
     out = []
     for i in range(d + 1):
         layer = []

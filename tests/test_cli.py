@@ -139,6 +139,8 @@ HUGE_KREIN = '{"type":"krein_array","class":3,"m":"1e400","b_star":["1e400","5",
         ("check-graph", '{"n":true,"edges":[]}', "'n' must be an integer"),
         ("check-scheme", '{"type":"relations","n":3,"relations":5}', "'relations' must be a list"),
         ("check-scheme", '{"type":"relations","n":true,"relations":[]}', "'n' must be an integer"),
+        ("check-scheme", '{"type":"relations","n":0,"relations":[]}', "at least one point"),
+        ("check-scheme", '{"type":"relations","n":2,"relations":[[[0,1]],[]]}', "relation 2 is empty"),
         ("check-scheme", None, "float range"),
     ],
 )
@@ -219,6 +221,42 @@ def test_krein_input_checks_or_is_an_input_error(doc, output):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["check-scheme", f"--krein={json.dumps(doc)}", "--output", output])
+    assert code in (0, 1), (doc, out.getvalue(), err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    assert (code == 1) == err.getvalue().startswith("input error: ")
+
+
+# -- the relation-list JSON that check-scheme --input reads, fuzzed ----------------------
+
+
+@st.composite
+def relation_documents(draw):
+    """Relation lists on at most 6 points: free pair lists, or a random partition.
+
+    Free lists draw n in -1..6 and 0-4 relations of pairs from -1..n, so
+    out-of-range, diagonal, duplicate and empty relations all occur.  A
+    partition splits every pair of 0..n-1 among 1-3 classes.
+    """
+    n = draw(st.integers(-1, 6))
+    if draw(st.booleans()):
+        pair = st.lists(st.integers(-1, n), min_size=2, max_size=2)
+        relations = draw(st.lists(st.lists(pair, max_size=6), max_size=4))
+    else:
+        relations = [[] for _ in range(draw(st.integers(1, 3)))]
+        for x in range(n):
+            for y in range(x + 1, n):
+                relations[draw(st.integers(0, len(relations) - 1))].append([x, y])
+    return {"type": "relations", "n": n, "relations": relations}
+
+
+@settings(max_examples=80, deadline=None)
+@given(relation_documents(), st.sampled_from(["text", "json"]))
+def test_relation_input_checks_or_is_an_input_error(tmp_path_factory, doc, output):
+    f = tmp_path_factory.mktemp("relations") / "scheme.json"
+    f.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["check-scheme", "--input", str(f), "--format", "json", "--output", output])
     assert code in (0, 1), (doc, out.getvalue(), err.getvalue())
     assert "Traceback" not in err.getvalue()
     assert (code == 1) == err.getvalue().startswith("input error: ")

@@ -397,6 +397,7 @@ def _check_against_networkx(g: Graph):
     rep = classify_regularity(g)
     assert rep.distance_regular == nx.is_distance_regular(nxg)
     assert rep.strongly_regular == nx.is_strongly_regular(nxg)
+    assert rep.bipartite == nx.is_bipartite(nxg)
     if rep.distance_regular:
         expected = TridiagonalSystem.from_intersection_numbers(*nx.intersection_array(nxg))
         assert intersection_array(g, rep) == expected

@@ -12,8 +12,10 @@ from qpolykit.families import (
     corpus_graphs,
     cube,
     cycle,
+    hamming,
     heawood,
     incidence_graph,
+    johnson,
     line_graph,
     linked_design_krein_array,
     petersen,
@@ -69,7 +71,7 @@ def test_verify_scheme_examples():
     rep = verify_scheme(s)
     assert rep.ok
     assert s.p[1][1][1] == 0  # triangle-free
-    identity_only = AssociationScheme(3, 0, (((0,), (1,), (2,)),), (((1,),),))
+    identity_only = AssociationScheme(3, 0, ((0, 0, 0),) * 3, (((1,),),))
     assert not verify_scheme(identity_only).ok
 
 
@@ -94,6 +96,55 @@ def test_relation_json_roundtrip_and_errors():
         AssociationScheme.from_json_dict(
             {"type": "relations", "n": 3, "relations": [[[0, 1], [0, 2], [1, 2]], [[0, 1]]]}
         )
+
+
+def _triple_loop_p(n: int, d: int, rel) -> tuple:
+    """p[i][j][h] by a loop over every point triple; None where a count is not constant."""
+    size = range(d + 1)
+    p = [[[set() for _ in size] for _ in size] for _ in size]
+    for x in range(n):
+        for y in range(n):
+            counts = [[0 for _ in size] for _ in size]
+            for z in range(n):
+                counts[rel(x, z)][rel(z, y)] += 1
+            for i in size:
+                for j in size:
+                    p[i][j][rel(x, y)].add(counts[i][j])
+    return tuple(tuple(tuple(c.pop() if len(c) == 1 else None for c in row) for row in block) for block in p)
+
+
+def test_intersection_numbers_match_a_triple_loop():
+    graphs = {name: g for name, g in corpus_graphs().items() if classify_regularity(g).distance_regular}
+    graphs.update({"J(6,3)": johnson(6, 3), "H(3,3)": hamming(3, 3)})
+    for name, g in graphs.items():
+        s = scheme_from_graph(g)
+        dist = [g.bfs_distances(x) for x in range(g.n)]
+        assert s.p == _triple_loop_p(g.n, s.d, lambda x, y: dist[x][y]), name
+        # the table is the classification's BFS rows themselves
+        assert all(row is q.distances for row, q in zip(s.relation, s.graph_classification.quotients)), name
+    # the cube's relations as distance 2, 1, 3, given as lists
+    g = cube(3)
+    dist = [g.bfs_distances(x) for x in range(g.n)]
+    index = {0: 0, 2: 1, 1: 2, 3: 3}
+    relations = [[(x, y) for x in range(g.n) for y in range(x + 1, g.n) if dist[x][y] == dd] for dd in (2, 1, 3)]
+    s = AssociationScheme.from_relation_lists(g.n, relations)
+    assert s.p == _triple_loop_p(g.n, 3, lambda x, y: index[dist[x][y]])
+
+
+@pytest.mark.parametrize(
+    "n, edges",
+    [
+        (4, [(0, 1), (1, 2), (2, 3)]),  # a path: the valencies differ
+        (6, [(x, (x + 1) % 6) for x in range(6)]),  # C6 and its complement: p_11^2 is 1 or 0
+    ],
+)
+def test_a_table_that_is_not_a_scheme_is_rejected(n, edges):
+    adjacent = {frozenset(e) for e in edges}
+    rest = [(x, y) for x in range(n) for y in range(x + 1, n) if frozenset((x, y)) not in adjacent]
+    oracle = _triple_loop_p(n, 2, lambda x, y: 0 if x == y else 1 if frozenset((x, y)) in adjacent else 2)
+    assert None in {v for block in oracle for row in block for v in row}
+    with pytest.raises(SchemeError, match="is not constant over relation"):
+        AssociationScheme.from_relation_lists(n, [edges, rest])
 
 
 def test_eigendata_petersen():
