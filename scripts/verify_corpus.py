@@ -7,6 +7,9 @@ the distance scheme of each distance-regular one through the checks of
 that closes stdout early stops the run, after the graphs checked so far.
 
 Usage: python scripts/verify_corpus.py [--json]
+
+With --json every line is a JSON object, the last one the summary
+{"graphs_with_alarms": N}.
 """
 
 import argparse
@@ -48,7 +51,10 @@ def main(argv=None) -> int:
                 print(dump_json(row), flush=True)
             else:
                 print(", ".join(f"{k}={v}" for k, v in row.items()), flush=True)
-        print(f"done, {alarmed} graphs with alarms", flush=True)
+        if args.json:
+            print(dump_json({"graphs_with_alarms": alarmed}), flush=True)
+        else:
+            print(f"done, {alarmed} graphs with alarms", flush=True)
     except BrokenPipeError:
         # the reader has stopped: check no further graph, and leave the
         # interpreter's last flush no closed pipe to fail on

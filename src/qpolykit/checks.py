@@ -140,7 +140,7 @@ def _graph_checks(report: dict, lines: list[str], alarms: list[str], g: Graph, t
                 alarms.append("pair-bound equality disagrees with the strong-regularity classification")
 
     if theorem in ("thm31", "all") and classification.distance_regular and classification.diameter >= 3:
-        tb = graphmod.triple_bound_graph(g, classification)
+        tb = graphmod.triple_bound_graph(classification)
         report["triple_bound"] = {
             "hypothesis_sign": tb.hypothesis_sign,
             "branches": [
@@ -160,7 +160,7 @@ def _graph_checks(report: dict, lines: list[str], alarms: list[str], g: Graph, t
 
     if theorem in ("fundamental", "all") and classification.distance_regular:
         try:
-            fb = graphmod.fundamental_bound(g, spec, classification)
+            fb = graphmod.fundamental_bound(spec, classification)
         except GraphError as exc:
             report["fundamental_bound"] = {"skipped": str(exc)}
             lines.append(f"fundamental bound: skipped ({exc})")
@@ -175,7 +175,7 @@ def _graph_checks(report: dict, lines: list[str], alarms: list[str], g: Graph, t
                 alarms.append("fundamental bound violated")
 
     if theorem in ("kpy", "all") and classification.regular and not g.is_complete() and not g.is_empty_graph():
-        inter = graphmod.interlace_check(g, 0, spec, classification)
+        inter = graphmod.interlace_check(spec, classification)
         report["interlacing"] = {
             "passed": inter.passed,
             "top_equality": inter.theta1_eq_tau1,
@@ -309,7 +309,7 @@ def _scheme_checks(report: dict, lines: list[str], alarms: list[str], source, th
     report["orderings"] = ordering_reports
 
     if classify:
-        cls = schememod.classify_class3_scheme(scheme, verdicts=verdicts)
+        cls = schememod.classify_class3_scheme(scheme, verdicts)
         report["classification"] = cls.to_json_dict()
         lines.append(
             f"class-3 classification: dual_tight={cls.dual_tight} "

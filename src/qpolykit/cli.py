@@ -57,12 +57,17 @@ def _input_error(exc: Exception) -> int:
 # -- check-graph ----------------------------------------------------------------
 
 
+def _family_graph(spec: str) -> Graph:
+    """The graph a family spec names; GraphError when it names a design."""
+    obj = parse_family_spec(spec)
+    if not isinstance(obj, Graph):
+        raise GraphError(f"family {spec!r} is not a graph")
+    return obj
+
+
 def _load_graph(args) -> Graph:
     if args.family:
-        obj = parse_family_spec(args.family)
-        if not isinstance(obj, Graph):
-            raise GraphError(f"family {args.family!r} is not a graph")
-        return obj
+        return _family_graph(args.family)
     if not args.input:
         raise GraphError("need --input or --family")
     return load(args.input, "graph6" if args.format == "graph6" else "json_graph")
@@ -89,7 +94,7 @@ def _load_scheme(args):
     if args.krein:
         return [schememod.krein_array_structure(json.loads(args.krein))]
     if args.from_graph:
-        return schememod.scheme_from_graph(parse_family_spec(args.from_graph))
+        return schememod.scheme_from_graph(_family_graph(args.from_graph))
     if not args.input:
         raise SchemeError("need --input, --from-graph or --krein")
     if args.format == "graph6":
@@ -244,7 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--n", type=_count, default=1000, help="number of random tridiagonal systems")
     pp.add_argument("--graphs", type=_count, default=25, help="number of random regular graphs")
 
-    pc = add("scan", "grid scan over class-3 dual parameter sets")
+    # scan writes JSON lines only, so it takes no --output
+    pc = sub.add_parser("scan", help="grid scan over class-3 dual parameter sets")
     pc.add_argument("--m-max", default="10")
     pc.add_argument("--m-min", default="2")
     pc.add_argument("--step", default="1")

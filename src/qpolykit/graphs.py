@@ -16,10 +16,12 @@ keeps the tuple on its report; the diameter, the regularity classes,
 bipartiteness (a connected graph is bipartite exactly when no edge lies
 inside a distance layer, so when every alpha of one quotient is 0), the
 vertex pair bound (theta_1+1)(theta_D+1) <= -beta_1(x) whose all-vertex
-equality case is exactly strong regularity, quotient interlacing, the
-intersection array, and through it the diameter->=3 triple bound and the
-fundamental bound with its tightness test all read that tuple.  The
-intersection array {b; c} is the quotient's row-sum system, kappa = k.
+equality case is exactly strong regularity, quotient interlacing around
+vertex 0, the intersection array, and through it the diameter->=3 triple
+bound and the fundamental bound with its tightness test all read that
+tuple.  Each check takes the classification, and the spectrum where it
+reads eigenvalues, as arguments: it computes neither.  The intersection
+array {b; c} is the quotient's row-sum system, kappa = k.
 """
 
 from __future__ import annotations
@@ -349,15 +351,11 @@ class InterlaceReport:
     thetamin_eq_taumin: bool
 
 
-def interlace_check(
-    g: Graph, x: int, spec: GraphSpectrum | None = None, classification: RegularityReport | None = None
-) -> InterlaceReport:
-    """theta_1 >= tau_1 and tau_last >= theta_min, exactly, tau the spectrum of the quotient around x."""
-    classification = classification or classify_regularity(g)
+def interlace_check(spec: GraphSpectrum, classification: RegularityReport) -> InterlaceReport:
+    """theta_1 >= tau_1 and tau_last >= theta_min, exactly, tau the spectrum of the quotient around vertex 0."""
     if not classification.regular:
         raise GraphError("interlacing check requires a regular graph")
-    spec = spec or spectrum_graph(g)
-    system = classification.quotients[x].to_tridiagonal(Fraction(classification.degree))
+    system = classification.quotients[0].to_tridiagonal(Fraction(classification.degree))
     valid = tridiagonal.validate(system)
     if not valid.ok:
         # a regular graph's distance quotient always meets the row-sum condition
@@ -463,11 +461,7 @@ class PairBoundReport:
         }
 
 
-def pair_bound_all_vertices(
-    g: Graph,
-    spec: GraphSpectrum | None = None,
-    classification: RegularityReport | None = None,
-) -> PairBoundReport:
+def pair_bound_all_vertices(g: Graph, spec: GraphSpectrum, classification: RegularityReport) -> PairBoundReport:
     """(theta_1+1)(theta_min+1) <= -beta_1(x) at every vertex.
 
     Equality at every vertex is equivalent to strong regularity; the report
@@ -475,14 +469,12 @@ def pair_bound_all_vertices(
     and flags a mismatch (cross_check_ok False), which callers treat as a
     soundness alarm.  beta_1(x) is read from the classification's quotients.
     """
-    classification = classification or classify_regularity(g)
     if not classification.regular:
         raise GraphError("pair bound requires a regular graph")
     if g.is_complete():
         raise GraphError("pair bound is not defined for complete graphs")
     if g.is_empty_graph():
         raise GraphError("pair bound is not defined for empty graphs")
-    spec = spec or spectrum_graph(g)
     sf = squarefree_part(spec.charpoly)
     roots_asc = _ascending(spec.distinct)
     n_roots = len(roots_asc)
@@ -506,9 +498,8 @@ def _ascending(distinct_desc: Sequence[AlgebraicReal]) -> list[AlgebraicReal]:
 # -- intersection arrays ------------------------------------------------------------------------
 
 
-def intersection_array(g: Graph, classification: RegularityReport | None = None) -> TridiagonalSystem:
+def intersection_array(classification: RegularityReport) -> TridiagonalSystem:
     """The intersection array as the quotient's row-sum system: beta = b_0..b_{D-1}, gamma = c_1..c_D."""
-    classification = classification or classify_regularity(g)
     if not classification.distance_regular:
         raise GraphError("intersection array requires a distance-regular graph")
     # distance-regular: every quotient is equitable, with integer entries, and they all agree
@@ -524,15 +515,14 @@ def intersection_array(g: Graph, classification: RegularityReport | None = None)
     return system
 
 
-def triple_bound_graph(g: Graph, classification: RegularityReport | None = None) -> TripleBoundResult:
+def triple_bound_graph(classification: RegularityReport) -> TripleBoundResult:
     """The triple-product bound on a distance-regular graph of diameter >= 3."""
-    classification = classification or classify_regularity(g)
     if not classification.distance_regular:
         raise GraphError("triple bound requires a distance-regular graph")
-    system = intersection_array(g, classification)
+    system = intersection_array(classification)
     if system.d < 3:
         raise GraphError("triple bound requires diameter >= 3")
-    return tridiagonal.triple_bound(system)
+    return tridiagonal.triple_bound(system, tridiagonal.spectrum(system))
 
 
 # -- fundamental bound ----------------------------------------------------------------------------
@@ -558,23 +548,19 @@ class FundamentalBoundReport:
         }
 
 
-def fundamental_bound(
-    g: Graph, spec: GraphSpectrum | None = None, classification: RegularityReport | None = None
-) -> FundamentalBoundReport:
+def fundamental_bound(spec: GraphSpectrum, classification: RegularityReport) -> FundamentalBoundReport:
     """(theta_1 + k/(a_1+1))(theta_min + k/(a_1+1)) >= -k a_1 b_1/(a_1+1)^2.
 
     Tight means nonbipartite with exact equality.
     """
-    classification = classification or classify_regularity(g)
     if not classification.distance_regular:
         raise GraphError("fundamental bound requires a distance-regular graph")
-    system = intersection_array(g, classification)
+    system = intersection_array(classification)
     if system.d < 2:
         raise GraphError("fundamental bound requires diameter >= 2")
     k, a1, b1 = system.kappa, system.alpha[1], system.beta[1]
     shift = k / (a1 + 1)
     rhs = -k * a1 * b1 / (a1 + 1) ** 2
-    spec = spec or spectrum_graph(g)
     sf = squarefree_part(spec.charpoly)
     roots_asc = _ascending(spec.distinct)
     subset = [len(roots_asc) - 2, 0]

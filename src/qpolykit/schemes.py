@@ -33,7 +33,10 @@ pair/triple bounds, the dual fundamental bound with its tightness test,
 and the class-3 dual-tight audit that pins down b2* = 1, b1* = c2* and the
 antipodal conclusion all read that one spectrum.  Class-3 Krein arrays
 also pass through the rational feasibility filters (class3_feasibility)
-that the scanner applies.
+that the scanner applies.  Each check takes the facts it reads (eigendata,
+Krein table, bound) as arguments and computes none of them; qpolykit.checks
+sequences them, and the class-3 classification takes its orderings' bounds
+and audits from there and adds the design side from the relation graphs.
 """
 
 from __future__ import annotations
@@ -477,7 +480,6 @@ class QPolyStructure:
     idempotent_order: tuple[int, ...] | None
     descending_matches_input: bool | None
     provenance: str  # "scheme" or "krein_array"
-    scheme: AssociationScheme | None = None
     eigen: EigenData | None = None
     krein_table: KreinTable | None = None
 
@@ -509,7 +511,7 @@ class QPolyStructure:
         return self.spectrum.eigenvalues if self.q_column is None else self.q_column
 
 
-def find_q_orderings(s: AssociationScheme, e: EigenData | None = None, table: KreinTable | None = None) -> list[QPolyStructure]:
+def find_q_orderings(s: AssociationScheme, e: EigenData, table: KreinTable) -> list[QPolyStructure]:
     """Every idempotent ordering whose (q_{1,j}^h) is irreducible tridiagonal.
 
     Orderings are generated by the three-term chain: starting from E_0 and a
@@ -518,10 +520,8 @@ def find_q_orderings(s: AssociationScheme, e: EigenData | None = None, table: Kr
     are re-verified on the reordered matrix, and the dual eigenvalues (the
     E_1 column of Q) are arranged in strictly descending order by permuting
     the relations; the permutation is reported when it differs from the
-    input order.
+    input order.  e and table are the scheme's eigendata and Krein table.
     """
-    e = e or eigendata(s)
-    table = table or krein(s, e)
     d = s.d
     out = []
     for e1 in range(1, d + 1):
@@ -589,7 +589,6 @@ def _structure_from_ordering(s, e: EigenData, table: KreinTable, order: list[int
         idempotent_order=tuple(order),
         descending_matches_input=(list(perm) == list(range(d + 1))),
         provenance="scheme",
-        scheme=s,
         eigen=e,
         krein_table=table,
     )
@@ -835,17 +834,17 @@ def class3_feasibility(qs: QPolyStructure, genuine: bool = True) -> tuple[str, s
     return None
 
 
-def class3_dualtight_audit(qs: QPolyStructure, bound: DualFundamentalBound | None = None) -> AuditReport:
+def class3_dualtight_audit(qs: QPolyStructure, bound: DualFundamentalBound) -> AuditReport:
     """Every identity in the class-3 dual-tight chain, checked exactly.
 
-    Preconditions: class 3 and dual_tight.  Division guards (a_1* = 0 or
+    Preconditions: class 3 and dual_tight, as bound (the structure's dual
+    fundamental bound) records.  Division guards (a_1* = 0 or
     m - b_1* - 1 = 0) are reported as failing records with a diagnostic
     rather than assumed away; a dual-tight instance with a_3* != 0 is
     flagged as a finding, not treated as an internal error.
     """
     if qs.d != 3:
         raise SchemeError("audit applies to class-3 structures")
-    bound = bound or dual_fundamental_bound(qs)
     if not bound.dual_tight:
         raise SchemeError("audit applies to dual-tight structures")
 
@@ -1023,7 +1022,6 @@ class ClassifyReport:
     dual_tight: bool
     incidence_relation: int | None
     design_params: tuple[int, int, int] | None
-    primal_available: bool
     biconditional_ok: bool
 
     def to_json_dict(self) -> dict:
@@ -1031,7 +1029,7 @@ class ClassifyReport:
             "dual_tight": self.dual_tight,
             "incidence_relation": self.incidence_relation,
             "design_params": list(self.design_params) if self.design_params else None,
-            "primal_available": self.primal_available,
+            "primal_available": True,  # a classified scheme always has its point set
             "biconditional_ok": self.biconditional_ok,
             "orderings": len(self.orderings),
         }
@@ -1058,65 +1056,39 @@ def _symmetric_design_array(system: TridiagonalSystem) -> tuple[int, int, int] |
     return (v, k, lam)
 
 
-def classify_class3_scheme(
-    s: AssociationScheme | QPolyStructure,
-    verdicts: Sequence[OrderingVerdict] | None = None,
-) -> ClassifyReport:
+def classify_class3_scheme(scheme: AssociationScheme, verdicts: Sequence[OrderingVerdict]) -> ClassifyReport:
     """Dual-tightness versus the symmetric-design incidence relation.
 
-    For class-3 polynomial structures: dual-tight holds exactly when some
-    nonidentity relation graph is the incidence graph of a (nondegenerate)
-    symmetric design.  Both sides are computed independently and a mismatch
-    is reported as a falsification alarm via biconditional_ok = False.
-    A caller that has already bounded and audited every polynomial ordering
-    of the scheme passes those verdicts in, in ordering order, instead of
-    having them recomputed.
+    For a class-3 scheme: dual-tight holds exactly when some nonidentity
+    relation graph is the incidence graph of a (nondegenerate) symmetric
+    design.  verdicts are the bound and audit of every polynomial ordering
+    of the scheme, in ordering order; the design side is read from the
+    relation graphs, independently of them.  A mismatch is reported as a
+    falsification alarm via biconditional_ok = False.
     """
-    if isinstance(s, QPolyStructure):
-        structures = [s]
-        scheme = s.scheme
-    else:
-        scheme = s
-        if s.d != 3:
-            raise SchemeError("classification applies to class-3 schemes")
-        if verdicts is None:
-            structures = find_q_orderings(s)
-        else:
-            structures = [v.structure for v in verdicts]
-        if not structures:
-            raise SchemeError("scheme has no polynomial ordering of idempotents")
-    if any(qs.d != 3 for qs in structures):
-        raise SchemeError("classification applies to class-3 structures")
-    if verdicts is None:
-        verdicts = []
-        for qs in structures:
-            bound = dual_fundamental_bound(qs)
-            audit = class3_dualtight_audit(qs, bound) if bound.dual_tight else None
-            verdicts.append(OrderingVerdict(qs, bound, audit))
+    if scheme.d != 3:
+        raise SchemeError("classification applies to class-3 schemes")
+    if not verdicts:
+        raise SchemeError("scheme has no polynomial ordering of idempotents")
     dual_tight = any(v.bound.dual_tight for v in verdicts)
 
     incidence_rel = None
     params = None
-    primal = scheme is not None
-    if primal:
-        for i in range(1, scheme.d + 1):
+    for i in range(1, scheme.d + 1):
+        if i == 1 and scheme.graph_classification is not None:
+            classification = scheme.graph_classification  # the graph the scheme came from
+        else:
             graph = scheme.relation_graph(i)
-            if i == 1 and scheme.graph_classification is not None:
-                classification = scheme.graph_classification  # the graph the scheme came from
-            elif graph.is_connected():
-                classification = classify_regularity(graph)
-            else:
+            if not graph.is_connected():
                 continue
-            if not classification.distance_regular:
-                continue
-            match = _symmetric_design_array(intersection_array(graph, classification))
-            if match is not None and 2 * match[0] == scheme.n:
-                incidence_rel = i
-                params = match
-                break
-        biconditional_ok = dual_tight == (incidence_rel is not None)
-    else:
-        biconditional_ok = True  # primal side not observable at parameter level
+            classification = classify_regularity(graph)
+        if not classification.distance_regular:
+            continue
+        match = _symmetric_design_array(intersection_array(classification))
+        if match is not None and 2 * match[0] == scheme.n:
+            incidence_rel = i
+            params = match
+            break
     return ClassifyReport(
-        tuple(verdicts), dual_tight, incidence_rel, params, primal, biconditional_ok
+        tuple(verdicts), dual_tight, incidence_rel, params, dual_tight == (incidence_rel is not None)
     )

@@ -525,11 +525,10 @@ class BoundCheck:
         }
 
 
-def pair_bound(system: TridiagonalSystem, report: SpectrumReport | None = None) -> BoundCheck:
+def pair_bound(system: TridiagonalSystem, report: SpectrumReport) -> BoundCheck:
     """(theta_1 + 1)(theta_D + 1) <= -beta_1; equality exactly when D = 2."""
     require_valid(system)
     d = system.d
-    report = report or spectrum(system)
     rhs = -system.beta[1]
     cmp, lhs = _shifted_product(report, (1, d), 1, rhs)
     return BoundCheck(lhs, rhs, "<=", cmp <= 0, cmp == 0)
@@ -555,13 +554,12 @@ class TripleBoundResult:
         return all(b.check.equality for b in self.branches)
 
 
-def triple_bound(system: TridiagonalSystem, report: SpectrumReport | None = None) -> TripleBoundResult:
+def triple_bound(system: TridiagonalSystem, report: SpectrumReport) -> TripleBoundResult:
     """The D >= 3 triple-product bound; both branches run on the boundary."""
     require_valid(system)
     d = system.d
     if d < 3:
         raise ValueError("need D >= 3")
-    report = report or spectrum(system)
     hyp = exact_sign(system.beta[2] + system.gamma[2] - system.kappa - 1)
     rhs = -system.beta[1] * (system.kappa + 1 - system.beta[2] - system.gamma[2])
     branches = []

@@ -25,7 +25,7 @@ import time
 from fractions import Fraction as F
 
 from qpolykit import families, graphs, schemes, tridiagonal
-from qpolykit.checks import check_system
+from qpolykit.checks import check_scheme, check_system
 from qpolykit.scanner import GridSpec, scan
 from qpolykit.serialize import dump_json
 
@@ -50,9 +50,22 @@ class Budget:
         return False
 
 
+def pair_bound(g):
+    return graphs.pair_bound_all_vertices(g, graphs.spectrum_graph(g), graphs.classify_regularity(g))
+
+
+def fundamental_bound(g):
+    return graphs.fundamental_bound(graphs.spectrum_graph(g), graphs.classify_regularity(g))
+
+
+def orderings(s):
+    e = schemes.eigendata(s)
+    return schemes.find_q_orderings(s, e, schemes.krein(s, e))
+
+
 def test_criterion_1_heawood_triple_equality():
     with Budget("criterion 1 (heawood triple bound)", 1.0):
-        res = graphs.triple_bound_graph(families.heawood())
+        res = graphs.triple_bound_graph(graphs.classify_regularity(families.heawood()))
         (branch,) = res.branches
         assert branch.branch == "lower"
         assert branch.check.lhs == F(2)
@@ -62,36 +75,36 @@ def test_criterion_1_heawood_triple_equality():
 
 def test_criterion_2_pair_bound_verdicts():
     with Budget("criterion 2a (petersen pair bound)", 1.0):
-        rep = graphs.pair_bound_all_vertices(families.petersen())
+        rep = pair_bound(families.petersen())
         assert rep.lhs == F(-2)
         assert all(v.rhs == F(-2) and v.equality for v in rep.per_vertex)
         assert rep.strongly_regular_verdict and rep.cross_check_ok
     with Budget("criterion 2b (c5 pair bound)", 1.0):
-        rep = graphs.pair_bound_all_vertices(families.cycle(5))
+        rep = pair_bound(families.cycle(5))
         assert rep.lhs == F(-1)
         assert all(v.rhs == F(-1) and v.equality for v in rep.per_vertex)
         assert rep.strongly_regular_verdict and rep.cross_check_ok
     with Budget("criterion 2c (heawood strictly below)", 1.0):
-        rep = graphs.pair_bound_all_vertices(families.heawood())
+        rep = pair_bound(families.heawood())
         assert all(v.holds and not v.equality for v in rep.per_vertex)
         assert not rep.strongly_regular_verdict and rep.cross_check_ok
 
 
 def test_criterion_3_icosahedron_fundamental_bound():
     with Budget("criterion 3 (icosahedron fundamental bound)", 1.0):
-        rep = graphs.fundamental_bound(families.icosahedron())
+        rep = fundamental_bound(families.icosahedron())
         assert rep.lhs == F(-20, 9) and rep.rhs == F(-20, 9)
         assert rep.equality and not rep.bipartite and rep.tight
 
 
 def test_criterion_4_cube_boundary():
     with Budget("criterion 4 (cube boundary case)", 1.0):
-        res = graphs.triple_bound_graph(families.cube(3))
+        res = graphs.triple_bound_graph(graphs.classify_regularity(families.cube(3)))
         assert res.hypothesis_sign == 0
         assert {b.branch for b in res.branches} == {"lower", "upper"}
         for b in res.branches:
             assert b.check.lhs == F(0) and b.check.rhs == F(0) and b.check.equality
-        fb = graphs.fundamental_bound(families.cube(3))
+        fb = fundamental_bound(families.cube(3))
         assert fb.bipartite and not fb.tight
 
 
@@ -131,7 +144,7 @@ def test_criterion_7_b1star_spectral_identity():
         total = 0
         for name, g in families.corpus_graphs().items():
             s = schemes.scheme_from_graph(g)
-            for qs in schemes.find_q_orderings(s):
+            for qs in orderings(s):
                 assert schemes.b1star_spectral_identity(qs), name
                 total += 1
         assert total >= 10
@@ -140,7 +153,7 @@ def test_criterion_7_b1star_spectral_identity():
 def test_criterion_8_petersen_dual_equality():
     with Budget("criterion 8 (petersen dual pair bound)", 1.0):
         s = schemes.scheme_from_graph(families.petersen())
-        qs = [q for q in schemes.find_q_orderings(s) if q.m == 5][0]
+        qs = [q for q in orderings(s) if q.m == 5][0]
         res = schemes.dual_bounds(qs)
         from qpolykit.numberfield import scalar_as_fraction
 
@@ -156,16 +169,18 @@ def test_criterion_9_class3_dual_tight_end_to_end():
             "biplane": (families.incidence_graph(families.biplane_11()), (11, 5, 2)),
         }
         for name, (g, params) in cases.items():
-            s = schemes.scheme_from_graph(g)
-            rep = schemes.classify_class3_scheme(s)
-            assert rep.dual_tight, name
-            assert rep.design_params == params, name
-            assert rep.biconditional_ok, name
-            for verdict in rep.orderings:
-                assert verdict.bound.dual_tight, name
-                audit = verdict.audit
-                assert audit is not None and audit.all_passed, name
-                assert audit.b2star_is_1 and audit.b1star_eq_c2star and audit.q_antipodal, name
+            report, _, alarms = check_scheme(schemes.scheme_from_graph(g))
+            assert alarms == [], name
+            rep = report["classification"]
+            assert rep["dual_tight"], name
+            assert rep["design_params"] == list(params), name
+            assert rep["biconditional_ok"], name
+            assert rep["orderings"] == len(report["orderings"]), name
+            for ordering in report["orderings"]:
+                assert ordering["dual_fundamental_bound"]["dual_tight"], name
+                audit = ordering.get("audit")
+                assert audit is not None and audit["all_passed"], name
+                assert audit["b2star_is_1"] and audit["b1star_eq_c2star"] and audit["q_antipodal"], name
 
 
 def test_criterion_10_scanner_integer_grid():
@@ -197,7 +212,7 @@ def test_criterion_11_byte_identical_reports():
             ("check-graph", "--family", "heawood", "--output", "json"),
             ("check-scheme", "--from-graph", "petersen", "--output", "json"),
             ("property-suite", "--seed", "5", "--n", "25", "--graphs", "3", "--output", "json"),
-            ("scan", "--m-max", "5", "--output", "json"),
+            ("scan", "--m-max", "5"),
         ):
             a, b = run(*args), run(*args)
             assert a.returncode == b.returncode == 0, args

@@ -6,6 +6,7 @@ the exit code.
 """
 
 import importlib.util
+import inspect
 import json
 import time
 from dataclasses import replace
@@ -266,6 +267,28 @@ def test_root_isolation_past_its_round_cap_is_an_alarm(monkeypatch, capsys):
     assert "ALARM: internal invariant failed: root isolation subdivided past its round cap" in out.splitlines()
 
 
+@pytest.mark.parametrize(
+    "module, name",
+    [
+        (graphs, "interlace_check"),
+        (graphs, "pair_bound_all_vertices"),
+        (graphs, "intersection_array"),
+        (graphs, "triple_bound_graph"),
+        (graphs, "fundamental_bound"),
+        (tridiagonal, "pair_bound"),
+        (tridiagonal, "triple_bound"),
+        (schemes, "find_q_orderings"),
+        (schemes, "class3_dualtight_audit"),
+        (schemes, "classify_class3_scheme"),
+    ],
+)
+def test_theorem_functions_take_the_facts_they_read(module, name):
+    # a parameter with a default would let a check recompute a fact that
+    # its caller in this module has already derived
+    params = inspect.signature(getattr(module, name)).parameters.values()
+    assert [p.name for p in params if p.default is not inspect.Parameter.empty] == []
+
+
 def test_class3_classification_reuses_the_ordering_verdicts(monkeypatch, capsys):
     calls = {"dual_fundamental_bound": 0, "class3_dualtight_audit": 0}
     for name in calls:
@@ -306,7 +329,8 @@ def test_check_graph_builds_each_shifted_product_once(monkeypatch, capsys):
     # one build per bound, compared against every vertex's rhs: not n + 1
     in_graphs = _count_calls(monkeypatch, graphs, "shifted_subset_product")
     in_tridiagonal = _count_calls(monkeypatch, tridiagonal, "shifted_subset_product")
-    graphs.pair_bound_all_vertices(heawood())
+    g = heawood()
+    graphs.pair_bound_all_vertices(g, graphs.spectrum_graph(g), graphs.classify_regularity(g))
     assert (in_graphs, in_tridiagonal) == ([1], [0])
     assert main(["check-graph", "--family", "heawood", "--output", "json"]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -320,7 +344,9 @@ def test_check_scheme_computes_one_dual_spectrum_per_ordering(monkeypatch, capsy
     # every ordering certifies its Q column once (the spectral identity); a
     # rational system also isolates F_D once for the bounds, a field system
     # takes the certified column as its spectrum
-    orderings = schemes.find_q_orderings(schemes.scheme_from_graph(parse_family_spec(graph)))
+    s = schemes.scheme_from_graph(parse_family_spec(graph))
+    e = schemes.eigendata(s)
+    orderings = schemes.find_q_orderings(s, e, schemes.krein(s, e))
     rational = sum(qs.system.is_rational() for qs in orderings)  # cycle:n=7 all, heawood none
     real = tridiagonal.spectrum
     routes = {"isolated": 0, "certified": 0}
@@ -425,7 +451,8 @@ def _verify_corpus():
 def test_verify_corpus_clean_and_alarm(monkeypatch, capsys):
     script = _verify_corpus()
     assert script.main(["--json"]) == 0
-    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()[:-1]]
+    *rows, summary = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert summary == {"graphs_with_alarms": 0}
     assert len(rows) == 13 and all(row["alarms"] == [] for row in rows)
     dual_tight = {row["name"] for row in rows if row["dual_tight"]}
     assert dual_tight == {"biplane11_incidence", "biplane16_incidence", "heawood", "k33"}

@@ -317,6 +317,18 @@ def test_property_suite_deterministic():
     assert p1.stdout == p2.stdout and p1.returncode == 0
 
 
+@pytest.mark.parametrize("design", ["fano", "biplane_11", "biplane_16"])
+@pytest.mark.parametrize(
+    "option", [["check-graph", "--family"], ["check-scheme", "--from-graph"]], ids=["check-graph", "check-scheme"]
+)
+def test_design_spec_where_a_graph_is_needed_exit1(capsys, design, option):
+    # a design family names no graph; its incidence graph is the graph
+    assert main([*option, design]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: family {design!r} is not a graph\n"
+
+
 def test_check_graph_deterministic():
     p1 = run_cli("check-graph", "--family", "icosahedron", "--output", "json")
     p2 = run_cli("check-graph", "--family", "icosahedron", "--output", "json")
@@ -324,13 +336,13 @@ def test_check_graph_deterministic():
 
 
 def test_scan_cli():
-    proc = run_cli("scan", "--m-max", "4", "--output", "json")
+    proc = run_cli("scan", "--m-max", "4")
     assert proc.returncode == 0
     lines = proc.stdout.strip().splitlines()
     summary = json.loads(lines[-1])
     assert summary["command"] == "scan"
     assert summary["tallies"]["candidates"] == len(lines) - 1
-    proc2 = run_cli("scan", "--m-max", "4", "--output", "json")
+    proc2 = run_cli("scan", "--m-max", "4")
     assert proc.stdout == proc2.stdout
 
 
@@ -364,6 +376,7 @@ def test_main_entrypoint_in_process(capsys):
         ["property-suite", "--graphs", "-1"],
         ["check-graph", "--family", "petersen", "--seed", "1"],
         ["scan", "--step", "1/0"],
+        ["scan", "--output", "json"],  # scan writes JSON lines and takes no --output
     ],
 )
 def test_usage_errors_exit1_without_traceback(argv):
@@ -418,7 +431,7 @@ VERIFY_CORPUS = str(Path(__file__).resolve().parent.parent / "scripts" / "verify
 FORCE_SCAN_ALARM = (
     "import sys; from qpolykit import checks, cli; "
     "checks.check_scan = lambda result: ['forced alarm']; "
-    "sys.exit(cli.main(['scan', '--m-max', '6', '--free-c3', '--output', 'json']))"
+    "sys.exit(cli.main(['scan', '--m-max', '6', '--free-c3']))"
 )
 FORCE_CORPUS_ALARM = (
     "import runpy, sys; from qpolykit import checks; real = checks.check_graph; "
@@ -430,7 +443,7 @@ FORCE_CORPUS_ALARM = (
 @pytest.mark.parametrize(
     "argv, code",
     [
-        (["-m", "qpolykit.cli", "scan", "--m-max", "6", "--free-c3", "--output", "json"], 0),
+        (["-m", "qpolykit.cli", "scan", "--m-max", "6", "--free-c3"], 0),
         (["-c", FORCE_SCAN_ALARM], 2),
         (["-m", "qpolykit.cli", "check-scheme", "--from-graph", "heawood", "--output", "json"], 0),
         (["-m", "qpolykit.cli", "property-suite", "--seed", "3", "--n", "5", "--graphs", "1"], 0),

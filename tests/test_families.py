@@ -54,7 +54,7 @@ def test_incidence_of_fano_is_the_heawood_graph():
     assert g.n == 14 and g.is_regular() and g.degree(0) == 3
     assert nx.girth(nx.Graph(g.edges())) == 6
     # 3-regular girth-6 on 14 vertices pins the graph up to isomorphism
-    system = intersection_array(g)
+    system = intersection_array(classify_regularity(g))
     assert (system.beta, system.gamma) == ((3, 2, 2), (1, 1, 3))
     assert heawood().edges() == g.edges()
 
@@ -63,7 +63,7 @@ def test_builders():
     assert cube(3).n == 8 and cube(3).degree(0) == 3
     assert hamming(2, 3).n == 9 and hamming(2, 3).degree(0) == 4
     assert johnson(5, 2).n == 10 and johnson(5, 2).degree(0) == 6
-    system = intersection_array(build("icosahedron"))
+    system = intersection_array(classify_regularity(build("icosahedron")))
     assert (system.beta, system.gamma) == ((5, 2, 1), (1, 2, 5))
     g = build("hamming", d=4, q=2)
     assert g.n == 16
@@ -88,7 +88,7 @@ def test_line_graph_of_petersen():
     assert lg.n == 15 and lg.is_regular() and lg.degree(0) == 4
     rep = classify_regularity(lg)
     assert rep.distance_regular and rep.diameter == 3
-    system = intersection_array(lg)
+    system = intersection_array(rep)
     assert (system.beta, system.gamma) == ((4, 2, 1), (1, 1, 4))
 
 

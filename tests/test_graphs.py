@@ -208,9 +208,10 @@ def test_spectrum_against_sympy():
 
 def test_interlace_examples():
     for g in (cycle(5), petersen()):
-        rep = interlace_check(g, 0)
+        rep = interlace_check(spectrum_graph(g), classify_regularity(g))
         assert rep.passed and rep.theta1_eq_tau1 and rep.thetamin_eq_taumin
-    rep = interlace_check(cycle(6), 0)
+    g = cycle(6)
+    rep = interlace_check(spectrum_graph(g), classify_regularity(g))
     assert rep.passed
 
 
@@ -233,17 +234,21 @@ def test_distance_biregular_detection():
 # -- the vertex pair bound ----------------------------------------------------------------
 
 
+def pair_bound(g: Graph):
+    return pair_bound_all_vertices(g, spectrum_graph(g), classify_regularity(g))
+
+
 def test_pair_bound_strongly_regular_cases():
-    rep = pair_bound_all_vertices(petersen())
+    rep = pair_bound(petersen())
     assert rep.lhs == F(-2)
     assert all(v.rhs == F(-2) and v.equality for v in rep.per_vertex)
     assert rep.strongly_regular_verdict and rep.cross_check_ok
-    rep = pair_bound_all_vertices(cycle(5))
+    rep = pair_bound(cycle(5))
     assert rep.lhs == F(-1) and rep.equality_everywhere and rep.strongly_regular_verdict
 
 
 def test_pair_bound_strict_case():
-    rep = pair_bound_all_vertices(heawood())
+    rep = pair_bound(heawood())
     assert all(v.rhs == F(-2) and v.holds and not v.equality for v in rep.per_vertex)
     assert not rep.strongly_regular_verdict and rep.cross_check_ok
 
@@ -252,18 +257,18 @@ def test_pair_bound_refusals():
     from qpolykit.families import complete_graph
 
     with pytest.raises(GraphError):
-        pair_bound_all_vertices(complete_graph(4))
+        pair_bound(complete_graph(4))
     with pytest.raises(GraphError):
-        pair_bound_all_vertices(Graph(2, []))
+        pair_bound(Graph(2, []))
     with pytest.raises(GraphError):
-        pair_bound_all_vertices(Graph(4, [(0, 1), (2, 3)]))
+        pair_bound(Graph(4, [(0, 1), (2, 3)]))
 
 
 def test_equality_iff_strongly_regular_on_corpus():
     for name, g in corpus_graphs().items():
         if not g.is_regular() or g.is_complete():
             continue
-        rep = pair_bound_all_vertices(g)
+        rep = pair_bound(g)
         assert rep.all_hold, name
         assert rep.cross_check_ok, name
 
@@ -277,10 +282,10 @@ def test_intersection_arrays():
         (icosahedron(), (5, 2, 1), (1, 2, 5)),
         (cube(3), (3, 2, 1), (1, 2, 3)),
     ):
-        system = intersection_array(g)
+        system = intersection_array(classify_regularity(g))
         assert (system.beta, system.gamma, system.kappa) == (b, c, b[0])
     with pytest.raises(GraphError):
-        intersection_array(complete_bipartite(2, 3))
+        intersection_array(classify_regularity(complete_bipartite(2, 3)))
 
 
 def test_intersection_array_asserts_integer_entries():
@@ -288,14 +293,14 @@ def test_intersection_array_asserts_integer_entries():
     q = rep.quotients[0]
     forged = replace(rep, quotients=(replace(q, alpha=(F(0), F(1, 2), F(3, 2), F(0))),) + rep.quotients[1:])
     with pytest.raises(AssertionError, match="non-integer"):
-        intersection_array(cube(3), forged)
+        intersection_array(forged)
 
 
 def test_intersection_array_matches_quotients():
     for name in ("heawood", "icosahedron", "cube", "petersen"):
         g = corpus_graphs()[name if name != "cube" else "cube"]
         rep = classify_regularity(g)
-        system = intersection_array(g, rep)
+        system = intersection_array(rep)
         assert rep.diameter == system.d and len(rep.quotients) == g.n
         for x in range(g.n):
             qm = rep.quotients[x]
@@ -304,24 +309,27 @@ def test_intersection_array_matches_quotients():
 
 
 def test_triple_bound_examples():
-    res = triple_bound_graph(heawood())
+    res = triple_bound_graph(classify_regularity(heawood()))
     (branch,) = res.branches
     assert branch.check.lhs == F(2) and branch.check.rhs == F(2) and branch.check.equality
-    res = triple_bound_graph(cube(3))
+    res = triple_bound_graph(classify_regularity(cube(3)))
     assert all(b.check.lhs == F(0) and b.check.equality for b in res.branches)
-    res = triple_bound_graph(cube(4))
+    res = triple_bound_graph(classify_regularity(cube(4)))
     assert all(b.check.holds and not b.check.equality for b in res.branches)
     with pytest.raises(GraphError):
-        triple_bound_graph(petersen())  # diameter 2
+        triple_bound_graph(classify_regularity(petersen()))  # diameter 2
 
 
 def test_fundamental_bound_examples():
-    rep = fundamental_bound(icosahedron())
+    def bound(g):
+        return fundamental_bound(spectrum_graph(g), classify_regularity(g))
+
+    rep = bound(icosahedron())
     assert rep.lhs == F(-20, 9) and rep.rhs == F(-20, 9)
     assert rep.equality and rep.tight and not rep.bipartite
-    rep = fundamental_bound(heawood())
+    rep = bound(heawood())
     assert rep.rhs == F(0) and not rep.tight and rep.bipartite
-    rep = fundamental_bound(petersen())
+    rep = bound(petersen())
     assert rep.lhs == F(4) and rep.rhs == F(0) and rep.holds and not rep.tight
 
 
@@ -347,10 +355,11 @@ def test_random_regular_suite():
         spec = spectrum_graph(g)
         if spec.d < 2:
             continue
-        rep = pair_bound_all_vertices(g, spec)
+        classification = classify_regularity(g)
+        rep = pair_bound_all_vertices(g, spec, classification)
         assert rep.all_hold and rep.cross_check_ok
         assert [v.rhs for v in rep.per_vertex] == [-quotient_matrix(g, x).beta[1] for x in range(g.n)]
-        assert interlace_check(g, 0, spec).passed
+        assert interlace_check(spec, classification).passed
 
 
 def test_interlace_equality_implies_locally_distance_regular():
@@ -358,9 +367,10 @@ def test_interlace_equality_implies_locally_distance_regular():
     # distance-regular around that vertex
     for name in ("c5", "petersen", "heawood", "icosahedron"):
         g = corpus_graphs()[name]
-        rep = interlace_check(g, 0)
+        classification = classify_regularity(g)
+        rep = interlace_check(spectrum_graph(g), classification)
         if rep.theta1_eq_tau1 and rep.thetamin_eq_taumin:
-            assert classify_regularity(g).distance_regular_around[0]
+            assert classification.distance_regular_around[0]
 
 
 def test_triple_bound_equality_iff_diameter3_on_corpus():
@@ -368,7 +378,7 @@ def test_triple_bound_equality_iff_diameter3_on_corpus():
         rep = classify_regularity(g)
         if not rep.distance_regular or rep.diameter < 3:
             continue
-        res = triple_bound_graph(g)
+        res = triple_bound_graph(rep)
         assert res.holds, name
         assert res.equality == (rep.diameter == 3), name
 
@@ -400,7 +410,7 @@ def _check_against_networkx(g: Graph):
     assert rep.bipartite == nx.is_bipartite(nxg)
     if rep.distance_regular:
         expected = TridiagonalSystem.from_intersection_numbers(*nx.intersection_array(nxg))
-        assert intersection_array(g, rep) == expected
+        assert intersection_array(rep) == expected
 
 
 def test_classification_agrees_with_networkx_on_the_corpus():

@@ -20,7 +20,7 @@ import qpolykit
 from qpolykit import linalg, numberfield, tridiagonal
 from qpolykit.families import cycle
 from qpolykit.polynomials import RationalPoly
-from qpolykit.schemes import find_q_orderings, scheme_from_graph
+from qpolykit.schemes import eigendata, find_q_orderings, krein, scheme_from_graph
 from qpolykit.tridiagonal import charpoly_by_cofactor, random_system, reduced_matrix
 
 
@@ -151,7 +151,9 @@ def test_cofactor_oracle_is_independent_of_what_it_checks(monkeypatch):
     rational = reduced_matrix(system)
     expected_rational = tridiagonal.f_polynomials(system)[-1]
 
-    qs = find_q_orderings(scheme_from_graph(cycle(7)))[0]
+    s = scheme_from_graph(cycle(7))
+    e = eigendata(s)
+    qs = find_q_orderings(s, e, krein(s, e))[0]
     assert qs.b1star[0][0].field.degree == 3
     # det(xI - B1*) = prod (x - theta_i*) over the dual eigenvalues
     expected_field = [qs.b1star[0][0] * 0 + 1]

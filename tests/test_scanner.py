@@ -119,12 +119,16 @@ def test_scheme_derived_parameters_pass_the_filter_chain():
         dual_bounds,
         dual_fundamental_bound,
         dual_multiplicities,
+        eigendata,
         find_q_orderings,
+        krein,
         scheme_from_graph,
     )
     from qpolykit.tridiagonal import validate
 
-    qs = find_q_orderings(scheme_from_graph(heawood()))[0]
+    s = scheme_from_graph(heawood())
+    e = eigendata(s)
+    qs = find_q_orderings(s, e, krein(s, e))[0]
     assert validate(qs.system).ok  # structure
     m3 = scalar_as_fraction(dual_multiplicities(qs)[3])
     assert m3 == 1  # positive integer multiplicity

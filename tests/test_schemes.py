@@ -26,6 +26,7 @@ from qpolykit.numberfield import FieldElement, scalar_as_fraction
 from qpolykit.polynomials import RationalPoly, squarefree_part
 from qpolykit.schemes import (
     AssociationScheme,
+    OrderingVerdict,
     SchemeError,
     SoundnessAlarm,
     b1star_spectral_identity,
@@ -48,6 +49,22 @@ from qpolykit.tridiagonal import validate
 
 def heawood_scheme():
     return scheme_from_graph(heawood())
+
+
+def orderings(s):
+    """Every polynomial ordering of s, from its eigendata and Krein table."""
+    e = eigendata(s)
+    return find_q_orderings(s, e, krein(s, e))
+
+
+def classify(s):
+    """The class-3 classification of s over the bound and audit of each ordering."""
+    verdicts = []
+    for qs in orderings(s):
+        bound = dual_fundamental_bound(qs)
+        audit = class3_dualtight_audit(qs, bound) if bound.dual_tight else None
+        verdicts.append(OrderingVerdict(qs, bound, audit))
+    return classify_class3_scheme(s, verdicts)
 
 
 def test_scheme_from_graph_examples():
@@ -330,8 +347,7 @@ def test_non_q_polynomial_scheme_gives_empty_list():
 
 def test_petersen_ordering_values():
     s = scheme_from_graph(petersen())
-    orderings = find_q_orderings(s)
-    by_m = {int(qs.m): qs for qs in orderings}
+    by_m = {int(qs.m): qs for qs in orderings(s)}
     qs = by_m[5]
     assert [t.as_fraction() for t in qs.dual_eigenvalues] == [5, F(5, 3), F(-5, 3)]
     assert qs.system.beta[1] == F(16, 9)
@@ -339,12 +355,12 @@ def test_petersen_ordering_values():
 
 def test_b1star_system_examples():
     s = scheme_from_graph(petersen())
-    qs = [q for q in find_q_orderings(s) if q.m == 5][0]
+    qs = [q for q in orderings(s) if q.m == 5][0]
     system = qs.system
     assert system.d == 2 and system.kappa == F(5)
     assert validate(system).ok
 
-    qs = find_q_orderings(heawood_scheme())[0]
+    qs = orderings(heawood_scheme())[0]
     system = qs.system
     assert system.d == 3 and validate(system).ok
     # column sums of the ordered Krein matrix all equal m
@@ -357,7 +373,7 @@ def test_b1star_system_examples():
 
 def test_dual_pair_bound_petersen_equality():
     s = scheme_from_graph(petersen())
-    qs = [q for q in find_q_orderings(s) if q.m == 5][0]
+    qs = [q for q in orderings(s) if q.m == 5][0]
     res = dual_bounds(qs)
     assert res.part1.equality
     assert scalar_as_fraction(res.part1.lhs) == F(-16, 9)
@@ -365,7 +381,7 @@ def test_dual_pair_bound_petersen_equality():
 
 
 def test_dual_triple_bound_heawood_equality():
-    for qs in find_q_orderings(heawood_scheme()):
+    for qs in orderings(heawood_scheme()):
         res = dual_bounds(qs)
         assert res.part2 is not None and res.part2.holds and res.part2.equality
         assert not res.part1.equality  # class 3: the pair bound is strict
@@ -385,22 +401,22 @@ def test_linked_system_ratio():
 
 
 def test_dual_fundamental_bound_cases():
-    qs = [q for q in find_q_orderings(scheme_from_graph(petersen())) if q.m == 5][0]
+    qs = [q for q in orderings(scheme_from_graph(petersen())) if q.m == 5][0]
     res = dual_fundamental_bound(qs)
     assert res.holds and not res.equality and not res.dual_tight
 
-    for qs in find_q_orderings(scheme_from_graph(cube(3))):
+    for qs in orderings(scheme_from_graph(cube(3))):
         res = dual_fundamental_bound(qs)
         assert res.q_bipartite and not res.dual_tight
 
-    for qs in find_q_orderings(heawood_scheme()):
+    for qs in orderings(heawood_scheme()):
         res = dual_fundamental_bound(qs)
         assert res.equality and not res.q_bipartite and res.dual_tight
 
 
 def test_audit_heawood_full_pass():
-    qs = find_q_orderings(heawood_scheme())[0]
-    audit = class3_dualtight_audit(qs)
+    qs = orderings(heawood_scheme())[0]
+    audit = class3_dualtight_audit(qs, dual_fundamental_bound(qs))
     assert audit.all_passed
     assert audit.b2star_is_1 and audit.b1star_eq_c2star and audit.q_antipodal
     assert audit.record("ratio_relation").passed
@@ -424,7 +440,7 @@ def test_audit_symbolic_family_instance():
 @pytest.mark.parametrize(
     "make",
     [
-        lambda: find_q_orderings(heawood_scheme())[0],
+        lambda: orderings(heawood_scheme())[0],
         lambda: krein_array_structure(
             {"type": "krein_array", "class": 3, "m": "6", "b_star": ["6", "3", "1"], "c_star": ["1", "3", "6"]}
         ),
@@ -435,7 +451,8 @@ def test_charpoly_factorization_fails_on_a_perturbed_oracle(monkeypatch, make):
     from qpolykit import tridiagonal
 
     qs = make()
-    assert class3_dualtight_audit(qs).record("charpoly_factorization").passed
+    bound = dual_fundamental_bound(qs)
+    assert class3_dualtight_audit(qs, bound).record("charpoly_factorization").passed
     real = tridiagonal.charpoly_by_cofactor
     # heawood's oracle has field coefficients, the Krein array's is a RationalPoly
     assert isinstance(real(qs.b1star), RationalPoly) == (qs.provenance == "krein_array")
@@ -449,7 +466,7 @@ def test_charpoly_factorization_fails_on_a_perturbed_oracle(monkeypatch, make):
                 return phi[:k] + [phi[k] + delta] + phi[k + 1 :]
 
             monkeypatch.setattr(tridiagonal, "charpoly_by_cofactor", perturbed)
-            assert class3_dualtight_audit(qs).record("charpoly_factorization").passed is False
+            assert class3_dualtight_audit(qs, bound).record("charpoly_factorization").passed is False
 
 
 def test_audit_perturbed_array_fails():
@@ -467,14 +484,14 @@ def test_audit_perturbed_array_fails():
 def test_spectral_identity_everywhere():
     for name, g in corpus_graphs().items():
         s = scheme_from_graph(g)
-        for qs in find_q_orderings(s):
+        for qs in orderings(s):
             assert b1star_spectral_identity(qs), name
 
 
 @pytest.mark.parametrize("graph", [petersen(), heawood(), cycle(7)], ids=["rational", "quadratic", "cubic"])
 def test_spectral_identity_compares_the_q_column_with_the_krein_system(graph):
     # the identity must read eigendata's Q column, not the system's own spectrum
-    for qs in find_q_orderings(scheme_from_graph(graph)):
+    for qs in orderings(scheme_from_graph(graph)):
         assert b1star_spectral_identity(qs)
         col = qs.q_column
         moved = replace(qs, q_column=col[:-1] + (col[-1] - 1,))
@@ -490,16 +507,14 @@ def test_spectral_identity_is_decided_in_the_field(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the identity must not leave the number field")
 
-    orderings = [
-        (name, qs) for name, g in corpus_graphs().items() for qs in find_q_orderings(scheme_from_graph(g))
-    ]
-    assert {qs.system.is_rational() for _, qs in orderings if qs.system} == {True, False}
+    named = [(name, qs) for name, g in corpus_graphs().items() for qs in orderings(scheme_from_graph(g))]
+    assert {qs.system.is_rational() for _, qs in named if qs.system} == {True, False}
     modules = [m for name, m in sys.modules.items() if name.startswith("qpolykit.")]
     for module in modules:
         if getattr(module, "compare", None) is compare:
             monkeypatch.setattr(module, "compare", forbidden)
     monkeypatch.setattr(FieldElement, "to_algebraic", forbidden)
-    for name, qs in orderings:
+    for name, qs in named:
         if qs.system is not None:
             assert b1star_spectral_identity(qs), name
 
@@ -509,7 +524,7 @@ def test_dual_bound_equalities_track_class_on_corpus():
     # at class 3, for every polynomial ordering in the corpus
     for name, g in corpus_graphs().items():
         s = scheme_from_graph(g)
-        for qs in find_q_orderings(s):
+        for qs in orderings(s):
             res = dual_bounds(qs)
             assert res.part1.holds, name
             assert res.part1.equality == (qs.d == 2), name
@@ -519,23 +534,23 @@ def test_dual_bound_equalities_track_class_on_corpus():
 
 
 def test_dual_multiplicities_heawood():
-    qs = find_q_orderings(heawood_scheme())[0]
+    qs = orderings(heawood_scheme())[0]
     mults = dual_multiplicities(qs)
     vals = [scalar_as_fraction(m) for m in mults]
     assert vals == [1, 6, 6, 1]
 
 
 def test_classification_end_to_end():
-    rep = classify_class3_scheme(heawood_scheme())
+    rep = classify(heawood_scheme())
     assert rep.dual_tight and rep.incidence_relation == 1
     assert rep.design_params == (7, 3, 1)
     assert rep.biconditional_ok
 
-    rep = classify_class3_scheme(scheme_from_graph(incidence_graph(biplane_11())))
+    rep = classify(scheme_from_graph(incidence_graph(biplane_11())))
     assert rep.dual_tight and rep.design_params == (11, 5, 2)
     assert rep.biconditional_ok
 
-    rep = classify_class3_scheme(scheme_from_graph(cube(3)))
+    rep = classify(scheme_from_graph(cube(3)))
     assert not rep.dual_tight and rep.incidence_relation is None
     assert rep.biconditional_ok
 
@@ -543,7 +558,7 @@ def test_classification_end_to_end():
 def test_classification_degenerate_design_excluded():
     # C6 is the incidence graph of the complete 2-(3,2,1) design; its scheme
     # is Q-bipartite, so admitting the degenerate design would false-alarm
-    rep = classify_class3_scheme(scheme_from_graph(cycle(6)))
+    rep = classify(scheme_from_graph(cycle(6)))
     assert not rep.dual_tight
     assert rep.incidence_relation is None
     assert rep.biconditional_ok
@@ -565,10 +580,7 @@ def test_krein_array_structure_runs_dual_side():
         {"type": "krein_array", "class": 3, "m": "6", "b_star": ["6", "3", "1"], "c_star": ["1", "3", "6"]}
     )
     assert qs.provenance == "krein_array"
-    rep = classify_class3_scheme(qs)
-    assert rep.dual_tight
-    assert not rep.primal_available
-    assert rep.incidence_relation is None
+    assert dual_fundamental_bound(qs).dual_tight
 
 
 # -- sympy oracle: eigenmatrices, multiplicities and Krein tables --------------------------

@@ -13,7 +13,7 @@ from qpolykit.checks import check_system
 from qpolykit.families import cycle, heawood
 from qpolykit.numberfield import RealAlgebraicField, eval_rational_poly
 from qpolykit.polynomials import RationalPoly
-from qpolykit.schemes import find_q_orderings, scheme_from_graph
+from qpolykit.schemes import eigendata, find_q_orderings, krein, scheme_from_graph
 from qpolykit.tridiagonal import (
     TridiagonalSystem,
     charpoly_by_cofactor,
@@ -55,14 +55,19 @@ def test_validate_reports_every_violation():
     assert len(rep.violations) >= 3
 
 
-@pytest.mark.parametrize("entry", [spectrum, f_polynomials, pair_bound, triple_bound])
-def test_every_entry_point_rejects_an_invalid_system(entry):
-    # D = 3 with gamma_1 = 2: rows still sum to kappa, so only one clause fails
+@pytest.mark.parametrize(
+    "entry, rest",
+    [(spectrum, ()), (f_polynomials, ()), (pair_bound, (None,)), (triple_bound, (None,))],
+    ids=["spectrum", "f_polynomials", "pair_bound", "triple_bound"],
+)
+def test_every_entry_point_rejects_an_invalid_system(entry, rest):
+    # D = 3 with gamma_1 = 2: rows still sum to kappa, so only one clause fails;
+    # the bounds validate before they read their spectrum report
     bad = TridiagonalSystem.from_entries([F(0), F(0), F(0), F(2)], [F(4), F(2), F(2)], [F(2), F(2), F(2)], F(4))
     assert validate(bad).violations == ("gamma_1 must equal 1",)
     for _ in range(2):  # an invalid system is never remembered as valid
         with pytest.raises(ValueError, match="gamma_1 must equal 1"):
-            entry(bad)
+            entry(bad, *rest)
 
 
 def test_a_valid_system_is_validated_once(monkeypatch):
@@ -167,7 +172,12 @@ COS7_FIELD = field_of((-1, -2, 1, 1))  # 2cos(2 pi/7)
 
 def scheme_orderings(*graphs):
     """(system, q_column) of every polynomial ordering of the graphs' schemes."""
-    return [(qs.system, qs.q_column) for g in graphs for qs in find_q_orderings(scheme_from_graph(g))]
+    out = []
+    for g in graphs:
+        s = scheme_from_graph(g)
+        e = eigendata(s)
+        out += [(qs.system, qs.q_column) for qs in find_q_orderings(s, e, krein(s, e))]
+    return out
 
 
 def horner(coeffs, x):
@@ -285,30 +295,30 @@ def test_lemma_preconditions():
 
 
 def test_pair_bound_examples():
-    res = pair_bound(C5)
+    res = pair_bound(C5, spectrum(C5))
     assert res.lhs == F(-1) and res.rhs == F(-1) and res.equality
-    res = pair_bound(HEAWOOD)
+    res = pair_bound(HEAWOOD, spectrum(HEAWOOD))
     assert res.rhs == F(-2) and res.holds and not res.equality
     # lhs = -2 - 2 sqrt2
     s2 = isolate_real_roots(RationalPoly((-2, 0, 1)))[-1]
     assert compare(res.lhs, s2.mul_rational(-2).add_rational(-2)) == 0
-    res = pair_bound(PETERSEN_Q)
+    res = pair_bound(PETERSEN_Q, spectrum(PETERSEN_Q))
     assert res.lhs == F(-2) and res.rhs == F(-2) and res.equality
 
 
 def test_triple_bound_examples():
-    res = triple_bound(HEAWOOD)
+    res = triple_bound(HEAWOOD, spectrum(HEAWOOD))
     assert res.hypothesis_sign == 1
     (branch,) = res.branches
     assert branch.branch == "lower"
     assert branch.check.lhs == F(2) and branch.check.rhs == F(2) and branch.check.equality
 
-    res = triple_bound(CUBE)
+    res = triple_bound(CUBE, spectrum(CUBE))
     assert res.hypothesis_sign == 0
     assert {b.branch for b in res.branches} == {"lower", "upper"}
     assert all(b.check.lhs == F(0) and b.check.rhs == F(0) and b.check.equality for b in res.branches)
 
-    res = triple_bound(H42)
+    res = triple_bound(H42, spectrum(H42))
     assert res.hypothesis_sign == 0
     assert all(b.check.holds and not b.check.equality for b in res.branches)
     vals = {b.branch: b.check.lhs for b in res.branches}
