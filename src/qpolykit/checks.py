@@ -64,10 +64,7 @@ def _approx(v) -> str:
         return rat_str(v)
     if isinstance(v, int):
         return str(v)
-    try:
-        return f"{v.approx_float():.6g}"
-    except AttributeError:
-        return str(v)
+    return f"{v.approx_float():.6g}"
 
 
 def _finish(report: dict, lines: list[str], alarms: list[str]):
@@ -219,7 +216,7 @@ def _scheme_checks(report: dict, lines: list[str], alarms: list[str], source, th
     report["q_polynomial"] = True
 
     classify = theorem in ("thm51", "all") and scheme is not None and scheme.d == 3
-    verdicts = []  # per-ordering class-3 verdicts, reused by the classification
+    dual_tight = []  # per-ordering dual-tight flags, read by the classification
     ordering_reports = []
     for idx, qs in enumerate(structures):
         entry: dict = {
@@ -292,7 +289,6 @@ def _scheme_checks(report: dict, lines: list[str], alarms: list[str], source, th
             )
             if not dfb.holds:
                 fail("dual fundamental bound violated")
-            audit = None
             if qs.d == 3 and dfb.dual_tight and theorem in ("thm51", "all"):
                 audit = schememod.class3_dualtight_audit(qs, dfb)
                 entry["audit"] = audit.to_json_dict()
@@ -304,12 +300,12 @@ def _scheme_checks(report: dict, lines: list[str], alarms: list[str], source, th
                 if not audit.all_passed:
                     fail("dual-tight audit failed")
             if classify:
-                verdicts.append(schememod.OrderingVerdict(qs, dfb, audit))
+                dual_tight.append(dfb.dual_tight)
         ordering_reports.append(entry)
     report["orderings"] = ordering_reports
 
     if classify:
-        cls = schememod.classify_class3_scheme(scheme, verdicts)
+        cls = schememod.classify_class3_scheme(scheme, dual_tight)
         report["classification"] = cls.to_json_dict()
         lines.append(
             f"class-3 classification: dual_tight={cls.dual_tight} "

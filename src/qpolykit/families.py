@@ -14,7 +14,8 @@ from itertools import combinations
 from math import comb
 from pathlib import Path
 
-from .graphs import MAX_VERTICES, Graph, GraphError, check_vertex_count, parse_graph6
+from .graphs import MAX_VERTICES, Graph, GraphError, check_vertex_count, emit_graph6, parse_graph6
+from .schemes import AssociationScheme
 from .serialize import dump_json, rat_str
 
 
@@ -232,11 +233,6 @@ _BUILDERS = {
 
 def build(name: str, **params):
     """Build a named family member: a Graph or a SymmetricDesign."""
-    if name == "incidence_graph":
-        design = params.get("design")
-        if not isinstance(design, SymmetricDesign):
-            raise ValueError("incidence_graph needs design=<SymmetricDesign>")
-        return incidence_graph(design)
     if name not in _BUILDERS:
         raise ValueError(f"unknown family {name!r}; known: {sorted(_BUILDERS)}")
     fn, argnames = _BUILDERS[name]
@@ -279,8 +275,6 @@ def load(path: str | Path, fmt: str):
     if fmt == "json_graph":
         return Graph.from_json_dict(_load_json(raw))
     if fmt == "json_scheme":
-        from .schemes import AssociationScheme
-
         return AssociationScheme.from_json_dict(_load_json(raw))
     raise ValueError(f"unknown format {fmt!r}")
 
@@ -321,7 +315,7 @@ def corpus_summary(name: str, obj) -> dict:
             "kind": "graph",
             "n": obj.n,
             "m": obj.edge_count,
-            "graph6": __import__("qpolykit.graphs", fromlist=["emit_graph6"]).emit_graph6(obj),
+            "graph6": emit_graph6(obj),
         }
     if isinstance(obj, SymmetricDesign):
         return {

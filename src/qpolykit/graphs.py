@@ -29,7 +29,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .algebraics import (
     AlgebraicReal,
@@ -376,7 +376,6 @@ class RegularityReport:
     degree: int | None
     diameter: int
     bipartite: bool
-    distance_regular_around: tuple[bool, ...]
     distance_regularised: bool
     distance_regular: bool
     distance_biregular: bool
@@ -402,8 +401,7 @@ def classify_regularity(g: Graph) -> RegularityReport:
         raise GraphError("classification requires a connected graph")
     regular = g.is_regular()
     quotients = tuple(quotient_matrix(g, x) for x in range(g.n))
-    around = tuple(q.equitable for q in quotients)
-    regularised = all(around)
+    regularised = all(q.equitable for q in quotients)
     params = {(q.alpha, q.beta, q.gamma) for q in quotients}
     dr = regularised and len(params) == 1
     biregular = regularised and not dr
@@ -418,7 +416,6 @@ def classify_regularity(g: Graph) -> RegularityReport:
         g.degree(0) if regular else None,
         diameter,
         bip,
-        around,
         regularised,
         dr,
         biregular,
@@ -476,10 +473,7 @@ def pair_bound_all_vertices(g: Graph, spec: GraphSpectrum, classification: Regul
     if g.is_empty_graph():
         raise GraphError("pair bound is not defined for empty graphs")
     sf = squarefree_part(spec.charpoly)
-    roots_asc = _ascending(spec.distinct)
-    n_roots = len(roots_asc)
-    subset = [n_roots - 2, 0]  # theta_1 and theta_min (theta_0 = k is index n-1)
-    lhs = shifted_subset_product(sf, roots_asc, subset, 1)
+    lhs = shifted_subset_product(sf, spec.distinct, (1, spec.d), 1)  # theta_1 and theta_min
     per_vertex = []
     for qm in classification.quotients:
         rhs = -qm.beta[1]
@@ -489,10 +483,6 @@ def pair_bound_all_vertices(g: Graph, spec: GraphSpectrum, classification: Regul
     eq_all = all(v.equality for v in per_vertex)
     cross = eq_all == classification.strongly_regular
     return PairBoundReport(lhs, tuple(per_vertex), all_hold, eq_all, eq_all, cross)
-
-
-def _ascending(distinct_desc: Sequence[AlgebraicReal]) -> list[AlgebraicReal]:
-    return list(reversed(list(distinct_desc)))
 
 
 # -- intersection arrays ------------------------------------------------------------------------
@@ -562,9 +552,7 @@ def fundamental_bound(spec: GraphSpectrum, classification: RegularityReport) -> 
     shift = k / (a1 + 1)
     rhs = -k * a1 * b1 / (a1 + 1) ** 2
     sf = squarefree_part(spec.charpoly)
-    roots_asc = _ascending(spec.distinct)
-    subset = [len(roots_asc) - 2, 0]
-    lhs = shifted_subset_product(sf, roots_asc, subset, shift)
+    lhs = shifted_subset_product(sf, spec.distinct, (1, spec.d), shift)
     cmp = compare_shifted_product(lhs, rhs, sf, shift)
     equality = cmp == 0
     return FundamentalBoundReport(

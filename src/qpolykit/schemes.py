@@ -26,17 +26,19 @@ is irreducible tridiagonal; its transpose is then a row-sum tridiagonal
 system with kappa = m, the Krein array {b*; c*}.  Each QPolyStructure
 validates that system once and keeps it as the one form of the array.
 The spectral identity certifies the E_1 column of Q as the system's
-spectrum, evaluating F_D by its recurrence in the ordering's number field; a
-system with field entries takes that certified spectrum as its own, and a
-rational system isolates the roots of F_D once, on first use.  The
+spectrum (tridiagonal.certify_spectrum), evaluating F_D by its recurrence
+in the ordering's number field; a system with field entries takes that
+certified spectrum as its own, and a rational system isolates the roots of
+F_D once, on first use (tridiagonal.spectrum).  The
 pair/triple bounds, the dual fundamental bound with its tightness test,
 and the class-3 dual-tight audit that pins down b2* = 1, b1* = c2* and the
 antipodal conclusion all read that one spectrum.  Class-3 Krein arrays
 also pass through the rational feasibility filters (class3_feasibility)
 that the scanner applies.  Each check takes the facts it reads (eigendata,
 Krein table, bound) as arguments and computes none of them; qpolykit.checks
-sequences them, and the class-3 classification takes its orderings' bounds
-and audits from there and adds the design side from the relation graphs.
+sequences them, and the class-3 classification takes its orderings'
+dual-tight flags from there and adds the design side from the relation
+graphs.
 """
 
 from __future__ import annotations
@@ -262,7 +264,6 @@ def scheme_from_graph(g: Graph) -> AssociationScheme:
 
 @dataclass(frozen=True)
 class EigenData:
-    scheme: AssociationScheme
     field: RealAlgebraicField
     p_matrix: tuple  # P[j][u], FieldElement; row 0 = valencies
     q_matrix: tuple  # Q[u][j] = m_j P[j][u] / k_u
@@ -360,7 +361,7 @@ def eigendata(s: AssociationScheme) -> EigenData:
         for u in range(d + 1)
     )
     _verify_pq_identity(field, p_matrix, q_matrix, n)
-    return EigenData(s, field, p_matrix, q_matrix, tuple(mults), tuple(k))
+    return EigenData(field, p_matrix, q_matrix, tuple(mults), tuple(k))
 
 
 def _verify_pq_identity(field, p_matrix, q_matrix, n) -> None:
@@ -380,11 +381,8 @@ def _verify_pq_identity(field, p_matrix, q_matrix, n) -> None:
 
 @dataclass(frozen=True)
 class KreinTable:
-    scheme: AssociationScheme
-    field: RealAlgebraicField
     q: tuple  # q[i][j][h], FieldElement
     nonnegative: bool
-    negative_entries: tuple[tuple[int, int, int], ...]
 
 
 def krein(s: AssociationScheme, e: EigenData) -> KreinTable:
@@ -395,7 +393,6 @@ def krein(s: AssociationScheme, e: EigenData) -> KreinTable:
     p = e.p_matrix
     field = e.field
     table = []
-    negative = []
     for i in range(d + 1):
         layer = []
         for j in range(d + 1):
@@ -406,8 +403,6 @@ def krein(s: AssociationScheme, e: EigenData) -> KreinTable:
                     acc = acc + p[i][u] * p[j][u] * p[h][u] * Fraction(1, k[u] * k[u])
                 val = acc * Fraction(m[i] * m[j], n)
                 row.append(val)
-                if val.sign() < 0:
-                    negative.append((i, j, h))
             layer.append(tuple(row))
         table.append(tuple(layer))
     for j in range(d + 1):
@@ -415,7 +410,8 @@ def krein(s: AssociationScheme, e: EigenData) -> KreinTable:
             expected = 1 if j == h else 0
             if table[0][j][h] != expected:
                 raise AssertionError("q[0][j]^h must be delta_(j=h)")
-    return KreinTable(s, field, tuple(table), not negative, tuple(negative))
+    nonnegative = all(v.sign() >= 0 for layer in table for row in layer for v in row)
+    return KreinTable(tuple(table), nonnegative)
 
 
 def krein_oracle(s: AssociationScheme, e: EigenData, max_points: int = 50) -> tuple:
@@ -503,7 +499,7 @@ class QPolyStructure:
 
         Raises AssertionError when some value is no root of F_D.
         """
-        return tridiagonal.spectrum(self.system, self.q_column[1:])
+        return tridiagonal.certify_spectrum(self.system, self.q_column[1:])
 
     @property
     def dual_eigenvalues(self) -> tuple:
@@ -947,7 +943,7 @@ def class3_dualtight_audit(qs: QPolyStructure, bound: DualFundamentalBound) -> A
 
     q233_formula = m * (b2 - 1) / c2
     m3_formula = b1 * b2 / c2
-    if qs.provenance == "scheme" and qs.krein_table is not None and qs.idempotent_order is not None:
+    if qs.provenance == "scheme":
         o = qs.idempotent_order
         q233 = qs.krein_table.q[o[2]][o[3]][o[3]]
         records.append(
@@ -961,7 +957,7 @@ def class3_dualtight_audit(qs: QPolyStructure, bound: DualFundamentalBound) -> A
         q333 = m3_formula - 1 - q233_formula
     records.append(AuditRecord("q233_nonnegative", exact_sign(b2 - 1) >= 0, lhs=b2))
 
-    if qs.provenance == "scheme" and qs.eigen is not None and qs.idempotent_order is not None:
+    if qs.provenance == "scheme":
         m3_actual = Fraction(qs.eigen.multiplicities[qs.idempotent_order[3]])
         records.append(
             AuditRecord("m3_formula", m3_formula == m3_actual, lhs=m3_formula, rhs=m3_actual)
@@ -1010,15 +1006,8 @@ def class3_dualtight_audit(qs: QPolyStructure, bound: DualFundamentalBound) -> A
 
 
 @dataclass(frozen=True)
-class OrderingVerdict:
-    structure: QPolyStructure
-    bound: DualFundamentalBound
-    audit: AuditReport | None
-
-
-@dataclass(frozen=True)
 class ClassifyReport:
-    orderings: tuple[OrderingVerdict, ...]
+    orderings: int  # the number of polynomial orderings
     dual_tight: bool
     incidence_relation: int | None
     design_params: tuple[int, int, int] | None
@@ -1031,7 +1020,7 @@ class ClassifyReport:
             "design_params": list(self.design_params) if self.design_params else None,
             "primal_available": True,  # a classified scheme always has its point set
             "biconditional_ok": self.biconditional_ok,
-            "orderings": len(self.orderings),
+            "orderings": self.orderings,
         }
 
 
@@ -1056,21 +1045,21 @@ def _symmetric_design_array(system: TridiagonalSystem) -> tuple[int, int, int] |
     return (v, k, lam)
 
 
-def classify_class3_scheme(scheme: AssociationScheme, verdicts: Sequence[OrderingVerdict]) -> ClassifyReport:
+def classify_class3_scheme(scheme: AssociationScheme, dual_tight: Sequence[bool]) -> ClassifyReport:
     """Dual-tightness versus the symmetric-design incidence relation.
 
     For a class-3 scheme: dual-tight holds exactly when some nonidentity
     relation graph is the incidence graph of a (nondegenerate) symmetric
-    design.  verdicts are the bound and audit of every polynomial ordering
-    of the scheme, in ordering order; the design side is read from the
-    relation graphs, independently of them.  A mismatch is reported as a
-    falsification alarm via biconditional_ok = False.
+    design.  dual_tight holds each polynomial ordering's dual-tight flag,
+    from its dual fundamental bound, in ordering order; the design side is
+    read from the relation graphs, independently of them.  A mismatch is
+    reported as a falsification alarm via biconditional_ok = False.
     """
     if scheme.d != 3:
         raise SchemeError("classification applies to class-3 schemes")
-    if not verdicts:
+    if not dual_tight:
         raise SchemeError("scheme has no polynomial ordering of idempotents")
-    dual_tight = any(v.bound.dual_tight for v in verdicts)
+    tight = any(dual_tight)
 
     incidence_rel = None
     params = None
@@ -1089,6 +1078,4 @@ def classify_class3_scheme(scheme: AssociationScheme, verdicts: Sequence[Orderin
             incidence_rel = i
             params = match
             break
-    return ClassifyReport(
-        tuple(verdicts), dual_tight, incidence_rel, params, dual_tight == (incidence_rel is not None)
-    )
+    return ClassifyReport(len(dual_tight), tight, incidence_rel, params, tight == (incidence_rel is not None))

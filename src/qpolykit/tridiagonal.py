@@ -22,16 +22,17 @@ gamma_1).
 
 Entries are Fractions for ordinary systems; the same checks also accept
 number-field elements (FieldElement) so Krein matrices with algebraic
-entries reuse every code path.  spectrum has two routes, chosen by its
-input.  Without candidates it isolates the roots of F_D, built as a
-RationalPoly (rational systems only).  With strictly descending candidates
-it certifies them as the roots of F_D on any system, evaluating F_D at each
-by the three-term recurrence on scalars, so a system with field entries
-builds no polynomial.  Every product bound is one comparison of a shifted
-eigenvalue product with its right-hand side: on F_D for isolated spectra,
-by field arithmetic for certified ones.  On F_D the product is built once
-(shifted_subset_product), and the comparisons and the report read that
-one value.
+entries reuse every code path.  A spectrum is the roots of F_D, by one of
+two functions.  spectrum isolates them, on F_D built as a RationalPoly
+(rational systems only).  certify_spectrum takes strictly descending
+candidates on any system and certifies them as the roots of F_D,
+evaluating F_D at each by the three-term recurrence on scalars, so a
+system with field entries builds no polynomial.  Only interlacing_check
+reads F_1 .. F_{D-1}, and it isolates their roots itself.  Every product
+bound is one comparison of a shifted eigenvalue product with its
+right-hand side: on F_D for isolated spectra, by field arithmetic for
+certified ones.  On F_D the product is built once (shifted_subset_product),
+and the comparisons and the report read that one value.
 charpoly_by_cofactor is the one cofactor oracle: a self-contained
 expansion over any exact scalars that checks the recurrence here and the
 characteristic polynomial of the class-3 audit.
@@ -189,7 +190,7 @@ def f_polynomials(system: TridiagonalSystem) -> list[RationalPoly]:
     F_i = (x - kappa + beta_{i-1} + gamma_i) F_{i-1} - beta_{i-1} gamma_{i-1} F_{i-2}.
 
     Rational systems only; a system with field entries raises ValueError
-    (its spectrum is certified by _f_d_at instead).
+    (certify_spectrum certifies its spectrum through _f_d_at instead).
     """
     require_valid(system)
     if not system.is_rational():
@@ -274,67 +275,70 @@ def _cofactor_add(p: list, q: list, sign: int) -> list:
 @dataclass(frozen=True)
 class SpectrumReport:
     system: TridiagonalSystem
-    eigenvalues: tuple  # theta_0 = kappa > theta_1 > ... > theta_D
+    eigenvalues: tuple  # theta_0 = kappa > theta_1 > ... > theta_D; the rest are F_D's roots
     f_polys: tuple  # F_0..F_D for isolated spectra, () for certified ones
-    root_table: tuple  # root_table[i-1] = roots of F_i, descending (rational systems)
 
 
-def spectrum(system: TridiagonalSystem, known_roots: Sequence | None = None) -> SpectrumReport:
-    """Exact eigenvalues, by one of two routes chosen by the input.
-
-    Without known_roots the roots of every F_i are isolated, which also
-    gives the full F_i root table; this route takes rational systems only.
-    With known_roots (theta_1 > ... > theta_D, on any system) the values are
-    certified: F_D vanishes at each, exactly, and with kappa they are
-    strictly descending.  D distinct roots of the degree-D polynomial F_D
-    are all of its roots, so they are precisely the spectrum.
-    """
+def spectrum(system: TridiagonalSystem) -> SpectrumReport:
+    """Exact eigenvalues of a rational system: kappa and the isolated roots of F_D."""
     require_valid(system)
     d = system.d
-    if known_roots is None:
-        fs = f_polynomials(system)
-        table = []
-        for i in range(1, d + 1):
-            roots = isolate_real_roots(fs[i])
-            if len(roots) != i:
-                raise AssertionError(f"F_{i} must have {i} distinct real roots, found {len(roots)}")
-            table.append(tuple(reversed(roots)))
-        kappa = scalar_as_fraction(system.kappa)
-        if compare_rational(table[-1][0], kappa) >= 0:
-            raise AssertionError("kappa must be the strictly largest eigenvalue")
-        eigen = (AlgebraicReal.from_rational(kappa),) + table[-1]
-        return SpectrumReport(system, eigen, tuple(fs), tuple(table))
+    fs = f_polynomials(system)
+    roots = isolate_real_roots(fs[d])
+    if len(roots) != d:
+        raise AssertionError(f"F_{d} must have {d} distinct real roots, found {len(roots)}")
+    kappa = scalar_as_fraction(system.kappa)
+    if compare_rational(roots[-1], kappa) >= 0:
+        raise AssertionError("kappa must be the strictly largest eigenvalue")
+    eigen = (AlgebraicReal.from_rational(kappa),) + tuple(reversed(roots))
+    return SpectrumReport(system, eigen, tuple(fs))
 
-    eigen = (system.kappa,) + tuple(known_roots)
-    if len(eigen) != d + 1:
-        raise ValueError(f"expected {d} candidate eigenvalues, got {len(eigen) - 1}")
+
+def certify_spectrum(system: TridiagonalSystem, roots: Sequence) -> SpectrumReport:
+    """Certify theta_1 > ... > theta_D (on any system) as the eigenvalues below kappa.
+
+    F_D vanishes at each, exactly, and with kappa they are strictly
+    descending.  D distinct roots of the degree-D polynomial F_D are all of
+    its roots, so they are precisely the spectrum.
+    """
+    require_valid(system)
+    eigen = (system.kappa,) + tuple(roots)
+    if len(eigen) != system.d + 1:
+        raise ValueError(f"expected {system.d} candidate eigenvalues, got {len(eigen) - 1}")
     for cand in eigen[1:]:
         if _f_d_at(system, cand) != 0:
             raise AssertionError("candidate eigenvalue does not annihilate F_D")
     for above, below in zip(eigen, eigen[1:]):
         if exact_sign(above - below) <= 0:
             raise AssertionError("kappa and the candidate eigenvalues must be strictly descending")
-    return SpectrumReport(system, eigen, (), ())
+    return SpectrumReport(system, eigen, ())
 
 
 @dataclass(frozen=True)
 class InterlacingResult:
     passed: bool
-    failures: tuple[str, ...]
 
 
 def interlacing_check(report: SpectrumReport) -> InterlacingResult:
-    """Roots of consecutive F_i strictly interlace (exact comparisons)."""
-    failures = []
-    table = report.root_table
-    for i in range(2, len(table) + 1):
-        upper = table[i - 1]  # alpha_{i,1} > ... > alpha_{i,i}
-        lower = table[i - 2]
-        for j in range(1, i):
-            between = compare(upper[j], lower[j - 1]) < 0 and compare(lower[j - 1], upper[j - 1]) < 0
-            if not between:
-                failures.append(f"interlacing fails at i={i}, j={j}")
-    return InterlacingResult(not failures, tuple(failures))
+    """Roots of consecutive F_i strictly interlace (exact comparisons).
+
+    The roots of F_1 .. F_{D-1} are isolated here, the one place that reads
+    them; F_D's are the report's eigenvalues.  A certified report carries no
+    polynomials and passes vacuously.
+    """
+    rows = []  # rows[i-1]: the roots of F_i, alpha_{i,1} > ... > alpha_{i,i}
+    for i, f in enumerate(report.f_polys[1:-1], start=1):
+        roots = isolate_real_roots(f)
+        if len(roots) != i:
+            raise AssertionError(f"F_{i} must have {i} distinct real roots, found {len(roots)}")
+        rows.append(tuple(reversed(roots)))
+    rows.append(report.eigenvalues[1:])
+    passed = all(
+        compare(upper[j], lower[j - 1]) < 0 and compare(lower[j - 1], upper[j - 1]) < 0
+        for lower, upper in zip(rows, rows[1:])
+        for j in range(1, len(upper))
+    )
+    return InterlacingResult(passed)
 
 
 # -- two-point comparison lemma ------------------------------------------------------
@@ -377,15 +381,16 @@ def shifted_subset_product(poly: RationalPoly, roots: Sequence[AlgebraicReal], s
     """prod_{i in subset} (roots[i] + s), built once for its comparisons and its report.
 
     roots must be ALL real roots of the squarefree poly (which must be
-    totally real), ascending.  When the subset or its complement carries at
-    most one irrational root the value is exact: a Fraction when rational,
-    else an AlgebraicReal, from the subset factors multiplied out or from the
-    full product (poly evaluated at -s) divided by the complement factors.
-    Otherwise it is a ProductValue of the shifted subset factors, which
+    totally real), descending: the order of every spectrum.  When the
+    subset or its complement carries at most one irrational root the value
+    is exact: a Fraction when rational, else an AlgebraicReal, from the
+    subset factors multiplied out or from the full product (poly evaluated
+    at -s) divided by the complement factors.  Otherwise it is a
+    ProductValue of the shifted subset factors, largest root first, which
     compare_shifted_product decides through the subset-product resolvent.
     """
     s = Fraction(s)
-    subset = sorted(set(subset), reverse=True)
+    subset = sorted(set(subset))
     complement = [i for i in range(len(roots)) if i not in subset]
     sub_irr = [i for i in subset if roots[i].as_rational() is None]
     comp_irr = [i for i in complement if roots[i].as_rational() is None]
@@ -496,12 +501,10 @@ def _shifted_product(report: SpectrumReport, indices: Sequence[int], s, rhs) -> 
     build the product on F_D once and compare it (compare_shifted_product);
     field spectra multiply their certified eigenvalues out.
     """
-    if report.root_table:
+    if report.f_polys:
         fd = report.f_polys[-1]
-        asc = list(reversed(report.root_table[-1]))  # index 0 = theta_D, last = theta_1
-        subset = sorted(len(asc) - i for i in indices)
         s = scalar_as_fraction(s)
-        lhs = shifted_subset_product(fd, asc, subset, s)
+        lhs = shifted_subset_product(fd, report.eigenvalues[1:], [i - 1 for i in indices], s)
         return compare_shifted_product(lhs, scalar_as_fraction(rhs), fd, s), lhs
     lhs = prod(report.eigenvalues[i] + s for i in indices)
     return exact_sign(lhs - rhs), lhs

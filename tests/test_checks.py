@@ -348,17 +348,11 @@ def test_check_scheme_computes_one_dual_spectrum_per_ordering(monkeypatch, capsy
     e = schemes.eigendata(s)
     orderings = schemes.find_q_orderings(s, e, schemes.krein(s, e))
     rational = sum(qs.system.is_rational() for qs in orderings)  # cycle:n=7 all, heawood none
-    real = tridiagonal.spectrum
-    routes = {"isolated": 0, "certified": 0}
-
-    def counted(system, known_roots=None):
-        routes["isolated" if known_roots is None else "certified"] += 1
-        return real(system, known_roots)
-
-    monkeypatch.setattr(tridiagonal, "spectrum", counted)
+    isolated = _count_calls(monkeypatch, tridiagonal, "spectrum")
+    certified = _count_calls(monkeypatch, tridiagonal, "certify_spectrum")
     assert main(["check-scheme", "--from-graph", graph, "--output", "json"]) == 0
     assert len(json.loads(capsys.readouterr().out)["orderings"]) == spectra
-    assert routes == {"isolated": rational, "certified": spectra}
+    assert (isolated, certified) == ([rational], [spectra])
 
 
 def _count_bfs(monkeypatch) -> list:

@@ -83,6 +83,12 @@ def test_builder_errors():
         build("petersen", n=5)  # extra parameter
 
 
+def test_incidence_graph_is_not_a_family():
+    # incidence graphs are built by incidence_graph(design), not by name
+    with pytest.raises(ValueError, match="unknown family"):
+        build("incidence_graph", design=fano())
+
+
 def test_line_graph_of_petersen():
     lg = line_graph(petersen())
     assert lg.n == 15 and lg.is_regular() and lg.degree(0) == 4

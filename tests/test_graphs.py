@@ -167,7 +167,7 @@ def test_quotient_rational_averages_nonequitable():
     assert not qm.equitable
     assert qm.beta[1] == F(1, 2)
     rep = classify_regularity(g)
-    assert rep.quotients[0] == qm and not rep.distance_regular_around[0]
+    assert rep.quotients[0] == qm and not rep.quotients[0].equitable
 
 
 # -- spectra -----------------------------------------------------------------------
@@ -370,7 +370,7 @@ def test_interlace_equality_implies_locally_distance_regular():
         classification = classify_regularity(g)
         rep = interlace_check(spectrum_graph(g), classification)
         if rep.theta1_eq_tau1 and rep.thetamin_eq_taumin:
-            assert classification.distance_regular_around[0]
+            assert classification.quotients[0].equitable
 
 
 def test_triple_bound_equality_iff_diameter3_on_corpus():

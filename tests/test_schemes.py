@@ -26,7 +26,6 @@ from qpolykit.numberfield import FieldElement, scalar_as_fraction
 from qpolykit.polynomials import RationalPoly, squarefree_part
 from qpolykit.schemes import (
     AssociationScheme,
-    OrderingVerdict,
     SchemeError,
     SoundnessAlarm,
     b1star_spectral_identity,
@@ -58,13 +57,8 @@ def orderings(s):
 
 
 def classify(s):
-    """The class-3 classification of s over the bound and audit of each ordering."""
-    verdicts = []
-    for qs in orderings(s):
-        bound = dual_fundamental_bound(qs)
-        audit = class3_dualtight_audit(qs, bound) if bound.dual_tight else None
-        verdicts.append(OrderingVerdict(qs, bound, audit))
-    return classify_class3_scheme(s, verdicts)
+    """The class-3 classification of s over the dual-tight flag of each ordering."""
+    return classify_class3_scheme(s, [dual_fundamental_bound(qs).dual_tight for qs in orderings(s)])
 
 
 def test_scheme_from_graph_examples():
@@ -553,6 +547,16 @@ def test_classification_end_to_end():
     rep = classify(scheme_from_graph(cube(3)))
     assert not rep.dual_tight and rep.incidence_relation is None
     assert rep.biconditional_ok
+
+
+def test_classification_counts_orderings_from_the_flags():
+    s = heawood_scheme()
+    rep = classify_class3_scheme(s, [False, True])
+    assert rep.orderings == 2 and rep.to_json_dict()["orderings"] == 2
+    assert rep.dual_tight and rep.biconditional_ok
+    assert classify_class3_scheme(s, [False]).orderings == 1
+    with pytest.raises(SchemeError, match="no polynomial ordering"):
+        classify_class3_scheme(s, [])
 
 
 def test_classification_degenerate_design_excluded():

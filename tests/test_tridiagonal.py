@@ -1,5 +1,6 @@
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -16,6 +17,7 @@ from qpolykit.polynomials import RationalPoly
 from qpolykit.schemes import eigendata, find_q_orderings, krein, scheme_from_graph
 from qpolykit.tridiagonal import (
     TridiagonalSystem,
+    certify_spectrum,
     charpoly_by_cofactor,
     compare_shifted_product,
     endpoint_product_bound,
@@ -142,20 +144,20 @@ def test_spectrum_certifies_known_roots():
 
     field, r2 = RealAlgebraicField.from_root(AlgebraicReal(RationalPoly((-2, 0, 1)), 1, 2))
     minus3 = field.constant(-3)
-    rep = spectrum(HEAWOOD, (r2, -r2, minus3))
-    assert rep.eigenvalues == (F(3), r2, -r2, minus3) and rep.root_table == ()
+    rep = certify_spectrum(HEAWOOD, (r2, -r2, minus3))
+    assert rep.eigenvalues == (F(3), r2, -r2, minus3) and rep.f_polys == ()
     for bad in ((r2, r2, minus3), (minus3, -r2, r2), (-r2, r2, minus3)):
         with pytest.raises(AssertionError, match="strictly descending"):
-            spectrum(HEAWOOD, bad)
+            certify_spectrum(HEAWOOD, bad)
     with pytest.raises(AssertionError, match="annihilate"):
-        spectrum(HEAWOOD, (r2, -r2, field.constant(-2)))
+        certify_spectrum(HEAWOOD, (r2, -r2, field.constant(-2)))
     with pytest.raises(ValueError):
-        spectrum(HEAWOOD, (r2, -r2))
+        certify_spectrum(HEAWOOD, (r2, -r2))
     # rational known roots: the 4-cycle {2, 1; 1, 2} has spectrum 2, 0, -2
     c4 = TridiagonalSystem.from_intersection_numbers([2, 1], [1, 2])
-    assert spectrum(c4, (F(0), F(-2))).eigenvalues == (F(2), F(0), F(-2))
+    assert certify_spectrum(c4, (F(0), F(-2))).eigenvalues == (F(2), F(0), F(-2))
     with pytest.raises(AssertionError, match="strictly descending"):
-        spectrum(c4, (F(-2), F(0)))
+        certify_spectrum(c4, (F(-2), F(0)))
 
 
 # -- F_D evaluated by its recurrence, with no polynomial ------------------------------
@@ -222,13 +224,14 @@ def test_certified_spectrum_builds_no_polynomial(monkeypatch):
 
     monkeypatch.setattr(tridiagonal, "f_polynomials", forbidden)
     r2 = SQRT2_FIELD.generator()
-    rep = spectrum(HEAWOOD, (r2, -r2, F(-3)))
-    assert rep.eigenvalues == (F(3), r2, -r2, F(-3)) and rep.f_polys == () and rep.root_table == ()
+    rep = certify_spectrum(HEAWOOD, (r2, -r2, F(-3)))
+    assert rep.eigenvalues == (F(3), r2, -r2, F(-3)) and rep.f_polys == ()
+    assert interlacing_check(rep).passed  # vacuously: no F_1 .. F_{D-1}
     for system, q_column in scheme_orderings(cycle(7), heawood()):
-        rep = spectrum(system, q_column[1:])
+        rep = certify_spectrum(system, q_column[1:])
         assert rep.eigenvalues[1:] == q_column[1:] and rep.f_polys == ()
     with pytest.raises(AssertionError, match="annihilate"):
-        spectrum(HEAWOOD, (r2, -r2, F(-2)))
+        certify_spectrum(HEAWOOD, (r2, -r2, F(-2)))
 
 
 def test_f_polynomials_rejects_field_systems():
@@ -263,9 +266,35 @@ def test_interlacing_examples():
     rep = spectrum(C5)
     assert interlacing_check(rep).passed
     # alpha_{2,2} < -1 < alpha_{2,1}
-    a22, a21 = rep.root_table[1][1], rep.root_table[1][0]
+    a22, a21 = isolate_real_roots(rep.f_polys[2])
     assert compare_rational(a22, F(-1)) < 0 < compare_rational(a21, F(-1))
     assert interlacing_check(spectrum(HEAWOOD)).passed
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_spectrum_isolates_only_f_d(monkeypatch, d):
+    # the spectrum is F_D's roots; only interlacing reads F_1 .. F_{D-1}
+    system = random_system(random.Random(d), d)
+    real = tridiagonal.isolate_real_roots
+    degrees = []
+
+    def counted(poly):
+        degrees.append(poly.degree)
+        return real(poly)
+
+    monkeypatch.setattr(tridiagonal, "isolate_real_roots", counted)
+    rep = spectrum(system)
+    assert degrees == [d]
+    degrees.clear()
+    assert interlacing_check(rep).passed
+    assert degrees == list(range(1, d))
+
+
+@pytest.mark.parametrize("system", [C5, H42], ids=["C5", "H42"])
+def test_interlacing_fails_when_the_last_row_does_not_interlace(system):
+    rep = spectrum(system)
+    shifted = tuple(r.add_rational(100) for r in rep.eigenvalues[1:])
+    assert not interlacing_check(replace(rep, eigenvalues=rep.eigenvalues[:1] + shifted)).passed
 
 
 def test_lemma_examples():
@@ -328,21 +357,20 @@ def test_triple_bound_examples():
 def test_shifted_subset_product_paths():
     rep = spectrum(H42)
     fd = rep.f_polys[-1]
-    asc = list(reversed(rep.root_table[-1]))  # -4, -2, 0, 2
-    full = shifted_subset_product(fd, asc, range(len(asc)), 1)
+    roots = rep.eigenvalues[1:]  # 2, 0, -2, -4
+    full = shifted_subset_product(fd, roots, range(len(roots)), 1)
     assert full == F(9)
-    sub = shifted_subset_product(fd, asc, [0, 3], 1)
+    sub = shifted_subset_product(fd, roots, [0, 3], 1)
     assert sub == F(-9)
     # a factor equal to the negated shift makes the product exactly zero
-    cube_rep = spectrum(CUBE)
-    cube_asc = list(reversed(cube_rep.root_table[-1]))  # -3, -1, 1
-    assert shifted_subset_product(cube_rep.f_polys[-1], cube_asc, [0, 1], 1) == F(0)
+    cube_rep = spectrum(CUBE)  # 1, -1, -3
+    assert shifted_subset_product(cube_rep.f_polys[-1], cube_rep.eigenvalues[1:], [1, 2], 1) == F(0)
 
 
 def test_root_table_first_entry_is_minus_one():
     for system in (C5, HEAWOOD, H42):
         rep = spectrum(system)
-        assert rep.root_table[0][0].as_rational() == F(-1)
+        assert isolate_real_roots(rep.f_polys[1])[0].as_rational() == F(-1)
 
 
 def test_json_roundtrip():
@@ -404,8 +432,8 @@ def test_exact_fallback_detects_product_equality(monkeypatch):
     # intervals can never separate, so the resolvent phase must certify 0
     monkeypatch.setattr(algebraics, "REFINE_BUDGET", 4)
     poly = RationalPoly((-2, 0, 1)) * RationalPoly((-8, 0, 1))
-    roots = isolate_real_roots(poly)  # -2sqrt2, -sqrt2, sqrt2, 2sqrt2
-    top, bottom = (shifted_subset_product(poly, roots, subset, 0) for subset in ([2, 3], [0, 1]))
+    roots = isolate_real_roots(poly)[::-1]  # 2sqrt2, sqrt2, -sqrt2, -2sqrt2
+    top, bottom = (shifted_subset_product(poly, roots, subset, 0) for subset in ([0, 1], [2, 3]))
     assert isinstance(top, ProductValue) and len(top.factors) == 2
     assert compare_shifted_product(top, F(4), poly, 0) == 0
     assert compare_shifted_product(top, F(5), poly, 0) == -1
@@ -419,11 +447,25 @@ def test_rootless_resolvent_at_a_tie_is_an_alarm_not_a_hang(monkeypatch):
     monkeypatch.setattr(algebraics, "REFINE_BUDGET", 0)
     monkeypatch.setattr(tridiagonal, "_subset_product_resolvent", lambda *a: RationalPoly((-(10**6), 0, 1)))
     poly = RationalPoly((-2, 0, 1)) * RationalPoly((-8, 0, 1))
-    value = shifted_subset_product(poly, isolate_real_roots(poly), [2, 3], 0)  # sqrt2 * 2sqrt2 = 4
+    value = shifted_subset_product(poly, isolate_real_roots(poly)[::-1], [0, 1], 0)  # 2sqrt2 * sqrt2 = 4
     start = time.perf_counter()
     with pytest.raises(AssertionError, match="not a root of its subset-product resolvent"):
         compare_shifted_product(value, F(4), poly, 0)
     assert time.perf_counter() - start < 10
+
+
+def test_pair_bound_product_factors_are_descending():
+    # a D = 6 pair bound with two irrational roots on each side stays a
+    # ProductValue; its factors are theta_1 + 1 then theta_6 + 1
+    rng = random.Random(31)
+    system = random_system(rng, 6)
+    rep = spectrum(system)
+    value = pair_bound(system, rep).lhs
+    assert isinstance(value, ProductValue)
+    top, bottom = value.factors
+    assert compare(top, rep.eigenvalues[1].add_rational(1)) == 0
+    assert compare(bottom, rep.eigenvalues[6].add_rational(1)) == 0
+    assert compare(top, bottom) > 0
 
 
 def test_direct_resultant_product_matches_subset_comparison():
@@ -443,7 +485,6 @@ def test_direct_resultant_product_matches_subset_comparison():
         lo, hi = min(corners), max(corners)
         sym_rhs = sympy.Rational(rhs.numerator, rhs.denominator)
         assert sym_rhs < lo or hi < sym_rhs
-        asc = list(reversed(rep.root_table[-1]))
-        value = shifted_subset_product(fd, asc, [len(asc) - 1, 0], 1)
+        value = shifted_subset_product(fd, rep.eigenvalues[1:], [0, system.d - 1], 1)
         assert isinstance(value, ProductValue)
         assert compare_shifted_product(value, rhs, fd, 1) == (1 if sym_rhs < lo else -1)
