@@ -136,8 +136,14 @@ def _graph_checks(report: dict, lines: list[str], alarms: list[str], g: Graph, t
             if not kpy.cross_check_ok:
                 alarms.append("pair-bound equality disagrees with the strong-regularity classification")
 
-    if theorem in ("thm31", "all") and classification.distance_regular and classification.diameter >= 3:
-        tb = graphmod.triple_bound_graph(classification)
+    # the quotient around vertex 0 (the intersection array, when there is one) and its spectrum, derived once
+    triple = theorem in ("thm31", "all") and classification.distance_regular and classification.diameter >= 3
+    interlace = theorem in ("kpy", "all") and classification.regular and not g.is_complete() and not g.is_empty_graph()
+    array = graphmod.intersection_array(classification) if classification.distance_regular else None
+    quotient = graphmod.quotient_spectrum(classification, array) if triple or interlace else None
+
+    if triple:
+        tb = graphmod.triple_bound_graph(quotient)
         report["triple_bound"] = {
             "hypothesis_sign": tb.hypothesis_sign,
             "branches": [
@@ -155,9 +161,9 @@ def _graph_checks(report: dict, lines: list[str], alarms: list[str], g: Graph, t
         if not tb.holds:
             alarms.append("triple bound violated on a distance-regular graph")
 
-    if theorem in ("fundamental", "all") and classification.distance_regular:
+    if theorem in ("fundamental", "all") and array is not None:
         try:
-            fb = graphmod.fundamental_bound(spec, classification)
+            fb = graphmod.fundamental_bound(spec, array)
         except GraphError as exc:
             report["fundamental_bound"] = {"skipped": str(exc)}
             lines.append(f"fundamental bound: skipped ({exc})")
@@ -171,8 +177,8 @@ def _graph_checks(report: dict, lines: list[str], alarms: list[str], g: Graph, t
             if not fb.holds:
                 alarms.append("fundamental bound violated")
 
-    if theorem in ("kpy", "all") and classification.regular and not g.is_complete() and not g.is_empty_graph():
-        inter = graphmod.interlace_check(spec, classification)
+    if interlace:
+        inter = graphmod.interlace_check(spec, quotient)
         report["interlacing"] = {
             "passed": inter.passed,
             "top_equality": inter.theta1_eq_tau1,
@@ -194,7 +200,7 @@ def check_scheme(source, theorem: str = "all"):
 
 
 def _scheme_checks(report: dict, lines: list[str], alarms: list[str], source, theorem: str) -> None:
-    scheme = None
+    scheme = eig = table = None
     if isinstance(source, schememod.AssociationScheme):
         scheme = source
         eig = schememod.eigendata(scheme)  # raises SchemeError unless the axioms hold
@@ -290,7 +296,7 @@ def _scheme_checks(report: dict, lines: list[str], alarms: list[str], source, th
             if not dfb.holds:
                 fail("dual fundamental bound violated")
             if qs.d == 3 and dfb.dual_tight and theorem in ("thm51", "all"):
-                audit = schememod.class3_dualtight_audit(qs, dfb)
+                audit = schememod.class3_dualtight_audit(qs, dfb, eig, table)
                 entry["audit"] = audit.to_json_dict()
                 lines.append(
                     f"  dual-tight audit: all_passed={audit.all_passed} "

@@ -16,12 +16,12 @@ keeps the tuple on its report; the diameter, the regularity classes,
 bipartiteness (a connected graph is bipartite exactly when no edge lies
 inside a distance layer, so when every alpha of one quotient is 0), the
 vertex pair bound (theta_1+1)(theta_D+1) <= -beta_1(x) whose all-vertex
-equality case is exactly strong regularity, quotient interlacing around
-vertex 0, the intersection array, and through it the diameter->=3 triple
-bound and the fundamental bound with its tightness test all read that
-tuple.  Each check takes the classification, and the spectrum where it
-reads eigenvalues, as arguments: it computes neither.  The intersection
-array {b; c} is the quotient's row-sum system, kappa = k.
+equality case is exactly strong regularity, and the quotient around vertex
+0, a row-sum system with kappa = k, all read that tuple.  For a
+distance-regular graph the quotient is the intersection array {b; c}, which
+the fundamental bound reads; its spectrum (quotient_spectrum) feeds
+interlacing and the diameter->=3 triple bound.  Each check takes the facts
+it reads as arguments and computes none, so a caller derives each once.
 """
 
 from __future__ import annotations
@@ -351,16 +351,25 @@ class InterlaceReport:
     thetamin_eq_taumin: bool
 
 
-def interlace_check(spec: GraphSpectrum, classification: RegularityReport) -> InterlaceReport:
-    """theta_1 >= tau_1 and tau_last >= theta_min, exactly, tau the spectrum of the quotient around vertex 0."""
+def quotient_spectrum(classification: RegularityReport, array: TridiagonalSystem | None) -> tridiagonal.SpectrumReport:
+    """The spectrum of a regular graph's quotient around vertex 0, kappa = k.
+
+    array is that quotient (the intersection array) for a distance-regular
+    graph, else None.  AssertionError when the quotient fails the row-sum
+    condition, which a regular graph's quotient always meets.
+    """
     if not classification.regular:
-        raise GraphError("interlacing check requires a regular graph")
-    system = classification.quotients[0].to_tridiagonal(Fraction(classification.degree))
+        raise GraphError("the quotient spectrum requires a regular graph")
+    system = array if array is not None else classification.quotients[0].to_tridiagonal(Fraction(classification.degree))
     valid = tridiagonal.validate(system)
     if not valid.ok:
-        # a regular graph's distance quotient always meets the row-sum condition
         raise AssertionError("regular-graph quotient violates the row-sum condition: " + "; ".join(valid.violations))
-    tau = tridiagonal.spectrum(system).eigenvalues
+    return tridiagonal.spectrum(system)
+
+
+def interlace_check(spec: GraphSpectrum, quotient: tridiagonal.SpectrumReport) -> InterlaceReport:
+    """theta_1 >= tau_1 and tau_last >= theta_min, exactly, tau the spectrum of the quotient around vertex 0."""
+    tau = quotient.eigenvalues
     theta1, thetamin = spec.distinct[1], spec.distinct[-1]
     c_top = compare(theta1, tau[1])
     c_bot = compare(tau[-1], thetamin)
@@ -497,22 +506,16 @@ def intersection_array(classification: RegularityReport) -> TridiagonalSystem:
     if any(v.denominator != 1 for v in system.alpha + system.beta + system.gamma):
         raise AssertionError("distance-regular quotient with a non-integer entry")
     # cell sizes k_{i+1} = k_i b_i / c_{i+1} must come out integral
-    k_i = Fraction(1)
-    for b, c in zip(system.beta, system.gamma):
-        k_i = k_i * b / c
-        if k_i.denominator != 1:
-            raise AssertionError("inconsistent intersection array: k_i not integral")
+    if any(k_i.denominator != 1 for k_i in tridiagonal.valencies(system)):
+        raise AssertionError("inconsistent intersection array: k_i not integral")
     return system
 
 
-def triple_bound_graph(classification: RegularityReport) -> TripleBoundResult:
-    """The triple-product bound on a distance-regular graph of diameter >= 3."""
-    if not classification.distance_regular:
-        raise GraphError("triple bound requires a distance-regular graph")
-    system = intersection_array(classification)
-    if system.d < 3:
+def triple_bound_graph(quotient: tridiagonal.SpectrumReport) -> TripleBoundResult:
+    """The triple-product bound on a distance-regular graph of diameter >= 3, given its quotient spectrum."""
+    if quotient.system.d < 3:
         raise GraphError("triple bound requires diameter >= 3")
-    return tridiagonal.triple_bound(system, tridiagonal.spectrum(system))
+    return tridiagonal.triple_bound(quotient.system, quotient)
 
 
 # -- fundamental bound ----------------------------------------------------------------------------
@@ -538,26 +541,22 @@ class FundamentalBoundReport:
         }
 
 
-def fundamental_bound(spec: GraphSpectrum, classification: RegularityReport) -> FundamentalBoundReport:
-    """(theta_1 + k/(a_1+1))(theta_min + k/(a_1+1)) >= -k a_1 b_1/(a_1+1)^2.
+def fundamental_bound(spec: GraphSpectrum, array: TridiagonalSystem) -> FundamentalBoundReport:
+    """(theta_1 + k/(a_1+1))(theta_min + k/(a_1+1)) >= -k a_1 b_1/(a_1+1)^2, k a_1 b_1 from the array.
 
-    Tight means nonbipartite with exact equality.
+    Tight means nonbipartite (some a_i nonzero) with exact equality.
     """
-    if not classification.distance_regular:
-        raise GraphError("fundamental bound requires a distance-regular graph")
-    system = intersection_array(classification)
-    if system.d < 2:
+    if array.d < 2:
         raise GraphError("fundamental bound requires diameter >= 2")
-    k, a1, b1 = system.kappa, system.alpha[1], system.beta[1]
+    k, a1, b1 = array.kappa, array.alpha[1], array.beta[1]
     shift = k / (a1 + 1)
     rhs = -k * a1 * b1 / (a1 + 1) ** 2
     sf = squarefree_part(spec.charpoly)
     lhs = shifted_subset_product(sf, spec.distinct, (1, spec.d), shift)
     cmp = compare_shifted_product(lhs, rhs, sf, shift)
     equality = cmp == 0
-    return FundamentalBoundReport(
-        lhs, rhs, cmp >= 0, equality, classification.bipartite, equality and not classification.bipartite
-    )
+    bipartite = not any(array.alpha)
+    return FundamentalBoundReport(lhs, rhs, cmp >= 0, equality, bipartite, equality and not bipartite)
 
 
 # -- random regular graphs -----------------------------------------------------------------------

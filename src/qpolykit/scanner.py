@@ -133,7 +133,7 @@ def check_candidate(cand: KreinArrayCandidate, genuine: bool = True) -> Candidat
     b = [cand.m, cand.b1, cand.b2]
     c = [Fraction(1), cand.c2, cand.c3]
     try:
-        qs = structure_from_dual_parameters(cand.m, b, c)
+        qs = structure_from_dual_parameters(b, c)
     except SchemeError as exc:
         return _rejected(cand, "structure", str(exc))
     rejected = class3_feasibility(qs, genuine)
@@ -148,7 +148,7 @@ def check_candidate(cand: KreinArrayCandidate, genuine: bool = True) -> Candidat
     if not dfb.holds:
         return _rejected(cand, "dual_bound", "dual fundamental bound fails")
     if dfb.dual_tight:
-        audit = class3_dualtight_audit(qs, dfb)
+        audit = class3_dualtight_audit(qs, dfb, None, None)
         return CandidateRecord(
             cand,
             None,

@@ -24,7 +24,9 @@ of E_i o E_j in the idempotent basis on the point set.
 An ordering of the idempotents is polynomial when the matrix (q_{1,j}^h)
 is irreducible tridiagonal; its transpose is then a row-sum tridiagonal
 system with kappa = m, the Krein array {b*; c*}.  Each QPolyStructure
-validates that system once and keeps it as the one form of the array.
+validates that system once and keeps it as the one form of the array,
+beside only the facts no other object holds; a Krein array given as
+parameters (structure_from_dual_parameters) is that system, m = b_0*.
 The spectral identity certifies the E_1 column of Q as the system's
 spectrum (tridiagonal.certify_spectrum), evaluating F_D by its recurrence
 in the ordering's number field; a system with field entries takes that
@@ -268,7 +270,6 @@ class EigenData:
     p_matrix: tuple  # P[j][u], FieldElement; row 0 = valencies
     q_matrix: tuple  # Q[u][j] = m_j P[j][u] / k_u
     multiplicities: tuple[int, ...]
-    valencies: tuple[int, ...]
 
 
 def _generator_candidates(d: int):
@@ -361,7 +362,7 @@ def eigendata(s: AssociationScheme) -> EigenData:
         for u in range(d + 1)
     )
     _verify_pq_identity(field, p_matrix, q_matrix, n)
-    return EigenData(field, p_matrix, q_matrix, tuple(mults), tuple(k))
+    return EigenData(field, p_matrix, q_matrix, tuple(mults))
 
 
 def _verify_pq_identity(field, p_matrix, q_matrix, n) -> None:
@@ -388,7 +389,7 @@ class KreinTable:
 def krein(s: AssociationScheme, e: EigenData) -> KreinTable:
     """Closed-formula Krein parameters, with the nonnegativity condition checked."""
     d, n = s.d, s.n
-    k = e.valencies
+    k = s.valencies
     m = e.multiplicities
     p = e.p_matrix
     field = e.field
@@ -456,28 +457,28 @@ def krein_oracle(s: AssociationScheme, e: EigenData, max_points: int = 50) -> tu
 
 @dataclass(frozen=True)
 class QPolyStructure:
-    """One polynomial ordering of the idempotents, with its dual data.
+    """One polynomial ordering of the idempotents, as its Krein array.
 
-    b1star is the reordered (q_{1,j}^h) matrix.  Its transpose is a row-sum
-    system with kappa = m, the Krein array: system.alpha holds a_0*..a_D*,
-    system.beta b_0* = m..b_{D-1}* and system.gamma c_1* = 1..c_D*.  It is
-    validated once, when the structure is built (None at class 1, where no
-    dual check applies).
-    q_column is the E_1 column of Q in descending order for scheme
-    orderings and None for Krein arrays, whose dual eigenvalues are the
-    spectrum of the system.
+    system is the transposed reordered (q_{1,j}^h) matrix, a row-sum system
+    with kappa = m: alpha holds a_0*..a_D*, beta b_0* = m..b_{D-1}* and
+    gamma c_1* = 1..c_D*.  It is validated once, when the structure is
+    built, and None at class 1, where no dual check applies (so d and m
+    are fields).  q_column is the E_1 column of Q in descending order for
+    scheme orderings and None for Krein arrays, whose dual eigenvalues are
+    the system's spectrum.  The scheme's eigendata and Krein table stay
+    with the caller, which passes them to the checks that read them.
     """
 
     d: int
     m: Fraction
-    b1star: tuple  # reordered matrix rows j, cols h
     system: TridiagonalSystem | None
     q_column: tuple | None
     idempotent_order: tuple[int, ...] | None
     descending_matches_input: bool | None
-    provenance: str  # "scheme" or "krein_array"
-    eigen: EigenData | None = None
-    krein_table: KreinTable | None = None
+
+    @property
+    def provenance(self) -> str:
+        return "krein_array" if self.q_column is None else "scheme"
 
     @cached_property
     def spectrum(self) -> tridiagonal.SpectrumReport:
@@ -579,14 +580,10 @@ def _structure_from_ordering(s, e: EigenData, table: KreinTable, order: list[int
     return QPolyStructure(
         d=d,
         m=m,
-        b1star=tuple(tuple(row) for row in b1),
         system=_transpose_system(e.field, m, b1) if d >= 2 else None,
         q_column=theta,
         idempotent_order=tuple(order),
         descending_matches_input=(list(perm) == list(range(d + 1))),
-        provenance="scheme",
-        eigen=e,
-        krein_table=table,
     )
 
 
@@ -632,7 +629,8 @@ def krein_array_structure(obj: dict) -> QPolyStructure:
     """Parameter-level structure from {"type": "krein_array", ...} JSON.
 
     Dual-side checks run on these; primal-side operations are unavailable
-    and marked by the provenance.
+    and marked by the provenance.  This is where b_0* = m is checked: the
+    structure's m is b_0*.
     """
     if not isinstance(obj, dict) or obj.get("type") != "krein_array":
         raise SchemeError("krein JSON needs type='krein_array'")
@@ -658,34 +656,16 @@ def krein_array_structure(obj: dict) -> QPolyStructure:
         raise SchemeError("b_0* must equal m")
     if c[0] != 1:
         raise SchemeError("c_1* must equal 1")
-    return structure_from_dual_parameters(m, b, c)
+    return structure_from_dual_parameters(b, c)
 
 
-def structure_from_dual_parameters(m: Fraction, b: Sequence[Fraction], c: Sequence[Fraction]) -> QPolyStructure:
-    d = len(b)
-    if Fraction(b[0]) != Fraction(m):
-        raise SchemeError("b_0* must equal m")
+def structure_from_dual_parameters(b: Sequence[Fraction], c: Sequence[Fraction]) -> QPolyStructure:
+    """The Krein array {b*; c*} as its validated row-sum system alone, m = b_0*; SchemeError when invalid."""
     system = TridiagonalSystem.from_intersection_numbers(b, c)
     rep = tridiagonal.validate(system)
     if not rep.ok:
         raise SchemeError("dual parameters violate the row-sum condition: " + "; ".join(rep.violations))
-    b1 = [[Fraction(0)] * (d + 1) for _ in range(d + 1)]
-    for j in range(d + 1):
-        b1[j][j] = system.alpha[j]
-    for j in range(1, d + 1):
-        b1[j - 1][j] = Fraction(c[j - 1])
-    for j in range(d):
-        b1[j + 1][j] = Fraction(b[j])
-    return QPolyStructure(
-        d=d,
-        m=Fraction(m),
-        b1star=tuple(tuple(row) for row in b1),
-        system=system,
-        q_column=None,
-        idempotent_order=None,
-        descending_matches_input=None,
-        provenance="krein_array",
-    )
+    return QPolyStructure(system.d, system.kappa, system, None, None, None)
 
 
 # -- systems and theorem hooks --------------------------------------------------------------------
@@ -774,13 +754,22 @@ class AuditRecord:
 @dataclass(frozen=True)
 class AuditReport:
     records: tuple[AuditRecord, ...]
-    b2star_is_1: bool
-    b1star_eq_c2star: bool
-    q_antipodal: bool
 
     @property
     def all_passed(self) -> bool:
         return all(r.passed for r in self.records if r.passed is not None)
+
+    @property
+    def b2star_is_1(self) -> bool:
+        return self.record("b2star_is_1").passed
+
+    @property
+    def b1star_eq_c2star(self) -> bool:
+        return self.record("b1star_eq_c2star").passed
+
+    @property
+    def q_antipodal(self) -> bool:
+        return self.record("q_antipodal").passed
 
     def record(self, name: str) -> AuditRecord:
         for r in self.records:
@@ -798,14 +787,6 @@ class AuditReport:
         }
 
 
-def dual_multiplicities(qs: QPolyStructure) -> list:
-    """m_j = (b_0*...b_{j-1}*) / (c_1*...c_j*), the dual side of the valency formula."""
-    out = [Fraction(1)]
-    for b, c in zip(qs.system.beta, qs.system.gamma):
-        out.append(out[-1] * b / c)
-    return out
-
-
 def class3_feasibility(qs: QPolyStructure, genuine: bool = True) -> tuple[str, str] | None:
     """The rational filters a class-3 Krein array must pass to belong to a scheme.
 
@@ -816,7 +797,7 @@ def class3_feasibility(qs: QPolyStructure, genuine: bool = True) -> tuple[str, s
     first failure, None when every filter passes.  The scanner and the
     Krein-array checks of check-scheme both call it.
     """
-    m3 = dual_multiplicities(qs)[3]
+    m3 = tridiagonal.valencies(qs.system)[3]
     if m3 <= 0:
         return "multiplicity", "m_3 must be positive"
     if genuine and m3.denominator != 1:
@@ -830,26 +811,34 @@ def class3_feasibility(qs: QPolyStructure, genuine: bool = True) -> tuple[str, s
     return None
 
 
-def class3_dualtight_audit(qs: QPolyStructure, bound: DualFundamentalBound) -> AuditReport:
+def class3_dualtight_audit(
+    qs: QPolyStructure, bound: DualFundamentalBound, e: EigenData | None, table: KreinTable | None
+) -> AuditReport:
     """Every identity in the class-3 dual-tight chain, checked exactly.
 
     Preconditions: class 3 and dual_tight, as bound (the structure's dual
-    fundamental bound) records.  Division guards (a_1* = 0 or
-    m - b_1* - 1 = 0) are reported as failing records with a diagnostic
-    rather than assumed away; a dual-tight instance with a_3* != 0 is
-    flagged as a finding, not treated as an internal error.
+    fundamental bound) records.  q_23^3, q_33^3 and m_3 are read from e and
+    table, the scheme's eigendata and Krein table, for a scheme ordering;
+    for a Krein array both are None and the formulas define those values.
+    The cofactor oracle runs on the system's (D+1) x (D+1) row-sum matrix.
+    Division guards (a_1* = 0 or m - b_1* - 1 = 0) are reported as failing
+    records with a diagnostic rather than assumed away; a dual-tight
+    instance with a_3* != 0 is flagged as a finding, not an internal error.
     """
     if qs.d != 3:
         raise SchemeError("audit applies to class-3 structures")
     if not bound.dual_tight:
         raise SchemeError("audit applies to dual-tight structures")
+    scheme = qs.q_column is not None
+    if (e is not None, table is not None) != (scheme, scheme):
+        raise SchemeError("the audit takes eigendata and a Krein table for a scheme ordering, neither for a Krein array")
 
     records: list[AuditRecord] = []
     m = qs.m
     alpha, beta, gamma = qs.system.alpha, qs.system.beta, qs.system.gamma
     a1, b1, b2, c2, c3 = alpha[1], beta[1], beta[2], gamma[1], gamma[2]
     th1, th2, th3 = qs.dual_eigenvalues[1], qs.dual_eigenvalues[2], qs.dual_eigenvalues[3]
-    if qs.provenance == "krein_array":
+    if not scheme:
         # the identity checks below multiply eigenvalues, which takes them
         # into one number field (AlgebraicReal only compares)
         _, elems = field_containing([th1, th2, th3])
@@ -905,101 +894,86 @@ def class3_dualtight_audit(qs: QPolyStructure, bound: DualFundamentalBound) -> A
             "multiplicity_bound",
         ):
             records.append(AuditRecord(name, None, note=note))
-        b1_eq_c2 = b1 == c2
-        records.append(AuditRecord("b2star_is_1", b2_is_1, lhs=b2))
-        records.append(AuditRecord("b1star_eq_c2star", b1_eq_c2, lhs=b1, rhs=c2))
-        records.append(AuditRecord("q_antipodal", False, note="c_3* != m", lhs=c3, rhs=m))
-        return AuditReport(tuple(records), b2_is_1, b1_eq_c2, False)
-
-    # characteristic polynomial of the ordered Krein matrix factors as
-    # (x - m)(x^3 + (b1+b2+c2+1-m) x^2 + (b1 b2 + b2 + c2 - m b2 - m) x - m b2)
-    phi = tridiagonal.charpoly_by_cofactor(qs.b1star)
-    if isinstance(phi, RationalPoly):
-        phi = list(phi.coeffs)
-    e2 = b1 + b2 + c2 + 1 - m
-    e1 = b1 * b2 + b2 + c2 - m * b2 - m
-    e0 = -(m * b2)
-    expected = [-m * e0, e0 - m * e1, e1 - m * e2, e2 - m, 1]  # the product, constant first
-    records.append(AuditRecord("charpoly_factorization", phi == expected))
-
-    sum_lhs = th1 + th2 + th3
-    sum_rhs = m - b1 - b2 - c2 - 1
-    records.append(AuditRecord("sum_relation", sum_lhs == sum_rhs, lhs=sum_lhs, rhs=sum_rhs))
-
-    prod_lhs = th1 * th2 * th3
-    prod_rhs = m * b2
-    records.append(AuditRecord("product_relation", prod_lhs == prod_rhs, lhs=prod_lhs, rhs=prod_rhs))
-
-    sq_lhs = th2 * th2
-    records.append(AuditRecord("middle_square", sq_lhs == b2, lhs=sq_lhs, rhs=b2))
-
-    if a1_zero:
-        records.append(
-            AuditRecord("middle_value", False, note="division guard failed: m - b_1* - 1 = 0", lhs=th2)
-        )
     else:
-        mv_rhs = -((m - b2 - c2) / (m - b1 - 1))
-        records.append(AuditRecord("middle_value", th2 == mv_rhs, lhs=th2, rhs=mv_rhs))
+        # the characteristic polynomial of the row-sum matrix (that of its
+        # transpose, the ordered Krein matrix) factors as
+        # (x - m)(x^3 + (b1+b2+c2+1-m) x^2 + (b1 b2 + b2 + c2 - m b2 - m) x - m b2)
+        phi = tridiagonal.charpoly_by_cofactor(tridiagonal.row_sum_matrix(qs.system))
+        if isinstance(phi, RationalPoly):
+            phi = list(phi.coeffs)
+        e2 = b1 + b2 + c2 + 1 - m
+        e1 = b1 * b2 + b2 + c2 - m * b2 - m
+        e0 = -(m * b2)
+        expected = [-m * e0, e0 - m * e1, e1 - m * e2, e2 - m, 1]  # the product, constant first
+        records.append(AuditRecord("charpoly_factorization", phi == expected))
 
-    q233_formula = m * (b2 - 1) / c2
-    m3_formula = b1 * b2 / c2
-    if qs.provenance == "scheme":
-        o = qs.idempotent_order
-        q233 = qs.krein_table.q[o[2]][o[3]][o[3]]
+        sum_lhs = th1 + th2 + th3
+        sum_rhs = m - b1 - b2 - c2 - 1
+        records.append(AuditRecord("sum_relation", sum_lhs == sum_rhs, lhs=sum_lhs, rhs=sum_rhs))
+
+        prod_lhs = th1 * th2 * th3
+        prod_rhs = m * b2
+        records.append(AuditRecord("product_relation", prod_lhs == prod_rhs, lhs=prod_lhs, rhs=prod_rhs))
+
+        sq_lhs = th2 * th2
+        records.append(AuditRecord("middle_square", sq_lhs == b2, lhs=sq_lhs, rhs=b2))
+
+        if a1_zero:
+            records.append(
+                AuditRecord("middle_value", False, note="division guard failed: m - b_1* - 1 = 0", lhs=th2)
+            )
+        else:
+            mv_rhs = -((m - b2 - c2) / (m - b1 - 1))
+            records.append(AuditRecord("middle_value", th2 == mv_rhs, lhs=th2, rhs=mv_rhs))
+
+        q233_formula = m * (b2 - 1) / c2
+        m3_formula = b1 * b2 / c2
+        if scheme:
+            o = qs.idempotent_order
+            q233, q333 = table.q[o[2]][o[3]][o[3]], table.q[o[3]][o[3]][o[3]]
+            m3_actual = Fraction(e.multiplicities[o[3]])
+            q233_record = AuditRecord("q233_formula", q233 == q233_formula, lhs=q233, rhs=q233_formula)
+            m3_record = AuditRecord("m3_formula", m3_formula == m3_actual, lhs=m3_formula, rhs=m3_actual)
+        else:
+            q333 = m3_formula - 1 - q233_formula
+            q233_record = AuditRecord("q233_formula", None, note="parameter-level input: value defined by the formula", rhs=q233_formula)
+            m3_record = AuditRecord("m3_formula", None, note="parameter-level input: m_3 defined by the formula", rhs=m3_formula)
+        records.append(q233_record)
+        records.append(AuditRecord("q233_nonnegative", exact_sign(b2 - 1) >= 0, lhs=b2))
+        records.append(m3_record)
+
+        # b2*(m - b1*) >= m - c2*, equality exactly when b2* = 1
+        u_lhs = b2 * (m - b1)
+        u_rhs = m - c2
+        u_sign = exact_sign(u_lhs - u_rhs)
         records.append(
-            AuditRecord("q233_formula", q233 == q233_formula, lhs=q233, rhs=q233_formula)
+            AuditRecord(
+                "product_rule_bound",
+                u_sign >= 0 and ((u_sign == 0) == b2_is_1),
+                note="equality must coincide with b_2* = 1",
+                lhs=u_lhs,
+                rhs=u_rhs,
+            )
         )
-        q333 = qs.krein_table.q[o[3]][o[3]][o[3]]
-    else:
+
+        # m - c2* >= b2*(m - b1*), equality exactly when q_33^3 = 0
+        l_sign = exact_sign(u_rhs - u_lhs)
+        q333_zero = q333 == 0
         records.append(
-            AuditRecord("q233_formula", None, note="parameter-level input: value defined by the formula", rhs=q233_formula)
+            AuditRecord(
+                "multiplicity_bound",
+                l_sign >= 0 and ((l_sign == 0) == q333_zero),
+                note="equality must coincide with q_33^3 = 0",
+                lhs=u_rhs,
+                rhs=u_lhs,
+            )
         )
-        q333 = m3_formula - 1 - q233_formula
-    records.append(AuditRecord("q233_nonnegative", exact_sign(b2 - 1) >= 0, lhs=b2))
 
-    if qs.provenance == "scheme":
-        m3_actual = Fraction(qs.eigen.multiplicities[qs.idempotent_order[3]])
-        records.append(
-            AuditRecord("m3_formula", m3_formula == m3_actual, lhs=m3_formula, rhs=m3_actual)
-        )
-    else:
-        records.append(AuditRecord("m3_formula", None, note="parameter-level input: m_3 defined by the formula", rhs=m3_formula))
-
-    # b2*(m - b1*) >= m - c2*, equality exactly when b2* = 1
-    u_lhs = b2 * (m - b1)
-    u_rhs = m - c2
-    u_sign = exact_sign(u_lhs - u_rhs)
-    records.append(
-        AuditRecord(
-            "product_rule_bound",
-            u_sign >= 0 and ((u_sign == 0) == b2_is_1),
-            note="equality must coincide with b_2* = 1",
-            lhs=u_lhs,
-            rhs=u_rhs,
-        )
-    )
-
-    # m - c2* >= b2*(m - b1*), equality exactly when q_33^3 = 0
-    l_sign = exact_sign(u_rhs - u_lhs)
-    q333_zero = q333 == 0
-    records.append(
-        AuditRecord(
-            "multiplicity_bound",
-            l_sign >= 0 and ((l_sign == 0) == q333_zero),
-            note="equality must coincide with q_33^3 = 0",
-            lhs=u_rhs,
-            rhs=u_lhs,
-        )
-    )
-
-    b1_eq_c2 = b1 == c2
     records.append(AuditRecord("b2star_is_1", b2_is_1, lhs=b2))
-    records.append(AuditRecord("b1star_eq_c2star", b1_eq_c2, lhs=b1, rhs=c2))
-    antipodal = b2_is_1 and c3 == m
-    records.append(
-        AuditRecord("q_antipodal", antipodal, note="b_2* = 1 and c_3* = m", lhs=c3, rhs=m)
-    )
-    return AuditReport(tuple(records), b2_is_1, b1_eq_c2, antipodal)
+    records.append(AuditRecord("b1star_eq_c2star", b1 == c2, lhs=b1, rhs=c2))
+    note = "b_2* = 1 and c_3* = m" if a3_zero else "c_3* != m"  # a_3* = m - c_3*
+    records.append(AuditRecord("q_antipodal", b2_is_1 and c3 == m, note=note, lhs=c3, rhs=m))
+    return AuditReport(tuple(records))
 
 
 # -- the class-3 classification ---------------------------------------------------------------------

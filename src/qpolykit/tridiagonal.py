@@ -34,8 +34,9 @@ right-hand side: on F_D for isolated spectra, by field arithmetic for
 certified ones.  On F_D the product is built once (shifted_subset_product),
 and the comparisons and the report read that one value.
 charpoly_by_cofactor is the one cofactor oracle: a self-contained
-expansion over any exact scalars that checks the recurrence here and the
-characteristic polynomial of the class-3 audit.
+expansion over any exact scalars that checks the recurrence here (on
+reduced_matrix) and the characteristic polynomial of the class-3 audit
+(on row_sum_matrix).
 """
 
 from __future__ import annotations
@@ -161,6 +162,25 @@ def require_valid(system: TridiagonalSystem) -> None:
     rep = validate(system)
     if not rep.ok:
         raise ValueError("invalid tridiagonal system: " + "; ".join(rep.violations))
+
+
+def valencies(system: TridiagonalSystem) -> list:
+    """k_0 = 1, k_{i+1} = k_i beta_i / gamma_{i+1}: an intersection array's valencies, a Krein array's multiplicities."""
+    out = [Fraction(1)]
+    for b, c in zip(system.beta, system.gamma):
+        out.append(out[-1] * b / c)
+    return out
+
+
+def row_sum_matrix(system: TridiagonalSystem) -> list[list]:
+    """The (D+1) x (D+1) matrix itself: alpha on the diagonal, beta above it, gamma below."""
+    d, zero = system.d, system.kappa * 0
+    rows = [[zero] * (d + 1) for _ in range(d + 1)]
+    for i in range(d + 1):
+        rows[i][i] = system.alpha[i]
+    for i in range(d):
+        rows[i][i + 1], rows[i + 1][i] = system.beta[i], system.gamma[i]
+    return rows
 
 
 def reduced_matrix(system: TridiagonalSystem) -> tuple[tuple, ...]:

@@ -270,6 +270,7 @@ def test_root_isolation_past_its_round_cap_is_an_alarm(monkeypatch, capsys):
 @pytest.mark.parametrize(
     "module, name",
     [
+        (graphs, "quotient_spectrum"),
         (graphs, "interlace_check"),
         (graphs, "pair_bound_all_vertices"),
         (graphs, "intersection_array"),
@@ -323,6 +324,18 @@ def test_check_graph_classifies_the_graph_once(monkeypatch, capsys):
     assert main(["check-graph", "--input", "data/examples/heawood.g6"]) == 0
     assert "triple bound" in capsys.readouterr().out
     assert count == [1]
+
+
+@pytest.mark.parametrize("family", ["hamming:d=4,q=2", "heawood", "johnson:n=8,k=3"])
+def test_check_graph_derives_the_quotient_once(monkeypatch, capsys, family):
+    # interlacing and the triple bound read one quotient spectrum, the
+    # triple and fundamental bounds one intersection array
+    counts = {name: _count_calls(monkeypatch, tridiagonal, name) for name in ("spectrum", "validate")}
+    counts["intersection_array"] = _count_calls(monkeypatch, graphs, "intersection_array")
+    assert main(["check-graph", "--family", family, "--output", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert {"triple_bound", "fundamental_bound", "interlacing"} <= report.keys()
+    assert counts == {"spectrum": [1], "validate": [1], "intersection_array": [1]}
 
 
 def test_check_graph_builds_each_shifted_product_once(monkeypatch, capsys):

@@ -25,6 +25,8 @@ from qpolykit.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 KREIN = (ROOT / "data/examples/dual_tight_class3_krein.json").read_text()
 LINKED = (ROOT / "data/examples/linked_design_t2_krein.json").read_text()
+AUDIT_A3_NONZERO = '{"type":"krein_array","class":3,"m":"4","b_star":["4","1","1"],"c_star":["1","2","2"]}'
+AUDIT_A3_ZERO = '{"type":"krein_array","class":3,"m":"10","b_star":["10","7","4"],"c_star":["1","2","10"]}'
 
 GOLDEN = [
     (["check-graph", "--family", "petersen"], {
@@ -81,6 +83,17 @@ GOLDEN = [
     (["check-scheme", "--krein", KREIN], {
         "text": "5253facc294f0f3bcd964bb6e91cfcc0dbe29094aa19fb36344200aa7e644fd4",
         "json": "2488815f60187c62e33e0e253358a789a121f75592e61285a6f21c4b149a8683",
+    }),
+    # the two branches of the class-3 dual-tight audit on Krein arrays: with
+    # a_3* != 0 every identity of the chain is "not derivable"; with a_3* = 0
+    # the chain runs and the multiplicity squeeze fails
+    (["check-scheme", "--krein", AUDIT_A3_NONZERO], {
+        "text": "0e2057d915ab5a68bc9d07f053e2ccab120828a2cc401ad1145c231c45423fc0",
+        "json": "ba39671142cea80faccf45211c3b40c21bce131d570991b847ba2e855d883e98",
+    }),
+    (["check-scheme", "--krein", AUDIT_A3_ZERO], {
+        "text": "b4caa19ccc430a52cb4266a97d9abda513d136a80f76bd5ca263a7b6b28ce396",
+        "json": "6cdc3e2b4cfb824a1cb756eecca982a0be01285b99da4cc5ceadbbb1be412401",
     }),
     (["property-suite", "--seed", "42", "--n", "25", "--graphs", "3"], {
         "text": "396751e9c9b4134f871001aebb46b00a2a789bcb17dccbfbe43b1737fa9172a5",

@@ -32,11 +32,18 @@ from qpolykit.graphs import (
     pair_bound_all_vertices,
     parse_graph6,
     quotient_matrix,
+    quotient_spectrum,
     random_regular_graph,
     spectrum_graph,
     triple_bound_graph,
 )
 from qpolykit.tridiagonal import TridiagonalSystem
+
+
+def quotient(classification):
+    """The spectrum of the quotient around vertex 0, built from the intersection array when there is one."""
+    array = intersection_array(classification) if classification.distance_regular else None
+    return quotient_spectrum(classification, array)
 
 
 def test_graph_construction_rejects_bad_edges():
@@ -208,10 +215,10 @@ def test_spectrum_against_sympy():
 
 def test_interlace_examples():
     for g in (cycle(5), petersen()):
-        rep = interlace_check(spectrum_graph(g), classify_regularity(g))
+        rep = interlace_check(spectrum_graph(g), quotient(classify_regularity(g)))
         assert rep.passed and rep.theta1_eq_tau1 and rep.thetamin_eq_taumin
     g = cycle(6)
-    rep = interlace_check(spectrum_graph(g), classify_regularity(g))
+    rep = interlace_check(spectrum_graph(g), quotient(classify_regularity(g)))
     assert rep.passed
 
 
@@ -309,20 +316,20 @@ def test_intersection_array_matches_quotients():
 
 
 def test_triple_bound_examples():
-    res = triple_bound_graph(classify_regularity(heawood()))
+    res = triple_bound_graph(quotient(classify_regularity(heawood())))
     (branch,) = res.branches
     assert branch.check.lhs == F(2) and branch.check.rhs == F(2) and branch.check.equality
-    res = triple_bound_graph(classify_regularity(cube(3)))
+    res = triple_bound_graph(quotient(classify_regularity(cube(3))))
     assert all(b.check.lhs == F(0) and b.check.equality for b in res.branches)
-    res = triple_bound_graph(classify_regularity(cube(4)))
+    res = triple_bound_graph(quotient(classify_regularity(cube(4))))
     assert all(b.check.holds and not b.check.equality for b in res.branches)
     with pytest.raises(GraphError):
-        triple_bound_graph(classify_regularity(petersen()))  # diameter 2
+        triple_bound_graph(quotient(classify_regularity(petersen())))  # diameter 2
 
 
 def test_fundamental_bound_examples():
     def bound(g):
-        return fundamental_bound(spectrum_graph(g), classify_regularity(g))
+        return fundamental_bound(spectrum_graph(g), intersection_array(classify_regularity(g)))
 
     rep = bound(icosahedron())
     assert rep.lhs == F(-20, 9) and rep.rhs == F(-20, 9)
@@ -359,7 +366,7 @@ def test_random_regular_suite():
         rep = pair_bound_all_vertices(g, spec, classification)
         assert rep.all_hold and rep.cross_check_ok
         assert [v.rhs for v in rep.per_vertex] == [-quotient_matrix(g, x).beta[1] for x in range(g.n)]
-        assert interlace_check(spec, classification).passed
+        assert interlace_check(spec, quotient(classification)).passed
 
 
 def test_interlace_equality_implies_locally_distance_regular():
@@ -368,7 +375,7 @@ def test_interlace_equality_implies_locally_distance_regular():
     for name in ("c5", "petersen", "heawood", "icosahedron"):
         g = corpus_graphs()[name]
         classification = classify_regularity(g)
-        rep = interlace_check(spectrum_graph(g), classification)
+        rep = interlace_check(spectrum_graph(g), quotient(classification))
         if rep.theta1_eq_tau1 and rep.thetamin_eq_taumin:
             assert classification.quotients[0].equitable
 
@@ -378,7 +385,7 @@ def test_triple_bound_equality_iff_diameter3_on_corpus():
         rep = classify_regularity(g)
         if not rep.distance_regular or rep.diameter < 3:
             continue
-        res = triple_bound_graph(rep)
+        res = triple_bound_graph(quotient(rep))
         assert res.holds, name
         assert res.equality == (rep.diameter == 3), name
 

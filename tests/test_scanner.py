@@ -72,10 +72,10 @@ def test_free_c3_dual_tight_with_nonzero_a3_is_flagged_not_asserted():
     # report the finding and mark the shape-bound identities not derivable
     from qpolykit.schemes import class3_dualtight_audit, dual_fundamental_bound, structure_from_dual_parameters
 
-    qs = structure_from_dual_parameters(F(4), [F(4), F(2), F(3)], [F(1), F(1), F(2)])
+    qs = structure_from_dual_parameters([F(4), F(2), F(3)], [F(1), F(1), F(2)])
     bound = dual_fundamental_bound(qs)
     assert bound.dual_tight
-    audit = class3_dualtight_audit(qs, bound)
+    audit = class3_dualtight_audit(qs, bound, None, None)
     assert audit.record("a3star_zero").passed is False
     assert "finding" in audit.record("a3star_zero").note
     assert audit.record("bound_equation").passed is True
@@ -118,19 +118,18 @@ def test_scheme_derived_parameters_pass_the_filter_chain():
         class3_dualtight_audit,
         dual_bounds,
         dual_fundamental_bound,
-        dual_multiplicities,
         eigendata,
         find_q_orderings,
         krein,
         scheme_from_graph,
     )
-    from qpolykit.tridiagonal import validate
+    from qpolykit.tridiagonal import validate, valencies
 
     s = scheme_from_graph(heawood())
     e = eigendata(s)
     qs = find_q_orderings(s, e, krein(s, e))[0]
     assert validate(qs.system).ok  # structure
-    m3 = scalar_as_fraction(dual_multiplicities(qs)[3])
+    m3 = scalar_as_fraction(valencies(qs.system)[3])
     assert m3 == 1  # positive integer multiplicity
     q233 = qs.m * (qs.system.beta[2] - 1) / qs.system.gamma[1]
     assert q233 == 0  # Krein condition: q_23^3 = 0 >= 0
@@ -138,5 +137,5 @@ def test_scheme_derived_parameters_pass_the_filter_chain():
     assert db.part1.holds and db.part2.holds
     dfb = dual_fundamental_bound(qs)
     assert dfb.holds and dfb.dual_tight
-    audit = class3_dualtight_audit(qs, dfb)
+    audit = class3_dualtight_audit(qs, dfb, e, krein(s, e))
     assert audit.b2star_is_1 and audit.b1star_eq_c2star

@@ -33,7 +33,6 @@ from qpolykit.schemes import (
     classify_class3_scheme,
     dual_bounds,
     dual_fundamental_bound,
-    dual_multiplicities,
     eigendata,
     find_q_orderings,
     krein,
@@ -43,7 +42,7 @@ from qpolykit.schemes import (
     structure_from_dual_parameters,
     verify_scheme,
 )
-from qpolykit.tridiagonal import validate
+from qpolykit.tridiagonal import row_sum_matrix, validate, valencies
 
 
 def heawood_scheme():
@@ -54,6 +53,14 @@ def orderings(s):
     """Every polynomial ordering of s, from its eigendata and Krein table."""
     e = eigendata(s)
     return find_q_orderings(s, e, krein(s, e))
+
+
+def heawood_ordering():
+    """The first ordering of the Heawood scheme, with the eigendata and Krein table the audit reads."""
+    s = heawood_scheme()
+    e = eigendata(s)
+    table = krein(s, e)
+    return find_q_orderings(s, e, table)[0], e, table
 
 
 def classify(s):
@@ -181,7 +188,7 @@ def test_eigendata_c5_golden():
 def test_eigendata_heawood():
     s = heawood_scheme()
     e = eigendata(s)
-    assert e.valencies == (1, 3, 6, 4)
+    assert s.valencies == (1, 3, 6, 4)
     assert e.multiplicities == (1, 6, 6, 1)
     assert e.field.degree == 2
 
@@ -354,14 +361,15 @@ def test_b1star_system_examples():
     assert system.d == 2 and system.kappa == F(5)
     assert validate(system).ok
 
-    qs = orderings(heawood_scheme())[0]
+    qs, _, table = heawood_ordering()
     system = qs.system
     assert system.d == 3 and validate(system).ok
-    # column sums of the ordered Krein matrix all equal m
-    for h in range(4):
-        total = qs.b1star[0][h]
-        for j in range(1, 4):
-            total = total + qs.b1star[j][h]
+    # column sums of the ordered Krein matrix (q_{1,j}^h) all equal m
+    o = qs.idempotent_order
+    for h in o:
+        total = table.q[o[1]][o[0]][h]
+        for j in o[1:]:
+            total = total + table.q[o[1]][j][h]
         assert total == qs.m
 
 
@@ -409,8 +417,8 @@ def test_dual_fundamental_bound_cases():
 
 
 def test_audit_heawood_full_pass():
-    qs = orderings(heawood_scheme())[0]
-    audit = class3_dualtight_audit(qs, dual_fundamental_bound(qs))
+    qs, e, table = heawood_ordering()
+    audit = class3_dualtight_audit(qs, dual_fundamental_bound(qs), e, table)
     assert audit.all_passed
     assert audit.b2star_is_1 and audit.b1star_eq_c2star and audit.q_antipodal
     assert audit.record("ratio_relation").passed
@@ -421,10 +429,10 @@ def test_audit_heawood_full_pass():
 
 def test_audit_symbolic_family_instance():
     # b2* = 1 and b1* = c2*: the displayed factorization matches Vieta
-    qs = structure_from_dual_parameters(F(6), [F(6), F(3), F(1)], [F(1), F(3), F(6)])
+    qs = structure_from_dual_parameters([F(6), F(3), F(1)], [F(1), F(3), F(6)])
     bound = dual_fundamental_bound(qs)
     assert bound.dual_tight
-    audit = class3_dualtight_audit(qs, bound)
+    audit = class3_dualtight_audit(qs, bound, None, None)
     assert audit.all_passed
     assert audit.record("charpoly_factorization").passed
     assert audit.record("sum_relation").passed
@@ -434,9 +442,13 @@ def test_audit_symbolic_family_instance():
 @pytest.mark.parametrize(
     "make",
     [
-        lambda: orderings(heawood_scheme())[0],
-        lambda: krein_array_structure(
-            {"type": "krein_array", "class": 3, "m": "6", "b_star": ["6", "3", "1"], "c_star": ["1", "3", "6"]}
+        heawood_ordering,
+        lambda: (
+            krein_array_structure(
+                {"type": "krein_array", "class": 3, "m": "6", "b_star": ["6", "3", "1"], "c_star": ["1", "3", "6"]}
+            ),
+            None,
+            None,
         ),
     ],
     ids=["heawood_field_entries", "rational_krein_array"],
@@ -444,12 +456,12 @@ def test_audit_symbolic_family_instance():
 def test_charpoly_factorization_fails_on_a_perturbed_oracle(monkeypatch, make):
     from qpolykit import tridiagonal
 
-    qs = make()
+    qs, e, table = make()
     bound = dual_fundamental_bound(qs)
-    assert class3_dualtight_audit(qs, bound).record("charpoly_factorization").passed
+    assert class3_dualtight_audit(qs, bound, e, table).record("charpoly_factorization").passed
     real = tridiagonal.charpoly_by_cofactor
     # heawood's oracle has field coefficients, the Krein array's is a RationalPoly
-    assert isinstance(real(qs.b1star), RationalPoly) == (qs.provenance == "krein_array")
+    assert isinstance(real(row_sum_matrix(qs.system)), RationalPoly) == (qs.provenance == "krein_array")
     for k in range(5):
         for delta in (F(1), F(-1, 7)):
 
@@ -460,19 +472,56 @@ def test_charpoly_factorization_fails_on_a_perturbed_oracle(monkeypatch, make):
                 return phi[:k] + [phi[k] + delta] + phi[k + 1 :]
 
             monkeypatch.setattr(tridiagonal, "charpoly_by_cofactor", perturbed)
-            assert class3_dualtight_audit(qs, bound).record("charpoly_factorization").passed is False
+            assert class3_dualtight_audit(qs, bound, e, table).record("charpoly_factorization").passed is False
 
 
 def test_audit_perturbed_array_fails():
     # dual-bound equality can hold at parameter level with b2* != 1, but the
     # multiplicity squeeze then fails: no genuine scheme lives here
-    qs = structure_from_dual_parameters(F(10), [F(10), F(7), F(4)], [F(1), F(2), F(10)])
+    qs = structure_from_dual_parameters([F(10), F(7), F(4)], [F(1), F(2), F(10)])
     bound = dual_fundamental_bound(qs)
     assert bound.dual_tight
-    audit = class3_dualtight_audit(qs, bound)
+    audit = class3_dualtight_audit(qs, bound, None, None)
     assert not audit.all_passed
     assert not audit.b2star_is_1
     assert audit.record("multiplicity_bound").passed is False
+
+
+def _bumped(table, i, j, h):
+    """The Krein table with q_{ij}^h raised by 1."""
+    q = [[list(row) for row in layer] for layer in table.q]
+    q[i][j][h] = q[i][j][h] + 1
+    return replace(table, q=tuple(tuple(map(tuple, layer)) for layer in q))
+
+
+def test_audit_fails_on_perturbed_scheme_facts():
+    # the audit reads q_23^3, q_33^3 and m_3 from the facts it is passed:
+    # each perturbed value fails its own record and no other
+    qs, e, table = heawood_ordering()
+    bound = dual_fundamental_bound(qs)
+    o = qs.idempotent_order
+    assert class3_dualtight_audit(qs, bound, e, table).all_passed
+    mults = list(e.multiplicities)
+    mults[o[3]] += 1
+    cases = {
+        "q233_formula": (e, _bumped(table, o[2], o[3], o[3])),
+        "multiplicity_bound": (e, _bumped(table, o[3], o[3], o[3])),
+        "m3_formula": (replace(e, multiplicities=tuple(mults)), table),
+    }
+    for name, (eig, tab) in cases.items():
+        audit = class3_dualtight_audit(qs, bound, eig, tab)
+        assert [r.name for r in audit.records if r.passed is False] == [name]
+
+
+def test_audit_rejects_facts_that_do_not_match_the_structure():
+    qs, e, table = heawood_ordering()
+    bound = dual_fundamental_bound(qs)
+    for facts in ((None, None), (e, None), (None, table)):
+        with pytest.raises(SchemeError, match="eigendata and a Krein table"):
+            class3_dualtight_audit(qs, bound, *facts)
+    array = structure_from_dual_parameters([F(6), F(3), F(1)], [F(1), F(3), F(6)])
+    with pytest.raises(SchemeError, match="eigendata and a Krein table"):
+        class3_dualtight_audit(array, dual_fundamental_bound(array), e, table)
 
 
 def test_spectral_identity_everywhere():
@@ -529,7 +578,7 @@ def test_dual_bound_equalities_track_class_on_corpus():
 
 def test_dual_multiplicities_heawood():
     qs = orderings(heawood_scheme())[0]
-    mults = dual_multiplicities(qs)
+    mults = valencies(qs.system)
     vals = [scalar_as_fraction(m) for m in mults]
     assert vals == [1, 6, 6, 1]
 
@@ -641,7 +690,7 @@ def test_eigenmatrix_and_krein_table_against_sympy(graph):
     thetas = [p[j][1] for j in range(d + 1)]
     assert sympy_product_of_roots(thetas, e.multiplicities, modulus) == sympy_charpoly(adjacency)
     # q_ij^h = (m_i m_j / n) sum_u P_iu P_ju P_hu / k_u^2
-    m, k = e.multiplicities, e.valencies
+    m, k = e.multiplicities, s.valencies
     for i in range(d + 1):
         for j in range(d + 1):
             for h in range(d + 1):
