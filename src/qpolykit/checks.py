@@ -140,10 +140,10 @@ def _graph_checks(report: dict, lines: list[str], alarms: list[str], g: Graph, t
     triple = theorem in ("thm31", "all") and classification.distance_regular and classification.diameter >= 3
     interlace = theorem in ("kpy", "all") and classification.regular and not g.is_complete() and not g.is_empty_graph()
     array = graphmod.intersection_array(classification) if classification.distance_regular else None
-    quotient = graphmod.quotient_spectrum(classification, array) if triple or interlace else None
+    quotient = graphmod.quotient_spectrum(classification) if triple or interlace else None
 
     if triple:
-        tb = graphmod.triple_bound_graph(quotient)
+        tb = graphmod.triple_bound_graph(classification, quotient)
         report["triple_bound"] = {
             "hypothesis_sign": tb.hypothesis_sign,
             "branches": [
@@ -163,7 +163,7 @@ def _graph_checks(report: dict, lines: list[str], alarms: list[str], g: Graph, t
 
     if theorem in ("fundamental", "all") and array is not None:
         try:
-            fb = graphmod.fundamental_bound(spec, array)
+            fb = graphmod.fundamental_bound(spec, array, classification.bipartite)
         except GraphError as exc:
             report["fundamental_bound"] = {"skipped": str(exc)}
             lines.append(f"fundamental bound: skipped ({exc})")

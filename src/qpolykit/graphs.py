@@ -351,16 +351,16 @@ class InterlaceReport:
     thetamin_eq_taumin: bool
 
 
-def quotient_spectrum(classification: RegularityReport, array: TridiagonalSystem | None) -> tridiagonal.SpectrumReport:
+def quotient_spectrum(classification: RegularityReport) -> tridiagonal.SpectrumReport:
     """The spectrum of a regular graph's quotient around vertex 0, kappa = k.
 
-    array is that quotient (the intersection array) for a distance-regular
-    graph, else None.  AssertionError when the quotient fails the row-sum
-    condition, which a regular graph's quotient always meets.
+    For a distance-regular graph that quotient is the intersection array.
+    AssertionError when the quotient fails the row-sum condition, which a
+    regular graph's quotient always meets.
     """
     if not classification.regular:
         raise GraphError("the quotient spectrum requires a regular graph")
-    system = array if array is not None else classification.quotients[0].to_tridiagonal(Fraction(classification.degree))
+    system = classification.quotients[0].to_tridiagonal(Fraction(classification.degree))
     valid = tridiagonal.validate(system)
     if not valid.ok:
         raise AssertionError("regular-graph quotient violates the row-sum condition: " + "; ".join(valid.violations))
@@ -511,9 +511,11 @@ def intersection_array(classification: RegularityReport) -> TridiagonalSystem:
     return system
 
 
-def triple_bound_graph(quotient: tridiagonal.SpectrumReport) -> TripleBoundResult:
+def triple_bound_graph(classification: RegularityReport, quotient: tridiagonal.SpectrumReport) -> TripleBoundResult:
     """The triple-product bound on a distance-regular graph of diameter >= 3, given its quotient spectrum."""
-    if quotient.system.d < 3:
+    if not classification.distance_regular:
+        raise GraphError("triple bound requires a distance-regular graph")
+    if classification.diameter < 3:
         raise GraphError("triple bound requires diameter >= 3")
     return tridiagonal.triple_bound(quotient.system, quotient)
 
@@ -541,10 +543,10 @@ class FundamentalBoundReport:
         }
 
 
-def fundamental_bound(spec: GraphSpectrum, array: TridiagonalSystem) -> FundamentalBoundReport:
+def fundamental_bound(spec: GraphSpectrum, array: TridiagonalSystem, bipartite: bool) -> FundamentalBoundReport:
     """(theta_1 + k/(a_1+1))(theta_min + k/(a_1+1)) >= -k a_1 b_1/(a_1+1)^2, k a_1 b_1 from the array.
 
-    Tight means nonbipartite (some a_i nonzero) with exact equality.
+    Tight means nonbipartite (the classification's verdict) with exact equality.
     """
     if array.d < 2:
         raise GraphError("fundamental bound requires diameter >= 2")
@@ -555,7 +557,6 @@ def fundamental_bound(spec: GraphSpectrum, array: TridiagonalSystem) -> Fundamen
     lhs = shifted_subset_product(sf, spec.distinct, (1, spec.d), shift)
     cmp = compare_shifted_product(lhs, rhs, sf, shift)
     equality = cmp == 0
-    bipartite = not any(array.alpha)
     return FundamentalBoundReport(lhs, rhs, cmp >= 0, equality, bipartite, equality and not bipartite)
 
 

@@ -681,7 +681,7 @@ def b1star_spectral_identity(qs: QPolyStructure) -> bool:
     the dual eigenvalues are defined as the system's spectrum, so there the
     identity is true by definition and reported as true.
     """
-    if qs.q_column is None:
+    if qs.provenance == "krein_array":
         return True
     try:
         qs.certified_q_column
@@ -829,7 +829,7 @@ def class3_dualtight_audit(
         raise SchemeError("audit applies to class-3 structures")
     if not bound.dual_tight:
         raise SchemeError("audit applies to dual-tight structures")
-    scheme = qs.q_column is not None
+    scheme = qs.provenance == "scheme"
     if (e is not None, table is not None) != (scheme, scheme):
         raise SchemeError("the audit takes eigendata and a Krein table for a scheme ordering, neither for a Krein array")
 
@@ -841,8 +841,7 @@ def class3_dualtight_audit(
     if not scheme:
         # the identity checks below multiply eigenvalues, which takes them
         # into one number field (AlgebraicReal only compares)
-        _, elems = field_containing([th1, th2, th3])
-        th1, th2, th3 = elems
+        _, (th1, th2, th3) = field_containing([th1, th2, th3])
 
     a1_zero = a1 == 0
     records.append(

@@ -55,13 +55,14 @@ def pair_bound(g):
 
 
 def fundamental_bound(g):
-    return graphs.fundamental_bound(graphs.spectrum_graph(g), graphs.intersection_array(graphs.classify_regularity(g)))
+    classification = graphs.classify_regularity(g)
+    array = graphs.intersection_array(classification)
+    return graphs.fundamental_bound(graphs.spectrum_graph(g), array, classification.bipartite)
 
 
 def triple_bound(g):
     classification = graphs.classify_regularity(g)
-    array = graphs.intersection_array(classification)
-    return graphs.triple_bound_graph(graphs.quotient_spectrum(classification, array))
+    return graphs.triple_bound_graph(classification, graphs.quotient_spectrum(classification))
 
 
 def orderings(s):

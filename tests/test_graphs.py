@@ -40,12 +40,6 @@ from qpolykit.graphs import (
 from qpolykit.tridiagonal import TridiagonalSystem
 
 
-def quotient(classification):
-    """The spectrum of the quotient around vertex 0, built from the intersection array when there is one."""
-    array = intersection_array(classification) if classification.distance_regular else None
-    return quotient_spectrum(classification, array)
-
-
 def test_graph_construction_rejects_bad_edges():
     with pytest.raises(GraphError):
         Graph(3, [(0, 0)])
@@ -215,10 +209,10 @@ def test_spectrum_against_sympy():
 
 def test_interlace_examples():
     for g in (cycle(5), petersen()):
-        rep = interlace_check(spectrum_graph(g), quotient(classify_regularity(g)))
+        rep = interlace_check(spectrum_graph(g), quotient_spectrum(classify_regularity(g)))
         assert rep.passed and rep.theta1_eq_tau1 and rep.thetamin_eq_taumin
     g = cycle(6)
-    rep = interlace_check(spectrum_graph(g), quotient(classify_regularity(g)))
+    rep = interlace_check(spectrum_graph(g), quotient_spectrum(classify_regularity(g)))
     assert rep.passed
 
 
@@ -315,21 +309,43 @@ def test_intersection_array_matches_quotients():
             assert (qm.alpha, qm.beta, qm.gamma) == (system.alpha, system.beta, system.gamma), (name, x)
 
 
+def triple_bound(g):
+    classification = classify_regularity(g)
+    return triple_bound_graph(classification, quotient_spectrum(classification))
+
+
 def test_triple_bound_examples():
-    res = triple_bound_graph(quotient(classify_regularity(heawood())))
+    res = triple_bound(heawood())
     (branch,) = res.branches
     assert branch.check.lhs == F(2) and branch.check.rhs == F(2) and branch.check.equality
-    res = triple_bound_graph(quotient(classify_regularity(cube(3))))
+    res = triple_bound(cube(3))
     assert all(b.check.lhs == F(0) and b.check.equality for b in res.branches)
-    res = triple_bound_graph(quotient(classify_regularity(cube(4))))
+    res = triple_bound(cube(4))
     assert all(b.check.holds and not b.check.equality for b in res.branches)
-    with pytest.raises(GraphError):
-        triple_bound_graph(quotient(classify_regularity(petersen())))  # diameter 2
+    with pytest.raises(GraphError, match="diameter >= 3"):
+        triple_bound(petersen())  # diameter 2
+
+
+def test_triple_bound_rejects_a_regular_graph_that_is_not_distance_regular():
+    # the hexagonal prism is 3-regular of diameter 4, but its quotient
+    # around a vertex is not equitable: a quotient spectrum exists, an
+    # intersection array does not
+    prism = Graph(
+        12,
+        [(i, (i + 1) % 6) for i in range(6)]
+        + [(6 + i, 6 + (i + 1) % 6) for i in range(6)]
+        + [(i, i + 6) for i in range(6)],
+    )
+    classification = classify_regularity(prism)
+    assert classification.regular and not classification.distance_regular and classification.diameter == 4
+    with pytest.raises(GraphError, match="distance-regular"):
+        triple_bound(prism)
 
 
 def test_fundamental_bound_examples():
     def bound(g):
-        return fundamental_bound(spectrum_graph(g), intersection_array(classify_regularity(g)))
+        classification = classify_regularity(g)
+        return fundamental_bound(spectrum_graph(g), intersection_array(classification), classification.bipartite)
 
     rep = bound(icosahedron())
     assert rep.lhs == F(-20, 9) and rep.rhs == F(-20, 9)
@@ -366,7 +382,7 @@ def test_random_regular_suite():
         rep = pair_bound_all_vertices(g, spec, classification)
         assert rep.all_hold and rep.cross_check_ok
         assert [v.rhs for v in rep.per_vertex] == [-quotient_matrix(g, x).beta[1] for x in range(g.n)]
-        assert interlace_check(spec, quotient(classification)).passed
+        assert interlace_check(spec, quotient_spectrum(classification)).passed
 
 
 def test_interlace_equality_implies_locally_distance_regular():
@@ -375,7 +391,7 @@ def test_interlace_equality_implies_locally_distance_regular():
     for name in ("c5", "petersen", "heawood", "icosahedron"):
         g = corpus_graphs()[name]
         classification = classify_regularity(g)
-        rep = interlace_check(spectrum_graph(g), quotient(classification))
+        rep = interlace_check(spectrum_graph(g), quotient_spectrum(classification))
         if rep.theta1_eq_tau1 and rep.thetamin_eq_taumin:
             assert classification.quotients[0].equitable
 
@@ -385,7 +401,7 @@ def test_triple_bound_equality_iff_diameter3_on_corpus():
         rep = classify_regularity(g)
         if not rep.distance_regular or rep.diameter < 3:
             continue
-        res = triple_bound_graph(quotient(rep))
+        res = triple_bound_graph(rep, quotient_spectrum(rep))
         assert res.holds, name
         assert res.equality == (rep.diameter == 3), name
 
