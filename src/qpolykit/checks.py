@@ -107,13 +107,16 @@ def _graph_checks(report: dict, lines: list[str], alarms: list[str], g: Graph, t
     lines.append("classification: " + (", ".join(flags) if flags else "(none)"))
 
     spec = graphmod.spectrum_graph(g)
+    # refined once for both renderings; spec.distinct keeps its intervals,
+    # which later products start from
+    shown = [e.refined_to(Fraction(1, 10**12)) for e in spec.distinct]
     report["spectrum"] = [
         {"value": value_json(e), "multiplicity": m}
-        for e, m in zip(spec.distinct, spec.multiplicities)
+        for e, m in zip(shown, spec.multiplicities)
     ]
     lines.append(
         "distinct eigenvalues: "
-        + ", ".join(f"{e.approx_float():.6g} (x{m})" for e, m in zip(spec.distinct, spec.multiplicities))
+        + ", ".join(f"{e.approx_float():.6g} (x{m})" for e, m in zip(shown, spec.multiplicities))
     )
 
     if theorem in ("kpy", "all"):

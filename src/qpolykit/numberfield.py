@@ -18,7 +18,10 @@ One remainder loop by the monic modulus (``reduce``) builds that form for
 new elements and products, so zero is the empty tuple, equality is tuple
 equality, and zero tests and rational read-outs never reduce again nor
 refine gamma.  Since the modulus is irreducible, every nonzero element is a
-unit.
+unit.  A product by an int or Fraction scales the residue's coefficients,
+which keeps it canonical, so it needs no reduce; an inner product of two
+sequences of elements (``RealAlgebraicField.dot``) accumulates every
+coefficient product into one unreduced list and reduces once.
 
 Several algebraic numbers are combined into one field with adjoin_root,
 which finds a primitive element gamma_old + t*beta through its minimal
@@ -126,6 +129,20 @@ class RealAlgebraicField:
                     coeffs[k - d + i] -= top * c
         return _trimmed(coeffs)
 
+    def dot(self, xs: Sequence["FieldElement"], ys: Sequence["FieldElement"]) -> "FieldElement":
+        """sum_u xs[u] * ys[u], with one reduce for the whole sum instead of one per term."""
+        out = [Fraction(0)] * (2 * self.degree - 1)
+        for x, y in zip(xs, ys, strict=True):
+            if x.field is not self or y.field is not self:
+                raise ValueError("elements of different fields; join them first")
+            b = y.coeffs
+            for i, ca in enumerate(x.coeffs):
+                if not ca:
+                    continue
+                for j, cb in enumerate(b):
+                    out[i + j] += ca * cb
+        return FieldElement(self, self.reduce(out))
+
     def sign_coeffs(self, coeffs: tuple[Fraction, ...]) -> int:
         """Sign of a canonical residue at gamma, refining gamma until it is decided."""
         if not coeffs:
@@ -228,6 +245,11 @@ class FieldElement:
         return self._coerce(other) + (-self)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            # a nonzero rational keeps every coefficient nonzero: still canonical
+            if not other:
+                return FieldElement(self.field, ())
+            return FieldElement(self.field, tuple(c * other for c in self.coeffs))
         o = self._coerce(other)
         a, b = self.coeffs, o.coeffs
         if not a or not b:

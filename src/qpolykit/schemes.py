@@ -17,9 +17,10 @@ multiplicities, the second eigenmatrix Q and the Krein parameters
 
     q_{ij}^h = (m_i m_j / |X|) * sum_u P_iu P_ju P_hu / k_u^2
 
-are exact field elements.  Nonnegativity of every q_{ij}^h is checked by
-sign, and the closed formula is cross-checked against a literal expansion
-of E_i o E_j in the idempotent basis on the point set.
+are exact field elements.  The sum is symmetric in i, j and h, so it is
+computed, and signed for the nonnegativity condition, once per unordered
+index triple; the closed formula is cross-checked against a literal
+expansion of E_i o E_j in the idempotent basis on the point set.
 
 An ordering of the idempotents is polynomial when the matrix (q_{1,j}^h)
 is irreducible tridiagonal; its transpose is then a row-sum tridiagonal
@@ -345,12 +346,11 @@ def eigendata(s: AssociationScheme) -> EigenData:
             raise AssertionError("principal row of P must list the valencies")
 
     mults = []
-    for j in range(d + 1):
-        acc = field.constant(0)
-        for u in range(d + 1):
-            acc = acc + p_matrix[j][u] * p_matrix[j][u] * Fraction(1, k[u])
-        # the modulus is irreducible, so a rational value reduces to a constant
-        m_val = (field.constant(n) * acc.inverse()).as_fraction()
+    for row in p_matrix:
+        # sum_u P_ju^2 / k_u = |X| / m_j; the modulus is irreducible, so a
+        # rational value reduces to a constant
+        norm = field.dot(row, [x * Fraction(1, k[u]) for u, x in enumerate(row)]).as_fraction()
+        m_val = None if norm is None else n / norm
         if m_val is None or m_val <= 0 or m_val.denominator != 1:
             raise SchemeError("multiplicity is not a positive integer; not a genuine scheme")
         mults.append(int(m_val))
@@ -366,14 +366,10 @@ def eigendata(s: AssociationScheme) -> EigenData:
 
 
 def _verify_pq_identity(field, p_matrix, q_matrix, n) -> None:
-    size = len(p_matrix)
-    for j in range(size):
-        for l in range(size):
-            acc = field.constant(0)
-            for u in range(size):
-                acc = acc + p_matrix[j][u] * q_matrix[u][l]
-            expected = n if j == l else 0
-            if acc != expected:
+    q_columns = list(zip(*q_matrix))
+    for j, row in enumerate(p_matrix):
+        for l, col in enumerate(q_columns):
+            if field.dot(row, col) != (n if j == l else 0):
                 raise AssertionError("PQ = |X| I fails: eigendata inconsistent")
 
 
@@ -387,31 +383,39 @@ class KreinTable:
 
 
 def krein(s: AssociationScheme, e: EigenData) -> KreinTable:
-    """Closed-formula Krein parameters, with the nonnegativity condition checked."""
+    """Closed-formula Krein parameters, with the nonnegativity condition checked.
+
+    q_ij^h = (m_i m_j / |X|) S_ijh, where S_ijh = sum_u P_iu P_ju P_hu / k_u^2
+    is symmetric in i, j and h.  So S is computed once per i <= j <= h, as
+    the inner product (RealAlgebraicField.dot, one reduce) of row h of P with
+    w_ij[u] = P_iu P_ju / k_u^2, built once per pair i <= j.  Every q_ij^h is
+    S at its sorted indices times the positive rational m_i m_j / |X|, so
+    signing the C(d+3, 3) values of S decides nonnegativity.
+    """
     d, n = s.d, s.n
-    k = s.valencies
     m = e.multiplicities
     p = e.p_matrix
     field = e.field
+    inv_k2 = [Fraction(1, k * k) for k in s.valencies]
+    core = {}
+    for i in range(d + 1):
+        for j in range(i, d + 1):
+            w = [p[i][u] * p[j][u] * inv_k2[u] for u in range(d + 1)]
+            for h in range(j, d + 1):
+                core[i, j, h] = field.dot(w, p[h])
     table = []
     for i in range(d + 1):
         layer = []
         for j in range(d + 1):
-            row = []
-            for h in range(d + 1):
-                acc = field.constant(0)
-                for u in range(d + 1):
-                    acc = acc + p[i][u] * p[j][u] * p[h][u] * Fraction(1, k[u] * k[u])
-                val = acc * Fraction(m[i] * m[j], n)
-                row.append(val)
-            layer.append(tuple(row))
+            scale = Fraction(m[i] * m[j], n)
+            layer.append(tuple(core[tuple(sorted((i, j, h)))] * scale for h in range(d + 1)))
         table.append(tuple(layer))
     for j in range(d + 1):
         for h in range(d + 1):
             expected = 1 if j == h else 0
             if table[0][j][h] != expected:
                 raise AssertionError("q[0][j]^h must be delta_(j=h)")
-    nonnegative = all(v.sign() >= 0 for layer in table for row in layer for v in row)
+    nonnegative = all(v.sign() >= 0 for v in core.values())
     return KreinTable(tuple(table), nonnegative)
 
 
@@ -506,6 +510,18 @@ class QPolyStructure:
     def dual_eigenvalues(self) -> tuple:
         """theta_0* = m > theta_1* > ... > theta_D*."""
         return self.spectrum.eigenvalues if self.q_column is None else self.q_column
+
+    def implied_krein(self, m3) -> tuple | None:
+        """(q_23^3, q_33^3) that a class-3 array with a_3* = 0 forces, given its m_3.
+
+        With c_3* = m, q_23^3 = m(b_2*-1)/c_2* and q_33^3 = m_3 - 1 - q_23^3;
+        None when a_3* != 0, where no such formula applies.
+        """
+        system = self.system
+        if system.gamma[2] != self.m:
+            return None
+        q233 = self.m * (system.beta[2] - 1) / system.gamma[1]
+        return q233, m3 - 1 - q233
 
 
 def find_q_orderings(s: AssociationScheme, e: EigenData, table: KreinTable) -> list[QPolyStructure]:
@@ -792,8 +808,8 @@ def class3_feasibility(qs: QPolyStructure, genuine: bool = True) -> tuple[str, s
 
     multiplicity: the implied m_3 = m b_1* b_2* / (c_2* c_3*) is positive,
     and an integer when genuine.  krein_condition: with a_3* = 0 (c_3* = m)
-    the parameters force q_23^3 = m(b_2*-1)/c_2* and q_33^3 = m_3 - 1 -
-    q_23^3, and both must be nonnegative.  Returns (stage, reason) of the
+    the parameters force q_23^3 and q_33^3 (QPolyStructure.implied_krein),
+    and both must be nonnegative.  Returns (stage, reason) of the
     first failure, None when every filter passes.  The scanner and the
     Krein-array checks of check-scheme both call it.
     """
@@ -802,11 +818,12 @@ def class3_feasibility(qs: QPolyStructure, genuine: bool = True) -> tuple[str, s
         return "multiplicity", "m_3 must be positive"
     if genuine and m3.denominator != 1:
         return "multiplicity", "m_3 must be an integer for a genuine scheme"
-    if qs.system.gamma[2] == qs.m:
-        q233 = qs.m * (qs.system.beta[2] - 1) / qs.system.gamma[1]
+    implied = qs.implied_krein(m3)
+    if implied is not None:
+        q233, q333 = implied
         if q233 < 0:
             return "krein_condition", "implied q_23^3 is negative"
-        if m3 - 1 - q233 < 0:
+        if q333 < 0:
             return "krein_condition", "implied q_33^3 is negative"
     return None
 
@@ -925,8 +942,8 @@ def class3_dualtight_audit(
             mv_rhs = -((m - b2 - c2) / (m - b1 - 1))
             records.append(AuditRecord("middle_value", th2 == mv_rhs, lhs=th2, rhs=mv_rhs))
 
-        q233_formula = m * (b2 - 1) / c2
         m3_formula = b1 * b2 / c2
+        q233_formula, q333_formula = qs.implied_krein(m3_formula)  # a_3* = 0, so c_3* = m
         if scheme:
             o = qs.idempotent_order
             q233, q333 = table.q[o[2]][o[3]][o[3]], table.q[o[3]][o[3]][o[3]]
@@ -934,7 +951,7 @@ def class3_dualtight_audit(
             q233_record = AuditRecord("q233_formula", q233 == q233_formula, lhs=q233, rhs=q233_formula)
             m3_record = AuditRecord("m3_formula", m3_formula == m3_actual, lhs=m3_formula, rhs=m3_actual)
         else:
-            q333 = m3_formula - 1 - q233_formula
+            q333 = q333_formula
             q233_record = AuditRecord("q233_formula", None, note="parameter-level input: value defined by the formula", rhs=q233_formula)
             m3_record = AuditRecord("m3_formula", None, note="parameter-level input: m_3 defined by the formula", rhs=m3_formula)
         records.append(q233_record)

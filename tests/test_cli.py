@@ -1,4 +1,5 @@
 import contextlib
+import importlib
 import io
 import json
 import subprocess
@@ -33,6 +34,19 @@ def test_check_graph_petersen_exit0():
     report = json.loads(proc.stdout)
     assert report["pair_bound"]["equality_everywhere"] is True
     assert report["classification"]["strongly_regular"] is True
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = subprocess.run(
+        [sys.executable, "-m", "qpolykit", "check-graph", "--family", "petersen"],
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "distinct eigenvalues: 3 (x1), 1 (x5), -2 (x4)" in proc.stdout
+    # importing the module, as tools that load every module do, runs nothing
+    importlib.import_module("qpolykit.__main__")
 
 
 def test_check_graph_heawood_triple_branch():

@@ -3,6 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 import sympy
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qpolykit.algebraics import AlgebraicReal, isolate_real_roots
 from qpolykit.cli import main
@@ -268,3 +270,44 @@ def test_cycle7_fields_never_exceed_the_cubic(monkeypatch, capsys):
     assert main(["check-scheme", "--from-graph", "cycle:n=7"]) == 0
     capsys.readouterr()
     assert max(degrees) == 3
+
+
+# Q(sqrt5), the pentagon's eigenvalue field, and the 7-cycle's cubic eigenvalue field
+DOT_FIELDS = [RealAlgebraicField.from_root(root(m))[0] for m in ((-1, 1, 1), CYCLE7_CUBIC)]
+SMALL_COEFFS = st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4), max_size=6)
+
+
+@given(st.sampled_from(DOT_FIELDS), st.lists(st.tuples(SMALL_COEFFS, SMALL_COEFFS), max_size=5))
+def test_dot_is_the_sum_of_the_products(field, pairs):
+    xs = [field.element(a) for a, _ in pairs]
+    ys = [field.element(b) for _, b in pairs]
+    total = field.constant(0)
+    for x, y in zip(xs, ys):
+        total = total + x * y
+    got = field.dot(xs, ys)
+    assert got.coeffs == total.coeffs
+    assert_canonical([got, total])
+
+
+@given(
+    st.sampled_from(DOT_FIELDS),
+    SMALL_COEFFS,
+    st.one_of(st.integers(min_value=-5, max_value=5), st.fractions(min_value=-3, max_value=3, max_denominator=6)),
+)
+def test_rational_scaling_is_the_product_by_the_constant(field, coeffs, r):
+    x = field.element(coeffs)
+    scaled = x * r
+    assert scaled.coeffs == (x * field.constant(r)).coeffs
+    assert (r * x).coeffs == scaled.coeffs
+    assert (x * 0).coeffs == () and (x * F(0)).coeffs == ()
+    assert_canonical([x, scaled])
+
+
+def test_dot_takes_paired_elements_of_its_own_field():
+    field, gen = DOT_FIELDS[0], DOT_FIELDS[0].generator()
+    other = DOT_FIELDS[1].generator()
+    assert field.dot([], []).coeffs == ()
+    with pytest.raises(ValueError, match="different fields"):
+        field.dot([gen], [other])
+    with pytest.raises(ValueError):
+        field.dot([gen, gen], [gen])

@@ -1,6 +1,7 @@
 from dataclasses import replace
 from fractions import Fraction as F
 from itertools import permutations
+from math import comb
 
 import pytest
 import sympy
@@ -22,7 +23,7 @@ from qpolykit.families import (
 )
 from qpolykit.graphs import classify_regularity
 from qpolykit.linalg import charpoly
-from qpolykit.numberfield import FieldElement, scalar_as_fraction
+from qpolykit.numberfield import FieldElement, RealAlgebraicField, scalar_as_fraction
 from qpolykit.polynomials import RationalPoly, squarefree_part
 from qpolykit.schemes import (
     AssociationScheme,
@@ -288,8 +289,11 @@ def test_krein_basics():
 
 
 def test_krein_oracle_matches_small():
-    for name in ("c5", "petersen", "cube", "heawood"):
-        g = corpus_graphs()[name]
+    # rational, quadratic (c5, heawood) and cubic (the 7- and 9-cycles) fields
+    corpus = corpus_graphs()
+    graphs = {name: corpus[name] for name in ("c5", "petersen", "cube", "heawood", "biplane11_incidence")}
+    graphs.update({"cycle:n=7": cycle(7), "cycle:n=9": cycle(9)})
+    for name, g in graphs.items():
         s = scheme_from_graph(g)
         e = eigendata(s)
         kt = krein(s, e)
@@ -298,6 +302,32 @@ def test_krein_oracle_matches_small():
             for j in range(s.d + 1):
                 for h in range(s.d + 1):
                     assert (kt.q[i][j][h] - oracle[i][j][h]).is_zero(), (name, i, j, h)
+
+
+@pytest.mark.parametrize("graph, d, reduces", [(heawood, 3, 60), (lambda: cycle(9), 4, 110)])
+def test_krein_reduces_once_per_pair_product_and_per_triple(monkeypatch, graph, d, reduces):
+    # at most (d+1)^2 (d+2)/2 full products (one w_ij[u] per pair i <= j and
+    # relation u) and one dot per triple i <= j <= h, each one reduce; the
+    # rational scalings reduce nothing
+    s = scheme_from_graph(graph())
+    e = eigendata(s)
+    calls = {"reduce": 0, "dot": 0}
+    real_reduce, real_dot = RealAlgebraicField.reduce, RealAlgebraicField.dot
+
+    def reduce(self, coeffs):
+        calls["reduce"] += 1
+        return real_reduce(self, coeffs)
+
+    def dot(self, xs, ys):
+        calls["dot"] += 1
+        return real_dot(self, xs, ys)
+
+    monkeypatch.setattr(RealAlgebraicField, "reduce", reduce)
+    monkeypatch.setattr(RealAlgebraicField, "dot", dot)
+    krein(s, e)
+    assert s.d == d
+    assert calls == {"reduce": reduces, "dot": comb(d + 3, 3)}
+    assert reduces <= (d + 1) ** 2 * (d + 2) // 2 + comb(d + 3, 3)
 
 
 def _brute_force_orderings(s, e, kt):
