@@ -61,7 +61,8 @@ from .polynomials import (
 )
 
 # interval-refinement rounds that compare and tridiagonal.compare_shifted_product
-# spend before switching to exact algebra; it affects speed, not answers
+# spend before switching to exact algebra, and after which the other refinement
+# loops compute their sound _round_cap; it affects speed, not answers
 REFINE_BUDGET = 64
 
 
@@ -188,6 +189,7 @@ class AlgebraicReal:
         return AlgebraicReal(p, lo, hi, True, sign_lo)
 
     def inverse(self) -> "AlgebraicReal":
+        """1 / self; 0 leaves the interval within _round_cap steps of poly * x, else AssertionError."""
         r = self.as_rational()
         if r == 0:
             raise ZeroDivisionError("inverse of zero")
@@ -196,7 +198,12 @@ class AlgebraicReal:
         b = _Bisection(self)
         if b.l <= 0 <= b.h and b.sign(0) == 0:
             raise ZeroDivisionError("inverse of zero")
+        cap = None
         while b.l <= 0 <= b.h:
+            if b.k >= REFINE_BUDGET:
+                cap = cap or _round_cap(self.poly * RationalPoly((0, 1)), self.hi - self.lo)
+                if b.k >= cap:
+                    raise AssertionError("inverse refined past its round cap")
             if not b.step():
                 return AlgebraicReal.from_rational(Fraction(b.den << b.k, b.l))
         a = b.result() if b.k else self
@@ -446,7 +453,7 @@ def isolate_real_roots_with_multiplicity(p: RationalPoly) -> list[tuple[Algebrai
 
 
 def compare_rational(a: AlgebraicReal, r: Fraction | int) -> int:
-    """Exact sign of a - r."""
+    """Exact sign of a - r; r leaves the interval within _round_cap steps of a.poly * (x - r), else AssertionError."""
     r = Fraction(r)
     ra = a.as_rational()
     if ra is not None:
@@ -455,11 +462,15 @@ def compare_rational(a: AlgebraicReal, r: Fraction | int) -> int:
     t = r.numerator * (b.den // r.denominator)  # r scaled like l and h
     if b.l <= t <= b.h and b.sign(t) == 0:
         return 0
+    cap = None
     while b.l <= t <= b.h:
-        hit = not b.step()
+        if b.k >= REFINE_BUDGET:
+            cap = cap or _round_cap(a.poly * RationalPoly((-r, 1)), a.hi - a.lo)
+            if b.k >= cap:
+                raise AssertionError("rational comparison refined past its round cap")
+        # an exact hit leaves l == h at a root, which t is not, and ends the loop
+        b.step()
         t <<= 1
-        if hit:
-            return (b.l > t) - (b.l < t)
     return 1 if b.l > t else -1
 
 
@@ -486,7 +497,6 @@ def compare(a: AlgebraicReal, b: AlgebraicReal) -> int:
     # one denominator for both, so the two intervals compare as integers
     x = _Bisection(a, lcm(b.lo.denominator, b.hi.denominator))
     y = _Bisection(b, x.den)
-    rounds = 0
     cap = None  # set by the equality check at REFINE_BUDGET
     while True:
         # both values lie strictly inside their open intervals here
@@ -494,7 +504,7 @@ def compare(a: AlgebraicReal, b: AlgebraicReal) -> int:
             return -1
         if y.h <= x.l:
             return 1
-        if rounds >= REFINE_BUDGET:
+        if x.k >= REFINE_BUDGET:  # x.k, y.k: the rounds so far
             if cap is None:
                 g = poly_gcd(a.poly, b.poly)
                 if g.degree >= 1:
@@ -505,14 +515,13 @@ def compare(a: AlgebraicReal, b: AlgebraicReal) -> int:
                 # distinct values are distinct roots of a.poly * b.poly; both
                 # intervals together are narrower than their separation by then
                 cap = _round_cap(a.poly * b.poly, (a.hi - a.lo) + (b.hi - b.lo))
-            if rounds >= cap:
+            if x.k >= cap:
                 raise AssertionError("comparison refined past its round cap")
         x_open, y_open = x.step(), y.step()
         if not y_open:
             return compare_rational(x.result(), y.result().lo)
         if not x_open:
             return -compare_rational(y.result(), x.result().lo)
-        rounds += 1
 
 
 # -- polynomial images --------------------------------------------------------

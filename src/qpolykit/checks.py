@@ -142,7 +142,8 @@ def _graph_checks(report: dict, lines: list[str], alarms: list[str], g: Graph, t
     # the quotient around vertex 0 (the intersection array, when there is one) and its spectrum, derived once
     triple = theorem in ("thm31", "all") and classification.distance_regular and classification.diameter >= 3
     interlace = theorem in ("kpy", "all") and classification.regular and not g.is_complete() and not g.is_empty_graph()
-    array = graphmod.intersection_array(classification) if classification.distance_regular else None
+    has_array = classification.distance_regular and classification.diameter >= 2
+    array = graphmod.intersection_array(classification) if has_array else None
     quotient = graphmod.quotient_spectrum(classification) if triple or interlace else None
 
     if triple:
@@ -164,14 +165,13 @@ def _graph_checks(report: dict, lines: list[str], alarms: list[str], g: Graph, t
         if not tb.holds:
             alarms.append("triple bound violated on a distance-regular graph")
 
-    if theorem in ("fundamental", "all") and array is not None:
-        try:
+    if theorem in ("fundamental", "all") and classification.distance_regular:
+        if array is None:  # a complete graph: valid input outside the bound's hypotheses
+            skip = "fundamental bound requires diameter >= 2"
+            report["fundamental_bound"] = {"skipped": skip}
+            lines.append(f"fundamental bound: skipped ({skip})")
+        else:
             fb = graphmod.fundamental_bound(spec, array, classification.bipartite)
-        except GraphError as exc:
-            report["fundamental_bound"] = {"skipped": str(exc)}
-            lines.append(f"fundamental bound: skipped ({exc})")
-            fb = None
-        if fb is not None:
             report["fundamental_bound"] = fb.to_json_dict()
             lines.append(
                 f"fundamental bound: lhs {_approx(fb.lhs)} >= rhs {_approx(fb.rhs)}, "
@@ -197,7 +197,7 @@ def check_scheme(source, theorem: str = "all"):
     ``source`` is an AssociationScheme, or a list of polynomial structures
     given at parameter level (a Krein array), where the point-set checks are
     unavailable.  Raises SchemeError when the scheme's eigendata cannot be
-    built (which includes failing the scheme axioms).
+    built; a scheme that fails the axioms cannot be built at all.
     """
     return _guarded(_scheme_checks, {"command": "check-scheme"}, [], source, theorem)
 
@@ -206,7 +206,7 @@ def _scheme_checks(report: dict, lines: list[str], alarms: list[str], source, th
     scheme = eig = table = None
     if isinstance(source, schememod.AssociationScheme):
         scheme = source
-        eig = schememod.eigendata(scheme)  # raises SchemeError unless the axioms hold
+        eig = schememod.eigendata(scheme)
         table = schememod.krein(scheme, eig)
         structures = schememod.find_q_orderings(scheme, eig, table)
         report["n"] = scheme.n

@@ -185,7 +185,6 @@ def cmd_scan(args) -> int:
             genuine=not args.non_genuine,
             free_c3=args.free_c3,
         )
-        spec.validate()
     except (ValueError, ZeroDivisionError) as exc:
         return _input_error(exc)
     result = scanmod.scan(spec)

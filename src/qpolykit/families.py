@@ -1,8 +1,8 @@
 """Canonical graphs, designs and parameter sets used by the test corpus.
 
 Builders use a fixed vertex numbering per family so every derived report is
-byte-stable across runs.  Designs are stored as explicit block lists and
-validated by direct double counting.
+byte-stable across runs.  Designs are stored as explicit block lists, and
+construction checks them by direct double counting.
 """
 
 from __future__ import annotations
@@ -21,14 +21,14 @@ from .serialize import dump_json, rat_str
 
 @dataclass(frozen=True)
 class SymmetricDesign:
-    """2-(v, k, lambda) design with equally many points and blocks."""
+    """2-(v, k, lambda) design with equally many points and blocks; construction raises ValueError otherwise."""
 
     v: int
     k: int
     lam: int
     blocks: tuple[tuple[int, ...], ...]
 
-    def validate(self) -> list[str]:
+    def __post_init__(self) -> None:
         problems = []
         if len(self.blocks) != self.v:
             problems.append("number of blocks must equal number of points")
@@ -46,7 +46,8 @@ class SymmetricDesign:
             if t != self.lam:
                 problems.append(f"pair ({p},{q}) lies in {t} blocks, expected lambda")
                 break
-        return problems
+        if problems:
+            raise ValueError("invalid design: " + "; ".join(problems))
 
 
 def fano() -> SymmetricDesign:
@@ -76,9 +77,6 @@ def biplane_16() -> SymmetricDesign:
 
 def incidence_graph(design: SymmetricDesign) -> Graph:
     """Bipartite point-block incidence graph; points first, blocks after."""
-    problems = design.validate()
-    if problems:
-        raise ValueError("invalid design: " + "; ".join(problems))
     edges = []
     for bi, block in enumerate(design.blocks):
         for p in block:

@@ -17,17 +17,19 @@ bipartiteness (a connected graph is bipartite exactly when no edge lies
 inside a distance layer, so when every alpha of one quotient is 0), the
 vertex pair bound (theta_1+1)(theta_D+1) <= -beta_1(x) whose all-vertex
 equality case is exactly strong regularity, and the quotient around vertex
-0, a row-sum system with kappa = k, all read that tuple.  For a
-distance-regular graph the quotient is the intersection array {b; c}, which
-the fundamental bound reads; its spectrum (quotient_spectrum) feeds
-interlacing and the diameter->=3 triple bound.  Each check takes the facts
-it reads as arguments and computes none, so a caller derives each once.
+0, a row-sum system with kappa = k built once (quotient_system), all read
+that tuple.  For a distance-regular graph of diameter >= 2 that system is
+the intersection array {b; c}, which the fundamental bound reads; its
+spectrum (quotient_spectrum) feeds interlacing and the diameter->=3 triple
+bound.  Each check takes the facts it reads as arguments and computes none,
+so a caller derives each once.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable
 
@@ -41,6 +43,7 @@ from .polynomials import RationalPoly, squarefree_part
 from .serialize import rat_str, value_json
 from . import tridiagonal
 from .tridiagonal import (
+    InvalidSystem,
     TridiagonalSystem,
     TripleBoundResult,
     compare_shifted_product,
@@ -273,9 +276,6 @@ class QuotientMatrix:
     def eccentricity(self) -> int:
         return len(self.alpha) - 1
 
-    def to_tridiagonal(self, kappa: Fraction) -> TridiagonalSystem:
-        return TridiagonalSystem.from_entries(self.alpha, self.beta, self.gamma, kappa)
-
 
 def quotient_matrix(g: Graph, x: int) -> QuotientMatrix:
     """The quotient around x, from one BFS; GraphError when g is disconnected."""
@@ -352,19 +352,10 @@ class InterlaceReport:
 
 
 def quotient_spectrum(classification: RegularityReport) -> tridiagonal.SpectrumReport:
-    """The spectrum of a regular graph's quotient around vertex 0, kappa = k.
-
-    For a distance-regular graph that quotient is the intersection array.
-    AssertionError when the quotient fails the row-sum condition, which a
-    regular graph's quotient always meets.
-    """
+    """The spectrum of a regular graph's quotient around vertex 0 (classification.quotient_system)."""
     if not classification.regular:
         raise GraphError("the quotient spectrum requires a regular graph")
-    system = classification.quotients[0].to_tridiagonal(Fraction(classification.degree))
-    valid = tridiagonal.validate(system)
-    if not valid.ok:
-        raise AssertionError("regular-graph quotient violates the row-sum condition: " + "; ".join(valid.violations))
-    return tridiagonal.spectrum(system)
+    return tridiagonal.spectrum(classification.quotient_system)
 
 
 def interlace_check(spec: GraphSpectrum, quotient: tridiagonal.SpectrumReport) -> InterlaceReport:
@@ -390,6 +381,17 @@ class RegularityReport:
     distance_biregular: bool
     strongly_regular: bool
     quotients: tuple[QuotientMatrix, ...]  # quotients[x]: the quotient around vertex x
+
+    @cached_property
+    def quotient_system(self) -> TridiagonalSystem:
+        """A regular graph's quotient around vertex 0 as a row-sum system, kappa = k; AssertionError unless valid."""
+        q = self.quotients[0]
+        try:
+            return TridiagonalSystem.from_entries(q.alpha, q.beta, q.gamma, Fraction(self.degree))
+        except InvalidSystem as exc:
+            raise AssertionError(
+                "regular-graph quotient violates the row-sum condition: " + "; ".join(exc.violations)
+            ) from None
 
     def to_json_dict(self) -> dict:
         return {
@@ -501,10 +503,13 @@ def intersection_array(classification: RegularityReport) -> TridiagonalSystem:
     """The intersection array as the quotient's row-sum system: beta = b_0..b_{D-1}, gamma = c_1..c_D."""
     if not classification.distance_regular:
         raise GraphError("intersection array requires a distance-regular graph")
+    if classification.diameter < 2:
+        raise GraphError("intersection array requires diameter >= 2")
     # distance-regular: every quotient is equitable, with integer entries, and they all agree
-    system = classification.quotients[0].to_tridiagonal(Fraction(classification.degree))
-    if any(v.denominator != 1 for v in system.alpha + system.beta + system.gamma):
+    q = classification.quotients[0]
+    if any(v.denominator != 1 for v in q.alpha + q.beta + q.gamma):
         raise AssertionError("distance-regular quotient with a non-integer entry")
+    system = classification.quotient_system
     # cell sizes k_{i+1} = k_i b_i / c_{i+1} must come out integral
     if any(k_i.denominator != 1 for k_i in tridiagonal.valencies(system)):
         raise AssertionError("inconsistent intersection array: k_i not integral")
@@ -548,8 +553,6 @@ def fundamental_bound(spec: GraphSpectrum, array: TridiagonalSystem, bipartite: 
 
     Tight means nonbipartite (the classification's verdict) with exact equality.
     """
-    if array.d < 2:
-        raise GraphError("fundamental bound requires diameter >= 2")
     k, a1, b1 = array.kappa, array.alpha[1], array.beta[1]
     shift = k / (a1 + 1)
     rhs = -k * a1 * b1 / (a1 + 1) ** 2

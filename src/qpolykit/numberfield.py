@@ -39,7 +39,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .algebraics import AlgebraicReal, _interval_eval, _round_cap, apply_rational_poly, isolate_real_roots, roots_in
+from .algebraics import REFINE_BUDGET, AlgebraicReal, _defining_poly_image, _interval_eval, _round_cap
+from .algebraics import apply_rational_poly, isolate_real_roots, roots_in
 from .linalg import charpoly, companion, kron_sum
 from .polynomials import RationalPoly, irreducible_factors, squarefree_part
 
@@ -144,10 +145,16 @@ class RealAlgebraicField:
         return FieldElement(self, self.reduce(out))
 
     def sign_coeffs(self, coeffs: tuple[Fraction, ...]) -> int:
-        """Sign of a canonical residue at gamma, refining gamma until it is decided."""
+        """Sign of a canonical residue at gamma, refining gamma until it is decided.
+
+        e(gamma) is a nonzero root of the characteristic polynomial of multiplication
+        by e, and on gamma's [lo, hi] inside [-R, R] its enclosure is at most (hi - lo)
+        sum_i i |e_i| R^(i-1) wide: 0 leaves it within _round_cap rounds, else AssertionError.
+        """
         if not coeffs:
             return 0
         e = RationalPoly(coeffs)
+        rounds, cap = 0, None
         while True:
             gen = self._gen
             if gen.lo == gen.hi:
@@ -158,8 +165,16 @@ class RealAlgebraicField:
                 return 1
             if hi < 0:
                 return -1
+            if rounds >= REFINE_BUDGET:
+                if cap is None:
+                    big_r = max(abs(gen.lo), abs(gen.hi))
+                    width = (gen.hi - gen.lo) * sum(i * abs(c) * big_r ** (i - 1) for i, c in enumerate(coeffs) if i)
+                    cap = rounds + _round_cap(_defining_poly_image(e, self._modulus) * RationalPoly((0, 1)), width)
+                if rounds >= cap:
+                    raise AssertionError("field sign refined past its round cap")
             # the irreducible modulus of degree >= 2 has no rational root, so no step hits one
             self._gen = gen.refine()
+            rounds += 1
 
 
 def _half_ext_gcd(a: RationalPoly, b: RationalPoly) -> tuple[RationalPoly, RationalPoly]:

@@ -2,7 +2,8 @@
 
 A scheme is its relation table; a distance scheme's table is its graph's BFS
 rows.  Each p_{ij}^h = |R_i(x) & R_j(y)|, (x, y) in R_h, is the popcount of
-two per-point bit masks, verified constant over every pair of the relation.
+two per-point bit masks, verified constant over every pair of the relation;
+construction checks the scheme axioms on them, so nothing below asks again.
 
 Everything else routes through the regular representation.  The intersection
 matrices B_i = (p_{ij}^h)_{h,j} span a commutative semisimple algebra of
@@ -25,9 +26,10 @@ expansion of E_i o E_j in the idempotent basis on the point set.
 An ordering of the idempotents is polynomial when the matrix (q_{1,j}^h)
 is irreducible tridiagonal; its transpose is then a row-sum tridiagonal
 system with kappa = m, the Krein array {b*; c*}.  Each QPolyStructure
-validates that system once and keeps it as the one form of the array,
-beside only the facts no other object holds; a Krein array given as
-parameters (structure_from_dual_parameters) is that system, m = b_0*.
+keeps that system, which met the row-sum condition when it was built, as
+the one form of the array, beside only the facts no other object holds; a
+Krein array given as parameters (structure_from_dual_parameters) is that
+system, m = b_0*.
 The spectral identity certifies the E_1 column of Q as the system's
 spectrum (tridiagonal.certify_spectrum), evaluating F_D by its recurrence
 in the ordering's number field; a system with field entries takes that
@@ -71,7 +73,7 @@ from .numberfield import (
 )
 from .polynomials import RationalPoly
 from .serialize import parse_rat, value_json
-from .tridiagonal import BoundCheck, TridiagonalSystem, TripleBoundResult
+from .tridiagonal import BoundCheck, InvalidSystem, TridiagonalSystem, TripleBoundResult
 
 
 class SchemeError(ValueError):
@@ -91,7 +93,8 @@ class AssociationScheme:
 
     relation[x][y] in 0..d names the relation of (x, y), 0 the identity: n
     tuples, symmetric with a zero diagonal.  p[i][j][h] are the intersection
-    numbers, counted from the table.
+    numbers, counted from the table; construction raises SchemeError unless
+    they meet the scheme axioms.
     """
 
     n: int
@@ -100,6 +103,11 @@ class AssociationScheme:
     p: tuple
     # the classification of relation graph 1 when the scheme was built from it
     graph_classification: RegularityReport | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        violations = _axiom_violations(self.n, self.d, self.p)
+        if violations:
+            raise SchemeError("scheme axioms fail: " + "; ".join(violations))
 
     @property
     def valencies(self) -> tuple[int, ...]:
@@ -203,19 +211,11 @@ def _intersection_numbers(d: int, relation) -> tuple:
 # -- axioms -------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SchemeReport:
-    ok: bool
-    violations: tuple[str, ...]
-
-
-def verify_scheme(s: AssociationScheme) -> SchemeReport:
-    """Check the scheme axioms on the intersection numbers."""
+def _axiom_violations(n: int, d: int, p) -> list[str]:
+    """Every scheme axiom that p fails, deduplicated, in order: a cross-check on _intersection_numbers."""
     v: list[str] = []
-    d, n, p = s.d, s.n, s.p
     if d < 1:
-        v.append("class must be at least 1 (identity-only input rejected)")
-        return SchemeReport(False, tuple(v))
+        return ["class must be at least 1 (identity-only input rejected)"]
     k = [p[i][i][0] for i in range(d + 1)]
     if k[0] != 1:
         v.append("valency of the identity relation must be 1")
@@ -252,10 +252,7 @@ def verify_scheme(s: AssociationScheme) -> SchemeReport:
                     if left != right:
                         v.append(f"associativity fails at ({i},{j},{h},{l})")
                         break
-    # deduplicate, keep order
-    seen = set()
-    vv = [x for x in v if not (x in seen or seen.add(x))]
-    return SchemeReport(not vv, tuple(vv))
+    return list(dict.fromkeys(v))  # deduplicated, in order
 
 
 def scheme_from_graph(g: Graph) -> AssociationScheme:
@@ -306,9 +303,6 @@ def eigendata(s: AssociationScheme) -> EigenData:
     are ordered with the valency row first, the rest by descending
     generator eigenvalue.
     """
-    rep = verify_scheme(s)
-    if not rep.ok:
-        raise SchemeError("scheme axioms fail: " + "; ".join(rep.violations))
     d, n = s.d, s.n
     k = list(s.valencies)
     for coeffs in _generator_candidates(d):
@@ -465,9 +459,8 @@ class QPolyStructure:
 
     system is the transposed reordered (q_{1,j}^h) matrix, a row-sum system
     with kappa = m: alpha holds a_0*..a_D*, beta b_0* = m..b_{D-1}* and
-    gamma c_1* = 1..c_D*.  It is validated once, when the structure is
-    built, and None at class 1, where no dual check applies (so d and m
-    are fields).  q_column is the E_1 column of Q in descending order for
+    gamma c_1* = 1..c_D*, and None at class 1, where no dual check applies
+    (so d and m are fields).  q_column is the E_1 column of Q in descending order for
     scheme orderings and None for Krein arrays, whose dual eigenvalues are
     the system's spectrum.  The scheme's eigendata and Krein table stay
     with the caller, which passes them to the checks that read them.
@@ -617,17 +610,13 @@ def _transpose_system(field, m: Fraction, b1) -> TridiagonalSystem:
         tuple(b1[j - 1][j] for j in range(1, d + 1)),  # c_j*
     )
     rational = [[scalar_as_fraction(v) for v in row] for row in entries]
-    if all(v is not None for row in rational for v in row):
-        system = TridiagonalSystem(d, *map(tuple, rational), m)
-    else:
-        system = TridiagonalSystem(d, *entries, field.constant(m))
-    rep = tridiagonal.validate(system)
-    if not rep.ok:
-        raise SoundnessAlarm(
-            "transpose of the ordered Krein matrix violates the row-sum condition: "
-            + "; ".join(rep.violations)
-        )
-    return system
+    try:
+        if all(v is not None for row in rational for v in row):
+            return TridiagonalSystem(d, *map(tuple, rational), m)
+        return TridiagonalSystem(d, *entries, field.constant(m))
+    except InvalidSystem as exc:
+        problems = "; ".join(exc.violations)
+        raise SoundnessAlarm(f"transpose of the ordered Krein matrix violates the row-sum condition: {problems}")
 
 
 def _descending_permutation(col) -> list[int] | None:
@@ -676,11 +665,11 @@ def krein_array_structure(obj: dict) -> QPolyStructure:
 
 
 def structure_from_dual_parameters(b: Sequence[Fraction], c: Sequence[Fraction]) -> QPolyStructure:
-    """The Krein array {b*; c*} as its validated row-sum system alone, m = b_0*; SchemeError when invalid."""
-    system = TridiagonalSystem.from_intersection_numbers(b, c)
-    rep = tridiagonal.validate(system)
-    if not rep.ok:
-        raise SchemeError("dual parameters violate the row-sum condition: " + "; ".join(rep.violations))
+    """The Krein array {b*; c*} as its row-sum system alone, m = b_0*; SchemeError when it fails the condition."""
+    try:
+        system = TridiagonalSystem.from_intersection_numbers(b, c)
+    except InvalidSystem as exc:
+        raise SchemeError("dual parameters violate the row-sum condition: " + "; ".join(exc.violations)) from None
     return QPolyStructure(system.d, system.kappa, system, None, None, None)
 
 
@@ -806,16 +795,14 @@ class AuditReport:
 def class3_feasibility(qs: QPolyStructure, genuine: bool = True) -> tuple[str, str] | None:
     """The rational filters a class-3 Krein array must pass to belong to a scheme.
 
-    multiplicity: the implied m_3 = m b_1* b_2* / (c_2* c_3*) is positive,
-    and an integer when genuine.  krein_condition: with a_3* = 0 (c_3* = m)
+    multiplicity: the implied m_3 = m b_1* b_2* / (c_2* c_3*), positive as
+    b* and c* are, is an integer when genuine.  krein_condition: with a_3* = 0 (c_3* = m)
     the parameters force q_23^3 and q_33^3 (QPolyStructure.implied_krein),
     and both must be nonnegative.  Returns (stage, reason) of the
     first failure, None when every filter passes.  The scanner and the
     Krein-array checks of check-scheme both call it.
     """
     m3 = tridiagonal.valencies(qs.system)[3]
-    if m3 <= 0:
-        return "multiplicity", "m_3 must be positive"
     if genuine and m3.denominator != 1:
         return "multiplicity", "m_3 must be an integer for a genuine scheme"
     implied = qs.implied_krein(m3)

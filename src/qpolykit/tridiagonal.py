@@ -6,6 +6,8 @@ summing to kappa.  Such a matrix has D+1 distinct real eigenvalues with
 kappa the largest; the remaining D are the eigenvalues of a D x D reduced
 matrix whose leading principal characteristic polynomials F_0, ..., F_D
 satisfy a three-term recurrence, and consecutive F_i strictly interlace.
+A TridiagonalSystem cannot fail this row-sum condition: construction raises
+InvalidSystem, listing every failed clause, so no function below asks again.
 
 Two eigenvalue inequalities are verified with exact equality detection:
 
@@ -42,7 +44,7 @@ reduced_matrix) and the characteristic polynomial of the class-3 audit
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import prod
@@ -67,15 +69,57 @@ from .polynomials import RationalPoly
 from .serialize import rat_str, value_json
 
 
+class InvalidSystem(ValueError):
+    """Entries that fail the row-sum condition; violations lists every failed clause, in order."""
+
+    def __init__(self, violations: list[str]):
+        super().__init__("invalid tridiagonal system: " + "; ".join(violations))
+        self.violations = tuple(violations)
+
+
 @dataclass(frozen=True)
 class TridiagonalSystem:
+    """A system that meets the row-sum condition; construction raises InvalidSystem otherwise."""
+
     d: int
     alpha: tuple
     beta: tuple
     gamma: tuple
     kappa: object
-    # set by validate once the system has passed; not part of the value
-    _valid: bool = field(default=False, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        d, alpha, beta, gamma, kappa = self.d, self.alpha, self.beta, self.gamma, self.kappa
+        v: list[str] = []
+        if d < 2:
+            v.append("D must be at least 2")
+        if len(alpha) != d + 1 or len(beta) != d or len(gamma) != d:
+            v.append("entry counts must be alpha: D+1, beta: D, gamma: D")
+            raise InvalidSystem(v)
+        if exact_sign(kappa) <= 0:
+            v.append("kappa must be positive")
+        if alpha[0] != 0:
+            v.append("alpha_0 must equal 0")
+        for i, a in enumerate(alpha):
+            if exact_sign(a) < 0:
+                v.append(f"alpha_{i} must be nonnegative")
+        for i, b in enumerate(beta):
+            if exact_sign(b) <= 0:
+                v.append(f"beta_{i} must be positive")
+        if d >= 1 and gamma[0] != 1:
+            v.append("gamma_1 must equal 1")
+        for j, g in enumerate(gamma):
+            if exact_sign(g) <= 0:
+                v.append(f"gamma_{j + 1} must be positive")
+        for i in range(d + 1):
+            total = alpha[i]
+            if i < d:
+                total = total + beta[i]
+            if i >= 1:
+                total = total + gamma[i - 1]
+            if total != kappa:
+                v.append(f"row {i} must sum to kappa")
+        if v:
+            raise InvalidSystem(v)
 
     @classmethod
     def from_entries(cls, alpha: Sequence, beta: Sequence, gamma: Sequence, kappa) -> "TridiagonalSystem":
@@ -87,13 +131,10 @@ class TridiagonalSystem:
         d = len(b)
         if len(c) != d:
             raise ValueError("need as many c entries as b entries")
-        k = Fraction(b[0])
         bb = [Fraction(v) for v in b]
         cc = [Fraction(v) for v in c]
-        alpha = [Fraction(0)]
-        for i in range(1, d):
-            alpha.append(k - bb[i] - cc[i - 1])
-        alpha.append(k - cc[d - 1])
+        k = bb[0]
+        alpha = [Fraction(0)] + [k - bb[i] - cc[i - 1] for i in range(1, d)] + [k - cc[d - 1]]
         return cls(d, tuple(alpha), tuple(bb), tuple(cc), k)
 
     def is_rational(self) -> bool:
@@ -107,61 +148,6 @@ class TridiagonalSystem:
             "beta": [rat_str(scalar_as_fraction(v)) for v in self.beta],
             "gamma": [rat_str(scalar_as_fraction(v)) for v in self.gamma],
         }
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    violations: tuple[str, ...]
-
-
-def validate(system: TridiagonalSystem) -> ValidationReport:
-    """Check every clause of the row-sum condition; report-style, never raises.
-
-    A system that passes is marked valid, so require_valid need not check it again.
-    """
-    v: list[str] = []
-    d = system.d
-    if d < 2:
-        v.append("D must be at least 2")
-    if len(system.alpha) != d + 1 or len(system.beta) != d or len(system.gamma) != d:
-        v.append("entry counts must be alpha: D+1, beta: D, gamma: D")
-        return ValidationReport(False, tuple(v))
-    if exact_sign(system.kappa) <= 0:
-        v.append("kappa must be positive")
-    if system.alpha[0] != 0:
-        v.append("alpha_0 must equal 0")
-    for i, a in enumerate(system.alpha):
-        if exact_sign(a) < 0:
-            v.append(f"alpha_{i} must be nonnegative")
-    for i, b in enumerate(system.beta):
-        if exact_sign(b) <= 0:
-            v.append(f"beta_{i} must be positive")
-    if system.gamma[0] != 1:
-        v.append("gamma_1 must equal 1")
-    for j, g in enumerate(system.gamma):
-        if exact_sign(g) <= 0:
-            v.append(f"gamma_{j + 1} must be positive")
-    for i in range(d + 1):
-        total = system.alpha[i]
-        if i < d:
-            total = total + system.beta[i]
-        if i >= 1:
-            total = total + system.gamma[i - 1]
-        if total != system.kappa:
-            v.append(f"row {i} must sum to kappa")
-    if not v:
-        object.__setattr__(system, "_valid", True)
-    return ValidationReport(not v, tuple(v))
-
-
-def require_valid(system: TridiagonalSystem) -> None:
-    """Raise ValueError unless the system is valid; a frozen system is validated once."""
-    if system._valid:
-        return
-    rep = validate(system)
-    if not rep.ok:
-        raise ValueError("invalid tridiagonal system: " + "; ".join(rep.violations))
 
 
 def valencies(system: TridiagonalSystem) -> list:
@@ -189,7 +175,6 @@ def reduced_matrix(system: TridiagonalSystem) -> tuple[tuple, ...]:
     Diagonal (-gamma_1, kappa-beta_1-gamma_2, ..., kappa-beta_{D-1}-gamma_D),
     superdiagonal beta_1..beta_{D-1}, subdiagonal gamma_1..gamma_{D-1}.
     """
-    require_valid(system)
     d = system.d
     beta, gamma, kappa = system.beta, system.gamma, system.kappa
     zero = kappa * 0
@@ -212,7 +197,6 @@ def f_polynomials(system: TridiagonalSystem) -> list[RationalPoly]:
     Rational systems only; a system with field entries raises ValueError
     (certify_spectrum certifies its spectrum through _f_d_at instead).
     """
-    require_valid(system)
     if not system.is_rational():
         raise ValueError("systems with algebraic entries need candidate eigenvalues")
     kappa = scalar_as_fraction(system.kappa)
@@ -301,7 +285,6 @@ class SpectrumReport:
 
 def spectrum(system: TridiagonalSystem) -> SpectrumReport:
     """Exact eigenvalues of a rational system: kappa and the isolated roots of F_D."""
-    require_valid(system)
     d = system.d
     fs = f_polynomials(system)
     roots = isolate_real_roots(fs[d])
@@ -321,7 +304,6 @@ def certify_spectrum(system: TridiagonalSystem, roots: Sequence) -> SpectrumRepo
     descending.  D distinct roots of the degree-D polynomial F_D are all of
     its roots, so they are precisely the spectrum.
     """
-    require_valid(system)
     eigen = (system.kappa,) + tuple(roots)
     if len(eigen) != system.d + 1:
         raise ValueError(f"expected {system.d} candidate eigenvalues, got {len(eigen) - 1}")
@@ -550,7 +532,6 @@ class BoundCheck:
 
 def pair_bound(system: TridiagonalSystem, report: SpectrumReport) -> BoundCheck:
     """(theta_1 + 1)(theta_D + 1) <= -beta_1; equality exactly when D = 2."""
-    require_valid(system)
     d = system.d
     rhs = -system.beta[1]
     cmp, lhs = _shifted_product(report, (1, d), 1, rhs)
@@ -579,7 +560,6 @@ class TripleBoundResult:
 
 def triple_bound(system: TridiagonalSystem, report: SpectrumReport) -> TripleBoundResult:
     """The D >= 3 triple-product bound; both branches run on the boundary."""
-    require_valid(system)
     d = system.d
     if d < 3:
         raise ValueError("need D >= 3")
@@ -608,21 +588,7 @@ def random_system(rng: random.Random, d: int, max_tries: int = 5000) -> Tridiago
         kappa = Fraction(rng.randint(6, 28), rng.randint(1, 2))
         beta = [kappa] + [random_fraction(rng) for _ in range(d - 1)]
         gamma = [Fraction(1)] + [random_fraction(rng) for _ in range(d - 1)]
-        alpha = [Fraction(0)]
-        ok = True
-        for i in range(1, d):
-            a = kappa - beta[i] - gamma[i - 1]
-            if a < 0:
-                ok = False
-                break
-            alpha.append(a)
-        if not ok:
-            continue
-        a_last = kappa - gamma[d - 1]
-        if a_last < 0:
-            continue
-        alpha.append(a_last)
-        system = TridiagonalSystem(d, tuple(alpha), tuple(beta), tuple(gamma), kappa)
-        if validate(system).ok:
-            return system
+        alpha = [Fraction(0)] + [kappa - beta[i] - gamma[i - 1] for i in range(1, d)] + [kappa - gamma[d - 1]]
+        if min(alpha) >= 0:  # then every clause of the row-sum condition holds
+            return TridiagonalSystem(d, tuple(alpha), tuple(beta), tuple(gamma), kappa)
     raise RuntimeError("random system generation failed to satisfy constraints")

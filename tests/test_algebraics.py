@@ -506,6 +506,33 @@ def test_compare_past_its_round_cap_is_an_alarm(monkeypatch):
     assert compare(s2, sqrt_of(3)) == -1
 
 
+def test_rational_comparison_past_its_round_cap_is_an_alarm():
+    # a forged value: x^2 - 2 has no root on [3, 4], so bisection keeps the
+    # upper half and 4 never leaves the interval
+    forged = AlgebraicReal(RationalPoly((-2, 0, 1)), 3, 4, True)
+    start = time.perf_counter()
+    with pytest.raises(AssertionError, match="^rational comparison refined past its round cap$"):
+        compare_rational(forged, 4)
+    assert time.perf_counter() - start < 10
+    # a genuine value that refines past the budget still compares
+    s2 = sqrt_of(2)
+    near = s2.refined_to(F(1, 2**80))
+    assert compare_rational(s2, near.lo) == 1 and compare_rational(s2, near.hi) == -1
+
+
+def test_inverse_past_its_round_cap_is_an_alarm():
+    # a forged value: x^2 - 2 has no root on [-1, 0], so bisection keeps the
+    # upper half and 0 never leaves the interval
+    forged = AlgebraicReal(RationalPoly((-2, 0, 1)), -1, 0, True)
+    start = time.perf_counter()
+    with pytest.raises(AssertionError, match="^inverse refined past its round cap$"):
+        forged.inverse()
+    assert time.perf_counter() - start < 10
+    # a genuine value whose interval straddles 0 for many rounds still inverts
+    tiny = isolate_real_roots(RationalPoly((-1, 0, 2**160)))[-1]  # 2^-80
+    assert tiny.inverse() == 2**80
+
+
 def test_unchecked_constructor_certifies_its_interval():
     p = RationalPoly((-2, 0, 1)) * RationalPoly((-1, 3))  # (x^2 - 2)(3x - 1)
     a = AlgebraicReal(p, F(1), F(2))  # sqrt2 alone, neither end a root

@@ -72,6 +72,15 @@ def test_check_system_reports_each_flipped_verdict(monkeypatch, name, change, pr
     assert checks.check_system(HEAWOOD) == [problem]
 
 
+def test_check_system_reads_the_pair_equality_from_the_comparison(monkeypatch):
+    # every product comparison reports a tie: on a D = 3 system the pair
+    # bound's equality flag must follow it and break "equality exactly when D = 2"
+    real = tridiagonal._shifted_product
+    monkeypatch.setattr(tridiagonal, "_shifted_product", lambda *a: (0, real(*a)[1]))
+    assert HEAWOOD.d == 3
+    assert checks.check_system(HEAWOOD) == ["pair-bound equality must hold exactly when D = 2"]
+
+
 # -- check-graph, check-scheme and scan through cli.main -------------------------------------
 
 
@@ -267,6 +276,22 @@ def test_root_isolation_past_its_round_cap_is_an_alarm(monkeypatch, capsys):
     assert "ALARM: internal invariant failed: root isolation subdivided past its round cap" in out.splitlines()
 
 
+def test_rational_comparison_past_its_round_cap_is_an_alarm(monkeypatch, capsys):
+    # the quotient's top root of F_D forged onto [2, 3], where x^2 - 2 has no
+    # root: comparing it with kappa = 3 would refine toward 3 forever
+    real = tridiagonal.isolate_real_roots
+
+    def forged(poly):
+        return real(poly)[:-1] + [algebraics.AlgebraicReal(RationalPoly((-2, 0, 1)), 2, 3, True)]
+
+    monkeypatch.setattr(tridiagonal, "isolate_real_roots", forged)
+    start = time.perf_counter()
+    assert main(["check-graph", "--family", "petersen"]) == 2
+    assert time.perf_counter() - start < 10
+    out = capsys.readouterr().out
+    assert "ALARM: internal invariant failed: rational comparison refined past its round cap" in out.splitlines()
+
+
 @pytest.mark.parametrize(
     "module, name",
     [
@@ -329,13 +354,24 @@ def test_check_graph_classifies_the_graph_once(monkeypatch, capsys):
 @pytest.mark.parametrize("family", ["hamming:d=4,q=2", "heawood", "johnson:n=8,k=3"])
 def test_check_graph_derives_the_quotient_once(monkeypatch, capsys, family):
     # interlacing and the triple bound read one quotient spectrum, the
-    # triple and fundamental bounds one intersection array
-    counts = {name: _count_calls(monkeypatch, tridiagonal, name) for name in ("spectrum", "validate")}
+    # triple and fundamental bounds one intersection array, and both one
+    # row-sum system of the quotient around vertex 0
+    counts = {"spectrum": _count_calls(monkeypatch, tridiagonal, "spectrum")}
     counts["intersection_array"] = _count_calls(monkeypatch, graphs, "intersection_array")
+    real = tridiagonal.TridiagonalSystem.__post_init__
+    built = []
+
+    def counted(system):
+        built.append((system.alpha, system.beta, system.gamma))
+        return real(system)
+
+    monkeypatch.setattr(tridiagonal.TridiagonalSystem, "__post_init__", counted)
     assert main(["check-graph", "--family", family, "--output", "json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert {"triple_bound", "fundamental_bound", "interlacing"} <= report.keys()
-    assert counts == {"spectrum": [1], "validate": [1], "intersection_array": [1]}
+    assert counts == {"spectrum": [1], "intersection_array": [1]}
+    q = graphs.quotient_matrix(parse_family_spec(family), 0)
+    assert built == [(q.alpha, q.beta, q.gamma)]
 
 
 def test_check_graph_builds_each_shifted_product_once(monkeypatch, capsys):

@@ -4,6 +4,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
@@ -16,6 +17,7 @@ from qpolykit import tridiagonal
 from qpolykit.cli import main
 from qpolykit.families import petersen
 from qpolykit.graphs import emit_graph6
+from qpolykit.scanner import MAX_CANDIDATES
 from qpolykit.serialize import rat_str
 
 
@@ -363,6 +365,27 @@ def test_scan_cli():
 def test_scan_empty_grid_exit1():
     proc = run_cli("scan", "--m-max", "1")
     assert proc.returncode == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--m-max", "1e3000"], f"grid has more than {MAX_CANDIDATES} candidates"),
+        (["--m-max", "200"], f"grid has more than {MAX_CANDIDATES} candidates"),
+        (["--m-max", "10", "--step", "1/1000"], f"grid has more than {MAX_CANDIDATES} candidates"),
+        (["--m-max", "14", "--free-c3"], f"grid has more than {MAX_CANDIDATES} candidates"),
+        (["--m-min=-1e30"], "m_min must be positive"),
+        (["--m-min", "0"], "m_min must be positive"),
+    ],
+)
+def test_scan_size_policy_exit1(capsys, argv, message):
+    # counted before anything is enumerated, so an oversize grid never hangs
+    start = time.perf_counter()
+    assert main(["scan", *argv]) == 1
+    assert time.perf_counter() - start < 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: {message}\n"
 
 
 def test_scan_free_c3_has_a3_column():

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -28,8 +29,7 @@ from qpolykit.graphs import Graph, classify_regularity, emit_graph6, intersectio
 
 
 def test_fano_properties():
-    d = fano()
-    assert d.validate() == []
+    d = fano()  # construction raises unless the design's counts hold
     assert d.v == 7 and d.k == 3 and d.lam == 1
     # every pair in exactly one block, exhaustively
     for p in range(7):
@@ -38,13 +38,16 @@ def test_fano_properties():
 
 
 def test_biplanes_validate():
-    assert biplane_11().validate() == []
-    assert biplane_16().validate() == []
+    # construction checks the design, so building one is its validation
+    assert (biplane_11().v, biplane_16().v) == (11, 16)
 
 
 def test_design_validation_catches_faults():
-    bad = SymmetricDesign(7, 3, 1, fano().blocks[:6] + (fano().blocks[0],))
-    assert bad.validate() != []
+    with pytest.raises(ValueError, match="invalid design: every point must lie in exactly k blocks"):
+        SymmetricDesign(7, 3, 1, fano().blocks[:6] + (fano().blocks[0],))
+    # dataclasses.replace goes through the same check
+    with pytest.raises(ValueError, match="invalid design"):
+        replace(fano(), lam=2)
 
 
 def test_incidence_of_fano_is_the_heawood_graph():

@@ -14,6 +14,7 @@ from qpolykit.algebraics import compare, compare_rational
 from qpolykit.cli import main
 from qpolykit.families import (
     complete_bipartite,
+    complete_graph,
     corpus_graphs,
     cube,
     cycle,
@@ -357,15 +358,28 @@ def test_fundamental_bound_examples():
 
 
 def test_quotient_condition_always_satisfied_for_regular():
-    from qpolykit.tridiagonal import validate
-
     rng = random.Random(3)
     for _ in range(6):
         g = random_regular_graph(rng, 10, 3)
         rep = classify_regularity(g)
         for x in range(0, g.n, 3):
             assert rep.quotients[x] == quotient_matrix(g, x)
-            assert validate(rep.quotients[x].to_tridiagonal(F(3))).ok
+            # the system's constructor raises unless the row-sum condition holds
+            q = rep.quotients[x]
+            assert TridiagonalSystem.from_entries(q.alpha, q.beta, q.gamma, F(3)).d == q.eccentricity
+        q = rep.quotients[0]
+        assert rep.quotient_system == TridiagonalSystem.from_entries(q.alpha, q.beta, q.gamma, F(3))
+
+
+def test_complete_graphs_have_no_intersection_array():
+    # a row-sum system needs D >= 2, so the array, and the fundamental bound, stop at diameter 1
+    for n in (2, 4):
+        rep = classify_regularity(complete_graph(n))
+        assert rep.distance_regular and rep.diameter == 1
+        with pytest.raises(GraphError, match="intersection array requires diameter >= 2"):
+            intersection_array(rep)
+        with pytest.raises(AssertionError, match="D must be at least 2"):
+            quotient_spectrum(rep)
 
 
 def test_random_regular_suite():
@@ -432,8 +446,14 @@ def _check_against_networkx(g: Graph):
     assert rep.strongly_regular == nx.is_strongly_regular(nxg)
     assert rep.bipartite == nx.is_bipartite(nxg)
     if rep.distance_regular:
-        expected = TridiagonalSystem.from_intersection_numbers(*nx.intersection_array(nxg))
-        assert intersection_array(rep) == expected
+        b, c = nx.intersection_array(nxg)
+        if rep.diameter < 2:
+            # a complete graph: {k; 1} is no row-sum system, which needs D >= 2
+            assert (list(b), list(c)) == ([g.n - 1], [1])
+            with pytest.raises(GraphError):
+                intersection_array(rep)
+        else:
+            assert intersection_array(rep) == TridiagonalSystem.from_intersection_numbers(b, c)
 
 
 def test_classification_agrees_with_networkx_on_the_corpus():

@@ -1,8 +1,17 @@
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
-from qpolykit.scanner import FILTER_ORDER, GridSpec, KreinArrayCandidate, check_candidate, scan
+from qpolykit.scanner import (
+    FILTER_ORDER,
+    MAX_CANDIDATES,
+    GridSpec,
+    KreinArrayCandidate,
+    _candidate_count,
+    check_candidate,
+    scan,
+)
 from qpolykit.serialize import dump_json
 
 
@@ -103,10 +112,43 @@ def test_scan_rational_step():
 
 
 def test_grid_validation():
+    # a grid is checked when it is built
+    with pytest.raises(ValueError, match="empty grid"):
+        GridSpec(m_max=F(1))
+    with pytest.raises(ValueError, match="grid step must be positive"):
+        GridSpec(m_max=F(5), step=F(0))
+    with pytest.raises(ValueError, match="m_min must be positive"):
+        GridSpec(m_max=F(5), m_min=F(-1, 2))
+    with pytest.raises(ValueError, match="candidates"):
+        GridSpec(m_max=F(25))
+
+
+def test_replace_cannot_make_an_invalid_grid():
+    spec = GridSpec(m_max=F(4))
+    assert replace(spec, m_max=F(5)).m_max == 5
+    for change in ({"m_max": F(1)}, {"step": F(-1)}, {"m_min": F(0)}, {"m_max": F(10**6)}):
+        with pytest.raises(ValueError):
+            replace(spec, **change)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        GridSpec(m_max=F(5)),
+        GridSpec(m_max=F(4), m_min=F(1, 2), step=F(1, 2), genuine=False),
+        GridSpec(m_max=F(4), free_c3=True),
+        GridSpec(m_max=F(7, 2), m_min=F(1, 3)),
+    ],
+)
+def test_candidate_count_is_the_scan_size(spec):
+    assert _candidate_count(spec) == scan(spec).tallies["candidates"]
+
+
+def test_largest_default_grid_is_just_under_the_cap():
+    # --m-max 24 (89 999 candidates) is accepted, --m-max 25 (105 624) is not
+    assert _candidate_count(GridSpec(m_max=F(24))) == 89_999 <= MAX_CANDIDATES
     with pytest.raises(ValueError):
-        GridSpec(m_max=F(1)).validate()
-    with pytest.raises(ValueError):
-        GridSpec(m_max=F(5), step=F(0)).validate()
+        GridSpec(m_max=F(25))
 
 
 def test_scheme_derived_parameters_pass_the_filter_chain():
@@ -123,12 +165,13 @@ def test_scheme_derived_parameters_pass_the_filter_chain():
         krein,
         scheme_from_graph,
     )
-    from qpolykit.tridiagonal import validate, valencies
+    from qpolykit.tridiagonal import TridiagonalSystem, valencies
 
     s = scheme_from_graph(heawood())
     e = eigendata(s)
     qs = find_q_orderings(s, e, krein(s, e))[0]
-    assert validate(qs.system).ok  # structure
+    # structure: the system exists, so it met the row-sum condition when it was built
+    assert isinstance(qs.system, TridiagonalSystem)
     m3 = scalar_as_fraction(valencies(qs.system)[3])
     assert m3 == 1  # positive integer multiplicity
     q233 = qs.m * (qs.system.beta[2] - 1) / qs.system.gamma[1]

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 from fractions import Fraction as F
 from itertools import permutations
@@ -41,9 +42,8 @@ from qpolykit.schemes import (
     krein_oracle,
     scheme_from_graph,
     structure_from_dual_parameters,
-    verify_scheme,
 )
-from qpolykit.tridiagonal import row_sum_matrix, validate, valencies
+from qpolykit.tridiagonal import row_sum_matrix, valencies
 
 
 def heawood_scheme():
@@ -86,22 +86,24 @@ def test_scheme_from_graph_rejects_non_drg():
 
 
 def test_verify_scheme_examples():
+    # the axioms are checked when a scheme is built: a scheme that exists is one
     s = scheme_from_graph(petersen())
-    rep = verify_scheme(s)
-    assert rep.ok
     assert s.p[1][1][1] == 0  # triangle-free
-    identity_only = AssociationScheme(3, 0, ((0, 0, 0),) * 3, (((1,),),))
-    assert not verify_scheme(identity_only).ok
+    with pytest.raises(SchemeError, match="scheme axioms fail: class must be at least 1"):
+        AssociationScheme(3, 0, ((0, 0, 0),) * 3, (((1,),),))
 
 
 def test_verify_scheme_tampered_p_table():
+    # dataclasses.replace builds through the constructor, so it cannot make an invalid scheme
     s = scheme_from_graph(petersen())
+    assert replace(s) == s
     p = [[[v for v in row] for row in block] for block in s.p]
     p[1][1][0] += 1  # break sum_j p[1][j]^0 = k_1
-    tampered = replace(s, p=tuple(tuple(tuple(r) for r in b) for b in p))
-    rep = verify_scheme(tampered)
-    assert not rep.ok
-    assert any("sum_j" in v or "valenc" in v or "triangle" in v for v in rep.violations)
+    with pytest.raises(SchemeError, match="scheme axioms fail") as exc:
+        replace(s, p=tuple(tuple(tuple(r) for r in b) for b in p))
+    assert any(w in str(exc.value) for w in ("sum_j", "valenc", "triangle"))
+    with pytest.raises(SchemeError, match="valencies must sum"):
+        replace(s, n=s.n + 1)
 
 
 def test_relation_json_roundtrip_and_errors():
@@ -389,11 +391,10 @@ def test_b1star_system_examples():
     qs = [q for q in orderings(s) if q.m == 5][0]
     system = qs.system
     assert system.d == 2 and system.kappa == F(5)
-    assert validate(system).ok
 
     qs, _, table = heawood_ordering()
     system = qs.system
-    assert system.d == 3 and validate(system).ok
+    assert system.d == 3
     # column sums of the ordered Krein matrix (q_{1,j}^h) all equal m
     o = qs.idempotent_order
     for h in o:
@@ -626,6 +627,33 @@ def test_classification_end_to_end():
     rep = classify(scheme_from_graph(cube(3)))
     assert not rep.dual_tight and rep.incidence_relation is None
     assert rep.biconditional_ok
+
+
+def test_classification_alarms_when_the_flags_contradict_the_design():
+    # Heawood is the incidence graph of the Fano plane, so orderings that all
+    # read not dual-tight contradict the design side
+    rep = classify_class3_scheme(heawood_scheme(), [False, False])
+    assert not rep.dual_tight and rep.design_params == (7, 3, 1)
+    assert rep.biconditional_ok is False
+    rep = classify_class3_scheme(scheme_from_graph(cube(3)), [True])
+    assert rep.dual_tight and rep.incidence_relation is None
+    assert rep.biconditional_ok is False
+
+
+def test_pq_identity_catches_a_perturbed_off_diagonal_entry():
+    # C8's P has four zeros P[j][u] with u != j; raising Q[u][j] at one
+    # keeps (PQ)[j][j] = |X| and breaks (PQ)[0][j], since P[0][u] = k_u
+    s = scheme_from_graph(cycle(8))
+    e = eigendata(s)
+    schemes._verify_pq_identity(e.field, e.p_matrix, e.q_matrix, s.n)
+    spots = [(u, j) for j, row in enumerate(e.p_matrix) for u, x in enumerate(row) if u != j and x == 0]
+    assert len(spots) == 4
+    for u, j in spots:
+        q = [list(row) for row in e.q_matrix]
+        q[u][j] = q[u][j] + 1
+        assert e.field.dot(e.p_matrix[j], [row[j] for row in q]) == s.n  # the diagonal still holds
+        with pytest.raises(AssertionError, match=re.escape("PQ = |X| I fails")):
+            schemes._verify_pq_identity(e.field, e.p_matrix, tuple(map(tuple, q)), s.n)
 
 
 def test_classification_counts_orderings_from_the_flags():

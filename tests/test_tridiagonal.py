@@ -16,6 +16,7 @@ from qpolykit.numberfield import RealAlgebraicField, eval_rational_poly
 from qpolykit.polynomials import RationalPoly
 from qpolykit.schemes import eigendata, find_q_orderings, krein, scheme_from_graph
 from qpolykit.tridiagonal import (
+    InvalidSystem,
     TridiagonalSystem,
     certify_spectrum,
     charpoly_by_cofactor,
@@ -29,7 +30,6 @@ from qpolykit.tridiagonal import (
     shifted_subset_product,
     spectrum,
     triple_bound,
-    validate,
 )
 
 C5 = TridiagonalSystem.from_entries([F(0), F(0), F(1)], [F(2), F(1)], [F(1), F(1)], F(2))
@@ -41,53 +41,113 @@ PETERSEN_Q = TridiagonalSystem.from_intersection_numbers([3, 2], [1, 1])
 
 
 def test_validate_examples():
-    assert validate(C5).ok
-    bad = TridiagonalSystem.from_entries([F(0), F(0), F(1)], [F(2), F(1)], [F(2), F(1)], F(2))
-    rep = validate(bad)
-    assert not rep.ok
-    assert any("gamma_1" in v for v in rep.violations)
-    assert validate(HEAWOOD).ok
+    # a system is validated when it is built: a valid one exists, an invalid one raises
+    assert (C5.d, HEAWOOD.d) == (2, 3)
+    with pytest.raises(InvalidSystem) as exc:
+        TridiagonalSystem.from_entries([F(0), F(0), F(1)], [F(2), F(1)], [F(2), F(1)], F(2))
+    assert any("gamma_1" in v for v in exc.value.violations)
     assert HEAWOOD.alpha == (F(0), F(0), F(0), F(0))
 
 
 def test_validate_reports_every_violation():
-    bad = TridiagonalSystem.from_entries([F(1), F(-1), F(1)], [F(2), F(1)], [F(1), F(1)], F(0))
-    rep = validate(bad)
-    assert not rep.ok
-    assert len(rep.violations) >= 3
+    with pytest.raises(InvalidSystem) as exc:
+        TridiagonalSystem.from_entries([F(1), F(-1), F(1)], [F(2), F(1)], [F(1), F(1)], F(0))
+    assert len(exc.value.violations) >= 3
+    assert isinstance(exc.value, ValueError)
+    assert str(exc.value) == "invalid tridiagonal system: " + "; ".join(exc.value.violations)
 
 
-@pytest.mark.parametrize(
-    "entry, rest",
-    [(spectrum, ()), (f_polynomials, ()), (pair_bound, (None,)), (triple_bound, (None,))],
-    ids=["spectrum", "f_polynomials", "pair_bound", "triple_bound"],
+def test_every_route_to_a_system_rejects_an_invalid_one():
+    # D = 3 with gamma_1 = 2: rows still sum to kappa, so only one clause fails
+    alpha, beta, gamma, kappa = (F(0), F(0), F(0), F(2)), (F(4), F(2), F(2)), (F(2), F(2), F(2)), F(4)
+    for build in (
+        lambda: TridiagonalSystem(3, alpha, beta, gamma, kappa),
+        lambda: TridiagonalSystem.from_entries(alpha, beta, gamma, kappa),
+        lambda: TridiagonalSystem.from_intersection_numbers(beta, gamma),
+        lambda: replace(H42, d=3, alpha=alpha, beta=beta, gamma=gamma, kappa=kappa),
+    ):
+        with pytest.raises(InvalidSystem, match="gamma_1 must equal 1") as exc:
+            build()
+        assert exc.value.violations == ("gamma_1 must equal 1",)
+
+
+def test_replace_cannot_make_an_invalid_system():
+    assert replace(HEAWOOD) == HEAWOOD
+    with pytest.raises(InvalidSystem) as exc:
+        replace(HEAWOOD, kappa=F(4))
+    assert exc.value.violations == tuple(f"row {i} must sum to kappa" for i in range(4))
+    with pytest.raises(InvalidSystem, match="D must be at least 2"):
+        replace(PETERSEN_Q, d=1, alpha=PETERSEN_Q.alpha[:2], beta=PETERSEN_Q.beta[:1], gamma=PETERSEN_Q.gamma[:1])
+
+
+def _row_sum_problems(d, alpha, beta, gamma, kappa) -> list[str]:
+    """The failed clauses of the row-sum condition, written out apart from the constructor."""
+    out = ["D must be at least 2"] if d < 2 else []
+    if (len(alpha), len(beta), len(gamma)) != (d + 1, d, d):
+        return out + ["entry counts must be alpha: D+1, beta: D, gamma: D"]
+    out += ["kappa must be positive"] * (kappa <= 0)
+    out += ["alpha_0 must equal 0"] * (alpha[0] != 0)
+    out += [f"alpha_{i} must be nonnegative" for i in range(d + 1) if alpha[i] < 0]
+    out += [f"beta_{i} must be positive" for i in range(d) if beta[i] <= 0]
+    out += ["gamma_1 must equal 1"] * (gamma[0] != 1)
+    out += [f"gamma_{i} must be positive" for i in range(1, d + 1) if gamma[i - 1] <= 0]
+    padded_beta, padded_gamma = list(beta) + [0], [0] + list(gamma)
+    out += [
+        f"row {i} must sum to kappa"
+        for i in range(d + 1)
+        if alpha[i] + padded_beta[i] + padded_gamma[i] != kappa
+    ]
+    return out
+
+
+_entry = st.fractions(min_value=-1, max_value=4, max_denominator=2)
+_kappa = st.fractions(min_value=-1, max_value=12, max_denominator=2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=4).flatmap(
+        lambda d: st.tuples(
+            st.just(d),
+            st.lists(_entry, min_size=d + 1, max_size=d + 1),
+            st.lists(_entry, min_size=d, max_size=d),
+            st.lists(_entry, min_size=d, max_size=d),
+            _kappa,
+        )
+    ),
+    st.booleans(),
 )
-def test_every_entry_point_rejects_an_invalid_system(entry, rest):
-    # D = 3 with gamma_1 = 2: rows still sum to kappa, so only one clause fails;
-    # the bounds validate before they read their spectrum report
-    bad = TridiagonalSystem.from_entries([F(0), F(0), F(0), F(2)], [F(4), F(2), F(2)], [F(2), F(2), F(2)], F(4))
-    assert validate(bad).violations == ("gamma_1 must equal 1",)
-    for _ in range(2):  # an invalid system is never remembered as valid
-        with pytest.raises(ValueError, match="gamma_1 must equal 1"):
-            entry(bad, *rest)
+def test_construction_matches_an_independent_row_sum_predicate(entries, fix_rows):
+    d, alpha, beta, gamma, kappa = entries
+    if fix_rows:
+        # aim at the valid region: beta_0 = kappa, gamma_1 = 1 and every row summing to kappa
+        beta, gamma = [kappa] + beta[1:], [F(1)] + gamma[1:]
+        alpha = [kappa - ([0] + gamma)[i] - (beta + [0])[i] for i in range(d + 1)]
+    expected = _row_sum_problems(d, alpha, beta, gamma, kappa)
+    try:
+        system = TridiagonalSystem(d, tuple(alpha), tuple(beta), tuple(gamma), kappa)
+    except InvalidSystem as exc:
+        assert list(exc.violations) == expected
+    else:
+        assert expected == [] and system.d == d
 
 
 def test_a_valid_system_is_validated_once(monkeypatch):
     calls = [0]
-    real = tridiagonal.validate
+    real = TridiagonalSystem.__post_init__
 
     def counted(system):
         calls[0] += 1
         return real(system)
 
-    monkeypatch.setattr(tridiagonal, "validate", counted)
+    monkeypatch.setattr(TridiagonalSystem, "__post_init__", counted)
     system = TridiagonalSystem.from_intersection_numbers([4, 3, 2, 1], [1, 2, 3, 4])
     report = spectrum(system)
     pair_bound(system, report)
     triple_bound(system, report)
     f_polynomials(system)
     assert calls == [1]
-    # the memo is no part of the value
+    # the system is its entries, nothing else
     assert system == TridiagonalSystem.from_intersection_numbers([4, 3, 2, 1], [1, 2, 3, 4])
 
 
@@ -400,8 +460,8 @@ def test_equality_cases_randomized_small():
 @given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=2, max_value=5))
 def test_random_systems_always_validate(seed, d):
     rng = random.Random(seed)
-    system = random_system(rng, d)
-    assert validate(system).ok
+    system = random_system(rng, d)  # construction raises unless the system is valid
+    assert system.d == d
     assert system.beta[0] == system.kappa and system.gamma[0] == 1
 
 
