@@ -71,6 +71,23 @@ def test_every_route_to_a_system_rejects_an_invalid_one():
         assert exc.value.violations == ("gamma_1 must equal 1",)
 
 
+@pytest.mark.parametrize(
+    "entry, rest",
+    [(spectrum, ()), (f_polynomials, ()), (pair_bound, (None,)), (triple_bound, (None,))],
+    ids=["spectrum", "f_polynomials", "pair_bound", "triple_bound"],
+)
+def test_every_entry_point_rejects_an_invalid_system(entry, rest):
+    # an entry point only receives built systems, so the gamma_1 = 2 entries raise
+    # before it runs, on every call: an invalid system is never remembered as valid
+    entries = (F(0), F(0), F(0), F(2)), (F(4), F(2), F(2)), (F(2), F(2), F(2)), F(4)
+    for _ in range(2):
+        with pytest.raises(InvalidSystem, match="gamma_1 must equal 1") as exc:
+            entry(TridiagonalSystem.from_entries(*entries), *rest)
+        assert exc.value.violations == ("gamma_1 must equal 1",)
+    # the same call on a valid D = 4 system runs
+    assert entry(H42, *(spectrum(H42) for _ in rest)) is not None
+
+
 def test_replace_cannot_make_an_invalid_system():
     assert replace(HEAWOOD) == HEAWOOD
     with pytest.raises(InvalidSystem) as exc:
