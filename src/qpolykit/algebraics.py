@@ -6,11 +6,12 @@ the polynomial.  A rational value is stored with lo == hi.  For irrational
 values the construction arranges sign(p(lo)) != sign(p(hi)), so refinement
 is plain bisection with power-of-two denominators.
 
-Real roots are counted in one place: ``isolate_real_roots``, the only
-consumer of Sturm chains.  Any other count is of the isolated roots inside
-an interval (``roots_in``): the unchecked constructor certifies its
-interval that way, and ``numberfield.adjoin_root`` isolates its primitive
-element that way.
+Real roots are isolated in one place: ``isolate_real_roots``, the one
+root isolator and the one consumer of Sturm chains.  Any other count is of
+the isolated roots inside an interval (``roots_in``): the unchecked
+constructor certifies its interval that way, and ``numberfield.adjoin_root``
+isolates its primitive element that way.  ``tridiagonal.interlacing_check``
+counts no roots: it reads Cauchy indices off signed remainder sequences.
 
 Every bisection runs in one integer kernel, ``_Bisection``.  It scales the
 primitive integer polynomial c once to the common denominator D of the

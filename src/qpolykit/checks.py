@@ -34,7 +34,16 @@ def check_system(system: trimod.TridiagonalSystem) -> list[str]:
     The pair bound holds with equality exactly when D = 2, the triple bound
     (D >= 3) with equality exactly when D = 3, consecutive F_i interlace,
     and the recurrence agrees with the cofactor characteristic polynomial.
+    A failed internal invariant is the one problem "internal invariant
+    failed: <msg>", as in the other checks' alarms.
     """
+    try:
+        return _system_problems(system)
+    except AssertionError as exc:
+        return [_invariant_failed(exc)]
+
+
+def _system_problems(system: trimod.TridiagonalSystem) -> list[str]:
     d = system.d
     rep = trimod.spectrum(system)
     pair = trimod.pair_bound(system, rep)
@@ -77,6 +86,10 @@ def _finish(report: dict, lines: list[str], alarms: list[str]):
     return report, lines, alarms
 
 
+def _invariant_failed(exc: AssertionError) -> str:
+    return f"internal invariant failed: {exc}"
+
+
 def _guarded(run, report: dict, lines: list[str], *args):
     """Call run(report, lines, alarms, *args) and finish the report.
 
@@ -86,7 +99,7 @@ def _guarded(run, report: dict, lines: list[str], *args):
     try:
         run(report, lines, alarms, *args)
     except AssertionError as exc:
-        alarms.append(f"internal invariant failed: {exc}")
+        alarms.append(_invariant_failed(exc))
     return _finish(report, lines, alarms)
 
 

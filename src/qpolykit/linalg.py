@@ -188,20 +188,22 @@ def charpoly(m: Sequence[Sequence[int | Fraction]]) -> RationalPoly:
     M is scaled by the common denominator L of its entries to the integer
     matrix B = L M; coefficient k of det(xI - M) is coefficient k of
     det(xI - B) divided by L^(n-k).  The latter comes from residues modulo
-    primes below 2^62: with R the ceiling of the largest row norm of B,
-    Hadamard's inequality on the principal minors bounds the coefficient of
-    x^(n-i) by C(n, i) R^i <= (1 + R)^n, so once the product of the primes
-    exceeds 2 (1 + R)^n the symmetric CRT residues are the integer
-    coefficients.
+    primes below 2^62: with R >= the largest row norm of B, Hadamard's
+    inequality on the principal minors bounds the coefficient of x^(n-i) by
+    C(n, i) R^i <= (1 + R)^n, so once the product of the primes exceeds
+    2 (1 + R)^n the symmetric CRT residues are the integer coefficients.
+    R is the row norm rounded up to a multiple of 2^-16, and the stop is
+    decided in integers: the product times 2^(16 n) against
+    2 (2^16 + 2^16 R)^n.
     """
     n = len(m)
     # det(xI - B) = det(xI - B^T): the rows of B serve as the columns of B^T
     cols, scale = _integer_matrix(m)
-    norm2 = max((sum(v * v for v in c) for c in cols), default=0)
-    r = isqrt(norm2)
+    norm2 = max((sum(v * v for v in c) for c in cols), default=0) << 32
+    r = isqrt(norm2)  # 2^16 R, with R the row norm rounded up to a multiple of 2^-16
     if r * r < norm2:
         r += 1
-    bound = 2 * (1 + r) ** n
+    bound = 2 * ((1 << 16) + r) ** n
     coeffs: list[int] = []
     modulus = 1
     for p in _primes_below(_PRIME_TOP):
@@ -212,7 +214,7 @@ def charpoly(m: Sequence[Sequence[int | Fraction]]) -> RationalPoly:
         else:
             coeffs = residues
         modulus *= p
-        if modulus > bound:
+        if modulus << (16 * n) > bound:
             break
     half = modulus // 2
     ints = [c - modulus if c > half else c for c in coeffs]

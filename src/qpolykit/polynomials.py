@@ -7,12 +7,16 @@ is no floating point anywhere, so equality of polynomials is equality of
 coefficient tuples.
 
 The module also provides what root isolation needs: Sturm chains, sign
-variation counts and the Cauchy root bound.  ``algebraics.isolate_real_roots``
-is the one consumer of Sturm chains; every real-root count in the package
-counts the roots it isolates.  Gcds, exact division, Sturm chains, sign
-evaluations and Taylor shifts run on the primitive integer coefficients, so
-they pay for no Fraction normalisation; root isolation and interval
-bisection have their own integer kernel in ``algebraics``.
+variation counts and the Cauchy root bound.  A Sturm chain is one case of
+``signed_remainder_sequence``, the one remainder-sequence loop, whose sign
+variations give Cauchy indices.  ``algebraics.isolate_real_roots`` is the
+one consumer of Sturm chains; every real-root count in the package counts
+the roots it isolates.  ``tridiagonal.interlacing_check`` reads Cauchy
+indices off the sequences of consecutive F_i.  Gcds, exact division,
+remainder sequences, sign evaluations and Taylor shifts run on the
+primitive integer coefficients, so they pay for no Fraction normalisation;
+root isolation and interval bisection have their own integer kernel in
+``algebraics``.
 ``irreducible_factors`` factors over Q by Zassenhaus' algorithm, in Python
 ints.
 """
@@ -644,38 +648,54 @@ def irreducible_factors(p: RationalPoly) -> tuple[RationalPoly, ...]:
 # -- Sturm machinery ---------------------------------------------------------
 
 
+def signed_remainder_sequence(p: RationalPoly, q: RationalPoly) -> tuple[RationalPoly, ...]:
+    """The signed remainder sequence of (p, q), deg q <= deg p, as a primitive polynomial remainder sequence.
+
+    Member 0 is p, member 1 is q; each further member is -prem(a, b)
+    sign(lc(b))^(delta + 1), delta = deg a - deg b, with its positive
+    content divided out, until the remainder vanishes.  Every member is a
+    positive multiple of the canonical member p, q, -rem(p, q), ..., so it
+    has the same degree and the same signs everywhere, the last member is
+    gcd(p, q) up to a nonzero factor, and the coefficients stay integers of
+    polynomially bounded size (Collins 1967, "Subresultants and reduced
+    polynomial remainder sequences"; Brown and Traub 1971).
+
+    For a < b, neither a root of p, V(a) - V(b) is the Cauchy index of
+    q / p over (a, b]: the number of roots of p there at which q / p jumps
+    from -infinity to +infinity, less those where it jumps back (Basu,
+    Pollack and Roy, Algorithms in Real Algebraic Geometry, 2.2).
+    """
+    if p.is_zero:
+        raise ValueError("signed remainder sequence of the zero polynomial")
+    if q.degree > p.degree:
+        raise ValueError("the second polynomial must not exceed the first in degree")
+    if q.is_zero:
+        return (p,)
+    chain = [p, q]
+    a, b = _int_coeffs(p), _int_coeffs(q)
+    while len(b) > 1:
+        r = _trim(_int_prem(a, b))
+        if not r:
+            break
+        # prem = lc(b)^(delta + 1) rem; negate by the sign that leaves -rem
+        if b[-1] > 0 or (len(a) - len(b)) % 2:
+            r = [-v for v in r]
+        a, b = b, _primitive_int(r)
+        chain.append(_int_poly(b))
+    return tuple(chain)
+
+
 @lru_cache(maxsize=4096)
 def sturm_chain(p: RationalPoly) -> tuple[RationalPoly, ...]:
-    """Sturm sequence of p as a primitive polynomial remainder sequence.
-
-    Member 0 is p, member 1 the primitive part of p'; each further member
-    is -prem(a, b) sign(lc(b))^(delta + 1), delta = deg a - deg b, with
-    its positive content divided out.  Every member is a positive multiple
-    of the canonical member p, p', -rem(...), ..., so it has the same
-    degree and the same signs everywhere, and the coefficients stay
-    integers of polynomially bounded size (Collins 1967, "Subresultants and
-    reduced polynomial remainder sequences"; Brown and Traub 1971).
+    """Sturm sequence of p: the signed remainder sequence of p and the primitive part of p'.
 
     For nonzero p the sign-variation difference V(a) - V(b) counts the
     distinct real roots in the half-open interval (a, b].
     """
     if p.is_zero:
         raise ValueError("Sturm chain of the zero polynomial")
-    chain = [p]
-    if p.degree >= 1:
-        a = _int_coeffs(p)
-        b = _primitive_int([i * c for i, c in enumerate(a)][1:])
-        chain.append(_int_poly(b))
-        while len(b) > 1:
-            r = _trim(_int_prem(a, b))
-            if not r:
-                break
-            # prem = lc(b)^(delta + 1) rem; negate by the sign that leaves -rem
-            if b[-1] > 0 or (len(a) - len(b)) % 2:
-                r = [-v for v in r]
-            a, b = b, _primitive_int(r)
-            chain.append(_int_poly(b))
-    return tuple(chain)
+    a = _int_coeffs(p)
+    return signed_remainder_sequence(p, _int_poly(_primitive_int([i * c for i, c in enumerate(a)][1:])))
 
 
 def sign_variations(signs: Sequence[int]) -> int:

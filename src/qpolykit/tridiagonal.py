@@ -30,7 +30,8 @@ two functions.  spectrum isolates them, on F_D built as a RationalPoly
 candidates on any system and certifies them as the roots of F_D,
 evaluating F_D at each by the three-term recurrence on scalars, so a
 system with field entries builds no polynomial.  Only interlacing_check
-reads F_1 .. F_{D-1}, and it isolates their roots itself.  Every product
+reads F_1 .. F_{D-1}, and it isolates no root: it decides interlacing by
+Cauchy indices read off signed remainder sequences.  Every product
 bound is one comparison of a shifted eigenvalue product with its
 right-hand side: on F_D for isolated spectra, by field arithmetic for
 certified ones.  On F_D the product is built once (shifted_subset_product),
@@ -65,7 +66,7 @@ from .numberfield import (
     field_containing,
     scalar_as_fraction,
 )
-from .polynomials import RationalPoly
+from .polynomials import RationalPoly, sign_variations, signed_remainder_sequence
 from .serialize import rat_str, value_json
 
 
@@ -322,25 +323,95 @@ class InterlacingResult:
 
 
 def interlacing_check(report: SpectrumReport) -> InterlacingResult:
-    """Roots of consecutive F_i strictly interlace (exact comparisons).
+    """Roots of consecutive F_i strictly interlace, decided by Cauchy indices; no root is isolated.
 
-    The roots of F_1 .. F_{D-1} are isolated here, the one place that reads
-    them; F_D's are the report's eigenvalues.  A certified report carries no
-    polynomials and passes vacuously.
+    F_{i+1} (degree i + 1) and F_i (degree i) have simple real roots that
+    strictly interlace exactly when the Cauchy index of F_i / F_{i+1} over
+    the reals is i + 1 (Hermite-Kakeya-Obreschkoff): every root of F_{i+1}
+    is then a pole where F_i / F_{i+1} jumps from -infinity to +infinity,
+    so F_i changes sign between consecutive ones.  That index is the
+    sign-variation loss of the signed remainder sequence of
+    (F_{i+1}, F_i) from -infinity to +infinity, read off the leading
+    coefficients and degrees of its members; this settles F_1 .. F_{D-1}.
+    The last row is read against the report's eigenvalues
+    theta_1 > ... > theta_D, the roots of F_D (_interlaces_spectrum).  A
+    certified report carries no polynomials and passes vacuously.
     """
-    rows = []  # rows[i-1]: the roots of F_i, alpha_{i,1} > ... > alpha_{i,i}
-    for i, f in enumerate(report.f_polys[1:-1], start=1):
-        roots = isolate_real_roots(f)
-        if len(roots) != i:
-            raise AssertionError(f"F_{i} must have {i} distinct real roots, found {len(roots)}")
-        rows.append(tuple(reversed(roots)))
-    rows.append(report.eigenvalues[1:])
-    passed = all(
-        compare(upper[j], lower[j - 1]) < 0 and compare(lower[j - 1], upper[j - 1]) < 0
-        for lower, upper in zip(rows, rows[1:])
-        for j in range(1, len(upper))
-    )
-    return InterlacingResult(passed)
+    fs = report.f_polys
+    if not fs:
+        return InterlacingResult(True)
+    passed = all(_interlaces(fs[i + 1], fs[i]) for i in range(1, len(fs) - 2))
+    return InterlacingResult(passed and _interlaces_spectrum(fs[-1], fs[-2], report.eigenvalues[1:]))
+
+
+def _interlaces(q: RationalPoly, p: RationalPoly) -> bool:
+    """q and p, of degrees n and n - 1, have simple real roots that strictly interlace.
+
+    The signed remainder sequence must end in a nonzero constant (q and p
+    coprime) and lose n sign variations from -infinity to +infinity: the
+    Cauchy index of p / q over the reals is n.
+    """
+    if p.degree != q.degree - 1:
+        return False
+    seq = signed_remainder_sequence(q, p)
+    if seq[-1].degree != 0:
+        return False
+    top = [1 if s.leading > 0 else -1 for s in seq]
+    bottom = [-t if s.degree % 2 else t for s, t in zip(seq, top)]
+    return sign_variations(bottom) - sign_variations(top) == q.degree
+
+
+def _interlaces_spectrum(fd: RationalPoly, fprev: RationalPoly, thetas: Sequence[AlgebraicReal]) -> bool:
+    """F_{D-1} has sign (-1)^(j-1) at theta_j, and theta_1 > ... > theta_D are the roots of F_D.
+
+    The eigenvalues are first made to lie in disjoint, descending regions:
+    a rational theta_j is its point, an irrational one the open interior of
+    its interval, refined until neither end is a root of F_D.  A rational
+    theta_j must be a root of F_D, and F_{D-1} is evaluated there.  For an
+    irrational one the local Cauchy index of F_{D-1} / F_D over its
+    interval (lo, hi], V(lo) - V(hi) on the signed remainder sequence of
+    (F_D, F_{D-1}), must be +1: F_D has a root there at which F_{D-1} has
+    the sign of F_D'.  D disjoint regions then hold the D roots of F_D, one
+    each, so the root in region j is the j-th largest, F_D' has sign
+    (-1)^(j-1) at it, and so has F_{D-1}.  F_{D-1} changes sign between
+    consecutive roots of F_D: the two strictly interlace.
+    """
+    thetas = list(thetas)
+    if len(thetas) != fd.degree or fprev.degree != fd.degree - 1:
+        return False
+    for j in range(1, len(thetas)):
+        lower, upper = thetas[j], thetas[j - 1]
+        if not _below(lower, upper):
+            if compare(lower, upper) >= 0:
+                return False
+            while not _below(lower, upper):
+                lower, upper = lower.refine(), upper.refine()
+            thetas[j - 1 : j + 1] = upper, lower
+    seq = ()
+    for j, theta in enumerate(thetas):
+        r = theta.as_rational()
+        while r is None:
+            seq = seq or signed_remainder_sequence(fd, fprev)
+            lo_signs, hi_signs = ([s.sign_at(t) for s in seq] for t in (theta.lo, theta.hi))
+            if lo_signs[0] and hi_signs[0]:
+                break
+            # an end is a root of F_D; theta lies strictly inside, so it is not that root
+            theta = theta.refine()
+            r = theta.as_rational()
+        if r is not None:
+            if fd.sign_at(r) != 0 or fprev.sign_at(r) != (-1) ** j:
+                return False
+        elif sign_variations(lo_signs) - sign_variations(hi_signs) != 1:
+            return False
+    return True
+
+
+def _below(a: AlgebraicReal, b: AlgebraicReal) -> bool:
+    """a's region lies below b's: a rational value is its point, an irrational one its open interval."""
+    ra, rb = a.as_rational(), b.as_rational()
+    top = a.hi if ra is None else ra
+    bottom = b.lo if rb is None else rb
+    return top < bottom or (top == bottom and (ra is None or rb is None))
 
 
 # -- two-point comparison lemma ------------------------------------------------------

@@ -9,13 +9,14 @@ from fractions import Fraction as F
 
 import pytest
 import sympy
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpolykit import linalg
 from qpolykit.families import corpus_graphs, hamming
 from qpolykit.graphs import Graph, adjacency_charpoly
 from qpolykit.polynomials import RationalPoly, _int_coeffs
+from qpolykit.tridiagonal import charpoly_by_cofactor
 
 
 def sympy_charpoly(g: Graph) -> list[int]:
@@ -72,8 +73,12 @@ def test_edge_cases():
     assert as_ints(adjacency_charpoly(Graph(3, [(0, 1)]))) == [0, -1, 0, 1]
 
 
-def test_hamming_6_2_needs_three_primes(monkeypatch):
-    """n = 64, degree 6: the bound 2 * 4^64 needs three primes below 2^62."""
+def test_hamming_6_2_needs_two_primes(monkeypatch):
+    """n = 64, row norm sqrt 6: 2 (1 + R)^64 < 2^116 for R just above sqrt 6, two primes below 2^62.
+
+    The integer ceiling R = 3 gave 2 * 4^64 = 2^129, past the product of two
+    such primes: rounding R up to a multiple of 2^-16 saves the third prime.
+    """
     g = hamming(6, 2)
     primes = []
     real = linalg._charpoly_mod
@@ -84,12 +89,33 @@ def test_hamming_6_2_needs_three_primes(monkeypatch):
 
     monkeypatch.setattr(linalg, "_charpoly_mod", counting)
     cp = adjacency_charpoly(g)
-    assert len(primes) >= 3
+    assert len(primes) == 2
+    assert primes[0] * primes[1] < 2 * 4**64
     for t in (-7, -6, -1, 0, 3, 7):
         assert cp.evaluate(t) == bareiss_value(g, t)
     # spectrum of H(6,2): 6 - 2i with multiplicity C(6, i)
     expected = RationalPoly.from_roots([6 - 2 * i for i in range(7) for _ in range(sympy.binomial(6, i))])
     assert cp == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.lists(
+            st.lists(
+                # large integers make coefficients that need several primes
+                st.one_of(st.fractions(min_value=-9, max_value=9, max_denominator=4), st.integers(-(2**40), 2**40)),
+                min_size=n,
+                max_size=n,
+            ),
+            min_size=n,
+            max_size=n,
+        )
+    )
+)
+def test_charpoly_matches_the_cofactor_oracle(m):
+    # the rounded-up row norm still bounds every coefficient: no prime too few
+    assert linalg.charpoly(m) == charpoly_by_cofactor(m)
 
 
 def test_primality_against_sympy():

@@ -327,6 +327,25 @@ def test_property_suite_fault_injection_exit2(capsys, monkeypatch):
     assert "system" in report["violation"]
 
 
+def test_property_suite_failed_invariant_exit2(capsys, monkeypatch):
+    # an AssertionError inside the system checks is an alarm with a reproducer, not a traceback
+    real = tridiagonal.spectrum
+
+    def broken(system):
+        if system.d == 4:
+            raise AssertionError("forged broken invariant")
+        return real(system)
+
+    monkeypatch.setattr(tridiagonal, "spectrum", broken)
+    code = main(["property-suite", "--seed", "9", "--n", "20", "--graphs", "0", "--output", "json"])
+    assert code == 2
+    report = json.loads(capsys.readouterr().out)
+    violation = report["violation"]
+    assert violation["seed"] == 9
+    assert violation["problems"] == ["internal invariant failed: forged broken invariant"]
+    assert len(violation["system"]["alpha"]) == 5
+
+
 def test_property_suite_deterministic():
     p1 = run_cli("property-suite", "--seed", "7", "--n", "12", "--graphs", "2", "--output", "json")
     p2 = run_cli("property-suite", "--seed", "7", "--n", "12", "--graphs", "2", "--output", "json")

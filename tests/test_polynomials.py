@@ -14,6 +14,7 @@ from qpolykit.polynomials import (
     irreducible_factors,
     poly_gcd,
     squarefree_decomposition,
+    signed_remainder_sequence,
     squarefree_part,
     sturm_chain,
 )
@@ -50,6 +51,19 @@ def fraction_sturm_chain(p: RationalPoly) -> list[RationalPoly]:
     chain = [p]
     if p.degree >= 1:
         chain.append(p.derivative())
+        while chain[-1].degree >= 1:
+            r = -(chain[-2] % chain[-1])
+            if r.is_zero:
+                break
+            chain.append(r)
+    return chain
+
+
+def fraction_remainder_sequence(p: RationalPoly, q: RationalPoly) -> list[RationalPoly]:
+    """The canonical signed remainder sequence p, q, -rem(p, q), ... by Fraction Euclid."""
+    chain = [p]
+    if not q.is_zero:
+        chain.append(q)
         while chain[-1].degree >= 1:
             r = -(chain[-2] % chain[-1])
             if r.is_zero:
@@ -372,6 +386,29 @@ def _sympy_poly(p: RationalPoly):
 @given(sturm_inputs)
 def test_sturm_chain_is_the_fraction_chain_up_to_positive_factors(p):
     assert_positive_multiples(sturm_chain(p), fraction_sturm_chain(p))
+
+
+@given(sturm_inputs, sturm_inputs)
+def test_signed_remainder_sequence_is_the_fraction_sequence_up_to_positive_factors(p, q):
+    if q.degree > p.degree:
+        p, q = q, p
+    assert_positive_multiples(signed_remainder_sequence(p, q), fraction_remainder_sequence(p, q))
+
+
+def test_signed_remainder_sequence_reads_the_cauchy_index():
+    # (x - 1)(x - 3) and x - 2 interlace: index 2 over the line, 1 over (0, 2] and over (2, 4]
+    q, p = RationalPoly.from_roots([1, 3]), RationalPoly.from_roots([2])
+    seq = signed_remainder_sequence(q, p)
+
+    def v(t):
+        return polynomials.sign_variations([s.sign_at(t) for s in seq])
+
+    assert (v(-100) - v(100), v(0) - v(2), v(2) - v(4)) == (2, 1, 1)
+    # x - 4 lies outside: the jumps at 1 and 3 cancel
+    seq = signed_remainder_sequence(q, RationalPoly.from_roots([4]))
+    assert v(-100) - v(100) == 0
+    with pytest.raises(ValueError):
+        signed_remainder_sequence(p, q)
 
 
 @given(sturm_inputs, st.lists(st.tuples(points, points), min_size=1, max_size=4))

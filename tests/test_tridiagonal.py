@@ -350,9 +350,9 @@ def test_interlacing_examples():
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_spectrum_isolates_only_f_d(monkeypatch, d):
-    # the spectrum is F_D's roots; only interlacing reads F_1 .. F_{D-1}
+    # the spectrum is F_D's roots; interlacing reads F_1 .. F_D through Cauchy indices and isolates nothing
     system = random_system(random.Random(d), d)
-    real = tridiagonal.isolate_real_roots
+    real = algebraics.isolate_real_roots
     degrees = []
 
     def counted(poly):
@@ -360,11 +360,12 @@ def test_spectrum_isolates_only_f_d(monkeypatch, d):
         return real(poly)
 
     monkeypatch.setattr(tridiagonal, "isolate_real_roots", counted)
+    monkeypatch.setattr(algebraics, "isolate_real_roots", counted)
     rep = spectrum(system)
     assert degrees == [d]
     degrees.clear()
     assert interlacing_check(rep).passed
-    assert degrees == list(range(1, d))
+    assert degrees == []
 
 
 @pytest.mark.parametrize("system", [C5, H42], ids=["C5", "H42"])
@@ -372,6 +373,91 @@ def test_interlacing_fails_when_the_last_row_does_not_interlace(system):
     rep = spectrum(system)
     shifted = tuple(r.add_rational(100) for r in rep.eigenvalues[1:])
     assert not interlacing_check(replace(rep, eigenvalues=rep.eigenvalues[:1] + shifted)).passed
+
+
+def isolate_and_compare(report) -> bool:
+    """The former verdict, kept as an oracle: isolate the roots of F_1 .. F_{D-1}, compare neighbours."""
+    rows = []  # rows[i-1]: the roots of F_i, descending
+    for i, f in enumerate(report.f_polys[1:-1], start=1):
+        roots = isolate_real_roots(f)
+        if len(roots) != i:
+            return False
+        rows.append(tuple(reversed(roots)))
+    rows.append(report.eigenvalues[1:])
+    return all(
+        compare(upper[j], lower[j - 1]) < 0 and compare(lower[j - 1], upper[j - 1]) < 0
+        for lower, upper in zip(rows, rows[1:])
+        for j in range(1, len(upper))
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(2, 6),
+    st.integers(0, 2**32 - 1),
+    st.one_of(st.none(), st.tuples(st.integers(1, 5), st.integers(-40, 40), st.integers(1, 4))),
+)
+def test_interlacing_verdict_matches_isolate_and_compare(d, seed, perturbation):
+    rep = spectrum(random_system(random.Random(seed), d))
+    if perturbation is not None:
+        # F_i + c for one 1 <= i <= D - 1: the same degree, often no longer interlacing
+        i, num, den = perturbation
+        i = 1 + (i - 1) % (d - 1)
+        fs = list(rep.f_polys)
+        fs[i] = fs[i] + RationalPoly((F(num, den),))
+        rep = replace(rep, f_polys=tuple(fs))
+    assert interlacing_check(rep).passed is isolate_and_compare(rep)
+
+
+def _with_f(rep, i, poly):
+    fs = list(rep.f_polys)
+    fs[i] = poly
+    return replace(rep, f_polys=tuple(fs))
+
+
+@pytest.mark.parametrize(
+    "system, i, poly",
+    [
+        # F_2 of H(4,2) made x^2 + 1: a complex pair instead of two real roots
+        (H42, 2, RationalPoly((1, 0, 1))),
+        # F_1 = x + 1 and a quadratic sharing its root -1
+        (H42, 2, RationalPoly.from_roots([-1, 3])),
+        # Heawood: F_2 sharing F_3's rational root -3, then its irrational roots +-sqrt 2
+        (HEAWOOD, 2, RationalPoly.from_roots([-3, 1])),
+        (HEAWOOD, 2, RationalPoly((-2, 0, 1))),
+        # real roots that do not interlace: both above F_1's root, or one below every root of F_3
+        (H42, 2, RationalPoly.from_roots([0, 1])),
+        (HEAWOOD, 2, RationalPoly.from_roots([-4, 0])),
+    ],
+    ids=["complex-pair", "shared-root-with-f1", "shared-rational-root", "shared-irrational-roots", "outside", "below"],
+)
+def test_interlacing_negative_cases(system, i, poly):
+    rep = _with_f(spectrum(system), i, poly)
+    assert not interlacing_check(rep).passed
+    assert not isolate_and_compare(rep)
+
+
+def test_interlacing_reads_the_eigenvalues_not_their_intervals():
+    # C5: (-1 +- sqrt 5) / 2 on overlapping intervals, still strictly descending
+    rep = spectrum(C5)
+    f2 = rep.f_polys[2]
+    loose = replace(rep, eigenvalues=(rep.eigenvalues[0], AlgebraicReal(f2, F(-3, 2), 1), AlgebraicReal(f2, -2, F(1, 2))))
+    assert interlacing_check(loose).passed and isolate_and_compare(loose)
+    # icosahedron: -sqrt 5 on [-3, -1], whose upper end is the eigenvalue -1, a root of F_3
+    rep = spectrum(ICOSA)
+    assert rep.eigenvalues[2].as_rational() == -1
+    minus_sqrt5 = AlgebraicReal(RationalPoly((-5, 0, 1)), -3, -1)
+    root_end = replace(rep, eigenvalues=rep.eigenvalues[:3] + (minus_sqrt5,))
+    assert interlacing_check(root_end).passed and isolate_and_compare(root_end)
+
+
+@pytest.mark.parametrize("system", [C5, HEAWOOD, H42], ids=["C5", "Heawood", "H42"])
+def test_interlacing_fails_on_reversed_eigenvalues(system):
+    rep = spectrum(system)
+    assert interlacing_check(rep).passed
+    reversed_rep = replace(rep, eigenvalues=rep.eigenvalues[:1] + tuple(reversed(rep.eigenvalues[1:])))
+    assert not interlacing_check(reversed_rep).passed
+    assert not isolate_and_compare(reversed_rep)
 
 
 def test_lemma_examples():
