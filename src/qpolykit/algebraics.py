@@ -140,22 +140,7 @@ class AlgebraicReal:
             b.step()
         return b.result() if b.k else self
 
-    # -- sign and comparison -------------------------------------------------------
-
-    def sign(self) -> int:
-        return compare_rational(self, Fraction(0))
-
-    def __lt__(self, other):
-        return compare(self, _coerce(other)) < 0
-
-    def __le__(self, other):
-        return compare(self, _coerce(other)) <= 0
-
-    def __gt__(self, other):
-        return compare(self, _coerce(other)) > 0
-
-    def __ge__(self, other):
-        return compare(self, _coerce(other)) >= 0
+    # -- equality ------------------------------------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, (AlgebraicReal, Fraction, int)):

@@ -2,13 +2,18 @@
 
 Every front end (the CLI, ``scripts/verify_corpus.py``, the property suite
 and the acceptance tests) runs the paper's checks through these functions,
-so the sequence of checks and the alarm rules exist once.
+so the sequence of checks and the alarm rules exist once.  The input alone
+decides which checks run: every check whose hypotheses it meets (the triple
+bound needs diameter at least 3, the fundamental bound distance-regularity,
+the dual checks a polynomial ordering of class at least 2, the class-3
+classification class 3), and no option selects among them.
 
 An alarm means a statement that is guaranteed for every validated instance
 failed: an implementation bug, never a property of the input.  Input that
 lies outside a check's hypotheses is reported as skipped, not as an alarm.
 A broken internal invariant (an AssertionError, SoundnessAlarm included)
 is an alarm too: the report so far is kept and the message joins the alarms.
+A scan candidate that fails the dual pair or triple bound breaks one.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import graphs as graphmod
+from . import scanner as scanmod
 from . import schemes as schememod
 from . import tridiagonal as trimod
 from .graphs import Graph, GraphError
@@ -24,8 +30,6 @@ from .serialize import rat_str, value_json
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_ALARM = 2
-
-THEOREM_CHOICES = ("kpy", "thm31", "fundamental", "thm41", "thm51", "all")
 
 
 def check_system(system: trimod.TridiagonalSystem) -> list[str]:
@@ -103,17 +107,17 @@ def _guarded(run, report: dict, lines: list[str], *args):
     return _finish(report, lines, alarms)
 
 
-def check_graph(g: Graph, theorem: str = "all"):
+def check_graph(g: Graph):
     """The graph-side checks; returns (report, text_lines, alarms).
 
     Raises GraphError when the graph cannot be classified.
     """
     report: dict = {"command": "check-graph", "n": g.n, "edges": g.edge_count}
     lines = [f"graph: {g.n} vertices, {g.edge_count} edges"]
-    return _guarded(_graph_checks, report, lines, g, theorem)
+    return _guarded(_graph_checks, report, lines, g)
 
 
-def _graph_checks(report: dict, lines: list[str], alarms: list[str], g: Graph, theorem: str) -> None:
+def _graph_checks(report: dict, lines: list[str], alarms: list[str], g: Graph) -> None:
     classification = graphmod.classify_regularity(g)
     report["classification"] = classification.to_json_dict()
     flags = [k for k, v in report["classification"].items() if v is True]
@@ -132,41 +136,34 @@ def _graph_checks(report: dict, lines: list[str], alarms: list[str], g: Graph, t
         + ", ".join(f"{e.approx_float():.6g} (x{m})" for e, m in zip(shown, spec.multiplicities))
     )
 
-    if theorem in ("kpy", "all"):
-        try:
-            kpy = graphmod.pair_bound_all_vertices(g, spec, classification)
-        except GraphError as exc:
-            # valid input outside the check's hypotheses: report, don't fail
-            report["pair_bound"] = {"skipped": str(exc)}
-            lines.append(f"vertex pair bound: skipped ({exc})")
-            kpy = None
-        if kpy is not None:
-            report["pair_bound"] = kpy.to_json_dict()
-            lines.append(
-                f"vertex pair bound: holds at all vertices = {kpy.all_hold}, "
-                f"equality everywhere = {kpy.equality_everywhere}, "
-                f"strongly regular verdict = {kpy.strongly_regular_verdict}"
-            )
-            if not kpy.all_hold:
-                alarms.append("vertex pair bound violated")
-            if not kpy.cross_check_ok:
-                alarms.append("pair-bound equality disagrees with the strong-regularity classification")
+    try:
+        kpy = graphmod.pair_bound_all_vertices(g, spec, classification)
+    except GraphError as exc:
+        # valid input outside the check's hypotheses: report, don't fail
+        report["pair_bound"] = {"skipped": str(exc)}
+        lines.append(f"vertex pair bound: skipped ({exc})")
+    else:
+        report["pair_bound"] = kpy.to_json_dict()
+        lines.append(
+            f"vertex pair bound: holds at all vertices = {kpy.all_hold}, "
+            f"equality everywhere = {kpy.equality_everywhere}, "
+            f"strongly regular verdict = {kpy.strongly_regular_verdict}"
+        )
+        if not kpy.all_hold:
+            alarms.append("vertex pair bound violated")
+        if not kpy.cross_check_ok:
+            alarms.append("pair-bound equality disagrees with the strong-regularity classification")
 
     # the quotient around vertex 0 (the intersection array, when there is one) and its spectrum, derived once
-    triple = theorem in ("thm31", "all") and classification.distance_regular and classification.diameter >= 3
-    interlace = theorem in ("kpy", "all") and classification.regular and not g.is_complete() and not g.is_empty_graph()
+    triple = classification.distance_regular and classification.diameter >= 3
+    interlace = classification.regular and not g.is_complete() and not g.is_empty_graph()
     has_array = classification.distance_regular and classification.diameter >= 2
     array = graphmod.intersection_array(classification) if has_array else None
     quotient = graphmod.quotient_spectrum(classification) if triple or interlace else None
 
     if triple:
         tb = graphmod.triple_bound_graph(classification, quotient)
-        report["triple_bound"] = {
-            "hypothesis_sign": tb.hypothesis_sign,
-            "branches": [
-                dict(branch=b.branch, **b.check.to_json_dict()) for b in tb.branches
-            ],
-        }
+        report["triple_bound"] = tb.to_json_dict()
         lines.append(
             "triple bound: "
             + "; ".join(
@@ -178,7 +175,7 @@ def _graph_checks(report: dict, lines: list[str], alarms: list[str], g: Graph, t
         if not tb.holds:
             alarms.append("triple bound violated on a distance-regular graph")
 
-    if theorem in ("fundamental", "all") and classification.distance_regular:
+    if classification.distance_regular:
         if array is None:  # a complete graph: valid input outside the bound's hypotheses
             skip = "fundamental bound requires diameter >= 2"
             report["fundamental_bound"] = {"skipped": skip}
@@ -204,7 +201,7 @@ def _graph_checks(report: dict, lines: list[str], alarms: list[str], g: Graph, t
             alarms.append("quotient interlacing violated")
 
 
-def check_scheme(source, theorem: str = "all"):
+def check_scheme(source):
     """The scheme-side checks; returns (report, text_lines, alarms).
 
     ``source`` is an AssociationScheme, or a list of polynomial structures
@@ -212,10 +209,10 @@ def check_scheme(source, theorem: str = "all"):
     unavailable.  Raises SchemeError when the scheme's eigendata cannot be
     built; a scheme that fails the axioms cannot be built at all.
     """
-    return _guarded(_scheme_checks, {"command": "check-scheme"}, [], source, theorem)
+    return _guarded(_scheme_checks, {"command": "check-scheme"}, [], source)
 
 
-def _scheme_checks(report: dict, lines: list[str], alarms: list[str], source, theorem: str) -> None:
+def _scheme_checks(report: dict, lines: list[str], alarms: list[str], source) -> None:
     scheme = eig = table = None
     if isinstance(source, schememod.AssociationScheme):
         scheme = source
@@ -237,7 +234,7 @@ def _scheme_checks(report: dict, lines: list[str], alarms: list[str], source, th
         return
     report["q_polynomial"] = True
 
-    classify = theorem in ("thm51", "all") and scheme is not None and scheme.d == 3
+    classify = scheme is not None and scheme.d == 3
     dual_tight = []  # per-ordering dual-tight flags, read by the classification
     ordering_reports = []
     for idx, qs in enumerate(structures):
@@ -272,57 +269,45 @@ def _scheme_checks(report: dict, lines: list[str], alarms: list[str], source, th
                 entry["feasibility"] = {"rejected_at": stage, "reason": reason}
                 fail(reason)
 
-        spectral_ok = schememod.b1star_spectral_identity(qs)
-        entry["b1star_spectral_identity"] = spectral_ok
-        if not spectral_ok:
-            alarms.append(f"ordering {idx}: Krein matrix spectrum differs from the dual eigenvalues")
+        if qs.provenance == "krein_array":
+            skip = "the dual eigenvalues of a Krein array are its spectrum by definition"
+            entry["b1star_spectral_identity"] = {"skipped": skip}
+        else:
+            spectral_ok = schememod.b1star_spectral_identity(qs)
+            entry["b1star_spectral_identity"] = spectral_ok
+            if not spectral_ok:
+                alarms.append(f"ordering {idx}: Krein matrix spectrum differs from the dual eigenvalues")
 
-        if theorem in ("thm41", "all"):
-            db = schememod.dual_bounds(qs)
-            entry["pair_bound"] = db.part1.to_json_dict()
-            lines.append(
-                f"  dual pair bound: lhs {_approx(db.part1.lhs)} <= rhs {_approx(db.part1.rhs)}"
-                f" equality={db.part1.equality}"
-            )
-            if not db.part1.holds:
-                alarms.append(f"ordering {idx}: dual pair bound violated")
-            if db.part2 is not None:
-                entry["triple_bound"] = {
-                    "hypothesis_sign": db.part2.hypothesis_sign,
-                    "branches": [
-                        dict(branch=b.branch, **b.check.to_json_dict()) for b in db.part2.branches
-                    ],
-                }
-                if not db.part2.holds:
-                    alarms.append(f"ordering {idx}: dual triple bound violated")
+        db = schememod.dual_bounds(qs)
+        entry["pair_bound"] = db.part1.to_json_dict()
+        lines.append(
+            f"  dual pair bound: lhs {_approx(db.part1.lhs)} <= rhs {_approx(db.part1.rhs)}"
+            f" equality={db.part1.equality}"
+        )
+        if not db.part1.holds:
+            alarms.append(f"ordering {idx}: dual pair bound violated")
+        if db.part2 is not None:
+            entry["triple_bound"] = db.part2.to_json_dict()
+            if not db.part2.holds:
+                alarms.append(f"ordering {idx}: dual triple bound violated")
 
-        if theorem in ("thm51", "fundamental", "all"):
-            dfb = schememod.dual_fundamental_bound(qs)
-            entry["dual_fundamental_bound"] = {
-                "lhs": value_json(dfb.lhs),
-                "rhs": value_json(dfb.rhs),
-                "holds": dfb.holds,
-                "equality": dfb.equality,
-                "q_bipartite": dfb.q_bipartite,
-                "dual_tight": dfb.dual_tight,
-            }
+        dfb = schememod.dual_fundamental_bound(qs)
+        entry["dual_fundamental_bound"] = dfb.to_json_dict()
+        lines.append(f"  dual fundamental bound: holds={dfb.holds} dual_tight={dfb.dual_tight}")
+        if not dfb.holds:
+            fail("dual fundamental bound violated")
+        if qs.d == 3 and dfb.dual_tight:
+            audit = schememod.class3_dualtight_audit(qs, dfb, eig, table)
+            entry["audit"] = audit.to_json_dict()
             lines.append(
-                f"  dual fundamental bound: holds={dfb.holds} dual_tight={dfb.dual_tight}"
+                f"  dual-tight audit: all_passed={audit.all_passed} "
+                f"b2*=1: {audit.b2star_is_1}, b1*=c2*: {audit.b1star_eq_c2star}, "
+                f"Q-antipodal: {audit.q_antipodal}"
             )
-            if not dfb.holds:
-                fail("dual fundamental bound violated")
-            if qs.d == 3 and dfb.dual_tight and theorem in ("thm51", "all"):
-                audit = schememod.class3_dualtight_audit(qs, dfb, eig, table)
-                entry["audit"] = audit.to_json_dict()
-                lines.append(
-                    f"  dual-tight audit: all_passed={audit.all_passed} "
-                    f"b2*=1: {audit.b2star_is_1}, b1*=c2*: {audit.b1star_eq_c2star}, "
-                    f"Q-antipodal: {audit.q_antipodal}"
-                )
-                if not audit.all_passed:
-                    fail("dual-tight audit failed")
-            if classify:
-                dual_tight.append(dfb.dual_tight)
+            if not audit.all_passed:
+                fail("dual-tight audit failed")
+        if classify:
+            dual_tight.append(dfb.dual_tight)
         ordering_reports.append(entry)
     report["orderings"] = ordering_reports
 
@@ -337,15 +322,25 @@ def _scheme_checks(report: dict, lines: list[str], alarms: list[str], source, th
             alarms.append("dual-tightness disagrees with the symmetric-design classification")
 
 
-def check_scan(result) -> list[str]:
-    """Alarms of a scan: every dual-tight survivor with a3* = 0 (c3* = m) must
-    satisfy the class-3 parameter consequences b2* = 1 and b1* = c2* and pass
-    its audit.  A free-c3 survivor with a3* != 0 lies outside the theorem's
-    hypotheses; its audit records the finding, and it raises no alarm."""
+def check_scan(spec: scanmod.GridSpec) -> tuple[scanmod.ScanResult | None, list[str]]:
+    """Scan the grid; returns (result, alarms).
+
+    A failed internal invariant, such as a pair or triple bound that fails
+    on a candidate (scanner.check_candidate raises SoundnessAlarm), is the
+    one alarm and there is no result.  Otherwise every dual-tight survivor
+    with a3* = 0 (c3* = m) must satisfy the class-3 parameter consequences
+    b2* = 1 and b1* = c2* and pass its audit.  A free-c3 survivor with
+    a3* != 0 lies outside the theorem's hypotheses; its audit records the
+    finding, and it raises no alarm.
+    """
+    try:
+        result = scanmod.scan(spec)
+    except AssertionError as exc:
+        return None, [_invariant_failed(exc)]
     bad = [
         r
         for r in result.dual_tight_survivors()
         if r.candidate.c3 == r.candidate.m
         and not (r.b2star_is_1 and r.b1star_eq_c2star and r.audit_all_passed)
     ]
-    return ["dual-tight survivor violates the class-3 parameter consequences"] if bad else []
+    return result, ["dual-tight survivor violates the class-3 parameter consequences"] if bad else []

@@ -27,7 +27,7 @@ from . import graphs as graphmod
 from . import scanner as scanmod
 from . import schemes as schememod
 from . import tridiagonal as trimod
-from .checks import EXIT_ALARM, EXIT_INPUT, EXIT_OK, THEOREM_CHOICES
+from .checks import EXIT_ALARM, EXIT_INPUT, EXIT_OK
 from .families import load, parse_family_spec
 from .graphs import Graph, GraphError
 from .schemes import SchemeError
@@ -79,7 +79,7 @@ def cmd_check_graph(args) -> int:
     except (GraphError, ValueError, OSError) as exc:
         return _input_error(exc)
     try:
-        report, lines, _ = checks.check_graph(g, args.theorem)
+        report, lines, _ = checks.check_graph(g)
     except GraphError as exc:
         return _input_error(exc)
     _emit(args.output, report, lines)
@@ -108,7 +108,7 @@ def cmd_check_scheme(args) -> int:
     except (SchemeError, GraphError, ValueError, OSError) as exc:
         return _input_error(exc)
     try:
-        report, lines, _ = checks.check_scheme(source, args.theorem)
+        report, lines, _ = checks.check_scheme(source)
     except SchemeError as exc:
         return _input_error(exc)
     except OverflowError:
@@ -160,7 +160,7 @@ def cmd_property_suite(args) -> int:
         g = graphmod.random_regular_graph(rng, n, k)
         if g.is_complete():
             continue
-        _, _, problems = checks.check_graph(g, "kpy")
+        _, _, problems = checks.check_graph(g)
         if problems:
             reproducer = {"graph_index": index, "graph6": graphmod.emit_graph6(g), "problems": problems}
             return alarm(f"graph index {index}", reproducer)
@@ -187,11 +187,11 @@ def cmd_scan(args) -> int:
         )
     except (ValueError, ZeroDivisionError) as exc:
         return _input_error(exc)
-    result = scanmod.scan(spec)
-    alarms = checks.check_scan(result)
-    rows = [dump_json(rec.to_json_dict()) for rec in result.records]
-    rows.append(dump_json({"command": "scan", "tallies": result.tallies}))
-    _print(rows)
+    result, alarms = checks.check_scan(spec)
+    if result is not None:
+        rows = [dump_json(rec.to_json_dict()) for rec in result.records]
+        rows.append(dump_json({"command": "scan", "tallies": result.tallies}))
+        _print(rows)
     for a in alarms:
         print(f"ALARM: {a}", file=sys.stderr)
     return EXIT_ALARM if alarms else EXIT_OK
@@ -234,14 +234,12 @@ def build_parser() -> argparse.ArgumentParser:
     pg.add_argument("--input", help="path to a graph file")
     pg.add_argument("--family", help="family spec, e.g. petersen or hamming:d=4,q=2")
     pg.add_argument("--format", choices=("graph6", "json"), default="graph6")
-    pg.add_argument("--theorem", choices=THEOREM_CHOICES, default="all")
 
     ps = add("check-scheme", "run the scheme-side checks")
     ps.add_argument("--input", help="path to a scheme or graph file")
     ps.add_argument("--from-graph", help="family spec; scheme = distance relations")
     ps.add_argument("--krein", help="inline krein-array JSON")
     ps.add_argument("--format", choices=("graph6", "json"), default="json")
-    ps.add_argument("--theorem", choices=THEOREM_CHOICES, default="all")
 
     pp = add("property-suite", "randomized theorem verification")
     pp.add_argument("--seed", type=int, default=0)

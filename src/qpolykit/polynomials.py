@@ -184,9 +184,6 @@ class RationalPoly:
                     rem[k + j] -= c * d
         return RationalPoly(quo), RationalPoly(rem)
 
-    def __floordiv__(self, other: "RationalPoly") -> "RationalPoly":
-        return self.divmod(other)[0]
-
     def __mod__(self, other: "RationalPoly") -> "RationalPoly":
         return self.divmod(other)[1]
 

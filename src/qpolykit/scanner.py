@@ -8,16 +8,17 @@ it up, run through an ordered filter pipeline:
                    the structure passes, is an integer (genuine-scheme mode);
   krein_condition: with a_3* = 0, the implied q_23^3 and q_33^3 are
                    nonnegative;
-  pair_bound:      (t1*+1)(t3*+1) <= -b1*;
-  triple_bound:    the class-3 triple-product inequality;
   dual_bound:      the dual fundamental bound.
 
 The filters are monotone: a candidate rejected at one stage never reaches a
 later one.  The first three are rational (multiplicity and krein_condition
 are schemes.class3_feasibility, which check-scheme also applies to class-3
-Krein arrays), and the structure computes its
-spectrum on first use, so a candidate they reject computes none and each
-candidate that reaches the bounds computes exactly one.  Survivors
+Krein arrays), and the structure computes its spectrum on first use, so a
+candidate they reject computes none and each candidate that reaches the
+bounds computes exactly one.  Before the dual bound, the pair bound
+(t1*+1)(t3*+1) <= -b1* and the class-3 triple-product bound are checked:
+they hold on every valid tridiagonal system, so a failure raises
+SoundnessAlarm, as the same failure is an alarm in check-scheme.  Survivors
 attaining the dual bound with equality (and not Q-bipartite) are flagged
 dual_tight and carry the full class-3 audit, whose parameter consequences
 (b2* = 1, b1* = c2*) the scan records per candidate.  Iteration order is
@@ -32,6 +33,7 @@ from fractions import Fraction
 
 from .schemes import (
     SchemeError,
+    SoundnessAlarm,
     class3_dualtight_audit,
     class3_feasibility,
     dual_bounds,
@@ -40,14 +42,7 @@ from .schemes import (
 )
 from .serialize import rat_str
 
-FILTER_ORDER = (
-    "structure",
-    "multiplicity",
-    "krein_condition",
-    "pair_bound",
-    "triple_bound",
-    "dual_bound",
-)
+FILTER_ORDER = ("structure", "multiplicity", "krein_condition", "dual_bound")
 
 
 @dataclass(frozen=True)
@@ -141,15 +136,15 @@ class ScanResult:
     records: list[CandidateRecord] = field(default_factory=list)
     tallies: dict = field(default_factory=dict)
 
-    def survivors(self) -> list[CandidateRecord]:
-        return [r for r in self.records if r.survived]
-
     def dual_tight_survivors(self) -> list[CandidateRecord]:
         return [r for r in self.records if r.survived and r.dual_tight]
 
 
 def check_candidate(cand: KreinArrayCandidate, genuine: bool = True) -> CandidateRecord:
-    """Run one candidate through the filter pipeline."""
+    """Run one candidate through the filter pipeline.
+
+    Raises SoundnessAlarm when the pair or the triple bound fails.
+    """
     b = [cand.m, cand.b1, cand.b2]
     c = [Fraction(1), cand.c2, cand.c3]
     try:
@@ -160,10 +155,10 @@ def check_candidate(cand: KreinArrayCandidate, genuine: bool = True) -> Candidat
     if rejected is not None:
         return _rejected(cand, *rejected)
     bounds = dual_bounds(qs)
-    if not bounds.part1.holds:
-        return _rejected(cand, "pair_bound", "pair bound fails")
-    if bounds.part2 is not None and not bounds.part2.holds:
-        return _rejected(cand, "triple_bound", "triple bound fails")
+    for name, bound in (("pair", bounds.part1), ("triple", bounds.part2)):
+        if not bound.holds:
+            key = ", ".join(rat_str(v) for v in cand.key())
+            raise SoundnessAlarm(f"dual {name} bound fails at (m, b1*, b2*, c2*, c3*) = ({key})")
     dfb = dual_fundamental_bound(qs)
     if not dfb.holds:
         return _rejected(cand, "dual_bound", "dual fundamental bound fails")

@@ -628,6 +628,12 @@ class TripleBoundResult:
     def equality(self) -> bool:
         return all(b.check.equality for b in self.branches)
 
+    def to_json_dict(self) -> dict:
+        return {
+            "hypothesis_sign": self.hypothesis_sign,
+            "branches": [dict(branch=b.branch, **b.check.to_json_dict()) for b in self.branches],
+        }
+
 
 def triple_bound(system: TridiagonalSystem, report: SpectrumReport) -> TripleBoundResult:
     """The D >= 3 triple-product bound; both branches run on the boundary."""

@@ -472,6 +472,27 @@ def test_scan_survivor_check_alarm(monkeypatch, capsys):
     assert "ALARM: dual-tight survivor violates the class-3 parameter consequences" in captured.err
 
 
+@pytest.mark.parametrize(
+    "name, change, bound",
+    [
+        ("pair_bound", lambda r: replace(r, holds=False), "pair"),
+        ("triple_bound", violated, "triple"),
+    ],
+)
+def test_scan_bound_failure_is_an_alarm(monkeypatch, capsys, name, change, bound):
+    # the bounds hold on every valid tridiagonal system, so scan treats a
+    # failure as check-scheme --krein does: an alarm, not a rejection stage
+    krein = '{"type":"krein_array","class":3,"m":"4","b_star":["4","3","1"],"c_star":["1","3","4"]}'
+    flip(monkeypatch, tridiagonal, name, change)
+    assert main(["check-scheme", "--krein", krein]) == 2
+    assert f"ALARM: ordering 0: dual {bound} bound violated" in capsys.readouterr().out.splitlines()
+    assert main(["scan", "--m-max", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"ALARM: internal invariant failed: dual {bound} bound fails at (m, b1*, b2*, c2*, c3*) = (")
+    assert "Traceback" not in captured.err
+
+
 def test_property_suite_graph_alarm(monkeypatch, capsys):
     flip(monkeypatch, graphs, "interlace_check", lambda r: replace(r, passed=False))
     assert main(["property-suite", "--seed", "3", "--n", "0", "--graphs", "2", "--output", "json"]) == 2
@@ -503,6 +524,21 @@ def test_verify_corpus_clean_and_alarm(monkeypatch, capsys):
     flip(monkeypatch, schemes, "dual_bounds", lambda r: replace(r, part1=replace(r.part1, holds=False)))
     assert script.main([]) == 2
     assert capsys.readouterr().out.splitlines()[-1] == "done, 13 graphs with alarms"
+
+
+def test_spectral_identity_is_skipped_on_krein_arrays(monkeypatch, capsys):
+    # an array's dual eigenvalues are its spectrum by definition, so the
+    # identity cannot fail there and is not run
+    def forbidden(qs):
+        raise AssertionError("the identity must not run on a Krein array")
+
+    monkeypatch.setattr(schemes, "b1star_spectral_identity", forbidden)
+    doc = {"type": "krein_array", "class": 3, "m": "6", "b_star": ["6", "3", "1"], "c_star": ["1", "3", "6"]}
+    assert main(["check-scheme", "--krein", json.dumps(doc), "--output", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [o["b1star_spectral_identity"] for o in report["orderings"]] == [
+        {"skipped": "the dual eigenvalues of a Krein array are its spectrum by definition"}
+    ]
 
 
 @pytest.mark.parametrize("output", ["text", "json"])

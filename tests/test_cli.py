@@ -18,6 +18,7 @@ from qpolykit.cli import main
 from qpolykit.families import petersen
 from qpolykit.graphs import emit_graph6
 from qpolykit.scanner import MAX_CANDIDATES
+from qpolykit.schemes import MAX_CLASS, krein_array_structure
 from qpolykit.serialize import rat_str
 
 
@@ -381,6 +382,24 @@ def test_scan_cli():
     assert proc.stdout == proc2.stdout
 
 
+def _krein_of_class(d: int) -> dict:
+    """{d+1, 1, ..., 1; 1, ..., 1, d+1}: a valid array of any class d >= 2."""
+    m = str(d + 1)
+    return {"type": "krein_array", "class": d, "m": m, "b_star": [m] + ["1"] * (d - 1), "c_star": ["1"] * (d - 1) + [m]}
+
+
+@pytest.mark.parametrize("output", ["text", "json"])
+def test_krein_class_size_policy_exit1(capsys, output):
+    # checked before the entries are parsed, so an oversize class never runs for minutes
+    assert krein_array_structure(_krein_of_class(MAX_CLASS)).d == MAX_CLASS
+    start = time.perf_counter()
+    assert main(["check-scheme", "--krein", json.dumps(_krein_of_class(MAX_CLASS + 1)), "--output", output]) == 1
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: class {MAX_CLASS + 1} exceeds the limit of {MAX_CLASS}\n"
+
+
 def test_scan_empty_grid_exit1():
     proc = run_cli("scan", "--m-max", "1")
     assert proc.returncode == 1
@@ -433,6 +452,7 @@ def test_main_entrypoint_in_process(capsys):
         ["check-graph", "--family", "petersen", "--seed", "1"],
         ["scan", "--step", "1/0"],
         ["scan", "--output", "json"],  # scan writes JSON lines and takes no --output
+        ["check-graph", "--family", "petersen", "--theorem", "all"],  # the input decides which checks run
     ],
 )
 def test_usage_errors_exit1_without_traceback(argv):
@@ -486,7 +506,7 @@ def test_size_limit_admits_hamming_9_2():
 VERIFY_CORPUS = str(Path(__file__).resolve().parent.parent / "scripts" / "verify_corpus.py")
 FORCE_SCAN_ALARM = (
     "import sys; from qpolykit import checks, cli; "
-    "checks.check_scan = lambda result: ['forced alarm']; "
+    "real = checks.check_scan; checks.check_scan = lambda spec: (real(spec)[0], ['forced alarm']); "
     "sys.exit(cli.main(['scan', '--m-max', '6', '--free-c3']))"
 )
 FORCE_CORPUS_ALARM = (
