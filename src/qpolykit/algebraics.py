@@ -22,10 +22,17 @@ over D 2^(k+1): exactly the rational midpoint (lo + hi) / 2, so every
 interval is the one a Fraction bisection would reach.  Fractions are built
 only for the interval a caller gets back.  refine, refined_to,
 compare_rational, compare, inverse and the integer collapse of isolated
-roots all drive the kernel.  Its Horner pass, ``_dyadic_sign``, also runs
+roots all drive the kernel.  Its Horner pass, ``_dyadic_value``, also runs
 isolation's Sturm subdivision: every point that subdivision visits is
 B m / 2^k for the root bound B = u / v, so each chain member is scaled once
 to v^n q(u y / v) and evaluated at y = m / 2^k in integers.
+
+refined_to knows in advance the depth at which bisection would stop, and a
+deep target is reached by quadratic interval refinement (Abbott 2006) on
+bisection's own grid: secant jumps of j levels with j doubling, each
+accepted only on the grid cell whose ends the exact signs show to hold the
+root.  That cell is bisection's interval, so the result is the same, at
+about two evaluations per jump instead of one per level.
 
 Each value carries the sign of its polynomial at lo, outside equality and
 computed lazily when unknown, so a bisection step costs one sign
@@ -65,6 +72,8 @@ from .polynomials import (
 # spend before switching to exact algebra, and after which the other refinement
 # loops compute their sound _round_cap; it affects speed, not answers
 REFINE_BUDGET = 64
+# refined_to bisects when it stops fewer levels down than this, and descends otherwise
+_DESCENT_MIN_DEPTH = 12
 
 
 class AlgebraicReal:
@@ -131,13 +140,23 @@ class AlgebraicReal:
         return b.result()
 
     def refined_to(self, width: Fraction) -> "AlgebraicReal":
+        """The interval bisection reaches once it is at most width wide; width 0 bisects to an exact hit.
+
+        A short descent bisects; a longer one jumps (``_Bisection.descend``).
+        """
         if self.lo == self.hi:
             return self
         width = Fraction(width)
         b = _Bisection(self)
-        # hi - lo > width, scaled by D 2^k and width's denominator
-        while (b.h - b.l) * width.denominator > width.numerator * (b.den << b.k):
-            b.step()
+        # the least depth K with (hi - lo) / 2^K <= width, scaled by D and width's denominator
+        a, c = (b.h - b.l) * width.denominator, width.numerator * b.den
+        depth = (-(-a // c) - 1).bit_length() if c > 0 else None
+        if depth is not None and depth < _DESCENT_MIN_DEPTH:
+            for _ in range(depth):
+                if not b.step():
+                    break
+        else:
+            b.descend(depth)
         return b.result() if b.k else self
 
     # -- equality ------------------------------------------------------------------
@@ -205,7 +224,9 @@ class _Bisection:
     caller compares against); rq holds the primitive integer coefficients c
     of a.poly scaled to it, q_i = c_i den^(n-i), leading coefficient first.
     sign_lo is the sign of the polynomial at the current lo, which a step
-    keeps.
+    keeps.  h - l is the same at every depth: step halves the interval and
+    descend cuts it into 2^j cells, so the depth-k intervals are the cells
+    of one grid.
     """
 
     __slots__ = ("poly", "rq", "den", "l", "h", "k", "sign_lo")
@@ -247,6 +268,63 @@ class _Bisection:
             self.h = m
         return True
 
+    def value(self, m: int, k: int) -> int:
+        """The polynomial at m / (den 2^k), times (den 2^k)^n."""
+        return _dyadic_value(self.rq, m, k)
+
+    def descend(self, depth: int | None) -> None:
+        """Move to bisection's interval at depth (None: to bisection's exact hit).
+
+        Quadratic interval refinement (Abbott 2006) on bisection's own grid.
+        From [l, h] at depth k, the secant through the values at l and h
+        picks the nearest point of the depth-(k + j) grid, which cuts [l, h]
+        into 2^j cells, and then its neighbour on the root's side.  The jump
+        lands when the signs at the two differ: that cell holds the one root
+        in [l, h], so it is bisection's interval at depth k + j.  A zero at
+        either point is the root, and collapses the interval as a step does.
+        j doubles after a landing and halves after a miss; at j = 1 the jump
+        is a bisection step, which always lands.
+        """
+        vl, vh = self.value(self.l, self.k), self.value(self.h, self.k)
+        j = 2
+        while depth is None or self.k < depth:
+            if depth is not None:
+                j = min(j, depth - self.k)
+            # the grid point nearest the secant root, as an index 0..2^j from l
+            g = 1 if j == 1 else ((vl << (j + 1)) + vl - vh) // ((vl - vh) << 1)
+            vg = self._grid_value(g, j, vl, vh)
+            if vg == 0:
+                return self._move(g, g, j)
+            i = g + 1 if (vg > 0) == (vl > 0) else g - 1
+            vi = self._grid_value(i, j, vl, vh)
+            if vi == 0:
+                return self._move(i, i, j)
+            if (vi > 0) == (vg > 0):
+                j >>= 1
+                continue
+            vl, vh = (vg, vi) if g < i else (vi, vg)
+            self._move(min(g, i), max(g, i), j)
+            j <<= 1
+
+    def _grid_value(self, i: int, j: int, vl: int, vh: int) -> int:
+        """The value at grid point i of 0..2^j from l to h, at depth k + j.
+
+        vl and vh are the values at l and h at depth k; the ends reuse them.
+        """
+        if i == 0:
+            return vl << ((len(self.rq) - 1) * j)
+        if i == 1 << j:
+            return vh << ((len(self.rq) - 1) * j)
+        return self.value((self.l << j) + i * (self.h - self.l), self.k + j)
+
+    def _move(self, lo: int, hi: int, j: int) -> None:
+        """Make [l, h] the grid points lo..hi of 0..2^j from l to h, at depth k + j; lo == hi is a root."""
+        base, w = self.l << j, self.h - self.l
+        self.l, self.h = base + lo * w, base + hi * w
+        self.k += j
+        if lo == hi:
+            self.sign_lo = 0
+
     def result(self) -> AlgebraicReal:
         d = self.den << self.k
         lo = Fraction(self.l, d)
@@ -254,17 +332,23 @@ class _Bisection:
         return AlgebraicReal(self.poly, lo, hi, True, self.sign_lo)
 
 
-def _dyadic_sign(rq: Sequence[int], m: int, k: int) -> int:
-    """Sign at m / 2^k of the integer polynomial rq, leading coefficient first.
+def _dyadic_value(rq: Sequence[int], m: int, k: int) -> int:
+    """The integer polynomial rq, leading coefficient first, at m / 2^k, times 2^(kn).
 
-    One Horner pass on sum_i q_i m^i 2^(k(n-i)), the value times 2^(kn).
+    One Horner pass on sum_i q_i m^i 2^(k(n-i)).
     """
     acc = 0
     shift = 0
     for c in rq:
         acc = acc * m + (c << shift)
         shift += k
-    return (acc > 0) - (acc < 0)
+    return acc
+
+
+def _dyadic_sign(rq: Sequence[int], m: int, k: int) -> int:
+    """Sign at m / 2^k of the integer polynomial rq, leading coefficient first."""
+    v = _dyadic_value(rq, m, k)
+    return (v > 0) - (v < 0)
 
 
 def _coerce(v) -> AlgebraicReal:

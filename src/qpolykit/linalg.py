@@ -4,10 +4,11 @@ One home for the linear algebra the rest of the package needs:
 
   det             fraction-free Gaussian elimination (Bareiss); rational rows
                   are scaled to integers first;
-  charpoly        det(xI - M) by Hessenberg reduction modulo primes below
-                  2^62, combined by the Chinese remainder theorem under a
-                  Hadamard bound (Cohen, A Course in Computational Algebraic
-                  Number Theory, Alg. 2.2.9);
+  charpoly        det(xI - M) by Hessenberg reduction modulo a product of
+                  primes below 2^62, one pass per product of up to about
+                  640 bits, combined by the Chinese remainder theorem under
+                  a Hadamard bound (Cohen, A Course in Computational
+                  Algebraic Number Theory, Alg. 2.2.9);
   companion, kron_sum
                   the matrices whose characteristic polynomials are the
                   package's resultants: multiplication by x on Q[x]/(p), and
@@ -26,7 +27,7 @@ import this module.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from typing import Iterator, Sequence
 
 from .polynomials import RationalPoly
@@ -77,6 +78,12 @@ def det(m: Sequence[Sequence[int | Fraction]]) -> int | Fraction:
 # (Sorenson and Webster, Math. Comp. 86 (2017)); primes here stay below 2^62
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _PRIME_TOP = 1 << 62
+# one Hessenberg pass takes primes until its modulus has this many bits (11 primes,
+# 682 bits).  Its cost per bit is least near there: one pass on H(3,4) (n = 64)
+# took 10.2/13.3/21.2/25.1/27.9/47.0/81.6 ms over 1/4/8/10/16/24/32 primes, and
+# on H(9,2) (n = 512) 1.27/1.75/2.79/5.09 s over 1/6/11/17 primes (2 vCPUs,
+# Python 3.11.7), so 17 primes cost less as 11 + 6 than in one pass
+_PASS_BITS = 640
 
 
 def _is_prime(m: int) -> bool:
@@ -124,16 +131,21 @@ def _primes_below(top: int) -> Iterator[int]:
         i += 1
 
 
-def _charpoly_mod(cols: list[list[int]], p: int) -> list[int]:
+def _charpoly_mod(matrix: list[list[int]], p: int) -> list[int]:
     """det(xI - M) mod p, constant term first, for M given by its columns.
 
     M is reduced to upper Hessenberg form H by similarity and the
     characteristic polynomial read off by the Hessenberg recurrence (Cohen,
     Alg. 2.2.9), O(n^3) operations mod p.  Columns are stored as lists, so
     both the row and the column operations of a step run over whole lists.
+
+    p is a product of distinct primes.  Z/p is then a product of fields, and
+    the elimination is valid over it while every pivot is a unit; a pivot
+    that shares a factor g with p splits the work into the moduli g and
+    p / g, whose results are combined by the Chinese remainder theorem.
     """
-    n = len(cols)
-    cols = [[v % p for v in c] for c in cols]
+    n = len(matrix)
+    cols = [[v % p for v in c] for c in matrix]
     for m in range(1, n - 1):
         pc = cols[m - 1]
         piv = next((i for i in range(m, n) if pc[i]), None)
@@ -144,7 +156,11 @@ def _charpoly_mod(cols: list[list[int]], p: int) -> list[int]:
                 c[piv], c[m] = c[m], c[piv]
             cols[piv], cols[m] = cols[m], cols[piv]
             pc = cols[m - 1]
-        inv = pow(pc[m], -1, p)
+        try:
+            inv = pow(pc[m], -1, p)
+        except ValueError:  # the pivot is no unit: it shares a prime factor with p
+            g = gcd(pc[m], p)
+            return _crt(_charpoly_mod(matrix, g), g, _charpoly_mod(matrix, p // g), p // g)
         us = [x * inv % p for x in pc[m + 1 :]]
         if not any(us):
             continue
@@ -182,19 +198,28 @@ def _charpoly_mod(cols: list[list[int]], p: int) -> list[int]:
     return polys[n]
 
 
+def _crt(a: list[int], p: int, b: list[int], q: int) -> list[int]:
+    """The residues mod p q of the lists a mod p and b mod q, for coprime p and q."""
+    inv = pow(p, -1, q)
+    return [x + p * ((y - x) * inv % q) for x, y in zip(a, b)]
+
+
 def charpoly(m: Sequence[Sequence[int | Fraction]]) -> RationalPoly:
     """det(xI - M), exactly, for an integer or rational square matrix M.
 
     M is scaled by the common denominator L of its entries to the integer
     matrix B = L M; coefficient k of det(xI - M) is coefficient k of
     det(xI - B) divided by L^(n-k).  The latter comes from residues modulo
-    primes below 2^62: with R >= the largest row norm of B, Hadamard's
-    inequality on the principal minors bounds the coefficient of x^(n-i) by
-    C(n, i) R^i <= (1 + R)^n, so once the product of the primes exceeds
-    2 (1 + R)^n the symmetric CRT residues are the integer coefficients.
+    a product of primes below 2^62: with R >= the largest row norm of B,
+    Hadamard's inequality on the principal minors bounds the coefficient of
+    x^(n-i) by C(n, i) R^i <= (1 + R)^n, so once the product of the primes
+    exceeds 2 (1 + R)^n the symmetric residues are the integer coefficients.
     R is the row norm rounded up to a multiple of 2^-16, and the stop is
     decided in integers: the product times 2^(16 n) against
-    2 (2^16 + 2^16 R)^n.
+    2 (2^16 + 2^16 R)^n.  The primes are taken largest first, and one
+    Hessenberg pass runs modulo the product of as many of them as reach
+    _PASS_BITS bits; the passes are combined by the Chinese remainder
+    theorem.
     """
     n = len(m)
     # det(xI - B) = det(xI - B^T): the rows of B serve as the columns of B^T
@@ -204,18 +229,16 @@ def charpoly(m: Sequence[Sequence[int | Fraction]]) -> RationalPoly:
     if r * r < norm2:
         r += 1
     bound = 2 * ((1 << 16) + r) ** n
+    primes = _primes_below(_PRIME_TOP)
     coeffs: list[int] = []
     modulus = 1
-    for p in _primes_below(_PRIME_TOP):
-        residues = _charpoly_mod(cols, p)
-        if coeffs:
-            inv = pow(modulus, -1, p)
-            coeffs = [c + modulus * ((v - c) * inv % p) for c, v in zip(coeffs, residues)]
-        else:
-            coeffs = residues
-        modulus *= p
-        if modulus << (16 * n) > bound:
-            break
+    while modulus << (16 * n) <= bound:
+        batch = 1
+        while batch.bit_length() < _PASS_BITS and (modulus * batch) << (16 * n) <= bound:
+            batch *= next(primes)
+        residues = _charpoly_mod(cols, batch)
+        coeffs = _crt(coeffs, modulus, residues, batch) if coeffs else residues
+        modulus *= batch
     half = modulus // 2
     ints = [c - modulus if c > half else c for c in coeffs]
     if scale == 1:

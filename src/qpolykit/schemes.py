@@ -48,6 +48,7 @@ graphs.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property, cmp_to_key
 from fractions import Fraction
@@ -633,6 +634,11 @@ def _descending_permutation(col) -> list[int] | None:
 # {D+1, 1, ..., 1; 1, ..., 1, D+1} took 8.8 s at D = 64 and 133 s at D = 100; at D = 64, entries of
 # seven digits took 60 s.  The slowest accepted graph, J(12,4), takes 180 s (2 vCPUs, Python 3.11.7).
 MAX_CLASS = 64
+# The entry-size policy beside it: a numerator or denominator of more digits is an input error.
+# At class 64, {65, 1, ..., 1; 1, ..., 1, 65} took 6.7 s, and b* = (m, x/7, ..., x/7),
+# c* = (1, y/30, ..., y/30, m) with m = 10^(d-1) + 1 and x, y of d digits took 9.7/37/71/188 s
+# for d = 4/7/10/13, while J(12,4) took 42 s (2 vCPUs, Python 3.11.7).
+MAX_ENTRY_DIGITS = 7
 
 
 def krein_array_structure(obj: dict) -> QPolyStructure:
@@ -664,6 +670,10 @@ def krein_array_structure(obj: dict) -> QPolyStructure:
         raise SchemeError(f"malformed rational in krein array: {exc}") from exc
     if len(b) != d or len(c) != d:
         raise SchemeError("b_star needs D entries (b_0*..b_{D-1}*), c_star D entries (c_1*..c_D*)")
+    if any(abs(v) > sys.float_info.max for v in (m, *b, *c)):
+        raise SchemeError("an entry exceeds the float range of the decimal annotations")
+    if any(max(abs(v.numerator), v.denominator) >= 10**MAX_ENTRY_DIGITS for v in (m, *b, *c)):
+        raise SchemeError(f"an entry exceeds the limit of {MAX_ENTRY_DIGITS} digits in numerator or denominator")
     if b[0] != m:
         raise SchemeError("b_0* must equal m")
     if c[0] != 1:

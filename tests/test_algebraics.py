@@ -362,10 +362,13 @@ def test_kernel_matches_fraction_bisection(p, width, r, data):
         cur = cur.refine()
         lo, hi = ref_refine(cur.poly, lo, hi)
         assert same(cur, (lo, hi))
-    assert same(a.refined_to(width), ref_refined_to(a.poly, a.lo, a.hi, width))
-    # values whose sign at lo was carried over, not recomputed
-    for v in (a.add_rational(r), a.mul_rational(-3), a.mul_rational(F(2, 5))):
-        assert same(v.refined_to(width), ref_refined_to(v.poly, v.lo, v.hi, width))
+    # widths fewer levels down than _DESCENT_MIN_DEPTH bisect; deep ones descend
+    deep = (a.hi - a.lo) / 2 ** (algebraics._DESCENT_MIN_DEPTH + 30)
+    for w in (width, deep):
+        assert same(a.refined_to(w), ref_refined_to(a.poly, a.lo, a.hi, w))
+        # values whose sign at lo was carried over, not recomputed
+        for v in (a.add_rational(r), a.mul_rational(-3), a.mul_rational(F(2, 5))):
+            assert same(v.refined_to(w), ref_refined_to(v.poly, v.lo, v.hi, w))
     assert compare_rational(a, r) == ref_compare_rational(a, r)
     for x in (a.lo, a.hi, (a.lo + a.hi) / 2):
         assert compare_rational(a, x) == ref_compare_rational(a, x)
@@ -400,7 +403,9 @@ def test_kernel_collapses_on_a_dyadic_midpoint(m, j, left, t, q, width):
     assert ref_lo == ref_hi == r  # the reference hits the root exactly
     hit = a.refined_to(F(0))
     assert hit.is_rational and hit.as_rational() == r
-    assert same(a.refined_to(width), ref_refined_to(a.poly, a.lo, a.hi, width))
+    deep = (a.hi - a.lo) / 2 ** (algebraics._DESCENT_MIN_DEPTH + 30)
+    for w in (width, deep):
+        assert same(a.refined_to(w), ref_refined_to(a.poly, a.lo, a.hi, w))
     assert compare_rational(a, r) == 0
     for x in (r - w / 3, r + w / 5):
         assert compare_rational(a, x) == ref_compare_rational(a, x)
@@ -408,6 +413,60 @@ def test_kernel_collapses_on_a_dyadic_midpoint(m, j, left, t, q, width):
     assert same(algebraics._try_integer_collapse(a), ref_integer_collapse(a))
     if r != 0:
         assert same(a.inverse(), ref_inverse_interval(a))
+
+
+@st.composite
+def jacobi_charpolys(draw):
+    """det(xI - J) for a symmetric integer tridiagonal J of order 20..40 with a nonzero off-diagonal.
+
+    Such a polynomial is totally real with simple roots.
+    """
+    n = draw(st.integers(20, 40))
+    a = draw(st.lists(st.integers(-20, 20), min_size=n, max_size=n))
+    b = draw(st.lists(st.integers(1, 9), min_size=n - 1, max_size=n - 1))
+    prev, cur = RationalPoly((1,)), RationalPoly((-a[0], 1))
+    for ak, bk in zip(a[1:], b):
+        prev, cur = cur, RationalPoly((-ak, 1)) * cur - prev.scale(bk * bk)
+    return cur
+
+
+@settings(max_examples=12, deadline=None)
+@given(jacobi_charpolys(), st.data())
+def test_descent_matches_fraction_bisection_at_high_degree(p, data):
+    roots = isolate_real_roots(p)
+    assert len(roots) == p.degree
+    a = data.draw(st.sampled_from(roots))
+    for levels in (algebraics._DESCENT_MIN_DEPTH, 40, 64):
+        w = (a.hi - a.lo) / 2**levels
+        got = a.refined_to(w)
+        assert same(got, ref_refined_to(a.poly, a.lo, a.hi, w))
+        assert got._sign_lo == ref_sign(a.poly, got.lo)
+
+
+def counting_evaluations(monkeypatch) -> list[int]:
+    """Count the kernel's polynomial evaluations, sign and value calls together."""
+    calls = [0]
+    for name in ("sign", "value"):
+        real = getattr(algebraics._Bisection, name)
+
+        def counted(self, *args, _real=real):
+            calls[0] += 1
+            return _real(self, *args)
+
+        monkeypatch.setattr(algebraics._Bisection, name, counted)
+    return calls
+
+
+def test_refining_to_a_report_width_takes_ten_evaluations(monkeypatch):
+    # the largest root of x^3 - 3x - 1, 2 cos(pi/9), as isolation leaves it
+    a = isolate_real_roots(RationalPoly((-1, -3, 0, 1)))[-1]
+    assert (a.lo, a.hi) == (F(15, 8), F(5, 2))
+    calls = counting_evaluations(monkeypatch)
+    got = a.refined_to(F(1, 10**12))
+    assert same(got, ref_refined_to(a.poly, a.lo, a.hi, F(1, 10**12)))
+    # 40 levels down, where bisection evaluates once per level
+    assert (a.hi - a.lo) / (got.hi - got.lo) == 2**40
+    assert calls == [10]
 
 
 def test_a_refine_step_evaluates_one_sign(monkeypatch):

@@ -73,24 +73,31 @@ def test_edge_cases():
     assert as_ints(adjacency_charpoly(Graph(3, [(0, 1)]))) == [0, -1, 0, 1]
 
 
+def charpoly_passes(monkeypatch, build, *args):
+    """build(*args), and the modulus of every Hessenberg pass it ran, splits included."""
+    moduli = []
+    real = linalg._charpoly_mod
+
+    def counting(cols, p):
+        moduli.append(p)
+        return real(cols, p)
+
+    monkeypatch.setattr(linalg, "_charpoly_mod", counting)
+    return build(*args), moduli
+
+
 def test_hamming_6_2_needs_two_primes(monkeypatch):
     """n = 64, row norm sqrt 6: 2 (1 + R)^64 < 2^116 for R just above sqrt 6, two primes below 2^62.
 
     The integer ceiling R = 3 gave 2 * 4^64 = 2^129, past the product of two
     such primes: rounding R up to a multiple of 2^-16 saves the third prime.
+    Both primes go into one Hessenberg pass, modulo their product.
     """
     g = hamming(6, 2)
-    primes = []
-    real = linalg._charpoly_mod
-
-    def counting(cols, p):
-        primes.append(p)
-        return real(cols, p)
-
-    monkeypatch.setattr(linalg, "_charpoly_mod", counting)
-    cp = adjacency_charpoly(g)
-    assert len(primes) == 2
-    assert primes[0] * primes[1] < 2 * 4**64
+    cp, moduli = charpoly_passes(monkeypatch, adjacency_charpoly, g)
+    primes = linalg._primes_below(1 << 62)
+    assert moduli == [next(primes) * next(primes)]
+    assert moduli[0] < 2 * 4**64
     for t in (-7, -6, -1, 0, 3, 7):
         assert cp.evaluate(t) == bareiss_value(g, t)
     # spectrum of H(6,2): 6 - 2i with multiplicity C(6, i)
@@ -116,6 +123,28 @@ def test_hamming_6_2_needs_two_primes(monkeypatch):
 def test_charpoly_matches_the_cofactor_oracle(m):
     # the rounded-up row norm still bounds every coefficient: no prime too few
     assert linalg.charpoly(m) == charpoly_by_cofactor(m)
+
+
+def test_a_pivot_sharing_a_prime_with_the_modulus_splits_the_pass(monkeypatch):
+    # the first pivot, entry (0, 1), is the second prime of the pass's modulus M:
+    # no unit mod M, so the pass splits into that prime and M over it
+    it = linalg._primes_below(1 << 62)
+    p1, p2 = next(it), next(it)
+    m = [[1, p2, 1, 0], [2, 0, 1, 1], [0, 3, -1, 2], [1, 1, 1, p1]]
+    cp, moduli = charpoly_passes(monkeypatch, linalg.charpoly, m)
+    assert moduli[1:] == [p2, moduli[0] // p2]
+    assert moduli[0] % p1 == 0 and moduli[0] % (p2 * p2) != 0
+    assert cp == charpoly_by_cofactor(m)
+
+
+def test_coefficients_past_one_pass_combine_several(monkeypatch):
+    # 250-digit entries, scaled by 21, bound the coefficients by some 2000 bits
+    big = 10**250
+    m = [[big, -(big + 7), 3], [F(big, 3), 1, -big], [5, big - 1, F(-big, 7)]]
+    cp, moduli = charpoly_passes(monkeypatch, linalg.charpoly, m)
+    assert len(moduli) > 1
+    assert all(linalg._PASS_BITS <= p.bit_length() < linalg._PASS_BITS + 62 for p in moduli[:-1])
+    assert cp == charpoly_by_cofactor(m)
 
 
 def test_primality_against_sympy():

@@ -18,7 +18,7 @@ from qpolykit.cli import main
 from qpolykit.families import petersen
 from qpolykit.graphs import emit_graph6
 from qpolykit.scanner import MAX_CANDIDATES
-from qpolykit.schemes import MAX_CLASS, krein_array_structure
+from qpolykit.schemes import MAX_CLASS, MAX_ENTRY_DIGITS, krein_array_structure
 from qpolykit.serialize import rat_str
 
 
@@ -382,9 +382,9 @@ def test_scan_cli():
     assert proc.stdout == proc2.stdout
 
 
-def _krein_of_class(d: int) -> dict:
-    """{d+1, 1, ..., 1; 1, ..., 1, d+1}: a valid array of any class d >= 2."""
-    m = str(d + 1)
+def _krein_of_class(d: int, m: int | None = None) -> dict:
+    """{m, 1, ..., 1; 1, ..., 1, m}, m = d + 1 by default: a valid array of any class d >= 2 for m > 2."""
+    m = str(d + 1 if m is None else m)
     return {"type": "krein_array", "class": d, "m": m, "b_star": [m] + ["1"] * (d - 1), "c_star": ["1"] * (d - 1) + [m]}
 
 
@@ -398,6 +398,18 @@ def test_krein_class_size_policy_exit1(capsys, output):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"input error: class {MAX_CLASS + 1} exceeds the limit of {MAX_CLASS}\n"
+
+
+@pytest.mark.parametrize("m", [10**300 + 7, 10**MAX_ENTRY_DIGITS + 1])
+def test_krein_entry_size_policy_exit1(capsys, m):
+    # a 300-digit entry once ran into a traceback from the 4300-digit limit on printing integers
+    assert krein_array_structure(_krein_of_class(8, 10**MAX_ENTRY_DIGITS - 1)).d == 8
+    start = time.perf_counter()
+    assert main(["check-scheme", "--krein", json.dumps(_krein_of_class(8, m))]) == 1
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: an entry exceeds the limit of {MAX_ENTRY_DIGITS} digits in numerator or denominator\n"
 
 
 def test_scan_empty_grid_exit1():
