@@ -7,7 +7,14 @@ values the construction arranges sign(p(lo)) != sign(p(hi)), so refinement
 is plain bisection with power-of-two denominators.
 
 Real roots are isolated in one place: ``isolate_real_roots``, the one
-root isolator and the one consumer of Sturm chains.  Any other count is of
+root isolator and the one consumer of Sturm chains.  It runs one
+subdivision loop with two sign sources: the Sturm chain of the squarefree
+part, or a counter the caller passes in, which reads another Sturm
+sequence of the polynomial.  ``tridiagonal.spectrum`` passes the integer
+three-term recurrence F_0, ..., F_D, so a spectrum builds no chain and no
+squarefree part.  The loop's round cap costs a gcd, so it is computed only
+once a subdivision passes REFINE_BUDGET levels, as in compare_rational and
+inverse.  Any other count is of
 the isolated roots inside an interval (``roots_in``): the unchecked
 constructor certifies its interval that way, and ``numberfield.adjoin_root``
 isolates its primitive element that way.  ``tridiagonal.interlacing_check``
@@ -23,9 +30,10 @@ interval is the one a Fraction bisection would reach.  Fractions are built
 only for the interval a caller gets back.  refine, refined_to,
 compare_rational, compare, inverse and the integer collapse of isolated
 roots all drive the kernel.  Its Horner pass, ``_dyadic_value``, also runs
-isolation's Sturm subdivision: every point that subdivision visits is
+isolation's chain signs: every point that subdivision visits is
 B m / 2^k for the root bound B = u / v, so each chain member is scaled once
-to v^n q(u y / v) and evaluated at y = m / 2^k in integers.
+to v^n q(u y / v) and evaluated at y = m / 2^k in integers.  A caller's
+counter gets the same point as the integers u m and v 2^k.
 
 refined_to knows in advance the depth at which bisection would stop, and a
 deep target is reached by quadratic interval refinement (Abbott 2006) on
@@ -36,7 +44,7 @@ about two evaluations per jump instead of one per level.
 
 Each value carries the sign of its polynomial at lo, outside equality and
 computed lazily when unknown, so a bisection step costs one sign
-evaluation.  Isolation takes it from the Sturm signs it has computed,
+evaluation.  Isolation takes it from the signs it has computed,
 bisection keeps it, and add_rational and mul_rational carry it over.
 
 The type is a root representation: it isolates, refines and compares, and
@@ -386,31 +394,41 @@ def _normalize(poly: RationalPoly, lo: Fraction, hi: Fraction):
 # -- isolation ----------------------------------------------------------------
 
 
-def isolate_real_roots(p: RationalPoly) -> list[AlgebraicReal]:
+def isolate_real_roots(p: RationalPoly, count=None) -> list[AlgebraicReal]:
     """All distinct real roots of p, in strictly increasing order.
 
-    The input is squarefree-reduced internally; multiplicities are available
-    through isolate_real_roots_with_multiplicity.
+    Without count the input is squarefree-reduced internally and the signs
+    come from its Sturm chain; multiplicities are available through
+    isolate_real_roots_with_multiplicity.  A caller that knows another
+    Sturm sequence of p passes count(n, q), which returns the sign
+    variations of that sequence at n / q (q > 0) and the sign of p there:
+    p is then taken as it is, and must be squarefree for the intervals to
+    pin simple roots.  Both sources drive the same subdivision.
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
     if p.degree == 0:
         return []
-    sf = squarefree_part(p)
+    sf = squarefree_part(p) if count is None else p
     if sf.degree == 1:
         return [AlgebraicReal.from_rational(-sf[0] / sf[1])]
     bound = cauchy_root_bound(sf) + 1
     u, v = bound.numerator, bound.denominator
-    rchain = _scaled_chain(sturm_chain(sf), u, v)
-    # a split without a nudge halves its interval, and an interval narrower than
-    # the root separation is never split; each of the at most deg(sf) nudges
-    # (one per root hit) adds one scale and may leave one split unhalved
-    cap = _round_cap(sf, 2 * bound) + 2 * sf.degree
+    rchain = _scaled_chain(sturm_chain(sf), u, v) if count is None else None
+    cap = None  # set once a subdivision passes REFINE_BUDGET levels
 
     def signs(m: int, k: int) -> tuple[int, int]:
-        """Sign variations of the chain at bound m / 2^k, and the sign of sf there."""
-        if k > cap:
-            raise AssertionError("root isolation subdivided past its round cap")
+        """Sign variations of the sequence at bound m / 2^k, and the sign of sf there."""
+        nonlocal cap
+        if k > REFINE_BUDGET:
+            # a split without a nudge halves its interval, and an interval narrower than
+            # the root separation is never split; each of the at most deg(sf) nudges
+            # (one per root hit) adds one scale and may leave one split unhalved
+            cap = cap or _round_cap(sf, 2 * bound) + 2 * sf.degree
+            if k > cap:
+                raise AssertionError("root isolation subdivided past its round cap")
+        if count is not None:
+            return count(u * m, v << k)
         s = _chain_signs(rchain, m, k)
         return sign_variations(s), s[0]
 

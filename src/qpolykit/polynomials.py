@@ -10,7 +10,11 @@ The module also provides what root isolation needs: Sturm chains, sign
 variation counts and the Cauchy root bound.  A Sturm chain is one case of
 ``signed_remainder_sequence``, the one remainder-sequence loop, whose sign
 variations give Cauchy indices.  ``algebraics.isolate_real_roots`` is the
-one consumer of Sturm chains; every real-root count in the package counts
+one consumer of Sturm chains, and one of its two sign sources; the other
+is a caller's Sturm sequence, such as the three-term recurrence of a
+tridiagonal spectrum, whose F_i ``_scaled_int_poly`` builds from integers.
+Isolation's round cap, which costs a squarefree part, is computed only on
+deep subdivisions.  Every real-root count in the package counts
 the roots it isolates.  ``tridiagonal.interlacing_check`` reads Cauchy
 indices off the sequences of consecutive F_i.  Gcds, exact division,
 remainder sequences, sign evaluations and Taylor shifts run on the
@@ -732,6 +736,23 @@ def _int_poly(ints: tuple[int, ...]) -> RationalPoly:
     """The polynomial with the primitive integer coefficients ints."""
     p = RationalPoly(ints)
     object.__setattr__(p, "_ints", ints)
+    return p
+
+
+def _scaled_int_poly(h: Sequence[int], scale: int) -> RationalPoly:
+    """H(scale x) / scale^n for H monic of degree n in Z[x], constant term first, scale > 0.
+
+    Coefficient j is h_j / scale^(n-j), one Fraction each, and the integer
+    cache is the primitive part of the h_j scale^j.  The leading coefficient
+    is 1, so there is no trailing zero to strip and __init__ is skipped.
+    """
+    n = len(h) - 1
+    powers = [1]
+    for _ in range(n):
+        powers.append(powers[-1] * scale)
+    p = object.__new__(RationalPoly)
+    object.__setattr__(p, "coeffs", tuple([Fraction(c, powers[n - j]) for j, c in enumerate(h)]))
+    object.__setattr__(p, "_ints", _primitive_int([c * powers[j] for j, c in enumerate(h)]))
     return p
 
 

@@ -25,8 +25,14 @@ gamma_1).
 Entries are Fractions for ordinary systems; the same checks also accept
 number-field elements (FieldElement) so Krein matrices with algebraic
 entries reuse every code path.  A spectrum is the roots of F_D, by one of
-two functions.  spectrum isolates them, on F_D built as a RationalPoly
-(rational systems only).  certify_spectrum takes strictly descending
+two functions.  spectrum isolates them (rational systems only).  It derives
+the recurrence once in integers, H_i(y) = L^i F_i(y / L) with L the common
+denominator of its coefficients, and reads F_0, ..., F_D as RationalPolys
+off the H_i.  The positive off-diagonal products make F_0, ..., F_D a
+Sturm sequence of F_D, so the same integer recurrence, evaluated at each
+subdivision point, is the sign source of isolate_real_roots (Givens'
+bisection): no Sturm chain and no squarefree part is built, and the
+isolating intervals are the chain's.  certify_spectrum takes strictly descending
 candidates on any system and certifies them as the roots of F_D,
 evaluating F_D at each by the three-term recurrence on scalars, so a
 system with field entries builds no polynomial.  Only interlacing_check
@@ -48,7 +54,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import prod
+from math import lcm, prod
 from typing import Sequence
 
 from . import algebraics
@@ -66,7 +72,7 @@ from .numberfield import (
     field_containing,
     scalar_as_fraction,
 )
-from .polynomials import RationalPoly, sign_variations, signed_remainder_sequence
+from .polynomials import RationalPoly, _scaled_int_poly, sign_variations, signed_remainder_sequence
 from .serialize import rat_str, value_json
 
 
@@ -198,16 +204,75 @@ def f_polynomials(system: TridiagonalSystem) -> list[RationalPoly]:
     Rational systems only; a system with field entries raises ValueError
     (certify_spectrum certifies its spectrum through _f_d_at instead).
     """
+    return _f_polynomials(_integer_recurrence(system))
+
+
+def _integer_recurrence(system: TridiagonalSystem) -> tuple[int, list[int], list[int]]:
+    """(L, c, e) with H_i(y) = L^i F_i(y / L) = (y + c_i) H_{i-1} - e_i H_{i-2}, all in Z.
+
+    F_i = (x + a_i) F_{i-1} - b_i F_{i-2} with a_1 = 1, b_1 = 0 and, for
+    i >= 2, a_i = beta_{i-1} + gamma_i - kappa and b_i = beta_{i-1} gamma_{i-1};
+    L is the least common denominator of the a_i and b_i, c_i = L a_i and
+    e_i = L^2 b_i.  c[0] = c_1 and e[0] = e_1 = 0.  Each e_i with i >= 2 is
+    positive, which makes F_0, ..., F_D a Sturm sequence of F_D
+    (_sign_counter).  Rational systems only, else ValueError.
+    """
     if not system.is_rational():
         raise ValueError("systems with algebraic entries need candidate eigenvalues")
     kappa = scalar_as_fraction(system.kappa)
     beta = [scalar_as_fraction(x) for x in system.beta]
     gamma = [scalar_as_fraction(x) for x in system.gamma]
-    fs = [RationalPoly.one(), RationalPoly((1, 1))]
-    for i in range(2, system.d + 1):
-        shift = RationalPoly((beta[i - 1] + gamma[i - 1] - kappa, 1))
-        fs.append(shift * fs[i - 1] - fs[i - 2].scale(beta[i - 1] * gamma[i - 2]))
-    return fs
+    a = [Fraction(1)] + [beta[i - 1] + gamma[i - 1] - kappa for i in range(2, system.d + 1)]
+    b = [Fraction(0)] + [beta[i - 1] * gamma[i - 2] for i in range(2, system.d + 1)]
+    scale = lcm(*(x.denominator for x in a + b))
+    c = [x.numerator * (scale // x.denominator) for x in a]
+    e = [x.numerator * (scale // x.denominator) * scale for x in b]
+    return scale, c, e
+
+
+def _f_polynomials(rec: tuple[int, list[int], list[int]]) -> list[RationalPoly]:
+    """F_0, ..., F_D from the integer recurrence (L, c, e) of _integer_recurrence."""
+    scale, c, e = rec
+    hs = [[1]]  # H_i, constant term first
+    prev: list[int] = []
+    for ci, ei in zip(c, e):
+        cur = hs[-1]
+        h = [0] + cur  # y H_{i-1}
+        for j, v in enumerate(cur):
+            h[j] += ci * v
+        for j, v in enumerate(prev):
+            h[j] -= ei * v
+        prev = cur
+        hs.append(h)
+    return [_scaled_int_poly(h, scale) for h in hs]
+
+
+def _sign_counter(rec: tuple[int, list[int], list[int]]):
+    """count(n, q) for isolate_real_roots: the sign variations of F_0, ..., F_D at n / q, and the sign of F_D.
+
+    Givens' bisection in integers (Wilkinson, The Algebraic Eigenvalue
+    Problem, 1965, ch. 5; Barth, Martin and Wilkinson 1967).  With N = L n
+    and q > 0, G_i = q^i H_i(N / q) = (L q)^i F_i(n / q) runs
+    G_0 = 1, G_i = (N + c_i q) G_{i-1} - e_i q^2 G_{i-2}, so it has the signs
+    of the F_i.  Since every e_i (i >= 2) is positive, a zero F_i (0 < i < D)
+    lies between members of opposite signs, and the variations count the
+    roots of F_D above n / q: +infinity gives none, -infinity gives D.
+    """
+    scale, c, e = rec
+
+    def count(n: int, q: int) -> tuple[int, int]:
+        n *= scale
+        q2 = q * q
+        prev, cur = 0, 1
+        last, changes = 1, 0  # the last nonzero sign, and the variations so far
+        for ci, ei in zip(c, e):
+            prev, cur = cur, (n + ci * q) * cur - ei * q2 * prev
+            if cur and (cur > 0) != (last > 0):
+                last = cur
+                changes += 1
+        return changes, (cur > 0) - (cur < 0)
+
+    return count
 
 
 def _f_d_at(system: TridiagonalSystem, x):
@@ -287,8 +352,10 @@ class SpectrumReport:
 def spectrum(system: TridiagonalSystem) -> SpectrumReport:
     """Exact eigenvalues of a rational system: kappa and the isolated roots of F_D."""
     d = system.d
-    fs = f_polynomials(system)
-    roots = isolate_real_roots(fs[d])
+    rec = _integer_recurrence(system)
+    fs = _f_polynomials(rec)
+    roots = isolate_real_roots(fs[d], _sign_counter(rec))
+    # D roots, each pinned by a sign change, make F_D squarefree, as each root's poly must be
     if len(roots) != d:
         raise AssertionError(f"F_{d} must have {d} distinct real roots, found {len(roots)}")
     kappa = scalar_as_fraction(system.kappa)
@@ -336,6 +403,11 @@ def interlacing_check(report: SpectrumReport) -> InterlacingResult:
     The last row is read against the report's eigenvalues
     theta_1 > ... > theta_D, the roots of F_D (_interlaces_spectrum).  A
     certified report carries no polynomials and passes vacuously.
+
+    Strict interlacing of consecutive F_i is also the premise on which
+    spectrum counts roots by the sign variations of F_0, ..., F_D.  This
+    check reads only signed remainder sequences, never that count, so it
+    stays an independent test of the premise.
     """
     fs = report.f_polys
     if not fs:

@@ -242,8 +242,9 @@ def test_broken_invariant_is_an_alarm_not_a_traceback(case, output, monkeypatch,
 
 
 def test_isolating_interval_without_a_sign_change_is_an_alarm(monkeypatch, capsys):
-    # isolation certifies each root from its own Sturm signs: true variation
-    # counts, but the polynomial's sign reads +1 at every point
+    # isolation certifies each root from its own signs: true variation
+    # counts, but the polynomial's sign reads +1 at every point, from the
+    # Sturm chain and from the recurrence that Petersen's quotient spectrum reads
     class Signs(list):
         true: list
 
@@ -253,9 +254,14 @@ def test_isolating_interval_without_a_sign_change_is_an_alarm(monkeypatch, capsy
         s[0] = 1
         return s
 
+    def sign_counter(rec, _real=tridiagonal._sign_counter):
+        count = _real(rec)
+        return lambda n, q: (count(n, q)[0], 1)
+
     real_variations = algebraics.sign_variations
     monkeypatch.setattr(algebraics, "_chain_signs", chain_signs)
     monkeypatch.setattr(algebraics, "sign_variations", lambda s: real_variations(s.true))
+    monkeypatch.setattr(tridiagonal, "_sign_counter", sign_counter)
     with pytest.raises(AssertionError, match="an isolating interval without a sign change"):
         algebraics.isolate_real_roots(RationalPoly((-2, 0, 1)))
     assert main(["check-graph", "--family", "petersen"]) == 2
@@ -265,8 +271,10 @@ def test_isolating_interval_without_a_sign_change_is_an_alarm(monkeypatch, capsy
 
 def test_root_isolation_past_its_round_cap_is_an_alarm(monkeypatch, capsys):
     # a wrong root count: two roots left of 0 and none at or right of it, so
-    # isolation would subdivide toward 0 forever without its round cap
+    # isolation would subdivide toward 0 forever without its round cap, from
+    # the Sturm chain and from the recurrence that Petersen's quotient spectrum reads
     monkeypatch.setattr(algebraics, "_chain_signs", lambda rchain, m, k: [1, -1, 1] if m < 0 else [1, 1, 1])
+    monkeypatch.setattr(tridiagonal, "_sign_counter", lambda rec: lambda n, q: (2, 1) if n < 0 else (0, 1))
     start = time.perf_counter()
     with pytest.raises(AssertionError, match="root isolation subdivided past its round cap"):
         algebraics.isolate_real_roots(RationalPoly((-2, 0, 1)))
@@ -281,8 +289,8 @@ def test_rational_comparison_past_its_round_cap_is_an_alarm(monkeypatch, capsys)
     # root: comparing it with kappa = 3 would refine toward 3 forever
     real = tridiagonal.isolate_real_roots
 
-    def forged(poly):
-        return real(poly)[:-1] + [algebraics.AlgebraicReal(RationalPoly((-2, 0, 1)), 2, 3, True)]
+    def forged(poly, *count):
+        return real(poly, *count)[:-1] + [algebraics.AlgebraicReal(RationalPoly((-2, 0, 1)), 2, 3, True)]
 
     monkeypatch.setattr(tridiagonal, "isolate_real_roots", forged)
     start = time.perf_counter()

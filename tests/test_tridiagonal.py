@@ -355,9 +355,9 @@ def test_spectrum_isolates_only_f_d(monkeypatch, d):
     real = algebraics.isolate_real_roots
     degrees = []
 
-    def counted(poly):
+    def counted(poly, *count):
         degrees.append(poly.degree)
-        return real(poly)
+        return real(poly, *count)
 
     monkeypatch.setattr(tridiagonal, "isolate_real_roots", counted)
     monkeypatch.setattr(algebraics, "isolate_real_roots", counted)
@@ -366,6 +366,53 @@ def test_spectrum_isolates_only_f_d(monkeypatch, d):
     degrees.clear()
     assert interlacing_check(rep).passed
     assert degrees == []
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=2, max_value=40), st.integers(min_value=0, max_value=10**6))
+def test_recurrence_isolation_matches_the_sturm_chain(d, seed):
+    # F_0 .. F_D is a Sturm sequence of F_D: it drives the subdivision to the chain's intervals
+    system = random_system(random.Random(seed), d)
+    via_chain = isolate_real_roots(f_polynomials(system)[-1])
+    via_recurrence = list(reversed(spectrum(system).eigenvalues[1:]))
+    assert [(r.poly, r.lo, r.hi) for r in via_recurrence] == [(r.poly, r.lo, r.hi) for r in via_chain]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_spectrum_builds_no_sturm_chain_and_no_round_cap(monkeypatch, d):
+    calls = []
+    for name in ("squarefree_part", "sturm_chain", "_round_cap"):
+        real = getattr(algebraics, name)
+        monkeypatch.setattr(algebraics, name, lambda *args, _real=real, _name=name: calls.append(_name) or _real(*args))
+    for seed in range(20):
+        spectrum(random_system(random.Random(seed), d))
+    assert calls == []
+
+
+@pytest.mark.parametrize("delta", [1, -1])
+@pytest.mark.parametrize("member", [1, 2])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_a_recurrence_coefficient_off_by_one_is_caught(monkeypatch, d, member, delta):
+    # F_D and the sign counter read the same coefficients: a wrong one gives a
+    # wrong F_D, which the cofactor oracle or an isolation alarm must catch
+    system = random_system(random.Random(d), d)
+    real = tridiagonal._integer_recurrence
+    first = 0 if member == 1 else 1  # e_1 is no coefficient: F_{-1} does not exist
+    for i in range(first, d):
+
+        def off(system, _i=i):
+            rec = list(real(system))
+            rec[member] = list(rec[member])
+            rec[member][_i] += delta
+            return tuple(rec)
+
+        monkeypatch.setattr(tridiagonal, "_integer_recurrence", off)
+        problems = check_system(system)
+        assert any(
+            p == "recurrence disagrees with the cofactor characteristic polynomial"
+            or p.startswith("internal invariant failed: ")
+            for p in problems
+        ), (i, problems)
 
 
 @pytest.mark.parametrize("system", [C5, H42], ids=["C5", "H42"])
