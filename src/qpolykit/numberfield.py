@@ -40,7 +40,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .algebraics import REFINE_BUDGET, AlgebraicReal, _defining_poly_image, _interval_eval, _round_cap
-from .algebraics import apply_rational_poly, isolate_real_roots, roots_in
+from .algebraics import apply_rational_poly, compare_rational, isolate_real_roots, roots_in
 from .linalg import charpoly, companion, kron_sum
 from .polynomials import RationalPoly, irreducible_factors, squarefree_part
 
@@ -311,7 +311,7 @@ def exact_sign(x) -> int:
     if isinstance(x, FieldElement):
         return x.sign()
     if isinstance(x, AlgebraicReal):
-        return x.sign()
+        return compare_rational(x, 0)
     raise TypeError(f"not an exact scalar: {type(x).__name__}")
 
 

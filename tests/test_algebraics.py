@@ -592,6 +592,21 @@ def test_inverse_past_its_round_cap_is_an_alarm():
     assert tiny.inverse() == 2**80
 
 
+def test_exact_hits_on_a_rational_root_that_as_rational_misses():
+    # 1/2 as the root of (2x - 1)(x^2 - 3) on [0, 1]: not a point and not of
+    # degree 1, so only the first bisection midpoint shows that it is rational
+    half = AlgebraicReal(RationalPoly((-1, 2)) * RationalPoly((-3, 0, 1)), 0, 1, True)
+    assert half.as_rational() is None
+    below = isolate_real_roots(RationalPoly((-1, 2, 1)))[-1]  # sqrt2 - 1, on an interval inside [0, 1]
+    assert half.lo <= below.lo < below.hi <= half.hi
+    assert compare(below, half) == -1 and compare(half, below) == 1
+    inv = half.inverse()
+    assert inv.is_rational and inv.as_rational() == 2
+    for q in (RationalPoly((0, 2)), RationalPoly((0, 1, 1))):
+        image = apply_rational_poly(q, half)
+        assert image.is_rational and image.as_rational() == q.evaluate(F(1, 2))
+
+
 def test_unchecked_constructor_certifies_its_interval():
     p = RationalPoly((-2, 0, 1)) * RationalPoly((-1, 3))  # (x^2 - 2)(3x - 1)
     a = AlgebraicReal(p, F(1), F(2))  # sqrt2 alone, neither end a root

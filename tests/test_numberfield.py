@@ -95,6 +95,16 @@ def test_scalar_helpers():
     assert scalar_as_fraction(gen) is None
 
 
+def test_scalar_helpers_on_algebraic_reals():
+    s2 = root((-2, 0, 1))
+    assert exact_sign(s2) == 1 and exact_sign(s2.mul_rational(-1)) == -1
+    assert exact_sign(AlgebraicReal.from_rational(0)) == 0
+    assert scalar_as_fraction(s2) is None
+    third = AlgebraicReal(RationalPoly((-1, 3)) * RationalPoly((-2, 0, 1)), F(1, 3), 1)  # a root at an end: the point
+    assert scalar_as_fraction(third) == F(1, 3)
+    assert scalar_as_fraction(AlgebraicReal(RationalPoly((-1, 3)), 0, 1, True)) == F(1, 3)
+
+
 def test_division_errors():
     field, gen = RealAlgebraicField.from_root(root((-2, 0, 1)))
     with pytest.raises(ZeroDivisionError):
