@@ -12,13 +12,18 @@ subdivision loop with two sign sources: the Sturm chain of the squarefree
 part, or a counter the caller passes in, which reads another Sturm
 sequence of the polynomial.  ``tridiagonal.spectrum`` passes the integer
 three-term recurrence F_0, ..., F_D, so a spectrum builds no chain and no
-squarefree part.  The loop's round cap costs a gcd, so it is computed only
-once a subdivision passes REFINE_BUDGET levels, as in compare_rational and
-inverse.  Any other count is of
-the isolated roots inside an interval (``roots_in``): the unchecked
-constructor certifies its interval that way, and ``numberfield.adjoin_root``
-isolates its primitive element that way.  ``tridiagonal.interlacing_check``
-counts no roots: it reads Cauchy indices off signed remainder sequences.
+squarefree part.  Any other count is of the isolated roots inside an
+interval (``roots_in``): the unchecked constructor certifies its interval
+that way, and ``numberfield.adjoin_root`` isolates its primitive element
+that way.  ``tridiagonal.interlacing_check`` counts no roots: it reads
+Cauchy indices off signed remainder sequences.
+
+Every loop in the package that refines until intervals separate gives up
+by one rule, ``round_limit``: REFINE_BUDGET free rounds, then a Mahler
+round cap (``_round_cap``) computed once, then an AssertionError.
+compare_rational, inverse and roots_in share one such loop,
+``_Bisection.separate``.  The integer collapse, which stops below width 1,
+and refined_to, which knows its depth, need no cap.
 
 Every bisection runs in one integer kernel, ``_Bisection``.  It scales the
 primitive integer polynomial c once to the common denominator D of the
@@ -27,13 +32,13 @@ with integers l and h.  The sign of p at m / (D 2^k) is then the sign of one
 integer Horner pass, acc = acc m + (q_i << k(n-i)), and halving is l + h
 over D 2^(k+1): exactly the rational midpoint (lo + hi) / 2, so every
 interval is the one a Fraction bisection would reach.  Fractions are built
-only for the interval a caller gets back.  refine, refined_to,
-compare_rational, compare, inverse and the integer collapse of isolated
-roots all drive the kernel.  Its Horner pass, ``_dyadic_value``, also runs
-isolation's chain signs: every point that subdivision visits is
-B m / 2^k for the root bound B = u / v, so each chain member is scaled once
-to v^n q(u y / v) and evaluated at y = m / 2^k in integers.  A caller's
-counter gets the same point as the integers u m and v 2^k.
+only for the interval a caller gets back.  refine, refined_to, compare,
+separate and the integer collapse of isolated roots all drive the kernel.
+Its Horner pass, ``_dyadic_value``, also runs isolation's chain signs:
+every point that subdivision visits is B m / 2^k for the root bound
+B = u / v, so each chain member is scaled once to v^n q(u y / v) and
+evaluated at y = m / 2^k in integers.  A caller's counter gets the same
+point as the integers u m and v 2^k.
 
 refined_to knows in advance the depth at which bisection would stop, and a
 deep target is reached by quadratic interval refinement (Abbott 2006) on
@@ -61,8 +66,9 @@ squarefree but not necessarily minimal, which the representation allows.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count
 from math import ceil, isqrt, lcm
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .linalg import charpoly, companion
 from .polynomials import (
@@ -76,9 +82,8 @@ from .polynomials import (
     sturm_chain,
 )
 
-# interval-refinement rounds that compare and tridiagonal.compare_shifted_product
-# spend before switching to exact algebra, and after which the other refinement
-# loops compute their sound _round_cap; it affects speed, not answers
+# free refinement rounds of every loop (round_limit), after which compare and
+# compare_shifted_product turn to exact algebra; it affects speed, not answers
 REFINE_BUDGET = 64
 # refined_to bisects when it stops fewer levels down than this, and descends otherwise
 _DESCENT_MIN_DEPTH = 12
@@ -148,18 +153,20 @@ class AlgebraicReal:
         return b.result()
 
     def refined_to(self, width: Fraction) -> "AlgebraicReal":
-        """The interval bisection reaches once it is at most width wide; width 0 bisects to an exact hit.
+        """The interval bisection reaches once it is at most width wide; width > 0 unless self is a point.
 
         A short descent bisects; a longer one jumps (``_Bisection.descend``).
         """
         if self.lo == self.hi:
             return self
         width = Fraction(width)
+        if width <= 0:
+            raise ValueError("refinement width must be positive")
         b = _Bisection(self)
         # the least depth K with (hi - lo) / 2^K <= width, scaled by D and width's denominator
         a, c = (b.h - b.l) * width.denominator, width.numerator * b.den
-        depth = (-(-a // c) - 1).bit_length() if c > 0 else None
-        if depth is not None and depth < _DESCENT_MIN_DEPTH:
+        depth = (-(-a // c) - 1).bit_length()
+        if depth < _DESCENT_MIN_DEPTH:
             for _ in range(depth):
                 if not b.step():
                     break
@@ -202,24 +209,13 @@ class AlgebraicReal:
         return AlgebraicReal(p, lo, hi, True, sign_lo)
 
     def inverse(self) -> "AlgebraicReal":
-        """1 / self; 0 leaves the interval within _round_cap steps of poly * x, else AssertionError."""
-        r = self.as_rational()
-        if r == 0:
-            raise ZeroDivisionError("inverse of zero")
-        if self.is_rational:
-            return AlgebraicReal.from_rational(1 / r)
+        """1 / self, once bisection has moved 0 out of the interval (``_Bisection.separate``)."""
         b = _Bisection(self)
-        if b.l <= 0 <= b.h and b.sign(0) == 0:
+        if b.separate(Fraction(0), "inverse refined past its round cap") == 0:
             raise ZeroDivisionError("inverse of zero")
-        cap = None
-        while b.l <= 0 <= b.h:
-            if b.k >= REFINE_BUDGET:
-                cap = cap or _round_cap(self.poly * RationalPoly((0, 1)), self.hi - self.lo)
-                if b.k >= cap:
-                    raise AssertionError("inverse refined past its round cap")
-            if not b.step():
-                return AlgebraicReal.from_rational(Fraction(b.den << b.k, b.l))
         a = b.result() if b.k else self
+        if a.is_rational:  # a point, or an exact hit
+            return AlgebraicReal.from_rational(1 / a.lo)
         # q is squarefree with q(0) != 0, so its reversal is squarefree too
         q, _ = a.poly.strip_zero_roots()
         return AlgebraicReal(q.reversed_coeffs().monic(), 1 / a.hi, 1 / a.lo, True)
@@ -276,12 +272,30 @@ class _Bisection:
             self.h = m
         return True
 
+    def separate(self, r: Fraction, message: str) -> int:
+        """Sign of the root minus r (den a multiple of r's denominator), bisecting from depth 0 until r leaves [l, h].
+
+        An exact hit leaves l == h at a root that r is not, which ends the
+        loop too.  The root and r are distinct roots of poly (x - r), so r
+        leaves within that polynomial's round cap.
+        """
+        t = r.numerator * (self.den // r.denominator)  # r scaled like l and h
+        if self.l <= t <= self.h and self.sign(t) == 0:
+            return 0
+        w = self.h - self.l
+        limit = round_limit(message, lambda: (self.poly * RationalPoly((-r, 1)), Fraction(w, self.den)))
+        while self.l <= t <= self.h:
+            limit(self.k)
+            self.step()
+            t <<= 1
+        return 1 if self.l > t else -1
+
     def value(self, m: int, k: int) -> int:
         """The polynomial at m / (den 2^k), times (den 2^k)^n."""
         return _dyadic_value(self.rq, m, k)
 
-    def descend(self, depth: int | None) -> None:
-        """Move to bisection's interval at depth (None: to bisection's exact hit).
+    def descend(self, depth: int) -> None:
+        """Move to bisection's interval at depth.
 
         Quadratic interval refinement (Abbott 2006) on bisection's own grid.
         From [l, h] at depth k, the secant through the values at l and h
@@ -295,9 +309,8 @@ class _Bisection:
         """
         vl, vh = self.value(self.l, self.k), self.value(self.h, self.k)
         j = 2
-        while depth is None or self.k < depth:
-            if depth is not None:
-                j = min(j, depth - self.k)
+        while self.k < depth:
+            j = min(j, depth - self.k)
             # the grid point nearest the secant root, as an index 0..2^j from l
             g = 1 if j == 1 else ((vl << (j + 1)) + vl - vh) // ((vl - vh) << 1)
             vg = self._grid_value(g, j, vl, vh)
@@ -415,18 +428,15 @@ def isolate_real_roots(p: RationalPoly, count=None) -> list[AlgebraicReal]:
     bound = cauchy_root_bound(sf) + 1
     u, v = bound.numerator, bound.denominator
     rchain = _scaled_chain(sturm_chain(sf), u, v) if count is None else None
-    cap = None  # set once a subdivision passes REFINE_BUDGET levels
+    limit = round_limit("root isolation subdivided past its round cap", lambda: (sf, 2 * bound))
+    # a split without a nudge halves its interval, and one narrower than the root separation
+    # is never split; each of the at most deg(sf) nudges (one per root hit) adds one level and
+    # may leave one split unhalved, so a point at level k splits one halved k - slack times
+    slack = 2 * sf.degree + 1
 
     def signs(m: int, k: int) -> tuple[int, int]:
         """Sign variations of the sequence at bound m / 2^k, and the sign of sf there."""
-        nonlocal cap
-        if k > REFINE_BUDGET:
-            # a split without a nudge halves its interval, and an interval narrower than
-            # the root separation is never split; each of the at most deg(sf) nudges
-            # (one per root hit) adds one scale and may leave one split unhalved
-            cap = cap or _round_cap(sf, 2 * bound) + 2 * sf.degree
-            if k > cap:
-                raise AssertionError("root isolation subdivided past its round cap")
+        limit(k - slack)
         if count is not None:
             return count(u * m, v << k)
         s = _chain_signs(rchain, m, k)
@@ -465,23 +475,17 @@ def roots_in(roots: list[AlgebraicReal], lo: Fraction, hi: Fraction) -> list[Alg
     """Those of the isolated roots of one polynomial that lie in [lo, hi].
 
     Each root is refined first, in place in ``roots``, until neither lo nor
-    hi lies strictly inside its interval; a root equal to one of them
-    becomes that point.  Its interval then lies in [lo, hi] or outside
-    (lo, hi), with the root strictly inside unless it is a point, so the
-    root is in [lo, hi] exactly when its interval is.
+    hi lies strictly inside its interval (``_Bisection.separate``); a root
+    equal to one of them becomes that point.  Its interval then lies in
+    [lo, hi] or outside (lo, hi), with the root strictly inside unless it
+    is a point, so the root is in [lo, hi] exactly when its interval is.
     """
     for i, r in enumerate(roots):
         for t in (lo, hi):
             if r.lo < t < r.hi:
                 b = _Bisection(r, t.denominator)
-                m = t.numerator * (b.den // t.denominator)  # t scaled like l and h
-                if b.sign(m) == 0:
-                    r = AlgebraicReal.from_rational(t)
-                else:
-                    while b.l < m < b.h:
-                        b.step()
-                        m <<= 1
-                    r = b.result()
+                hit = b.separate(t, "rational comparison refined past its round cap") == 0
+                r = AlgebraicReal.from_rational(t) if hit else b.result()
         roots[i] = r
     return [r for r in roots if lo <= r.lo and r.hi <= hi]
 
@@ -541,25 +545,12 @@ def isolate_real_roots_with_multiplicity(p: RationalPoly) -> list[tuple[Algebrai
 
 
 def compare_rational(a: AlgebraicReal, r: Fraction | int) -> int:
-    """Exact sign of a - r; r leaves the interval within _round_cap steps of a.poly * (x - r), else AssertionError."""
+    """Exact sign of a - r, by bisecting until r leaves the interval (``_Bisection.separate``)."""
     r = Fraction(r)
     ra = a.as_rational()
     if ra is not None:
         return (ra > r) - (ra < r)
-    b = _Bisection(a, r.denominator)
-    t = r.numerator * (b.den // r.denominator)  # r scaled like l and h
-    if b.l <= t <= b.h and b.sign(t) == 0:
-        return 0
-    cap = None
-    while b.l <= t <= b.h:
-        if b.k >= REFINE_BUDGET:
-            cap = cap or _round_cap(a.poly * RationalPoly((-r, 1)), a.hi - a.lo)
-            if b.k >= cap:
-                raise AssertionError("rational comparison refined past its round cap")
-        # an exact hit leaves l == h at a root, which t is not, and ends the loop
-        b.step()
-        t <<= 1
-    return 1 if b.l > t else -1
+    return _Bisection(a, r.denominator).separate(r, "rational comparison refined past its round cap")
 
 
 def compare(a: AlgebraicReal, b: AlgebraicReal) -> int:
@@ -570,9 +561,9 @@ def compare(a: AlgebraicReal, b: AlgebraicReal) -> int:
     gcd g divides a.poly, whose interval holds one root, so g has at most
     one root on the common interval, and neither end of that interval (an
     end of a's or of b's, so no root of g) is one: g has a root there, the
-    common value, exactly when it changes sign.  Distinct values separate
-    within _round_cap rounds of a.poly * b.poly; past that cap the
-    comparison raises an AssertionError instead of refining forever.
+    common value, exactly when it changes sign.  Distinct values are
+    distinct roots of a.poly * b.poly, so they separate within its round
+    cap (``round_limit``).
     """
     ra, rb = a.as_rational(), b.as_rational()
     if ra is not None and rb is not None:
@@ -585,26 +576,23 @@ def compare(a: AlgebraicReal, b: AlgebraicReal) -> int:
     # one denominator for both, so the two intervals compare as integers
     x = _Bisection(a, lcm(b.lo.denominator, b.hi.denominator))
     y = _Bisection(b, x.den)
-    cap = None  # set by the equality check at REFINE_BUDGET
+    limit = round_limit(
+        "comparison refined past its round cap", lambda: (a.poly * b.poly, (a.hi - a.lo) + (b.hi - b.lo))
+    )
     while True:
         # both values lie strictly inside their open intervals here
         if x.h <= y.l:
             return -1
         if y.h <= x.l:
             return 1
-        if x.k >= REFINE_BUDGET:  # x.k, y.k: the rounds so far
-            if cap is None:
-                g = poly_gcd(a.poly, b.poly)
-                if g.degree >= 1:
-                    scale = x.den << x.k
-                    lo, hi = Fraction(max(x.l, y.l), scale), Fraction(min(x.h, y.h), scale)
-                    if g.sign_at(lo) != g.sign_at(hi):
-                        return 0
-                # distinct values are distinct roots of a.poly * b.poly; both
-                # intervals together are narrower than their separation by then
-                cap = _round_cap(a.poly * b.poly, (a.hi - a.lo) + (b.hi - b.lo))
-            if x.k >= cap:
-                raise AssertionError("comparison refined past its round cap")
+        if x.k == REFINE_BUDGET:  # x.k, y.k: the rounds so far
+            g = poly_gcd(a.poly, b.poly)
+            if g.degree >= 1:
+                scale = x.den << x.k
+                lo, hi = Fraction(max(x.l, y.l), scale), Fraction(min(x.h, y.h), scale)
+                if g.sign_at(lo) != g.sign_at(hi):
+                    return 0
+        limit(x.k)
         x_open, y_open = x.step(), y.step()
         if not y_open:
             return compare_rational(x.result(), y.result().lo)
@@ -629,6 +617,29 @@ def _defining_poly_image(q: RationalPoly, p: RationalPoly) -> RationalPoly:
         col = [sum(x * v for x, v in zip(row, col)) for row in c]
         cols.append(col)
     return charpoly(cols)  # the matrix given by its columns: det(xI - M^T) = det(xI - M)
+
+
+def round_limit(message: str, bound: Callable[[], tuple[RationalPoly, Fraction]]) -> Callable[[int], None]:
+    """The give-up check of a refinement loop, called with its rounds so far before each refinement.
+
+    Rounds below REFINE_BUDGET are free.  Past them, bound() gives once a
+    polynomial with the loop's target among its roots and a width W bounding
+    the loop's enclosures by W / 2^k after k rounds; the round that reaches
+    their _round_cap raises AssertionError(message).  The cap is at least one
+    round more than the first round past the budget, so bound() may build what
+    the loop tests next.
+    """
+    cap = None
+
+    def limit(rounds: int) -> None:
+        nonlocal cap
+        if rounds >= REFINE_BUDGET:  # read at call time, so tests may lower it
+            if cap is None:
+                cap = max(_round_cap(*bound()), rounds + 1)
+            if rounds >= cap:
+                raise AssertionError(message)
+
+    return limit
 
 
 def _round_cap(p: RationalPoly, width: Fraction) -> int:
@@ -661,18 +672,19 @@ def apply_rational_poly(q: RationalPoly, a: AlgebraicReal) -> AlgebraicReal:
     big_r = max(abs(a.lo), abs(a.hi))
     width = (a.hi - a.lo) * sum(i * abs(c) * big_r ** (i - 1) for i, c in enumerate(q.coeffs) if i)
     width += max((r.hi - r.lo for r in roots), default=0)
+    limit = round_limit("the value is not a root of its defining polynomial", lambda: (cands, width))
     cur = a
-    for _ in range(_round_cap(cands, width)):
+    for rounds in count():
         lo, hi = _interval_eval(q, cur.lo, cur.hi)
         hits = [r for r in roots if not (r.hi < lo or hi < r.lo)]
         if len(hits) == 1:
             return hits[0]
+        limit(rounds)
         cur = cur.refine()
         r = cur.as_rational()
         if r is not None:
             return AlgebraicReal.from_rational(q.evaluate(r))
         roots = [r.refine() for r in roots]
-    raise AssertionError("the value is not a root of its defining polynomial")
 
 
 def _interval_eval(q: RationalPoly, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:

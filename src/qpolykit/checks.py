@@ -72,12 +72,11 @@ def _system_problems(system: trimod.TridiagonalSystem) -> list[str]:
     return problems
 
 
-def _approx(v) -> str:
+def _approx(v, shown) -> str:
+    """The text form of a report value v, read off its JSON form shown = value_json(v)."""
     if isinstance(v, Fraction):
         return rat_str(v)
-    if isinstance(v, int):
-        return str(v)
-    return f"{v.approx_float():.6g}"
+    return f"{float(Fraction(shown['rational'])) if 'rational' in shown else shown['approx']:.6g}"
 
 
 def _finish(report: dict, lines: list[str], alarms: list[str]):
@@ -124,17 +123,11 @@ def _graph_checks(report: dict, lines: list[str], alarms: list[str], g: Graph) -
     lines.append("classification: " + (", ".join(flags) if flags else "(none)"))
 
     spec = graphmod.spectrum_graph(g)
-    # refined once for both renderings; spec.distinct keeps its intervals,
-    # which later products start from
-    shown = [e.refined_to(Fraction(1, 10**12)) for e in spec.distinct]
     report["spectrum"] = [
-        {"value": value_json(e), "multiplicity": m}
-        for e, m in zip(shown, spec.multiplicities)
+        {"value": value_json(e), "multiplicity": m} for e, m in zip(spec.distinct, spec.multiplicities)
     ]
-    lines.append(
-        "distinct eigenvalues: "
-        + ", ".join(f"{e.approx_float():.6g} (x{m})" for e, m in zip(shown, spec.multiplicities))
-    )
+    parts = (f"{_approx(e, s['value'])} (x{s['multiplicity']})" for e, s in zip(spec.distinct, report["spectrum"]))
+    lines.append("distinct eigenvalues: " + ", ".join(parts))
 
     try:
         kpy = graphmod.pair_bound_all_vertices(g, spec, classification)
@@ -167,9 +160,9 @@ def _graph_checks(report: dict, lines: list[str], alarms: list[str], g: Graph) -
         lines.append(
             "triple bound: "
             + "; ".join(
-                f"{b.branch}: lhs {_approx(b.check.lhs)} {b.check.relation} rhs {_approx(b.check.rhs)}"
-                f" holds={b.check.holds} equality={b.check.equality}"
-                for b in tb.branches
+                f"{b.branch}: lhs {_approx(b.check.lhs, j['lhs'])} {b.check.relation}"
+                f" rhs {_approx(b.check.rhs, j['rhs'])} holds={b.check.holds} equality={b.check.equality}"
+                for b, j in zip(tb.branches, report["triple_bound"]["branches"])
             )
         )
         if not tb.holds:
@@ -183,8 +176,9 @@ def _graph_checks(report: dict, lines: list[str], alarms: list[str], g: Graph) -
         else:
             fb = graphmod.fundamental_bound(spec, array, classification.bipartite)
             report["fundamental_bound"] = fb.to_json_dict()
+            lhs = _approx(fb.lhs, report["fundamental_bound"]["lhs"])
             lines.append(
-                f"fundamental bound: lhs {_approx(fb.lhs)} >= rhs {_approx(fb.rhs)}, "
+                f"fundamental bound: lhs {lhs} >= rhs {rat_str(fb.rhs)}, "
                 f"holds={fb.holds}, tight={fb.tight}"
             )
             if not fb.holds:
@@ -281,7 +275,8 @@ def _scheme_checks(report: dict, lines: list[str], alarms: list[str], source) ->
         db = schememod.dual_bounds(qs)
         entry["pair_bound"] = db.part1.to_json_dict()
         lines.append(
-            f"  dual pair bound: lhs {_approx(db.part1.lhs)} <= rhs {_approx(db.part1.rhs)}"
+            f"  dual pair bound: lhs {_approx(db.part1.lhs, entry['pair_bound']['lhs'])}"
+            f" <= rhs {_approx(db.part1.rhs, entry['pair_bound']['rhs'])}"
             f" equality={db.part1.equality}"
         )
         if not db.part1.holds:

@@ -31,16 +31,19 @@ companion matrices, ``linalg.charpoly``), isolates it among the isolated
 roots of that polynomial's irreducible factors (``algebraics.roots_in``),
 builds the new field on the factor holding it and rewrites both generators
 in terms of it.  That rewriting gcd (_gcd_monic) is the one polynomial with
-field coefficients the package builds.
+field coefficients the package builds.  sign_coeffs and adjoin_root refine
+gamma until an enclosure decides, and give up by the package's one rule,
+``algebraics.round_limit``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count
 from typing import Sequence
 
-from .algebraics import REFINE_BUDGET, AlgebraicReal, _defining_poly_image, _interval_eval, _round_cap
-from .algebraics import apply_rational_poly, compare_rational, isolate_real_roots, roots_in
+from .algebraics import AlgebraicReal, _defining_poly_image, _interval_eval, apply_rational_poly
+from .algebraics import compare_rational, isolate_real_roots, round_limit, roots_in
 from .linalg import charpoly, companion, kron_sum
 from .polynomials import RationalPoly, irreducible_factors, squarefree_part
 
@@ -149,13 +152,20 @@ class RealAlgebraicField:
 
         e(gamma) is a nonzero root of the characteristic polynomial of multiplication
         by e, and on gamma's [lo, hi] inside [-R, R] its enclosure is at most (hi - lo)
-        sum_i i |e_i| R^(i-1) wide: 0 leaves it within _round_cap rounds, else AssertionError.
+        sum_i i |e_i| R^(i-1) wide: 0 leaves it within the round cap (``round_limit``).
         """
         if not coeffs:
             return 0
         e = RationalPoly(coeffs)
-        rounds, cap = 0, None
-        while True:
+        start = self._gen
+
+        def bound():
+            big_r = max(abs(start.lo), abs(start.hi))
+            width = (start.hi - start.lo) * sum(i * abs(c) * big_r ** (i - 1) for i, c in enumerate(coeffs) if i)
+            return _defining_poly_image(e, self._modulus) * RationalPoly((0, 1)), width
+
+        limit = round_limit("field sign refined past its round cap", bound)
+        for rounds in count():
             gen = self._gen
             if gen.lo == gen.hi:
                 v = e.evaluate(gen.lo)
@@ -165,16 +175,9 @@ class RealAlgebraicField:
                 return 1
             if hi < 0:
                 return -1
-            if rounds >= REFINE_BUDGET:
-                if cap is None:
-                    big_r = max(abs(gen.lo), abs(gen.hi))
-                    width = (gen.hi - gen.lo) * sum(i * abs(c) * big_r ** (i - 1) for i, c in enumerate(coeffs) if i)
-                    cap = rounds + _round_cap(_defining_poly_image(e, self._modulus) * RationalPoly((0, 1)), width)
-                if rounds >= cap:
-                    raise AssertionError("field sign refined past its round cap")
+            limit(rounds)
             # the irreducible modulus of degree >= 2 has no rational root, so no step hits one
             self._gen = gen.refine()
-            rounds += 1
 
 
 def _half_ext_gcd(a: RationalPoly, b: RationalPoly) -> tuple[RationalPoly, RationalPoly]:
@@ -220,9 +223,6 @@ class FieldElement:
 
     def to_algebraic(self) -> AlgebraicReal:
         return apply_rational_poly(RationalPoly(self.coeffs), self.field.generator_value())
-
-    def approx_float(self) -> float:
-        return self.to_algebraic().approx_float()
 
     def __repr__(self) -> str:
         return f"FieldElement({RationalPoly(self.coeffs).to_str('g')})"
@@ -364,15 +364,18 @@ def adjoin_root(
         factors = irreducible_factors(mpoly)
         # isolate gamma_old + t*beta among the roots of the factors of mpoly
         roots = [isolate_real_roots(f) for f in factors]
+        width = (gen.hi - gen.lo) + t * (beta.hi - beta.lo)
+        limit = round_limit(
+            "gamma + t*beta is not isolated among the roots of its tensor polynomial", lambda: (mpoly, width)
+        )
         cur_b = beta
-        for _ in range(_round_cap(mpoly, (gen.hi - gen.lo) + t * (beta.hi - beta.lo))):
+        for rounds in count():
             lo, hi = gen.lo + t * cur_b.lo, gen.hi + t * cur_b.hi
             hits = [f for f, rs in zip(factors, roots) for _ in roots_in(rs, lo, hi)]
             if len(hits) == 1:
                 break
+            limit(rounds)
             gen, cur_b = gen.refine(), cur_b.refine()
-        else:
-            raise AssertionError("gamma + t*beta is not isolated among the roots of its tensor polynomial")
         new_field = RealAlgebraicField(_root_of(hits[0], lo, hi))
         gamma = new_field.generator()
         # rewrite: beta is the unique common root of pb(x) and m1(gamma - t*x)

@@ -41,7 +41,8 @@ Cauchy indices read off signed remainder sequences.  Every product
 bound is one comparison of a shifted eigenvalue product with its
 right-hand side: on F_D for isolated spectra, by field arithmetic for
 certified ones.  On F_D the product is built once (shifted_subset_product),
-and the comparisons and the report read that one value.
+and the comparisons and the report read that one value, in one refinement
+loop when it is kept in factored form (compare_shifted_product).
 charpoly_by_cofactor is the one cofactor oracle: a self-contained
 expansion over any exact scalars that checks the recurrence here (on
 reduced_matrix) and the characteristic polynomial of the class-3 audit
@@ -53,7 +54,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
 from math import lcm, prod
 from typing import Sequence
 
@@ -64,6 +65,7 @@ from .algebraics import (
     compare,
     compare_rational,
     isolate_real_roots,
+    round_limit,
 )
 from .linalg import charpoly, companion, det
 from .numberfield import (
@@ -566,12 +568,12 @@ def shifted_subset_product(poly: RationalPoly, roots: Sequence[AlgebraicReal], s
 def compare_shifted_product(value, rhs, poly: RationalPoly, s) -> int:
     """Exact sign of value - rhs, for value = shifted_subset_product(poly, roots, subset, s).
 
-    An exact value compares directly.  For a ProductValue interval
-    refinement decides strict cases within the refinement budget, and ties
-    fall through to the subset-product resolvent: the characteristic
-    polynomial of a compound matrix, whose roots are all |subset|-fold
-    products of shifted roots, pins the value without ever expanding a
-    high-degree resultant chain.
+    An exact value compares directly.  A ProductValue is refined in one
+    loop: its enclosure decides strict cases, and once the refinement budget
+    runs out (``round_limit``) the loop builds the subset-product resolvent,
+    the characteristic polynomial of a compound matrix whose roots are all
+    |subset|-fold products of shifted roots.  The one root of it that meets
+    the enclosure is the value; no high-degree resultant chain is expanded.
     """
     rhs = Fraction(rhs)
     if isinstance(value, Fraction):
@@ -587,34 +589,33 @@ def compare_shifted_product(value, rhs, poly: RationalPoly, s) -> int:
             lo, hi = min(corners), max(corners)
         return lo, hi
 
-    for _ in range(algebraics.REFINE_BUDGET):
-        lo, hi = enclosure(factors)
-        if rhs < lo:
-            return 1
-        if rhs > hi:
-            return -1
-        factors = [f.refine() for f in factors]
+    res_roots = None
 
-    # exact phase: the true product is a root of the resolvent, so once one
-    # resolvent root meets the enclosure, that root is the product
-    resolvent = _subset_product_resolvent(poly.shift(-Fraction(s)), len(factors))
-    res_roots = isolate_real_roots(resolvent)
-    # the enclosure is at most sum_i w_i prod_{j != i} max|f_j| wide, halved every round
-    bounds = [max(abs(f.lo), abs(f.hi)) for f in factors]
-    width = sum((f.hi - f.lo) * prod(bounds[:i] + bounds[i + 1 :]) for i, f in enumerate(factors))
-    width += max((r.hi - r.lo for r in res_roots), default=0)
-    for _ in range(algebraics._round_cap(resolvent, width)):
+    def bound():
+        nonlocal res_roots
+        resolvent = _subset_product_resolvent(poly.shift(-Fraction(s)), len(factors))
+        res_roots = isolate_real_roots(resolvent)
+        # the enclosure is at most sum_i w_i prod_{j != i} max|f_j| wide; it and the resolvent's
+        # intervals halve every round from now on, so W is 2^rounds times their width now
+        bounds = [max(abs(f.lo), abs(f.hi)) for f in factors]
+        width = sum((f.hi - f.lo) * prod(bounds[:i] + bounds[i + 1 :]) for i, f in enumerate(factors))
+        width += max((r.hi - r.lo for r in res_roots), default=0)
+        return resolvent, width * 2**rounds
+
+    limit = round_limit("the shifted product is not a root of its subset-product resolvent", bound)
+    for rounds in count():
         lo, hi = enclosure(factors)
         if rhs < lo:
             return 1
         if rhs > hi:
             return -1
-        hits = [r for r in res_roots if not (r.hi < lo or hi < r.lo)]
-        if len(hits) == 1:
-            return compare_rational(hits[0], rhs)
+        limit(rounds)
+        if res_roots is not None:
+            hits = [r for r in res_roots if not (r.hi < lo or hi < r.lo)]
+            if len(hits) == 1:
+                return compare_rational(hits[0], rhs)
+            res_roots = [r.refine() for r in res_roots]
         factors = [f.refine() for f in factors]
-        res_roots = [r.refine() for r in res_roots]
-    raise AssertionError("the shifted product is not a root of its subset-product resolvent")
 
 
 def _subset_product_resolvent(h: RationalPoly, k: int) -> RationalPoly:

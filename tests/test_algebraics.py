@@ -1,6 +1,7 @@
 from fractions import Fraction as F
 
 import time
+from pathlib import Path
 
 import pytest
 import sympy
@@ -399,9 +400,11 @@ def test_kernel_collapses_on_a_dyadic_midpoint(m, j, left, t, q, width):
         a = AlgebraicReal(p, lo, hi)
     except ValueError:  # q has a root in the interval too
         return
-    ref_lo, ref_hi = ref_refined_to(a.poly, a.lo, a.hi, F(0))
+    # r is a grid point t + 4 levels down, so bisection hits it before the interval is this narrow
+    tiny = (a.hi - a.lo) / 2 ** (t + 5)
+    ref_lo, ref_hi = ref_refined_to(a.poly, a.lo, a.hi, tiny)
     assert ref_lo == ref_hi == r  # the reference hits the root exactly
-    hit = a.refined_to(F(0))
+    hit = a.refined_to(tiny)
     assert hit.is_rational and hit.as_rational() == r
     deep = (a.hi - a.lo) / 2 ** (algebraics._DESCENT_MIN_DEPTH + 30)
     for w in (width, deep):
@@ -605,6 +608,49 @@ def test_exact_hits_on_a_rational_root_that_as_rational_misses():
     for q in (RationalPoly((0, 2)), RationalPoly((0, 1, 1))):
         image = apply_rational_poly(q, half)
         assert image.is_rational and image.as_rational() == q.evaluate(F(1, 2))
+
+
+def test_round_limit_is_free_within_the_budget_then_caps(monkeypatch):
+    monkeypatch.setattr(algebraics, "REFINE_BUDGET", 3)  # read at call time
+    p = RationalPoly((-2, 0, 1))
+    cap = algebraics._round_cap(p, F(1))
+    assert cap > 4
+    bounds = []
+    limit = algebraics.round_limit("gave up", lambda: bounds.append(1) or (p, F(1)))
+    for rounds in range(3):
+        limit(rounds)
+    assert bounds == []  # no cap is computed within the budget
+    for rounds in range(3, cap):
+        limit(rounds)
+    assert bounds == [1]  # computed once
+    with pytest.raises(AssertionError, match="^gave up$"):
+        limit(cap)
+    # a cap below the round that computes it: that round still passes, the next gives up
+    limit = algebraics.round_limit("gave up", lambda: (p, F(0)))
+    limit(3)
+    with pytest.raises(AssertionError, match="^gave up$"):
+        limit(4)
+
+
+def test_only_algebraics_names_the_give_up_rule():
+    # every refinement loop gives up through algebraics.round_limit
+    package = Path(algebraics.__file__).parent
+    others = [path for path in sorted(package.glob("*.py")) if path.name != "algebraics.py"]
+    assert len(others) >= 10
+    for path in others:
+        text = path.read_text()
+        assert "REFINE_BUDGET" not in text and "_round_cap" not in text, path.name
+
+
+def test_refined_to_needs_a_positive_width():
+    s2 = sqrt_of(2)
+    start = time.perf_counter()
+    for width in (F(0), F(-1, 3)):
+        with pytest.raises(ValueError, match="width must be positive"):
+            s2.refined_to(width)
+    assert time.perf_counter() - start < 1
+    point = AlgebraicReal.from_rational(F(3, 7))
+    assert point.refined_to(F(0)) is point
 
 
 def test_unchecked_constructor_certifies_its_interval():
