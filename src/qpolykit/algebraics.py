@@ -22,8 +22,8 @@ Every loop in the package that refines until intervals separate gives up
 by one rule, ``round_limit``: REFINE_BUDGET free rounds, then a Mahler
 round cap (``_round_cap``) computed once, then an AssertionError.
 compare_rational, inverse and roots_in share one such loop,
-``_Bisection.separate``.  The integer collapse, which stops below width 1,
-and refined_to, which knows its depth, need no cap.
+``_Bisection.separate``.  Isolation's integer collapse, which stops below
+width 1, and refined_to, which knows its depth, need no cap.
 
 Every bisection runs in one integer kernel, ``_Bisection``.  It scales the
 primitive integer polynomial c once to the common denominator D of the
@@ -32,8 +32,9 @@ with integers l and h.  The sign of p at m / (D 2^k) is then the sign of one
 integer Horner pass, acc = acc m + (q_i << k(n-i)), and halving is l + h
 over D 2^(k+1): exactly the rational midpoint (lo + hi) / 2, so every
 interval is the one a Fraction bisection would reach.  Fractions are built
-only for the interval a caller gets back.  refine, refined_to, compare,
-separate and the integer collapse of isolated roots all drive the kernel.
+only for the interval a caller gets back.  refine, refined_to, compare and
+separate all drive the kernel; refined_to returns a value that is already
+narrow enough before it builds one.
 Its Horner pass, ``_dyadic_value``, also runs isolation's chain signs:
 every point that subdivision visits is B m / 2^k for the root bound
 B = u / v, so each chain member is scaled once to v^n q(u y / v) and
@@ -160,6 +161,8 @@ class AlgebraicReal:
         if self.lo == self.hi:
             return self
         width = Fraction(width)
+        if self.hi - self.lo <= width:  # depth 0: nothing to bisect
+            return self
         if width <= 0:
             raise ValueError("refinement width must be positive")
         b = _Bisection(self)
@@ -417,6 +420,11 @@ def isolate_real_roots(p: RationalPoly, count=None) -> list[AlgebraicReal]:
     variations of that sequence at n / q (q > 0) and the sign of p there:
     p is then taken as it is, and must be squarefree for the intervals to
     pin simple roots.  Both sources drive the same subdivision.
+
+    Each isolating interval is then halved, on the sign of p from the same
+    source, until it is narrower than 1, and a root that is an integer
+    becomes that point: the interval every halving reaches is the one
+    refine would reach, and no bisection kernel is built for it.
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
@@ -442,6 +450,32 @@ def isolate_real_roots(p: RationalPoly, count=None) -> list[AlgebraicReal]:
         s = _chain_signs(rchain, m, k)
         return sign_variations(s), s[0]
 
+    def collapsed(l: int, h: int, k: int, sign_lo: int) -> AlgebraicReal:
+        """The root in [l, h] / 2^k (units of bound), halved to width below 1, as a point when it is an integer.
+
+        Rational roots of monic integer polynomials are integers, so this
+        catches the rational eigenvalues of adjacency and intersection
+        matrices.  Each halving is a bisection step on the sign of sf alone,
+        so the interval is the one refine would reach; it stops below width
+        1, so it needs no cap.
+        """
+        while u * (h - l) >= v << k:  # hi - lo >= 1
+            m, k = l + h, k + 1
+            s = count(u * m, v << k)[1] if count is not None else _dyadic_sign(rchain[0], m, k)
+            if s == 0:
+                l = h = m
+                sign_lo = 0
+            elif s == sign_lo:
+                l, h = m, h << 1
+            else:
+                l, h = l << 1, m
+        d = v << k
+        lo, hi = Fraction(u * l, d), Fraction(u * h, d)
+        n = ceil(lo)
+        if n <= hi and sf.sign_at(n) == 0:
+            return AlgebraicReal.from_rational(n)
+        return AlgebraicReal(sf, lo, hi, True, sign_lo)
+
     out: list[AlgebraicReal] = []
     # the interval [l, h] / 2^k in units of bound; every root lies in (-1, 1)
     stack = [(-1, 1, 0, *signs(-1, 0), *signs(1, 0))]
@@ -454,8 +488,7 @@ def isolate_real_roots(p: RationalPoly, count=None) -> list[AlgebraicReal]:
             # one simple root in (a, b) and neither endpoint a root: sf changes sign
             if sa * sb >= 0:
                 raise AssertionError("an isolating interval without a sign change")
-            d = v << k
-            out.append(AlgebraicReal(sf, Fraction(u * l, d), Fraction(u * h, d), True, sa))
+            out.append(collapsed(l, h, k, sa))
             continue
         # the midpoint, moved off a root by (h - l) / 2^(k+2), then half that, ...
         mid, j = l + h, k + 1
@@ -466,7 +499,6 @@ def isolate_real_roots(p: RationalPoly, count=None) -> list[AlgebraicReal]:
             vm, sm = signs(mid, j)
         stack.append((l << (j - k), mid, j, va, sa, vm, sm))
         stack.append((mid, h << (j - k), j, vm, sm, vb, sb))
-    out = [_try_integer_collapse(r) for r in out]
     out.sort(key=lambda r: (r.lo, r.hi))
     return out
 
@@ -511,24 +543,6 @@ def _scaled_chain(chain: Sequence[RationalPoly], u: int, v: int) -> list[list[in
 
 def _chain_signs(rchain: Sequence[Sequence[int]], m: int, k: int) -> list[int]:
     return [_dyadic_sign(rq, m, k) for rq in rchain]
-
-
-def _try_integer_collapse(r: AlgebraicReal) -> AlgebraicReal:
-    """Collapse a root to a point interval when it is an integer.
-
-    Rational roots of monic integer polynomials are integers, so this
-    catches the rational eigenvalues of adjacency and intersection matrices.
-    """
-    if r.is_rational:
-        return r
-    b = _Bisection(r)
-    while b.h - b.l >= b.den << b.k:  # hi - lo >= 1
-        b.step()
-    scale = b.den << b.k
-    lo_int = -((-b.l) // scale)  # ceil(lo)
-    if lo_int * scale <= b.h and b.sign(lo_int * scale) == 0:
-        return AlgebraicReal.from_rational(lo_int)
-    return b.result() if b.k else r
 
 
 def isolate_real_roots_with_multiplicity(p: RationalPoly) -> list[tuple[AlgebraicReal, int]]:

@@ -17,7 +17,15 @@ from .numberfield import FieldElement
 
 
 def rat_str(r: Fraction | int) -> str:
-    r = Fraction(r)
+    """r as "p/q", or "p" when it is an integer.
+
+    An int (a bool too) or a Fraction is formatted as it is; anything else
+    is read through Fraction first.
+    """
+    if isinstance(r, int):
+        return f"{r:d}"
+    if not isinstance(r, Fraction):
+        r = Fraction(r)
     return f"{r.numerator}/{r.denominator}" if r.denominator != 1 else str(r.numerator)
 
 

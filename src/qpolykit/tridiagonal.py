@@ -44,7 +44,8 @@ certified ones.  On F_D the product is built once (shifted_subset_product),
 and the comparisons and the report read that one value, in one refinement
 loop when it is kept in factored form (compare_shifted_product).
 charpoly_by_cofactor is the one cofactor oracle: a self-contained
-expansion over any exact scalars that checks the recurrence here (on
+expansion over any exact scalars, in Python ints once a rational matrix
+is cleared of denominators, that checks the recurrence here (on
 reduced_matrix) and the characteristic polynomial of the class-3 audit
 (on row_sum_matrix).
 """
@@ -294,13 +295,21 @@ def charpoly_by_cofactor(matrix: Sequence[Sequence[Fraction]]) -> RationalPoly |
     its scalar evaluator), the Hessenberg route and the class-3 audit's
     factorization are checked: deliberately generic (no tridiagonal
     shortcuts), and its polynomial arithmetic is the two list helpers
-    below, never the code it checks.  Entries may be any
-    exact scalars; zero entries are skipped.  Rational input gives a
-    RationalPoly, any other input the coefficient list, constant term first.
+    below, never the code it checks.  Rational input (ints and Fractions)
+    is expanded over Python ints: with L the common denominator of the
+    entries, det(xI - M) = L^-n det(yI - L M) at y = L x, so coefficient j
+    is that of det(yI - L M) over L^(n-j), and the result is a RationalPoly.
+    Any other exact scalars (number-field elements) go through the same
+    expansion unscaled and give the coefficient list, constant term first.
+    Zero entries are skipped.
     """
     n = len(matrix)
     if n == 0:
         return RationalPoly.one()
+    rational = all(isinstance(v, (int, Fraction)) for row in matrix for v in row)
+    if rational:
+        scale = lcm(*(v.denominator for row in matrix for v in row))
+        matrix = [[v.numerator * (scale // v.denominator) for v in row] for row in matrix]
     one = matrix[0][0] * 0 + 1
     cells = [
         [[-matrix[i][j], one] if i == j else ([] if matrix[i][j] == 0 else [-matrix[i][j]]) for j in range(n)]
@@ -321,8 +330,8 @@ def charpoly_by_cofactor(matrix: Sequence[Sequence[Fraction]]) -> RationalPoly |
 
     idx = tuple(range(n))
     coeffs = expand(idx, idx)
-    if all(isinstance(v, (int, Fraction)) for row in matrix for v in row):
-        return RationalPoly(coeffs)
+    if rational:
+        return RationalPoly([Fraction(c, scale ** (n - j)) for j, c in enumerate(coeffs)])
     return coeffs
 
 
@@ -535,21 +544,35 @@ def shifted_subset_product(poly: RationalPoly, roots: Sequence[AlgebraicReal], s
     at -s) divided by the complement factors.  Otherwise it is a
     ProductValue of the shifted subset factors, largest root first, which
     compare_shifted_product decides through the subset-product resolvent.
+    Each factor roots[i] + s is defined by its own root's polynomial
+    shifted, never by poly (a root may keep a factor of poly), and each
+    distinct root polynomial is shifted once per call.
     """
     s = Fraction(s)
     subset = sorted(set(subset))
     complement = [i for i in range(len(roots)) if i not in subset]
     sub_irr = [i for i in subset if roots[i].as_rational() is None]
     comp_irr = [i for i in complement if roots[i].as_rational() is None]
+    shifted: dict[int, RationalPoly] = {}  # id of a root's poly -> that poly shifted by s
+
+    def plus_s(root: AlgebraicReal) -> AlgebraicReal:
+        """root + s, as add_rational builds it."""
+        if root.is_rational:
+            return root.add_rational(s)
+        key = id(root.poly)
+        if key not in shifted:
+            shifted[key] = root.poly.shift(-s)
+        return AlgebraicReal(shifted[key], root.lo + s, root.hi + s, True, root._sign_lo)
+
     if min(len(sub_irr), len(comp_irr)) > 1:
-        return ProductValue([roots[i].add_rational(s) for i in subset])
+        return ProductValue([plus_s(roots[i]) for i in subset])
     for i in subset:
         if compare_rational(roots[i], -s) == 0:
             return Fraction(0)
 
     if len(sub_irr) <= len(comp_irr):
         acc = prod(roots[i].as_rational() + s for i in subset if i not in sub_irr)
-        irr = [roots[i].add_rational(s) for i in sub_irr]
+        irr = [plus_s(roots[i]) for i in sub_irr]
     else:
         work = poly
         rest = Fraction(1)
@@ -561,7 +584,7 @@ def shifted_subset_product(poly: RationalPoly, roots: Sequence[AlgebraicReal], s
                 else:
                     rest *= r + s
         acc = (-1) ** work.degree * work.evaluate(-s) / work.leading / rest
-        irr = [roots[i].add_rational(s).inverse() for i in comp_irr]
+        irr = [plus_s(roots[i]).inverse() for i in comp_irr]
     return irr[0].mul_rational(acc) if irr else Fraction(acc)
 
 

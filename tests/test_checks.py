@@ -8,7 +8,6 @@ the exit code.
 import importlib.util
 import inspect
 import json
-import time
 from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
@@ -224,12 +223,10 @@ INVARIANT_CASES = {
 
 @pytest.mark.parametrize("case", sorted(INVARIANT_CASES))
 @pytest.mark.parametrize("output", ["text", "json"])
-def test_broken_invariant_is_an_alarm_not_a_traceback(case, output, monkeypatch, capsys):
+def test_broken_invariant_is_an_alarm_not_a_traceback(case, output, monkeypatch, capsys, within):
     argv, module, name, replacement, alarm = INVARIANT_CASES[case]
     monkeypatch.setattr(module, name, replacement)
-    start = time.perf_counter()
-    assert main([*argv, "--output", output]) == 2
-    assert time.perf_counter() - start < 10
+    assert within(10, main, [*argv, "--output", output]) == 2
     captured = capsys.readouterr()
     assert captured.err == ""
     if output == "json":
@@ -269,22 +266,20 @@ def test_isolating_interval_without_a_sign_change_is_an_alarm(monkeypatch, capsy
     assert "ALARM: internal invariant failed: an isolating interval without a sign change" in out.splitlines()
 
 
-def test_root_isolation_past_its_round_cap_is_an_alarm(monkeypatch, capsys):
+def test_root_isolation_past_its_round_cap_is_an_alarm(monkeypatch, capsys, within):
     # a wrong root count: two roots left of 0 and none at or right of it, so
     # isolation would subdivide toward 0 forever without its round cap, from
     # the Sturm chain and from the recurrence that Petersen's quotient spectrum reads
     monkeypatch.setattr(algebraics, "_chain_signs", lambda rchain, m, k: [1, -1, 1] if m < 0 else [1, 1, 1])
     monkeypatch.setattr(tridiagonal, "_sign_counter", lambda rec: lambda n, q: (2, 1) if n < 0 else (0, 1))
-    start = time.perf_counter()
     with pytest.raises(AssertionError, match="root isolation subdivided past its round cap"):
-        algebraics.isolate_real_roots(RationalPoly((-2, 0, 1)))
-    assert time.perf_counter() - start < 1
+        within(1, algebraics.isolate_real_roots, RationalPoly((-2, 0, 1)))
     assert main(["check-graph", "--family", "petersen"]) == 2
     out = capsys.readouterr().out
     assert "ALARM: internal invariant failed: root isolation subdivided past its round cap" in out.splitlines()
 
 
-def test_rational_comparison_past_its_round_cap_is_an_alarm(monkeypatch, capsys):
+def test_rational_comparison_past_its_round_cap_is_an_alarm(monkeypatch, capsys, within):
     # the quotient's top root of F_D forged onto [2, 3], where x^2 - 2 has no
     # root: comparing it with kappa = 3 would refine toward 3 forever
     real = tridiagonal.isolate_real_roots
@@ -293,9 +288,7 @@ def test_rational_comparison_past_its_round_cap_is_an_alarm(monkeypatch, capsys)
         return real(poly, *count)[:-1] + [algebraics.AlgebraicReal(RationalPoly((-2, 0, 1)), 2, 3, True)]
 
     monkeypatch.setattr(tridiagonal, "isolate_real_roots", forged)
-    start = time.perf_counter()
-    assert main(["check-graph", "--family", "petersen"]) == 2
-    assert time.perf_counter() - start < 10
+    assert within(10, main, ["check-graph", "--family", "petersen"]) == 2
     out = capsys.readouterr().out
     assert "ALARM: internal invariant failed: rational comparison refined past its round cap" in out.splitlines()
 
