@@ -41,8 +41,8 @@ B = u / v, so each chain member is scaled once to v^n q(u y / v) and
 evaluated at y = m / 2^k in integers.  A caller's counter gets the same
 point as the integers u m and v 2^k.
 
-refined_to knows in advance the depth at which bisection would stop, and a
-deep target is reached by quadratic interval refinement (Abbott 2006) on
+refined_to knows in advance the depth at which bisection would stop, and
+reaches it, at any depth, by quadratic interval refinement (Abbott 2006) on
 bisection's own grid: secant jumps of j levels with j doubling, each
 accepted only on the grid cell whose ends the exact signs show to hold the
 root.  That cell is bisection's interval, so the result is the same, at
@@ -62,6 +62,9 @@ polynomials, never by a tolerance.  apply_rational_poly maps a value
 through a rational polynomial; its defining polynomial is the characteristic
 polynomial (``linalg.charpoly``) of multiplication by q(y) on Q[y]/(p),
 squarefree but not necessarily minimal, which the representation allows.
+A ProductValue keeps a product of shifted roots in factored form, with
+the polynomial and shift that ``tridiagonal.compare_shifted_product``
+needs to decide it.  Every reported value is refined to REPORT_WIDTH.
 """
 
 from __future__ import annotations
@@ -86,8 +89,8 @@ from .polynomials import (
 # free refinement rounds of every loop (round_limit), after which compare and
 # compare_shifted_product turn to exact algebra; it affects speed, not answers
 REFINE_BUDGET = 64
-# refined_to bisects when it stops fewer levels down than this, and descends otherwise
-_DESCENT_MIN_DEPTH = 12
+# the width every value is refined to for a report: its interval and its approximation
+REPORT_WIDTH = Fraction(1, 10**12)
 
 
 class AlgebraicReal:
@@ -100,10 +103,11 @@ class AlgebraicReal:
     __slots__ = ("poly", "lo", "hi", "_sign_lo")
 
     def __init__(self, poly: RationalPoly, lo, hi, _checked: bool = False, _sign_lo: int | None = None):
-        lo, hi = Fraction(lo), Fraction(hi)
-        if lo > hi:
-            raise ValueError("interval endpoints out of order")
+        """A checked caller passes ordered Fractions that it has certified; anything else is certified here."""
         if not _checked:
+            lo, hi = Fraction(lo), Fraction(hi)
+            if lo > hi:
+                raise ValueError("interval endpoints out of order")
             poly, lo, hi, _sign_lo = _normalize(poly, lo, hi)
         object.__setattr__(self, "poly", poly)
         object.__setattr__(self, "lo", lo)
@@ -139,10 +143,6 @@ class AlgebraicReal:
             return f"AlgebraicReal({r})"
         return f"AlgebraicReal({self.poly.to_str()} on [{self.lo}, {self.hi}])"
 
-    def approx_float(self) -> float:
-        a = self.refined_to(Fraction(1, 10**12))
-        return float((a.lo + a.hi) / 2)
-
     # -- refinement -------------------------------------------------------------
 
     def refine(self) -> "AlgebraicReal":
@@ -156,7 +156,7 @@ class AlgebraicReal:
     def refined_to(self, width: Fraction) -> "AlgebraicReal":
         """The interval bisection reaches once it is at most width wide; width > 0 unless self is a point.
 
-        A short descent bisects; a longer one jumps (``_Bisection.descend``).
+        ``_Bisection.descend`` reaches it at every depth, exact hits included.
         """
         if self.lo == self.hi:
             return self
@@ -168,14 +168,8 @@ class AlgebraicReal:
         b = _Bisection(self)
         # the least depth K with (hi - lo) / 2^K <= width, scaled by D and width's denominator
         a, c = (b.h - b.l) * width.denominator, width.numerator * b.den
-        depth = (-(-a // c) - 1).bit_length()
-        if depth < _DESCENT_MIN_DEPTH:
-            for _ in range(depth):
-                if not b.step():
-                    break
-        else:
-            b.descend(depth)
-        return b.result() if b.k else self
+        b.descend((-(-a // c) - 1).bit_length())
+        return b.result()
 
     # -- equality ------------------------------------------------------------------
 
@@ -710,28 +704,35 @@ def _interval_eval(q: RationalPoly, lo: Fraction, hi: Fraction) -> tuple[Fractio
     return alo, ahi
 
 
+def product_enclosure(factors: Sequence[AlgebraicReal]) -> tuple[Fraction, Fraction]:
+    """[lo, hi] holding the product of the factors: the extreme corners, one factor at a time."""
+    lo = hi = Fraction(1)
+    for f in factors:
+        corners = (lo * f.lo, lo * f.hi, hi * f.lo, hi * f.hi)
+        lo, hi = min(corners), max(corners)
+    return lo, hi
+
+
 class ProductValue:
-    """An exact product of algebraic factors kept in factored form.
+    """prod_i (root_i + shift) over distinct roots of one squarefree polynomial, kept in factored form.
 
     Used for report values whose expanded defining polynomial would be
-    needlessly large; the factors are exact, the attached interval is
-    refined enough for display.  Sign decisions never go through this type.
+    needlessly large.  The factors are exact, and [lo, hi] encloses the
+    product once each is refined to REPORT_WIDTH over the number of factors
+    plus one, for display.  poly and shift are what the factors were built
+    from (``tridiagonal.shifted_subset_product``), so the value carries all
+    that ``tridiagonal.compare_shifted_product`` needs to decide a sign.
     """
 
-    __slots__ = ("factors", "lo", "hi")
+    __slots__ = ("factors", "poly", "shift", "lo", "hi")
 
-    def __init__(self, factors: Sequence[AlgebraicReal], width: Fraction = Fraction(1, 10**12)):
-        fs = []
-        for f in factors:
-            fs.append(f if isinstance(f, AlgebraicReal) else AlgebraicReal.from_rational(f))
-        lo = hi = Fraction(1)
-        target = width / (len(fs) + 1)
-        for i, f in enumerate(fs):
-            f = f.refined_to(target)
-            fs[i] = f
-            corners = (lo * f.lo, lo * f.hi, hi * f.lo, hi * f.hi)
-            lo, hi = min(corners), max(corners)
-        object.__setattr__(self, "factors", tuple(fs))
+    def __init__(self, factors: Sequence[AlgebraicReal], poly: RationalPoly, shift: Fraction):
+        target = REPORT_WIDTH / (len(factors) + 1)
+        fs = tuple(f.refined_to(target) for f in factors)
+        lo, hi = product_enclosure(fs)
+        object.__setattr__(self, "factors", fs)
+        object.__setattr__(self, "poly", poly)
+        object.__setattr__(self, "shift", shift)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 

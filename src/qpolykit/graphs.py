@@ -326,6 +326,11 @@ class GraphSpectrum:
     distinct: tuple[AlgebraicReal, ...]  # descending
     multiplicities: tuple[int, ...]
 
+    @cached_property
+    def squarefree(self) -> RationalPoly:
+        """The squarefree part of charpoly, whose roots are exactly distinct: the poly of every shifted product."""
+        return squarefree_part(self.charpoly)
+
     @property
     def d(self) -> int:
         """Number of distinct eigenvalues minus one."""
@@ -483,12 +488,11 @@ def pair_bound_all_vertices(g: Graph, spec: GraphSpectrum, classification: Regul
         raise GraphError("pair bound is not defined for complete graphs")
     if g.is_empty_graph():
         raise GraphError("pair bound is not defined for empty graphs")
-    sf = squarefree_part(spec.charpoly)
-    lhs = shifted_subset_product(sf, spec.distinct, (1, spec.d), 1)  # theta_1 and theta_min
+    lhs = shifted_subset_product(spec.squarefree, spec.distinct, (1, spec.d), 1)  # theta_1 and theta_min
     per_vertex = []
     for qm in classification.quotients:
         rhs = -qm.beta[1]
-        cmp = compare_shifted_product(lhs, rhs, sf, 1)
+        cmp = compare_shifted_product(lhs, rhs)
         per_vertex.append(VertexBound(qm.base, rhs, cmp <= 0, cmp == 0))
     all_hold = all(v.holds for v in per_vertex)
     eq_all = all(v.equality for v in per_vertex)
@@ -556,21 +560,22 @@ def fundamental_bound(spec: GraphSpectrum, array: TridiagonalSystem, bipartite: 
     k, a1, b1 = array.kappa, array.alpha[1], array.beta[1]
     shift = k / (a1 + 1)
     rhs = -k * a1 * b1 / (a1 + 1) ** 2
-    sf = squarefree_part(spec.charpoly)
-    lhs = shifted_subset_product(sf, spec.distinct, (1, spec.d), shift)
-    cmp = compare_shifted_product(lhs, rhs, sf, shift)
+    lhs = shifted_subset_product(spec.squarefree, spec.distinct, (1, spec.d), shift)
+    cmp = compare_shifted_product(lhs, rhs)
     equality = cmp == 0
     return FundamentalBoundReport(lhs, rhs, cmp >= 0, equality, bipartite, equality and not bipartite)
 
 
 # -- random regular graphs -----------------------------------------------------------------------
 
+RANDOM_GRAPH_TRIES = 4000  # pairings random_regular_graph draws before it gives up
 
-def random_regular_graph(rng: random.Random, n: int, k: int, max_tries: int = 4000) -> Graph:
+
+def random_regular_graph(rng: random.Random, n: int, k: int) -> Graph:
     """Pairing-model sample, rejecting until simple and connected."""
     if n * k % 2 != 0 or k >= n:
         raise GraphError("no k-regular graph on n vertices with these parameters")
-    for _ in range(max_tries):
+    for _ in range(RANDOM_GRAPH_TRIES):
         stubs = [v for v in range(n) for _ in range(k)]
         rng.shuffle(stubs)
         edges = set()

@@ -14,11 +14,11 @@ One home for the linear algebra the rest of the package needs:
                   package's resultants: multiplication by x on Q[x]/(p), and
                   the Kronecker sum, whose eigenvalues are the sums
                   a_i + t b_j;
-  solve           Gauss-Jordan elimination for one right-hand side.
+  inverse         Gauss-Jordan elimination of [M | I], None for a singular M.
 
 Every characteristic and defining polynomial in the package is a
 ``charpoly`` of such a matrix, and so is every minimal polynomial but a
-scheme generator's, which ``solve`` reads off its Krylov basis.  The
+scheme generator's, which is read off the ``inverse`` of its Krylov basis.  The
 independent oracles that check these routines (the cofactor expansion in
 ``tridiagonal.charpoly_by_cofactor`` and the tests' sympy calls) do not
 import this module.
@@ -275,35 +275,22 @@ def kron_sum(a: Sequence[Sequence], b: Sequence[Sequence], t: int | Fraction = 1
     ]
 
 
-# -- linear systems ----------------------------------------------------------------------
+# -- inverse ------------------------------------------------------------------------------
 
 
-def solve(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Exact Gaussian elimination; None when inconsistent."""
-    m = [row[:] + [b] for row, b in zip(rows, rhs)]
-    nrows, ncols = len(m), len(m[0])
-    nvars = ncols - 1
-    pivots = []
-    r = 0
-    for c in range(nvars):
-        piv = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+def inverse(m: Sequence[Sequence[int | Fraction]]) -> list[list[Fraction]] | None:
+    """M^-1 of an integer or rational square matrix, by Gauss-Jordan elimination of [M | I]; None when M is singular."""
+    n = len(m)
+    rows = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
+    for c in range(n):
+        piv = next((i for i in range(c, n) if rows[i][c]), None)
         if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [val * inv for val in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if m[i][nvars] != 0:
             return None
-    out = [Fraction(0)] * nvars
-    for row_idx, c in enumerate(pivots):
-        out[c] = m[row_idx][nvars]
-    return out
+        rows[c], rows[piv] = rows[piv], rows[c]
+        inv = 1 / rows[c][c]
+        pivot_row = rows[c] = [v * inv for v in rows[c]]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != c:
+                rows[i] = [a - f * b for a, b in zip(row, pivot_row)]
+    return [row[n:] for row in rows]

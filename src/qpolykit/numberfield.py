@@ -45,7 +45,7 @@ from typing import Sequence
 from .algebraics import AlgebraicReal, _defining_poly_image, _interval_eval, apply_rational_poly
 from .algebraics import compare_rational, isolate_real_roots, round_limit, roots_in
 from .linalg import charpoly, companion, kron_sum
-from .polynomials import RationalPoly, irreducible_factors, squarefree_part
+from .polynomials import RationalPoly, _trim, irreducible_factors, squarefree_part
 
 
 def _minimal_factor(a: AlgebraicReal) -> RationalPoly:
@@ -65,12 +65,6 @@ def _root_of(factor: RationalPoly, lo: Fraction, hi: Fraction) -> AlgebraicReal:
     if factor.degree == 1:
         return AlgebraicReal.from_rational(-factor[0])
     return AlgebraicReal(factor, lo, hi, _checked=True)
-
-
-def _trimmed(coeffs: list) -> tuple:
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    return tuple(coeffs)
 
 
 class RealAlgebraicField:
@@ -131,7 +125,7 @@ class RealAlgebraicField:
             if top:
                 for i, c in self._tail:
                     coeffs[k - d + i] -= top * c
-        return _trimmed(coeffs)
+        return tuple(_trim(coeffs))
 
     def dot(self, xs: Sequence["FieldElement"], ys: Sequence["FieldElement"]) -> "FieldElement":
         """sum_u xs[u] * ys[u], with one reduce for the whole sum instead of one per term."""
@@ -246,7 +240,7 @@ class FieldElement:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return FieldElement(self.field, _trimmed(out))
+        return FieldElement(self.field, tuple(_trim(out)))
 
     __radd__ = __add__
 

@@ -7,10 +7,12 @@ is no floating point anywhere, so equality of polynomials is equality of
 coefficient tuples.
 
 The module also provides what root isolation needs: Sturm chains, sign
-variation counts and the Cauchy root bound.  A Sturm chain is one case of
-``signed_remainder_sequence``, the one remainder-sequence loop, whose sign
-variations give Cauchy indices.  ``algebraics.isolate_real_roots`` is the
-one consumer of Sturm chains, and one of its two sign sources; the other
+variation counts and the Cauchy root bound.  ``_remainders`` is the one
+remainder-sequence loop, over integer vectors: ``signed_remainder_sequence``
+makes polynomials of its members, whose sign variations give Cauchy
+indices, and ``poly_gcd`` keeps only its last member.  A Sturm chain is
+one case of ``signed_remainder_sequence``.  ``algebraics.isolate_real_roots``
+is the one consumer of Sturm chains, and one of its two sign sources; the other
 is a caller's Sturm sequence, such as the three-term recurrence of a
 tridiagonal spectrum, whose F_i ``_scaled_int_poly`` builds from integers.
 Isolation's round cap, which costs a squarefree part, is computed only on
@@ -297,26 +299,20 @@ class RationalPoly:
 
 
 def poly_gcd(p: RationalPoly, q: RationalPoly) -> RationalPoly:
-    """Monic gcd over Q, computed by a primitive remainder sequence.
+    """Monic gcd over Q: the last member of the primitive remainder sequence (``_remainders``), made monic.
 
     Working with primitive integer polynomials and dividing out content at
     every step keeps coefficient growth polynomial; naive Euclid over Q is
     exponentially worse on the high-degree inputs the resultant layer
-    produces.
+    produces.  Only the last member becomes a polynomial.
     """
     if p.is_zero:
         return q.monic() if not q.is_zero else q
     if q.is_zero:
         return p.monic()
-    a = list(_int_coeffs(p))
-    b = list(_int_coeffs(q))
-    if len(a) < len(b):
-        a, b = b, a
-    while True:
-        r = _trim(_int_prem(a, b))
-        if not r:
-            break
-        a, b = b, _primitive_int(r)
+    b = _int_coeffs(q)
+    for b in _remainders(_int_coeffs(p), b):
+        pass
     return RationalPoly(b).monic()
 
 
@@ -672,18 +668,25 @@ def signed_remainder_sequence(p: RationalPoly, q: RationalPoly) -> tuple[Rationa
         raise ValueError("the second polynomial must not exceed the first in degree")
     if q.is_zero:
         return (p,)
-    chain = [p, q]
-    a, b = _int_coeffs(p), _int_coeffs(q)
+    return (p, q, *map(_int_poly, _remainders(_int_coeffs(p), _int_coeffs(q))))
+
+
+def _remainders(a: Sequence[int], b: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """The members after a and b of the primitive signed remainder sequence of the integer vectors a and b.
+
+    The one remainder-sequence loop (constant terms first), whose members
+    signed_remainder_sequence defines.  When deg b > deg a, the first
+    member is a itself up to sign and content.
+    """
     while len(b) > 1:
         r = _trim(_int_prem(a, b))
         if not r:
-            break
+            return
         # prem = lc(b)^(delta + 1) rem; negate by the sign that leaves -rem
         if b[-1] > 0 or (len(a) - len(b)) % 2:
             r = [-v for v in r]
         a, b = b, _primitive_int(r)
-        chain.append(_int_poly(b))
-    return tuple(chain)
+        yield b
 
 
 @lru_cache(maxsize=4096)

@@ -64,7 +64,7 @@ from .graphs import (
     intersection_array,
     is_vertex_pair,
 )
-from .linalg import det, solve
+from .linalg import inverse
 from .numberfield import (
     RealAlgebraicField,
     eval_rational_poly,
@@ -283,17 +283,19 @@ def _generator_candidates(d: int):
 
 
 def _krylov_polynomials(g) -> tuple[RationalPoly, list[RationalPoly]] | None:
-    """g's minimal polynomial and every B_u as a polynomial in g, from K; None when K is singular."""
+    """g's minimal polynomial (K^-1 g^size e_0) and every B_u as a polynomial in g (column u of K^-1).
+
+    None when K is singular; one ``linalg.inverse`` serves every right-hand side.
+    """
     size = len(g)
-    unit = [[Fraction(int(i == u)) for i in range(size)] for u in range(size)]
-    krylov = [unit[0]]  # e_0, g e_0, ..., g^size e_0
+    krylov = [[Fraction(int(i == 0)) for i in range(size)]]  # e_0, g e_0, ..., g^size e_0
     for _ in range(size):
         krylov.append([sum(a * v for a, v in zip(row, krylov[-1])) for row in g])
-    basis = [list(row) for row in zip(*krylov[:-1])]  # K by rows
-    if det(basis) == 0:
+    kinv = inverse([list(row) for row in zip(*krylov[:-1])])  # K by rows
+    if kinv is None:
         return None
-    mp = RationalPoly([-c for c in solve(basis, krylov[-1])] + [1])
-    return mp, [RationalPoly(solve(basis, e)) for e in unit]
+    mp = RationalPoly([-sum(a * v for a, v in zip(row, krylov[-1])) for row in kinv] + [1])
+    return mp, [RationalPoly(col) for col in zip(*kinv)]
 
 
 def eigendata(s: AssociationScheme) -> EigenData:
@@ -414,7 +416,10 @@ def krein(s: AssociationScheme, e: EigenData) -> KreinTable:
     return KreinTable(tuple(table), nonnegative)
 
 
-def krein_oracle(s: AssociationScheme, e: EigenData, max_points: int = 50) -> tuple:
+ORACLE_MAX_POINTS = 50  # krein_oracle builds |X| x |X| idempotents; a larger scheme is refused
+
+
+def krein_oracle(s: AssociationScheme, e: EigenData) -> tuple:
     """Literal expansion of E_i o E_j in the idempotent basis.
 
     Builds the actual idempotents as |X| x |X| matrices over the shared
@@ -422,8 +427,8 @@ def krein_oracle(s: AssociationScheme, e: EigenData, max_points: int = 50) -> tu
     q_{ij}^h = |X| tr((E_i o E_j) E_h) / m_h.  Independent of the closed
     formula.
     """
-    if s.n > max_points:
-        raise SchemeError(f"oracle expansion capped at {max_points} points")
+    if s.n > ORACLE_MAX_POINTS:
+        raise SchemeError(f"oracle expansion capped at {ORACLE_MAX_POINTS} points")
     d, n = s.d, s.n
     field = e.field
     # E_h[x][y] = Q[relation[x][y]][h] / n

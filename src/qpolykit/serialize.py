@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .algebraics import AlgebraicReal, ProductValue
+from .algebraics import REPORT_WIDTH, AlgebraicReal, ProductValue
 from .numberfield import FieldElement
 
 
@@ -56,7 +56,7 @@ def value_json(v):
         r = v.as_rational()
         if r is not None:
             return {"rational": rat_str(r)}
-        a = v.refined_to(Fraction(1, 10**12))
+        a = v.refined_to(REPORT_WIDTH)
         return {
             "poly": [rat_str(c) for c in a.poly.coeffs],
             "interval": [rat_str(a.lo), rat_str(a.hi)],

@@ -66,6 +66,7 @@ from .algebraics import (
     compare,
     compare_rational,
     isolate_real_roots,
+    product_enclosure,
     round_limit,
 )
 from .linalg import charpoly, companion, det
@@ -542,8 +543,9 @@ def shifted_subset_product(poly: RationalPoly, roots: Sequence[AlgebraicReal], s
     is exact: a Fraction when rational, else an AlgebraicReal, from the
     subset factors multiplied out or from the full product (poly evaluated
     at -s) divided by the complement factors.  Otherwise it is a
-    ProductValue of the shifted subset factors, largest root first, which
-    compare_shifted_product decides through the subset-product resolvent.
+    ProductValue of the shifted subset factors, largest root first, that
+    keeps poly and s, from which compare_shifted_product builds the
+    subset-product resolvent should it need one.
     Each factor roots[i] + s is defined by its own root's polynomial
     shifted, never by poly (a root may keep a factor of poly), and each
     distinct root polynomial is shifted once per call.
@@ -565,7 +567,7 @@ def shifted_subset_product(poly: RationalPoly, roots: Sequence[AlgebraicReal], s
         return AlgebraicReal(shifted[key], root.lo + s, root.hi + s, True, root._sign_lo)
 
     if min(len(sub_irr), len(comp_irr)) > 1:
-        return ProductValue([plus_s(roots[i]) for i in subset])
+        return ProductValue([plus_s(roots[i]) for i in subset], poly, s)
     for i in subset:
         if compare_rational(roots[i], -s) == 0:
             return Fraction(0)
@@ -588,15 +590,16 @@ def shifted_subset_product(poly: RationalPoly, roots: Sequence[AlgebraicReal], s
     return irr[0].mul_rational(acc) if irr else Fraction(acc)
 
 
-def compare_shifted_product(value, rhs, poly: RationalPoly, s) -> int:
-    """Exact sign of value - rhs, for value = shifted_subset_product(poly, roots, subset, s).
+def compare_shifted_product(value, rhs) -> int:
+    """Exact sign of value - rhs, for a value of shifted_subset_product.
 
     An exact value compares directly.  A ProductValue is refined in one
     loop: its enclosure decides strict cases, and once the refinement budget
-    runs out (``round_limit``) the loop builds the subset-product resolvent,
-    the characteristic polynomial of a compound matrix whose roots are all
-    |subset|-fold products of shifted roots.  The one root of it that meets
-    the enclosure is the value; no high-degree resultant chain is expanded.
+    runs out (``round_limit``) the loop builds the subset-product resolvent
+    from the value's own poly and shift, the characteristic polynomial of a
+    compound matrix whose roots are all |subset|-fold products of shifted
+    roots.  The one root of it that meets the enclosure is the value; no
+    high-degree resultant chain is expanded.
     """
     rhs = Fraction(rhs)
     if isinstance(value, Fraction):
@@ -604,19 +607,11 @@ def compare_shifted_product(value, rhs, poly: RationalPoly, s) -> int:
     if isinstance(value, AlgebraicReal):
         return compare_rational(value, rhs)
     factors = list(value.factors)
-
-    def enclosure(fs):
-        lo = hi = Fraction(1)
-        for f in fs:
-            corners = (lo * f.lo, lo * f.hi, hi * f.lo, hi * f.hi)
-            lo, hi = min(corners), max(corners)
-        return lo, hi
-
     res_roots = None
 
     def bound():
         nonlocal res_roots
-        resolvent = _subset_product_resolvent(poly.shift(-Fraction(s)), len(factors))
+        resolvent = _subset_product_resolvent(value.poly.shift(-value.shift), len(factors))
         res_roots = isolate_real_roots(resolvent)
         # the enclosure is at most sum_i w_i prod_{j != i} max|f_j| wide; it and the resolvent's
         # intervals halve every round from now on, so W is 2^rounds times their width now
@@ -626,8 +621,8 @@ def compare_shifted_product(value, rhs, poly: RationalPoly, s) -> int:
         return resolvent, width * 2**rounds
 
     limit = round_limit("the shifted product is not a root of its subset-product resolvent", bound)
+    lo, hi = value.lo, value.hi  # the enclosure of value.factors
     for rounds in count():
-        lo, hi = enclosure(factors)
         if rhs < lo:
             return 1
         if rhs > hi:
@@ -639,6 +634,7 @@ def compare_shifted_product(value, rhs, poly: RationalPoly, s) -> int:
                 return compare_rational(hits[0], rhs)
             res_roots = [r.refine() for r in res_roots]
         factors = [f.refine() for f in factors]
+        lo, hi = product_enclosure(factors)
 
 
 def _subset_product_resolvent(h: RationalPoly, k: int) -> RationalPoly:
@@ -674,7 +670,7 @@ def _shifted_product(report: SpectrumReport, indices: Sequence[int], s, rhs) -> 
         fd = report.f_polys[-1]
         s = scalar_as_fraction(s)
         lhs = shifted_subset_product(fd, report.eigenvalues[1:], [i - 1 for i in indices], s)
-        return compare_shifted_product(lhs, scalar_as_fraction(rhs), fd, s), lhs
+        return compare_shifted_product(lhs, scalar_as_fraction(rhs)), lhs
     lhs = prod(report.eigenvalues[i] + s for i in indices)
     return exact_sign(lhs - rhs), lhs
 
@@ -750,14 +746,16 @@ def triple_bound(system: TridiagonalSystem, report: SpectrumReport) -> TripleBou
 
 # -- randomized generation -----------------------------------------------------------------
 
+RANDOM_SYSTEM_TRIES = 5000  # draws random_system makes before it gives up
+
 
 def random_fraction(rng: random.Random, max_num: int = 12, max_den: int = 6) -> Fraction:
     return Fraction(rng.randint(1, max_num), rng.randint(1, max_den))
 
 
-def random_system(rng: random.Random, d: int, max_tries: int = 5000) -> TridiagonalSystem:
+def random_system(rng: random.Random, d: int) -> TridiagonalSystem:
     """Rejection sampling: draw kappa, beta_i, gamma_i; keep when all alpha_i >= 0."""
-    for _ in range(max_tries):
+    for _ in range(RANDOM_SYSTEM_TRIES):
         kappa = Fraction(rng.randint(6, 28), rng.randint(1, 2))
         beta = [kappa] + [random_fraction(rng) for _ in range(d - 1)]
         gamma = [Fraction(1)] + [random_fraction(rng) for _ in range(d - 1)]

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+import re
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ from qpolykit.algebraics import (
 )
 from qpolykit.numberfield import _tensor_min_poly
 from qpolykit.polynomials import RationalPoly, _int_coeffs, poly_gcd, squarefree_part
+from qpolykit.serialize import value_json
 
 
 def sqrt_of(n: int) -> AlgebraicReal:
@@ -189,6 +191,12 @@ squarefree_int_polys = st.builds(
 ).filter(lambda p: p.degree >= 1)
 
 
+def report_approx(v: AlgebraicReal) -> float:
+    """The float a report shows for v: its "approx", or its exact "rational"."""
+    shown = value_json(v)
+    return shown["approx"] if "approx" in shown else float(F(shown["rational"]))
+
+
 def sym(p: RationalPoly, var):
     return sum(sympy.Rational(c.numerator, c.denominator) * var**k for k, c in enumerate(p.coeffs))
 
@@ -205,7 +213,7 @@ def test_image_polynomial_matches_sympy_resultant(pa, qc):
     assert squarefree_part(_defining_poly_image(q, pa)) == sympy_squarefree(res)
     for root in isolate_real_roots(pa):
         val = apply_rational_poly(q, root)
-        assert abs(val.approx_float() - float(q.evaluate(root.refined_to(F(1, 10**15)).lo))) < 1e-9
+        assert abs(report_approx(val) - float(q.evaluate(root.refined_to(F(1, 10**15)).lo))) < 1e-9
 
 
 @given(squarefree_int_polys, squarefree_int_polys, st.integers(1, 4))
@@ -390,8 +398,8 @@ def test_kernel_matches_fraction_bisection(p, width, r, data):
         cur = cur.refine()
         lo, hi = ref_refine(cur.poly, lo, hi)
         assert same(cur, (lo, hi))
-    # widths fewer levels down than _DESCENT_MIN_DEPTH bisect; deep ones descend
-    deep = (a.hi - a.lo) / 2 ** (algebraics._DESCENT_MIN_DEPTH + 30)
+    # a drawn width, and one 42 levels down
+    deep = (a.hi - a.lo) / 2**42
     for w in (width, deep):
         assert same(a.refined_to(w), ref_refined_to(a.poly, a.lo, a.hi, w))
         # values whose sign at lo was carried over, not recomputed
@@ -433,7 +441,7 @@ def test_kernel_collapses_on_a_dyadic_midpoint(m, j, left, t, q, width):
     assert ref_lo == ref_hi == r  # the reference hits the root exactly
     hit = a.refined_to(tiny)
     assert hit.is_rational and hit.as_rational() == r
-    deep = (a.hi - a.lo) / 2 ** (algebraics._DESCENT_MIN_DEPTH + 30)
+    deep = (a.hi - a.lo) / 2**42
     for w in (width, deep):
         assert same(a.refined_to(w), ref_refined_to(a.poly, a.lo, a.hi, w))
     assert compare_rational(a, r) == 0
@@ -501,17 +509,17 @@ def test_descent_matches_fraction_bisection_at_high_degree(p, data):
     roots = isolate_real_roots(p)
     assert len(roots) == p.degree
     a = data.draw(st.sampled_from(roots))
-    for levels in (algebraics._DESCENT_MIN_DEPTH, 40, 64):
+    for levels in (12, 40, 64):
         w = (a.hi - a.lo) / 2**levels
         got = a.refined_to(w)
         assert same(got, ref_refined_to(a.poly, a.lo, a.hi, w))
         assert got._sign_lo == ref_sign(a.poly, got.lo)
 
 
-def counting_evaluations(monkeypatch) -> list[int]:
-    """Count the kernel's polynomial evaluations, sign and value calls together."""
+def counting(monkeypatch, *names: str) -> list[int]:
+    """Count the calls of the named kernel methods, together."""
     calls = [0]
-    for name in ("sign", "value"):
+    for name in names:
         real = getattr(algebraics._Bisection, name)
 
         def counted(self, *args, _real=real):
@@ -526,7 +534,7 @@ def test_refining_to_a_report_width_takes_ten_evaluations(monkeypatch):
     # the largest root of x^3 - 3x - 1, 2 cos(pi/9), as isolation leaves it
     a = isolate_real_roots(RationalPoly((-1, -3, 0, 1)))[-1]
     assert (a.lo, a.hi) == (F(15, 8), F(5, 2))
-    calls = counting_evaluations(monkeypatch)
+    calls = counting(monkeypatch, "sign", "value")
     got = a.refined_to(F(1, 10**12))
     assert same(got, ref_refined_to(a.poly, a.lo, a.hi, F(1, 10**12)))
     # 40 levels down, where bisection evaluates once per level
@@ -537,22 +545,17 @@ def test_refining_to_a_report_width_takes_ten_evaluations(monkeypatch):
 def test_a_refine_step_evaluates_one_sign(monkeypatch):
     # the sign at lo is carried from isolation and kept by every step
     s2 = sqrt_of(2)
-    calls = [0]
-    real = algebraics._Bisection.sign
-
-    def counted(self, m):
-        calls[0] += 1
-        return real(self, m)
-
-    monkeypatch.setattr(algebraics._Bisection, "sign", counted)
+    calls = counting(monkeypatch, "sign")
+    values = counting(monkeypatch, "value")
     cur = s2
     for _ in range(10):
         cur = cur.refine()
-    assert calls == [10]
-    cur.refined_to(cur.hi - cur.lo)  # no step: no sign
-    assert calls == [10]
-    cur.refined_to((cur.hi - cur.lo) / 1024)  # ten steps
-    assert calls == [20]
+    assert calls == [10] and values == [0]
+    # refined_to descends on values, never on signs, and takes at most one per level
+    cur.refined_to(cur.hi - cur.lo)  # no level: no evaluation
+    assert calls == [10] and values == [0]
+    cur.refined_to((cur.hi - cur.lo) / 1024)  # ten levels
+    assert calls == [10] and 0 < values[0] <= 10
     # add_rational and mul_rational carry the sign over, for either sign of r
     for v in (cur.add_rational(F(1, 3)), cur.mul_rational(F(-5, 7)), cur.mul_rational(3)):
         calls[0] = 0
@@ -563,6 +566,25 @@ def test_a_refine_step_evaluates_one_sign(monkeypatch):
     calls[0] = 0
     fresh.refine().refine()
     assert calls == [3]
+
+
+@settings(max_examples=80, deadline=None)
+@given(kernel_polys, st.integers(-40, 40), st.integers(0, 4), st.integers(1, 63), st.data())
+def test_refined_to_is_bisection_at_every_depth(q, m, j, left, data):
+    # besides q's own roots, the root r = m / 2^j of p = (2^j x - m) q on an interval
+    # of width 64 w with r at left / 64 of the way in: bisection hits r within six levels
+    r, w = F(m, 2**j), F(1, 2 ** (j + 2))
+    values = sympy_roots(q)
+    try:
+        values.append(AlgebraicReal(RationalPoly((-m, 2**j)) * q, r - left * w, r + (64 - left) * w))
+    except ValueError:  # q has a root in the interval too
+        pass
+    a = data.draw(st.sampled_from(values))
+    for depth in range(17):
+        width = (a.hi - a.lo) / 2**depth
+        got = a.refined_to(width)
+        assert same(got, ref_refined_to(a.poly, a.lo, a.hi, width)), depth
+        assert got._sign_lo == ref_sign(a.poly, got.lo)
 
 
 def forbid_normalize(monkeypatch):
@@ -698,6 +720,18 @@ def test_only_algebraics_names_the_give_up_rule():
         assert "REFINE_BUDGET" not in text and "_round_cap" not in text, path.name
 
 
+def test_only_algebraics_spells_the_report_width():
+    # every reported value is refined to algebraics.REPORT_WIDTH, read by name
+    assert algebraics.REPORT_WIDTH == F(1, 10**12)
+    spelled = re.compile(r"10\s*\*\*\s*\(?\s*-?\s*12\b|\b1e-?12\b|10\^-?12\b")
+    assert spelled.search("Fraction(1, 10**12)") and spelled.search("1e-12")
+    package = Path(algebraics.__file__).parent
+    others = [path for path in sorted(package.glob("*.py")) if path.name != "algebraics.py"]
+    assert len(others) >= 10
+    for path in others:
+        assert not spelled.search(path.read_text()), path.name
+
+
 def test_refined_to_needs_a_positive_width(within):
     s2 = sqrt_of(2)
 
@@ -729,3 +763,11 @@ def test_unchecked_constructor_certifies_its_interval():
             AlgebraicReal(p, lo, hi)
     with pytest.raises(ValueError, match="^point interval is not a root$"):
         AlgebraicReal(p, F(1, 2), F(1, 2))
+    # ints become Fractions, and endpoints out of order are refused; only a checked caller skips both
+    ints = AlgebraicReal(RationalPoly((-2, 0, 1)), 1, 2)
+    assert (type(ints.lo), type(ints.hi), ints.lo, ints.hi) == (F, F, 1, 2)
+    three = AlgebraicReal(RationalPoly((-3, 1)), 3, 3)
+    assert type(three.lo) is F and three.as_rational() == 3
+    for lo, hi in ((2, 1), (F(3, 2), F(4, 3))):
+        with pytest.raises(ValueError, match="^interval endpoints out of order$"):
+            AlgebraicReal(RationalPoly((-2, 0, 1)), lo, hi)

@@ -38,6 +38,7 @@ from qpolykit.graphs import (
     spectrum_graph,
     triple_bound_graph,
 )
+from qpolykit.polynomials import squarefree_part
 from qpolykit.tridiagonal import TridiagonalSystem
 
 
@@ -188,6 +189,14 @@ def test_spectra():
     spec = spectrum_graph(heawood())
     assert spec.multiplicities == (1, 6, 6, 1)
     assert spec.distinct[0].as_rational() == F(3) and spec.distinct[3].as_rational() == F(-3)
+
+
+def test_graph_spectrum_keeps_the_squarefree_charpoly_on_the_corpus():
+    for name, g in corpus_graphs().items():
+        spec = spectrum_graph(g)
+        assert spec.squarefree == squarefree_part(spec.charpoly), name
+        assert spec.squarefree.degree == len(spec.distinct), name  # one simple root per eigenvalue
+        assert spec.squarefree is spec.squarefree  # computed once
 
 
 def test_spectrum_against_sympy():

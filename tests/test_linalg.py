@@ -1,7 +1,7 @@
 """``qpolykit.linalg`` against sympy, and the cofactor oracle's independence.
 
-det and charpoly are compared with sympy on random integer and rational
-matrices (not symmetric, singular and empty ones included); companion and
+det, charpoly and inverse are compared with sympy on random integer and
+rational matrices (not symmetric, singular and empty ones included); companion and
 kron_sum with sympy's companion matrix and Kronecker products.  The
 cofactor oracle ``tridiagonal.charpoly_by_cofactor`` must give the right
 polynomial while every routine it is meant to check raises.
@@ -118,9 +118,24 @@ def test_companion_and_kronecker_builders_match_sympy():
             assert to_sympy(linalg.kron_sum(a, b, t)) == expected
 
 
-def test_solve():
-    assert linalg.solve([[F(1), F(1)], [F(1), F(-1)]], [F(3), F(1)]) == [F(2), F(1)]
-    assert linalg.solve([[F(1), F(1)], [F(2), F(2)]], [F(1), F(3)]) is None
+def test_inverse_matches_sympy_and_is_none_when_singular():
+    rng = random.Random(20261021)
+    seen = {True: 0, False: 0}  # singular or not
+    for n in range(1, 8):
+        for _ in range(12):
+            m = [[F(rng.randint(-9, 9) * (rng.random() < 0.8), rng.randint(1, 6)) for _ in range(n)] for _ in range(n)]
+            if rng.random() < 0.4:  # a zero row, or one the sum of two others
+                m[-1] = [a + b for a, b in zip(m[0], m[1 % (n - 1)])] if n >= 3 else [F(0)] * n
+            before = copy.deepcopy(m)
+            got = linalg.inverse(m)
+            assert m == before
+            expected = to_sympy(m)
+            if expected.det() == 0:
+                assert got is None
+            else:
+                assert to_sympy(got) == expected.inv()
+            seen[expected.det() == 0] += 1
+    assert seen[True] >= 20 and seen[False] >= 30
 
 
 # -- the cofactor oracle stays independent ----------------------------------------------
@@ -140,7 +155,7 @@ def patch_everywhere(monkeypatch, targets):
 
 
 def checked_routines():
-    targets = [getattr(linalg, n) for n in ("det", "charpoly", "companion", "kron_sum", "solve", "_charpoly_mod")]
+    targets = [getattr(linalg, n) for n in ("det", "charpoly", "companion", "kron_sum", "inverse", "_charpoly_mod")]
     # the recurrence, its scalar evaluator and the one gcd over a number field
     targets += [tridiagonal.f_polynomials, tridiagonal._f_d_at, numberfield._gcd_monic]
     return targets

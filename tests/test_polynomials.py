@@ -383,6 +383,19 @@ def _sympy_poly(p: RationalPoly):
     return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)], sympy.symbols("x"))
 
 
+@given(rational_polys, rational_polys, rational_polys)
+def test_poly_gcd_matches_sympy(p, q, common):
+    # a shared factor makes the gcd nontrivial; either operand may be the longer one, or zero
+    zero = RationalPoly.zero()
+    for a, b in ((p * common, q * common), (q * common, p * common), (p, q), (p, zero), (zero, q), (zero, zero)):
+        got = poly_gcd(a, b)
+        if a.is_zero and b.is_zero:
+            assert got.is_zero
+            continue
+        expected = sympy.gcd(_sympy_poly(a).set_domain(sympy.QQ), _sympy_poly(b).set_domain(sympy.QQ)).monic()
+        assert got == RationalPoly([F(int(c.p), int(c.q)) for c in reversed(expected.all_coeffs())])
+
+
 @given(sturm_inputs)
 def test_sturm_chain_is_the_fraction_chain_up_to_positive_factors(p):
     assert_positive_multiples(sturm_chain(p), fraction_sturm_chain(p))

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpolykit import algebraics, tridiagonal
-from qpolykit.algebraics import AlgebraicReal, ProductValue, compare, compare_rational, isolate_real_roots
+from qpolykit.algebraics import AlgebraicReal, ProductValue, compare, compare_rational, isolate_real_roots, product_enclosure
 from qpolykit.checks import check_system
 from qpolykit.families import cycle, heawood
 from qpolykit.numberfield import RealAlgebraicField, eval_rational_poly
@@ -206,7 +206,9 @@ def test_spectrum_examples():
     golden_hi = isolate_real_roots(RationalPoly((-1, 1, 1)))[-1]
     assert compare(rep.eigenvalues[1], golden_hi) == 0
     rep = spectrum(HEAWOOD)
-    assert [e.approx_float() for e in rep.eigenvalues] == pytest.approx([3.0, 2**0.5, -(2**0.5), -3.0])
+    shown = [value_json(e) for e in rep.eigenvalues]
+    assert [shown[0], shown[3]] == [{"rational": "3"}, {"rational": "-3"}]
+    assert [shown[1]["approx"], shown[2]["approx"]] == pytest.approx([2**0.5, -(2**0.5)])
     rep = spectrum(ICOSA)
     s5 = isolate_real_roots(RationalPoly((-5, 0, 1)))[-1]
     assert compare(rep.eigenvalues[1], s5) == 0
@@ -645,11 +647,22 @@ def test_exact_fallback_detects_product_equality(monkeypatch):
     roots = isolate_real_roots(poly)[::-1]  # 2sqrt2, sqrt2, -sqrt2, -2sqrt2
     top, bottom = (shifted_subset_product(poly, roots, subset, 0) for subset in ([0, 1], [2, 3]))
     assert isinstance(top, ProductValue) and len(top.factors) == 2
-    assert compare_shifted_product(top, F(4), poly, 0) == 0
-    assert compare_shifted_product(top, F(5), poly, 0) == -1
+    assert compare_shifted_product(top, F(4)) == 0
+    assert compare_shifted_product(top, F(5)) == -1
     # a rhs too close for the enclosure: the one resolvent root it meets decides
-    assert compare_shifted_product(top, 4 + F(1, 10**20), poly, 0) == -1
-    assert compare_shifted_product(bottom, F(3), poly, 0) == 1
+    assert compare_shifted_product(top, 4 + F(1, 10**20)) == -1
+    assert compare_shifted_product(bottom, F(3)) == 1
+
+
+def test_exact_fallback_builds_the_resolvent_at_the_values_own_shift(monkeypatch, within):
+    # (x^2 - 2x - 1)(x^2 - 2x - 7) has the roots 1 +- sqrt2 and 1 +- 2sqrt2: shifted by -1,
+    # the top two multiply to exactly 4, which only the resolvent of the shifted poly has as a root
+    monkeypatch.setattr(algebraics, "REFINE_BUDGET", 4)
+    poly = RationalPoly((-1, -2, 1)) * RationalPoly((-7, -2, 1))
+    value = shifted_subset_product(poly, isolate_real_roots(poly)[::-1], [0, 1], -1)
+    assert isinstance(value, ProductValue) and (value.poly, value.shift) == (poly, -1)
+    assert within(10, compare_shifted_product, value, F(4)) == 0
+    assert within(10, compare_shifted_product, value, 4 + F(1, 10**20)) == -1
 
 
 def test_exact_phase_still_decides_a_distant_rhs_by_the_enclosure(monkeypatch):
@@ -659,8 +672,8 @@ def test_exact_phase_still_decides_a_distant_rhs_by_the_enclosure(monkeypatch):
     poly = RationalPoly((-2, 0, 1)) * RationalPoly((-8, 0, 1))
     value = shifted_subset_product(poly, isolate_real_roots(poly)[::-1], [0, 1], 0)  # 2sqrt2 * sqrt2 = 4
     assert isinstance(value, ProductValue)
-    assert compare_shifted_product(value, F(100), poly, 0) == -1
-    assert compare_shifted_product(value, F(-100), poly, 0) == 1
+    assert compare_shifted_product(value, F(100)) == -1
+    assert compare_shifted_product(value, F(-100)) == 1
 
 
 def test_rootless_resolvent_at_a_tie_is_an_alarm_not_a_hang(monkeypatch, within):
@@ -670,7 +683,7 @@ def test_rootless_resolvent_at_a_tie_is_an_alarm_not_a_hang(monkeypatch, within)
     poly = RationalPoly((-2, 0, 1)) * RationalPoly((-8, 0, 1))
     value = shifted_subset_product(poly, isolate_real_roots(poly)[::-1], [0, 1], 0)  # 2sqrt2 * sqrt2 = 4
     with pytest.raises(AssertionError, match="not a root of its subset-product resolvent"):
-        within(10, compare_shifted_product, value, F(4), poly, 0)
+        within(10, compare_shifted_product, value, F(4))
 
 
 def test_pair_bound_product_factors_are_descending():
@@ -706,7 +719,7 @@ def test_direct_resultant_product_matches_subset_comparison():
         assert sym_rhs < lo or hi < sym_rhs
         value = shifted_subset_product(fd, rep.eigenvalues[1:], [0, system.d - 1], 1)
         assert isinstance(value, ProductValue)
-        assert compare_shifted_product(value, rhs, fd, 1) == (1 if sym_rhs < lo else -1)
+        assert compare_shifted_product(value, rhs) == (1 if sym_rhs < lo else -1)
 
 
 # -- the cofactor oracle on its own -----------------------------------------------------
@@ -790,7 +803,10 @@ def test_shifted_product_factors_keep_their_own_polynomials():
         value = shifted_subset_product(first * second, roots, [0, 2], s)
         assert isinstance(value, ProductValue)
         assert [f.poly for f in value.factors] == [roots[0].poly.shift(-s), roots[2].poly.shift(-s)]
-        old_route = ProductValue([roots[i].add_rational(s) for i in (0, 2)])
+        assert (value.poly, value.shift) == (first * second, s)
+        # compare_shifted_product starts from [lo, hi], which must enclose exactly these factors
+        assert (value.lo, value.hi) == product_enclosure(value.factors)
+        old_route = ProductValue([roots[i].add_rational(s) for i in (0, 2)], first * second, F(s))
         assert value_json(value) == value_json(old_route)
 
 
