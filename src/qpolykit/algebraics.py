@@ -174,9 +174,11 @@ class AlgebraicReal:
     # -- equality ------------------------------------------------------------------
 
     def __eq__(self, other):
-        if not isinstance(other, (AlgebraicReal, Fraction, int)):
+        if isinstance(other, (Fraction, int)):
+            other = AlgebraicReal.from_rational(other)
+        elif not isinstance(other, AlgebraicReal):
             return NotImplemented
-        return compare(self, _coerce(other)) == 0
+        return compare(self, other) == 0
 
     __hash__ = None  # equality is semantic, not structural
 
@@ -367,14 +369,6 @@ def _dyadic_sign(rq: Sequence[int], m: int, k: int) -> int:
     """Sign at m / 2^k of the integer polynomial rq, leading coefficient first."""
     v = _dyadic_value(rq, m, k)
     return (v > 0) - (v < 0)
-
-
-def _coerce(v) -> AlgebraicReal:
-    if isinstance(v, AlgebraicReal):
-        return v
-    if isinstance(v, (int, Fraction)):
-        return AlgebraicReal.from_rational(v)
-    raise TypeError(f"cannot interpret {type(v).__name__} as AlgebraicReal")
 
 
 def _normalize(poly: RationalPoly, lo: Fraction, hi: Fraction):

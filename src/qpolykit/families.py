@@ -1,8 +1,10 @@
-"""Canonical graphs, designs and parameter sets used by the test corpus.
+"""Corpus builders: the named graph families and symmetric designs.
 
-Builders use a fixed vertex numbering per family so every derived report is
-byte-stable across runs.  Designs are stored as explicit block lists, and
-construction checks them by direct double counting.
+Each builder is reached by name, through a family spec (parse_family_spec)
+or the corpus and its manifest.  Builders use a fixed vertex numbering per
+family so every derived report is byte-stable across runs.  Designs are
+stored as explicit block lists, and construction checks them by direct
+double counting.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from pathlib import Path
 
 from .graphs import MAX_VERTICES, Graph, GraphError, check_vertex_count, emit_graph6, parse_graph6
 from .schemes import AssociationScheme
-from .serialize import dump_json, rat_str
+from .serialize import dump_json
 
 
 @dataclass(frozen=True)
@@ -173,41 +175,6 @@ def icosahedron() -> Graph:
         (11, 6), (11, 7), (11, 8), (11, 9), (11, 10),
     ]
     return Graph(12, edges)
-
-
-def line_graph(g: Graph) -> Graph:
-    """Vertices are edges of g; adjacency = sharing an endpoint."""
-    es = g.edges()
-    index = {e: i for i, e in enumerate(es)}
-    out = set()
-    for v in range(g.n):
-        inc = [index[(min(v, w), max(v, w))] for w in g.adj[v]]
-        for a, b in combinations(sorted(inc), 2):
-            out.add((a, b))
-    return Graph(len(es), sorted(out))
-
-
-# -- Krein parameter sets at family level --------------------------------------------
-
-
-def linked_design_krein_array(t: int) -> dict:
-    """Krein array of the maximal linked system of symmetric designs on 2^(2t) points.
-
-    For the construction with f = 2^(2t-1) fibers the dual parameters are
-    m = 2^(2t) - 1, b1* = m - 1, b2* = 1, c2* = 2, c3* = m, and the pair
-    bound evaluates to -b1* * f/(f-1) exactly.
-    """
-    if t < 1:
-        raise ValueError("parameter t must be a positive integer")
-    v = 2 ** (2 * t)
-    m = v - 1
-    return {
-        "type": "krein_array",
-        "class": 3,
-        "m": rat_str(m),
-        "b_star": [rat_str(m), rat_str(m - 1), rat_str(1)],
-        "c_star": [rat_str(1), rat_str(2), rat_str(m)],
-    }
 
 
 # -- registry -----------------------------------------------------------------------

@@ -230,13 +230,9 @@ def emit_graph6(g: Graph) -> str:
     out = bytearray()
     if n <= 62:
         out.append(n + 63)
-    elif n <= 258047:
+    else:  # Graph keeps n <= MAX_VERTICES, within this header's 258047
         out.append(126)
         out.extend(((n >> shift) & 63) + 63 for shift in (12, 6, 0))
-    else:
-        out.append(126)
-        out.append(126)
-        out.extend(((n >> shift) & 63) + 63 for shift in (30, 24, 18, 12, 6, 0))
     bits = []
     for v in range(1, n):
         for u in range(v):

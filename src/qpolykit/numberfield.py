@@ -380,16 +380,18 @@ def adjoin_root(
             beta_img = -g[0]
             gen_img = gamma - t * beta_img
             return new_field, gen_img, beta_img
-    raise RuntimeError("no primitive element found; adjoin_root exhausted candidates")
+    raise AssertionError("no primitive element found; adjoin_root exhausted candidates")
 
 
 def field_containing(values: Sequence[AlgebraicReal]) -> tuple[RealAlgebraicField, list[FieldElement]]:
     """One field holding every given algebraic real, with their images.
 
     Roots are adjoined left to right; earlier images are rewritten through
-    the old generator's image after every extension.  After each join every
-    image must still satisfy its value's defining polynomial, an exact check
-    of the rewriting.
+    the old generator's image after every extension.  Every adjoined
+    value's image must satisfy the value's defining polynomial in the final
+    field, an exact check of the rewriting, made once: each join is a field
+    embedding, so an image broken by one join stays broken through the
+    later ones.  A rational value's image is its constant in every field.
     """
     field = RealAlgebraicField.rationals()
     elems: list[FieldElement] = []
@@ -401,9 +403,9 @@ def field_containing(values: Sequence[AlgebraicReal]) -> tuple[RealAlgebraicFiel
         field, old_img, beta_img = adjoin_root(field, val)
         elems = [eval_rational_poly(el.coeffs, old_img) for el in elems]
         elems.append(beta_img)
-        for v, el in zip(values, elems):
-            if not eval_rational_poly(v.poly.coeffs, el).is_zero():
-                raise AssertionError("adjoined root lost its defining relation")
+    for v, el in zip(values, elems):
+        if v.as_rational() is None and not eval_rational_poly(v.poly.coeffs, el).is_zero():
+            raise AssertionError("adjoined root lost its defining relation")
     return field, elems
 
 

@@ -68,21 +68,6 @@ class RationalPoly:
     def one(cls) -> "RationalPoly":
         return cls((1,))
 
-    @classmethod
-    def x(cls) -> "RationalPoly":
-        return cls((0, 1))
-
-    @classmethod
-    def constant(cls, c: Fraction | int) -> "RationalPoly":
-        return cls((Fraction(c),))
-
-    @classmethod
-    def from_roots(cls, roots: Sequence[Fraction | int]) -> "RationalPoly":
-        p = cls.one()
-        for r in roots:
-            p = p * cls((-Fraction(r), 1))
-        return p
-
     # -- basic queries -----------------------------------------------------
 
     @property

@@ -23,9 +23,10 @@ beta_i (0..D-1), gamma[j] is gamma_{j+1} (the stored list starts at
 gamma_1).
 
 Entries are Fractions for ordinary systems; the same checks also accept
-number-field elements (FieldElement) so Krein matrices with algebraic
-entries reuse every code path.  A spectrum is the roots of F_D, by one of
-two functions.  spectrum isolates them (rational systems only).  It derives
+number-field elements of one field, so Krein matrices with algebraic
+entries reuse every code path.  The caller joins the fields; nothing here
+builds one.  A spectrum is the roots of F_D, by one of two functions.
+spectrum isolates them (rational systems only).  It derives
 the recurrence once in integers, H_i(y) = L^i F_i(y / L) with L the common
 denominator of its coefficients, and reads F_0, ..., F_D as RationalPolys
 off the H_i.  The positive off-diagonal products make F_0, ..., F_D a
@@ -59,7 +60,6 @@ from itertools import combinations, count
 from math import lcm, prod
 from typing import Sequence
 
-from . import algebraics
 from .algebraics import (
     AlgebraicReal,
     ProductValue,
@@ -70,12 +70,7 @@ from .algebraics import (
     round_limit,
 )
 from .linalg import charpoly, companion, det
-from .numberfield import (
-    FieldElement,
-    exact_sign,
-    field_containing,
-    scalar_as_fraction,
-)
+from .numberfield import exact_sign, scalar_as_fraction
 from .polynomials import RationalPoly, _scaled_int_poly, sign_variations, signed_remainder_sequence
 from .serialize import rat_str, value_json
 
@@ -496,39 +491,6 @@ def _below(a: AlgebraicReal, b: AlgebraicReal) -> bool:
     top = a.hi if ra is None else ra
     bottom = b.lo if rb is None else rb
     return top < bottom or (top == bottom and (ra is None or rb is None))
-
-
-# -- two-point comparison lemma ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LemmaResult:
-    f_t: FieldElement
-    g_t: FieldElement
-    holds: bool
-    equality: bool
-
-
-def endpoint_product_bound(a, b, c, d, t) -> LemmaResult:
-    """For a <= b < c <= d and t in [b, c]: (t-a)(t-d) <= (t-b)(t-c).
-
-    Interior equality forces a = b and c = d; a breach of that implication
-    raises, since it would falsify the statement rather than an input.
-    """
-    a, b, c, d, t = (algebraics._coerce(v) for v in (a, b, c, d, t))
-    if not (compare(a, b) <= 0 and compare(b, c) < 0 and compare(c, d) <= 0):
-        raise ValueError("need a <= b < c <= d")
-    if not (compare(b, t) <= 0 and compare(t, c) <= 0):
-        raise ValueError("need t in [b, c]")
-    _, (fa, fb, fc, fd, ft) = field_containing([a, b, c, d, t])
-    f_t = (ft - fa) * (ft - fd)
-    g_t = (ft - fb) * (ft - fc)
-    cmp = exact_sign(f_t - g_t)
-    equality = cmp == 0
-    if equality and compare(b, t) < 0 and compare(t, c) < 0:
-        if not (compare(a, b) == 0 and compare(c, d) == 0):
-            raise AssertionError("interior equality without a=b and c=d")
-    return LemmaResult(f_t, g_t, cmp <= 0, equality)
 
 
 # -- products of shifted roots --------------------------------------------------------

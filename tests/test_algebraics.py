@@ -21,6 +21,8 @@ from qpolykit.numberfield import _tensor_min_poly
 from qpolykit.polynomials import RationalPoly, _int_coeffs, poly_gcd, squarefree_part
 from qpolykit.serialize import value_json
 
+from helpers import from_roots
+
 
 def sqrt_of(n: int) -> AlgebraicReal:
     roots = isolate_real_roots(RationalPoly((-n, 0, 1)))
@@ -42,7 +44,7 @@ def test_isolation_golden_quadratic():
 
 
 def test_isolation_rational_roots_exact():
-    p = RationalPoly.from_roots([1, 2, 3])
+    p = from_roots([1, 2, 3])
     roots = isolate_real_roots(p)
     assert [r.as_rational() for r in roots] == [F(1), F(2), F(3)]
 
@@ -65,7 +67,7 @@ def test_isolation_counts_match_sturm():
 
 
 def test_multiplicities():
-    p = RationalPoly.from_roots([1, 1, 2])
+    p = from_roots([1, 1, 2])
     out = isolate_real_roots_with_multiplicity(p)
     assert [(r.as_rational(), m) for r, m in out] == [(F(1), 2), (F(2), 1)]
 
@@ -164,7 +166,7 @@ def test_isolation_interval_invariants():
     )
 )
 def test_isolation_recovers_constructed_roots(roots):
-    p = RationalPoly.from_roots(roots)
+    p = from_roots(roots)
     found = isolate_real_roots(p)
     expected = sorted(set(roots))
     assert len(found) == len(expected)

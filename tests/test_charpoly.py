@@ -18,6 +18,8 @@ from qpolykit.graphs import Graph, adjacency_charpoly
 from qpolykit.polynomials import RationalPoly, _int_coeffs
 from qpolykit.tridiagonal import charpoly_by_cofactor
 
+from helpers import from_roots
+
 
 def sympy_charpoly(g: Graph) -> list[int]:
     m = sympy.zeros(g.n, g.n)
@@ -101,7 +103,7 @@ def test_hamming_6_2_needs_two_primes(monkeypatch):
     for t in (-7, -6, -1, 0, 3, 7):
         assert cp.evaluate(t) == bareiss_value(g, t)
     # spectrum of H(6,2): 6 - 2i with multiplicity C(6, i)
-    expected = RationalPoly.from_roots([6 - 2 * i for i in range(7) for _ in range(sympy.binomial(6, i))])
+    expected = from_roots([6 - 2 * i for i in range(7) for _ in range(sympy.binomial(6, i))])
     assert cp == expected
 
 

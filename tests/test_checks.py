@@ -17,9 +17,11 @@ import pytest
 
 from qpolykit import algebraics, checks, graphs, numberfield, scanner, schemes, tridiagonal
 from qpolykit.cli import main
-from qpolykit.families import heawood, line_graph, parse_family_spec, petersen
+from qpolykit.families import heawood, parse_family_spec, petersen
 from qpolykit.polynomials import RationalPoly
 from qpolykit.schemes import AuditRecord
+
+from helpers import line_graph
 
 ROOT = Path(__file__).resolve().parent.parent
 HEAWOOD = tridiagonal.TridiagonalSystem.from_intersection_numbers([3, 2, 2], [1, 1, 3])
@@ -196,6 +198,17 @@ def _rootless(*args):
     return RationalPoly((-(10**6), 0, 1))
 
 
+def _never_linear(a, b):
+    """A gcd that is never linear: the defining polynomial of the root being adjoined."""
+    return a
+
+
+def _shifted_image(field, beta, _real=numberfield.adjoin_root):
+    """A join whose image of the adjoined root is off by one."""
+    new_field, gen_img, beta_img = _real(field, beta)
+    return new_field, gen_img, beta_img + 1
+
+
 INVARIANT_CASES = {
     "soundness alarm in find_q_orderings": (
         ["check-scheme", "--from-graph", "petersen"],
@@ -217,6 +230,16 @@ INVARIANT_CASES = {
         ["check-scheme", "--from-graph", "cycle:n=7"],
         numberfield, "_tensor_min_poly", _rootless,
         "internal invariant failed: gamma + t*beta is not isolated among the roots of its tensor polynomial",
+    ),
+    "join with a wrong image of the adjoined root": (
+        ["check-scheme", "--from-graph", "cycle:n=7"],
+        numberfield, "adjoin_root", _shifted_image,
+        "internal invariant failed: adjoined root lost its defining relation",
+    ),
+    "no t makes the rewriting gcd linear": (
+        ["check-scheme", "--from-graph", "cycle:n=7"],
+        numberfield, "_gcd_monic", _never_linear,
+        "internal invariant failed: no primitive element found; adjoin_root exhausted candidates",
     ),
 }
 

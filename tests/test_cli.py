@@ -109,7 +109,7 @@ def test_check_scheme_petersen_exit0():
 
 
 def test_check_scheme_non_q_poly_via_file(tmp_path: Path):
-    from qpolykit.families import line_graph
+    from helpers import line_graph
     from qpolykit.schemes import scheme_from_graph
 
     s = scheme_from_graph(line_graph(petersen()))

@@ -18,14 +18,14 @@ from qpolykit.families import (
     heawood,
     incidence_graph,
     johnson,
-    line_graph,
-    linked_design_krein_array,
     load,
     manifest,
     parse_family_spec,
     petersen,
 )
 from qpolykit.graphs import Graph, classify_regularity, emit_graph6, intersection_array
+
+from helpers import line_graph, linked_design_krein_array
 
 
 def test_fano_properties():

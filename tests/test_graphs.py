@@ -23,6 +23,7 @@ from qpolykit.families import (
     petersen,
 )
 from qpolykit.graphs import (
+    MAX_VERTICES,
     Graph,
     GraphError,
     classify_regularity,
@@ -95,10 +96,13 @@ def test_graph6_header_and_errors():
 
 
 def test_graph6_large_n_header():
-    g = Graph(70, [(i, i + 1) for i in range(69)])
-    s = emit_graph6(g)
-    assert s.startswith("~")
-    assert parse_graph6(s).edges() == g.edges()
+    # one size byte up to n = 62, then the 4-byte header up to MAX_VERTICES
+    for n in (62, 63, 70, MAX_VERTICES):
+        g = Graph(n, [(i, i + 1) for i in range(n - 1)])
+        s = emit_graph6(g)
+        assert s.startswith("~") == (n > 62)
+        back = parse_graph6(s)
+        assert back.n == n and back.edges() == g.edges()
 
 
 @settings(max_examples=30)

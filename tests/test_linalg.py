@@ -23,6 +23,8 @@ from qpolykit.polynomials import RationalPoly
 from qpolykit.schemes import eigendata, find_q_orderings, krein, scheme_from_graph
 from qpolykit.tridiagonal import charpoly_by_cofactor, random_system, reduced_matrix
 
+from helpers import from_roots
+
 
 def to_sympy(m):
     return sympy.Matrix(len(m), len(m), lambda i, j: sympy.Rational(m[i][j].numerator, m[i][j].denominator))
@@ -93,11 +95,11 @@ def test_charpoly_matches_sympy_and_cofactor_on_nonsymmetric_matrices(monkeypatc
 
 
 def test_charpoly_of_a_compound_matrix_has_the_subset_products_as_roots():
-    h = RationalPoly.from_roots([1, 2, 3, F(-1, 2)])
+    h = from_roots([1, 2, 3, F(-1, 2)])
     res = tridiagonal._subset_product_resolvent(h, 2)
     roots = [1, 2, 3, F(-1, 2)]
     products = [roots[i] * roots[j] for i in range(4) for j in range(i + 1, 4)]
-    assert res == RationalPoly.from_roots(products)
+    assert res == from_roots(products)
 
 
 def test_companion_and_kronecker_builders_match_sympy():

@@ -18,8 +18,6 @@ from qpolykit.families import (
     heawood,
     incidence_graph,
     johnson,
-    line_graph,
-    linked_design_krein_array,
     petersen,
 )
 from qpolykit.graphs import classify_regularity
@@ -44,6 +42,8 @@ from qpolykit.schemes import (
     structure_from_dual_parameters,
 )
 from qpolykit.tridiagonal import row_sum_matrix, valencies
+
+from helpers import line_graph, linked_design_krein_array
 
 
 def heawood_scheme():

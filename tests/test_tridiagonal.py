@@ -21,7 +21,6 @@ from qpolykit.tridiagonal import (
     certify_spectrum,
     charpoly_by_cofactor,
     compare_shifted_product,
-    endpoint_product_bound,
     f_polynomials,
     interlacing_check,
     pair_bound,
@@ -31,6 +30,8 @@ from qpolykit.tridiagonal import (
     spectrum,
     triple_bound,
 )
+
+from helpers import endpoint_product_bound, from_roots
 
 C5 = TridiagonalSystem.from_entries([F(0), F(0), F(1)], [F(2), F(1)], [F(1), F(1)], F(2))
 HEAWOOD = TridiagonalSystem.from_intersection_numbers([3, 2, 2], [1, 1, 3])
@@ -470,13 +471,13 @@ def _with_f(rep, i, poly):
         # F_2 of H(4,2) made x^2 + 1: a complex pair instead of two real roots
         (H42, 2, RationalPoly((1, 0, 1))),
         # F_1 = x + 1 and a quadratic sharing its root -1
-        (H42, 2, RationalPoly.from_roots([-1, 3])),
+        (H42, 2, from_roots([-1, 3])),
         # Heawood: F_2 sharing F_3's rational root -3, then its irrational roots +-sqrt 2
-        (HEAWOOD, 2, RationalPoly.from_roots([-3, 1])),
+        (HEAWOOD, 2, from_roots([-3, 1])),
         (HEAWOOD, 2, RationalPoly((-2, 0, 1))),
         # real roots that do not interlace: both above F_1's root, or one below every root of F_3
-        (H42, 2, RationalPoly.from_roots([0, 1])),
-        (HEAWOOD, 2, RationalPoly.from_roots([-4, 0])),
+        (H42, 2, from_roots([0, 1])),
+        (HEAWOOD, 2, from_roots([-4, 0])),
     ],
     ids=["complex-pair", "shared-root-with-f1", "shared-rational-root", "shared-irrational-roots", "outside", "below"],
 )
