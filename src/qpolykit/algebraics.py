@@ -12,10 +12,12 @@ subdivision loop with two sign sources: the Sturm chain of the squarefree
 part, or a counter the caller passes in, which reads another Sturm
 sequence of the polynomial.  ``tridiagonal.spectrum`` passes the integer
 three-term recurrence F_0, ..., F_D, so a spectrum builds no chain and no
-squarefree part.  Any other count is of the isolated roots inside an
-interval (``roots_in``): the unchecked constructor certifies its interval
-that way, and ``numberfield.adjoin_root`` isolates its primitive element
-that way.  ``tridiagonal.interlacing_check`` counts no roots: it reads
+squarefree part.  Neither source is asked about a point past the dyadic
+Fujiwara bound on the roots (``_far_bound``): there the variations and the
+sign are those already computed at the end of the subdivision range.  Any
+other count is of the isolated roots inside an interval (``roots_in``):
+the unchecked constructor certifies its interval that way, and
+``numberfield.adjoin_root`` isolates its primitive element that way.  ``tridiagonal.interlacing_check`` counts no roots: it reads
 Cauchy indices off signed remainder sequences.
 
 Every loop in the package that refines until intervals separate gives up
@@ -413,6 +415,17 @@ def isolate_real_roots(p: RationalPoly, count=None) -> list[AlgebraicReal]:
     source, until it is narrower than 1, and a root that is an integer
     becomes that point: the interval every halving reaches is the one
     refine would reach, and no bisection kernel is built for it.
+
+    Subdivision runs on [-B, B], B one more than the Cauchy bound, but the
+    roots lie strictly inside (-2^r, 2^r) for the far bound r of
+    ``_far_bound``, often much smaller.  A point at or beyond +-2^r takes
+    the variations and the sign already computed at the matching end, +-B,
+    and neither source is asked about it.  That is exact: by Sturm's
+    theorem V(a) - V(b) counts the roots in (a, b) for a < b not roots
+    (Basu, Pollack and Roy, Algorithms in Real Algebraic Geometry, 2.2),
+    so with no root between a point and its end the variations agree, and
+    sf keeps its sign there.  Every branch, so every interval, is the one
+    that evaluating the source at the point would give.
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
@@ -430,13 +443,34 @@ def isolate_real_roots(p: RationalPoly, count=None) -> list[AlgebraicReal]:
     # may leave one split unhalved, so a point at level k splits one halved k - slack times
     slack = 2 * sf.degree + 1
 
-    def signs(m: int, k: int) -> tuple[int, int]:
+    def evaluated(m: int, k: int) -> tuple[int, int]:
         """Sign variations of the sequence at bound m / 2^k, and the sign of sf there."""
-        limit(k - slack)
         if count is not None:
             return count(u * m, v << k)
         s = _chain_signs(rchain, m, k)
         return sign_variations(s), s[0]
+
+    bottom, top = evaluated(-1, 0), evaluated(1, 0)
+    # bound |m| / 2^k >= 2^r exactly when ur |m| >= vr 2^k
+    r = _far_bound(_int_coeffs(sf))
+    ur, vr = (u, v << r) if r >= 0 else (u << -r, v)
+
+    def far(m: int, k: int) -> tuple[int, int] | None:
+        """The pair at the matching end when bound m / 2^k lies at or beyond +-2^r, past every root."""
+        if ur * abs(m) >= vr << k:
+            return top if m > 0 else bottom
+        return None
+
+    def signs(m: int, k: int) -> tuple[int, int]:
+        limit(k - slack)
+        return far(m, k) or evaluated(m, k)
+
+    def sign(m: int, k: int) -> int:
+        """The sign of sf alone at bound m / 2^k."""
+        end = far(m, k)
+        if end:
+            return end[1]
+        return count(u * m, v << k)[1] if count is not None else _dyadic_sign(rchain[0], m, k)
 
     def collapsed(l: int, h: int, k: int, sign_lo: int) -> AlgebraicReal:
         """The root in [l, h] / 2^k (units of bound), halved to width below 1, as a point when it is an integer.
@@ -449,7 +483,7 @@ def isolate_real_roots(p: RationalPoly, count=None) -> list[AlgebraicReal]:
         """
         while u * (h - l) >= v << k:  # hi - lo >= 1
             m, k = l + h, k + 1
-            s = count(u * m, v << k)[1] if count is not None else _dyadic_sign(rchain[0], m, k)
+            s = sign(m, k)
             if s == 0:
                 l = h = m
                 sign_lo = 0
@@ -466,7 +500,7 @@ def isolate_real_roots(p: RationalPoly, count=None) -> list[AlgebraicReal]:
 
     out: list[AlgebraicReal] = []
     # the interval [l, h] / 2^k in units of bound; every root lies in (-1, 1)
-    stack = [(-1, 1, 0, *signs(-1, 0), *signs(1, 0))]
+    stack = [(-1, 1, 0, *bottom, *top)]
     while stack:
         l, h, k, va, sa, vb, sb = stack.pop()
         n = va - vb
@@ -508,6 +542,18 @@ def roots_in(roots: list[AlgebraicReal], lo: Fraction, hi: Fraction) -> list[Alg
                 r = AlgebraicReal.from_rational(t) if hit else b.result()
         roots[i] = r
     return [r for r in roots if lo <= r.lo and r.hi <= hi]
+
+
+def _far_bound(ints: Sequence[int]) -> int:
+    """r with every complex root of the integer polynomial ints (constant first) strictly inside |z| < 2^r.
+
+    Fujiwara's bound (Tohoku Math. J. 10, 1916), |z| <= 2 max_i |c_(n-i) / c_n|^(1/i),
+    with each term rounded up to a power of two from bit lengths alone:
+    |c_(n-i) / c_n| < 2^(b_(n-i) - b_n + 1), so the i-th term is below
+    2^ceil((b_(n-i) - b_n + 1) / i).  O(deg), and no integer root is taken.
+    """
+    top = ints[-1].bit_length()
+    return 1 + max(-((top - 1 - c.bit_length()) // i) for i, c in enumerate(reversed(ints[:-1]), 1) if c)
 
 
 def _scaled_chain(chain: Sequence[RationalPoly], u: int, v: int) -> list[list[int]]:

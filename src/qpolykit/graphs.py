@@ -8,14 +8,18 @@ below is a sign decision, never a tolerance.  Graphs have at most
 MAX_VERTICES vertices; larger input is rejected before anything is
 allocated.
 
-The per-vertex machinery is one BFS per vertex: quotient_matrix averages
-the adjacency counts over the distance partition around a vertex into a
-rational tridiagonal quotient and records whether the partition is
-equitable.  classify_regularity builds that quotient once per vertex and
-keeps the tuple on its report; the diameter, the regularity classes,
-bipartiteness (a connected graph is bipartite exactly when no edge lies
-inside a distance layer, so when every alpha of one quotient is 0), the
-vertex pair bound (theta_1+1)(theta_D+1) <= -beta_1(x) whose all-vertex
+The per-vertex machinery is one BFS per vertex, on bitsets: a Graph keeps
+its adjacency as one bitmask per vertex, Graph.distance_layers grows each
+distance layer as the OR of its frontier's neighbour masks, and
+quotient_matrix takes each vertex's neighbours one closer, as close and one
+further as three popcounts of its mask against the layers before its own,
+its own and after it.  It averages those counts over the distance partition
+around a vertex into a rational tridiagonal quotient and records whether
+the partition is equitable.  classify_regularity builds that quotient once
+per vertex and keeps the tuple on its report; the diameter, the regularity
+classes, bipartiteness (a connected graph is bipartite exactly when no edge
+lies inside a distance layer, so when every alpha of one quotient is 0),
+the vertex pair bound (theta_1+1)(theta_D+1) <= -beta_1(x) whose all-vertex
 equality case is exactly strong regularity, and the quotient around vertex
 0, a row-sum system with kappa = k built once (quotient_system), all read
 that tuple.  For a distance-regular graph of diameter >= 2 that system is
@@ -74,7 +78,7 @@ def is_vertex_pair(v) -> bool:
 class Graph:
     """Immutable simple graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "adj", "_edge_count")
+    __slots__ = ("n", "adj", "masks", "_edge_count")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 1:
@@ -94,6 +98,8 @@ class Graph:
             count += 1
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "adj", tuple(frozenset(s) for s in adj))
+        # masks[v] has bit w set when w is adjacent to v: the adjacency as bitsets
+        object.__setattr__(self, "masks", tuple(sum(1 << w for w in s) for s in adj))
         object.__setattr__(self, "_edge_count", count)
 
     def __setattr__(self, name, value):
@@ -124,24 +130,32 @@ class Graph:
 
     # -- traversal -----------------------------------------------------------
 
-    def bfs_distances(self, x: int) -> list[int]:
+    def distance_layers(self, x: int) -> tuple[list[int], list[int]]:
+        """One BFS from x: the distance of every vertex (-1 when unreached), and the layers as bitmasks.
+
+        Bit y of layers[i] is set when d(x, y) = i.  Each layer grows as the
+        OR of its frontier's neighbour masks, minus the vertices seen.
+        """
+        masks = self.masks
         dist = [-1] * self.n
-        dist[x] = 0
-        frontier = [x]
-        d = 0
+        layers = []
+        seen = frontier = 1 << x
         while frontier:
-            d += 1
-            nxt = []
-            for u in frontier:
-                for w in self.adj[u]:
-                    if dist[w] < 0:
-                        dist[w] = d
-                        nxt.append(w)
-            frontier = nxt
-        return dist
+            d = len(layers)
+            layers.append(frontier)
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                y = low.bit_length() - 1
+                dist[y] = d
+                reach |= masks[y]
+                frontier ^= low
+            frontier = reach & ~seen
+            seen |= frontier
+        return dist, layers
 
     def is_connected(self) -> bool:
-        return all(d >= 0 for d in self.bfs_distances(0))
+        return min(self.distance_layers(0)[0]) >= 0
 
     # -- serialization ----------------------------------------------------------
 
@@ -274,21 +288,28 @@ class QuotientMatrix:
 
 
 def quotient_matrix(g: Graph, x: int) -> QuotientMatrix:
-    """The quotient around x, from one BFS; GraphError when g is disconnected."""
-    dist = g.bfs_distances(x)
+    """The quotient around x, from one BFS; GraphError when g is disconnected.
+
+    A vertex's neighbours one closer, as close and one further are three
+    popcounts of its adjacency mask against the layers before its own, its
+    own and after it.
+    """
+    dist, layers = g.distance_layers(x)
     if min(dist) < 0:
         raise GraphError("distance partition of a disconnected graph")
-    ecc = max(dist)
+    ecc = len(layers) - 1
+    padded = [0, *layers, 0]
     sizes = [0] * (ecc + 1)
     totals = [[0, 0, 0] for _ in range(ecc + 1)]  # neighbours one closer, as close, one further
-    first: list[list[int] | None] = [None] * (ecc + 1)
+    first: list[tuple[int, int, int] | None] = [None] * (ecc + 1)
     equitable = True
-    for y, i in enumerate(dist):
-        counts = [0, 0, 0]
-        for w in g.adj[y]:
-            counts[dist[w] - i + 1] += 1
+    for i, a in zip(dist, g.masks):
+        counts = ((a & padded[i]).bit_count(), (a & padded[i + 1]).bit_count(), (a & padded[i + 2]).bit_count())
         sizes[i] += 1
-        totals[i] = [t + c for t, c in zip(totals[i], counts)]
+        t = totals[i]
+        t[0] += counts[0]
+        t[1] += counts[1]
+        t[2] += counts[2]
         if first[i] is None:
             first[i] = counts
         elif first[i] != counts:

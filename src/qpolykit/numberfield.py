@@ -21,7 +21,10 @@ refine gamma.  Since the modulus is irreducible, every nonzero element is a
 unit.  A product by an int or Fraction scales the residue's coefficients,
 which keeps it canonical, so it needs no reduce; an inner product of two
 sequences of elements (``RealAlgebraicField.dot``) accumulates every
-coefficient product into one unreduced list and reduces once.
+coefficient product into one unreduced list and reduces once.  A report
+reads an element as an AlgebraicReal (``FieldElement.to_algebraic``); the
+field converts each residue once (``value_of``), keyed on the residue and
+gamma's interval, since sign decisions refine gamma in place.
 
 Several algebraic numbers are combined into one field with adjoin_root,
 which finds a primitive element gamma_old + t*beta through its minimal
@@ -75,6 +78,7 @@ class RealAlgebraicField:
         self._gen = gen
         self._modulus = gen.poly
         self._tail = tuple((i, c) for i, c in enumerate(gen.poly.coeffs[:-1]) if c)
+        self._values: dict[tuple, AlgebraicReal] = {}  # value_of's results, keyed by residue and gen's interval
 
     @classmethod
     def rationals(cls) -> "RealAlgebraicField":
@@ -126,6 +130,20 @@ class RealAlgebraicField:
                 for i, c in self._tail:
                     coeffs[k - d + i] -= top * c
         return tuple(_trim(coeffs))
+
+    def value_of(self, coeffs: tuple[Fraction, ...]) -> AlgebraicReal:
+        """The canonical residue at gamma as an AlgebraicReal, converted once per residue.
+
+        sign_coeffs refines gamma in place, and the conversion starts from
+        gamma's interval, so the memo is keyed on that interval too: each
+        result is a pure function of its key.
+        """
+        gen = self._gen
+        key = (coeffs, gen.lo, gen.hi)
+        value = self._values.get(key)
+        if value is None:
+            value = self._values[key] = apply_rational_poly(RationalPoly(coeffs), gen)
+        return value
 
     def dot(self, xs: Sequence["FieldElement"], ys: Sequence["FieldElement"]) -> "FieldElement":
         """sum_u xs[u] * ys[u], with one reduce for the whole sum instead of one per term."""
@@ -216,7 +234,7 @@ class FieldElement:
         return c[0] if c else Fraction(0)
 
     def to_algebraic(self) -> AlgebraicReal:
-        return apply_rational_poly(RationalPoly(self.coeffs), self.field.generator_value())
+        return self.field.value_of(self.coeffs)
 
     def __repr__(self) -> str:
         return f"FieldElement({RationalPoly(self.coeffs).to_str('g')})"

@@ -1,10 +1,12 @@
-"""Builders and a lemma that only the tests use.
+"""Builders, references and a lemma that only the tests use.
 
 No command reaches these, so they live beside the tests instead of in the
 package: ``from_roots`` builds a polynomial from its roots, ``line_graph``
-and ``linked_design_krein_array`` build inputs with a known answer, and
-``endpoint_product_bound`` is the two-point comparison lemma, decided in
-one number field.
+and ``linked_design_krein_array`` build inputs with a known answer,
+``bfs_distances`` and ``reference_quotient`` are the per-neighbour BFS and
+distance-partition loop that the package's bitset version is checked
+against, and ``endpoint_product_bound`` is the two-point comparison lemma,
+decided in one number field.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from itertools import combinations
 from typing import Sequence
 
 from qpolykit.algebraics import AlgebraicReal, compare
-from qpolykit.graphs import Graph
+from qpolykit.graphs import Graph, GraphError, QuotientMatrix
 from qpolykit.numberfield import FieldElement, exact_sign, field_containing
 from qpolykit.polynomials import RationalPoly
 
@@ -38,6 +40,55 @@ def line_graph(g: Graph) -> Graph:
         for a, b in combinations(sorted(inc), 2):
             out.add((a, b))
     return Graph(len(es), sorted(out))
+
+
+def bfs_distances(g: Graph, x: int) -> list[int]:
+    """d(x, y) for every y, -1 when unreached, by a BFS over neighbour sets."""
+    dist = [-1] * g.n
+    dist[x] = 0
+    frontier = [x]
+    d = 0
+    while frontier:
+        d += 1
+        nxt = []
+        for u in frontier:
+            for w in g.adj[u]:
+                if dist[w] < 0:
+                    dist[w] = d
+                    nxt.append(w)
+        frontier = nxt
+    return dist
+
+
+def reference_quotient(g: Graph, x: int) -> QuotientMatrix:
+    """graphs.quotient_matrix by a loop over each vertex's neighbours; GraphError when g is disconnected."""
+    dist = bfs_distances(g, x)
+    if min(dist) < 0:
+        raise GraphError("distance partition of a disconnected graph")
+    ecc = max(dist)
+    sizes = [0] * (ecc + 1)
+    totals = [[0, 0, 0] for _ in range(ecc + 1)]  # neighbours one closer, as close, one further
+    first: list[list[int] | None] = [None] * (ecc + 1)
+    equitable = True
+    for y, i in enumerate(dist):
+        counts = [0, 0, 0]
+        for w in g.adj[y]:
+            counts[dist[w] - i + 1] += 1
+        sizes[i] += 1
+        totals[i] = [t + c for t, c in zip(totals[i], counts)]
+        if first[i] is None:
+            first[i] = counts
+        elif first[i] != counts:
+            equitable = False
+    avg = [[Fraction(t, size) for t in row] for row, size in zip(totals, sizes)]
+    return QuotientMatrix(
+        x,
+        tuple(row[1] for row in avg),
+        tuple(row[2] for row in avg[:-1]),
+        tuple(row[0] for row in avg[1:]),
+        equitable,
+        tuple(dist),
+    )
 
 
 def linked_design_krein_array(t: int) -> dict:

@@ -1,10 +1,11 @@
 from fractions import Fraction as F
 import re
 from pathlib import Path
+import random
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qpolykit import algebraics
@@ -17,8 +18,17 @@ from qpolykit.algebraics import (
     isolate_real_roots,
     isolate_real_roots_with_multiplicity,
 )
+from qpolykit.graphs import adjacency_charpoly, random_regular_graph
 from qpolykit.numberfield import _tensor_min_poly
-from qpolykit.polynomials import RationalPoly, _int_coeffs, poly_gcd, squarefree_part
+from qpolykit.polynomials import (
+    RationalPoly,
+    _int_coeffs,
+    cauchy_root_bound,
+    poly_gcd,
+    sign_variations,
+    squarefree_part,
+    sturm_chain,
+)
 from qpolykit.serialize import value_json
 
 from helpers import from_roots
@@ -773,3 +783,105 @@ def test_unchecked_constructor_certifies_its_interval():
     for lo, hi in ((2, 1), (F(3, 2), F(4, 3))):
         with pytest.raises(ValueError, match="^interval endpoints out of order$"):
             AlgebraicReal(RationalPoly((-2, 0, 1)), lo, hi)
+
+
+# -- the far bound ---------------------------------------------------------------
+
+
+def _chain_counter(p: RationalPoly):
+    """count(n, q) for isolate_real_roots from p's own Sturm chain, and the list of points it was asked about."""
+    chain = sturm_chain(p)
+    asked = []
+
+    def count(n: int, q: int) -> tuple[int, int]:
+        t = F(n, q)
+        asked.append(t)
+        return sign_variations([c.sign_at(t) for c in chain]), p.sign_at(t)
+
+    return count, asked
+
+
+def _no_far_bound(ints) -> int:
+    # 2 + max|c| < 2^r exceeds the subdivision's own bound, so no point inside it counts as far
+    return max(abs(c) for c in ints).bit_length() + 2
+
+
+def _isolations(p: RationalPoly) -> list:
+    """Every root of p as (poly, lo, hi), from the Sturm chain and from a counter on the same squarefree part."""
+    sf = squarefree_part(p)
+    count, _ = _chain_counter(sf)
+    return [[(r.poly.coeffs, r.lo, r.hi) for r in roots] for roots in (isolate_real_roots(p), isolate_real_roots(sf, count))]
+
+
+def _regular_charpoly(n: int, k: int, seed: int) -> RationalPoly:
+    g = random_regular_graph(random.Random(seed), n + n * k % 2, k)
+    return RationalPoly(_int_coeffs(squarefree_part(adjacency_charpoly(g))))
+
+
+far_polys = st.one_of(
+    *(
+        st.builds(random_squarefree, st.lists(st.integers(-c, c), min_size=2, max_size=10)).filter(
+            lambda p: p is not None
+        )
+        for c in (40, 10**6)
+    ),
+    st.builds(_regular_charpoly, st.integers(6, 20), st.integers(2, 4), st.integers(0, 10**6)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(far_polys)
+@example(RationalPoly((-15, 3, 1)))  # x^2 + 3x - 15: a root at -5.65, between 2^(r-1) and 2^r for r = 3
+def test_far_bound_changes_no_interval(p):
+    r = algebraics._far_bound(_int_coeffs(p))
+    far = _isolations(p)
+    assert far[0] == far[1]
+    assert all(compare_rational(a, -(2**r)) > 0 and compare_rational(a, 2**r) < 0 for a in isolate_real_roots(p))
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(algebraics, "_far_bound", _no_far_bound)
+        assert _isolations(p) == far
+
+
+@settings(max_examples=60, deadline=None)
+@given(far_polys)
+@example(RationalPoly((-1000, 1000, -1, 1)))  # (x - 1)(x^2 + 1000): one root, isolated from [-B, B] at once
+def test_far_bound_keeps_the_counter_inside_it(p):
+    sf = squarefree_part(p)
+    if sf.degree < 2:
+        return
+    bound = cauchy_root_bound(sf) + 1
+    r = algebraics._far_bound(_int_coeffs(sf))
+    count, asked = _chain_counter(sf)
+    isolate_real_roots(sf, count)
+    assert asked[:2] == [-bound, bound]
+    assert all(abs(t) < 2**r for t in asked[2:])
+
+
+def test_far_bound_skips_the_zoom_on_cubic_graphs(monkeypatch):
+    # a random cubic graph's spectrum lies in [-3, 3], far inside its Cauchy bound
+    visits = []
+    real = algebraics._chain_signs
+
+    def counted(rchain, m, k):
+        visits.append((m, k))
+        return real(rchain, m, k)
+
+    monkeypatch.setattr(algebraics, "_chain_signs", counted)
+    for seed in range(4):
+        p = _regular_charpoly(24, 3, seed)
+        r = algebraics._far_bound(_int_coeffs(p))
+        assert 2**r < cauchy_root_bound(p) + 1
+        count, asked = _chain_counter(p)
+        isolate_real_roots(p, count)
+        visits.clear()
+        isolate_real_roots(p)
+        near = len(visits)
+        # without the far bound, both sources are asked about the zoom in from the Cauchy bound
+        with monkeypatch.context() as m:
+            m.setattr(algebraics, "_far_bound", _no_far_bound)
+            count, everywhere = _chain_counter(p)
+            isolate_real_roots(p, count)
+            visits.clear()
+            isolate_real_roots(p)
+        assert any(abs(t) >= 2**r for t in everywhere[2:])
+        assert len(everywhere) > len(asked) and len(visits) > near

@@ -429,14 +429,14 @@ def test_check_scheme_computes_one_dual_spectrum_per_ordering(monkeypatch, capsy
 
 
 def _count_bfs(monkeypatch) -> list:
-    real = graphs.Graph.bfs_distances
+    real = graphs.Graph.distance_layers
     count = [0]
 
     def counted(self, x):
         count[0] += 1
         return real(self, x)
 
-    monkeypatch.setattr(graphs.Graph, "bfs_distances", counted)
+    monkeypatch.setattr(graphs.Graph, "distance_layers", counted)
     return count
 
 

@@ -42,6 +42,8 @@ from qpolykit.graphs import (
 from qpolykit.polynomials import squarefree_part
 from qpolykit.tridiagonal import TridiagonalSystem
 
+from helpers import bfs_distances, reference_quotient
+
 
 def test_graph_construction_rejects_bad_edges():
     with pytest.raises(GraphError):
@@ -175,6 +177,44 @@ def test_quotient_rational_averages_nonequitable():
     assert qm.beta[1] == F(1, 2)
     rep = classify_regularity(g)
     assert rep.quotients[0] == qm and not rep.quotients[0].equitable
+
+
+@st.composite
+def _partition_graphs(draw) -> Graph:
+    """A small graph: random, random regular, random bipartite, or two pieces with no edge between them."""
+    kind = draw(st.sampled_from(("random", "regular", "bipartite", "disconnected")))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    if kind == "regular":
+        n, k = draw(st.integers(6, 18)), draw(st.integers(2, 5))
+        return random_regular_graph(rng, n + n * k % 2, k)
+    n = draw(st.integers(1, 24))
+    p = draw(st.sampled_from((0.15, 0.3, 0.6)))
+    cut = draw(st.integers(1, n))  # bipartite: sides below and above cut; disconnected: no edge across it
+    pairs = [(u, v) for v in range(n) for u in range(v)]
+    if kind == "bipartite":
+        pairs = [(u, v) for u, v in pairs if u < cut <= v]
+    elif kind == "disconnected":
+        pairs = [(u, v) for u, v in pairs if (u < cut) == (v < cut)]
+    return Graph(n, [e for e in pairs if rng.random() < p])
+
+
+@settings(max_examples=80, deadline=None)
+@given(_partition_graphs())
+def test_bitset_quotients_match_the_neighbour_loop(g):
+    for x in range(g.n):
+        try:
+            want = reference_quotient(g, x)
+        except GraphError:
+            with pytest.raises(GraphError, match="disconnected"):
+                quotient_matrix(g, x)
+            assert not g.is_connected()
+            continue
+        got = quotient_matrix(g, x)
+        assert got == want and got.distances == want.distances
+        dist, layers = g.distance_layers(x)
+        assert tuple(dist) == want.distances
+        assert layers == [sum(1 << y for y, d in enumerate(dist) if d == i) for i in range(len(layers))]
+    assert g.is_connected() == (min(bfs_distances(g, 0)) >= 0)
 
 
 # -- spectra -----------------------------------------------------------------------

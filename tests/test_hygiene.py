@@ -32,19 +32,32 @@ def _names(node: ast.AST) -> set[str]:
 
 
 def _unreferenced() -> set[str]:
-    """Module-level functions and classes of the package that nothing live references.
+    """Module-level functions and classes of the package, and their methods and properties, that nothing live references.
 
     Live code is the package's module-level statements outside its
     definitions, every file under scripts/ and perfbench/, and every
     definition that live code references, found by removing unreferenced
-    definitions until none is left.
+    definitions until none is left.  A class's own references are those
+    outside its methods; a method of an unreferenced class is unreferenced
+    too.  Dunder methods are left out: the language calls them.
     """
-    defs: dict[str, tuple[str, set[str]]] = {}
+    defs: dict[str, tuple[str, set[str], str | None]] = {}  # key: (name, its references, owning class key)
     live = set()
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     for path in sorted(PACKAGE.glob("*.py")):
         for node in _tree(path).body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defs[f"{path.stem}.{node.name}"] = (node.name, _names(node) - {node.name})
+            key = f"{path.stem}.{node.name}" if isinstance(node, (*functions, ast.ClassDef)) else None
+            if isinstance(node, ast.ClassDef):
+                own = set()
+                for item in node.body:
+                    if isinstance(item, functions) and not (item.name.startswith("__") and item.name.endswith("__")):
+                        defs[f"{key}.{item.name}"] = (item.name, _names(item) - {item.name}, key)
+                    else:
+                        own |= _names(item)
+                own |= set().union(*(_names(n) for n in node.bases + node.decorator_list))
+                defs[key] = (node.name, own - {node.name}, None)
+            elif key:
+                defs[key] = (node.name, _names(node) - {node.name}, None)
             else:
                 live |= _names(node)
     for directory in ("scripts", "perfbench"):
@@ -52,8 +65,8 @@ def _unreferenced() -> set[str]:
             live |= _names(_tree(path))
     dead: set[str] = set()
     while True:
-        referenced = live.union(*(refs for key, (_, refs) in defs.items() if key not in dead))
-        now_dead = {key for key, (name, _) in defs.items() if name not in referenced}
+        referenced = live.union(*(refs for key, (_, refs, _) in defs.items() if key not in dead))
+        now_dead = {key for key, (name, _, owner) in defs.items() if name not in referenced or owner in dead}
         if now_dead == dead:
             return dead
         dead = now_dead

@@ -6,7 +6,8 @@ import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qpolykit.algebraics import AlgebraicReal, isolate_real_roots
+from qpolykit import numberfield
+from qpolykit.algebraics import AlgebraicReal, apply_rational_poly, compare, isolate_real_roots
 from qpolykit.cli import main
 from qpolykit.numberfield import (
     RealAlgebraicField,
@@ -333,3 +334,31 @@ def test_field_sign_past_its_round_cap_is_an_alarm(within):
     _, g = RealAlgebraicField.from_root(isolate_real_roots(RationalPoly((-2, 0, 1)))[-1])
     assert exact_sign(g - F(141421356237309504880168872, 10**26)) == 1
     assert exact_sign(g - F(141421356237309504880168873, 10**26)) == -1
+
+
+def test_each_field_value_is_converted_once_per_generator_interval(monkeypatch, capsys):
+    field, gen = RealAlgebraicField.from_root(root(CYCLE7_CUBIC))
+    v = gen * gen - 1
+    first = v.to_algebraic()
+    assert v.to_algebraic() is first and (gen * gen - 1).to_algebraic() is first
+    # a sign decision refines gamma in place: the next conversion starts from the new interval,
+    # as a fresh one would, and is the same number
+    before = field.generator_value()
+    (gen - (before.lo + before.hi) / 2).sign()
+    g = field.generator_value()
+    assert g.hi - g.lo < before.hi - before.lo
+    again = v.to_algebraic()
+    assert again is not first and compare(again, first) == 0
+    fresh = apply_rational_poly(RationalPoly(v.coeffs), field.generator_value())
+    assert (again.poly, again.lo, again.hi) == (fresh.poly, fresh.lo, fresh.hi)
+    # a report converts each value once: Heawood repeats 23 values 76 times
+    calls = []
+
+    def counted(q, a):
+        calls.append((q.coeffs, a.lo, a.hi))
+        return apply_rational_poly(q, a)
+
+    monkeypatch.setattr(numberfield, "apply_rational_poly", counted)
+    assert main(["check-scheme", "--from-graph", "heawood", "--output", "json"]) == 0
+    capsys.readouterr()
+    assert len(calls) == len(set(calls)) == 23

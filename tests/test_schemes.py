@@ -43,7 +43,7 @@ from qpolykit.schemes import (
 )
 from qpolykit.tridiagonal import row_sum_matrix, valencies
 
-from helpers import line_graph, linked_design_krein_array
+from helpers import bfs_distances, line_graph, linked_design_krein_array
 
 
 def heawood_scheme():
@@ -139,13 +139,13 @@ def test_intersection_numbers_match_a_triple_loop():
     graphs.update({"J(6,3)": johnson(6, 3), "H(3,3)": hamming(3, 3)})
     for name, g in graphs.items():
         s = scheme_from_graph(g)
-        dist = [g.bfs_distances(x) for x in range(g.n)]
+        dist = [bfs_distances(g, x) for x in range(g.n)]
         assert s.p == _triple_loop_p(g.n, s.d, lambda x, y: dist[x][y]), name
         # the table is the classification's BFS rows themselves
         assert all(row is q.distances for row, q in zip(s.relation, s.graph_classification.quotients)), name
     # the cube's relations as distance 2, 1, 3, given as lists
     g = cube(3)
-    dist = [g.bfs_distances(x) for x in range(g.n)]
+    dist = [bfs_distances(g, x) for x in range(g.n)]
     index = {0: 0, 2: 1, 1: 2, 3: 3}
     relations = [[(x, y) for x in range(g.n) for y in range(x + 1, g.n) if dist[x][y] == dd] for dd in (2, 1, 3)]
     s = AssociationScheme.from_relation_lists(g.n, relations)
@@ -246,7 +246,7 @@ def test_eigendata_past_a_candidate_that_does_not_generate():
     # the cube's relations as distance 2, 1, 3: B_1 (two disjoint K4) has only
     # two eigenvalues, so the second candidate, the cube itself, is the generator
     g = cube(3)
-    dist = [g.bfs_distances(x) for x in range(g.n)]
+    dist = [bfs_distances(g, x) for x in range(g.n)]
     relations = [[(x, y) for x in range(g.n) for y in range(x + 1, g.n) if dist[x][y] == d] for d in (2, 1, 3)]
     s = AssociationScheme.from_relation_lists(g.n, relations)
     found = [schemes._krylov_polynomials(gen) is not None for _, gen in _candidates(s)]
