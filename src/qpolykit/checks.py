@@ -152,10 +152,10 @@ def _graph_checks(report: dict, lines: list[str], alarms: list[str], g: Graph) -
     interlace = classification.regular and not g.is_complete() and not g.is_empty_graph()
     has_array = classification.distance_regular and classification.diameter >= 2
     array = graphmod.intersection_array(classification) if has_array else None
-    quotient = graphmod.quotient_spectrum(classification) if triple or interlace else None
+    quotient = trimod.spectrum(classification.quotient_system) if triple or interlace else None
 
     if triple:
-        tb = graphmod.triple_bound_graph(classification, quotient)
+        tb = trimod.triple_bound(array, quotient)
         report["triple_bound"] = tb.to_json_dict()
         lines.append(
             "triple bound: "

@@ -2,9 +2,10 @@
 
 This is the package's one arithmetic between irrational algebraic numbers:
 values are moved into a common field (field_containing) and combined there.
-A FieldElement is a number like Fraction: +, -, *, /, == and != mix it
-with Fraction and int, and exact_sign signs any exact scalar.
-AlgebraicReal only isolates and compares.
+A FieldElement is a number like Fraction: +, -, *, /, ==, != and the
+order operators mix it with Fraction and int, so a caller signs or orders
+any exact scalar by comparing it; each order is the sign of the difference
+(sign_coeffs).  AlgebraicReal only isolates and compares.
 
 A RealAlgebraicField is Q[y] modulo a monic irreducible rational
 polynomial, together with a certified root gamma of it (an AlgebraicReal).
@@ -46,7 +47,7 @@ from itertools import count
 from typing import Sequence
 
 from .algebraics import AlgebraicReal, _defining_poly_image, _interval_eval, apply_rational_poly
-from .algebraics import compare_rational, isolate_real_roots, round_limit, roots_in
+from .algebraics import isolate_real_roots, round_limit, roots_in
 from .linalg import charpoly, companion, kron_sum
 from .polynomials import RationalPoly, _trim, irreducible_factors, squarefree_part
 
@@ -310,33 +311,20 @@ class FieldElement:
             return self.coeffs == self._coerce(other).coeffs
         return NotImplemented
 
+    # an order against a FieldElement of this field, a Fraction or an int is the sign of the difference
+    def __lt__(self, other):
+        return (self - other).sign() < 0 if isinstance(other, (FieldElement, int, Fraction)) else NotImplemented
+
+    def __le__(self, other):
+        return (self - other).sign() <= 0 if isinstance(other, (FieldElement, int, Fraction)) else NotImplemented
+
+    def __gt__(self, other):
+        return (self - other).sign() > 0 if isinstance(other, (FieldElement, int, Fraction)) else NotImplemented
+
+    def __ge__(self, other):
+        return (self - other).sign() >= 0 if isinstance(other, (FieldElement, int, Fraction)) else NotImplemented
+
     __hash__ = None
-
-
-# -- scalar helpers shared across modules ------------------------------------------
-
-
-def exact_sign(x) -> int:
-    """Sign of an exact scalar (Fraction, int, FieldElement, AlgebraicReal)."""
-    if isinstance(x, (int, Fraction)):
-        return (x > 0) - (x < 0)
-    if isinstance(x, FieldElement):
-        return x.sign()
-    if isinstance(x, AlgebraicReal):
-        return compare_rational(x, 0)
-    raise TypeError(f"not an exact scalar: {type(x).__name__}")
-
-
-def scalar_as_fraction(x) -> Fraction | None:
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, FieldElement):
-        return x.as_fraction()
-    if isinstance(x, AlgebraicReal):
-        return x.as_rational()
-    raise TypeError(f"not an exact scalar: {type(x).__name__}")
 
 
 # -- adjoining roots -------------------------------------------------------------------

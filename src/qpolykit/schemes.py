@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property, cmp_to_key
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -58,6 +58,7 @@ from . import tridiagonal
 from .algebraics import compare, isolate_real_roots  # noqa: F401  (perfbench/test_bench.py reads schemes.compare)
 from .graphs import (
     Graph,
+    GraphError,
     RegularityReport,
     check_vertex_count,
     classify_regularity,
@@ -65,13 +66,7 @@ from .graphs import (
     is_vertex_pair,
 )
 from .linalg import inverse
-from .numberfield import (
-    RealAlgebraicField,
-    eval_rational_poly,
-    exact_sign,
-    field_containing,
-    scalar_as_fraction,
-)
+from .numberfield import RealAlgebraicField, eval_rational_poly, field_containing
 from .polynomials import RationalPoly
 from .serialize import parse_rat, value_json
 from .tridiagonal import BoundCheck, InvalidSystem, TridiagonalSystem, TripleBoundResult
@@ -615,7 +610,7 @@ def _transpose_system(field, m: Fraction, b1) -> TridiagonalSystem:
         tuple(b1[j + 1][j] for j in range(d)),  # b_j*
         tuple(b1[j - 1][j] for j in range(1, d + 1)),  # c_j*
     )
-    rational = [[scalar_as_fraction(v) for v in row] for row in entries]
+    rational = [[v.as_fraction() for v in row] for row in entries]
     try:
         if all(v is not None for row in rational for v in row):
             return TridiagonalSystem(d, *map(tuple, rational), m)
@@ -627,7 +622,7 @@ def _transpose_system(field, m: Fraction, b1) -> TridiagonalSystem:
 
 def _descending_permutation(col) -> list[int] | None:
     """The indices of col by descending value, compared exactly; None on a tie (not Q-polynomial then)."""
-    order = sorted(range(len(col)), key=cmp_to_key(lambda u, w: exact_sign(col[w] - col[u])))
+    order = sorted(range(len(col)), key=col.__getitem__, reverse=True)
     if any(col[u] == col[w] for u, w in zip(order, order[1:])):
         return None
     return order
@@ -972,13 +967,13 @@ def class3_dualtight_audit(
             q233_record = AuditRecord("q233_formula", None, note="parameter-level input: value defined by the formula", rhs=q233_formula)
             m3_record = AuditRecord("m3_formula", None, note="parameter-level input: m_3 defined by the formula", rhs=m3_formula)
         records.append(q233_record)
-        records.append(AuditRecord("q233_nonnegative", exact_sign(b2 - 1) >= 0, lhs=b2))
+        records.append(AuditRecord("q233_nonnegative", b2 >= 1, lhs=b2))
         records.append(m3_record)
 
         # b2*(m - b1*) >= m - c2*, equality exactly when b2* = 1
         u_lhs = b2 * (m - b1)
         u_rhs = m - c2
-        u_sign = exact_sign(u_lhs - u_rhs)
+        u_sign = (u_lhs > u_rhs) - (u_lhs < u_rhs)
         records.append(
             AuditRecord(
                 "product_rule_bound",
@@ -990,7 +985,7 @@ def class3_dualtight_audit(
         )
 
         # m - c2* >= b2*(m - b1*), equality exactly when q_33^3 = 0
-        l_sign = exact_sign(u_rhs - u_lhs)
+        l_sign = -u_sign
         q333_zero = q333 == 0
         records.append(
             AuditRecord(
@@ -1074,10 +1069,10 @@ def classify_class3_scheme(scheme: AssociationScheme, dual_tight: Sequence[bool]
         if i == 1 and scheme.graph_classification is not None:
             classification = scheme.graph_classification  # the graph the scheme came from
         else:
-            graph = scheme.relation_graph(i)
-            if not graph.is_connected():
+            try:
+                classification = classify_regularity(scheme.relation_graph(i))
+            except GraphError:  # a disconnected relation graph
                 continue
-            classification = classify_regularity(graph)
         if not classification.distance_regular:
             continue
         match = _symmetric_design_array(intersection_array(classification))

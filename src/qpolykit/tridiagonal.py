@@ -22,11 +22,12 @@ Entry indexing: alpha[i] is the diagonal entry alpha_i (0..D), beta[i] is
 beta_i (0..D-1), gamma[j] is gamma_{j+1} (the stored list starts at
 gamma_1).
 
-Entries are Fractions for ordinary systems; the same checks also accept
-number-field elements of one field, so Krein matrices with algebraic
-entries reuse every code path.  The caller joins the fields; nothing here
-builds one.  A spectrum is the roots of F_D, by one of two functions.
-spectrum isolates them (rational systems only).  It derives
+Entries are ints and Fractions for a rational system, or number-field
+elements of one field, so Krein matrices with algebraic entries reuse
+every code path; every clause compares the entries as numbers, and the
+rational paths read them as they are.  The caller joins the fields;
+nothing here builds one.  A spectrum is the roots of F_D, by one of two
+functions.  spectrum isolates them (rational systems only).  It derives
 the recurrence once in integers, H_i(y) = L^i F_i(y / L) with L the common
 denominator of its coefficients, and reads F_0, ..., F_D as RationalPolys
 off the H_i.  The positive off-diagonal products make F_0, ..., F_D a
@@ -70,7 +71,6 @@ from .algebraics import (
     round_limit,
 )
 from .linalg import charpoly, companion, det
-from .numberfield import exact_sign, scalar_as_fraction
 from .polynomials import RationalPoly, _scaled_int_poly, sign_variations, signed_remainder_sequence
 from .serialize import rat_str, value_json
 
@@ -85,7 +85,14 @@ class InvalidSystem(ValueError):
 
 @dataclass(frozen=True)
 class TridiagonalSystem:
-    """A system that meets the row-sum condition; construction raises InvalidSystem otherwise."""
+    """A system that meets the row-sum condition; construction raises InvalidSystem otherwise.
+
+    Entries are ints and Fractions, or number-field elements of one field.
+    A system with a field entry has an irrational one: its builder turns a
+    Krein matrix whose entries are all rational into Fractions
+    (schemes._transpose_system).  So is_rational, no entry a field element,
+    holds exactly when every entry is rational.
+    """
 
     d: int
     alpha: tuple
@@ -101,20 +108,20 @@ class TridiagonalSystem:
         if len(alpha) != d + 1 or len(beta) != d or len(gamma) != d:
             v.append("entry counts must be alpha: D+1, beta: D, gamma: D")
             raise InvalidSystem(v)
-        if exact_sign(kappa) <= 0:
+        if kappa <= 0:
             v.append("kappa must be positive")
         if alpha[0] != 0:
             v.append("alpha_0 must equal 0")
         for i, a in enumerate(alpha):
-            if exact_sign(a) < 0:
+            if a < 0:
                 v.append(f"alpha_{i} must be nonnegative")
         for i, b in enumerate(beta):
-            if exact_sign(b) <= 0:
+            if b <= 0:
                 v.append(f"beta_{i} must be positive")
         if d >= 1 and gamma[0] != 1:
             v.append("gamma_1 must equal 1")
         for j, g in enumerate(gamma):
-            if exact_sign(g) <= 0:
+            if g <= 0:
                 v.append(f"gamma_{j + 1} must be positive")
         for i in range(d + 1):
             total = alpha[i]
@@ -144,15 +151,14 @@ class TridiagonalSystem:
         return cls(d, tuple(alpha), tuple(bb), tuple(cc), k)
 
     def is_rational(self) -> bool:
-        vals = list(self.alpha) + list(self.beta) + list(self.gamma) + [self.kappa]
-        return all(scalar_as_fraction(v) is not None for v in vals)
+        return all(isinstance(v, (int, Fraction)) for v in (self.kappa, *self.alpha, *self.beta, *self.gamma))
 
     def to_json_dict(self) -> dict:
         return {
-            "kappa": rat_str(scalar_as_fraction(self.kappa)),
-            "alpha": [rat_str(scalar_as_fraction(v)) for v in self.alpha],
-            "beta": [rat_str(scalar_as_fraction(v)) for v in self.beta],
-            "gamma": [rat_str(scalar_as_fraction(v)) for v in self.gamma],
+            "kappa": rat_str(self.kappa),
+            "alpha": [rat_str(v) for v in self.alpha],
+            "beta": [rat_str(v) for v in self.beta],
+            "gamma": [rat_str(v) for v in self.gamma],
         }
 
 
@@ -218,9 +224,7 @@ def _integer_recurrence(system: TridiagonalSystem) -> tuple[int, list[int], list
     """
     if not system.is_rational():
         raise ValueError("systems with algebraic entries need candidate eigenvalues")
-    kappa = scalar_as_fraction(system.kappa)
-    beta = [scalar_as_fraction(x) for x in system.beta]
-    gamma = [scalar_as_fraction(x) for x in system.gamma]
+    kappa, beta, gamma = system.kappa, system.beta, system.gamma
     a = [Fraction(1)] + [beta[i - 1] + gamma[i - 1] - kappa for i in range(2, system.d + 1)]
     b = [Fraction(0)] + [beta[i - 1] * gamma[i - 2] for i in range(2, system.d + 1)]
     scale = lcm(*(x.denominator for x in a + b))
@@ -365,10 +369,9 @@ def spectrum(system: TridiagonalSystem) -> SpectrumReport:
     # D roots, each pinned by a sign change, make F_D squarefree, as each root's poly must be
     if len(roots) != d:
         raise AssertionError(f"F_{d} must have {d} distinct real roots, found {len(roots)}")
-    kappa = scalar_as_fraction(system.kappa)
-    if compare_rational(roots[-1], kappa) >= 0:
+    if compare_rational(roots[-1], system.kappa) >= 0:
         raise AssertionError("kappa must be the strictly largest eigenvalue")
-    eigen = (AlgebraicReal.from_rational(kappa),) + tuple(reversed(roots))
+    eigen = (AlgebraicReal.from_rational(system.kappa),) + tuple(reversed(roots))
     return SpectrumReport(system, eigen, tuple(fs))
 
 
@@ -386,7 +389,7 @@ def certify_spectrum(system: TridiagonalSystem, roots: Sequence) -> SpectrumRepo
         if _f_d_at(system, cand) != 0:
             raise AssertionError("candidate eigenvalue does not annihilate F_D")
     for above, below in zip(eigen, eigen[1:]):
-        if exact_sign(above - below) <= 0:
+        if above <= below:
             raise AssertionError("kappa and the candidate eigenvalues must be strictly descending")
     return SpectrumReport(system, eigen, ())
 
@@ -629,12 +632,10 @@ def _shifted_product(report: SpectrumReport, indices: Sequence[int], s, rhs) -> 
     field spectra multiply their certified eigenvalues out.
     """
     if report.f_polys:
-        fd = report.f_polys[-1]
-        s = scalar_as_fraction(s)
-        lhs = shifted_subset_product(fd, report.eigenvalues[1:], [i - 1 for i in indices], s)
-        return compare_shifted_product(lhs, scalar_as_fraction(rhs)), lhs
+        lhs = shifted_subset_product(report.f_polys[-1], report.eigenvalues[1:], [i - 1 for i in indices], s)
+        return compare_shifted_product(lhs, rhs), lhs
     lhs = prod(report.eigenvalues[i] + s for i in indices)
-    return exact_sign(lhs - rhs), lhs
+    return (lhs - rhs).sign(), lhs
 
 
 @dataclass(frozen=True)
@@ -694,7 +695,8 @@ def triple_bound(system: TridiagonalSystem, report: SpectrumReport) -> TripleBou
     d = system.d
     if d < 3:
         raise ValueError("need D >= 3")
-    hyp = exact_sign(system.beta[2] + system.gamma[2] - system.kappa - 1)
+    x = system.beta[2] + system.gamma[2] - system.kappa - 1
+    hyp = (x > 0) - (x < 0)
     rhs = -system.beta[1] * (system.kappa + 1 - system.beta[2] - system.gamma[2])
     branches = []
     if hyp >= 0:

@@ -18,7 +18,7 @@ from typing import Sequence
 
 from qpolykit.algebraics import AlgebraicReal, compare
 from qpolykit.graphs import Graph, GraphError, QuotientMatrix
-from qpolykit.numberfield import FieldElement, exact_sign, field_containing
+from qpolykit.numberfield import FieldElement, field_containing
 from qpolykit.polynomials import RationalPoly
 
 
@@ -30,13 +30,18 @@ def from_roots(roots: Sequence[Fraction | int]) -> RationalPoly:
     return p
 
 
+def neighbours(g: Graph, v: int) -> list[int]:
+    """The neighbours of v, ascending, read off its adjacency mask."""
+    return [w for w in range(g.n) if g.masks[v] >> w & 1]
+
+
 def line_graph(g: Graph) -> Graph:
     """Vertices are edges of g; adjacency = sharing an endpoint."""
     es = g.edges()
     index = {e: i for i, e in enumerate(es)}
     out = set()
     for v in range(g.n):
-        inc = [index[(min(v, w), max(v, w))] for w in g.adj[v]]
+        inc = [index[(min(v, w), max(v, w))] for w in neighbours(g, v)]
         for a, b in combinations(sorted(inc), 2):
             out.add((a, b))
     return Graph(len(es), sorted(out))
@@ -52,7 +57,7 @@ def bfs_distances(g: Graph, x: int) -> list[int]:
         d += 1
         nxt = []
         for u in frontier:
-            for w in g.adj[u]:
+            for w in neighbours(g, u):
                 if dist[w] < 0:
                     dist[w] = d
                     nxt.append(w)
@@ -72,7 +77,7 @@ def reference_quotient(g: Graph, x: int) -> QuotientMatrix:
     equitable = True
     for y, i in enumerate(dist):
         counts = [0, 0, 0]
-        for w in g.adj[y]:
+        for w in neighbours(g, y):
             counts[dist[w] - i + 1] += 1
         sizes[i] += 1
         totals[i] = [t + c for t, c in zip(totals[i], counts)]
@@ -132,7 +137,7 @@ def endpoint_product_bound(a, b, c, d, t) -> LemmaResult:
     _, (fa, fb, fc, fd, ft) = field_containing([a, b, c, d, t])
     f_t = (ft - fa) * (ft - fd)
     g_t = (ft - fb) * (ft - fc)
-    cmp = exact_sign(f_t - g_t)
+    cmp = (f_t > g_t) - (f_t < g_t)
     equality = cmp == 0
     if equality and compare(b, t) < 0 and compare(t, c) < 0:
         if not (compare(a, b) == 0 and compare(c, d) == 0):

@@ -18,13 +18,13 @@ from qpolykit.graphs import Graph, adjacency_charpoly
 from qpolykit.polynomials import RationalPoly, _int_coeffs
 from qpolykit.tridiagonal import charpoly_by_cofactor
 
-from helpers import from_roots
+from helpers import from_roots, neighbours
 
 
 def sympy_charpoly(g: Graph) -> list[int]:
     m = sympy.zeros(g.n, g.n)
     for u in range(g.n):
-        for v in g.adj[u]:
+        for v in neighbours(g, u):
             m[u, v] = 1
     return [int(c) for c in reversed(m.charpoly().all_coeffs())]
 
@@ -32,7 +32,7 @@ def sympy_charpoly(g: Graph) -> list[int]:
 def bareiss_value(g: Graph, t: int) -> int:
     """det(tI - A) by fraction-free elimination."""
     n = g.n
-    m = [[(t if i == j else 0) - (j in g.adj[i]) for j in range(n)] for i in range(n)]
+    m = [[(t if i == j else 0) - (g.masks[i] >> j & 1) for j in range(n)] for i in range(n)]
     return linalg.det(m)
 
 

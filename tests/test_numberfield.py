@@ -1,22 +1,24 @@
 import json
+import operator
 from fractions import Fraction as F
 
 import pytest
 import sympy
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpolykit import numberfield
-from qpolykit.algebraics import AlgebraicReal, apply_rational_poly, compare, isolate_real_roots
+from qpolykit.algebraics import AlgebraicReal, apply_rational_poly, compare, compare_rational, isolate_real_roots
 from qpolykit.cli import main
+from qpolykit.families import cycle
+from qpolykit.graphs import spectrum_graph
 from qpolykit.numberfield import (
+    FieldElement,
     RealAlgebraicField,
     _minimal_factor,
     _tensor_min_poly,
     adjoin_root,
-    exact_sign,
     field_containing,
-    scalar_as_fraction,
 )
 from qpolykit.polynomials import RationalPoly, irreducible_factors
 
@@ -88,27 +90,82 @@ def test_field_containing_cyclic_cubic():
 
 def test_scalar_helpers():
     field, gen = RealAlgebraicField.from_root(root((-2, 0, 1)))
-    assert exact_sign(F(-3)) == -1
-    assert exact_sign(gen) == 1
+    assert gen > 0 and 0 < gen and -gen < 0
     assert gen - gen == 0
-    assert scalar_as_fraction(field.constant(F(5, 3))) == F(5, 3)
-    assert scalar_as_fraction(gen) is None
+    assert field.constant(F(5, 3)).as_fraction() == F(5, 3)
+    assert gen.as_fraction() is None
 
 
 def test_scalar_helpers_on_algebraic_reals():
     s2 = root((-2, 0, 1))
-    assert exact_sign(s2) == 1 and exact_sign(s2.mul_rational(-1)) == -1
-    assert exact_sign(AlgebraicReal.from_rational(0)) == 0
-    assert scalar_as_fraction(s2) is None
+    assert compare_rational(s2, 0) == 1 and compare_rational(s2.mul_rational(-1), 0) == -1
+    assert compare_rational(AlgebraicReal.from_rational(0), 0) == 0
+    assert s2.as_rational() is None
     third = AlgebraicReal(RationalPoly((-1, 3)) * RationalPoly((-2, 0, 1)), F(1, 3), 1)  # a root at an end: the point
-    assert scalar_as_fraction(third) == F(1, 3)
-    assert scalar_as_fraction(AlgebraicReal(RationalPoly((-1, 3)), 0, 1, True)) == F(1, 3)
+    assert third.as_rational() == F(1, 3)
+    assert AlgebraicReal(RationalPoly((-1, 3)), 0, 1, True).as_rational() == F(1, 3)
 
 
 def test_division_errors():
     field, gen = RealAlgebraicField.from_root(root((-2, 0, 1)))
     with pytest.raises(ZeroDivisionError):
         (gen - gen).inverse()
+
+
+def sympy_generator(field: RealAlgebraicField):
+    """field's generator as a sympy number: the real root of its modulus inside the generator's interval."""
+    x = sympy.Symbol("x")
+    modulus = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(field.modulus.coeffs)], x)
+    gen = field.generator_value()
+    lo, hi = (sympy.Rational(v.numerator, v.denominator) for v in (gen.lo, gen.hi))
+    (value,) = [r for r in modulus.real_roots() if lo <= r <= hi]
+    return value
+
+
+ORDER_FIELDS = [
+    RealAlgebraicField.from_root(root((-2, 0, 1)))[0],
+    RealAlgebraicField.from_root(root((-5, 0, 1)))[0],
+    field_containing(spectrum_graph(cycle(7)).distinct)[0],  # the cubic field of cycle:n=7
+]
+ORDER_GENERATORS = [sympy_generator(field) for field in ORDER_FIELDS]
+RATIONALS = st.one_of(st.integers(-4, 4), st.fractions(-3, 3, max_denominator=5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, len(ORDER_FIELDS) - 1),
+    st.lists(st.lists(st.fractions(-2, 2, max_denominator=3), max_size=3), min_size=1, max_size=5),
+    RATIONALS,
+)
+def test_order_agrees_with_sympy_and_with_compare(index, coeff_lists, r):
+    field, gamma = ORDER_FIELDS[index], ORDER_GENERATORS[index]
+    elems = [field.element(c[: field.degree]) for c in coeff_lists]
+
+    def value(v):
+        """v as an exact sympy number."""
+        if isinstance(v, FieldElement):
+            return sympy.expand(sum(sympy.Rational(c.numerator, c.denominator) * gamma**k for k, c in enumerate(v.coeffs)))
+        return sympy.Rational(v.numerator, v.denominator)
+
+    def sign(v) -> int:
+        d = sympy.expand(v)
+        return 0 if d == 0 else 1 if d > 0 else -1
+
+    for x in elems:
+        for y in elems + [r, F(r), int(r)]:
+            want = sign(value(x) - value(y))
+            assert ((x < y), (x <= y), (x > y), (x >= y)) == (want < 0, want <= 0, want > 0, want >= 0)
+            assert ((y > x), (y >= x), (y < x), (y <= x)) == (want < 0, want <= 0, want > 0, want >= 0)
+            if isinstance(y, FieldElement):
+                assert compare(x.to_algebraic(), y.to_algebraic()) == want
+    assert [value(x) for x in sorted(elems)] == sorted(value(x) for x in elems)
+    x = elems[0]
+    for other in (x.to_algebraic(), 0.5):
+        for op in (operator.lt, operator.le, operator.gt, operator.ge):
+            with pytest.raises(TypeError):
+                op(x, other)
+            with pytest.raises(TypeError):
+                op(other, x)
 
 
 # the minimal polynomials of 2cos(2 pi/7) and 2cos(2 pi/11), which generate the
@@ -332,8 +389,8 @@ def test_field_sign_past_its_round_cap_is_an_alarm(within):
         within(10, field.element((-4, 1)).sign)
     # a genuine field signs an element that needs many rounds
     _, g = RealAlgebraicField.from_root(isolate_real_roots(RationalPoly((-2, 0, 1)))[-1])
-    assert exact_sign(g - F(141421356237309504880168872, 10**26)) == 1
-    assert exact_sign(g - F(141421356237309504880168873, 10**26)) == -1
+    assert g > F(141421356237309504880168872, 10**26)
+    assert g < F(141421356237309504880168873, 10**26)
 
 
 def test_each_field_value_is_converted_once_per_generator_interval(monkeypatch, capsys):
